@@ -22,6 +22,7 @@ from .grid import (
     PERIOD,
     PeriodicGrid,
     ScalarField,
+    ball_offsets,
     build_mollifier,
     grad_values,
     lp_norm_values,
@@ -199,9 +200,8 @@ def verify_mollifier_rates(
         mol = build_mollifier(grid, eps)
         fe = mollify_values(field.values, mol)
         m_err.append(lp_norm_values(fe - field.values, p, vol))
-        rmax = mol.radius_cells
         sup = 0.0
-        for off in _ball_offsets(grid, rmax, eps):
+        for off in ball_offsets(grid, mol.radius_cells, eps):
             sup = max(sup, _diff_norm(field, off, p))
         s_sup.append(sup)
         gmag = np.sqrt(np.sum(grad_values(fe, grid.cell_width) ** 2, axis=0))
@@ -225,22 +225,6 @@ def verify_mollifier_rates(
     return MollifierRateReport(
         p, alpha, sem, eps_arr, m_err, s_sup, g_nrm, slopes, win, bound_ok, slack
     )
-
-
-def _ball_offsets(grid: PeriodicGrid, rmax: int, eps: float) -> list[tuple[int, ...]]:
-    """Nonzero lattice offsets with |h| < eps."""
-    out = []
-    rng = range(-rmax, rmax + 1)
-    if grid.dims == 1:
-        out = [(c,) for c in range(1, rmax + 1)]
-    else:
-        for cx in rng:
-            for cy in rng:
-                if (cx, cy) == (0, 0) or (cx == 0 and cy < 0) or cx < 0:
-                    continue
-                if offset_length(grid, (cx, cy)) < eps:
-                    out.append((cx, cy))
-    return out
 
 
 @dataclass(frozen=True)

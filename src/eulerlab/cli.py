@@ -13,7 +13,6 @@ data rows.  Exit codes: 0 pass, 1 fail, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -26,29 +25,39 @@ from . import commutator as cm
 from . import conditions as cd
 from . import relentropy as re_
 from .errors import DomainError, RangeError, ResolutionError
-from .grid import PeriodicGrid, ScalarField, load_scalar_field, weierstrass_field
-from .solver import SolverConfig, Trajectory, project_trajectory, run, snapshot_primitive
-from .thermo import GasParams, tilde_pressure_derivatives, verify_gibbs, verify_p2
+from .grid import PeriodicGrid, load_scalar_field, weierstrass_field
+from .solver import (
+    SolverConfig,
+    Trajectory,
+    config_hash,
+    project_trajectory,
+    run,
+    snapshot_primitive,
+)
+from .thermo import GasParams
 
 
 class UsageError(Exception):
     pass
 
 
-def _config_hash(payload: dict) -> str:
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+def _load(what: str, loader, *args):
+    """Call ``loader`` on input from outside the program; a missing or
+    malformed file, or a trajectory pair whose grids do not nest, is a
+    usage error."""
+    try:
+        return loader(*args)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot load {what}: {exc!r}")
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config is not valid JSON: {exc}")
+    cfg = _load(f"config {path}", lambda: json.loads(Path(path).read_text()))
+    if not isinstance(cfg, dict):
+        raise UsageError(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _field(cfg: dict, name: str, kind, default=None, required=False):
@@ -59,7 +68,7 @@ def _field(cfg: dict, name: str, kind, default=None, required=False):
     value = cfg[name]
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"config field {name!r} has invalid value {value!r}")
 
 
@@ -97,20 +106,25 @@ def cmd_simulate(args) -> int:
     dims = _field(cfg, "dims", int, 1)
     gamma = args.gamma or _field(cfg, "gamma", float, 1.4)
     init = _field(cfg, "init", dict, {"name": "sod"})
+    t_end = _field(cfg, "t_end", float, 0.2)
     try:
         config = SolverConfig(
             grid=PeriodicGrid(dims, grid_n),
             params=GasParams(gamma),
-            t_end=_field(cfg, "t_end", float, 0.2),
+            t_end=t_end,
             system=_field(cfg, "system", str, "complete"),
             cfl=_field(cfg, "cfl", float, 0.4),
             init=init,
-            snapshot_stride=_field(cfg, "snapshot_stride", float,
-                                   _field(cfg, "t_end", float, 0.2) / 10.0),
+            snapshot_stride=_field(cfg, "snapshot_stride", float, t_end / 10.0),
         )
-        traj = run(config)
-    except (ValueError, DomainError) as exc:
+    except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))
+    try:
+        traj = run(config)
+    except DomainError:
+        raise  # the run itself failed: exit 1
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"invalid init {init!r}: {exc!r}")
     out = _out_dir(args)
     traj.save(out)
     print(f"wrote trajectory ({len(traj.snapshots)} snapshots) to {out}")
@@ -120,11 +134,13 @@ def cmd_simulate(args) -> int:
 def cmd_besov_fit(args) -> int:
     if not args.field:
         raise UsageError("besov-fit requires --field <csv>")
-    field = load_scalar_field(args.field)
+    field = _load(args.field, load_scalar_field, args.field)
     p = args.p
-    payload = {"field": str(args.field), "p": p}
-    chash = _config_hash(payload)
-    rep = bz.besov_report(field, p)
+    chash = config_hash({"field": str(args.field), "p": p})
+    try:
+        rep = bz.besov_report(field, p)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     rows: list[list] = [
         ["seminorm", float(b), float(s), float("nan"), float("nan")]
         for b, s in zip(rep.beta_grid, rep.seminorms)
@@ -147,19 +163,9 @@ def _resolve_probe_fields(cfg: dict):
             f = load_scalar_field(spec["file"])
         elif "weierstrass" in spec:
             w = spec["weierstrass"]
-            grid_n = int(w.get("grid_n", 8192))
-            g = PeriodicGrid(1, grid_n)
-            phase = float(w.get("phase", 0.0))
-            if phase:
-                x = g.axis_centers()
-                vals = np.zeros_like(x)
-                for k in range(int(w["levels"]) + 1):
-                    vals += 2.0 ** (-float(w["alpha"]) * k) * np.cos(
-                        (2.0**k) * np.pi * x + phase
-                    )
-                f = ScalarField(g, vals)
-            else:
-                f = weierstrass_field(float(w["alpha"]), int(w["levels"]), g)
+            g = PeriodicGrid(1, int(w.get("grid_n", 8192)))
+            f = weierstrass_field(float(w["alpha"]), int(w["levels"]), g,
+                                  float(w.get("phase", 0.0)))
         else:
             raise UsageError("each probe field needs 'file' or 'weierstrass'")
         if grid is not None and f.grid != grid:
@@ -173,17 +179,17 @@ def _resolve_probe_fields(cfg: dict):
 def cmd_commutator_rate(args) -> int:
     cfg = _load_config(args.config)
     gamma = args.gamma or _field(cfg, "gamma", float, 1.4)
-    fields, alphas = _resolve_probe_fields(cfg)
     gname = _field(cfg, "G", str, required=True)
     p = _field(cfg, "p", float, 4.0)
     eps = _field(cfg, "eps", list, [2.0 ** (-k) for k in range(4, 11)])
     try:
+        fields, alphas = _resolve_probe_fields(cfg)
         gmap = cm.get_gmap(gname, GasParams(gamma))
         probe = cm.CommutatorProbe(fields, alphas, gmap, p, tuple(float(e) for e in eps))
         fit = cm.chain_rate_fit(probe)
-    except (ValueError, DomainError, ResolutionError) as exc:
-        raise UsageError(str(exc))
-    chash = _config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas})
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise UsageError(repr(exc))
+    chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas})
     rows = [
         [float(e), float(n), float(b), bool(okay)]
         for e, n, b, okay in zip(fit.eps, fit.norms, fit.bounds, fit.bound_ok)
@@ -199,19 +205,17 @@ def cmd_commutator_rate(args) -> int:
 def cmd_relentropy(args) -> int:
     if not args.traj_a or not args.traj_b:
         raise UsageError("relentropy requires --traj-a and --traj-b directories")
-    traj_a = Trajectory.load(args.traj_a)
-    traj_b = Trajectory.load(args.traj_b)
-    if traj_b.grid.cells_per_dim > traj_a.grid.cells_per_dim:
-        traj_b = project_trajectory(traj_b, traj_a.grid)
-    elif traj_a.grid.cells_per_dim > traj_b.grid.cells_per_dim:
-        traj_a = project_trajectory(traj_a, traj_b.grid)
-    params = traj_a.params
+    traj_a = _load(args.traj_a, Trajectory.load, args.traj_a)
+    traj_b = _load(args.traj_b, Trajectory.load, args.traj_b)
+    grid = min(traj_a.grid, traj_b.grid, key=lambda g: g.cells_per_dim)
+    traj_a, traj_b = (_load(f"{args.traj_a} and {args.traj_b} on one grid",
+                            project_trajectory, t, grid) for t in (traj_a, traj_b))
     try:
-        trace = re_.gronwall_monitor(traj_a, traj_b, params, sigma=args.sigma)
+        trace = re_.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=args.sigma)
         check = re_.gronwall_envelope_check(trace, sigma=float(trace.times[0]))
     except ValueError as exc:
         raise UsageError(str(exc))
-    chash = _config_hash({"a": str(args.traj_a), "b": str(args.traj_b),
+    chash = config_hash({"a": str(args.traj_a), "b": str(args.traj_b),
                           "sigma": args.sigma})
     rows = []
     for j, t in enumerate(trace.times):
@@ -233,7 +237,9 @@ def cmd_oslip_check(args) -> int:
     rows = []
     flags = "masked" if args.mask_wrap else "unmasked"
     if args.traj:
-        traj = Trajectory.load(args.traj)
+        traj = _load(args.traj, Trajectory.load, args.traj)
+        if traj.system != "complete":
+            raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
         times, cs, ds = [], [], []
         for snap in traj.snapshots:
@@ -248,7 +254,7 @@ def cmd_oslip_check(args) -> int:
             raise UsageError(f"need at least two snapshots past delta={delta}")
         partial = 0.0
         prev = None
-        chash = _config_hash({"traj": str(args.traj), "delta": delta,
+        chash = config_hash({"traj": str(args.traj), "delta": delta,
                               "mask": args.mask_wrap})
         for i in kept:
             if prev is not None:
@@ -260,16 +266,15 @@ def cmd_oslip_check(args) -> int:
         rep = cd.l1_report(np.array([times[i] for i in kept]),
                            np.array([cs[i] for i in kept]), delta)
         if rep.integrability_doubtful:
-            flags_line = f"integrability doubtful as delta->0 (power {rep.fit_power:.2f})"
-            print(flags_line)
+            print(f"integrability doubtful as delta->0 (power {rep.fit_power:.2f})")
     elif args.field:
-        field = load_scalar_field(args.field)
+        field = _load(args.field, load_scalar_field, args.field)
         vel = field.values[None] if field.grid.dims == 1 else None
         if vel is None:
             raise UsageError("2D velocity input needs a trajectory directory")
         weak = cd.oslip_weak_min_c(field.grid, vel)
         disc = cd.oslip_discrete(field.grid, vel, mask_wrap=args.mask_wrap)
-        chash = _config_hash({"field": str(args.field), "mask": args.mask_wrap})
+        chash = config_hash({"field": str(args.field), "mask": args.mask_wrap})
         rows.append([0.0, weak.min_c, disc.value, 0.0, flags])
         print(f"min_C = {weak.min_c:.6g}, discrete_C = {disc.value:.6g}")
     else:
@@ -282,38 +287,22 @@ def cmd_oslip_check(args) -> int:
 def cmd_verify_thermo(args) -> int:
     gamma = args.gamma or 1.4
     params = GasParams(gamma)
-    rho = np.linspace(0.5, 2.0, 50)
-    theta = np.linspace(0.5, 2.0, 50)
-    rr, tt = np.meshgrid(rho, theta, indexing="ij")
-    g1, g2 = verify_gibbs(rr, tt, params)
-    p1, p2, p3 = verify_p2(rr, tt, params)
-    s_tot = np.linspace(-2.0, 2.0, 50)
-    rr2, ss = np.meshgrid(np.linspace(0.25, 4.0, 50), s_tot, indexing="ij")
-    _, _, hess = tilde_pressure_derivatives(rr2, ss, params)
-    min_eig = float(np.min(np.linalg.eigvalsh(np.moveaxis(hess, (0, 1), (-2, -1)))))
-    rows = [
-        ["gibbs_density_slot", float(np.max(g1))],
-        ["gibbs_temperature_slot", float(np.max(g2))],
-        ["ballistic_euler_identity", float(np.max(p1))],
-        ["entropy_pressure_identity", float(np.max(p2))],
-        ["ballistic_temperature_slope", float(np.max(p3))],
-        ["tilde_pressure_min_eigenvalue", min_eig],
-    ]
-    chash = _config_hash({"gamma": gamma})
+    ident = acceptance.gate_thermo_identities(params)
+    convex = acceptance.gate_tilde_pressure_convexity(params)
+    rows = [[name, ident.metrics[name]] for name in acceptance.THERMO_IDENTITIES]
+    rows.append(["tilde_pressure_min_eigenvalue", convex.metrics["min_eigenvalue"]])
     _write_report(_out_dir(args) / "thermo_report.csv",
-                  ["quantity", "value"], rows, chash)
-    worst = max(v for _, v in rows[:5])
-    ok = worst <= 1e-10 and min_eig >= -1e-10
-    print(f"max identity residual {worst:.3e}, min Hessian eigenvalue {min_eig:.3e}: "
-          f"{'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+                  ["quantity", "value"], rows, config_hash({"gamma": gamma}))
+    print(ident.line())
+    print(convex.line())
+    return 0 if ident.passed and convex.passed else 1
 
 
 def cmd_accept(args) -> int:
     results = acceptance.run_all(echo=print)
     if args.out:
         rows = [[r.name, r.passed, r.details] for r in results]
-        chash = _config_hash({"gates": [r.name for r in results]})
+        chash = config_hash({"gates": [r.name for r in results]})
         _write_report(_out_dir(args) / "acceptance.csv",
                       ["gate", "passed", "details"], rows, chash)
     return 0 if all(r.passed for r in results) else 1
@@ -337,7 +326,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: cwd)")
         p.add_argument("--grid-n", type=int, help="cells per dimension override")
         p.add_argument("--gamma", type=float, help="adiabatic index override")
-        p.add_argument("--seed", type=int, default=0, help="global seed")
 
     p = sub.add_parser("simulate", help="run the finite-volume solver")
     common(p)

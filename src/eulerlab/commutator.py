@@ -38,6 +38,7 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    ball_offsets,
     build_mollifier,
     grad_values,
     lp_norm_values,
@@ -339,20 +340,8 @@ def _pair_modulus(stack: np.ndarray, mol: Mollifier, grid: PeriodicGrid, p: floa
     stack_e = mollify_values(stack, mol, first_axis=1)
     diff = np.sqrt(np.sum((stack_e - stack) ** 2, axis=0))
     moll_term = lp_norm_values(diff, p, grid.cell_volume) ** 2
-    rmax = mol.radius_cells
     sup = 0.0
-    offs: list[tuple[int, ...]]
-    if grid.dims == 1:
-        offs = [(c,) for c in range(1, rmax + 1)]
-    else:
-        offs = [
-            (cx, cy)
-            for cx in range(0, rmax + 1)
-            for cy in range(-rmax, rmax + 1)
-            if (cx, cy) != (0, 0) and not (cx == 0 and cy < 0)
-            and (cx * cx + cy * cy) * grid.cell_width**2 < mol.epsilon**2
-        ]
-    for off in offs:
+    for off in ball_offsets(grid, mol.radius_cells, mol.epsilon):
         moved = shift_values(stack, off, first_axis=1)
         d = np.sqrt(np.sum((moved - stack) ** 2, axis=0))
         sup = max(sup, lp_norm_values(d, p, grid.cell_volume) ** 2)

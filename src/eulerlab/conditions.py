@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PERIOD, PeriodicGrid
+from .grid import PeriodicGrid, offset_length, shift_values, wrap
 
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
 
@@ -31,10 +31,6 @@ def unit_directions(dims: int, count: int = 16) -> list[tuple[float, ...]]:
         return [(1.0,), (-1.0,)]
     angles = [2.0 * math.pi * k / count for k in range(count)]
     return [(math.cos(a), math.sin(a)) for a in angles]
-
-
-def _wrap(delta: np.ndarray) -> np.ndarray:
-    return (delta + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
         centers = np.arange(-1.0, 1.0 - 1e-12, spacing)
         if grid.dims == 1:
             for x0 in centers:
-                s = _wrap(coords[0] - x0) / w
+                s = wrap(coords[0] - x0) / w
                 val, der = bump_profile(s)
                 idx = np.flatnonzero(val)
                 supports.append(idx)
@@ -82,10 +78,10 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
                 labels.append((w, float(x0)))
         else:
             for x0 in centers:
-                sx = _wrap(coords[0] - x0) / w
+                sx = wrap(coords[0] - x0) / w
                 vx, dx_ = bump_profile(sx)
                 for y0 in centers:
-                    sy = _wrap(coords[1] - y0) / w
+                    sy = wrap(coords[1] - y0) / w
                     vy, dy_ = bump_profile(sy)
                     val = vx * vy
                     idx = np.flatnonzero(val.ravel())
@@ -180,12 +176,9 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
         else:
             offsets.extend([(c, 0), (0, c), (c, c), (c, -c)])
     for off in offsets:
-        h_len = dx * math.sqrt(sum(c * c for c in off))
+        h_len = offset_length(grid, off)
         xi = np.asarray(off, dtype=float) * dx / h_len
-        moved = vel
-        for ax, c in enumerate(off):
-            if c:
-                moved = np.roll(moved, -c, axis=1 + ax)
+        moved = shift_values(vel, off, first_axis=1)
         quot = np.tensordot(xi, moved - vel, axes=(0, 0)) / h_len
         if mask_wrap:
             keep = np.ones(grid.shape, dtype=bool)
@@ -227,10 +220,11 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     if len(t) < 2:
         raise ValueError("need at least two samples past delta")
     l1 = float(np.trapezoid(v, t))
-    n_fit = max(3, len(t) // 4)
-    n_fit = min(n_fit, len(t))
-    tf, vf = t[:n_fit], v[:n_fit]
-    if np.min(vf) > 0.0:
+    # the power law has no value at tau = 0, so only tau > 0 points are fitted
+    tf, vf = t[t > 0.0], v[t > 0.0]
+    n_fit = min(max(3, len(tf) // 4), len(tf))
+    tf, vf = tf[:n_fit], vf[:n_fit]
+    if n_fit >= 2 and np.min(vf) > 0.0:
         slope = float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
         b = -slope
         a = float(np.exp(np.mean(np.log(vf) + b * np.log(tf))))

@@ -165,6 +165,25 @@ def offset_length(grid: PeriodicGrid, offsets: Sequence[int]) -> float:
     return grid.cell_width * math.sqrt(sum(c * c for c in offsets))
 
 
+def ball_offsets(grid: PeriodicGrid, rmax: int, eps: float) -> list[tuple[int, ...]]:
+    """Nonzero lattice offsets with |h| < eps and at most rmax cells per axis.
+
+    One offset of each +-h pair is kept (the first nonzero coordinate is
+    positive), in lexicographic order.
+    """
+    if grid.dims == 1:
+        cand = [(c,) for c in range(1, rmax + 1)]
+    else:
+        cand = [(cx, cy) for cx in range(rmax + 1) for cy in range(-rmax, rmax + 1)
+                if cx > 0 or cy > 0]
+    return [off for off in cand if offset_length(grid, off) < eps]
+
+
+def wrap(delta: np.ndarray) -> np.ndarray:
+    """Minimum-image displacement on the periodic axis, in [-1, 1)."""
+    return (delta + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
+
+
 def shift(field: Field, h: Sequence[float] | float) -> ShiftResult:
     """Periodic translation by the displacement h (physical units).
 
@@ -179,12 +198,7 @@ def shift(field: Field, h: Sequence[float] | float) -> ShiftResult:
     snapped = bool(np.max(np.abs(hv - cells * grid.cell_width)) > 1e-12 * grid.cell_width)
     first_axis = 0 if isinstance(field, ScalarField) else 1
     moved = shift_values(field.values, tuple(cells), first_axis)
-    out: Field
-    if isinstance(field, ScalarField):
-        out = ScalarField(grid, moved)
-    else:
-        out = VectorField(grid, moved)
-    return ShiftResult(out, tuple(int(c) for c in cells), snapped)
+    return ShiftResult(type(field)(grid, moved), tuple(int(c) for c in cells), snapped)
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +265,7 @@ def mollify(field: Field, mol: Mollifier) -> Field:
     if abs(mol.cell_width - field.grid.cell_width) > 1e-15:
         raise ValueError("mollifier was built for a different grid")
     first_axis = 0 if isinstance(field, ScalarField) else 1
-    out = mollify_values(field.values, mol, first_axis)
-    if isinstance(field, ScalarField):
-        return ScalarField(field.grid, out)
-    return VectorField(field.grid, out)
+    return type(field)(field.grid, mollify_values(field.values, mol, first_axis))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +288,9 @@ def grad(field: ScalarField) -> VectorField:
 
 def div(field: VectorField) -> ScalarField:
     """Second-order central divergence, periodic."""
-    dx = field.grid.cell_width
     out = np.zeros(field.grid.shape)
-    for ax in range(field.grid.dims):
-        comp = field.values[ax]
-        out += (np.roll(comp, -1, axis=ax) - np.roll(comp, 1, axis=ax)) / (2.0 * dx)
+    for ax, comp in enumerate(field.values):
+        out += grad_values(comp, field.grid.cell_width)[ax]
     return ScalarField(field.grid, out)
 
 
@@ -290,19 +299,22 @@ def div(field: VectorField) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-def weierstrass_values(alpha: float, levels: int, x: np.ndarray) -> np.ndarray:
+def weierstrass_values(alpha: float, levels: int, x: np.ndarray,
+                       phase: float = 0.0) -> np.ndarray:
     out = np.zeros_like(x)
     for k in range(levels + 1):
-        out += 2.0 ** (-alpha * k) * np.cos((2.0**k) * np.pi * x)
+        out += 2.0 ** (-alpha * k) * np.cos((2.0**k) * np.pi * x + phase)
     return out
 
 
-def weierstrass_field(alpha: float, levels: int, grid: PeriodicGrid) -> ScalarField:
+def weierstrass_field(alpha: float, levels: int, grid: PeriodicGrid,
+                      phase: float = 0.0) -> ScalarField:
     """Lacunary cosine sum of Hoelder exponent alpha, saturating the grid.
 
-    W(x) = sum_{k<=levels} 2**(-alpha k) cos(2**k pi x); in 2D the tensor
-    product W(x) * W(y).  Requires 2**levels >= cells_per_dim so that the
-    series reaches the grid scale.
+    W(x) = sum_{k<=levels} 2**(-alpha k) cos(2**k pi x + phase); in 2D the
+    tensor product W(x) * W(y).  Requires 2**levels >= cells_per_dim so that
+    the series reaches the grid scale.  Adding a zero phase is exact, so
+    phase 0 reproduces the unphased sum bit for bit.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
@@ -311,7 +323,7 @@ def weierstrass_field(alpha: float, levels: int, grid: PeriodicGrid) -> ScalarFi
             f"2**levels = {2 ** levels} must reach cells_per_dim = {grid.cells_per_dim}"
         )
     c = grid.axis_centers()
-    w = weierstrass_values(alpha, levels, c)
+    w = weierstrass_values(alpha, levels, c, phase)
     if grid.dims == 1:
         return ScalarField(grid, w)
     return ScalarField(grid, np.outer(w, w))
@@ -343,6 +355,12 @@ def write_columns_csv(
 
 
 def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray]]:
+    """Parse a ``write_columns_csv`` dump.
+
+    The header must be ``x[,y]`` followed by at least one data column, and
+    every coordinate must sit on the centre of its cell (row-major order) of
+    the grid the row count implies.
+    """
     header = None
     rows = []
     for line in stream:
@@ -355,15 +373,21 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
         rows.append([float(tok) for tok in line.split(",")])
     if header is None or not rows:
         raise ValueError("empty field CSV")
-    ncoord = sum(1 for name in header if name in _COORD_NAMES)
-    if ncoord not in (1, 2):
-        raise ValueError(f"expected coordinate columns x[,y], got header {header}")
+    ncoord = 2 if header[:2] == list(_COORD_NAMES) else 1
+    if header[0] != "x" or len(header) == ncoord:
+        raise ValueError(f"expected header x[,y] plus data columns, got {header}")
     data = np.asarray(rows, dtype=float)
+    if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
+        raise ValueError(f"rows must hold {len(header)} finite values each")
     count = data.shape[0]
     n = round(count ** (1.0 / ncoord))
     if n**ncoord != count:
         raise ValueError(f"row count {count} is not a {ncoord}-dim grid")
     grid = PeriodicGrid(ncoord, n)
+    centers = np.stack([c.ravel() for c in grid.coordinates()], axis=1)
+    # far looser than the 17-digit round trip, far tighter than one cell
+    if not np.all(np.abs(data[:, :ncoord] - centers) <= 0.1 * grid.cell_width):
+        raise ValueError("coordinates are not the row-major cell centres of the grid")
     columns = {
         name: data[:, ncoord + j].reshape(grid.shape)
         for j, name in enumerate(header[ncoord:])

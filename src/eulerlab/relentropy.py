@@ -28,7 +28,7 @@ from scipy.stats import qmc
 
 from .conditions import oslip_discrete
 from .errors import DomainError
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, grad_values
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import (
     EntropicState,
@@ -360,11 +360,11 @@ def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
     dx = grid.cell_width
     total = 0.0
     for i in range(grid.dims):
+        dv = grad_values(r_vel[i], dx)
         for j in range(grid.dims):
-            dv = (np.roll(r_vel[i], -1, axis=j) - np.roll(r_vel[i], 1, axis=j)) / (2 * dx)
             w_i = c_vel[i] - r_vel[i]
             w_j = c_vel[j] - r_vel[j]
-            cell = -c_rho * w_i * w_j * dv
+            cell = -c_rho * w_i * w_j * dv[j]
             if mask is not None:
                 cell = cell[mask]
             total += float(math.fsum(cell.ravel()))

@@ -9,6 +9,7 @@ reference oracle for shock tubes and to manufacture rarefaction-only data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,11 @@ class RiemannSolution:
             return st.rho * (ratio + gm) / (gm * ratio + 1.0)
         return st.rho * ratio ** (1.0 / g)
 
+    @cached_property
+    def _mirror(self) -> Wave1D:
+        """The right state seen through x -> -x."""
+        return Wave1D(self.right.rho, -self.right.u, self.right.p)
+
     def sample(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xi = np.asarray(xi, dtype=float)
         rho = np.empty_like(xi)
@@ -115,54 +121,40 @@ class RiemannSolution:
         p = np.empty_like(xi)
         it = np.nditer(xi, flags=["multi_index"])
         for s in it:
-            r_, u_, p_ = self._sample_one(float(s))
-            rho[it.multi_index] = r_
-            u[it.multi_index] = u_
-            p[it.multi_index] = p_
+            idx = it.multi_index
+            rho[idx], u[idx], p[idx] = self._sample_one(float(s))
         return rho, u, p
 
     def _sample_one(self, s: float) -> tuple[float, float, float]:
+        """The right half of the fan is the left half of its mirror image
+        (x -> -x, u -> -u); IEEE negation is exact, so both agree bit for bit."""
+        if s <= self.u_star:
+            return self._left_wave(self.left, "left", s, self.u_star)
+        rho, u, p = self._left_wave(self._mirror, "right", -s, -self.u_star)
+        return rho, -u, p
+
+    def _left_wave(self, st: Wave1D, side: str, s: float,
+                   us: float) -> tuple[float, float, float]:
+        """Sample at s <= us the wave joining the left state ``st`` to the
+        star state, which lies on ``side`` of the contact."""
         g = self.gamma
-        gm = (g - 1.0) / (g + 1.0)
-        ps, us = self.p_star, self.u_star
-        if s <= us:
-            st = self.left
-            c = st.sound_speed(g)
-            if ps > st.p:
-                shock = st.u - c * np.sqrt((g + 1.0) / (2.0 * g) * ps / st.p
-                                           + (g - 1.0) / (2.0 * g))
-                if s < shock:
-                    return st.rho, st.u, st.p
-                return self.star_density("left"), us, ps
-            head = st.u - c
-            if s < head:
-                return st.rho, st.u, st.p
-            c_star = c * (ps / st.p) ** ((g - 1.0) / (2.0 * g))
-            tail = us - c_star
-            if s > tail:
-                return self.star_density("left"), us, ps
-            u_f = 2.0 / (g + 1.0) * (c + (g - 1.0) / 2.0 * st.u + s)
-            c_f = 2.0 / (g + 1.0) * (c + (g - 1.0) / 2.0 * (st.u - s))
-            rho_f = st.rho * (c_f / c) ** (2.0 / (g - 1.0))
-            p_f = st.p * (c_f / c) ** (2.0 * g / (g - 1.0))
-            return rho_f, u_f, p_f
-        st = self.right
+        ps = self.p_star
         c = st.sound_speed(g)
         if ps > st.p:
-            shock = st.u + c * np.sqrt((g + 1.0) / (2.0 * g) * ps / st.p
+            shock = st.u - c * np.sqrt((g + 1.0) / (2.0 * g) * ps / st.p
                                        + (g - 1.0) / (2.0 * g))
-            if s > shock:
+            if s < shock:
                 return st.rho, st.u, st.p
-            return self.star_density("right"), us, ps
-        head = st.u + c
-        if s > head:
+            return self.star_density(side), us, ps
+        head = st.u - c
+        if s < head:
             return st.rho, st.u, st.p
         c_star = c * (ps / st.p) ** ((g - 1.0) / (2.0 * g))
-        tail = us + c_star
-        if s < tail:
-            return self.star_density("right"), us, ps
-        u_f = 2.0 / (g + 1.0) * (-c + (g - 1.0) / 2.0 * st.u + s)
-        c_f = 2.0 / (g + 1.0) * (c - (g - 1.0) / 2.0 * (st.u - s))
+        tail = us - c_star
+        if s > tail:
+            return self.star_density(side), us, ps
+        u_f = 2.0 / (g + 1.0) * (c + (g - 1.0) / 2.0 * st.u + s)
+        c_f = 2.0 / (g + 1.0) * (c + (g - 1.0) / 2.0 * (st.u - s))
         rho_f = st.rho * (c_f / c) ** (2.0 / (g - 1.0))
         p_f = st.p * (c_f / c) ** (2.0 * g / (g - 1.0))
         return rho_f, u_f, p_f

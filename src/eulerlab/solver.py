@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -21,11 +22,21 @@ import numpy as np
 
 from .errors import DomainError
 from .grid import PeriodicGrid, read_columns_csv, write_columns_csv
-from .riemann import Wave1D, exact_riemann, rarefaction_connected_state
+from .riemann import Wave1D, rarefaction_connected_state
 from .thermo import GasParams
 
 COMPLETE = "complete"
 ISENTROPIC = "isentropic"
+
+
+#: Most snapshots a run may record; a finer stride is a config error.
+MAX_SNAPSHOTS = 10_000
+
+
+def config_hash(payload: dict) -> str:
+    """First 12 hex digits of the SHA-256 of the canonical JSON of ``payload``."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -35,7 +46,6 @@ class SolverConfig:
     t_end: float
     system: str = COMPLETE
     cfl: float = 0.4
-    flux: str = "llf"
     init: dict = dc_field(default_factory=lambda: {"name": "constant"})
     snapshot_stride: float | None = None
 
@@ -44,10 +54,13 @@ class SolverConfig:
             raise ValueError(f"unknown system {self.system!r}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"Courant number must lie in (0, 0.5], got {self.cfl}")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
-        if self.flux != "llf":
-            raise ValueError(f"unknown flux {self.flux!r}")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be positive and finite, got {self.t_end}")
+        stride = self.snapshot_stride
+        if stride is not None and not (0.0 < stride < math.inf
+                                       and self.t_end / stride <= MAX_SNAPSHOTS):
+            raise ValueError(f"snapshot_stride must be positive and give at most "
+                             f"{MAX_SNAPSHOTS} snapshots up to t_end, got {stride}")
 
     def as_dict(self) -> dict:
         return {
@@ -56,14 +69,9 @@ class SolverConfig:
             "t_end": self.t_end,
             "system": self.system,
             "cfl": self.cfl,
-            "flux": self.flux,
             "init": self.init,
             "snapshot_stride": self.snapshot_stride,
         }
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,6 @@ class Trajectory:
     @property
     def times(self) -> list[float]:
         return [s.t for s in self.snapshots]
-
-    def at(self, t: float) -> Snapshot:
-        for s in self.snapshots:
-            if abs(s.t - t) < 1e-12:
-                return s
-        raise KeyError(f"no snapshot at t = {t}")
 
     def save(self, directory) -> None:
         d = Path(directory)
@@ -128,7 +130,7 @@ class Trajectory:
             if file_grid != grid:
                 raise ValueError(f"snapshot {i} grid does not match meta.json")
             mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
-            snaps.append(Snapshot(t, cols["rho"], mom, cols.get("E")))
+            snaps.append(Snapshot(float(t), cols["rho"], mom, cols.get("E")))
         return cls(grid, params, meta["system"], snaps, meta)
 
 
@@ -171,25 +173,6 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
         rho = np.full(len(x), init.get("rho", 1.0))
         u1 = np.full(len(x), init.get("u", 0.0))
         theta = np.full(len(x), init.get("theta", 1.0))
-    elif name == "sod":
-        left = Wave1D(1.0, 0.0, 1.0)
-        right = Wave1D(0.125, 0.0, 0.1)
-        rho, u1, theta = _riemann_profile(grid, left, right)
-    elif name == "riemann":
-        left = Wave1D(*init["left"])
-        right = Wave1D(*init["right"])
-        rho, u1, theta = _riemann_profile(grid, left, right)
-    elif name == "double_rarefaction":
-        a = init.get("u_out", 0.1)
-        p_bg = init.get("p", 0.04)
-        left = Wave1D(1.0, -a, p_bg)
-        right = Wave1D(1.0, a, p_bg)
-        rho, u1, theta = _riemann_profile(grid, left, right)
-    elif name == "single_rarefaction":
-        left = Wave1D(init.get("rho_left", 1.0), init.get("u_left", 0.0),
-                      init.get("p_left", 1.0))
-        right = rarefaction_connected_state(left, init.get("rho_right", 0.4), params)
-        rho, u1, theta = _riemann_profile(grid, left, right)
     elif name == "advection":
         # contact-only exact solution: density profile advects at constant u
         rho = init.get("rho0", 1.0) + init.get("amp", 0.2) * np.sin(np.pi * x)
@@ -205,7 +188,7 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
         u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
         theta = rho ** (params.gamma - 1.0)
     else:
-        raise ValueError(f"unknown scenario {name!r}")
+        rho, u1, theta = _riemann_profile(grid, *scenario_riemann_states(init, params))
     rho, vel, theta = _broadcast_1d(grid, rho, u1, theta)
     if grid.dims == 2 and init.get("transverse", 0.0):
         _, yy = grid.coordinates()
@@ -230,7 +213,7 @@ def scenario_riemann_states(init: dict, params: GasParams) -> tuple[Wave1D, Wave
         left = Wave1D(init.get("rho_left", 1.0), init.get("u_left", 0.0),
                       init.get("p_left", 1.0))
         return left, rarefaction_connected_state(left, init.get("rho_right", 0.4), params)
-    raise ValueError(f"scenario {name!r} has no Riemann reference")
+    raise ValueError(f"unknown scenario {name!r}, or one without Riemann states")
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +266,15 @@ def _rhs(U, dx, gamma, system):
 
 
 def _check_physical(U, gamma, system, t):
+    """Raise DomainError at the first cell whose state is not finite or has
+    non-positive density or pressure, naming the time, cell and state."""
     rho = U[0]
-    if np.min(rho) <= 0.0 or not np.all(np.isfinite(U)):
-        raise DomainError(f"vacuum or non-finite state formed at t = {t:.6g}")
-    if system == COMPLETE:
-        p = _pressure_complete(U, gamma)
-        if np.min(p) <= 0.0:
-            raise DomainError(f"non-positive pressure at t = {t:.6g}")
+    p = _pressure_complete(U, gamma) if system == COMPLETE else rho**gamma
+    bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
+    if np.any(bad):
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
+                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}")
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -353,7 +338,7 @@ def run(config: SolverConfig) -> Trajectory:
             record(t, U)
             next_i += 1
     meta = {
-        "config_hash": config.config_hash(),
+        "config_hash": config_hash(config.as_dict()),
         "config": config.as_dict(),
         "wall_time": time.perf_counter() - started,
     }

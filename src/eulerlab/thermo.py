@@ -69,12 +69,6 @@ def pressure(rho, theta, params: GasParams):
     return rho * theta
 
 
-def pressure_drho(rho, theta, params: GasParams):
-    """d p / d rho at fixed theta."""
-    _require_positive("rho", rho)
-    return np.asarray(theta, dtype=float) + 0.0 * np.asarray(rho, dtype=float)
-
-
 def pressure_dtheta(rho, theta, params: GasParams):
     """d p / d theta at fixed rho."""
     _require_positive("theta", theta)
@@ -202,16 +196,15 @@ def verify_gibbs(rho, theta, params: GasParams, fd_step: float | None = None):
     rho = _require_positive("rho", rho)
     theta = _require_positive("theta", theta)
     p = pressure(rho, theta, params)
+    de_r = np.zeros_like(rho * theta)  # e carries no rho dependence
     if fd_step is None:
         ds_r = entropy_drho(rho, theta, params)
         ds_t = entropy_dtheta(rho, theta, params)
-        de_r = np.zeros_like(rho * theta)
         de_t = params.cv + 0.0 * theta
     else:
         h = float(fd_step)
         ds_r = (entropy(rho + h, theta, params) - entropy(rho - h, theta, params)) / (2 * h)
         ds_t = (entropy(rho, theta + h, params) - entropy(rho, theta - h, params)) / (2 * h)
-        de_r = np.zeros_like(rho * theta)  # e carries no rho dependence
         de_t = (internal_energy(theta + h, params) - internal_energy(theta - h, params)) / (2 * h)
     res1 = np.abs(theta * ds_r - (de_r - p / rho**2))
     res2 = np.abs(theta * ds_t - de_t)

@@ -17,7 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import PERIOD, PeriodicGrid
+from .conditions import bump_profile
+from .grid import PERIOD, PeriodicGrid, grad_values, wrap
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import GasParams, entropy
 
@@ -38,21 +39,6 @@ class SpaceTimeTest:
     dt: Callable
     grad: Callable
     nonneg: bool = False
-
-
-def _bump(s):
-    val = np.zeros_like(s)
-    der = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    q = 1.0 - si * si
-    val[inside] = np.exp(-1.0 / q)
-    der[inside] = val[inside] * (-2.0 * si / (q * q))
-    return val, der
-
-
-def _wrap(d):
-    return (d + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
 
 
 def _scalar_bump(s: float) -> tuple[float, float]:
@@ -85,7 +71,7 @@ def bump_test(center, width: float, t0: float, t1: float,
     def space(X):
         vals, ders = [], []
         for ax, x in enumerate(X):
-            v, d = _bump(_wrap(x - centers[ax]) / width)
+            v, d = bump_profile(wrap(x - centers[ax]) / width)
             vals.append(v)
             ders.append(d / width)
         total = vals[0]
@@ -166,14 +152,6 @@ def _fields(snap: Snapshot, params: GasParams, which: str):
     raise ValueError(f"unknown balance law {which!r}")
 
 
-def _central_gradient(values: np.ndarray, dx: float) -> np.ndarray:
-    comps = [
-        (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * dx)
-        for ax in range(values.ndim)
-    ]
-    return np.stack(comps)
-
-
 def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
                   params: GasParams | None = None) -> float:
     """Interior weak integral minus boundary terms for one balance law.
@@ -195,7 +173,7 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
     for snap in traj.snapshots:
         q, flux = _fields(snap, params, which)
         qs.append(q)
-        gphi = _central_gradient(phis[len(qs) - 1], grid.cell_width)
+        gphi = grad_values(phis[len(qs) - 1], grid.cell_width)
         integrand = np.zeros(grid.shape)
         for ax in range(grid.dims):
             integrand = integrand + flux[ax] * gphi[ax]

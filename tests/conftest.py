@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from eulerlab.besov import dyadic_shift_ladder
-from eulerlab.grid import PeriodicGrid, ScalarField, weierstrass_field
+from eulerlab.grid import PeriodicGrid, ScalarField, weierstrass_field, weierstrass_values
 from eulerlab.thermo import GasParams
 
 
@@ -46,11 +45,6 @@ def ladder8k(grid8k):
 def rough_pair_8k(grid8k):
     """Positive density / velocity pair of nominal exponent 0.4."""
     x = grid8k.axis_centers()
-    vals = np.zeros_like(x)
-    vals2 = np.zeros_like(x)
-    for k in range(14):
-        vals += 2.0 ** (-0.4 * k) * np.cos((2.0**k) * np.pi * x)
-        vals2 += 2.0 ** (-0.4 * k) * np.cos((2.0**k) * np.pi * x + 0.7)
-    rho = ScalarField(grid8k, 1.5 + 0.25 * vals / 3.0)
-    u = ScalarField(grid8k, vals2)
+    rho = ScalarField(grid8k, 1.5 + 0.25 * weierstrass_values(0.4, 13, x) / 3.0)
+    u = ScalarField(grid8k, weierstrass_values(0.4, 13, x, phase=0.7))
     return rho, u

@@ -1,10 +1,15 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from eulerlab import acceptance
 from eulerlab.cli import main
-from eulerlab.grid import PeriodicGrid, save_scalar_field, weierstrass_field
+from eulerlab.grid import PeriodicGrid, save_scalar_field, weierstrass_field, write_columns_csv
 
 
 def _read_rows(path):
@@ -29,6 +34,11 @@ class TestDispatch:
         code = main(["besov-fit", "--out", str(tmp_path)])
         assert code == 2
         assert "field" in capsys.readouterr().err
+
+    def test_seed_flag_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-thermo", "--seed", "3"])
+        assert exc.value.code == 2
 
     def test_malformed_config_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -124,6 +134,18 @@ class TestReports:
         assert "PASS" in capsys.readouterr().out
         assert (tmp_path / "thermo_report.csv").exists()
 
+    def test_verify_thermo_rows_are_the_gate_metrics(self, tmp_path):
+        from eulerlab.thermo import GasParams
+
+        assert main(["verify-thermo", "--gamma", "5.0", "--out", str(tmp_path)]) == 0
+        rows = dict(line.split(",") for line in _read_rows(tmp_path / "thermo_report.csv")[2:])
+        params = GasParams(5.0)
+        metrics = acceptance.gate_thermo_identities(params).metrics
+        for name in acceptance.THERMO_IDENTITIES:
+            assert float(rows[name]) == metrics[name]
+        min_eig = acceptance.gate_tilde_pressure_convexity(params).metrics["min_eigenvalue"]
+        assert float(rows["tilde_pressure_min_eigenvalue"]) == min_eig
+
     def test_oslip_check_on_field(self, tmp_path):
         grid = PeriodicGrid(1, 1024)
         from eulerlab.grid import ScalarField
@@ -174,3 +196,157 @@ class TestReports:
         lines = _read_rows(out / "relentropy_trace.csv")
         assert lines[1] == "t,integral_E,oslip_C,fitted_K,pass"
         assert len(lines) > 4
+
+    def test_oslip_check_default_delta_on_trajectory(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"grid_n": 64, "t_end": 0.2, "init": {"name": "double_rarefaction"},
+             "snapshot_stride": 0.05}
+        ))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "traj")]) == 0
+        out = tmp_path / "rep"
+        assert main(["oslip-check", "--traj", str(tmp_path / "traj"), "--out", str(out)]) == 0
+        rows = _read_rows(out / "oslip_report.csv")[2:]
+        assert float(rows[0].split(",")[0]) == 0.0
+        assert float(rows[0].split(",")[1]) > 0.0   # min_C at tau = 0 is positive
+
+
+def _simulate(tmp_path, name, **cfg):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"t_end": 0.02, "init": {"name": "sod"}, **cfg}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    return tmp_path / name
+
+
+class TestInputBoundary:
+    def test_besov_fit_missing_field(self, tmp_path, capsys):
+        assert main(["besov-fit", "--field", str(tmp_path / "nope.csv")]) == 2
+        assert "nope.csv" in capsys.readouterr().err
+
+    def test_relentropy_missing_directories(self, tmp_path):
+        assert main(["relentropy", "--traj-a", str(tmp_path / "a"),
+                     "--traj-b", str(tmp_path / "b"), "--out", str(tmp_path)]) == 2
+
+    def test_relentropy_grids_that_do_not_nest(self, tmp_path, capsys):
+        a = _simulate(tmp_path, "a", grid_n=96)
+        b = _simulate(tmp_path, "b", grid_n=64)
+        assert main(["relentropy", "--traj-a", str(a), "--traj-b", str(b),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert "divide" in capsys.readouterr().err
+
+    def test_oslip_check_missing_trajectory(self, tmp_path):
+        assert main(["oslip-check", "--traj", str(tmp_path / "nope"),
+                     "--out", str(tmp_path)]) == 2
+
+    def test_oslip_check_on_isentropic_run(self, tmp_path):
+        traj = _simulate(tmp_path, "a", grid_n=32, system="isentropic")
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
+
+    def test_malformed_snapshot_is_a_usage_error(self, tmp_path):
+        traj = _simulate(tmp_path, "a", grid_n=32)
+        (traj / "t_0001.csv").write_text("x,rho\n0.5,1.0\n")
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
+
+    def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 32, "t_end": 0.2,
+                                   "init": {"name": "constant", "u": 1e200}}))
+        with np.errstate(all="ignore"):
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "t = 0.02, cell (0,): rho = nan, p = nan" in err
+
+
+# Fuzz the two outside inputs, configs and field CSVs, through cli.main.  A
+# valid config has a few keys replaced by values drawn from short lists, valid
+# and broken, rather than from the whole float line, so grids stay at 64 cells
+# per dimension or fewer and runs stay short.
+_VALID_CONFIG = {"grid_n": 16, "dims": 1, "gamma": 1.4, "t_end": 0.02, "cfl": 0.4,
+                 "system": "complete", "snapshot_stride": 0.01, "init": {"name": "sod"}}
+_VARIANTS = {
+    "grid_n": [4, 64, 3, 0, -8, 2.5, "32", None, float("inf")],
+    "dims": [2, 3, "2", None],
+    "gamma": [2.0, 1.0, 0.5, "x", float("nan")],
+    "t_end": [0.05, 0.0, -1.0, float("nan"), float("inf"), "soon"],
+    "cfl": [0.5, 0.0, 0.9, float("nan"), "x"],
+    "system": ["isentropic", "other", 3],
+    "snapshot_stride": [0.05, 0.0, -0.1, 1e-12, float("nan"), float("inf"), None, "x"],
+    "init": [
+        {"name": "double_rarefaction", "transverse": 0.1}, {}, {"name": "smooth"},
+        {"name": "riemann", "left": [1, 0, 1], "right": [0.125, 0, 0.1]},
+        {"name": "riemann"}, {"name": "riemann", "left": [1, 0], "right": [1, 0, 1]},
+        {"name": "riemann", "left": ["a", 0, 1], "right": [1, 0, 1]},
+        {"name": "riemann", "left": [-1, 0, 1], "right": [1, 0, 1]},
+        {"name": "single_rarefaction", "rho_right": 2.0}, {"name": "advection", "amp": 1.5},
+        {"name": "constant", "u": 1e200}, {"name": "constant", "rho": "x"},
+        {"name": "smooth", "transverse": "x"}, {"name": "nope"}, {"name": 5},
+        None, 5, "sod", [],
+    ],
+}
+
+
+@st.composite
+def _configs(draw):
+    cfg = dict(_VALID_CONFIG)
+    for key in draw(st.lists(st.sampled_from(sorted(_VARIANTS)), max_size=3, unique=True)):
+        cfg[key] = draw(st.sampled_from(_VARIANTS[key]))
+    # a missing grid_n means 256 cells, so it is never dropped
+    for key in draw(st.lists(st.sampled_from(["t_end", "snapshot_stride", "init"]),
+                             max_size=2, unique=True)):
+        del cfg[key]
+    return cfg
+
+
+def _run_cli(argv):
+    with np.errstate(all="ignore"):
+        code = main([str(a) for a in argv])
+    assert code in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(cfg=st.one_of(_configs(), st.sampled_from([[], 3, "x", None])))
+def test_fuzz_simulate_config(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        _run_cli(["simulate", "--config", path, "--out", Path(tmp) / "traj"])
+
+
+def _mutate(lines, how, token):
+    if how == "reverse":
+        return lines[:1] + lines[:0:-1]
+    if how == "drop_row":
+        return lines[:-1]
+    if how == "short_row":
+        return lines[:2] + [lines[2].split(",")[0]] + lines[3:]
+    if how == "token":
+        return lines[:2] + [lines[2].rsplit(",", 1)[0] + "," + token] + lines[3:]
+    if how == "header":
+        return [token] + lines[1:]
+    if how == "header_only":
+        return lines[:1]
+    return lines
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.sampled_from([1, 2]),
+    cells=st.sampled_from([4, 8, 16, 64]),
+    how=st.sampled_from(["none", "reverse", "drop_row", "short_row", "token", "header",
+                         "header_only", "empty"]),
+    token=st.sampled_from(["abc", "nan", "inf", "1e308", "", "value", "y,value", "x,y"]),
+    seed=st.integers(0, 3),
+)
+def test_fuzz_field_csv(dims, cells, how, token, seed):
+    grid = PeriodicGrid(dims, min(cells, 8) if dims == 2 else cells)
+    values = np.random.default_rng(seed).standard_normal(grid.shape)
+    buf = io.StringIO()
+    write_columns_csv(buf, grid, {"value": values})
+    lines = [] if how == "empty" else _mutate(buf.getvalue().splitlines(), how, token)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.csv"
+        path.write_text("\n".join(lines) + "\n")
+        _run_cli(["besov-fit", "--field", path, "--out", tmp])
+        _run_cli(["oslip-check", "--field", path, "--out", tmp])
+

@@ -114,6 +114,13 @@ class TestL1Report:
         rep = l1_report(t, vals, delta=0.0)
         assert rep.l1_norm == pytest.approx(0.55, rel=1e-9)
 
+    def test_fit_skips_tau_zero(self):
+        t = np.linspace(0.0, 1.0, 21)
+        rep = l1_report(t, np.full_like(t, 2.0), delta=0.0)
+        assert rep.l1_norm == pytest.approx(2.0, rel=1e-12)
+        assert rep.fit_power == pytest.approx(0.0, abs=1e-12)
+        assert rep.points_fitted == 5
+
     def test_needs_samples_past_delta(self):
         with pytest.raises(ValueError):
             l1_report(np.array([0.1]), np.array([1.0]), delta=0.05)

@@ -9,6 +9,7 @@ from eulerlab.grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    ball_offsets,
     build_mollifier,
     constant_field,
     div,
@@ -18,8 +19,10 @@ from eulerlab.grid import (
     lp_norm,
     mollify,
     read_columns_csv,
+    offset_length,
     shift,
     weierstrass_field,
+    weierstrass_values,
     write_columns_csv,
 )
 
@@ -230,3 +233,100 @@ class TestCsv:
         write_columns_csv(buf, grid256, {"value": np.zeros(grid256.shape)})
         first = buf.getvalue().splitlines()[0]
         assert first == "x,value"
+
+    def _csv_lines(self, grid):
+        buf = io.StringIO()
+        write_columns_csv(buf, grid, {"value": _random_field(grid).values})
+        return buf.getvalue().splitlines()
+
+    def test_reversed_rows_rejected(self, grid256):
+        lines = self._csv_lines(grid256)
+        text = "\n".join([lines[0]] + lines[:0:-1])
+        with pytest.raises(ValueError, match="cell centres"):
+            read_columns_csv(io.StringIO(text))
+
+    def test_arbitrary_coordinates_rejected(self, grid2d):
+        lines = self._csv_lines(grid2d)
+        lines[5] = "0.5,0.5," + lines[5].split(",")[2]
+        with pytest.raises(ValueError, match="cell centres"):
+            read_columns_csv(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize("header", ["value", "y,value", "x", "x,y"])
+    def test_header_must_start_with_coordinates(self, grid256, header):
+        lines = self._csv_lines(grid256)
+        lines[0] = header
+        with pytest.raises(ValueError):
+            read_columns_csv(io.StringIO("\n".join(lines)))
+
+    def test_short_row_rejected(self, grid256):
+        lines = self._csv_lines(grid256)
+        lines[3] = lines[3].split(",")[0]
+        with pytest.raises(ValueError):
+            read_columns_csv(io.StringIO("\n".join(lines)))
+
+
+def _besov_ball(grid, rmax, eps):
+    """The enumeration besov used before ball_offsets."""
+    if grid.dims == 1:
+        return [(c,) for c in range(1, rmax + 1)]
+    out = []
+    for cx in range(-rmax, rmax + 1):
+        for cy in range(-rmax, rmax + 1):
+            if (cx, cy) == (0, 0) or (cx == 0 and cy < 0) or cx < 0:
+                continue
+            if offset_length(grid, (cx, cy)) < eps:
+                out.append((cx, cy))
+    return out
+
+
+def _commutator_ball(grid, rmax, eps):
+    """The enumeration the product-commutator modulus used before ball_offsets."""
+    if grid.dims == 1:
+        return [(c,) for c in range(1, rmax + 1)]
+    return [
+        (cx, cy)
+        for cx in range(0, rmax + 1)
+        for cy in range(-rmax, rmax + 1)
+        if (cx, cy) != (0, 0) and not (cx == 0 and cy < 0)
+        and (cx * cx + cy * cy) * grid.cell_width**2 < eps**2
+    ]
+
+
+class TestBallOffsets:
+    @pytest.mark.parametrize("dims,cells", [(1, 8192), (2, 64), (2, 128)])
+    def test_matches_both_old_enumerations(self, dims, cells):
+        from eulerlab.acceptance import EPS_SCAN
+
+        grid = PeriodicGrid(dims, cells)
+        for eps in EPS_SCAN:
+            # the mollifier radius: the largest r with r * dx < eps
+            rmax = math.ceil(eps / grid.cell_width) - 1
+            offs = ball_offsets(grid, rmax, eps)
+            assert offs == _besov_ball(grid, rmax, eps)
+            assert offs == _commutator_ball(grid, rmax, eps)
+
+    def test_mollifier_radius_convention(self, grid8k):
+        for eps in (2.0**-4, 2.0**-10):
+            mol = build_mollifier(grid8k, eps)
+            assert mol.radius_cells == math.ceil(eps / grid8k.cell_width) - 1
+
+
+class TestWeierstrassPhase:
+    def _loop(self, alpha, levels, x, phase=None):
+        out = np.zeros_like(x)
+        for k in range(levels + 1):
+            arg = (2.0**k) * np.pi * x
+            out += 2.0 ** (-alpha * k) * np.cos(arg if phase is None else arg + phase)
+        return out
+
+    def test_phase_zero_is_the_unphased_sum(self, grid8k):
+        x = grid8k.axis_centers()
+        plain = self._loop(0.6, 13, x)
+        assert weierstrass_values(0.6, 13, x).tobytes() == plain.tobytes()
+        assert weierstrass_values(0.6, 13, x, phase=0.0).tobytes() == plain.tobytes()
+
+    def test_phased_sum_matches_loop(self, grid8k):
+        x = grid8k.axis_centers()
+        want = self._loop(0.8, 13, x, phase=1.0)
+        assert weierstrass_field(0.8, 13, grid8k, phase=1.0).values.tobytes() == want.tobytes()
+

@@ -146,3 +146,56 @@ class TestPeriodicReference:
         sampler = periodic_double_riemann(SOD_L, SOD_R, gamma14)
         with pytest.raises(DomainError, match="interact"):
             sampler(np.array([0.0]), 10.0)
+
+
+def _right_branch_oracle(sol, s):
+    """The right half of the fan, sampled directly (the pre-mirror sampler)."""
+    g = sol.gamma
+    ps, us = sol.p_star, sol.u_star
+    st = sol.right
+    c = st.sound_speed(g)
+    if ps > st.p:
+        shock = st.u + c * np.sqrt((g + 1.0) / (2.0 * g) * ps / st.p
+                                   + (g - 1.0) / (2.0 * g))
+        if s > shock:
+            return st.rho, st.u, st.p
+        return sol.star_density("right"), us, ps
+    head = st.u + c
+    if s > head:
+        return st.rho, st.u, st.p
+    c_star = c * (ps / st.p) ** ((g - 1.0) / (2.0 * g))
+    tail = us + c_star
+    if s < tail:
+        return sol.star_density("right"), us, ps
+    u_f = 2.0 / (g + 1.0) * (-c + (g - 1.0) / 2.0 * st.u + s)
+    c_f = 2.0 / (g + 1.0) * (c - (g - 1.0) / 2.0 * (st.u - s))
+    rho_f = st.rho * (c_f / c) ** (2.0 / (g - 1.0))
+    p_f = st.p * (c_f / c) ** (2.0 * g / (g - 1.0))
+    return rho_f, u_f, p_f
+
+
+class TestMirroredRightBranch:
+    @pytest.mark.parametrize("gamma", [1.4, 5.0 / 3.0])
+    @pytest.mark.parametrize("case", ["sod", "double_rarefaction", "single_rarefaction"])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_bit_identical_to_direct_sampler(self, gamma, case, reverse):
+        params = GasParams(gamma)
+        if case == "sod":
+            left, right = SOD_L, SOD_R
+        elif case == "double_rarefaction":
+            left, right = Wave1D(1.0, -0.1, 0.04), Wave1D(1.0, 0.1, 0.04)
+        else:
+            left = Wave1D(1.0, 0.2, 1.0)
+            right = rarefaction_connected_state(left, 0.4, params)
+        if reverse:
+            left, right = right, left
+        sol = exact_riemann(left, right, params)
+        xi = np.linspace(-3.0, 3.0, 6001)
+        checked = 0
+        for s in xi[xi > sol.u_star]:
+            got = np.array(sol._sample_one(float(s)), dtype=float)
+            want = np.array(_right_branch_oracle(sol, float(s)), dtype=float)
+            assert got.tobytes() == want.tobytes(), s
+            checked += 1
+        assert checked > 1000
+

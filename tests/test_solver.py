@@ -70,8 +70,9 @@ class TestBasics:
         from eulerlab.solver import _check_physical
 
         bad_rho = np.array([[1.0, -0.1], [0.0, 0.0], [1.0, 1.0]])
-        with pytest.raises(DomainError, match="vacuum"):
+        with pytest.raises(DomainError, match="vacuum") as exc:
             _check_physical(bad_rho, 1.4, "complete", t=0.1)
+        assert "t = 0.1, cell (1,): rho = -0.1, p = " in str(exc.value)
         bad_p = np.array([[1.0, 1.0], [2.0, 0.0], [1.0, 0.5]])
         with pytest.raises(DomainError, match="pressure"):
             _check_physical(bad_p, 1.4, "complete", t=0.1)
@@ -81,6 +82,27 @@ class TestBasics:
             _config(cfl=0.9)
         with pytest.raises(ValueError):
             run(_config(init={"name": "nope"}))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_end": float("nan")}, {"t_end": float("inf")},
+        {"cfl": float("nan")}, {"cfl": float("inf")},
+    ])
+    def test_config_rejects_non_finite_t_end_and_cfl(self, kwargs):
+        with pytest.raises(ValueError):
+            _config(**kwargs)
+
+    @pytest.mark.parametrize("stride", [0.0, -0.05, float("nan"), float("inf")])
+    def test_config_rejects_stride_that_is_not_positive_and_finite(self, stride):
+        # a stride <= 0 would make run() grow its snapshot list forever
+        with pytest.raises(ValueError, match="snapshot_stride"):
+            _config(stride=stride)
+
+    def test_config_caps_snapshot_count(self):
+        from eulerlab.solver import MAX_SNAPSHOTS
+
+        _config(t_end=0.25 * MAX_SNAPSHOTS, stride=0.25)
+        with pytest.raises(ValueError, match="snapshots"):
+            _config(t_end=0.25 * MAX_SNAPSHOTS, stride=0.125)
 
     def test_snapshot_stride_lands_exactly(self):
         traj = run(_config(n=64, t_end=0.2, init={"name": "smooth"}, stride=0.05))
