@@ -9,7 +9,7 @@ growth monitor between discrete solutions.
 
 __version__ = "0.1.0"
 
-from .errors import DomainError, RangeError, ResolutionError
+from .errors import DomainError, RangeError, ResolutionError, StabilityError
 from .grid import PeriodicGrid, ScalarField, VectorField
 from .thermo import GasParams
 
@@ -17,6 +17,7 @@ __all__ = [
     "DomainError",
     "RangeError",
     "ResolutionError",
+    "StabilityError",
     "GasParams",
     "PeriodicGrid",
     "ScalarField",

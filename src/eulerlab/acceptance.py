@@ -284,9 +284,10 @@ def gate_one_sided_lipschitz() -> GateResult:
     x = grid.axis_centers()
     taus = np.linspace(0.1, 1.0, 10)
     worst_rel = 0.0
+    basis = cd.make_bump_basis(grid)
     for tau in taus:
         vel = np.clip(x / tau, -1.0, 1.0)[None, :]
-        res = cd.oslip_weak_min_c(grid, vel)
+        res = cd.oslip_weak_min_c(grid, vel, basis=basis)
         worst_rel = max(worst_rel, abs(res.min_c - 1.0 / tau) * tau)
     t = np.linspace(0.1, 1.0, 181)
     rep_const = cd.l1_report(t, np.full_like(t, 2.5), delta=0.1)

@@ -24,7 +24,7 @@ from . import besov as bz
 from . import commutator as cm
 from . import conditions as cd
 from . import relentropy as re_
-from .errors import DomainError, RangeError, ResolutionError
+from .errors import DomainError, RangeError, ResolutionError, StabilityError
 from .grid import PeriodicGrid, load_scalar_field, weierstrass_field
 from .solver import (
     SolverConfig,
@@ -242,9 +242,10 @@ def cmd_oslip_check(args) -> int:
             raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
         times, cs, ds = [], [], []
+        basis = cd.make_bump_basis(grid)
         for snap in traj.snapshots:
             _, vel, _ = snapshot_primitive(snap, traj.params)
-            weak = cd.oslip_weak_min_c(grid, vel)
+            weak = cd.oslip_weak_min_c(grid, vel, basis=basis)
             disc = cd.oslip_discrete(grid, vel, mask_wrap=args.mask_wrap)
             times.append(snap.t)
             cs.append(weak.min_c)
@@ -378,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RangeError, ResolutionError) as exc:
+    except (DomainError, RangeError, ResolutionError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import PeriodicGrid, offset_length, shift_values, wrap
+from .grid import PeriodicGrid, exact_sum, offset_length, shift_values, wrap
 
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
 
@@ -130,14 +130,14 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
     for idx, phi_val, phi_grad, label in zip(
         basis.supports, basis.values, basis.grads, basis.labels
     ):
-        mass = vol * math.fsum(phi_val)
+        mass = vol * exact_sum(phi_val)
         if mass <= 0.0:
             continue
         moment = np.empty((grid.dims, grid.dims))
         for a in range(grid.dims):
             u_a = flat[a, idx]
             for b in range(grid.dims):
-                moment[a, b] = -vol * math.fsum(u_a * phi_grad[b])
+                moment[a, b] = -vol * exact_sum(u_a * phi_grad[b])
         for xi, norm_sq in zip(dirs, norms):
             ratio = float(xi @ moment @ xi) / (norm_sq * mass)
             if ratio > best:

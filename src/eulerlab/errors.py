@@ -11,3 +11,7 @@ class RangeError(ValueError):
 
 class ResolutionError(ValueError):
     """Grid too coarse for the requested operation."""
+
+
+class StabilityError(RuntimeError):
+    """Time stepping left its stability bound, e.g. a Courant violation mid-step."""

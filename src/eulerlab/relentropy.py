@@ -28,7 +28,7 @@ from scipy.stats import qmc
 
 from .conditions import oslip_discrete
 from .errors import DomainError
-from .grid import PeriodicGrid, grad_values
+from .grid import PeriodicGrid, exact_sum, grad_values
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import (
     EntropicState,
@@ -241,7 +241,7 @@ def rel_entropy_total(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
     theta_cand = theta_of(c_rho, s_tot, params)
     r_rho, r_vel, r_theta = snapshot_primitive(ref, params)
     dens = rel_entropy_terms(c_rho, cand.mom, theta_cand, r_rho, r_vel, r_theta, params)
-    return grid.cell_volume * float(math.fsum(dens.total.ravel()))
+    return grid.cell_volume * exact_sum(dens.total)
 
 
 @dataclass
@@ -367,5 +367,5 @@ def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
             cell = -c_rho * w_i * w_j * dv[j]
             if mask is not None:
                 cell = cell[mask]
-            total += float(math.fsum(cell.ravel()))
+            total += exact_sum(cell)
     return grid.cell_volume * total

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, StabilityError
 from .grid import PeriodicGrid, read_columns_csv, write_columns_csv
 from .riemann import Wave1D, rarefaction_connected_state
 from .thermo import GasParams
@@ -328,7 +328,7 @@ def run(config: SolverConfig) -> Trajectory:
         U = 0.5 * U + 0.5 * (U_stage + dt * k2)
         _check_physical(U, gamma, system, t + dt)
         if speed_stage * dt * grid.dims / dx > 1.0:
-            raise RuntimeError(
+            raise StabilityError(
                 f"Courant violation mid-step at t = {t:.6g}: "
                 f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
             )

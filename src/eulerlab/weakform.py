@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .conditions import bump_profile
-from .grid import PERIOD, PeriodicGrid, grad_values, wrap
+from .grid import PERIOD, PeriodicGrid, exact_sum, grad_values, wrap
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import GasParams, entropy
 
@@ -120,7 +120,7 @@ def trig_test(k: int = 1, t0: float | None = None, t1: float | None = None) -> S
 
 
 def _integrate_cells(values: np.ndarray, vol: float) -> float:
-    return vol * math.fsum(values.ravel())
+    return vol * exact_sum(values)
 
 
 def _time_trapezoid(times, series) -> float:

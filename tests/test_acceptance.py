@@ -16,3 +16,14 @@ def test_gate(gate, capsys):
     with capsys.disabled():
         print(f"\n{result.line()}")
     assert result.passed, result.details
+
+
+def test_one_sided_lipschitz_builds_the_basis_once(monkeypatch):
+    from eulerlab import conditions
+
+    built = []
+    real = conditions.make_bump_basis
+    monkeypatch.setattr(conditions, "make_bump_basis",
+                        lambda *a, **k: built.append(a) or real(*a, **k))
+    assert acceptance.gate_one_sided_lipschitz().passed
+    assert len(built) == 1

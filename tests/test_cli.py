@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import acceptance
+from eulerlab import acceptance, conditions, solver
 from eulerlab.cli import main
 from eulerlab.grid import PeriodicGrid, save_scalar_field, weierstrass_field, write_columns_csv
 
@@ -234,6 +234,16 @@ class TestInputBoundary:
                      "--out", str(tmp_path / "rep")]) == 2
         assert "divide" in capsys.readouterr().err
 
+    def test_oslip_check_builds_the_basis_once(self, tmp_path, monkeypatch):
+        traj = _simulate(tmp_path, "a", grid_n=32, snapshot_stride=0.01)
+        built = []
+        real = conditions.make_bump_basis
+        monkeypatch.setattr(conditions, "make_bump_basis",
+                            lambda *a, **k: built.append(a) or real(*a, **k))
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 0
+        assert len(built) == 1
+        assert len(_read_rows(tmp_path / "r" / "oslip_report.csv")[2:]) == 3
+
     def test_oslip_check_missing_trajectory(self, tmp_path):
         assert main(["oslip-check", "--traj", str(tmp_path / "nope"),
                      "--out", str(tmp_path)]) == 2
@@ -256,6 +266,26 @@ class TestInputBoundary:
         assert code == 1
         err = capsys.readouterr().err
         assert "t = 0.02, cell (0,): rho = nan, p = nan" in err
+
+    def test_courant_violation_exits_1_with_step_data(self, tmp_path, capsys, monkeypatch):
+        # no config reaches the check, so every second-stage speed is inflated
+        real_rhs, calls = solver._rhs, []
+
+        def fast_stage_rhs(U, dx, gamma, system):
+            k, speed = real_rhs(U, dx, gamma, system)
+            calls.append(speed)
+            return k, speed * (100.0 if len(calls) % 2 == 0 else 1.0)
+
+        monkeypatch.setattr(solver, "_rhs", fast_stage_rhs)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 32, "t_end": 0.05, "init": {"name": "sod"}}))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Courant violation mid-step at t = 0:" in err
+        for part in ("speed ", "dt ", "exceeds dx 0.0625"):
+            assert part in err
+        assert not (tmp_path / "o").exists()
 
 
 # Fuzz the two outside inputs, configs and field CSVs, through cli.main.  A

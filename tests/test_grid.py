@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eulerlab.errors import DomainError, ResolutionError
 from eulerlab.grid import (
+    EXACT_SUM_MIN_TERMS,
     PeriodicGrid,
     ScalarField,
     VectorField,
@@ -13,6 +16,7 @@ from eulerlab.grid import (
     build_mollifier,
     constant_field,
     div,
+    exact_sum,
     field_from_function,
     grad,
     integral,
@@ -330,3 +334,83 @@ class TestWeierstrassPhase:
         want = self._loop(0.8, 13, x, phase=1.0)
         assert weierstrass_field(0.8, 13, grid8k, phase=1.0).values.tobytes() == want.tobytes()
 
+
+
+# exact_sum against its oracle, math.fsum: the same float bit for bit (sign of
+# zero included, compared through float.hex) or the same exception type.
+def _outcome(fn, values):
+    try:
+        return fn(values).hex()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _assert_fsum_identical(values):
+    assert _outcome(exact_sum, values) == _outcome(lambda a: math.fsum(a.ravel()), values)
+
+
+_SIZES = st.one_of(st.integers(1, EXACT_SUM_MIN_TERMS - 1),
+                   st.integers(EXACT_SUM_MIN_TERMS, 4 * EXACT_SUM_MIN_TERMS))
+
+
+@st.composite
+def _summands(draw):
+    """Seeded arrays of one of seven kinds, 1D or 2D, on both sides of the cutoff."""
+    n = draw(_SIZES)
+    kind = draw(st.sampled_from(["normal", "cancel", "scaled", "mixed", "subnormal",
+                                 "zeros", "sparse"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(n)
+    if kind == "cancel":                     # x and -x, plus a residue that may be empty
+        a = np.concatenate([a, -a[::-1], 1e-17 * a[: draw(st.integers(0, n // 3))]])
+    elif kind == "scaled":
+        a = a * 10.0 ** draw(st.sampled_from([-300, -200, 200, 300]))
+    elif kind == "mixed":                    # exponents spread over 1e+-300
+        a = a * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    elif kind == "subnormal":
+        a = a * 1e-310
+    elif kind == "zeros":                    # +0.0 and -0.0 only
+        a = rng.choice([0.0, -0.0], n)
+    elif kind == "sparse":                   # signed zeros with a few terms between them
+        a = a * (rng.random(n) < 0.1)
+    if draw(st.booleans()) and a.size % 2 == 0:
+        a = a.reshape(2, -1)
+    return a
+
+
+class TestExactSum:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_summands())
+    def test_bit_identical_to_fsum(self, values):
+        _assert_fsum_identical(values)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(arrays(np.float64, _SIZES,
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_bit_identical_on_any_finite_floats(self, values):
+        _assert_fsum_identical(values)
+
+    @pytest.mark.parametrize("n", [3, EXACT_SUM_MIN_TERMS, 4 * EXACT_SUM_MIN_TERMS])
+    @pytest.mark.parametrize("special", [
+        [math.inf], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan],
+        [math.nan, math.inf], [1e308, 1e308], [1e308, 1e308, -1e308],
+        [1e308, -1e308], [8e307, 8e307],
+        [2.0**901, -(2.0**901)], [-0.0], [5e-324],
+        # a tie at the first level that only the lower levels break
+        [1.0, 2.0**-53, 2.0**-106], [1.0, 2.0**-53, -(2.0**-106)],
+    ])
+    def test_specials_and_overflow(self, n, special):
+        values = np.zeros(n)
+        values[: len(special)] = special
+        _assert_fsum_identical(values)
+        _assert_fsum_identical(-values)
+
+    def test_all_negative_zeros(self):
+        for n in (3, EXACT_SUM_MIN_TERMS):
+            _assert_fsum_identical(np.full(n, -0.0))
+
+    def test_input_is_not_modified(self, grid8k):
+        f = _random_field(grid8k)
+        before = f.values.tobytes()
+        exact_sum(f.values)
+        assert f.values.tobytes() == before
