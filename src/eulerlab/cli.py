@@ -243,8 +243,13 @@ def cmd_oslip_check(args) -> int:
         grid = traj.grid
         times, cs, ds = [], [], []
         basis = cd.make_bump_basis(grid)
-        for snap in traj.snapshots:
-            _, vel, _ = snapshot_primitive(snap, traj.params)
+        for i, snap in enumerate(traj.snapshots):
+            if not (snap.rho > 0.0).all():
+                raise UsageError(f"snapshot {i} of {args.traj}: rho must be positive")
+            with np.errstate(over="ignore"):
+                _, vel, _ = snapshot_primitive(snap, traj.params)
+            if not np.isfinite(vel).all():
+                raise UsageError(f"snapshot {i} of {args.traj}: velocity m / rho overflows")
             weak = cd.oslip_weak_min_c(grid, vel, basis=basis)
             disc = cd.oslip_discrete(grid, vel, mask_wrap=args.mask_wrap)
             times.append(snap.t)

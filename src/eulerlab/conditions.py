@@ -12,12 +12,19 @@ surrogate takes one-sided lattice difference quotients directly and upper
 bounds the weak constant up to O(dx).  Expansive wrap-around jumps of
 profiles embedded periodically can dominate; they are maskable and the mask
 is recorded.
+
+The bump basis is held per width as a stencil: the supports of all
+translates, padded with dead cells to one length.  A scan then takes every
+moment of every bump as one row of a row-wise `exact_sum`, so its numbers
+are those of a bump-by-bump loop with `math.fsum`, bit for bit.  Both
+diagnostics reject non-finite velocities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,18 +40,27 @@ def unit_directions(dims: int, count: int = 16) -> list[tuple[float, ...]]:
     return [(math.cos(a), math.sin(a)) for a in angles]
 
 
+class BumpStencil(NamedTuple):
+    """The translates of one width, each support padded to a common length."""
+
+    cells: np.ndarray     # (bumps, support) flat indices into the grid
+    grads: np.ndarray     # (dims, bumps, support) gradient of the bump there
+    live: np.ndarray      # (bumps, support) bump value nonzero; padding is dead
+
+
 @dataclass(frozen=True)
 class BumpBasis:
     """Translated smooth bumps at dyadic widths, with closed-form gradients.
 
-    Bumps are stored compactly on their support: flat cell indices plus the
-    bump value and gradient there.
+    One `BumpStencil` per width, so that every moment of every translate is
+    one row of a row-wise `exact_sum`.  Bumps are numbered in basis order:
+    width, then the first center coordinate, then the second.
     """
 
-    supports: list[np.ndarray]       # flat indices into the grid
-    values: list[np.ndarray]
-    grads: list[np.ndarray]          # (dims, support) per bump
-    labels: list[tuple]              # (width, center...) per bump
+    grid: PeriodicGrid
+    blocks: tuple[BumpStencil, ...]   # one per width
+    masses: np.ndarray                # integral of each bump, basis order
+    labels: list[tuple]               # (width, center...) per bump
 
 
 def bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,39 +75,60 @@ def bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return val, der
 
 
+def _axis_profiles(grid: PeriodicGrid, w: float, centers: np.ndarray):
+    """Cells, values and derivatives of the 1D profile of every translate.
+
+    A window of cells around each center is sampled, then its nonzero values
+    are packed to the front of the row; packed rows end in zeros.
+    """
+    n = grid.cells_per_dim
+    dx = grid.cell_width
+    # |x - x0| < w with two spare cells either side; n cells cover the torus
+    first = np.floor((centers + 1.0 - w) / dx - 0.5).astype(np.int64) - 2
+    cells = (first[:, None] + np.arange(min(n, math.ceil(2.0 * w / dx) + 5))) % n
+    val, der = bump_profile(wrap(grid.axis_centers()[cells] - centers[:, None]) / w)
+    nonzero = val != 0.0
+    rank = np.cumsum(nonzero, axis=1) - 1
+    row = np.nonzero(nonzero)[0]
+    packed = [np.zeros((len(centers), int(rank[:, -1].max()) + 1), dtype=a.dtype)
+              for a in (cells, val, der)]
+    for dst, a in zip(packed, (cells, val, der)):
+        dst[row, rank[nonzero]] = a[nonzero]
+    return packed
+
+
 def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
                     refine_level: int = 0) -> BumpBasis:
-    """Periodic bump family; each refinement level doubles the translates."""
-    supports, values, grads, labels = [], [], [], []
-    coords = grid.coordinates()
+    """Periodic bump family; each refinement level doubles the translates.
+
+    In 2D each bump is the tensor product of two translates of the 1D
+    profile, phi = vx * vy, with gradient (dvx * vy / w, vx * dvy / w).
+    """
+    if not all(math.isfinite(w) and w > 0.0 for w in widths):
+        raise ValueError("bump widths must be finite and positive")
+    blocks, masses, labels = [], [], []
     for w in widths:
         spacing = w / (2.0 ** (1 + refine_level))
         centers = np.arange(-1.0, 1.0 - 1e-12, spacing)
+        cells, v, d = _axis_profiles(grid, w, centers)
+        at = centers.tolist()
         if grid.dims == 1:
-            for x0 in centers:
-                s = wrap(coords[0] - x0) / w
-                val, der = bump_profile(s)
-                idx = np.flatnonzero(val)
-                supports.append(idx)
-                values.append(val[idx])
-                grads.append(np.stack([der[idx] / w]))
-                labels.append((w, float(x0)))
+            val = v
+            grads = (d / w)[None]
+            labels += [(w, x0) for x0 in at]
         else:
-            for x0 in centers:
-                sx = wrap(coords[0] - x0) / w
-                vx, dx_ = bump_profile(sx)
-                for y0 in centers:
-                    sy = wrap(coords[1] - y0) / w
-                    vy, dy_ = bump_profile(sy)
-                    val = vx * vy
-                    idx = np.flatnonzero(val.ravel())
-                    supports.append(idx)
-                    values.append(val.ravel()[idx])
-                    gx = (dx_ * vy / w).ravel()[idx]
-                    gy = (vx * dy_ / w).ravel()[idx]
-                    grads.append(np.stack([gx, gy]))
-                    labels.append((w, float(x0), float(y0)))
-    return BumpBasis(supports, values, grads, labels)
+            c = len(centers)
+            k = v.shape[1]
+            tx = (slice(None), None, slice(None), None)     # (x0, ., i, .)
+            ty = (None, slice(None), None, slice(None))     # (., y0, ., j)
+            cells = (cells[tx] * grid.cells_per_dim + cells[ty]).reshape(c * c, k * k)
+            val = (v[tx] * v[ty]).reshape(c * c, k * k)
+            grads = np.stack([(d[tx] * v[ty]) / w, (v[tx] * d[ty]) / w]).reshape(2, c * c, k * k)
+            labels += [(w, x0, y0) for x0 in at for y0 in at]
+        live = val != 0.0
+        blocks.append(BumpStencil(cells, grads, live))
+        masses.append(grid.cell_volume * exact_sum(np.where(live, val, -0.0), axis=-1))
+    return BumpBasis(grid, tuple(blocks), np.concatenate(masses), labels)
 
 
 @dataclass(frozen=True)
@@ -101,6 +138,15 @@ class OslipWeakResult:
     bump_label: tuple
 
 
+def _check_velocity(grid: PeriodicGrid, vel) -> np.ndarray:
+    vel = np.asarray(vel, dtype=float)
+    if vel.shape != (grid.dims,) + grid.shape:
+        raise ValueError("velocity must be component-first on the grid")
+    if not np.isfinite(vel).all():
+        raise ValueError("velocity must be finite")
+    return vel
+
+
 def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
                      directions: list[tuple[float, ...]] | None = None,
                      basis: BumpBasis | None = None) -> OslipWeakResult:
@@ -108,40 +154,56 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
 
     ``vel`` has the component axis first.  Per bump, the moment matrix
     M[a, b] = -integral u_a d_b(phi) collapses every direction scan to the
-    quadratic form xi.M.xi / (|xi|^2 integral phi).  Ties keep the earliest
-    (direction, bump) pair, so the scan is deterministic.
+    quadratic form xi.M.xi / (|xi|^2 integral phi); bumps with no mass are
+    skipped.  Ties go to the earliest bump in basis order, then to the
+    earliest direction, so the scan is deterministic.
+
+    All moments are exact row sums.  The ratios are screened in one
+    vectorized pass; only the pairs within a rounding-error bound of the
+    maximum are evaluated again with the scalar expression that defines the
+    result, in bump-major order.
     """
-    vel = np.asarray(vel, dtype=float)
-    if vel.shape != (grid.dims,) + grid.shape:
-        raise ValueError("velocity must be component-first on the grid")
+    vel = _check_velocity(grid, vel)
     if directions is None:
         directions = unit_directions(grid.dims)
     if basis is None:
         basis = make_bump_basis(grid)
-    if not directions or not basis.values:
+    elif basis.grid != grid:
+        raise ValueError("the bump basis was built for another grid")
+    if not directions or not basis.labels:
         raise ValueError("directions and test basis must be nonempty")
-    best = -math.inf
-    best_dir = directions[0]
-    best_label = basis.labels[0]
+    dirs = [np.asarray(xi, dtype=float) for xi in directions]
+    norms = [float(np.dot(d, d)) if d.shape == (grid.dims,) else math.nan for d in dirs]
+    if not all(0.0 < nsq < math.inf for nsq in norms):
+        raise ValueError(f"directions must be finite and nonzero, of length {grid.dims}")
     vol = grid.cell_volume
     flat = vel.reshape(grid.dims, -1)
-    dirs = [np.asarray(xi, dtype=float) for xi in directions]
-    norms = [float(np.dot(d, d)) for d in dirs]
-    for idx, phi_val, phi_grad, label in zip(
-        basis.supports, basis.values, basis.grads, basis.labels
-    ):
-        mass = vol * exact_sum(phi_val)
-        if mass <= 0.0:
-            continue
-        moment = np.empty((grid.dims, grid.dims))
-        for a in range(grid.dims):
-            u_a = flat[a, idx]
-            for b in range(grid.dims):
-                moment[a, b] = -vol * exact_sum(u_a * phi_grad[b])
-        for xi, norm_sq in zip(dirs, norms):
-            ratio = float(xi @ moment @ xi) / (norm_sq * mass)
-            if ratio > best:
-                best, best_dir, best_label = ratio, tuple(xi), label
+    moments = []
+    for blk in basis.blocks:
+        terms = np.where(blk.live, flat[:, None, blk.cells] * blk.grads[None], -0.0)
+        moments.append(-vol * exact_sum(terms, axis=-1))
+    # moment[bump, a, b] = -integral u_a d_b(phi)
+    moment = np.ascontiguousarray(np.concatenate(moments, axis=-1).transpose(2, 0, 1))
+    bumps = np.flatnonzero(basis.masses > 0.0)
+    xi, m = np.array(dirs), moment[bumps]
+    with np.errstate(all="ignore"):
+        den = basis.masses[bumps, None] * np.array(norms)
+        approx = np.einsum("ka,bac,kc->bk", xi, m, xi) / den
+        # |approx - scalar ratio| <= 16 eps |xi|.|M|.|xi| / den (eps = 2^-52);
+        # the 2^-1000 term covers products that underflow
+        slack = 2.0**-48 * (np.einsum("ka,bac,kc->bk", abs(xi), abs(m), abs(xi))
+                            + 2.0**-1000) / den
+        lower = approx - slack
+        floor = np.max(lower, where=np.isfinite(lower), initial=-math.inf)
+        near = ~(approx + slack < floor)
+    i, k = np.nonzero(near)
+    b = bumps[i]
+    numer = [float(dirs[kk] @ moment[bb] @ dirs[kk]) for bb, kk in zip(b.tolist(), k.tolist())]
+    values = np.array(numer) / (np.array(norms)[k] * basis.masses[b])
+    best, best_dir, best_label = -math.inf, tuple(map(float, dirs[0])), basis.labels[0]
+    if (values > best).any():  # the first maximum in bump-major order; NaN never wins
+        j = np.flatnonzero(values == values[values > best].max())[0]
+        best, best_dir, best_label = float(values[j]), tuple(map(float, dirs[k[j]])), basis.labels[b[j]]
     return OslipWeakResult(best, best_dir, best_label)
 
 
@@ -161,9 +223,7 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
     maximized over cells; with ``mask_wrap`` the stencils crossing the
     periodic identification are dropped (recorded in the result).
     """
-    vel = np.asarray(vel, dtype=float)
-    if vel.shape != (grid.dims,) + grid.shape:
-        raise ValueError("velocity must be component-first on the grid")
+    vel = _check_velocity(grid, vel)
     dx = grid.cell_width
     n = grid.cells_per_dim
     best = -math.inf

@@ -111,42 +111,73 @@ _EXTRACT_MAX = 2.0**900     # above: sigma could overflow
 _EXTRACT_MIN = 2.0**-900    # below: extraction could underflow
 
 
-def exact_sum(values) -> float:
-    """Correctly rounded sum of all entries, bit-identical to `math.fsum`.
+def exact_sum(values, axis: int | None = None):
+    """Correctly rounded sum, bit-identical to `math.fsum`.
+
+    With ``axis=None`` all entries are summed into one float.  With an
+    integer ``axis`` the sums run along that axis, like ``np.sum``, and each
+    of them is exact on its own; the result is an array.  ``-0.0`` is
+    neutral, so ragged rows can be padded with it.
 
     Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
-    31(1), 2008): with sigma = 2^M * 2^e, 2^M >= n + 2 and every |p| < 2^e,
-    q = (sigma + p) - sigma and p - q are exact, and so is np.sum(q) in any
-    order, since every partial sum is a multiple of ulp(sigma) below sigma.
-    Each level strips the top bits of every term; `math.fsum` then rounds
-    the few exact level sums, plus any remainder below 2^-900, once.  Small
-    arrays, non-finite terms and terms near overflow go to `math.fsum`
-    directly (same value or exception).
+    31(1), 2008): with a per-sum sigma = 2^M * 2^e, 2^M >= n + 2 and every
+    |p| < 2^e among its n terms, q = (sigma + p) - sigma and p - q are
+    exact, and so is the sum of q in any order, since every partial sum is
+    a multiple of ulp(sigma) below sigma.  Each level strips the top bits of
+    every term; `math.fsum` then rounds the few exact level sums of each
+    sum, plus any remainder below 2^-900, once.  Sums of signed zeros take
+    the sign `math.fsum` gives them; an empty sum is +0.0.  A total of fewer
+    than `EXACT_SUM_MIN_TERMS` terms, and sums with non-finite terms or
+    terms near overflow, go to `math.fsum` directly (same value or
+    exception).
     """
     arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
-    if n < EXACT_SUM_MIN_TERMS:
-        return math.fsum(arr.ravel().tolist())
-    p = arr.flatten()
-    lo, hi = float(p.min()), float(p.max())
-    if not (-_EXTRACT_MAX <= lo and hi <= _EXTRACT_MAX):
-        return math.fsum(p)
-    top = max(-lo, hi)
-    if top == 0.0:  # only signed zeros: fsum decides the sign of the result
-        return math.fsum(p[:1]) if np.signbit(p).all() else 0.0
-    scale = 2.0 ** math.ceil(math.log2(n + 2))
+    if axis is None:
+        if arr.size < EXACT_SUM_MIN_TERMS:
+            return math.fsum(arr.ravel().tolist())
+        p = arr.reshape(-1, 1).copy()
+    else:
+        arr = np.moveaxis(arr, axis, 0)
+        # one column per sum, its terms down the first axis: sums reduce fast
+        p = arr.reshape(len(arr), math.prod(arr.shape[1:])).copy()
+    out = np.zeros(p.shape[1])
+    q = np.abs(p)
+    top = q.max(axis=0, initial=0.0)
+    if not top.max(initial=0.0) <= _EXTRACT_MAX:  # non-finite terms, or sigma could overflow
+        for r in np.flatnonzero(~(top <= _EXTRACT_MAX)):
+            out[r] = math.fsum(p[:, r])
+            p[:, r] = top[r] = 0.0  # +0.0: the signed-zero rule below passes it by
+    live = top != 0.0
+    if len(p) and not live.all():  # signed zeros only: fsum decides the sign
+        zeros = np.flatnonzero(~live)
+        out[zeros[np.signbit(p[:, zeros]).all(axis=0)]] = math.fsum([-0.0])
+    single = len(top) == 1
+    scale = 2.0 ** math.ceil(math.log2(len(p) + 2))
     levels = []
-    q = np.empty_like(p)
-    while top >= _EXTRACT_MIN:
-        sigma = scale * 2.0 ** math.frexp(top)[1]
+    while True:
+        if single:  # one sum: Python floats keep its bookkeeping cheap
+            if not top[0] >= _EXTRACT_MIN:
+                break
+            sigma = scale * 2.0 ** math.frexp(top[0])[1]
+        else:
+            busy = top >= _EXTRACT_MIN
+            working = np.count_nonzero(busy)
+            if not working:
+                break
+            if working < len(busy):
+                top[~busy] = 0.0  # sigma = scale leaves a finished column's rest be
+            sigma = np.ldexp(scale, np.frexp(top)[1])
         np.add(p, sigma, out=q)
         q -= sigma
-        levels.append(float(q.sum()))
+        levels.append(q.sum(axis=0))
         p -= q
-        top = max(-float(p.min()), float(p.max()))
-    if top:  # what is left lies below the extraction range
-        levels.extend(p[p != 0.0].tolist())
-    return math.fsum(levels)
+        top = np.abs(p, out=q).max(axis=0)
+    if np.count_nonzero(top):  # what is left lies below the extraction range
+        levels.extend(p[(p != 0.0).any(axis=1)])
+    if levels:
+        sums = list(map(math.fsum, zip(*(lv.tolist() for lv in levels))))
+        np.copyto(out, sums, where=live)
+    return float(out[0]) if axis is None else out.reshape(arr.shape[1:])
 
 
 def _pointwise_magnitude(field: Field) -> np.ndarray:

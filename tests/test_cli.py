@@ -9,7 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from eulerlab import acceptance, conditions, solver
 from eulerlab.cli import main
-from eulerlab.grid import PeriodicGrid, save_scalar_field, weierstrass_field, write_columns_csv
+from eulerlab.grid import (
+    PeriodicGrid,
+    read_columns_csv,
+    save_scalar_field,
+    weierstrass_field,
+    write_columns_csv,
+)
 
 
 def _read_rows(path):
@@ -256,6 +262,18 @@ class TestInputBoundary:
         traj = _simulate(tmp_path, "a", grid_n=32)
         (traj / "t_0001.csv").write_text("x,rho\n0.5,1.0\n")
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, 1e-320])
+    def test_snapshot_density_without_a_velocity_is_a_usage_error(self, tmp_path, capsys, rho):
+        # rho <= 0 is not a density, and m / 1e-320 overflows
+        traj = _simulate(tmp_path, "a", grid_n=32)
+        with open(traj / "t_0001.csv") as fh:
+            grid, cols = read_columns_csv(fh)
+        cols["rho"][5], cols["m1"][5] = rho, 1.0
+        with open(traj / "t_0001.csv", "w") as fh:
+            write_columns_csv(fh, grid, cols)
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
+        assert "snapshot 1" in capsys.readouterr().err
 
     def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,17 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from eulerlab.conditions import (
+    DEFAULT_BUMP_WIDTHS,
     L1Report,
+    bump_profile,
     l1_report,
     make_bump_basis,
     oslip_discrete,
     oslip_weak_min_c,
     unit_directions,
 )
-from eulerlab.grid import PeriodicGrid
+from eulerlab.grid import PeriodicGrid, wrap
 
 
 def _vel1d(grid, fn):
@@ -61,6 +65,207 @@ class TestWeakForm:
         # diagonal gradient; sup over unit xi of xi.grad(u).xi = 0.5 pi
         res = oslip_weak_min_c(grid, vel, basis=make_bump_basis(grid, widths=(0.25, 0.125)))
         assert res.min_c == pytest.approx(0.5 * np.pi, rel=0.08)
+
+
+# The per-bump basis and scan that the batched ones replaced, kept as the oracle:
+# every bump is sampled on the full grid, its moments are math.fsum sums over
+# its support, and the (bump, direction) pairs are scanned bump-major with a
+# strict ">".
+
+
+def _oracle_basis(grid, widths=DEFAULT_BUMP_WIDTHS, refine_level=0):
+    supports, values, grads, labels = [], [], [], []
+    coords = grid.coordinates()
+    for w in widths:
+        centers = np.arange(-1.0, 1.0 - 1e-12, w / (2.0 ** (1 + refine_level)))
+        if grid.dims == 1:
+            for x0 in centers:
+                val, der = bump_profile(wrap(coords[0] - x0) / w)
+                idx = np.flatnonzero(val)
+                supports.append(idx)
+                values.append(val[idx])
+                grads.append(np.stack([der[idx] / w]))
+                labels.append((w, float(x0)))
+        else:
+            for x0 in centers:
+                vx, dx_ = bump_profile(wrap(coords[0] - x0) / w)
+                for y0 in centers:
+                    vy, dy_ = bump_profile(wrap(coords[1] - y0) / w)
+                    val = vx * vy
+                    idx = np.flatnonzero(val.ravel())
+                    supports.append(idx)
+                    values.append(val.ravel()[idx])
+                    grads.append(np.stack([(dx_ * vy / w).ravel()[idx],
+                                           (vx * dy_ / w).ravel()[idx]]))
+                    labels.append((w, float(x0), float(y0)))
+    return supports, values, grads, labels
+
+
+def _oracle_scan(grid, vel, directions, basis):
+    best, best_dir, best_label = -math.inf, tuple(directions[0]), basis[3][0]
+    vol = grid.cell_volume
+    flat = vel.reshape(grid.dims, -1)
+    dirs = [np.asarray(xi, dtype=float) for xi in directions]
+    for idx, phi_val, phi_grad, label in zip(*basis):
+        mass = vol * math.fsum(phi_val)
+        if mass <= 0.0:
+            continue
+        moment = np.empty((grid.dims, grid.dims))
+        for a in range(grid.dims):
+            for b in range(grid.dims):
+                moment[a, b] = -vol * math.fsum(flat[a, idx] * phi_grad[b])
+        for xi in dirs:
+            ratio = float(xi @ moment @ xi) / (float(np.dot(xi, xi)) * mass)
+            if ratio > best:
+                best, best_dir, best_label = ratio, tuple(xi), label
+    return best, tuple(map(float, best_dir)), best_label
+
+
+VELOCITY_KINDS = ("smooth", "random_small", "random_large", "fan", "constant", "zero")
+
+
+def _velocity(grid, kind, seed=0):
+    rng = np.random.default_rng(seed)
+    coords = grid.coordinates()
+    shape = (grid.dims,) + grid.shape
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.broadcast_to(rng.uniform(-1.0, 1.0, (grid.dims,) + (1,) * grid.dims),
+                               shape).copy()
+    if kind == "smooth":
+        return np.stack([np.sin(np.pi * coords[0] + a) * np.cos(np.pi * coords[-1] + b)
+                         for a, b in rng.uniform(0.0, 2.0 * np.pi, (grid.dims, 2))])
+    if kind.startswith("random"):
+        return rng.standard_normal(shape) * (1e-3 if kind == "random_small" else 1e3)
+    tau = rng.uniform(0.1, 1.0)          # the clamped fan along the first axis
+    fan = np.clip(coords[0] / tau, -1.0, 1.0)
+    return np.stack([fan] + [np.zeros_like(fan)] * (grid.dims - 1))
+
+
+def _assert_matches_oracle(grid, kinds, seed=0, directions=None,
+                           widths=DEFAULT_BUMP_WIDTHS, refine_level=0):
+    basis = make_bump_basis(grid, widths, refine_level)
+    oracle = _oracle_basis(grid, widths, refine_level)
+    assert basis.labels == oracle[3]
+    dirs = unit_directions(grid.dims) if directions is None else directions
+    for kind in kinds:
+        vel = _velocity(grid, kind, seed)
+        res = oslip_weak_min_c(grid, vel, directions=directions, basis=basis)
+        min_c, direction, label = _oracle_scan(grid, vel, dirs, oracle)
+        assert res.min_c.hex() == min_c.hex(), kind
+        assert res.direction == direction, kind
+        assert all(type(c) is float for c in res.direction)
+        assert res.bump_label == label, kind
+
+
+@st.composite
+def _scan_cases(draw):
+    dims, n = draw(st.sampled_from([(2, 24), (1, 20), (2, 37), (1, 96), (2, 20), (1, 37),
+                                    (2, 48)]))
+    refine = draw(st.integers(0, 2))
+    pool = [0.5, 0.25, 0.125, 0.0625, 0.03, 1.5] if dims == 1 else [0.5, 0.3, 0.25, 1.5]
+    widths = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)))
+    # keep the per-bump oracle affordable
+    assume(sum((2.0 ** (2 + refine) / w) ** dims for w in widths) <= 600)
+    directions = None
+    if draw(st.booleans()):
+        coord = st.sampled_from([1.0, -0.5, 0.0, 0.3, -2.0, 3.0])
+        directions = draw(st.lists(st.tuples(*[coord] * dims), min_size=1, max_size=4))
+        assume(all(any(c != 0.0 for c in xi) for xi in directions))
+    return PeriodicGrid(dims, n), widths, refine, directions, draw(st.integers(0, 99))
+
+
+class TestWeakScanAgainstOracle:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_scan_cases())
+    def test_bit_identical_result(self, case):
+        grid, widths, refine, directions, seed = case
+        _assert_matches_oracle(grid, VELOCITY_KINDS, seed, directions, widths, refine)
+
+    def test_default_basis_at_32(self):
+        _assert_matches_oracle(PeriodicGrid(2, 32), ["fan", "zero"], seed=3)
+
+    def test_default_basis_1d(self, grid4k):
+        _assert_matches_oracle(grid4k, ["smooth", "fan"], seed=5)
+
+
+class TestWeakScanContract:
+    def test_zero_velocity_ties_go_to_the_first_pair(self):
+        grid = PeriodicGrid(2, 24)
+        basis = make_bump_basis(grid)
+        res = oslip_weak_min_c(grid, np.zeros((2,) + grid.shape), basis=basis)
+        assert res.min_c.hex() == (0.0).hex()
+        assert res.direction == unit_directions(2)[0]
+        assert res.bump_label == basis.labels[0]
+
+    def test_direction_ties_go_to_the_earliest_direction(self):
+        # |xi|^2 normalizes: (2, 0) and (1, 0) give the same ratio bit for bit
+        grid = PeriodicGrid(2, 24)
+        vel = _velocity(grid, "smooth", seed=1)
+        res = oslip_weak_min_c(grid, vel, directions=[(2.0, 0.0), (1.0, 0.0)])
+        assert res.direction == (2.0, 0.0)
+        assert res.min_c == oslip_weak_min_c(grid, vel, directions=[(1.0, 0.0)]).min_c
+
+    def test_bump_order_beats_direction_order(self):
+        # u = (f(x), f(y)) is symmetric under x <-> y, so every pair (bump at
+        # (x0, y0), e_x) ties with (bump at (y0, x0), e_y) exactly; the earlier
+        # bump wins even though its direction comes later in the list
+        grid = PeriodicGrid(2, 24)
+        x, y = grid.coordinates()
+        vel = np.stack([np.sin(np.pi * x), np.sin(np.pi * y)])
+        res = oslip_weak_min_c(grid, vel, directions=[(1.0, 0.0), (0.0, 1.0)])
+        w, x0, y0 = res.bump_label
+        assert res.direction == (0.0, 1.0)
+        assert x0 < y0
+        mirrored = oslip_weak_min_c(grid, vel, directions=[(1.0, 0.0)])
+        assert mirrored.min_c == res.min_c
+        assert mirrored.bump_label == (w, y0, x0)
+
+    def test_massless_bumps_are_skipped(self):
+        grid = PeriodicGrid(1, 20)
+        basis = make_bump_basis(grid, widths=(0.03,))
+        assert (basis.masses == 0.0).any() and (basis.masses > 0.0).any()
+        _assert_matches_oracle(grid, ["smooth"], widths=(0.03,))
+        empty = dataclasses.replace(basis, masses=np.zeros_like(basis.masses))
+        res = oslip_weak_min_c(grid, _velocity(grid, "smooth"), basis=empty)
+        assert res.min_c == -math.inf
+        assert res.direction == (1.0,) and res.bump_label == basis.labels[0]
+
+    @pytest.mark.parametrize("fn", [oslip_weak_min_c, oslip_discrete])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocity_rejected(self, fn, bad):
+        grid = PeriodicGrid(2, 20)
+        vel = _velocity(grid, "smooth")
+        for where in (np.s_[:], np.s_[1, 3, 4]):
+            broken = vel.copy()
+            broken[where] = bad
+            with pytest.raises(ValueError, match="finite"):
+                fn(grid, broken)
+
+    @pytest.mark.parametrize("directions", [
+        [(1.0, 0.0), (0.0, 0.0)],            # zero
+        [(1.0,)],                             # wrong length
+        [(1.0, 0.0, 0.0)],
+        [(math.nan, 1.0)],
+        [(math.inf, 0.0)],
+        [(1e-200, 0.0)],                      # |xi|^2 underflows to zero
+    ])
+    def test_bad_directions_rejected(self, directions):
+        grid = PeriodicGrid(2, 20)
+        with pytest.raises(ValueError, match="directions"):
+            oslip_weak_min_c(grid, _velocity(grid, "smooth"), directions=directions)
+
+    def test_basis_of_another_grid_rejected(self):
+        grid = PeriodicGrid(2, 20)
+        with pytest.raises(ValueError, match="another grid"):
+            oslip_weak_min_c(grid, _velocity(grid, "smooth"),
+                             basis=make_bump_basis(PeriodicGrid(2, 24)))
+
+    @pytest.mark.parametrize("widths", [(0.25, 0.0), (-0.1,), (math.nan,), (math.inf,)])
+    def test_bad_widths_rejected(self, widths):
+        with pytest.raises(ValueError, match="widths"):
+            make_bump_basis(PeriodicGrid(1, 20), widths)
 
 
 class TestDiscrete:

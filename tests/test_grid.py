@@ -414,3 +414,83 @@ class TestExactSum:
         before = f.values.tobytes()
         exact_sum(f.values)
         assert f.values.tobytes() == before
+
+
+# exact_sum by row: every row bit for bit equal to math.fsum of that row, or
+# the exception of the first row whose fsum raises.
+def _rows_outcome(fn, rows):
+    try:
+        return [v.hex() for v in fn(rows).tolist()]
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _per_row_fsum(rows):
+    return np.array([math.fsum(r) for r in rows.tolist()])
+
+
+def _assert_rows_fsum_identical(rows):
+    want = _rows_outcome(_per_row_fsum, rows)
+    assert _rows_outcome(lambda a: exact_sum(a, axis=-1), rows) == want
+    assert _rows_outcome(lambda a: exact_sum(a.T.copy(), axis=0), rows) == want
+
+
+@st.composite
+def _row_blocks(draw):
+    """Rows of the seven summand kinds, each padded at its end with -0.0."""
+    n = draw(_SIZES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["normal", "cancel", "scaled", "mixed", "subnormal",
+                                     "zeros", "sparse"]))
+        a = rng.standard_normal(n)
+        if kind == "cancel":
+            half = a[: n // 2]
+            a[: 2 * len(half)] = np.concatenate([half, -half[::-1]])
+        elif kind == "scaled":
+            a = a * 10.0 ** draw(st.sampled_from([-300, -200, 200, 300]))
+        elif kind == "mixed":
+            a = a * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        elif kind == "subnormal":
+            a = a * 1e-310
+        elif kind == "zeros":
+            a = rng.choice([0.0, -0.0], n)
+        elif kind == "sparse":
+            a = a * (rng.random(n) < 0.1)
+        a[n - draw(st.integers(0, n)):] = -0.0
+        rows.append(a)
+    return np.array(rows)
+
+
+class TestExactSumByRow:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_row_blocks())
+    def test_rows_bit_identical_to_fsum(self, rows):
+        _assert_rows_fsum_identical(rows)
+
+    @pytest.mark.parametrize("n", [3, EXACT_SUM_MIN_TERMS + 5])
+    @pytest.mark.parametrize("special", [
+        [math.inf], [math.nan], [1e308, 1e308], [2.0**901, -(2.0**901)], [5e-324],
+        [1.0, 2.0**-53, 2.0**-106],
+    ])
+    def test_specials_in_one_row(self, n, special):
+        rows = np.random.default_rng(1).standard_normal((3, n))
+        rows[1, : len(special)] = special
+        _assert_rows_fsum_identical(rows)
+
+    def test_signed_zero_rows(self):
+        rows = np.array([[-0.0, -0.0, -0.0], [0.0, -0.0, -0.0], [0.0, 0.0, 0.0],
+                         [1.0, -1.0, -0.0], [-0.0, 2.0, -0.0]])
+        _assert_rows_fsum_identical(rows)
+        empty = [v.hex() for v in exact_sum(np.zeros((4, 0)), axis=-1).tolist()]
+        assert empty == [math.fsum([]).hex()] * 4
+        assert exact_sum(np.zeros((4, 0)), axis=0).shape == (0,)
+
+    def test_axis_and_shape(self):
+        a = np.random.default_rng(2).standard_normal((3, 700, 4))
+        got = exact_sum(a, axis=1)
+        assert got.shape == (3, 4)
+        want = [[math.fsum(a[i, :, j]) for j in range(4)] for i in range(3)]
+        assert got.tolist() == want
+        assert exact_sum(a.transpose(0, 2, 1), axis=-1).tolist() == want

@@ -1,6 +1,8 @@
-"""Source-layout guards over src/eulerlab."""
+"""Source-layout guards over src/eulerlab, and the benchmark's hold on it."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import eulerlab
@@ -42,3 +44,39 @@ def test_guard_sees_fsum():
                                 "def g(a):\n    return math.fsum(a)\n"))
     assert [line for line, _ in uses] == [2, 4]
     assert uses[1][1] == ("g",)
+
+
+def _perfbench_tracing():
+    """perfbench/tracing.py, imported from the source checkout as it is."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer wraps by name still exists."""
+    tracing = _perfbench_tracing()
+    missing = [f"{mod}.{attr}" for mod, table in tracing.TARGETS.items()
+               for attr in table if attr != "*"
+               and not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert not missing, f"benchmark trace targets gone: {missing}"
+
+
+def test_benchmark_counts_the_bump_basis():
+    """The traced run counts bumps through the basis labels: 5,376 at 32^2."""
+    tracing = _perfbench_tracing()
+    for mod in tracing.TARGETS:
+        importlib.import_module(mod)
+    from eulerlab import conditions
+    from eulerlab.grid import PeriodicGrid
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        basis = conditions.make_bump_basis(PeriodicGrid(2, 32))
+    finally:
+        tracer.uninstall()
+    assert len(basis.labels) == 5376
+    assert tracer.counts[(-1, "conditions.bumps_built")] == 5376
