@@ -102,9 +102,9 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args.config)
-    grid_n = args.grid_n or _field(cfg, "grid_n", int, 256)
+    grid_n = _field(cfg, "grid_n", int, 256) if args.grid_n is None else args.grid_n
     dims = _field(cfg, "dims", int, 1)
-    gamma = args.gamma or _field(cfg, "gamma", float, 1.4)
+    gamma = _field(cfg, "gamma", float, 1.4) if args.gamma is None else args.gamma
     init = _field(cfg, "init", dict, {"name": "sod"})
     t_end = _field(cfg, "t_end", float, 0.2)
     try:
@@ -178,7 +178,7 @@ def _resolve_probe_fields(cfg: dict):
 
 def cmd_commutator_rate(args) -> int:
     cfg = _load_config(args.config)
-    gamma = args.gamma or _field(cfg, "gamma", float, 1.4)
+    gamma = _field(cfg, "gamma", float, 1.4) if args.gamma is None else args.gamma
     gname = _field(cfg, "G", str, required=True)
     p = _field(cfg, "p", float, 4.0)
     eps = _field(cfg, "eps", list, [2.0 ** (-k) for k in range(4, 11)])
@@ -291,8 +291,11 @@ def cmd_oslip_check(args) -> int:
 
 
 def cmd_verify_thermo(args) -> int:
-    gamma = args.gamma or 1.4
-    params = GasParams(gamma)
+    gamma = 1.4 if args.gamma is None else args.gamma
+    try:
+        params = GasParams(gamma)
+    except DomainError as exc:
+        raise UsageError(str(exc))
     ident = acceptance.gate_thermo_identities(params)
     convex = acceptance.gate_tilde_pressure_convexity(params)
     rows = [[name, ident.metrics[name]] for name in acceptance.THERMO_IDENTITIES]
@@ -327,52 +330,47 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
+    # each subcommand registers only the flags it reads
+    shared = {
+        "--config": {"help": "JSON config file"},
+        "--grid-n": {"type": int, "help": "cells per dimension override"},
+        "--gamma": {"type": float, "help": "adiabatic index override"},
+    }
+
+    def command(name, fn, text, *flags):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("--out", help="output directory (default: cwd)")
-        p.add_argument("--grid-n", type=int, help="cells per dimension override")
-        p.add_argument("--gamma", type=float, help="adiabatic index override")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+        return p
 
-    p = sub.add_parser("simulate", help="run the finite-volume solver")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
+    command("simulate", cmd_simulate, "run the finite-volume solver",
+            "--config", "--grid-n", "--gamma")
 
-    p = sub.add_parser("besov-fit", help="regularity report for a field CSV")
-    common(p)
+    p = command("besov-fit", cmd_besov_fit, "regularity report for a field CSV")
     p.add_argument("--field", help="field CSV (x[,y],value)")
     p.add_argument("--p", type=float, default=3.0, help="Lebesgue exponent")
-    p.set_defaults(fn=cmd_besov_fit)
 
-    p = sub.add_parser("commutator-rate", help="chain-commutator decay scan")
-    common(p)
-    p.set_defaults(fn=cmd_commutator_rate)
+    command("commutator-rate", cmd_commutator_rate, "chain-commutator decay scan",
+            "--config", "--gamma")
 
-    p = sub.add_parser("relentropy", help="relative-entropy trace of two runs")
-    common(p)
+    p = command("relentropy", cmd_relentropy, "relative-entropy trace of two runs")
     p.add_argument("--traj-a", help="candidate trajectory directory")
     p.add_argument("--traj-b", help="reference trajectory directory")
     p.add_argument("--sigma", type=float, default=None,
                    help="start of the reported window")
-    p.set_defaults(fn=cmd_relentropy)
 
-    p = sub.add_parser("oslip-check", help="one-sided Lipschitz constants")
-    common(p)
+    p = command("oslip-check", cmd_oslip_check, "one-sided Lipschitz constants")
     p.add_argument("--field", help="1D velocity field CSV")
     p.add_argument("--traj", help="trajectory directory")
     p.add_argument("--delta", type=float, default=0.0,
                    help="lower end of the reported time window")
     p.add_argument("--mask-wrap", action="store_true",
                    help="exclude stencils crossing the periodic wrap")
-    p.set_defaults(fn=cmd_oslip_check)
 
-    p = sub.add_parser("verify-thermo", help="closure identity residuals")
-    common(p)
-    p.set_defaults(fn=cmd_verify_thermo)
-
-    p = sub.add_parser("accept", help="run all acceptance gates")
-    common(p)
-    p.set_defaults(fn=cmd_accept)
-
+    command("verify-thermo", cmd_verify_thermo, "closure identity residuals", "--gamma")
+    command("accept", cmd_accept, "run all acceptance gates")
     return parser
 
 

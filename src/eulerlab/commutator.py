@@ -16,7 +16,8 @@ the bilinear/trilinear product commutators
     rho_eps u_eps - (rho u)_eps,   rho_eps u_eps (x) u_eps - (rho u (x) u)_eps
 
 whose L^{p/2} norms are checked against squared L^p mollification and shift
-moduli with a constant frozen from a smooth calibration probe.
+moduli with a constant frozen from a smooth calibration probe.  Both are one
+eps scan, `_product_scan`, whose shift moduli come from one `besov.ball_sups`.
 
 G is supplied with closed-form first and second derivatives; nothing here
 differentiates G numerically, so the split terms telescope bit-exactly.
@@ -31,19 +32,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import dyadic_shift_ladder, seminorm, _asymptotic_window, _loglog_fit
+from .besov import ball_sups, dyadic_shift_ladder, seminorm, _asymptotic_window, _loglog_fit
 from .errors import DomainError
 from .grid import (
-    Mollifier,
     PeriodicGrid,
     ScalarField,
     VectorField,
-    ball_offsets,
     build_mollifier,
     grad_values,
     lp_norm_values,
+    magnitude,
     mollify_values,
-    shift_values,
 )
 from .thermo import GasParams, tilde_pressure_derivatives
 
@@ -56,6 +55,12 @@ C0_PRODUCT = 0.25
 
 #: Sample count per component axis when taking sup|d^gamma G| over the hull.
 HULL_SAMPLES_PER_DIM = 1000
+
+#: Rows of the first hull axis sampled at once; bounds the sampling's memory.
+HULL_SLAB_ROWS = 50
+
+#: Velocity factors of each product commutator: rho u and rho u (x) u.
+_FACTORS = {"bilinear": 1, "triple": 2}
 
 
 @dataclass(frozen=True)
@@ -182,18 +187,21 @@ class CommutatorProbe:
 
 
 def _second_derivative_sups(probe: CommutatorProbe) -> dict[tuple[int, ...], float]:
-    """sup |d^gamma G| over the hull box, |gamma| = 2, by dense sampling."""
+    """sup |d^gamma G| over the hull box, |gamma| = 2, by dense sampling in slabs."""
     k = probe.gmap.arity
     axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in probe.hull]
-    mesh = np.meshgrid(*axes, indexing="ij") if k > 1 else [axes[0]]
-    y = np.stack([m.ravel() for m in mesh])
-    hess = probe.gmap.hess(y)
+    pairs = list(combinations_with_replacement(range(k), 2))
+    peaks = []
+    for start in range(0, HULL_SAMPLES_PER_DIM, HULL_SLAB_ROWS):
+        mesh = np.meshgrid(axes[0][start : start + HULL_SLAB_ROWS], *axes[1:], indexing="ij")
+        hess = probe.gmap.hess(np.stack([m.ravel() for m in mesh]))
+        peaks.append([np.max(np.abs(hess[i, j])) for i, j in pairs])
     sups: dict[tuple[int, ...], float] = {}
-    for i, j in combinations_with_replacement(range(k), 2):
+    for (i, j), sup in zip(pairs, np.max(peaks, axis=0)):
         gamma = [0] * k
         gamma[i] += 1
         gamma[j] += 1
-        sups[tuple(gamma)] = float(np.max(np.abs(hess[i, j])))
+        sups[tuple(gamma)] = float(sup)
     return sups
 
 
@@ -211,14 +219,6 @@ def chain_bound(probe: CommutatorProbe, eps: float, seminorms=None, sups=None) -
         prod = math.prod(s**g for s, g in zip(seminorms, gamma))
         total += eps**expo * sup * prod
     return total
-
-
-def _window_norm(values: np.ndarray, p: float, grid: PeriodicGrid,
-                 window: tuple[slice, ...] | None) -> float:
-    mag = values if values.ndim == grid.dims else np.sqrt(np.sum(values * values, axis=0))
-    if window is not None:
-        mag = mag[window]
-    return lp_norm_values(mag, p, grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -257,22 +257,21 @@ def chain_commutator(probe: CommutatorProbe, eps: float,
         inner, mol, first_axis=1
     )
     comm = term_a + term_b
-    q = probe.p / 2.0
+    window = probe.window or ()
+    norm, norm_a, norm_b = (
+        lp_norm_values(magnitude(v, grid)[window], probe.p / 2.0, grid.cell_volume)
+        for v in (comm, term_a, term_b)
+    )
     return ChainCommutatorResult(
         eps,
         VectorField(grid, comm),
         VectorField(grid, term_a),
         VectorField(grid, term_b),
-        _window_norm(comm, q, grid, probe.window),
-        _window_norm(term_a, q, grid, probe.window),
-        _window_norm(term_b, q, grid, probe.window),
+        norm,
+        norm_a,
+        norm_b,
         chain_bound(probe, eps, seminorms, sups),
     )
-
-
-def split_terms(probe: CommutatorProbe, eps: float) -> tuple[VectorField, VectorField]:
-    res = chain_commutator(probe, eps)
-    return res.term_a, res.term_b
 
 
 @dataclass(frozen=True)
@@ -326,28 +325,6 @@ def chain_rate_fit(probe: CommutatorProbe, slack: float = CHAIN_BOUND_SLACK) -> 
 # ---------------------------------------------------------------------------
 
 
-def _stacked(rho_field: ScalarField, u_field: ScalarField | VectorField,
-             repeats: int) -> np.ndarray:
-    comps = [rho_field.values]
-    u = u_field.values if isinstance(u_field, VectorField) else u_field.values[None]
-    for _ in range(repeats):
-        comps.extend(list(u))
-    return np.stack(comps)
-
-
-def _pair_modulus(stack: np.ndarray, mol: Mollifier, grid: PeriodicGrid, p: float):
-    """(||stack_eps - stack||_p^2, sup_{|y|<eps} ||stack(.-y) - stack||_p^2)."""
-    stack_e = mollify_values(stack, mol, first_axis=1)
-    diff = np.sqrt(np.sum((stack_e - stack) ** 2, axis=0))
-    moll_term = lp_norm_values(diff, p, grid.cell_volume) ** 2
-    sup = 0.0
-    for off in ball_offsets(grid, mol.radius_cells, mol.epsilon):
-        moved = shift_values(stack, off, first_axis=1)
-        d = np.sqrt(np.sum((moved - stack) ** 2, axis=0))
-        sup = max(sup, lp_norm_values(d, p, grid.cell_volume) ** 2)
-    return stack_e, moll_term, sup
-
-
 @dataclass(frozen=True)
 class ProductCommutatorResult:
     eps: float
@@ -359,82 +336,63 @@ class ProductCommutatorResult:
     commutator: np.ndarray
 
 
-def bilinear_commutator(
-    rho_field: ScalarField,
-    u_field: ScalarField | VectorField,
-    eps: float,
-    p: float = 3.0,
-    c0: float = C0_PRODUCT,
-) -> ProductCommutatorResult:
+def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, eps_list,
+                  p: float, c0: float, factors: int) -> list[ProductCommutatorResult]:
+    """rho_eps U_eps - (rho U)_eps per eps, U = u or u (x) u for 1 or 2 ``factors``;
+    the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
+    grid, vol = rho_field.grid, rho_field.grid.cell_volume
+    u = u_field.values if isinstance(u_field, VectorField) else u_field.values[None]
+    stack = np.concatenate([rho_field.values[None]] + [u] * factors)
+    prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
+    flux = (stack[0] * prod).reshape((-1,) + grid.shape)
+    results = []
+    for eps, sup in zip(eps_list, ball_sups(stack, grid, eps_list, p)):
+        mol = build_mollifier(grid, eps)
+        stack_e = mollify_values(stack, mol, first_axis=1)
+        u_e = stack_e[1 : 1 + len(u)]
+        prod_e = u_e if factors == 1 else np.einsum("i...,j...->ij...", u_e, u_e)
+        comm = stack_e[0] * prod_e - mollify_values(flux, mol, first_axis=1).reshape(prod.shape)
+        norm = lp_norm_values(magnitude(comm, grid), p / 2.0, vol)
+        rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), p, vol) ** 2
+        rhs2 = sup**2
+        results.append(ProductCommutatorResult(
+            eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+        ))
+    return results
+
+
+def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField, eps: float,
+                        p: float = 3.0, c0: float = C0_PRODUCT) -> ProductCommutatorResult:
     """rho_eps u_eps - (rho u)_eps with its one-sided modulus bound."""
-    grid = rho_field.grid
-    mol = build_mollifier(grid, eps)
-    stack = _stacked(rho_field, u_field, 1)
-    stack_e, rhs1, rhs2 = _pair_modulus(stack, mol, grid, p)
-    rho, u = stack[0], stack[1:]
-    rho_e, u_e = stack_e[0], stack_e[1:]
-    comm = rho_e * u_e - mollify_values(rho * u, mol, first_axis=1)
-    mag = np.sqrt(np.sum(comm * comm, axis=0))
-    norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
-    )
+    return _product_scan(rho_field, u_field, [eps], p, c0, 1)[0]
 
 
-def triple_commutator(
-    rho_field: ScalarField,
-    u_field: ScalarField | VectorField,
-    eps: float,
-    p: float = 3.0,
-    c0: float = C0_PRODUCT,
-) -> ProductCommutatorResult:
+def triple_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField, eps: float,
+                      p: float = 3.0, c0: float = C0_PRODUCT) -> ProductCommutatorResult:
     """rho_eps u_eps (x) u_eps - (rho u (x) u)_eps, Frobenius magnitude."""
-    grid = rho_field.grid
-    mol = build_mollifier(grid, eps)
-    stack = _stacked(rho_field, u_field, 2)
-    ncomp = (stack.shape[0] - 1) // 2
-    stack_e, rhs1, rhs2 = _pair_modulus(stack, mol, grid, p)
-    rho, u = stack[0], stack[1 : 1 + ncomp]
-    rho_e, u_e = stack_e[0], stack_e[1 : 1 + ncomp]
-    outer = np.einsum("i...,j...->ij...", u, u)
-    outer_e = np.einsum("i...,j...->ij...", u_e, u_e)
-    flat = (rho * outer).reshape((ncomp * ncomp,) + rho.shape)
-    comm = rho_e * outer_e - mollify_values(flat, mol, first_axis=1).reshape(outer.shape)
-    mag = np.sqrt(np.sum(comm * comm, axis=(0, 1)))
-    norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
-    )
+    return _product_scan(rho_field, u_field, [eps], p, c0, 2)[0]
 
 
-def product_rate_fit(
-    rho_field: ScalarField,
-    u_field: ScalarField | VectorField,
-    eps_range: Sequence[float],
-    p: float = 3.0,
-    kind: str = "bilinear",
-    c0: float = C0_PRODUCT,
-):
+def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
+                     eps_range: Sequence[float], p: float = 3.0, kind: str = "bilinear",
+                     c0: float = C0_PRODUCT):
     """Decay slope of a product commutator over a dyadic eps scan."""
-    fn = bilinear_commutator if kind == "bilinear" else triple_commutator
+    if kind not in _FACTORS:
+        raise ValueError(f"unknown product commutator kind {kind!r}; known: bilinear, triple")
     eps_arr = np.array(sorted(float(e) for e in eps_range))
-    results = [fn(rho_field, u_field, e, p, c0) for e in eps_arr]
+    results = _product_scan(rho_field, u_field, eps_arr, p, c0, _FACTORS[kind])
     norms = np.array([r.norm for r in results])
     win = _asymptotic_window(len(eps_arr))
     slope, resid = _loglog_fit(eps_arr[win], norms[win])
     return slope, resid, results
 
 
-def calibrate_c0(
-    rho_field: ScalarField,
-    u_field: ScalarField | VectorField,
-    eps_range: Sequence[float],
-    p: float = 3.0,
-) -> float:
+def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
+                 eps_range: Sequence[float], p: float = 3.0) -> float:
     """Max measured ratio norm / (rhs_mollify + rhs_shift) over the scan."""
+    eps_list = [float(e) for e in eps_range]
     worst = 0.0
-    for e in eps_range:
-        for fn in (bilinear_commutator, triple_commutator):
-            r = fn(rho_field, u_field, float(e), p, c0=math.inf)
+    for factors in _FACTORS.values():
+        for r in _product_scan(rho_field, u_field, eps_list, p, math.inf, factors):
             worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
     return worst

@@ -180,16 +180,17 @@ def exact_sum(values, axis: int | None = None):
     return float(out[0]) if axis is None else out.reshape(arr.shape[1:])
 
 
-def _pointwise_magnitude(field: Field) -> np.ndarray:
-    if isinstance(field, ScalarField):
-        return np.abs(field.values)
-    return np.sqrt(np.sum(field.values * field.values, axis=0))
+def magnitude(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
+    """Pointwise |v|: the absolute value of a scalar array on ``grid``, or the
+    Euclidean norm over the leading component axes of a stack."""
+    if values.ndim == grid.dims:
+        return np.abs(values)
+    return np.sqrt(np.sum(values * values, axis=tuple(range(values.ndim - grid.dims))))
 
 
 def lp_norm(field: Field, p: float) -> float:
     """Cell-volume-weighted L^p norm, p in [1, inf]."""
-    mag = _pointwise_magnitude(field)
-    return lp_norm_values(mag, p, field.grid.cell_volume)
+    return lp_norm_values(magnitude(field.values, field.grid), p, field.grid.cell_volume)
 
 
 def lp_norm_values(magnitudes: np.ndarray, p: float, cell_volume: float) -> float:

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import besov
 from eulerlab.besov import (
     MollifierRateReport,
+    _diff_norm,
+    ball_sups,
     besov_report,
     dyadic_shift_ladder,
     fit_regularity,
@@ -18,10 +21,15 @@ from eulerlab.errors import DomainError, ResolutionError
 from eulerlab.grid import (
     PeriodicGrid,
     ScalarField,
+    ball_offsets,
+    build_mollifier,
     constant_field,
     field_from_function,
     lp_norm,
+    weierstrass_field,
 )
+
+EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
 
 
 class TestSeminorm:
@@ -150,6 +158,51 @@ class TestMollifierRates:
         f = weierstrass_field(0.6, 6, grid)
         rep = verify_mollifier_rates(f, 0.6, 3.0, [0.125, 0.25, 0.5])
         assert bool(np.all(rep.bound_ok))
+
+
+def _oracle_shift_sup(field, eps, p):
+    """The per-eps ball loop verify_mollifier_rates ran before `ball_sups`."""
+    mol = build_mollifier(field.grid, eps)
+    sup = 0.0
+    for off in ball_offsets(field.grid, mol.radius_cells, eps):
+        sup = max(sup, _diff_norm(field, off, p))
+    return sup
+
+
+class TestBallSups:
+    @pytest.mark.parametrize("dims,cells,eps_scan", [
+        (1, 8192, EPS_SCAN), (2, 64, (0.5, 0.25, 0.125, 0.0625)),
+    ])
+    def test_verify_mollifier_rates_matches_per_eps_loop(self, dims, cells, eps_scan):
+        f = weierstrass_field(0.6, 13, PeriodicGrid(dims, cells))
+        # descending, with a repeat: the report sorts, the scan takes any order
+        eps = list(eps_scan) + [eps_scan[2]]
+        rep = verify_mollifier_rates(f, 0.6, 3.0, eps)
+        assert rep.eps.tolist() == sorted(eps)
+        assert [v.hex() for v in rep.shift_sup.tolist()] == [
+            _oracle_shift_sup(f, e, 3.0).hex() for e in sorted(eps)]
+
+    def test_any_eps_order_and_empty_balls(self, grid256):
+        f = field_from_function(grid256, lambda x: np.sin(np.pi * x) + np.abs(x))
+        dx = grid256.cell_width
+        eps = [0.1, 0.5 * dx, 0.0625, 0.1, 2.0 * dx, -1.0]    # 0.1 = 12.8 cells
+        sups = ball_sups(f.values, grid256, eps, 3.0)
+        resolved = [i for i, e in enumerate(eps) if e >= 2.0 * dx]
+        assert [sups[i].hex() for i in resolved] == [
+            _oracle_shift_sup(f, eps[i], 3.0).hex() for i in resolved]
+        assert sups[4] == _diff_norm(f, (1,), 3.0)       # the ball {dx}
+        assert sups[1].hex() == sups[5].hex() == "0x0.0p+0"   # empty balls
+        assert ball_sups(f.values, grid256, [], 3.0) == []
+
+    def test_each_offset_is_evaluated_once(self, weier8k, monkeypatch):
+        # the per-eps loop shifted 255 + 127 + ... + 3 = 501 times over EPS_SCAN
+        calls = []
+        real = besov.shift_values
+        monkeypatch.setattr(besov, "shift_values",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN), shift_set=[(1,)])
+        assert len(calls) == 1 + 255                     # one seminorm shift, one ball
+        assert len(set(calls)) == 255
 
 
 class TestReports:

@@ -46,6 +46,38 @@ class TestDispatch:
             main(["verify-thermo", "--seed", "3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag)
+        for command, flags in {
+            "besov-fit": ("--config", "--grid-n", "--gamma"),
+            "commutator-rate": ("--grid-n",),
+            "relentropy": ("--config", "--grid-n", "--gamma"),
+            "oslip-check": ("--config", "--grid-n", "--gamma"),
+            "verify-thermo": ("--config", "--grid-n"),
+            "accept": ("--config", "--grid-n", "--gamma"),
+        }.items()
+        for flag in flags
+    ])
+    def test_flag_the_subcommand_does_not_read_exits_2(self, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "2"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gamma", ["0", "-1", "1", "nan"])
+    def test_rejected_gamma_exits_2_on_every_subcommand(self, tmp_path, capsys, gamma):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"grid_n": 16, "t_end": 0.02}))
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps({
+            "fields": [{"weierstrass": {"alpha": 0.6, "levels": 8, "grid_n": 256}}],
+            "G": "pressure_tilde", "eps": [0.5, 0.25, 0.125, 0.0625]}))
+        for argv in (["simulate", "--config", str(sim)],
+                     ["commutator-rate", "--config", str(probe)], ["verify-thermo"]):
+            out = tmp_path / argv[0]
+            assert main(argv + ["--gamma", gamma, "--out", str(out)]) == 2
+            assert "adiabatic index must be > 1" in capsys.readouterr().err
+            assert not out.exists() or not any(out.iterdir())
+
     def test_malformed_config_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"t_end": "soon"}))
@@ -76,6 +108,13 @@ class TestSimulate:
                      "--grid-n", "32"]) == 0
         meta = json.loads((out / "meta.json").read_text())
         assert meta["grid"]["cells_per_dim"] == 32
+
+    def test_grid_n_zero_is_rejected_not_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 16, "t_end": 0.02}))
+        assert main(["simulate", "--config", str(cfg), "--grid-n", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "cells per dimension, got 0" in capsys.readouterr().err
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,18 @@
+import math
+import tracemalloc
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
+from eulerlab import besov
 from eulerlab.commutator import (
     C0_PRODUCT,
+    HULL_SAMPLES_PER_DIM,
     CommutatorProbe,
     GMap,
+    ProductCommutatorResult,
+    _second_derivative_sups,
     bilinear_commutator,
     calibrate_c0,
     chain_commutator,
@@ -12,11 +20,22 @@ from eulerlab.commutator import (
     get_gmap,
     gmap_pressure_tilde,
     product_rate_fit,
-    split_terms,
     triple_commutator,
 )
 from eulerlab.errors import DomainError
-from eulerlab.grid import PeriodicGrid, ScalarField, constant_field, field_from_function
+from eulerlab.grid import (
+    PeriodicGrid,
+    ScalarField,
+    VectorField,
+    ball_offsets,
+    build_mollifier,
+    constant_field,
+    field_from_function,
+    lp_norm_values,
+    mollify_values,
+    shift_values,
+    weierstrass_field,
+)
 from eulerlab.thermo import GasParams
 
 EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
@@ -66,17 +85,18 @@ class TestChainCommutator:
         assert np.max(np.abs(recon - res.commutator.values)) < 1e-12
 
     def test_split_terms_entry_point(self, weier8k):
+        # chain_commutator is the one entry point to the split terms
         probe = _probe(weier8k[0.6], 0.6, get_gmap("square"))
-        term_a, term_b = split_terms(probe, 2.0**-6)
+        first = chain_commutator(probe, 2.0**-6)
         res = chain_commutator(probe, 2.0**-6)
-        assert np.array_equal(term_a.values, res.term_a.values)
-        assert np.array_equal(term_b.values, res.term_b.values)
+        assert np.array_equal(first.term_a.values, res.term_a.values)
+        assert np.array_equal(first.term_b.values, res.term_b.values)
 
     def test_linear_split_terms_vanish(self, weier8k):
         probe = _probe(weier8k[0.6], 0.6, _linear_gmap())
-        term_a, term_b = split_terms(probe, 0.0625)
-        assert np.all(term_a.values == 0.0)  # DG is constant, difference exact
-        assert np.max(np.abs(term_b.values)) < 1e-11
+        res = chain_commutator(probe, 0.0625)
+        assert np.all(res.term_a.values == 0.0)  # DG is constant, difference exact
+        assert np.max(np.abs(res.term_b.values)) < 1e-11
 
     def test_field_leaving_hull_is_reported(self, grid256):
         f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
@@ -212,3 +232,188 @@ class TestProductCommutators:
     def test_unknown_gmap_name(self):
         with pytest.raises(ValueError):
             get_gmap("cube")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-eps product commutators and the one-shot hull sampling
+# that the eps-list scan and the slabs replaced
+# ---------------------------------------------------------------------------
+
+
+def _oracle_stacked(rho_field, u_field, repeats):
+    comps = [rho_field.values]
+    u = u_field.values if isinstance(u_field, VectorField) else u_field.values[None]
+    for _ in range(repeats):
+        comps.extend(list(u))
+    return np.stack(comps)
+
+
+def _oracle_pair_modulus(stack, mol, grid, p):
+    stack_e = mollify_values(stack, mol, first_axis=1)
+    diff = np.sqrt(np.sum((stack_e - stack) ** 2, axis=0))
+    moll_term = lp_norm_values(diff, p, grid.cell_volume) ** 2
+    sup = 0.0
+    for off in ball_offsets(grid, mol.radius_cells, mol.epsilon):
+        moved = shift_values(stack, off, first_axis=1)
+        d = np.sqrt(np.sum((moved - stack) ** 2, axis=0))
+        sup = max(sup, lp_norm_values(d, p, grid.cell_volume) ** 2)
+    return stack_e, moll_term, sup
+
+
+def _oracle_bilinear(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
+    grid = rho_field.grid
+    mol = build_mollifier(grid, eps)
+    stack = _oracle_stacked(rho_field, u_field, 1)
+    stack_e, rhs1, rhs2 = _oracle_pair_modulus(stack, mol, grid, p)
+    rho, u = stack[0], stack[1:]
+    rho_e, u_e = stack_e[0], stack_e[1:]
+    comm = rho_e * u_e - mollify_values(rho * u, mol, first_axis=1)
+    mag = np.sqrt(np.sum(comm * comm, axis=0))
+    norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
+    return ProductCommutatorResult(
+        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+    )
+
+
+def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
+    grid = rho_field.grid
+    mol = build_mollifier(grid, eps)
+    stack = _oracle_stacked(rho_field, u_field, 2)
+    ncomp = (stack.shape[0] - 1) // 2
+    stack_e, rhs1, rhs2 = _oracle_pair_modulus(stack, mol, grid, p)
+    rho, u = stack[0], stack[1 : 1 + ncomp]
+    rho_e, u_e = stack_e[0], stack_e[1 : 1 + ncomp]
+    outer = np.einsum("i...,j...->ij...", u, u)
+    outer_e = np.einsum("i...,j...->ij...", u_e, u_e)
+    flat = (rho * outer).reshape((ncomp * ncomp,) + rho.shape)
+    comm = rho_e * outer_e - mollify_values(flat, mol, first_axis=1).reshape(outer.shape)
+    mag = np.sqrt(np.sum(comm * comm, axis=(0, 1)))
+    norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
+    return ProductCommutatorResult(
+        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+    )
+
+
+_ORACLES = {"bilinear": (_oracle_bilinear, bilinear_commutator),
+            "triple": (_oracle_triple, triple_commutator)}
+
+
+def _assert_same(new, old):
+    for name in ("norm", "rhs_mollify", "rhs_shift"):
+        assert float(getattr(new, name)).hex() == float(getattr(old, name)).hex(), name
+    assert new.passed == old.passed
+    assert new.commutator.shape == old.commutator.shape
+    assert np.array_equal(new.commutator, old.commutator)
+
+
+def _pair_2d():
+    grid = PeriodicGrid(2, 64)
+    x, y = grid.coordinates()
+    rho = ScalarField(grid, 1.0 + 0.2 * np.sin(np.pi * x) * np.cos(2 * np.pi * y))
+    u = VectorField(grid, np.stack([0.3 * np.sin(np.pi * y) + 0.1 * np.abs(x),
+                                    0.1 * np.cos(np.pi * x) * np.sin(np.pi * y)]))
+    return rho, u, (0.3, 0.25, 0.125, 0.0625)    # 0.3 = 9.6 cells
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "triple"])
+class TestProductScanMatchesPerEps:
+    """Every number of the eps-list scan is bit-identical to the per-eps oracle."""
+
+    def _check(self, rho, u, eps_scan, kind):
+        oracle, entry = _ORACLES[kind]
+        # descending, with repeats: product_rate_fit sorts, the scan keeps order
+        eps = list(eps_scan) + [eps_scan[1], eps_scan[1]]
+        expected = {e: oracle(rho, u, e) for e in eps_scan}
+        _, _, results = product_rate_fit(rho, u, eps, p=3.0, kind=kind)
+        assert [r.eps for r in results] == sorted(eps)
+        for r in results:
+            _assert_same(r, expected[r.eps])
+        _assert_same(entry(rho, u, eps_scan[2]), expected[eps_scan[2]])
+
+    def test_1d_measurement_grid(self, rough_pair_8k, kind):
+        self._check(*rough_pair_8k, EPS_SCAN, kind)
+
+    def test_2d_vector_velocity(self, kind):
+        self._check(*_pair_2d(), kind)
+
+    def test_each_offset_is_evaluated_once(self, rough_pair_8k, monkeypatch, kind):
+        # the per-eps ball loop shifted 255 + 127 + ... + 3 = 501 times over EPS_SCAN
+        calls = []
+        real = besov.shift_values
+        monkeypatch.setattr(besov, "shift_values",
+                            lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+        product_rate_fit(*rough_pair_8k, EPS_SCAN, p=3.0, kind=kind)
+        assert len(calls) == len(set(calls)) == 255
+
+
+def test_calibration_matches_per_eps_oracle():
+    rho, u, eps_scan = _pair_2d()
+    eps = list(eps_scan) + [eps_scan[0]]
+    worst = 0.0
+    for e in eps:
+        for oracle, _ in _ORACLES.values():
+            r = oracle(rho, u, e, c0=math.inf)
+            worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
+    assert calibrate_c0(rho, u, eps).hex() == worst.hex()
+
+
+def test_unknown_product_kind_is_rejected(rough_pair_8k):
+    with pytest.raises(ValueError, match="'bilnear'.*bilinear, triple"):
+        product_rate_fit(*rough_pair_8k, EPS_SCAN, kind="bilnear")
+
+
+def _oracle_hull_sups(probe):
+    """The whole sample grid and its Hessian at once."""
+    k = probe.gmap.arity
+    axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in probe.hull]
+    mesh = np.meshgrid(*axes, indexing="ij") if k > 1 else [axes[0]]
+    y = np.stack([m.ravel() for m in mesh])
+    hess = probe.gmap.hess(y)
+    sups = {}
+    for i, j in combinations_with_replacement(range(k), 2):
+        gamma = [0] * k
+        gamma[i] += 1
+        gamma[j] += 1
+        sups[tuple(gamma)] = float(np.max(np.abs(hess[i, j])))
+    return sups
+
+
+def _gate_product_probe():
+    grid = PeriodicGrid(1, 8192)
+    f04, f08 = weierstrass_field(0.4, 13, grid), weierstrass_field(0.8, 13, grid, phase=1.0)
+    return CommutatorProbe((f04, f08), (0.4, 0.8), get_gmap("product"), 4.0, EPS_SCAN)
+
+
+def _cubic_gmap():
+    # |d^2 G / dy0 dy1| = |y0| peaks on the last sample row of the first axis
+    return GMap(
+        "cubic",
+        2,
+        lambda y: 0.5 * y[0] ** 2 * y[1],
+        lambda y: np.stack([y[0] * y[1], 0.5 * y[0] ** 2]),
+        lambda y: np.stack([np.stack([y[1], y[0]]), np.stack([y[0], 0.0 * y[0]])]),
+    )
+
+
+class TestHullSampling:
+    @pytest.mark.parametrize("gname", ["square", "product", "pressure_tilde", "cubic"])
+    def test_slabs_match_dense_sampling(self, grid256, gname):
+        comps = (field_from_function(grid256, lambda x: 1.0 + 0.5 * np.sin(np.pi * x)),
+                 field_from_function(grid256, lambda x: np.cos(np.pi * x) - 0.3))
+        gmap = _cubic_gmap() if gname == "cubic" else get_gmap(gname, GasParams(1.4))
+        probe = _probe(comps[: gmap.arity], (0.5,) * gmap.arity, gmap, eps=(0.0625, 0.5))
+        sups = _second_derivative_sups(probe)
+        expected = _oracle_hull_sups(probe)
+        assert list(sups) == list(expected)
+        assert [v.hex() for v in sups.values()] == [v.hex() for v in expected.values()]
+
+    def test_gate_product_probe_peak_memory(self):
+        probe = _gate_product_probe()
+        tracemalloc.start()
+        try:
+            sups = _second_derivative_sups(probe)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sups == _oracle_hull_sups(probe)
+        assert peak < 32 * 2**20

@@ -10,16 +10,17 @@ import eulerlab
 SRC = Path(eulerlab.__file__).parent
 
 
-def _fsum_uses(tree: ast.AST):
-    """(line, enclosing function names) of every reference to fsum."""
+def _uses(tree: ast.AST, name: str, imports: bool = True):
+    """(line, enclosing function names) of every reference to ``name``,
+    import statements included unless ``imports`` is false."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        is_ref = ((isinstance(node, ast.Attribute) and node.attr == "fsum")
-                  or (isinstance(node, ast.Name) and node.id == "fsum")
-                  or (isinstance(node, ast.alias) and node.name == "fsum"))
+        is_ref = ((isinstance(node, ast.Attribute) and node.attr == name)
+                  or (isinstance(node, ast.Name) and node.id == name)
+                  or (imports and isinstance(node, ast.alias) and node.name == name))
         if is_ref:
             found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
@@ -33,15 +34,25 @@ def test_math_fsum_only_inside_exact_sum():
     """Every exact sum goes through grid.exact_sum, the one exact-sum primitive."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
-        for line, scope in _fsum_uses(ast.parse(path.read_text(), str(path))):
+        for line, scope in _uses(ast.parse(path.read_text(), str(path)), "fsum"):
             if not (path.name == "grid.py" and scope == ("exact_sum",)):
                 stray.append(f"{path.name}:{line}")
     assert not stray, f"math.fsum outside grid.exact_sum: {stray}"
 
 
+def test_ball_offsets_only_inside_ball_sups():
+    """One ball-sup scan enumerates lattice balls: no second per-eps loop."""
+    uses = {(path.name, line, scope) for path in sorted(SRC.glob("*.py"))
+            for line, scope in _uses(ast.parse(path.read_text(), str(path)), "ball_offsets",
+                                     imports=False)}
+    stray = [f"{name}:{line}" for name, line, scope in sorted(uses)
+             if not (name == "besov.py" and scope == ("ball_sups",))]
+    assert uses and not stray, f"ball_offsets outside besov.ball_sups: {stray}"
+
+
 def test_guard_sees_fsum():
-    uses = _fsum_uses(ast.parse("import math\nfrom math import fsum as f\n"
-                                "def g(a):\n    return math.fsum(a)\n"))
+    uses = _uses(ast.parse("import math\nfrom math import fsum as f\n"
+                           "def g(a):\n    return math.fsum(a)\n"), "fsum")
     assert [line for line, _ in uses] == [2, 4]
     assert uses[1][1] == ("g",)
 
