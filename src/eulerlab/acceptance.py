@@ -19,7 +19,7 @@ from . import commutator as cm
 from . import conditions as cd
 from . import relentropy as re_
 from . import weakform as wf
-from .grid import PeriodicGrid, ScalarField, weierstrass_field
+from .grid import PeriodicGrid, ScalarField, exact_sum, weierstrass_field
 from .riemann import periodic_double_riemann
 from .solver import (
     SolverConfig,
@@ -222,12 +222,12 @@ def gate_solver_shock_tube() -> GateResult:
     left, right = scenario_riemann_states(cfg.init, params)
     sampler = periodic_double_riemann(left, right, params)
     rho_ex, _, _ = sampler(grid.axis_centers(), 0.2)
-    l1 = float(np.sum(np.abs(traj.snapshots[-1].rho - rho_ex))) * grid.cell_width
+    l1 = exact_sum(np.abs(traj.snapshots[-1].rho - rho_ex)) * grid.cell_width
     vol = grid.cell_volume
-    mass0 = vol * float(np.sum(traj.snapshots[0].rho))
-    mass1 = vol * float(np.sum(traj.snapshots[-1].rho))
-    e0 = vol * float(np.sum(traj.snapshots[0].energy))
-    e1 = vol * float(np.sum(traj.snapshots[-1].energy))
+    mass0 = vol * exact_sum(traj.snapshots[0].rho)
+    mass1 = vol * exact_sum(traj.snapshots[-1].rho)
+    e0 = vol * exact_sum(traj.snapshots[0].energy)
+    e1 = vol * exact_sum(traj.snapshots[-1].energy)
     d_mass = abs(mass1 - mass0) / mass0
     d_energy = abs(e1 - e0) / e0
     tol = wf.entropy_production_tol(grid)

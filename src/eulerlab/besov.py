@@ -100,6 +100,36 @@ def ball_sups(values: np.ndarray, grid: PeriodicGrid, eps_list, p: float) -> lis
     return [max((norm for h, norm in measured if h < eps), default=0.0) for eps in eps_list]
 
 
+def _ladder_norms(field: ScalarField, p: float,
+                  shift_set: list[tuple[int, ...]]) -> list[tuple[float, float]]:
+    """(|h|, ||f(.+h) - f||_p) per shift of the set, in sorted shift order."""
+    if not p >= 1.0:
+        raise DomainError(f"p must be >= 1, got {p}")
+    if not shift_set:
+        raise ValueError("shift set must be nonempty")
+    norms = []
+    for offsets in sorted(shift_set):
+        if all(c == 0 for c in offsets):
+            raise ValueError("zero shift not allowed in shift set")
+        h = offset_length(field.grid, offsets)
+        if h > MAX_SHIFT_FRACTION * PERIOD + 1e-12:
+            raise ValueError(f"shift {offsets} exceeds a quarter period")
+        norms.append((h, _diff_norm(field, offsets, p)))
+    return norms
+
+
+def _ladder_sup(norms: list[tuple[float, float]], beta: float) -> float:
+    """max of norm / |h|^beta over ``_ladder_norms``; ties keep the earlier shift."""
+    if not 0.0 < beta <= 1.0:
+        raise DomainError(f"beta must lie in (0, 1], got {beta}")
+    best = 0.0
+    for h, norm in norms:
+        val = norm / h**beta
+        if val > best:
+            best = val
+    return best
+
+
 def seminorm(
     field: ScalarField, beta: float, p: float, shift_set: list[tuple[int, ...]]
 ) -> float:
@@ -108,24 +138,7 @@ def seminorm(
     Deterministic: shifts are scanned in sorted order and ties keep the
     earlier (lexicographically smaller) shift.
     """
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    if p != np.inf and p < 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not shift_set:
-        raise ValueError("shift set must be nonempty")
-    grid = field.grid
-    best = 0.0
-    for offsets in sorted(shift_set):
-        if all(c == 0 for c in offsets):
-            raise ValueError("zero shift not allowed in shift set")
-        h = offset_length(grid, offsets)
-        if h > MAX_SHIFT_FRACTION * PERIOD + 1e-12:
-            raise ValueError(f"shift {offsets} exceeds a quarter period")
-        val = _diff_norm(field, offsets, p) / h**beta
-        if val > best:
-            best = val
-    return best
+    return _ladder_sup(_ladder_norms(field, p, shift_set), beta)
 
 
 def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -264,33 +277,11 @@ def besov_report(
     if shift_set is None:
         shift_set = dyadic_shift_ladder(field.grid)
     fit = fit_regularity(field, p)
-    sems = np.array([seminorm(field, b, p, shift_set) for b in beta_grid])
+    norms = _ladder_norms(field, p, shift_set)
+    sems = np.array([_ladder_sup(norms, b) for b in beta_grid])
     # first differences cannot certify more than Lipschitz; cap the report
     alpha = fit.alpha if fit.degenerate else min(fit.alpha, 1.0)
     return BesovReport(
         p, np.asarray(beta_grid), sems, alpha, fit.residual, sorted(shift_set),
         fit.degenerate,
     )
-
-
-def fit_time_regularity(snapshots: np.ndarray, dt: float, p: float) -> RegularityFit:
-    """Regularity of a snapshot stack along its (non-periodic) time axis.
-
-    ``snapshots`` has shape (n_times, n_cells...); differences are taken over
-    the overlapping time window, so no periodicity in time is assumed.
-    """
-    snaps = np.asarray(snapshots, dtype=float)
-    nt = snaps.shape[0]
-    steps = [2**k for k in range(int(math.log2(max(1, nt // 4))) + 1)]
-    hs, norms = [], []
-    for c in steps:
-        diff = snaps[c:] - snaps[:-c]
-        hs.append(c * dt)
-        norms.append(float(np.sqrt(np.mean(diff**2))) if p == 2 else
-                     float(np.mean(np.abs(diff) ** p) ** (1.0 / p)))
-    hs_arr, norms_arr = np.array(hs), np.array(norms)
-    if np.min(norms_arr) == 0.0:
-        return RegularityFit(math.inf, 0.0, hs_arr, norms_arr, slice(0, 0), degenerate=True)
-    win = _asymptotic_window(len(hs_arr))
-    slope, resid = _loglog_fit(hs_arr[win], norms_arr[win])
-    return RegularityFit(slope, resid, hs_arr, norms_arr, win)

@@ -152,7 +152,7 @@ class CommutatorProbe:
             raise ValueError("component count must match G arity")
         if len(self.alphas) != len(self.components):
             raise ValueError("one alpha per component required")
-        if self.p < 2.0:
+        if not self.p >= 2.0:
             raise DomainError(f"p must be >= 2, got {self.p}")
         grid = self.components[0].grid
         if any(f.grid != grid for f in self.components):

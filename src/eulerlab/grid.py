@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -194,7 +194,7 @@ def lp_norm(field: Field, p: float) -> float:
 
 
 def lp_norm_values(magnitudes: np.ndarray, p: float, cell_volume: float) -> float:
-    if p != np.inf and p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
     mag = np.abs(np.asarray(magnitudes, dtype=float))
     if p == np.inf:
@@ -219,12 +219,6 @@ def integral(field: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
-
-
-class ShiftResult(NamedTuple):
-    field: Field
-    offsets: tuple[int, ...]
-    snapped: bool
 
 
 def shift_values(values: np.ndarray, offsets: Sequence[int], first_axis: int = 0) -> np.ndarray:
@@ -257,23 +251,6 @@ def ball_offsets(grid: PeriodicGrid, rmax: int, eps: float) -> list[tuple[int, .
 def wrap(delta: np.ndarray) -> np.ndarray:
     """Minimum-image displacement on the periodic axis, in [-1, 1)."""
     return (delta + PERIOD / 2.0) % PERIOD - PERIOD / 2.0
-
-
-def shift(field: Field, h: Sequence[float] | float) -> ShiftResult:
-    """Periodic translation by the displacement h (physical units).
-
-    h is snapped to the nearest lattice vector; the result records whether
-    snapping changed it.
-    """
-    grid = field.grid
-    hv = np.atleast_1d(np.asarray(h, dtype=float))
-    if hv.shape != (grid.dims,):
-        raise ValueError(f"shift vector must have {grid.dims} component(s)")
-    cells = np.rint(hv / grid.cell_width).astype(int)
-    snapped = bool(np.max(np.abs(hv - cells * grid.cell_width)) > 1e-12 * grid.cell_width)
-    first_axis = 0 if isinstance(field, ScalarField) else 1
-    moved = shift_values(field.values, tuple(cells), first_axis)
-    return ShiftResult(type(field)(grid, moved), tuple(int(c) for c in cells), snapped)
 
 
 # ---------------------------------------------------------------------------
@@ -335,38 +312,18 @@ def mollify_values(values: np.ndarray, mol: Mollifier, first_axis: int = 0) -> n
     return out
 
 
-def mollify(field: Field, mol: Mollifier) -> Field:
-    """Periodic convolution with the mollifier kernel."""
-    if abs(mol.cell_width - field.grid.cell_width) > 1e-15:
-        raise ValueError("mollifier was built for a different grid")
-    first_axis = 0 if isinstance(field, ScalarField) else 1
-    return type(field)(field.grid, mollify_values(field.values, mol, first_axis))
-
-
 # ---------------------------------------------------------------------------
 # lattice calculus
 # ---------------------------------------------------------------------------
 
 
 def grad_values(values: np.ndarray, cell_width: float) -> np.ndarray:
+    """Second-order central gradient, periodic, one component per axis first."""
     comps = [
         (np.roll(values, -1, axis=ax) - np.roll(values, 1, axis=ax)) / (2.0 * cell_width)
         for ax in range(values.ndim)
     ]
     return np.stack(comps)
-
-
-def grad(field: ScalarField) -> VectorField:
-    """Second-order central gradient, periodic."""
-    return VectorField(field.grid, grad_values(field.values, field.grid.cell_width))
-
-
-def div(field: VectorField) -> ScalarField:
-    """Second-order central divergence, periodic."""
-    out = np.zeros(field.grid.shape)
-    for ax, comp in enumerate(field.values):
-        out += grad_values(comp, field.grid.cell_width)[ax]
-    return ScalarField(field.grid, out)
 
 
 # ---------------------------------------------------------------------------

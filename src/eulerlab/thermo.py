@@ -150,11 +150,6 @@ def theta_of(rho, total_entropy, params: GasParams):
     return np.exp(exponent)
 
 
-def tilde_pressure(rho, total_entropy, params: GasParams):
-    """Pressure in the (rho, S) variables: rho**gamma * exp((gamma-1)*S/rho)."""
-    return pressure(rho, theta_of(rho, total_entropy, params), params)
-
-
 def tilde_pressure_derivatives(rho, total_entropy, params: GasParams):
     """Value, gradient and Hessian of the (rho, S) pressure, closed form.
 
@@ -251,7 +246,7 @@ def verify_p2(r, t_ref, params: GasParams, fd_step: float | None = None):
 
 
 # ---------------------------------------------------------------------------
-# state vectors and conversions
+# state vectors
 # ---------------------------------------------------------------------------
 
 
@@ -274,20 +269,6 @@ class PrimitiveState:
 
 
 @dataclass(frozen=True)
-class ConservedState:
-    """Density, momentum and total energy density E = rho*|u|^2/2 + rho*e."""
-
-    rho: np.ndarray
-    mom: np.ndarray
-    energy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _require_positive("rho", self.rho))
-        object.__setattr__(self, "mom", np.asarray(self.mom, dtype=float))
-        object.__setattr__(self, "energy", np.asarray(self.energy, dtype=float))
-
-
-@dataclass(frozen=True)
 class EntropicState:
     """Density, momentum and total entropy S = rho * s(rho, theta)."""
 
@@ -299,38 +280,3 @@ class EntropicState:
         object.__setattr__(self, "rho", _require_positive("rho", self.rho))
         object.__setattr__(self, "mom", np.asarray(self.mom, dtype=float))
         object.__setattr__(self, "total_entropy", np.asarray(self.total_entropy, dtype=float))
-
-
-def _speed_sq(vec) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    if vec.ndim == 0:
-        return vec * vec
-    return np.sum(vec * vec, axis=0)
-
-
-def total_energy(state: PrimitiveState, params: GasParams):
-    """E = rho*|u|^2/2 + rho*e(theta)."""
-    return 0.5 * state.rho * _speed_sq(state.vel) + state.rho * internal_energy(
-        state.theta, params
-    )
-
-
-def primitive_to_conserved(state: PrimitiveState, params: GasParams) -> ConservedState:
-    return ConservedState(state.rho, state.rho * state.vel, total_energy(state, params))
-
-
-def conserved_to_primitive(state: ConservedState, params: GasParams) -> PrimitiveState:
-    vel = state.mom / state.rho
-    kinetic = 0.5 * state.rho * _speed_sq(vel)
-    theta = (state.energy - kinetic) / (state.rho * params.cv)
-    return PrimitiveState(state.rho, vel, theta)
-
-
-def primitive_to_entropic(state: PrimitiveState, params: GasParams) -> EntropicState:
-    s_tot = state.rho * entropy(state.rho, state.theta, params)
-    return EntropicState(state.rho, state.rho * state.vel, s_tot)
-
-
-def entropic_to_primitive(state: EntropicState, params: GasParams) -> PrimitiveState:
-    theta = theta_of(state.rho, state.total_entropy, params)
-    return PrimitiveState(state.rho, state.mom / state.rho, theta)

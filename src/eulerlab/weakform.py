@@ -95,34 +95,6 @@ def bump_test(center, width: float, t0: float, t1: float,
     )
 
 
-def trig_test(k: int = 1, t0: float | None = None, t1: float | None = None) -> SpaceTimeTest:
-    """cos(k pi x) profile, constant in time unless a time bump is given."""
-    if t0 is None:
-        tval, tder = (lambda t: 1.0), (lambda t: 0.0)
-        label = f"trig(k={k})"
-    else:
-        tval, tder = time_bump(t0, t1)
-        label = f"trig(k={k},t=({t0},{t1}))"
-
-    def value(t, X):
-        return tval(t) * np.cos(k * np.pi * X[0])
-
-    def dt(t, X):
-        return tder(t) * np.cos(k * np.pi * X[0])
-
-    def grad(t, X):
-        g = [-k * np.pi * tval(t) * np.sin(k * np.pi * X[0])]
-        for x in X[1:]:
-            g.append(np.zeros_like(x))
-        return np.stack(g)
-
-    return SpaceTimeTest(label, value, dt, grad, nonneg=False)
-
-
-def _integrate_cells(values: np.ndarray, vol: float) -> float:
-    return vol * exact_sum(values)
-
-
 def _time_trapezoid(times, series) -> float:
     total = 0.0
     for j in range(1, len(times)):
@@ -177,14 +149,12 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
         integrand = np.zeros(grid.shape)
         for ax in range(grid.dims):
             integrand = integrand + flux[ax] * gphi[ax]
-        flux_series.append(_integrate_cells(integrand, vol))
+        flux_series.append(vol * exact_sum(integrand))
     interior = _time_trapezoid(times, flux_series)
     for j in range(1, len(times)):
         q_mid = 0.5 * (qs[j] + qs[j - 1])
-        interior += _integrate_cells(q_mid * (phis[j] - phis[j - 1]), vol)
-    boundary = _integrate_cells(qs[-1] * phis[-1], vol) - _integrate_cells(
-        qs[0] * phis[0], vol
-    )
+        interior += vol * exact_sum(q_mid * (phis[j] - phis[j - 1]))
+    boundary = vol * exact_sum(qs[-1] * phis[-1]) - vol * exact_sum(qs[0] * phis[0])
     return interior - boundary
 
 

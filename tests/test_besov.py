@@ -13,7 +13,6 @@ from eulerlab.besov import (
     besov_report,
     dyadic_shift_ladder,
     fit_regularity,
-    fit_time_regularity,
     seminorm,
     verify_mollifier_rates,
 )
@@ -213,16 +212,29 @@ class TestReports:
         assert not rep.degenerate
         assert np.all(np.diff(rep.seminorms) >= -1e-15)
 
-    def test_time_regularity_of_smooth_signal(self):
-        t = np.linspace(0.0, 1.0, 257)
-        snaps = np.sin(2 * np.pi * t)[:, None] * np.ones((1, 8))
-        fit = fit_time_regularity(snaps, t[1] - t[0], 2.0)
-        assert fit.alpha == pytest.approx(1.0, abs=0.1)
+    @pytest.mark.parametrize("p", [3.0, 2.5, np.inf])
+    def test_besov_report_measures_each_offset_once(self, p, monkeypatch):
+        # a 128^2 field: 12 fit shifts and a 28-rung seminorm ladder, where
+        # ten per-beta seminorms over the ladder made 12 + 10 * 28 = 292 calls
+        grid = PeriodicGrid(2, 128)
+        f = weierstrass_field(0.55, 7, grid, phase=0.3)
+        calls = []
+        real = besov._diff_norm
+        monkeypatch.setattr(besov, "_diff_norm",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        rep = besov_report(f, p)
+        fit_shifts = dyadic_shift_ladder(grid, include_triples=False, max_cells=128 // 16)
+        ladder = dyadic_shift_ladder(grid)
+        assert len(calls) == len(fit_shifts) + len(ladder) == 40
+        assert calls[len(fit_shifts):] == ladder          # each rung once, in order
+        monkeypatch.setattr(besov, "_diff_norm", real)
+        assert [s.hex() for s in rep.seminorms.tolist()] == [
+            seminorm(f, b, p, ladder).hex() for b in rep.beta_grid]
 
-    def test_time_regularity_degenerate_for_steady(self):
-        snaps = np.ones((64, 8))
-        fit = fit_time_regularity(snaps, 0.01, 2.0)
-        assert fit.degenerate
+    def test_besov_report_rejects_bad_beta(self, grid256):
+        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
+        with pytest.raises(DomainError):
+            besov_report(f, 3.0, beta_grid=[0.5, 1.5])
 
 
 class TestLadder:
@@ -239,3 +251,10 @@ class TestLadder:
             seminorm(constant_field(grid256, 1.0), 1.5, 2.0, [(1,)])
         with pytest.raises(DomainError):
             seminorm(constant_field(grid256, 1.0), 0.5, 0.5, [(1,)])
+
+    def test_rejects_nan_p(self, grid256):
+        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
+        with pytest.raises(DomainError):
+            seminorm(f, 0.5, float("nan"), [(1,)])
+        with pytest.raises(DomainError):
+            besov_report(f, float("nan"))

@@ -268,6 +268,28 @@ class TestInputBoundary:
         assert main(["besov-fit", "--field", str(tmp_path / "nope.csv")]) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["nan", "0.5"])
+    def test_besov_fit_rejects_exponent_below_one_or_nan(self, tmp_path, capsys, p):
+        fpath = tmp_path / "field.csv"
+        save_scalar_field(fpath, weierstrass_field(0.6, 7, PeriodicGrid(1, 128)))
+        out = tmp_path / "rep"
+        assert main(["besov-fit", "--field", str(fpath), "--p", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"must be >= 1, got {float(p)}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("p", [float("nan"), 1.5])
+    def test_commutator_rate_rejects_exponent_below_two_or_nan(self, tmp_path, capsys, p):
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({
+            "fields": [{"weierstrass": {"alpha": 0.6, "levels": 9, "grid_n": 512}}],
+            "G": "square", "p": p, "eps": [0.25, 0.125, 0.0625, 0.03125]}))
+        out = tmp_path / "rep"
+        assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"p must be >= 2, got {p}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_relentropy_missing_directories(self, tmp_path):
         assert main(["relentropy", "--traj-a", str(tmp_path / "a"),
                      "--traj-b", str(tmp_path / "b"), "--out", str(tmp_path)]) == 2

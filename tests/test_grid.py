@@ -15,16 +15,15 @@ from eulerlab.grid import (
     ball_offsets,
     build_mollifier,
     constant_field,
-    div,
     exact_sum,
     field_from_function,
-    grad,
+    grad_values,
     integral,
     lp_norm,
-    mollify,
+    mollify_values,
     read_columns_csv,
     offset_length,
-    shift,
+    shift_values,
     weierstrass_field,
     weierstrass_values,
     write_columns_csv,
@@ -76,28 +75,39 @@ class TestNorms:
         assert lp_norm(v, np.inf) == pytest.approx(5.0)
 
 
+def _mollify(field, mol):
+    return ScalarField(field.grid, mollify_values(field.values, mol))
+
+
+def _laplacian(field):
+    """div grad by two central gradients: sum over axes of d_ax d_ax f."""
+    dx = field.grid.cell_width
+    g = grad_values(field.values, dx)
+    return sum(grad_values(g[ax], dx)[ax] for ax in range(field.grid.dims))
+
+
 class TestShift:
     def test_zero_and_full_period_are_identity(self, grid256):
         f = _random_field(grid256)
-        assert np.array_equal(shift(f, 0.0).field.values, f.values)
-        assert np.array_equal(shift(f, 2.0).field.values, f.values)
+        assert np.array_equal(shift_values(f.values, (0,)), f.values)
+        assert np.array_equal(shift_values(f.values, (grid256.cells_per_dim,)), f.values)
 
     def test_lattice_shift_is_exact_isometry(self, grid256):
         f = _random_field(grid256)
         for p in (1.0, 2.0, 3.0, np.inf):
-            moved = shift(f, 5 * grid256.cell_width).field
+            moved = ScalarField(grid256, shift_values(f.values, (5,)))
             assert lp_norm(moved, p) == lp_norm(f, p)
 
-    def test_snapping_is_flagged(self, grid256):
-        f = _random_field(grid256)
-        res = shift(f, 1.4 * grid256.cell_width)
-        assert res.snapped and res.offsets == (1,)
-        assert not shift(f, grid256.cell_width).snapped
+    def test_shift_direction_and_component_axis(self, grid2d):
+        f = _random_field(grid2d)
+        moved = shift_values(f.values, (3, -2))
+        assert moved[0, 0] == f.values[3, -2]        # out(x) = in(x + h)
+        stack = np.stack([f.values, -f.values])
+        assert np.array_equal(shift_values(stack, (3, -2), first_axis=1)[1], -moved)
 
     def test_difference_triangle_inequality(self, grid256):
         f = _random_field(grid256)
-        moved = shift(f, 7 * grid256.cell_width).field
-        diff = ScalarField(grid256, moved.values - f.values)
+        diff = ScalarField(grid256, shift_values(f.values, (7,)) - f.values)
         assert lp_norm(diff, 2) <= 2.0 * lp_norm(f, 2) + 1e-12
 
 
@@ -115,32 +125,32 @@ class TestMollifier:
 
     def test_constant_is_fixed_point(self, grid256):
         mol = build_mollifier(grid256, 0.05)
-        out = mollify(constant_field(grid256, 3.7), mol)
+        out = _mollify(constant_field(grid256, 3.7), mol)
         np.testing.assert_allclose(out.values, 3.7, rtol=1e-13)
 
     def test_mass_preserved(self, grid256):
         f = _random_field(grid256)
-        out = mollify(f, build_mollifier(grid256, 0.1))
+        out = _mollify(f, build_mollifier(grid256, 0.1))
         assert integral(out) == pytest.approx(integral(f), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, np.inf])
     def test_contraction_in_every_lp(self, grid256, p):
         f = _random_field(grid256, seed=5)
-        out = mollify(f, build_mollifier(grid256, 0.1))
+        out = _mollify(f, build_mollifier(grid256, 0.1))
         assert lp_norm(out, p) <= lp_norm(f, p) * (1.0 + 1e-12)
 
     def test_commutes_with_lattice_shift_exactly(self, grid256):
         f = _random_field(grid256, seed=2)
         mol = build_mollifier(grid256, 0.0625)
-        a = shift(mollify(f, mol), 3 * grid256.cell_width).field
-        b = mollify(shift(f, 3 * grid256.cell_width).field, mol)
-        assert np.array_equal(a.values, b.values)
+        a = shift_values(mollify_values(f.values, mol), (3,))
+        b = mollify_values(shift_values(f.values, (3,)), mol)
+        assert np.array_equal(a, b)
 
     def test_smooth_convergence_rate_two(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.sin(np.pi * x))
         eps = [2.0 ** (-k) for k in range(3, 9)]
         errs = [lp_norm(ScalarField(grid8k,
-                                    mollify(f, build_mollifier(grid8k, e)).values
+                                    mollify_values(f.values, build_mollifier(grid8k, e))
                                     - f.values), 2)
                 for e in eps]
         slope = np.polyfit(np.log(eps), np.log(errs), 1)[0]
@@ -151,7 +161,7 @@ class TestMollifier:
         f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
         eps = 0.125
         mol = build_mollifier(grid256, eps)
-        out = mollify(f, mol)
+        out = _mollify(f, mol)
         x0 = grid256.axis_centers()[17]
         expected = sum(
             w * grid256.cell_volume * math.sin(math.pi * (x0 - off[0] * grid256.cell_width))
@@ -161,32 +171,30 @@ class TestMollifier:
 
     def test_2d_mollify_contracts(self, grid2d):
         f = _random_field(grid2d, seed=9)
-        out = mollify(f, build_mollifier(grid2d, 0.2))
+        out = _mollify(f, build_mollifier(grid2d, 0.2))
         assert lp_norm(out, 2) <= lp_norm(f, 2)
 
 
 class TestCalculus:
     def test_grad_of_constant_vanishes(self, grid256):
-        g = grad(constant_field(grid256, 4.2))
-        assert np.all(g.values == 0.0)
+        g = grad_values(constant_field(grid256, 4.2).values, grid256.cell_width)
+        assert g.shape == (1, 256) and np.all(g == 0.0)
 
     def test_laplacian_second_order(self):
         errs = {}
         for n in (64, 128, 256):
             g = PeriodicGrid(1, n)
             f = field_from_function(g, lambda x: np.sin(np.pi * x))
-            lap = div(grad(f))
             exact = -np.pi**2 * np.sin(np.pi * g.axis_centers())
-            errs[n] = float(np.max(np.abs(lap.values - exact)))
+            errs[n] = float(np.max(np.abs(_laplacian(f) - exact)))
         rate = np.log2(errs[64] / errs[128])
         assert rate == pytest.approx(2.0, abs=0.15)
         assert errs[128] > errs[256]
 
     def test_div_grad_2d(self, grid2d):
         f = field_from_function(grid2d, lambda x, y: np.sin(np.pi * x) * np.cos(np.pi * y))
-        lap = div(grad(f))
         exact = -2 * np.pi**2 * f.values
-        assert np.max(np.abs(lap.values - exact)) < 0.2
+        assert np.max(np.abs(_laplacian(f) - exact)) < 0.2
 
 
 class TestWeierstrass:

@@ -189,6 +189,22 @@ class TestIsentropic:
         assert diff < 5e-3
 
 
+class TestStateMaps:
+    @pytest.mark.parametrize("dims,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("init", [{"name": "sod"}, {"name": "smooth"},
+                                      {"name": "sod", "transverse": 0.1}])
+    def test_snapshot_primitive_inverts_run_initial_map(self, dims, n, init):
+        """primitive -> conserved in `run`, conserved -> primitive in
+        `snapshot_primitive`: the one map each way, composed back to the start."""
+        cfg = _config(n=n, t_end=0.01, init=init, dims=dims)
+        rho0, vel0, theta0 = make_initial_state(cfg.grid, cfg.params, init)
+        rho, vel, theta = snapshot_primitive(run(cfg).snapshots[0], cfg.params)
+        assert vel.shape == vel0.shape == (dims,) + cfg.grid.shape
+        np.testing.assert_allclose(rho, rho0, rtol=1e-12)
+        np.testing.assert_allclose(vel, vel0, rtol=1e-12)
+        np.testing.assert_allclose(theta, theta0, rtol=1e-12)
+
+
 class TestTwoDimensional:
     def test_1d_data_extends_invariantly(self):
         cfg2 = _config(n=32, t_end=0.02, init={"name": "sod"}, dims=2)

@@ -9,7 +9,6 @@ from eulerlab.weakform import (
     entropy_production,
     entropy_production_tol,
     shock_tracking_bumps,
-    trig_test,
     weak_residual,
 )
 
@@ -35,9 +34,10 @@ class TestWeakResidual:
 
     def test_time_independent_test_on_smooth_flow(self):
         # contact-only advection: the balance integrand is exact, residuals
-        # reduce to quadrature error of the smooth integrand
+        # reduce to quadrature error of the smooth integrand; the bump spans
+        # the whole domain and the whole run
         traj = _traj(n=256, t_end=0.2, init={"name": "advection"}, stride=0.005)
-        res = weak_residual(traj, trig_test(k=1), "mass")
+        res = weak_residual(traj, bump_test(0.0, 1.0, 0.0, 0.2), "mass")
         assert abs(res) < 2e-3
 
     @pytest.mark.parametrize("which", ["mass", "momentum", "energy"])
@@ -91,4 +91,4 @@ class TestEntropyProduction:
     def test_rejects_signed_test_functions(self):
         traj = _traj(n=64, t_end=0.05, stride=0.01)
         with pytest.raises(ValueError):
-            entropy_production(traj, trig_test(k=1))
+            entropy_production(traj, bump_test(0.0, 0.5, 0.01, 0.04, nonneg=False))
