@@ -16,7 +16,7 @@ from `ball_sups`, the one ball-sup scan, which the product commutators share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,16 +44,14 @@ ESTIMATE_SLACK = 0.05
 
 def dyadic_shift_ladder(
     grid: PeriodicGrid,
-    axes: tuple[int, ...] | None = None,
-    include_diagonals: bool = True,
     include_triples: bool = True,
     max_cells: int | None = None,
 ) -> list[tuple[int, ...]]:
     """Dyadic lattice shifts 2**k (and 3*2**k) cells up to a quarter period.
 
-    Axis-aligned shifts in each requested axis, plus diagonals in 2D.  The
-    3*2**k rungs fill the octave gaps so that a supremum over the ladder is
-    a fair stand-in for the supremum over all shifts.
+    Axis-aligned shifts in each axis, plus diagonals in 2D.  The 3*2**k
+    rungs fill the octave gaps so that a supremum over the ladder is a fair
+    stand-in for the supremum over all shifts.
     """
     n = grid.cells_per_dim
     cmax = max(1, n // 4)
@@ -62,16 +60,13 @@ def dyadic_shift_ladder(
     sizes = {2**k for k in range(int(math.log2(cmax)) + 1)}
     if include_triples:
         sizes |= {3 * 2**k for k in range(int(math.log2(cmax)) + 1) if 3 * 2**k <= cmax}
-    sizes = sorted(sizes)
-    if axes is None:
-        axes = tuple(range(grid.dims))
     shifts: list[tuple[int, ...]] = []
-    for c in sizes:
-        for ax in axes:
+    for c in sorted(sizes):
+        for ax in range(grid.dims):
             off = [0] * grid.dims
             off[ax] = c
             shifts.append(tuple(off))
-        if grid.dims == 2 and include_diagonals and len(axes) == 2:
+        if grid.dims == 2:
             shifts.append((c, c))
     cap = MAX_SHIFT_FRACTION * PERIOD + 1e-12
     return sorted(off for off in set(shifts) if offset_length(grid, off) <= cap)
@@ -100,30 +95,30 @@ def ball_sups(values: np.ndarray, grid: PeriodicGrid, eps_list, p: float) -> lis
     return [max((norm for h, norm in measured if h < eps), default=0.0) for eps in eps_list]
 
 
-def _ladder_norms(field: ScalarField, p: float,
-                  shift_set: list[tuple[int, ...]]) -> list[tuple[float, float]]:
-    """(|h|, ||f(.+h) - f||_p) per shift of the set, in sorted shift order."""
+def _ladder_norms(field: ScalarField, p: float, shift_set: list[tuple[int, ...]]
+                  ) -> dict[tuple[int, ...], tuple[float, float]]:
+    """(|h|, ||f(.+h) - f||_p) per shift of the set, keyed in sorted shift order."""
     if not p >= 1.0:
         raise DomainError(f"p must be >= 1, got {p}")
     if not shift_set:
         raise ValueError("shift set must be nonempty")
-    norms = []
+    norms = {}
     for offsets in sorted(shift_set):
         if all(c == 0 for c in offsets):
             raise ValueError("zero shift not allowed in shift set")
         h = offset_length(field.grid, offsets)
         if h > MAX_SHIFT_FRACTION * PERIOD + 1e-12:
             raise ValueError(f"shift {offsets} exceeds a quarter period")
-        norms.append((h, _diff_norm(field, offsets, p)))
+        norms[offsets] = (h, _diff_norm(field, offsets, p))
     return norms
 
 
-def _ladder_sup(norms: list[tuple[float, float]], beta: float) -> float:
+def _ladder_sup(norms: dict[tuple[int, ...], tuple[float, float]], beta: float) -> float:
     """max of norm / |h|^beta over ``_ladder_norms``; ties keep the earlier shift."""
     if not 0.0 < beta <= 1.0:
         raise DomainError(f"beta must lie in (0, 1], got {beta}")
     best = 0.0
-    for h, norm in norms:
+    for h, norm in norms.values():
         val = norm / h**beta
         if val > best:
             best = val
@@ -164,29 +159,31 @@ class RegularityFit:
     degenerate: bool = False
 
 
-def fit_regularity(
-    field: ScalarField, p: float, shift_range: list[tuple[int, ...]] | None = None
-) -> RegularityFit:
-    """Slope of log ||f(.+h) - f||_p against log |h| over a dyadic ladder.
+def _regularity_fit(grid: PeriodicGrid, norm_of) -> RegularityFit:
+    """Log-log fit of ``norm_of(offsets)`` over the fit's dyadic ladder.
 
-    A constant field has no scale to fit; the result is flagged degenerate
-    with alpha = +inf.  The default ladder stops at a sixteenth of the
-    period: larger shifts decorrelate and would flatten the slope.
+    The ladder holds 2**k cells up to a sixteenth of the period, by length:
+    larger shifts decorrelate and would flatten the slope.  A constant field
+    has no scale to fit; the result is flagged degenerate with alpha = +inf.
     """
-    if shift_range is None:
-        shift_range = dyadic_shift_ladder(
-            field.grid, include_triples=False, max_cells=field.grid.cells_per_dim // 16
-        )
-    shift_range = sorted(shift_range, key=lambda off: offset_length(field.grid, off))
-    hs = np.array([offset_length(field.grid, off) for off in shift_range])
+    shifts = sorted(
+        dyadic_shift_ladder(grid, include_triples=False, max_cells=grid.cells_per_dim // 16),
+        key=lambda off: offset_length(grid, off),
+    )
+    hs = np.array([offset_length(grid, off) for off in shifts])
     if len(hs) < 4 or hs[-1] / hs[0] < 7.9:
         raise ValueError("shift range must span at least 3 octaves")
-    norms = np.array([_diff_norm(field, off, p) for off in shift_range])
+    norms = np.array([norm_of(off) for off in shifts])
     if np.min(norms) == 0.0:
         return RegularityFit(math.inf, 0.0, hs, norms, slice(0, 0), degenerate=True)
     win = _asymptotic_window(len(hs))
     slope, resid = _loglog_fit(hs[win], norms[win])
     return RegularityFit(slope, resid, hs, norms, win)
+
+
+def fit_regularity(field: ScalarField, p: float) -> RegularityFit:
+    """Slope of log ||f(.+h) - f||_p against log |h| over a dyadic ladder."""
+    return _regularity_fit(field.grid, lambda off: _diff_norm(field, off, p))
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,6 @@ class MollifierRateReport:
     slopes: tuple[float, float, float]
     window: slice
     bound_ok: np.ndarray  # one row per estimate, one column per eps
-    slack: float = ESTIMATE_SLACK
 
 
 def verify_mollifier_rates(
@@ -211,19 +207,16 @@ def verify_mollifier_rates(
     alpha: float,
     p: float,
     eps_range: list[float],
-    shift_set: list[tuple[int, ...]] | None = None,
-    slack: float = ESTIMATE_SLACK,
 ) -> MollifierRateReport:
     """Measure the three mollifier quantities over eps and fit their rates.
 
-    The one-sided bounds use the semi-norm measured on ``shift_set`` and
-    admit ``slack`` relative headroom.  Slopes are fitted on the asymptotic
-    window (two smallest and two largest eps dropped when 7+ are given).
+    The one-sided bounds use the semi-norm measured on the dyadic shift
+    ladder and admit ``ESTIMATE_SLACK`` relative headroom.  Slopes are fitted
+    on the asymptotic window (two smallest and two largest eps dropped when
+    7+ are given).
     """
     grid = field.grid
-    if shift_set is None:
-        shift_set = dyadic_shift_ladder(grid)
-    sem = seminorm(field, alpha, p, shift_set)
+    sem = seminorm(field, alpha, p, dyadic_shift_ladder(grid))
     eps_range = sorted(float(e) for e in eps_range)
     if eps_range[0] < 2.0 * grid.cell_width:
         raise ResolutionError(
@@ -240,7 +233,7 @@ def verify_mollifier_rates(
     m_err, g_nrm = np.array(m_err), np.array(g_nrm)
     win = _asymptotic_window(len(eps_arr))
     slopes = tuple(_loglog_fit(eps_arr[win], v[win])[0] for v in (m_err, s_sup, g_nrm))
-    cap = (1.0 + slack) * sem
+    cap = (1.0 + ESTIMATE_SLACK) * sem
     bound_ok = np.stack(
         [
             m_err <= cap * eps_arr**alpha,
@@ -249,8 +242,12 @@ def verify_mollifier_rates(
         ]
     )
     return MollifierRateReport(
-        p, alpha, sem, eps_arr, m_err, s_sup, g_nrm, slopes, win, bound_ok, slack
+        p, alpha, sem, eps_arr, m_err, s_sup, g_nrm, slopes, win, bound_ok
     )
+
+
+#: Exponents of the ``besov_report`` seminorm scan.
+BETA_GRID = tuple(round(0.1 * k, 3) for k in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -262,26 +259,18 @@ class BesovReport:
     seminorms: np.ndarray
     fitted_alpha: float
     fit_residual: float
-    shift_set: list[tuple[int, ...]] = dc_field(default_factory=list)
     degenerate: bool = False
 
 
-def besov_report(
-    field: ScalarField,
-    p: float,
-    beta_grid: list[float] | None = None,
-    shift_set: list[tuple[int, ...]] | None = None,
-) -> BesovReport:
-    if beta_grid is None:
-        beta_grid = [round(0.1 * k, 3) for k in range(1, 11)]
-    if shift_set is None:
-        shift_set = dyadic_shift_ladder(field.grid)
-    fit = fit_regularity(field, p)
-    norms = _ladder_norms(field, p, shift_set)
-    sems = np.array([_ladder_sup(norms, b) for b in beta_grid])
+def besov_report(field: ScalarField, p: float) -> BesovReport:
+    """Seminorms over ``BETA_GRID`` and the fitted exponent, from one ladder.
+
+    Each rung of the dyadic shift ladder is measured once; the fit's shifts
+    are a subset of the ladder, so the fit reads the same norms.
+    """
+    norms = _ladder_norms(field, p, dyadic_shift_ladder(field.grid))
+    fit = _regularity_fit(field.grid, lambda off: norms[off][1])
+    sems = np.array([_ladder_sup(norms, b) for b in BETA_GRID])
     # first differences cannot certify more than Lipschitz; cap the report
     alpha = fit.alpha if fit.degenerate else min(fit.alpha, 1.0)
-    return BesovReport(
-        p, np.asarray(beta_grid), sems, alpha, fit.residual, sorted(shift_set),
-        fit.degenerate,
-    )
+    return BesovReport(p, np.asarray(BETA_GRID), sems, alpha, fit.residual, fit.degenerate)

@@ -26,8 +26,10 @@ differentiates G numerically, so the split terms telescope bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,6 +54,10 @@ CHAIN_BOUND_SLACK = 0.10
 #: Frozen constant for the product-commutator inequality; calibrated once on
 #: a smooth probe (max measured ratio 0.21 across bilinear/trilinear scans).
 C0_PRODUCT = 0.25
+
+#: Lebesgue exponent of the product moduli, the one C0_PRODUCT was calibrated
+#: at: the commutators are measured in L^{p/2} = L^{3/2}.
+PRODUCT_P = 3.0
 
 #: Sample count per component axis when taking sup|d^gamma G| over the hull.
 HULL_SAMPLES_PER_DIM = 1000
@@ -130,12 +136,9 @@ def get_gmap(name: str, params: GasParams | None = None) -> GMap:
 class CommutatorProbe:
     """Fields with declared regularities, a G map, and a mollification scan.
 
-    ``hull`` is the coordinate box (lo, hi) per component on which sup of
-    the second derivatives of G is taken; it must contain the field ranges.
-    ``window`` optionally restricts measurement to an interior sub-box given
-    as per-axis cell slices; with margins of at least eps it mirrors the
-    compactly-contained sub-domain convention, while None uses the whole
-    periodic domain.
+    The probe measures what every eps of its scan shares once, and caches
+    the floats: the component seminorms over the dyadic shift ladder, the
+    hull (the field ranges, padded) and sup |d^gamma G| over that hull.
     """
 
     components: tuple[ScalarField, ...]
@@ -143,9 +146,6 @@ class CommutatorProbe:
     gmap: GMap
     p: float
     eps_range: tuple[float, ...]
-    hull: tuple[tuple[float, float], ...] = ()
-    window: tuple[slice, ...] | None = None
-    shift_set: list[tuple[int, ...]] = dc_field(default_factory=list)
 
     def __post_init__(self):
         if len(self.components) != self.gmap.arity:
@@ -157,66 +157,55 @@ class CommutatorProbe:
         grid = self.components[0].grid
         if any(f.grid != grid for f in self.components):
             raise ValueError("all components must share one grid")
-        if not self.hull:
-            pads = []
-            for f in self.components:
-                lo, hi = float(f.values.min()), float(f.values.max())
-                pad = 1e-9 + 1e-9 * (hi - lo)
-                pads.append((lo - pad, hi + pad))
-            object.__setattr__(self, "hull", tuple(pads))
-        for f, (lo, hi) in zip(self.components, self.hull):
-            vmin, vmax = float(f.values.min()), float(f.values.max())
-            if vmin < lo or vmax > hi:
-                idx = int(np.argmin(f.values)) if vmin < lo else int(np.argmax(f.values))
-                cell = np.unravel_index(idx, f.values.shape)
-                raise DomainError(
-                    f"field leaves the declared hull [{lo}, {hi}] at cell {cell}"
-                )
-        if not self.shift_set:
-            object.__setattr__(self, "shift_set", dyadic_shift_ladder(grid))
 
     @property
     def grid(self) -> PeriodicGrid:
         return self.components[0].grid
 
+    @cached_property
     def seminorms(self) -> tuple[float, ...]:
-        return tuple(
-            seminorm(f, a, self.p, self.shift_set)
-            for f, a in zip(self.components, self.alphas)
-        )
+        """Each component's seminorm at its declared alpha, over the dyadic ladder."""
+        ladder = dyadic_shift_ladder(self.grid)
+        return tuple(seminorm(f, a, self.p, ladder) for f, a in zip(self.components, self.alphas))
+
+    @cached_property
+    def hull(self) -> tuple[tuple[float, float], ...]:
+        """The coordinate box (lo, hi) per component, padded past the field range."""
+        pads = []
+        for f in self.components:
+            lo, hi = float(f.values.min()), float(f.values.max())
+            pad = 1e-9 + 1e-9 * (hi - lo)
+            pads.append((lo - pad, hi + pad))
+        return tuple(pads)
+
+    @cached_property
+    def sups(self) -> MappingProxyType[tuple[int, ...], float]:
+        """sup |d^gamma G| over the hull box, |gamma| = 2, by dense sampling in slabs."""
+        k = self.gmap.arity
+        axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in self.hull]
+        pairs = list(combinations_with_replacement(range(k), 2))
+        peaks = []
+        for start in range(0, HULL_SAMPLES_PER_DIM, HULL_SLAB_ROWS):
+            mesh = np.meshgrid(axes[0][start : start + HULL_SLAB_ROWS], *axes[1:], indexing="ij")
+            hess = self.gmap.hess(np.stack([m.ravel() for m in mesh]))
+            peaks.append([np.max(np.abs(hess[i, j])) for i, j in pairs])
+        sups: dict[tuple[int, ...], float] = {}
+        for (i, j), sup in zip(pairs, np.max(peaks, axis=0)):
+            gamma = [0] * k
+            gamma[i] += 1
+            gamma[j] += 1
+            sups[tuple(gamma)] = float(sup)
+        return MappingProxyType(sups)
 
 
-def _second_derivative_sups(probe: CommutatorProbe) -> dict[tuple[int, ...], float]:
-    """sup |d^gamma G| over the hull box, |gamma| = 2, by dense sampling in slabs."""
-    k = probe.gmap.arity
-    axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in probe.hull]
-    pairs = list(combinations_with_replacement(range(k), 2))
-    peaks = []
-    for start in range(0, HULL_SAMPLES_PER_DIM, HULL_SLAB_ROWS):
-        mesh = np.meshgrid(axes[0][start : start + HULL_SLAB_ROWS], *axes[1:], indexing="ij")
-        hess = probe.gmap.hess(np.stack([m.ravel() for m in mesh]))
-        peaks.append([np.max(np.abs(hess[i, j])) for i, j in pairs])
-    sups: dict[tuple[int, ...], float] = {}
-    for (i, j), sup in zip(pairs, np.max(peaks, axis=0)):
-        gamma = [0] * k
-        gamma[i] += 1
-        gamma[j] += 1
-        sups[tuple(gamma)] = float(sup)
-    return sups
-
-
-def chain_bound(probe: CommutatorProbe, eps: float, seminorms=None, sups=None) -> float:
+def chain_bound(probe: CommutatorProbe, eps: float) -> float:
     """sum over |gamma|=2 of eps**(gamma.alpha - 1) * sup|d^g G| * prod |f|^g."""
-    if seminorms is None:
-        seminorms = probe.seminorms()
-    if sups is None:
-        sups = _second_derivative_sups(probe)
     total = 0.0
-    for gamma, sup in sups.items():
+    for gamma, sup in probe.sups.items():
         if sup == 0.0:
             continue
         expo = sum(g * a for g, a in zip(gamma, probe.alphas)) - 1.0
-        prod = math.prod(s**g for s, g in zip(seminorms, gamma))
+        prod = math.prod(s**g for s, g in zip(probe.seminorms, gamma))
         total += eps**expo * sup * prod
     return total
 
@@ -233,8 +222,7 @@ class ChainCommutatorResult:
     bound: float
 
 
-def chain_commutator(probe: CommutatorProbe, eps: float,
-                     seminorms=None, sups=None) -> ChainCommutatorResult:
+def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResult:
     """Evaluate grad(G(F_eps)) - (grad G(F))_eps and its split terms.
 
     Gradients of compositions are expanded with the closed-form chain rule,
@@ -257,9 +245,8 @@ def chain_commutator(probe: CommutatorProbe, eps: float,
         inner, mol, first_axis=1
     )
     comm = term_a + term_b
-    window = probe.window or ()
     norm, norm_a, norm_b = (
-        lp_norm_values(magnitude(v, grid)[window], probe.p / 2.0, grid.cell_volume)
+        lp_norm_values(magnitude(v, grid), probe.p / 2.0, grid.cell_volume)
         for v in (comm, term_a, term_b)
     )
     return ChainCommutatorResult(
@@ -270,7 +257,7 @@ def chain_commutator(probe: CommutatorProbe, eps: float,
         norm,
         norm_a,
         norm_b,
-        chain_bound(probe, eps, seminorms, sups),
+        chain_bound(probe, eps),
     )
 
 
@@ -285,39 +272,36 @@ class RateFit:
     window: slice
     passed: bool
     bound_ok: np.ndarray
-    slack: float = CHAIN_BOUND_SLACK
 
 
-def chain_rate_fit(probe: CommutatorProbe, slack: float = CHAIN_BOUND_SLACK) -> RateFit:
+def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     """Fit the decay slope of the commutator norm and compare to the bound.
 
     PASS requires slope >= (min active sum gamma.alpha) - 1 - 0.1 and the
     one-sided bound (with measured semi-norms and sampled derivative sups)
-    to hold at every eps within the slack.
+    to hold at every eps within ``CHAIN_BOUND_SLACK``.
     """
     eps_arr = np.array(sorted(probe.eps_range))
     if eps_arr[-1] / eps_arr[0] < 7.9:
         raise ValueError("eps range must span at least 3 octaves")
-    sems = probe.seminorms()
-    sups = _second_derivative_sups(probe)
     norms, bounds = [], []
     for eps in eps_arr:
-        res = chain_commutator(probe, float(eps), sems, sups)
+        res = chain_commutator(probe, float(eps))
         norms.append(res.norm)
         bounds.append(res.bound)
     norms_arr, bounds_arr = np.array(norms), np.array(bounds)
     active = [
         sum(g * a for g, a in zip(gamma, probe.alphas)) - 1.0
-        for gamma, sup in sups.items()
+        for gamma, sup in probe.sups.items()
         if sup > 0.0
     ]
     predicted = min(active) if active else math.inf
     win = _asymptotic_window(len(eps_arr))
     slope, resid = _loglog_fit(eps_arr[win], norms_arr[win])
-    bound_ok = norms_arr <= (1.0 + slack) * bounds_arr
+    bound_ok = norms_arr <= (1.0 + CHAIN_BOUND_SLACK) * bounds_arr
     passed = bool(slope >= predicted - 0.1 and np.all(bound_ok))
     return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, resid, win,
-                   passed, bound_ok, slack)
+                   passed, bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +321,7 @@ class ProductCommutatorResult:
 
 
 def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, eps_list,
-                  p: float, c0: float, factors: int) -> list[ProductCommutatorResult]:
+                  c0: float, factors: int) -> list[ProductCommutatorResult]:
     """rho_eps U_eps - (rho U)_eps per eps, U = u or u (x) u for 1 or 2 ``factors``;
     the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
     grid, vol = rho_field.grid, rho_field.grid.cell_volume
@@ -346,14 +330,14 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
     prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
     flux = (stack[0] * prod).reshape((-1,) + grid.shape)
     results = []
-    for eps, sup in zip(eps_list, ball_sups(stack, grid, eps_list, p)):
+    for eps, sup in zip(eps_list, ball_sups(stack, grid, eps_list, PRODUCT_P)):
         mol = build_mollifier(grid, eps)
         stack_e = mollify_values(stack, mol, first_axis=1)
         u_e = stack_e[1 : 1 + len(u)]
         prod_e = u_e if factors == 1 else np.einsum("i...,j...->ij...", u_e, u_e)
         comm = stack_e[0] * prod_e - mollify_values(flux, mol, first_axis=1).reshape(prod.shape)
-        norm = lp_norm_values(magnitude(comm, grid), p / 2.0, vol)
-        rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), p, vol) ** 2
+        norm = lp_norm_values(magnitude(comm, grid), PRODUCT_P / 2.0, vol)
+        rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), PRODUCT_P, vol) ** 2
         rhs2 = sup**2
         results.append(ProductCommutatorResult(
             eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
@@ -361,26 +345,25 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
     return results
 
 
-def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField, eps: float,
-                        p: float = 3.0, c0: float = C0_PRODUCT) -> ProductCommutatorResult:
+def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
+                        eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps - (rho u)_eps with its one-sided modulus bound."""
-    return _product_scan(rho_field, u_field, [eps], p, c0, 1)[0]
+    return _product_scan(rho_field, u_field, [eps], C0_PRODUCT, 1)[0]
 
 
-def triple_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField, eps: float,
-                      p: float = 3.0, c0: float = C0_PRODUCT) -> ProductCommutatorResult:
+def triple_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
+                      eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps (x) u_eps - (rho u (x) u)_eps, Frobenius magnitude."""
-    return _product_scan(rho_field, u_field, [eps], p, c0, 2)[0]
+    return _product_scan(rho_field, u_field, [eps], C0_PRODUCT, 2)[0]
 
 
 def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
-                     eps_range: Sequence[float], p: float = 3.0, kind: str = "bilinear",
-                     c0: float = C0_PRODUCT):
+                     eps_range: Sequence[float], kind: str = "bilinear"):
     """Decay slope of a product commutator over a dyadic eps scan."""
     if kind not in _FACTORS:
         raise ValueError(f"unknown product commutator kind {kind!r}; known: bilinear, triple")
     eps_arr = np.array(sorted(float(e) for e in eps_range))
-    results = _product_scan(rho_field, u_field, eps_arr, p, c0, _FACTORS[kind])
+    results = _product_scan(rho_field, u_field, eps_arr, C0_PRODUCT, _FACTORS[kind])
     norms = np.array([r.norm for r in results])
     win = _asymptotic_window(len(eps_arr))
     slope, resid = _loglog_fit(eps_arr[win], norms[win])
@@ -388,11 +371,11 @@ def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
 
 
 def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
-                 eps_range: Sequence[float], p: float = 3.0) -> float:
+                 eps_range: Sequence[float]) -> float:
     """Max measured ratio norm / (rhs_mollify + rhs_shift) over the scan."""
     eps_list = [float(e) for e in eps_range]
     worst = 0.0
     for factors in _FACTORS.values():
-        for r in _product_scan(rho_field, u_field, eps_list, p, math.inf, factors):
+        for r in _product_scan(rho_field, u_field, eps_list, math.inf, factors):
             worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
     return worst

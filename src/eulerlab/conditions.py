@@ -33,10 +33,14 @@ from .grid import PeriodicGrid, exact_sum, offset_length, shift_values, wrap
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
 
 
-def unit_directions(dims: int, count: int = 16) -> list[tuple[float, ...]]:
+#: Directions of the 2D weak scan, equispaced on the unit circle.
+DIRECTION_COUNT = 16
+
+
+def unit_directions(dims: int) -> list[tuple[float, ...]]:
     if dims == 1:
         return [(1.0,), (-1.0,)]
-    angles = [2.0 * math.pi * k / count for k in range(count)]
+    angles = [2.0 * math.pi * k / DIRECTION_COUNT for k in range(DIRECTION_COUNT)]
     return [(math.cos(a), math.sin(a)) for a in angles]
 
 
@@ -211,30 +215,22 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
 class OslipDiscreteResult:
     value: float
     masked_wrap: bool
-    step_cells: tuple[int, ...]
 
 
 def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
-                   steps: tuple[int, ...] = (1,),
                    mask_wrap: bool = False) -> OslipDiscreteResult:
-    """Max one-sided directional difference quotient over lattice steps.
+    """Max one-sided directional difference quotient over one-cell steps.
 
-    For each lattice step h the quotient (h/|h|) . (u(x+h) - u(x)) / |h| is
-    maximized over cells; with ``mask_wrap`` the stencils crossing the
-    periodic identification are dropped (recorded in the result).
+    For each lattice step h (one cell along each axis, and both diagonals in
+    2D) the quotient (h/|h|) . (u(x+h) - u(x)) / |h| is maximized over cells;
+    with ``mask_wrap`` the stencils crossing the periodic identification are
+    dropped (recorded in the result).
     """
     vel = _check_velocity(grid, vel)
     dx = grid.cell_width
     n = grid.cells_per_dim
     best = -math.inf
-    offsets: list[tuple[int, ...]] = []
-    for c in steps:
-        if c < 1:
-            raise ValueError("steps are in cells, >= 1")
-        if grid.dims == 1:
-            offsets.append((c,))
-        else:
-            offsets.extend([(c, 0), (0, c), (c, c), (c, -c)])
+    offsets = [(1,)] if grid.dims == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
     for off in offsets:
         h_len = offset_length(grid, off)
         xi = np.asarray(off, dtype=float) * dx / h_len
@@ -252,7 +248,7 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
                 continue
             quot = quot[keep]
         best = max(best, float(np.max(quot)))
-    return OslipDiscreteResult(best, mask_wrap, tuple(steps))
+    return OslipDiscreteResult(best, mask_wrap)
 
 
 @dataclass(frozen=True)

@@ -427,14 +427,13 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
     return grid, columns
 
 
-def save_scalar_field(path, field: ScalarField, name: str = "value", comments=()) -> None:
+def save_scalar_field(path, field: ScalarField) -> None:
     with open(path, "w") as fh:
-        write_columns_csv(fh, field.grid, {name: field.values}, comments)
+        write_columns_csv(fh, field.grid, {"value": field.values})
 
 
-def load_scalar_field(path, name: str | None = None) -> ScalarField:
+def load_scalar_field(path) -> ScalarField:
+    """The first data column of a ``write_columns_csv`` dump."""
     with open(path) as fh:
         grid, cols = read_columns_csv(fh)
-    if name is None:
-        name = next(iter(cols))
-    return ScalarField(grid, cols[name])
+    return ScalarField(grid, next(iter(cols.values())))

@@ -249,11 +249,10 @@ class RelEntropyTrace:
     times: np.ndarray
     integral: np.ndarray       # integral of E at each time
     oslip_c: np.ndarray        # one-sided Lipschitz constant of the reference
-    k_thermo: np.ndarray       # heuristic thermodynamic constant
+    k_thermo: np.ndarray       # heuristic thermodynamic constant (KAPPA_STRUCT)
     fitted_k: np.ndarray       # per-interval growth rate, NaN where skipped
     skipped: np.ndarray        # intervals with integral below the floor
     kappa: float
-    heuristic: bool = True     # k_thermo is a measured stand-in, not a theorem
 
     @property
     def budget(self) -> np.ndarray:
@@ -261,13 +260,13 @@ class RelEntropyTrace:
 
 
 def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
-                     sigma: float | None = None,
-                     kappa: float = KAPPA_STRUCT) -> RelEntropyTrace:
+                     sigma: float | None = None) -> RelEntropyTrace:
     """Track integral E(a | b) and the Gronwall budget of the reference b.
 
     Both trajectories must share grid and snapshot times.  The reported
     window starts at ``sigma`` (default: two snapshot strides in, mirroring
-    the vanishing-initial-layer convention).
+    the vanishing-initial-layer convention); a non-finite ``sigma``, or one
+    that leaves fewer than two snapshots in the window, is a ValueError.
     """
     if traj_a.grid != traj_b.grid:
         raise ValueError("trajectories live on different grids")
@@ -278,7 +277,11 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
     if sigma is None:
         stride = ta[1] - ta[0] if len(ta) > 1 else 0.0
         sigma = ta[0] + 2.0 * stride
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     keep = [i for i, t in enumerate(ta) if t >= sigma - 1e-12]
+    if len(keep) < 2:
+        raise ValueError(f"need at least two snapshots past sigma={sigma}")
     times = np.array([ta[i] for i in keep])
     integral = np.array(
         [
@@ -303,7 +306,7 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
             time_sup = 0.0
         w1inf.append(max(grad_sup, time_sup))
     oslip_c = np.array(oslip)
-    k_thermo = kappa * np.array(w1inf)
+    k_thermo = KAPPA_STRUCT * np.array(w1inf)
     fitted = np.full(len(times), np.nan)
     skipped = np.zeros(len(times), dtype=bool)
     for j in range(1, len(times)):
@@ -313,7 +316,7 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
             skipped[j] = True
             continue
         fitted[j] = (integral[j] - integral[j - 1]) / mean
-    return RelEntropyTrace(times, integral, oslip_c, k_thermo, fitted, skipped, kappa)
+    return RelEntropyTrace(times, integral, oslip_c, k_thermo, fitted, skipped, KAPPA_STRUCT)
 
 
 @dataclass(frozen=True)
@@ -324,13 +327,12 @@ class GronwallCheck:
     envelope: np.ndarray
 
 
-def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float,
-                            margin: float = 0.0) -> GronwallCheck:
+def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallCheck:
     """Verify E(t) <= E(sigma) * exp(integral of budget) on [sigma, T]."""
     mask = trace.times >= sigma - 1e-12
     times = trace.times[mask]
     values = trace.integral[mask]
-    budget = trace.budget[mask] + margin
+    budget = trace.budget[mask]
     envelope = np.empty_like(values)
     envelope[0] = values[0]
     acc = 0.0

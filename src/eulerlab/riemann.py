@@ -54,8 +54,7 @@ def _df_side(p: float, side: Wave1D, gamma: float) -> float:
     return (p / side.p) ** (-(gamma + 1.0) / (2.0 * gamma)) / (side.rho * c)
 
 
-def solve_star(left: Wave1D, right: Wave1D, params: GasParams,
-               tol: float = NEWTON_TOL) -> tuple[float, float]:
+def solve_star(left: Wave1D, right: Wave1D, params: GasParams) -> tuple[float, float]:
     """Star-region pressure and velocity via Newton iteration."""
     g = params.gamma
     cl, cr = left.sound_speed(g), right.sound_speed(g)
@@ -72,7 +71,7 @@ def solve_star(left: Wave1D, right: Wave1D, params: GasParams,
         p_new = p - step
         if p_new <= 0.0:
             p_new = 0.5 * p
-        if abs(p_new - p) < tol * max(1.0, p):
+        if abs(p_new - p) < NEWTON_TOL * max(1.0, p):
             p = p_new
             break
         p = p_new
@@ -160,9 +159,8 @@ class RiemannSolution:
         return rho_f, u_f, p_f
 
 
-def exact_riemann(left: Wave1D, right: Wave1D, params: GasParams,
-                  tol: float = NEWTON_TOL) -> RiemannSolution:
-    p_star, u_star = solve_star(left, right, params, tol)
+def exact_riemann(left: Wave1D, right: Wave1D, params: GasParams) -> RiemannSolution:
+    p_star, u_star = solve_star(left, right, params)
     return RiemannSolution(left, right, params.gamma, p_star, u_star)
 
 

@@ -100,12 +100,6 @@ def entropy_dtheta(rho, theta, params: GasParams):
     return params.cv / theta
 
 
-def sound_speed(rho, theta, params: GasParams):
-    """Adiabatic sound speed c = sqrt(gamma * theta)."""
-    theta = _require_positive("theta", theta)
-    return np.sqrt(params.gamma * theta)
-
-
 def ballistic_free_energy(rho, theta, t_ref, params: GasParams):
     """Ballistic free energy H_T(rho, theta) = rho*e(theta) - T*rho*s(rho, theta)."""
     rho = _require_positive("rho", rho)

@@ -124,8 +124,7 @@ def _fields(snap: Snapshot, params: GasParams, which: str):
     raise ValueError(f"unknown balance law {which!r}")
 
 
-def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
-                  params: GasParams | None = None) -> float:
+def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str) -> float:
     """Interior weak integral minus boundary terms for one balance law.
 
     Midpoint quadrature in space over cells; the time-derivative term pairs
@@ -135,7 +134,6 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
     cancel by periodic telescoping.  Constant states therefore give residuals
     at rounding level, and smooth flows at quadrature order.
     """
-    params = params or traj.params
     grid = traj.grid
     X = grid.coordinates()
     vol = grid.cell_volume
@@ -143,7 +141,7 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
     phis = [test.value(t, X) * np.ones(grid.shape) for t in times]
     qs, flux_series = [], []
     for snap in traj.snapshots:
-        q, flux = _fields(snap, params, which)
+        q, flux = _fields(snap, traj.params, which)
         qs.append(q)
         gphi = grad_values(phis[len(qs) - 1], grid.cell_width)
         integrand = np.zeros(grid.shape)
@@ -158,8 +156,7 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str,
     return interior - boundary
 
 
-def entropy_production(traj: Trajectory, test: SpaceTimeTest,
-                       params: GasParams | None = None) -> float:
+def entropy_production(traj: Trajectory, test: SpaceTimeTest) -> float:
     """Entropy balance surplus: boundary growth minus interior transport.
 
     Nonnegative (up to O(dx)) for admissible solutions, strictly positive for
@@ -167,25 +164,24 @@ def entropy_production(traj: Trajectory, test: SpaceTimeTest,
     """
     if not test.nonneg:
         raise ValueError("entropy testing requires a nonnegative test function")
-    return -weak_residual(traj, test, "entropy", params)
+    return -weak_residual(traj, test, "entropy")
 
 
-def entropy_production_tol(grid: PeriodicGrid, c: float = 1.0) -> float:
-    """Admissibility tolerance -c * dx for the production sign check."""
-    return c * grid.cell_width
+def entropy_production_tol(grid: PeriodicGrid) -> float:
+    """Admissibility tolerance dx: the production sign check allows -dx."""
+    return grid.cell_width
 
 
-def shock_tracking_bumps(traj: Trajectory, count: int = 8,
-                         width: float | None = None) -> list[SpaceTimeTest]:
+#: Space bumps of ``shock_tracking_bumps``; each is one spacing wide.
+SHOCK_BUMPS = 8
+
+
+def shock_tracking_bumps(traj: Trajectory) -> list[SpaceTimeTest]:
     """Space bumps spread over the domain, time bump inside (0, T)."""
     t0, t1 = traj.times[0], traj.times[-1]
     tb0 = t0 + 0.2 * (t1 - t0)
     tb1 = t0 + 0.9 * (t1 - t0)
-    if width is None:
-        width = PERIOD / count
-    tests = []
-    for k in range(count):
-        c = -1.0 + (k + 0.5) * PERIOD / count
-        center = (c,) * traj.grid.dims if traj.grid.dims == 2 else (c,)
-        tests.append(bump_test(center if traj.grid.dims == 2 else c, width, tb0, tb1))
-    return tests
+    width = PERIOD / SHOCK_BUMPS
+    return [bump_test((-1.0 + (k + 0.5) * PERIOD / SHOCK_BUMPS,) * traj.grid.dims,
+                      width, tb0, tb1)
+            for k in range(SHOCK_BUMPS)]

@@ -111,10 +111,11 @@ class TestFitRegularity:
         fit = fit_regularity(constant_field(grid256, 1.0), 2.0)
         assert fit.degenerate and math.isinf(fit.alpha)
 
-    def test_requires_three_octaves(self, grid256):
-        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
-        with pytest.raises(ValueError):
-            fit_regularity(f, 2.0, [(1,), (2,), (4,)])
+    def test_requires_three_octaves(self):
+        # a 32-cell grid's fit ladder stops at two cells: shifts (1,) and (2,)
+        f = field_from_function(PeriodicGrid(1, 32), lambda x: np.sin(np.pi * x))
+        with pytest.raises(ValueError, match="3 octaves"):
+            fit_regularity(f, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +200,10 @@ class TestBallSups:
         real = besov.shift_values
         monkeypatch.setattr(besov, "shift_values",
                             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN), shift_set=[(1,)])
-        assert len(calls) == 1 + 255                     # one seminorm shift, one ball
-        assert len(set(calls)) == 255
+        verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN))
+        ladder = dyadic_shift_ladder(weier8k[0.6].grid)
+        assert len(calls) == len(ladder) + 255 == 22 + 255   # the seminorm ladder, one ball
+        assert len(set(calls)) == 262                        # 15 rungs lie in the ball
 
 
 class TestReports:
@@ -214,8 +216,9 @@ class TestReports:
 
     @pytest.mark.parametrize("p", [3.0, 2.5, np.inf])
     def test_besov_report_measures_each_offset_once(self, p, monkeypatch):
-        # a 128^2 field: 12 fit shifts and a 28-rung seminorm ladder, where
-        # ten per-beta seminorms over the ladder made 12 + 10 * 28 = 292 calls
+        # a 128^2 field: a 28-rung seminorm ladder that holds the 12 fit
+        # shifts; ten per-beta seminorms made 12 + 10 * 28 = 292 calls, and a
+        # fit of its own 12 + 28 = 40
         grid = PeriodicGrid(2, 128)
         f = weierstrass_field(0.55, 7, grid, phase=0.3)
         calls = []
@@ -225,16 +228,21 @@ class TestReports:
         rep = besov_report(f, p)
         fit_shifts = dyadic_shift_ladder(grid, include_triples=False, max_cells=128 // 16)
         ladder = dyadic_shift_ladder(grid)
-        assert len(calls) == len(fit_shifts) + len(ladder) == 40
-        assert calls[len(fit_shifts):] == ladder          # each rung once, in order
+        assert len(fit_shifts) == 12 and set(fit_shifts) <= set(ladder)
+        assert calls == ladder and len(calls) == 28       # each rung once, in order
         monkeypatch.setattr(besov, "_diff_norm", real)
         assert [s.hex() for s in rep.seminorms.tolist()] == [
             seminorm(f, b, p, ladder).hex() for b in rep.beta_grid]
+        fit = fit_regularity(f, p)
+        assert rep.fitted_alpha.hex() == min(fit.alpha, 1.0).hex()
+        assert rep.fit_residual.hex() == fit.residual.hex()
 
     def test_besov_report_rejects_bad_beta(self, grid256):
+        # the report's betas are fixed; each goes through seminorm's check
         f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
-        with pytest.raises(DomainError):
-            besov_report(f, 3.0, beta_grid=[0.5, 1.5])
+        for beta in (0.0, 1.5, float("nan")):
+            with pytest.raises(DomainError, match="beta must lie in"):
+                seminorm(f, beta, 3.0, dyadic_shift_ladder(grid256))
 
 
 class TestLadder:

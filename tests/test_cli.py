@@ -198,7 +198,7 @@ class TestReports:
         x = grid.axis_centers()
         vel = ScalarField(grid, np.clip(x / 0.5, -1.0, 1.0))
         fpath = tmp_path / "vel.csv"
-        save_scalar_field(fpath, vel, name="u1")
+        save_scalar_field(fpath, vel)
         out = tmp_path / "rep"
         assert main(["oslip-check", "--field", str(fpath), "--out", str(out)]) == 0
         lines = _read_rows(out / "oslip_report.csv")
@@ -300,6 +300,25 @@ class TestInputBoundary:
         assert main(["relentropy", "--traj-a", str(a), "--traj-b", str(b),
                      "--out", str(tmp_path / "rep")]) == 2
         assert "divide" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma,message", [
+        ("nan", "sigma must be finite, got nan"),
+        ("inf", "sigma must be finite, got inf"),
+        ("0.5", "need at least two snapshots past sigma=0.5"),   # past the last
+        ("0.1", "need at least two snapshots past sigma=0.1"),   # at the last
+    ])
+    def test_relentropy_window_of_fewer_than_two_snapshots(self, tmp_path, capsys,
+                                                           sigma, message):
+        # snapshots at t = 0, 0.05 and 0.1
+        pair = [_simulate(tmp_path, name, grid_n=n, t_end=0.1, snapshot_stride=0.05,
+                          init={"name": "double_rarefaction"})
+                for name, n in (("a", 32), ("b", 64))]
+        out = tmp_path / "rep"
+        assert main(["relentropy", "--traj-a", str(pair[0]), "--traj-b", str(pair[1]),
+                     "--sigma", sigma, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_oslip_check_builds_the_basis_once(self, tmp_path, monkeypatch):
         traj = _simulate(tmp_path, "a", grid_n=32, snapshot_stride=0.01)

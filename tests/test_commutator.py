@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -5,14 +6,14 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from eulerlab import besov
+from eulerlab import acceptance, besov
+from eulerlab.besov import dyadic_shift_ladder, seminorm
 from eulerlab.commutator import (
     C0_PRODUCT,
     HULL_SAMPLES_PER_DIM,
     CommutatorProbe,
     GMap,
     ProductCommutatorResult,
-    _second_derivative_sups,
     bilinear_commutator,
     calibrate_c0,
     chain_commutator,
@@ -51,10 +52,10 @@ def _linear_gmap():
     )
 
 
-def _probe(field, alpha, gmap, p=4.0, eps=EPS_SCAN, **kw):
+def _probe(field, alpha, gmap, p=4.0, eps=EPS_SCAN):
     comps = (field,) if isinstance(field, ScalarField) else tuple(field)
     alphas = (alpha,) if isinstance(alpha, float) else tuple(alpha)
-    return CommutatorProbe(comps, alphas, gmap, p, tuple(eps), **kw)
+    return CommutatorProbe(comps, alphas, gmap, p, tuple(eps))
 
 
 class TestChainCommutator:
@@ -98,12 +99,6 @@ class TestChainCommutator:
         assert np.all(res.term_a.values == 0.0)  # DG is constant, difference exact
         assert np.max(np.abs(res.term_b.values)) < 1e-11
 
-    def test_field_leaving_hull_is_reported(self, grid256):
-        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
-        with pytest.raises(DomainError, match="cell"):
-            _probe(f, 0.9, get_gmap("square"), p=4.0,
-                   eps=(0.0625, 0.5), hull=((-0.5, 0.5),))
-
     def test_rejects_small_p(self, grid256):
         with pytest.raises(DomainError):
             _probe(constant_field(grid256, 1.0), 0.5, get_gmap("square"), p=1.5)
@@ -120,16 +115,40 @@ class TestChainCommutator:
                             - res.commutator.values))
         assert gap == 0.0
 
-    def test_windowed_norm_never_exceeds_periodic(self, weier8k):
-        f = weier8k[0.6]
-        eps = 2.0**-6
-        full = chain_commutator(_probe(f, 0.6, get_gmap("square")), eps)
-        margin = int(np.ceil(eps / f.grid.cell_width))
-        win = (slice(margin, f.grid.cells_per_dim - margin),)
-        windowed = chain_commutator(
-            _probe(f, 0.6, get_gmap("square"), window=win), eps
-        )
-        assert windowed.norm <= full.norm + 1e-15
+
+def _count_cached(monkeypatch, name):
+    """Count the evaluations of the CommutatorProbe cached property ``name``."""
+    calls = []
+    real = CommutatorProbe.__dict__[name].func
+    prop = functools.cached_property(lambda probe: calls.append(probe) or real(probe))
+    prop.__set_name__(CommutatorProbe, name)
+    monkeypatch.setattr(CommutatorProbe, name, prop)
+    return calls
+
+
+class TestProbeMeasuresOnce:
+    def test_chain_gate_counts(self, monkeypatch):
+        # the split check's extra chain_commutator(probe1, 2**-6) measured
+        # probe1's ladder and hull again: 88 difference norms, 3 samplings
+        norms = []
+        real = besov._diff_norm
+        monkeypatch.setattr(besov, "_diff_norm", lambda *a: norms.append(a[1]) or real(*a))
+        samplings = _count_cached(monkeypatch, "sups")
+        assert acceptance.gate_chain_commutator().passed
+        assert len(norms) == 3 * len(dyadic_shift_ladder(PeriodicGrid(1, 8192))) == 66
+        assert len(samplings) == 2
+
+    def test_probe_caches_floats_only(self, weier8k):
+        probe = _probe((weier8k[0.4], weier8k[0.8]), (0.4, 0.8), get_gmap("product"))
+        chain_rate_fit(probe)
+        fields = {"components", "alphas", "gmap", "p", "eps_range"}
+        assert set(vars(probe)) == fields | {"seminorms", "hull", "sups"}
+        leaves = [*probe.seminorms, *(x for box in probe.hull for x in box),
+                  *probe.sups.values()]
+        assert all(type(v) is float for v in leaves)
+        ladder = dyadic_shift_ladder(probe.grid)
+        assert [s.hex() for s in probe.seminorms] == [
+            seminorm(f, a, 4.0, ladder).hex() for f, a in zip(probe.components, probe.alphas)]
 
 
 class TestChainRates:
@@ -192,13 +211,13 @@ class TestProductCommutators:
 
     def test_bilinear_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, p=3.0, kind="bilinear")
+        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
         assert slope >= 2 * 0.4 - 0.1
         assert all(r.passed for r in results)
 
     def test_triple_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, p=3.0, kind="triple")
+        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, kind="triple")
         assert slope >= 3 * 0.4 - 1.0 - 0.1
         assert all(r.passed for r in results)
 
@@ -324,7 +343,7 @@ class TestProductScanMatchesPerEps:
         # descending, with repeats: product_rate_fit sorts, the scan keeps order
         eps = list(eps_scan) + [eps_scan[1], eps_scan[1]]
         expected = {e: oracle(rho, u, e) for e in eps_scan}
-        _, _, results = product_rate_fit(rho, u, eps, p=3.0, kind=kind)
+        _, _, results = product_rate_fit(rho, u, eps, kind=kind)
         assert [r.eps for r in results] == sorted(eps)
         for r in results:
             _assert_same(r, expected[r.eps])
@@ -342,7 +361,7 @@ class TestProductScanMatchesPerEps:
         real = besov.shift_values
         monkeypatch.setattr(besov, "shift_values",
                             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        product_rate_fit(*rough_pair_8k, EPS_SCAN, p=3.0, kind=kind)
+        product_rate_fit(*rough_pair_8k, EPS_SCAN, kind=kind)
         assert len(calls) == len(set(calls)) == 255
 
 
@@ -402,7 +421,7 @@ class TestHullSampling:
                  field_from_function(grid256, lambda x: np.cos(np.pi * x) - 0.3))
         gmap = _cubic_gmap() if gname == "cubic" else get_gmap(gname, GasParams(1.4))
         probe = _probe(comps[: gmap.arity], (0.5,) * gmap.arity, gmap, eps=(0.0625, 0.5))
-        sups = _second_derivative_sups(probe)
+        sups = probe.sups
         expected = _oracle_hull_sups(probe)
         assert list(sups) == list(expected)
         assert [v.hex() for v in sups.values()] == [v.hex() for v in expected.values()]
@@ -411,7 +430,7 @@ class TestHullSampling:
         probe = _gate_product_probe()
         tracemalloc.start()
         try:
-            sups = _second_derivative_sups(probe)
+            sups = probe.sups
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -234,7 +234,6 @@ class TestTrajectoryMonitor:
         check = gronwall_envelope_check(trace, sigma=0.1)
         assert check.ok
         assert check.utilization <= 1.0
-        assert trace.heuristic
 
     @pytest.mark.slow
     def test_j1_term_bounded_by_budget(self):

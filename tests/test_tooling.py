@@ -20,6 +20,16 @@ TEST_ONLY = {
     "j1_term": "the kinetic coupling term J1, to be written into the relentropy report",
 }
 
+#: Defaulted parameters that no caller in src/ or perfbench/ sets, each kept on purpose.
+UNSET_OPTIONS = {
+    "make_bump_basis(widths)": "the fast-path-vs-oracle tests build other bases",
+    "make_bump_basis(refine_level)": "the fast-path-vs-oracle tests refine the basis",
+    "oslip_weak_min_c(directions)": "the fast-path-vs-oracle tests scan chosen directions",
+    "verify_p2(fd_step)": "the finite-difference cross-check of the closed forms",
+    "bump_test(nonneg)": "the entropy test's rejection of a signed test function",
+    "j1_term(mask)": "the window off the wrap jumps; J1 is to enter the relentropy report",
+}
+
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
     """(line, enclosing function names) of every reference to ``name``,
@@ -120,6 +130,98 @@ def test_guard_sees_a_planted_dead_function(tmp_path):
     with open(src / "besov.py", "a") as fh:
         fh.write("\n_PLANTED = grid.planted\n")
     assert _unread_public_defs(src, BENCH) == before
+
+
+def _options(tree: ast.Module):
+    """(def node, parameter, position or None) of every defaulted parameter of
+    a public def or method; the position counts from the first argument a
+    caller passes, and keyword-only parameters have none."""
+    found = []
+
+    def visit(body, in_class):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, True)
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                bound = in_class and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)
+                pos = (a.posonlyargs + a.args)[1 if bound else 0:]
+                found.extend((node, arg.arg, i) for i, arg in enumerate(pos)
+                             if i >= len(pos) - len(a.defaults))
+                found.extend((node, arg.arg, None)
+                             for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    visit(tree.body, False)
+    return found
+
+
+def _calls(tree: ast.AST):
+    """(called name, call node, enclosing defs) of every call by name or attribute."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found.append((name, node, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    """Whether ``call`` sets the parameter; a ``*`` or ``**`` argument may set any."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_options(src: Path, bench: Path) -> list[str]:
+    """``def(parameter)`` of every defaulted parameter of a public def or
+    method in ``src`` that no call of that name passes, by keyword or by
+    position: in ``src`` outside the def's own body, or in ``bench``."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    calls = [c for tree in trees for c in _calls(tree)]
+    calls += [(name, call, ()) for path in sorted(bench.glob("*.py"))
+              for name, call, _ in _calls(ast.parse(path.read_text()))]
+    return [f"{node.name}({param})" for tree in trees for node, param, position in _options(tree)
+            if not any(name == node.name and node not in scope
+                       and _passes(call, param, position) for name, call, scope in calls)]
+
+
+def test_every_option_is_set_by_a_caller():
+    """A library option that one value reaches is a constant, beyond the listed ones."""
+    unset = _unset_options(SRC, BENCH)
+    stray = sorted(set(unset) - set(UNSET_OPTIONS))
+    assert not stray, f"defaulted parameters nothing in src/ or perfbench/ sets: {stray}"
+    stale = sorted(set(UNSET_OPTIONS) - set(unset))
+    assert not stale, f"listed as unset but now set by a caller: {stale}"
+
+
+def test_option_guard_sees_a_planted_option(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = _unset_options(src, BENCH)
+    with open(src / "grid.py", "a") as fh:
+        fh.write("\n\ndef planted(n, depth=0, *, scale=1.0):\n"
+                 "    return planted(n - 1, depth + 1, scale=scale) if n else depth\n")
+    # its own body is no caller
+    assert set(_unset_options(src, BENCH)) - set(before) == {
+        "planted(depth)", "planted(scale)"}
+    with open(src / "besov.py", "a") as fh:
+        fh.write("\n_PLANTED = grid.planted(3, 1)\n")
+    assert set(_unset_options(src, BENCH)) - set(before) == {"planted(scale)"}
+    with open(src / "besov.py", "a") as fh:
+        fh.write("_SCALED = grid.planted(3, scale=2.0)\n")
+    assert _unset_options(src, BENCH) == before
 
 
 def _perfbench_tracing():
