@@ -166,8 +166,9 @@ def _regularity_fit(grid: PeriodicGrid, norm_of) -> RegularityFit:
     larger shifts decorrelate and would flatten the slope.  A constant field
     has no scale to fit; the result is flagged degenerate with alpha = +inf.
     """
+    max_cells = max(1, grid.cells_per_dim // 16)   # one rung below 16 cells, not log2(0)
     shifts = sorted(
-        dyadic_shift_ladder(grid, include_triples=False, max_cells=grid.cells_per_dim // 16),
+        dyadic_shift_ladder(grid, include_triples=False, max_cells=max_cells),
         key=lambda off: offset_length(grid, off),
     )
     hs = np.array([offset_length(grid, off) for off in shifts])

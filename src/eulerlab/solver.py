@@ -193,6 +193,12 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
     if grid.dims == 2 and init.get("transverse", 0.0):
         _, yy = grid.coordinates()
         rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
+    for name, values in (("rho", rho), ("velocity", vel), ("theta", theta)):
+        bad = np.argwhere(~np.isfinite(values))
+        if len(bad):
+            index = tuple(int(i) for i in bad[0])
+            raise DomainError(f"initial {name} is not finite at t = 0, index {index}: "
+                              f"{values[index]}")
     if np.min(rho) <= 0.0 or np.min(theta) <= 0.0:
         raise DomainError("initial data must have positive density and temperature")
     return rho, vel, theta
@@ -221,67 +227,144 @@ def scenario_riemann_states(init: dict, params: GasParams) -> tuple[Wave1D, Wave
 # ---------------------------------------------------------------------------
 
 
-def _pressure_complete(U, gamma):
+def _pressure(U, gamma, system, out, kin):
+    """Pressure into ``out``: (gamma - 1) (E - 0.5 |m|^2 / rho), or rho**gamma;
+    ``kin`` is scratch of the same shape."""
     rho = U[0]
-    kin = np.zeros_like(rho)
-    for ax in range(U.shape[0] - 2):
-        kin += U[1 + ax] ** 2
-    return (gamma - 1.0) * (U[-1] - 0.5 * kin / rho)
-
-
-def _flux_axis(U, axis, gamma, system):
-    rho = U[0]
-    nd = U.shape[0] - (2 if system == COMPLETE else 1)
-    un = U[1 + axis] / rho
-    if system == COMPLETE:
-        p = _pressure_complete(U, gamma)
-        c = np.sqrt(gamma * p / rho)
-    else:
-        p = rho**gamma
-        c = np.sqrt(gamma * rho ** (gamma - 1.0))
-    F = np.empty_like(U)
-    F[0] = U[1 + axis]
-    for ax in range(nd):
-        F[1 + ax] = U[1 + ax] * un
-    F[1 + axis] += p
-    if system == COMPLETE:
-        F[-1] = (U[-1] + p) * un
-    return F, np.abs(un) + c, p
-
-
-def _rhs(U, dx, gamma, system):
-    dudt = np.zeros_like(U)
-    max_speed = 0.0
-    dims = U[0].ndim
-    for axis in range(dims):
-        F, speed, p = _flux_axis(U, axis, gamma, system)
-        sp_axis = float(speed.max())
-        max_speed = max(max_speed, sp_axis)
-        U_r = np.roll(U, -1, axis=1 + axis)
-        F_r = np.roll(F, -1, axis=1 + axis)
-        a = np.maximum(speed, np.roll(speed, -1, axis=axis))
-        f_hat = 0.5 * (F + F_r) - 0.5 * a * (U_r - U)
-        dudt -= (f_hat - np.roll(f_hat, 1, axis=1 + axis)) / dx
-    return dudt, max_speed
+    if system == ISENTROPIC:
+        return np.power(rho, gamma, out=out)
+    np.multiply(U[1], U[1], out=kin)
+    for m in U[2:-1]:
+        np.multiply(m, m, out=out)
+        kin += out
+    kin *= 0.5
+    kin /= rho
+    np.subtract(U[-1], kin, out=out)
+    out *= gamma - 1.0
+    return out
 
 
 def _check_physical(U, gamma, system, t):
     """Raise DomainError at the first cell whose state is not finite or has
-    non-positive density or pressure, naming the time, cell and state."""
+    non-positive density or pressure, naming the time, cell and state.
+    Otherwise return the smallest density and pressure."""
     rho = U[0]
-    p = _pressure_complete(U, gamma) if system == COMPLETE else rho**gamma
+    with np.errstate(all="ignore"):
+        p = _pressure(U, gamma, system, np.empty_like(rho), np.empty_like(rho))
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
                           f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}")
+    return float(rho.min()), float(p.min())
+
+
+def _roll_into(out, x, shift, axis):
+    """``out[...] = np.roll(x, shift, axis)`` as two slice copies.  ``axis``
+    counts from the end, so a component stack and a single row share it."""
+    n = x.shape[axis]
+    k = shift % n
+    tail = (slice(None),) * (-1 - axis)
+    out[(..., slice(k, None)) + tail] = x[(..., slice(None, n - k)) + tail]
+    out[(..., slice(None, k)) + tail] = x[(..., slice(n - k, None)) + tail]
+
+
+class _Workspace:
+    """The arrays every RHS evaluation of one run overwrites, allocated once,
+    and the smallest density and pressure those evaluations saw."""
+
+    def __init__(self, grid: PeriodicGrid, gamma: float, system: str, ncomp: int):
+        self.dx, self.dims, self.gamma, self.system = grid.cell_width, grid.dims, gamma, system
+        stack, row, rows = (ncomp,) + grid.shape, grid.shape, (grid.dims,) + grid.shape
+        self.dudt, self.F, self.A, self.B, self.stage = (np.empty(stack) for _ in range(5))
+        self.p, self.c, self.scratch = (np.empty(row) for _ in range(3))
+        self.un, self.speed = np.empty(rows), np.empty(rows)
+        self.rho_min = self.p_min = math.inf
+        self.rho_min_t = self.p_min_t = None
+
+    def note(self, rho_min: float, p_min: float, t: float) -> None:
+        if rho_min < self.rho_min:
+            self.rho_min, self.rho_min_t = rho_min, t
+        if p_min < self.p_min:
+            self.p_min, self.p_min_t = p_min, t
+
+
+def _rhs(U, ws: _Workspace, t):
+    """dU/dt of the local Lax-Friedrichs scheme, and the largest signal speed.
+
+    The result is ``ws.dudt``, which the next call overwrites.  The state is
+    checked before any square root is taken: a cell that is not finite or has
+    non-positive density or pressure raises DomainError at time ``t``.  The
+    initial state (``t`` None) goes unchecked.
+    """
+    gamma, system, dims = ws.gamma, ws.system, ws.dims
+    rho, p, c = U[0], ws.p, ws.c
+    # Reductions stand in for the cell-wise check.  A state passes them only
+    # if rho is positive and finite, p is positive (a non-finite momentum
+    # makes the complete pressure -inf or NaN), and every axis's largest
+    # |u_n| + c is finite (so is the momentum, and the energy, since E = inf
+    # gives c = inf).  Any miss runs the exact check.
+    rho_min = float(rho.min())
+    if t is not None and not (rho_min > 0.0 and rho.max() < math.inf):
+        _check_physical(U, gamma, system, t)
+    _pressure(U, gamma, system, p, ws.scratch)
+    p_min = float(p.min())
+    if t is not None and not p_min > 0.0:
+        _check_physical(U, gamma, system, t)
+    ws.note(rho_min, p_min, 0.0 if t is None else t)
+    if system == COMPLETE:
+        np.multiply(p, gamma, out=c)
+        c /= rho
+    else:
+        np.power(rho, gamma - 1.0, out=c)
+        c *= gamma
+    np.sqrt(c, out=c)
+    un, speed = ws.un, ws.speed
+    np.divide(U[1 : 1 + dims], rho, out=un)
+    np.absolute(un, out=speed)
+    speed += c
+    axis_max = [float(s.max()) for s in speed]
+    if t is not None and not all(s < math.inf for s in axis_max):
+        _check_physical(U, gamma, system, t)
+
+    # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis
+    F, A, B, a, dudt = ws.F, ws.A, ws.B, ws.scratch, ws.dudt
+    for axis in range(dims):
+        ax = axis - dims
+        F[0] = U[1 + axis]
+        np.multiply(U[1 : 1 + dims], un[axis], out=F[1 : 1 + dims])
+        F[1 + axis] += p
+        if system == COMPLETE:
+            np.add(U[-1], p, out=F[-1])
+            F[-1] *= un[axis]
+        _roll_into(A, F, -1, ax)
+        A += F
+        A *= 0.5
+        _roll_into(B, U, -1, ax)
+        B -= U
+        _roll_into(a, speed[axis], -1, ax)
+        np.maximum(speed[axis], a, out=a)
+        a *= 0.5
+        B *= a
+        A -= B
+        _roll_into(B, A, 1, ax)
+        A -= B
+        A /= ws.dx
+        if axis == 0:
+            np.subtract(0.0, A, out=dudt)
+        else:
+            dudt -= A
+    return dudt, max(0.0, *axis_max)
 
 
 def run(config: SolverConfig) -> Trajectory:
     """Integrate the configured system and collect snapshots.
 
     Snapshots land exactly on multiples of ``snapshot_stride`` (time steps
-    are clipped to them) plus the initial and final times.
+    are clipped to them) plus the initial and final times.  ``meta["stats"]``
+    records the step count, the smallest and largest step, the largest
+    realized Courant number, the smallest density and pressure with their
+    times, and the seconds spent in the RHS and in recording snapshots.
     """
     grid, params = config.grid, config.params
     gamma, system = params.gamma, config.system
@@ -310,37 +393,74 @@ def run(config: SolverConfig) -> Trajectory:
         snaps.append(Snapshot(t, U[0].copy(), mom, energy))
 
     started = time.perf_counter()
+    ws = _Workspace(grid, gamma, system, ncomp)
+    dts: list[float] = []
+    courants: list[float] = []
+    rhs_s = 0.0
     snaps: list[Snapshot] = []
     t = 0.0
+    tick = time.perf_counter()
     record(t, U)
+    record_s = time.perf_counter() - tick
     next_i = 0
     dx = grid.cell_width
+    t_state = None  # the time of U, which the next RHS checks
     while t < config.t_end - 1e-14:
-        k1, max_speed = _rhs(U, dx, gamma, system)
+        tick = time.perf_counter()
+        k1, max_speed = _rhs(U, ws, t_state)
+        rhs_s += time.perf_counter() - tick
         if max_speed <= 0.0:
             dt = config.t_end - t
         else:
             dt = config.cfl * dx / (grid.dims * max_speed)
         dt = min(dt, snap_times[next_i] - t)
-        U_stage = U + dt * k1
-        _check_physical(U_stage, gamma, system, t + dt)
-        k2, speed_stage = _rhs(U_stage, dx, gamma, system)
-        U = 0.5 * U + 0.5 * (U_stage + dt * k2)
-        _check_physical(U, gamma, system, t + dt)
-        if speed_stage * dt * grid.dims / dx > 1.0:
+        t_state = t + dt
+        stage = ws.stage
+        np.multiply(k1, dt, out=stage)
+        stage += U
+        tick = time.perf_counter()
+        k2, speed_stage = _rhs(stage, ws, t_state)
+        rhs_s += time.perf_counter() - tick
+        # U <- 0.5 U + 0.5 (U_stage + dt k2), in place and in that order
+        k2 *= dt
+        stage += k2
+        stage *= 0.5
+        U *= 0.5
+        U += stage
+        courant = speed_stage * dt * grid.dims / dx
+        if courant > 1.0:
+            _check_physical(U, gamma, system, t_state)
             raise StabilityError(
                 f"Courant violation mid-step at t = {t:.6g}: "
                 f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
             )
-        t += dt
+        dts.append(dt)
+        courants.append(courant)
+        t = t_state
         if abs(t - snap_times[next_i]) < 1e-12:
             t = snap_times[next_i]
+            tick = time.perf_counter()
             record(t, U)
+            record_s += time.perf_counter() - tick
             next_i += 1
+    if t_state is not None:
+        ws.note(*_check_physical(U, gamma, system, t_state), t_state)
     meta = {
         "config_hash": config_hash(config.as_dict()),
         "config": config.as_dict(),
         "wall_time": time.perf_counter() - started,
+        "stats": {
+            "steps": len(dts),
+            "dt_min": min(dts, default=None),
+            "dt_max": max(dts, default=None),
+            "courant_max": max(courants, default=None),
+            "rho_min": ws.rho_min,
+            "rho_min_t": ws.rho_min_t,
+            "p_min": ws.p_min,
+            "p_min_t": ws.p_min_t,
+            "rhs_s": rhs_s,
+            "record_s": record_s,
+        },
     }
     return Trajectory(grid, params, system, snaps, meta)
 

@@ -117,6 +117,13 @@ class TestFitRegularity:
         with pytest.raises(ValueError, match="3 octaves"):
             fit_regularity(f, 2.0)
 
+    @pytest.mark.parametrize("cells", [8, 15])
+    def test_grid_under_sixteen_cells_is_too_coarse_not_a_math_error(self, cells):
+        # a sixteenth of the period is under one cell, so the ladder holds one rung
+        f = field_from_function(PeriodicGrid(1, cells), lambda x: np.sin(np.pi * x))
+        with pytest.raises(ValueError, match="shift range must span at least 3 octaves"):
+            fit_regularity(f, 2.0)
+
 
 @pytest.fixture(scope="module")
 def report(weier8k) -> MollifierRateReport:

@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,6 +279,32 @@ class TestInputBoundary:
         assert f"must be >= 1, got {float(p)}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cells", [8, 15])
+    def test_besov_fit_on_a_grid_under_sixteen_cells_is_a_usage_error(self, tmp_path, capsys,
+                                                                     cells):
+        fpath = tmp_path / "field.csv"
+        save_scalar_field(fpath, weierstrass_field(0.6, 4, PeriodicGrid(1, cells)))
+        assert main(["besov-fit", "--field", str(fpath), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert "shift range must span at least 3 octaves" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("init,field", [
+        ({"name": "constant", "rho": float("nan")}, "rho"),
+        ({"name": "smooth", "u_amp": float("inf")}, "velocity"),
+        ({"name": "sod", "transverse": float("nan")}, "rho"),
+    ])
+    def test_non_finite_initial_data_exits_1_at_t_0(self, tmp_path, capsys, init, field):
+        # NaN passes `min(rho) <= 0`; it must not reach the time loop
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 16, "dims": 2, "t_end": 0.01, "init": init}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"initial {field} is not finite at t = 0" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("p", [float("nan"), 1.5])
     def test_commutator_rate_rejects_exponent_below_two_or_nan(self, tmp_path, capsys, p):
         cfg = tmp_path / "probe.json"
@@ -369,8 +396,8 @@ class TestInputBoundary:
         # no config reaches the check, so every second-stage speed is inflated
         real_rhs, calls = solver._rhs, []
 
-        def fast_stage_rhs(U, dx, gamma, system):
-            k, speed = real_rhs(U, dx, gamma, system)
+        def fast_stage_rhs(*args):
+            k, speed = real_rhs(*args)
             calls.append(speed)
             return k, speed * (100.0 if len(calls) % 2 == 0 else 1.0)
 

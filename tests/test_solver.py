@@ -1,11 +1,18 @@
+import hashlib
+import json
+import warnings
+
 import numpy as np
 import pytest
 
-from eulerlab.errors import DomainError
+from eulerlab import solver
+from eulerlab.errors import DomainError, StabilityError
 from eulerlab.grid import PeriodicGrid
 from eulerlab.riemann import exact_riemann, periodic_double_riemann, solve_star
 from eulerlab.solver import (
+    COMPLETE,
     SolverConfig,
+    Snapshot,
     Trajectory,
     make_initial_state,
     project_snapshot,
@@ -250,3 +257,250 @@ class TestPersistence:
         with pytest.raises(DomainError):
             make_initial_state(grid, GasParams(1.4),
                                {"name": "advection", "amp": 1.5})
+
+
+# ---------------------------------------------------------------------------
+# oracle: the step as it was before the fixed buffer set.  Every flux, shift
+# and stage allocates, p and c are formed once per axis, and the state is
+# checked after each stage and each step.  `run` must reproduce it bit for
+# bit, and fail where and how it failed.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_pressure_complete(U, gamma):
+    rho = U[0]
+    kin = np.zeros_like(rho)
+    for ax in range(U.shape[0] - 2):
+        kin += U[1 + ax] ** 2
+    return (gamma - 1.0) * (U[-1] - 0.5 * kin / rho)
+
+
+def _oracle_flux_axis(U, axis, gamma, system):
+    rho = U[0]
+    nd = U.shape[0] - (2 if system == COMPLETE else 1)
+    un = U[1 + axis] / rho
+    if system == COMPLETE:
+        p = _oracle_pressure_complete(U, gamma)
+        c = np.sqrt(gamma * p / rho)
+    else:
+        p = rho**gamma
+        c = np.sqrt(gamma * rho ** (gamma - 1.0))
+    F = np.empty_like(U)
+    F[0] = U[1 + axis]
+    for ax in range(nd):
+        F[1 + ax] = U[1 + ax] * un
+    F[1 + axis] += p
+    if system == COMPLETE:
+        F[-1] = (U[-1] + p) * un
+    return F, np.abs(un) + c, p
+
+
+def _oracle_rhs(U, dx, gamma, system):
+    dudt = np.zeros_like(U)
+    max_speed = 0.0
+    for axis in range(U[0].ndim):
+        F, speed, p = _oracle_flux_axis(U, axis, gamma, system)
+        max_speed = max(max_speed, float(speed.max()))
+        U_r = np.roll(U, -1, axis=1 + axis)
+        F_r = np.roll(F, -1, axis=1 + axis)
+        a = np.maximum(speed, np.roll(speed, -1, axis=axis))
+        f_hat = 0.5 * (F + F_r) - 0.5 * a * (U_r - U)
+        dudt -= (f_hat - np.roll(f_hat, 1, axis=1 + axis)) / dx
+    return dudt, max_speed
+
+
+def _oracle_check_physical(U, gamma, system, t):
+    rho = U[0]
+    p = _oracle_pressure_complete(U, gamma) if system == COMPLETE else rho**gamma
+    bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
+    if np.any(bad):
+        cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
+                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}")
+
+
+def _oracle_run(config, rhs=_oracle_rhs):
+    """The snapshots of the allocating loop, with the same initial map."""
+    grid, params = config.grid, config.params
+    gamma, system = params.gamma, config.system
+    rho, vel, theta = make_initial_state(grid, params, config.init)
+    U = np.empty((grid.dims + (2 if system == COMPLETE else 1),) + grid.shape)
+    U[0] = rho
+    for ax in range(grid.dims):
+        U[1 + ax] = rho * vel[ax]
+    if system == COMPLETE:
+        U[-1] = 0.5 * rho * np.sum(vel * vel, axis=0) + rho * params.cv * theta
+    stride, snap_times = config.snapshot_stride, []
+    if stride is not None:
+        k = 1
+        while k * stride < config.t_end - 1e-12:
+            snap_times.append(k * stride)
+            k += 1
+    snap_times.append(config.t_end)
+
+    def record(t, U):
+        energy = U[-1].copy() if system == COMPLETE else None
+        snaps.append(Snapshot(t, U[0].copy(), U[1 : 1 + grid.dims].copy(), energy))
+
+    snaps, t, next_i, dx = [], 0.0, 0, grid.cell_width
+    record(t, U)
+    while t < config.t_end - 1e-14:
+        k1, max_speed = rhs(U, dx, gamma, system)
+        dt = config.t_end - t if max_speed <= 0.0 else config.cfl * dx / (grid.dims * max_speed)
+        dt = min(dt, snap_times[next_i] - t)
+        U_stage = U + dt * k1
+        _oracle_check_physical(U_stage, gamma, system, t + dt)
+        k2, speed_stage = rhs(U_stage, dx, gamma, system)
+        U = 0.5 * U + 0.5 * (U_stage + dt * k2)
+        _oracle_check_physical(U, gamma, system, t + dt)
+        if speed_stage * dt * grid.dims / dx > 1.0:
+            raise StabilityError(
+                f"Courant violation mid-step at t = {t:.6g}: "
+                f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
+            )
+        t += dt
+        if abs(t - snap_times[next_i]) < 1e-12:
+            t = snap_times[next_i]
+            record(t, U)
+            next_i += 1
+    return snaps
+
+
+def _digests(snapshots):
+    def sha(a):
+        return None if a is None else hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    return [(s.t, sha(s.rho), sha(s.mom), sha(s.energy)) for s in snapshots]
+
+
+_REGISTRY = [
+    {"name": "constant", "rho": 1.3, "u": 0.4, "theta": 0.9},
+    {"name": "advection"},
+    {"name": "smooth"},
+    {"name": "isentropic_smooth", "u_amp": 0.1},
+    {"name": "sod"},
+    {"name": "riemann", "left": [1.0, 0.75, 1.0], "right": [0.125, 0.0, 0.1]},
+    {"name": "double_rarefaction"},
+    {"name": "single_rarefaction", "rho_right": 0.4},
+]
+
+
+class TestOracleParity:
+    @pytest.mark.parametrize("system", ["complete", "isentropic"])
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("init", _REGISTRY, ids=[i["name"] for i in _REGISTRY])
+    def test_every_snapshot_is_bit_identical_to_the_allocating_step(self, init, dims, system):
+        for gamma in (1.4, 5.0 / 3.0):
+            for stride in (None, 0.03):
+                for transverse in ((0.0, 0.1) if dims == 2 else (0.0,)):
+                    # 48 and 12 cells: a cell width that is no power of two
+                    cfg = _config(n=48 if dims == 1 else 12, t_end=0.1, system=system,
+                                  init={**init, "transverse": transverse}, stride=stride,
+                                  gamma=gamma, dims=dims)
+                    assert _digests(run(cfg).snapshots) == _digests(_oracle_run(cfg)), cfg
+
+    @pytest.mark.parametrize("init", _REGISTRY[3:6], ids=[i["name"] for i in _REGISTRY[3:6]])
+    @pytest.mark.parametrize("dims,system", [(1, "complete"), (2, "complete"), (1, "isentropic")])
+    def test_rhs_is_bit_identical_to_the_allocating_rhs(self, init, dims, system):
+        # the first axis forms 0.0 - term, so even the sign of a zero matches
+        cfg = _config(n=48 if dims == 1 else 12, t_end=0.05, system=system, dims=dims,
+                      init={**init, "transverse": 0.1})
+        snaps = run(cfg).snapshots
+        at_rest = Snapshot(0.0, snaps[0].rho, np.zeros_like(snaps[0].mom), snaps[0].energy)
+        for snap in (at_rest, *snaps):
+            U = np.concatenate([snap.rho[None], snap.mom]
+                               + ([snap.energy[None]] if system == COMPLETE else []))
+            old, old_speed = _oracle_rhs(U, cfg.grid.cell_width, cfg.params.gamma, system)
+            ws = solver._Workspace(cfg.grid, cfg.params.gamma, system, len(U))
+            new, new_speed = solver._rhs(U, ws, snap.t)
+            assert new.tobytes() == old.tobytes() and new_speed == old_speed
+
+    @staticmethod
+    def _assert_fails_alike(monkeypatch, cfg, bad_call, spoil, courant=False):
+        """Spoil the derivative that RHS call `bad_call` returns: an odd call
+        spoils a stage, an even call a step's result.  With `courant` every
+        stage speed also breaks the Courant check; the physical failure must
+        still win where it won before."""
+
+        def spoiled(real):
+            calls = []
+
+            def rhs(*args):
+                k, speed = real(*args)
+                calls.append(speed)
+                if len(calls) == bad_call:
+                    k = spoil(k.copy())
+                if courant and len(calls) % 2 == 0:
+                    speed = 100.0 * speed
+                return k, speed
+
+            return rhs
+
+        with pytest.raises((DomainError, StabilityError)) as old, np.errstate(all="ignore"):
+            _oracle_run(cfg, rhs=spoiled(_oracle_rhs))
+        monkeypatch.setattr(solver, "_rhs", spoiled(solver._rhs))
+        with pytest.raises((DomainError, StabilityError)) as new, warnings.catch_warnings():
+            warnings.simplefilter("error")   # the check comes before any square root
+            run(cfg)
+        assert type(new.value) is type(old.value)
+        assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("bad_call,courant", [
+        (None, True), (1, False), (2, False), (5, False), (6, False), (10, False),
+        (1, True), (2, True), (6, True), (10, True),
+    ])
+    def test_vacuum_run_raises_what_the_allocating_step_raised(self, monkeypatch, bad_call,
+                                                               courant):
+        # a derivative blown up a millionfold drives the next state to vacuum;
+        # the run takes 5 steps, so call 10 spoils the last step's result
+        cfg = _config(n=32, t_end=0.05, init={"name": "sod"}, stride=0.01)
+        self._assert_fails_alike(monkeypatch, cfg, bad_call, lambda k: k * 1e6, courant)
+
+    @pytest.mark.parametrize("bad_call", [1, 2])
+    @pytest.mark.parametrize("system,component", [
+        ("isentropic", 1), ("complete", 1), ("complete", -1)], ids=["m_isen", "m", "E"])
+    def test_non_finite_state_raises_what_the_allocating_step_raised(self, monkeypatch,
+                                                                     bad_call, system,
+                                                                     component):
+        # an infinite momentum leaves the isentropic pressure finite, and an
+        # infinite energy makes the pressure +inf: only the speed shows either
+        def spoil(k):
+            k[component][3] = np.inf
+            return k
+
+        cfg = _config(n=32, t_end=0.05, init={"name": "sod"}, system=system, stride=0.01)
+        self._assert_fails_alike(monkeypatch, cfg, bad_call, spoil)
+
+
+class TestStepStatistics:
+    def test_run_calls_the_rhs_twice_per_counted_step(self, monkeypatch):
+        real, calls = solver._rhs, []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_rhs", counting)
+        traj = run(_config(n=64, t_end=0.1, init={"name": "sod"}, stride=0.03))
+        assert traj.meta["stats"]["steps"] > 0
+        assert len(calls) == 2 * traj.meta["stats"]["steps"]
+
+    @pytest.mark.parametrize("dims,system", [(1, "complete"), (2, "isentropic")])
+    def test_stats_bound_what_the_snapshots_show(self, tmp_path, dims, system):
+        cfg = _config(n=64 if dims == 1 else 16, t_end=0.1, system=system, dims=dims,
+                      init={"name": "double_rarefaction"}, stride=0.025)
+        traj = run(cfg)
+        stats = traj.meta["stats"]
+        assert 0.0 < stats["dt_min"] <= stats["dt_max"] <= 0.025 + 1e-12   # clipped to the stride
+        assert 0.0 < stats["courant_max"] <= 1.0
+        rho_seen = min(float(s.rho.min()) for s in traj.snapshots)
+        assert 0.0 < stats["rho_min"] <= rho_seen
+        assert 0.0 <= stats["rho_min_t"] <= cfg.t_end
+        assert 0.0 < stats["p_min"] and 0.0 <= stats["p_min_t"] <= cfg.t_end
+        if system == "complete":
+            rho, _, theta = snapshot_primitive(traj.snapshots[-1], cfg.params)
+            assert stats["p_min"] <= float(np.min(rho * theta))
+        assert stats["rhs_s"] > 0.0 and stats["record_s"] > 0.0
+        traj.save(tmp_path / "traj")
+        saved = json.loads((tmp_path / "traj" / "meta.json").read_text())
+        assert saved["stats"] == stats
