@@ -13,6 +13,7 @@ data rows.  Exit codes: 0 pass, 1 fail, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -89,6 +90,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _digest(*arrays) -> str:
+    """SHA-256 of the shapes and values of ``arrays``: a report hashes what it
+    read, not the path it read it from."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(repr(a.shape).encode())
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _trajectory_id(traj: Trajectory) -> dict:
+    arrays = [a for s in traj.snapshots for a in (s.rho, s.mom, s.energy) if a is not None]
+    return {"config_hash": traj.meta.get("config_hash"),
+            "data": _digest(np.array(traj.times), *arrays)}
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -136,7 +153,7 @@ def cmd_besov_fit(args) -> int:
         raise UsageError("besov-fit requires --field <csv>")
     field = _load(args.field, load_scalar_field, args.field)
     p = args.p
-    chash = config_hash({"field": str(args.field), "p": p})
+    chash = config_hash({"field": _digest(field.values), "p": p})
     try:
         rep = bz.besov_report(field, p)
     except ValueError as exc:
@@ -189,7 +206,8 @@ def cmd_commutator_rate(args) -> int:
         fit = cm.chain_rate_fit(probe)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise UsageError(repr(exc))
-    chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas})
+    chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas,
+                         "fields": [_digest(f.values) for f in fields]})
     rows = [
         [float(e), float(n), float(b), bool(okay)]
         for e, n, b, okay in zip(fit.eps, fit.norms, fit.bounds, fit.bound_ok)
@@ -207,6 +225,8 @@ def cmd_relentropy(args) -> int:
         raise UsageError("relentropy requires --traj-a and --traj-b directories")
     traj_a = _load(args.traj_a, Trajectory.load, args.traj_a)
     traj_b = _load(args.traj_b, Trajectory.load, args.traj_b)
+    chash = config_hash({"a": _trajectory_id(traj_a), "b": _trajectory_id(traj_b),
+                         "sigma": args.sigma})
     grid = min(traj_a.grid, traj_b.grid, key=lambda g: g.cells_per_dim)
     traj_a, traj_b = (_load(f"{args.traj_a} and {args.traj_b} on one grid",
                             project_trajectory, t, grid) for t in (traj_a, traj_b))
@@ -215,8 +235,6 @@ def cmd_relentropy(args) -> int:
         check = re_.gronwall_envelope_check(trace, sigma=float(trace.times[0]))
     except ValueError as exc:
         raise UsageError(str(exc))
-    chash = config_hash({"a": str(args.traj_a), "b": str(args.traj_b),
-                          "sigma": args.sigma})
     rows = []
     for j, t in enumerate(trace.times):
         budget = float(trace.budget[j])
@@ -260,8 +278,8 @@ def cmd_oslip_check(args) -> int:
             raise UsageError(f"need at least two snapshots past delta={delta}")
         partial = 0.0
         prev = None
-        chash = config_hash({"traj": str(args.traj), "delta": delta,
-                              "mask": args.mask_wrap})
+        chash = config_hash({"traj": _trajectory_id(traj), "delta": delta,
+                             "mask": args.mask_wrap})
         for i in kept:
             if prev is not None:
                 partial += 0.5 * (max(cs[i], 0.0) + max(cs[prev], 0.0)) * (
@@ -280,7 +298,7 @@ def cmd_oslip_check(args) -> int:
             raise UsageError("2D velocity input needs a trajectory directory")
         weak = cd.oslip_weak_min_c(field.grid, vel)
         disc = cd.oslip_discrete(field.grid, vel, mask_wrap=args.mask_wrap)
-        chash = config_hash({"field": str(args.field), "mask": args.mask_wrap})
+        chash = config_hash({"field": _digest(field.values), "mask": args.mask_wrap})
         rows.append([0.0, weak.min_c, disc.value, 0.0, flags])
         print(f"min_C = {weak.min_c:.6g}, discrete_C = {disc.value:.6g}")
     else:

@@ -9,6 +9,8 @@ terms and therefore independent of cell order.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -374,16 +376,26 @@ def write_columns_csv(
     columns: dict[str, np.ndarray],
     comments: Iterable[str] = (),
 ) -> None:
-    """Row-major cell dump with 17 significant digits per value."""
+    """Row-major cell dump with 17 significant digits per value, one ``%`` per
+    row (``'%.17g' % x`` is ``f"{x:.17g}"`` for every float)."""
     for line in comments:
         stream.write(f"# {line}\n")
     names = list(columns)
     stream.write(",".join(_COORD_NAMES[: grid.dims] + tuple(names)) + "\n")
-    coords = [c.ravel() for c in grid.coordinates()]
-    data = [np.asarray(columns[n]).reshape(grid.shape).ravel() for n in names]
-    for i in range(coords[0].size):
-        row = [f"{c[i]:.17g}" for c in coords] + [f"{d[i]:.17g}" for d in data]
-        stream.write(",".join(row) + "\n")
+    data = [np.asarray(columns[n]).reshape(grid.shape).ravel().tolist() for n in names]
+    row = ("%s" + ",%.17g" * len(names) + "\n").__mod__
+    rows = zip(_coordinate_text(grid), *data)
+    # one write per first-axis row of cells: a whole-file join would hold
+    # twice the text at once for no speed
+    for _ in range(grid.cells_per_dim ** (grid.dims - 1)):
+        stream.write("".join(map(row, itertools.islice(rows, grid.cells_per_dim))))
+
+
+@functools.lru_cache(maxsize=8)
+def _coordinate_text(grid: PeriodicGrid) -> list[str]:
+    """The ``x[,y]`` text of every row: coordinates are the same in every dump."""
+    coords = zip(*(c.ravel().tolist() for c in grid.coordinates()))
+    return [",".join(["%.17g"] * grid.dims) % xs for xs in coords]
 
 
 def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray]]:
@@ -391,7 +403,8 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
 
     The header must be ``x[,y]`` followed by at least one data column, and
     every coordinate must sit on the centre of its cell (row-major order) of
-    the grid the row count implies.
+    the grid the row count implies.  A token is an ASCII decimal float: the
+    ``1_0`` and non-ASCII digits that ``float()`` took are rejected.
     """
     header = None
     rows = []
@@ -402,13 +415,14 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
         if header is None:
             header = line.split(",")
             continue
-        rows.append([float(tok) for tok in line.split(",")])
+        rows.append(line)
     if header is None or not rows:
         raise ValueError("empty field CSV")
     ncoord = 2 if header[:2] == list(_COORD_NAMES) else 1
     if header[0] != "x" or len(header) == ncoord:
         raise ValueError(f"expected header x[,y] plus data columns, got {header}")
-    data = np.asarray(rows, dtype=float)
+    # comments=None: a "#" after data is a bad token, as it is to float()
+    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
     if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
         raise ValueError(f"rows must hold {len(header)} finite values each")
     count = data.shape[0]

@@ -339,9 +339,12 @@ def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallChe
     for j in range(1, len(times)):
         acc += 0.5 * (budget[j] + budget[j - 1]) * (times[j] - times[j - 1])
         envelope[j] = values[0] * math.exp(acc)
-    # the ratio at sigma itself is identically one; report the later max
+    # the ratio at sigma itself is identically one; report the later max.  A
+    # zero envelope allows only E(t) = 0 (E(sigma) = 0 forces it): ratio 0, else inf
     if len(values) > 1:
-        util = float(np.max(values[1:] / envelope[1:]))
+        zero = np.where(values[1:] == 0.0, 0.0, np.inf)
+        util = float(np.max(np.divide(values[1:], envelope[1:], out=zero,
+                                      where=envelope[1:] != 0.0)))
     else:
         util = 1.0
     return GronwallCheck(bool(util <= 1.0), util, times, envelope)

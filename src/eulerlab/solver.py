@@ -119,19 +119,46 @@ class Trajectory:
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
+        """Read a ``save`` directory.  ``meta.json`` must name the system, a
+        gamma above 1 and finite, strictly increasing times, one per snapshot
+        file ``t_NNNN.csv``, with no other snapshot file, and each snapshot
+        must hold the system's columns; any miss is a ValueError."""
         d = Path(directory)
         meta = json.loads((d / "meta.json").read_text())
         grid = PeriodicGrid(meta["grid"]["dims"], meta["grid"]["cells_per_dim"])
-        params = GasParams(meta["gamma"])
+        gamma, times, system = meta["gamma"], meta["times"], meta["system"]
+        if system not in (COMPLETE, ISENTROPIC):
+            raise ValueError(f"meta.json system must be {COMPLETE!r} or {ISENTROPIC!r}, "
+                             f"got {system!r}")
+        if not (_is_finite_number(gamma) and gamma > 1.0):
+            raise ValueError(f"meta.json gamma must be a finite number > 1, got {gamma!r}")
+        if not (isinstance(times, list) and times and all(map(_is_finite_number, times))
+                and all(a < b for a, b in zip(times, times[1:]))):
+            raise ValueError(f"meta.json times must be a non-empty list of finite, strictly "
+                             f"increasing numbers, got {times!r:.80}")
+        expected = {f"t_{i:04d}.csv" for i in range(len(times))}
+        found = {f.name for f in d.glob("t_*.csv")}
+        if found != expected:
+            raise ValueError(f"need one snapshot file t_NNNN.csv per time in meta.json "
+                             f"({len(times)}), found {sorted(found)!r:.80}")
+        params = GasParams(gamma)
+        names = ["rho"] + [f"m{ax + 1}" for ax in range(grid.dims)]
+        names += ["E"] if system == COMPLETE else []
         snaps = []
-        for i, t in enumerate(meta["times"]):
+        for i, t in enumerate(times):
             with open(d / f"t_{i:04d}.csv") as fh:
                 file_grid, cols = read_columns_csv(fh)
             if file_grid != grid:
                 raise ValueError(f"snapshot {i} grid does not match meta.json")
+            if list(cols) != names:
+                raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
             mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
             snaps.append(Snapshot(float(t), cols["rho"], mom, cols.get("E")))
-        return cls(grid, params, meta["system"], snaps, meta)
+        return cls(grid, params, system, snaps, meta)
+
+
+def _is_finite_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +321,7 @@ def _rhs(U, ws: _Workspace, t):
 
     The result is ``ws.dudt``, which the next call overwrites.  The state is
     checked before any square root is taken: a cell that is not finite or has
-    non-positive density or pressure raises DomainError at time ``t``.  The
-    initial state (``t`` None) goes unchecked.
+    non-positive density or pressure raises DomainError at time ``t``.
     """
     gamma, system, dims = ws.gamma, ws.system, ws.dims
     rho, p, c = U[0], ws.p, ws.c
@@ -305,13 +331,13 @@ def _rhs(U, ws: _Workspace, t):
     # |u_n| + c is finite (so is the momentum, and the energy, since E = inf
     # gives c = inf).  Any miss runs the exact check.
     rho_min = float(rho.min())
-    if t is not None and not (rho_min > 0.0 and rho.max() < math.inf):
+    if not (rho_min > 0.0 and rho.max() < math.inf):
         _check_physical(U, gamma, system, t)
     _pressure(U, gamma, system, p, ws.scratch)
     p_min = float(p.min())
-    if t is not None and not p_min > 0.0:
+    if not p_min > 0.0:
         _check_physical(U, gamma, system, t)
-    ws.note(rho_min, p_min, 0.0 if t is None else t)
+    ws.note(rho_min, p_min, t)
     if system == COMPLETE:
         np.multiply(p, gamma, out=c)
         c /= rho
@@ -324,7 +350,7 @@ def _rhs(U, ws: _Workspace, t):
     np.absolute(un, out=speed)
     speed += c
     axis_max = [float(s.max()) for s in speed]
-    if t is not None and not all(s < math.inf for s in axis_max):
+    if not all(s < math.inf for s in axis_max):
         _check_physical(U, gamma, system, t)
 
     # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis
@@ -372,11 +398,14 @@ def run(config: SolverConfig) -> Trajectory:
     ncomp = grid.dims + (2 if system == COMPLETE else 1)
     U = np.empty((ncomp,) + grid.shape)
     U[0] = rho
-    for ax in range(grid.dims):
-        U[1 + ax] = rho * vel[ax]
-    if system == COMPLETE:
-        kin = 0.5 * rho * np.sum(vel * vel, axis=0)
-        U[-1] = kin + rho * params.cv * theta
+    # finite primitives can still overflow here (u = 1e200 gives E = inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ax in range(grid.dims):
+            U[1 + ax] = rho * vel[ax]
+        if system == COMPLETE:
+            kin = 0.5 * rho * np.sum(vel * vel, axis=0)
+            U[-1] = kin + rho * params.cv * theta
+    _check_physical(U, gamma, system, 0.0)
 
     stride = config.snapshot_stride
     snap_times: list[float] = []
@@ -404,7 +433,7 @@ def run(config: SolverConfig) -> Trajectory:
     record_s = time.perf_counter() - tick
     next_i = 0
     dx = grid.cell_width
-    t_state = None  # the time of U, which the next RHS checks
+    t_state = t  # the time of U, which the next RHS checks
     while t < config.t_end - 1e-14:
         tick = time.perf_counter()
         k1, max_speed = _rhs(U, ws, t_state)
@@ -443,8 +472,7 @@ def run(config: SolverConfig) -> Trajectory:
             record(t, U)
             record_s += time.perf_counter() - tick
             next_i += 1
-    if t_state is not None:
-        ws.note(*_check_physical(U, gamma, system, t_state), t_state)
+    ws.note(*_check_physical(U, gamma, system, t_state), t_state)
     meta = {
         "config_hash": config_hash(config.as_dict()),
         "config": config.as_dict(),

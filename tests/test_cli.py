@@ -12,11 +12,13 @@ from eulerlab import acceptance, conditions, solver
 from eulerlab.cli import main
 from eulerlab.grid import (
     PeriodicGrid,
+    ScalarField,
     read_columns_csv,
     save_scalar_field,
     weierstrass_field,
     write_columns_csv,
 )
+from eulerlab.thermo import GasParams
 
 
 def _read_rows(path):
@@ -382,15 +384,41 @@ class TestInputBoundary:
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
         assert "snapshot 1" in capsys.readouterr().err
 
-    def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys):
+    def test_overflowing_initial_data_exits_1_at_t_0(self, tmp_path, capsys):
+        # finite primitives whose conserved state overflows: E = inf
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"grid_n": 32, "t_end": 0.2,
                                    "init": {"name": "constant", "u": 1e200}}))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "t = 0.02, cell (0,): rho = nan, p = nan" in err
+        assert "at t = 0, cell (0,): rho = 1, p = nan" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the third RHS call (the second step's stage) is blown up a millionfold
+        real_rhs, calls = solver._rhs, []
+
+        def spoiled_rhs(*args):
+            k, speed = real_rhs(*args)
+            calls.append(speed)
+            return (k * 1e6 if len(calls) == 3 else k), speed
+
+        monkeypatch.setattr(solver, "_rhs", spoiled_rhs)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 32, "t_end": 0.2, "init": {"name": "sod"}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        # the second step ends at t = 2 dt
+        assert "at t = 0.0361607, cell (0,): rho = -108516, p = -102925" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_courant_violation_exits_1_with_step_data(self, tmp_path, capsys, monkeypatch):
         # no config reaches the check, so every second-stage speed is inflated
@@ -411,6 +439,261 @@ class TestInputBoundary:
         for part in ("speed ", "dt ", "exceeds dx 0.0625"):
             assert part in err
         assert not (tmp_path / "o").exists()
+
+
+def _hash_line(path):
+    return path.read_text().splitlines()[0]
+
+
+def _data_lines(path):
+    return path.read_text().splitlines()[1:]
+
+
+def _perturb_snapshot(traj, index, column="rho"):
+    with open(traj / f"t_{index:04d}.csv") as fh:
+        grid, cols = read_columns_csv(fh)
+    cols[column][3] *= 1.0 + 2.0**-40
+    with open(traj / f"t_{index:04d}.csv", "w") as fh:
+        write_columns_csv(fh, grid, cols, ["config_hash=kept"])
+
+
+class TestReportsHashWhatTheyRead:
+    """The ``# config_hash=`` line of a report names the data, not its path."""
+
+    def test_besov_fit_and_oslip_field(self, tmp_path):
+        field = weierstrass_field(0.6, 7, PeriodicGrid(1, 128))
+        a, b = tmp_path / "a.csv", tmp_path / "sub" / "b.csv"
+        b.parent.mkdir()
+        save_scalar_field(a, field)
+        save_scalar_field(b, field)
+        for cmd, report in (("besov-fit", "besov_report.csv"),
+                            ("oslip-check", "oslip_report.csv")):
+            reps = []
+            for name, path in (("ra", a), ("rb", b)):
+                assert main([cmd, "--field", str(path), "--out", str(tmp_path / name)]) == 0
+                reps.append(tmp_path / name / report)
+            assert _hash_line(reps[0]) == _hash_line(reps[1])
+            assert _data_lines(reps[0]) == _data_lines(reps[1])
+            changed = field.values.copy()
+            changed[7] += 1e-3
+            save_scalar_field(b, ScalarField(field.grid, changed))
+            assert main([cmd, "--field", str(b), "--out", str(tmp_path / "rc")]) == 0
+            assert _hash_line(tmp_path / "rc" / report) != _hash_line(reps[0])
+            save_scalar_field(b, field)
+
+    def test_commutator_rate_files(self, tmp_path):
+        field = weierstrass_field(0.6, 9, PeriodicGrid(1, 512))
+        lines = []
+        for name, scale in (("a", 1.0), ("b", 1.0), ("c", 1.0 + 2.0**-30)):
+            path = tmp_path / name / "field.csv"
+            path.parent.mkdir()
+            save_scalar_field(path, ScalarField(field.grid, field.values * scale))
+            cfg = tmp_path / name / "probe.json"
+            cfg.write_text(json.dumps({"fields": [{"file": str(path), "alpha": 0.6}],
+                                       "G": "square", "eps": [0.25, 0.125, 0.0625, 0.03125]}))
+            main(["commutator-rate", "--config", str(cfg), "--out", str(tmp_path / name)])
+            lines.append(_hash_line(tmp_path / name / "commutator_rate.csv"))
+        assert lines[0] == lines[1] != lines[2]
+
+    def test_relentropy_and_oslip_trajectories(self, tmp_path):
+        import shutil
+
+        pair = [_simulate(tmp_path, name, grid_n=n, t_end=0.1, snapshot_stride=0.05,
+                          init={"name": "double_rarefaction"})
+                for name, n in (("a", 32), ("b", 64))]
+        copies = [shutil.copytree(t, tmp_path / "elsewhere" / t.name) for t in pair]
+
+        def reports(a, b, out):
+            # a verdict is not the point here: the report is written either way
+            assert main(["relentropy", "--traj-a", str(a), "--traj-b", str(b),
+                         "--sigma", "0", "--out", str(out)]) in (0, 1)
+            assert main(["oslip-check", "--traj", str(a), "--out", str(out)]) == 0
+            return [out / "relentropy_trace.csv", out / "oslip_report.csv"]
+
+        first = reports(*pair, tmp_path / "r1")
+        moved = reports(*copies, tmp_path / "r2")
+        for x, y in zip(first, moved):
+            assert _hash_line(x) == _hash_line(y)
+            assert _data_lines(x) == _data_lines(y)
+        _perturb_snapshot(copies[0], 1)
+        changed = reports(*copies, tmp_path / "r3")
+        for x, y in zip(first, changed):
+            assert _hash_line(x) != _hash_line(y)
+        # the run's own config_hash enters too
+        meta = json.loads((pair[0] / "meta.json").read_text())
+        meta["config_hash"] = "0" * 12
+        (pair[0] / "meta.json").write_text(json.dumps(meta))
+        renamed = reports(*pair, tmp_path / "r4")
+        for x, y in zip(first, renamed):
+            assert _hash_line(x) != _hash_line(y)
+
+
+class TestGronwallOnAnEqualPair:
+    def test_a_constant_run_against_itself_passes_at_utilization_0(self, tmp_path, capsys):
+        # E(a | a) = 0 at sigma, so the envelope is 0 and E(t) = 0 must hold after
+        traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.1, snapshot_stride=0.025,
+                         init={"name": "constant", "u": 0.3})
+        for sigma in ("0", "0.025"):
+            out = tmp_path / f"rep{sigma}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["relentropy", "--traj-a", str(traj), "--traj-b", str(traj),
+                             "--sigma", sigma, "--out", str(out)])
+            assert code == 0
+            assert "PASS (utilization 0.000" in capsys.readouterr().out
+            rows = _read_rows(out / "relentropy_trace.csv")[2:]
+            assert rows and all(r.split(",")[1] == "0" for r in rows)
+
+
+def _meta_edit(key, value):
+    def edit(traj):
+        meta = json.loads((traj / "meta.json").read_text())
+        meta[key] = value
+        (traj / "meta.json").write_text(json.dumps(meta))
+    return edit
+
+
+def _remove(name):
+    return lambda traj: (traj / name).unlink()
+
+
+def _add(name):
+    return lambda traj: (traj / name).write_bytes((traj / "t_0000.csv").read_bytes())
+
+
+class TestTrajectoryMetaAtLoad:
+    """Each broken directory exits 2 with a plain message, on both readers."""
+
+    @pytest.mark.parametrize("edit,message", [
+        pytest.param(_meta_edit("times", [0.05, 0.0, 0.1]), "strictly increasing",
+                     id="times_unsorted"),
+        pytest.param(_meta_edit("times", [0.0, 0.05, 0.05]), "strictly increasing",
+                     id="times_repeated"),
+        pytest.param(_meta_edit("times", [0.0, 0.05, float("nan")]), "finite", id="times_nan"),
+        pytest.param(_meta_edit("times", ["0", "0.05", "0.1"]), "list of finite",
+                     id="times_strings"),
+        pytest.param(_meta_edit("times", [0.0, True, 0.1]), "list of finite", id="times_bool"),
+        pytest.param(_meta_edit("times", []), "non-empty list", id="times_empty"),
+        pytest.param(_meta_edit("times", 0.1), "list of finite", id="times_scalar"),
+        pytest.param(_meta_edit("times", [0.0, 0.05]), "one snapshot file t_NNNN.csv per time",
+                     id="times_fewer_than_files"),
+        pytest.param(_remove("t_0002.csv"), "one snapshot file t_NNNN.csv per time",
+                     id="file_missing"),
+        pytest.param(_add("t_0003.csv"), "one snapshot file t_NNNN.csv per time",
+                     id="file_extra"),
+        pytest.param(_add("t_old.csv"), "one snapshot file t_NNNN.csv per time",
+                     id="file_stray"),
+        pytest.param(_meta_edit("gamma", "x"), "gamma must be a finite number > 1, got 'x'",
+                     id="gamma_string"),
+        pytest.param(_meta_edit("gamma", 1.0), "gamma must be a finite number > 1, got 1.0",
+                     id="gamma_one"),
+        pytest.param(_meta_edit("gamma", None), "gamma must be a finite number > 1",
+                     id="gamma_null"),
+        pytest.param(_meta_edit("system", "other"),
+                     "system must be 'complete' or 'isentropic'", id="system_unknown"),
+        pytest.param(_meta_edit("system", "isentropic"), "columns ['rho', 'm1', 'E'] are not",
+                     id="system_mislabelled"),
+    ])
+    def test_rejected(self, tmp_path, capsys, edit, message):
+        traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
+        ref = _simulate(tmp_path, "b", grid_n=16, t_end=0.1, snapshot_stride=0.05)
+        edit(traj)
+        for argv in (["relentropy", "--traj-a", str(traj), "--traj-b", str(ref)],
+                     ["relentropy", "--traj-a", str(ref), "--traj-b", str(traj)],
+                     ["oslip-check", "--traj", str(traj)]):
+            out = tmp_path / "rep"
+            assert main(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
+            assert not out.exists()
+
+    def test_a_complete_snapshot_without_energy_is_rejected(self, tmp_path, capsys):
+        traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05,
+                         system="isentropic")
+        _meta_edit("system", "complete")(traj)
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 2
+        assert "columns ['rho', 'm1'] are not ['rho', 'm1', 'E']" in capsys.readouterr().err
+
+
+# Fuzz trajectory directories through cli.main: a valid 16-cell run has some
+# meta.json keys replaced by values from short lists, valid and broken, and
+# at most one snapshot file dropped, added, truncated or swapped for one on
+# another grid.
+_META_VARIANTS = {
+    "times": [[0.0, 0.05, 0.1], [0.05, 0.0, 0.1], [0.0, 0.05], [0.0, 0.05, 0.1, 0.15],
+              ["0", 0.05, 0.1], [0.0, 0.05, float("inf")], [], 0.1, None],
+    "gamma": [5.0 / 3.0, 1.0, 0.5, "x", None, float("nan"), 1e308],
+    "system": ["isentropic", "other", None, 3],
+    "grid": [{"dims": 1, "cells_per_dim": 32}, {"dims": 2, "cells_per_dim": 4},
+             {"dims": 3, "cells_per_dim": 16}, {"dims": 1}, {"dims": 1, "cells_per_dim": "16"},
+             None, [], "x"],
+    "config_hash": ["0" * 12, None, 3],
+}
+_FILE_EDITS = ["none", "drop_last", "extra", "stray", "truncate", "header_only",
+               "perturb", "other_grid", "no_meta", "meta_not_json", "meta_list"]
+_FUZZ_BASE = {}
+
+
+def _fuzz_base(tmp: Path) -> Path:
+    """A valid trajectory at ``tmp / "base"``; the run itself is made once."""
+    if "traj" not in _FUZZ_BASE:
+        cfg = solver.SolverConfig(grid=PeriodicGrid(1, 16), params=GasParams(1.4),
+                                  t_end=0.1, init={"name": "sod"}, snapshot_stride=0.05)
+        _FUZZ_BASE["traj"] = solver.run(cfg)
+    _FUZZ_BASE["traj"].save(tmp / "base")
+    return tmp / "base"
+
+
+def _file_edit(traj: Path, how: str) -> None:
+    first = traj / "t_0000.csv"
+    if how == "drop_last":
+        (traj / "t_0002.csv").unlink()
+    elif how in ("extra", "stray"):
+        (traj / ("t_0003.csv" if how == "extra" else "t_x.csv")).write_bytes(first.read_bytes())
+    elif how == "truncate":
+        first.write_text("\n".join(first.read_text().splitlines()[:-3]) + "\n")
+    elif how == "header_only":
+        first.write_text("x,rho,m1,E\n")
+    elif how == "perturb":
+        _perturb_snapshot(traj, 1, "E")
+    elif how == "other_grid":
+        grid = PeriodicGrid(1, 32)
+        cols = {name: np.ones(grid.shape) * (2.5 if name == "E" else 1.0)
+                for name in ("rho", "m1", "E")}
+        with open(traj / "t_0001.csv", "w") as fh:
+            write_columns_csv(fh, grid, cols)
+    elif how == "no_meta":
+        (traj / "meta.json").unlink()
+    elif how == "meta_not_json":
+        (traj / "meta.json").write_text("{not json")
+    elif how == "meta_list":
+        (traj / "meta.json").write_text("[1, 2]")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    edits=st.lists(st.sampled_from(sorted(_META_VARIANTS)), max_size=2, unique=True)
+    .flatmap(lambda keys: st.tuples(*(st.tuples(st.just(k), st.sampled_from(_META_VARIANTS[k]))
+                                      for k in keys))),
+    dropped=st.lists(st.sampled_from(["times", "gamma", "system", "grid"]), max_size=1),
+    how=st.sampled_from(_FILE_EDITS),
+)
+def test_fuzz_trajectory_directory(edits, dropped, how):
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = _fuzz_base(Path(tmp))
+        traj = Path(tmp) / "traj"
+        _fuzz_base(Path(tmp) / "copy").rename(traj)
+        meta = json.loads((traj / "meta.json").read_text())
+        meta.update(dict(edits))
+        for key in dropped:
+            del meta[key]
+        (traj / "meta.json").write_text(json.dumps(meta))
+        _file_edit(traj, how)
+        out = Path(tmp) / "rep"
+        _run_cli(["relentropy", "--traj-a", traj, "--traj-b", ref, "--sigma", "0",
+                  "--out", out])
+        _run_cli(["relentropy", "--traj-a", ref, "--traj-b", traj, "--out", out])
+        _run_cli(["oslip-check", "--traj", traj, "--out", out])
 
 
 # Fuzz the two outside inputs, configs and field CSVs, through cli.main.  A

@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,197 @@ class TestCsv:
         lines[3] = lines[3].split(",")[0]
         with pytest.raises(ValueError):
             read_columns_csv(io.StringIO("\n".join(lines)))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the CSV writer and reader as they were before the cached coordinate
+# text and the numpy parse.  One f-string per value, one float() per token
+# (the reader's checks, which did not change, are left out).  The fast pair
+# must give the same bytes and parse the same bits.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_write_columns_csv(stream, grid, columns, comments=()):
+    for line in comments:
+        stream.write(f"# {line}\n")
+    names = list(columns)
+    stream.write(",".join(("x", "y")[: grid.dims] + tuple(names)) + "\n")
+    coords = [c.ravel() for c in grid.coordinates()]
+    data = [np.asarray(columns[n]).reshape(grid.shape).ravel() for n in names]
+    for i in range(coords[0].size):
+        row = [f"{c[i]:.17g}" for c in coords] + [f"{d[i]:.17g}" for d in data]
+        stream.write(",".join(row) + "\n")
+
+
+def _oracle_read_columns_csv(stream):
+    header, rows = None, []
+    for line in stream:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
+            header = line.split(",")
+            continue
+        rows.append([float(tok) for tok in line.split(",")])
+    ncoord = 2 if header[:2] == ["x", "y"] else 1
+    data = np.asarray(rows, dtype=float)
+    grid = PeriodicGrid(ncoord, round(data.shape[0] ** (1.0 / ncoord)))
+    return grid, {name: data[:, ncoord + j].reshape(grid.shape)
+                  for j, name in enumerate(header[ncoord:])}
+
+
+_CSV_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                 -2.2250738585072014e-308, 1e300, -1e300, 1e-300, -1e-300,
+                 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5]
+
+
+def _csv_columns(grid, ncols, seed):
+    """Values across 10^+-300, each column led by the specials in its own order."""
+    rng = np.random.default_rng(seed)
+    cells = math.prod(grid.shape)
+    cols = {}
+    for j in range(ncols):
+        v = rng.standard_normal(cells) * 10.0 ** rng.integers(-300, 301, cells)
+        lead = np.roll(_CSV_SPECIALS, j)[:cells]
+        v[: len(lead)] = lead
+        cols[f"c{j}"] = v.reshape(grid.shape)
+    return cols
+
+
+def _both_ways(grid, cols, comments=()):
+    """(fast bytes, oracle bytes) of one dump."""
+    fast, slow = io.StringIO(), io.StringIO()
+    write_columns_csv(fast, grid, cols, comments)
+    _oracle_write_columns_csv(slow, grid, cols, comments)
+    return fast.getvalue(), slow.getvalue()
+
+
+def _assert_parses_alike(text, grid, cols):
+    got_grid, got = read_columns_csv(io.StringIO(text))
+    old_grid, old = _oracle_read_columns_csv(io.StringIO(text))
+    assert got_grid == old_grid == grid
+    assert list(got) == list(old) == list(cols)
+    for name in cols:
+        assert got[name].tobytes() == old[name].tobytes()
+        assert got[name].tobytes() == np.ascontiguousarray(cols[name], dtype=float).tobytes()
+
+
+class TestCsvOracle:
+    # 48 and 12 cells: a cell width that is no power of two
+    @pytest.mark.parametrize("dims,cells", [(1, 48), (1, 256), (1, 4096),
+                                            (2, 12), (2, 32), (2, 48)])
+    @pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+    def test_bytes_and_bits_match_the_per_value_pair(self, dims, cells, ncols):
+        grid = PeriodicGrid(dims, cells)
+        cols = _csv_columns(grid, ncols, seed=10 * cells + ncols)
+        fast, slow = _both_ways(grid, cols, comments=["config_hash=abc", "second"])
+        assert fast == slow
+        _assert_parses_alike(fast, grid, cols)
+
+    def test_coordinate_text_is_formatted_once_per_grid(self):
+        from eulerlab import grid as grid_mod
+
+        grid_mod._coordinate_text.cache_clear()
+        grid = PeriodicGrid(2, 12)
+        for seed in range(3):
+            fast, slow = _both_ways(grid, _csv_columns(grid, 2, seed))
+            assert fast == slow
+        info = grid_mod._coordinate_text.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_each_first_axis_row_is_one_write(self):
+        class Recording(io.StringIO):
+            def write(self, s):
+                self.rows_per_write.append(s.count("\n"))
+                return super().write(s)
+
+        for grid in (PeriodicGrid(1, 48), PeriodicGrid(2, 12)):
+            stream = Recording()
+            stream.rows_per_write = []
+            write_columns_csv(stream, grid, _csv_columns(grid, 3, 0), ["one comment"])
+            # comment, header, then one write per first-axis row of cells
+            slabs = grid.cells_per_dim ** (grid.dims - 1)
+            assert stream.rows_per_write == [1, 1] + [grid.cells_per_dim] * slabs
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), dims=st.sampled_from([1, 2]), ncols=st.integers(1, 4))
+    def test_any_finite_floats_round_trip_like_the_oracle(self, data, dims, ncols):
+        cells = data.draw(st.sampled_from([4, 6, 12] if dims == 2 else [4, 12, 48]))
+        grid = PeriodicGrid(dims, cells)
+        finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+        cols = {f"c{j}": data.draw(arrays(np.float64, grid.shape, elements=finite))
+                for j in range(ncols)}
+        fast, slow = _both_ways(grid, cols)
+        assert fast == slow
+        assert fast.isascii() and "_" not in fast    # nothing the reader narrowed away
+        _assert_parses_alike(fast, grid, cols)
+
+
+_GOLDEN = Path(__file__).parent / "golden_columns.csv"
+
+
+def _golden_columns():
+    """Exactly representable arithmetic only, so every platform builds the same bits."""
+    grid = PeriodicGrid(2, 6)
+    k = np.arange(36.0).reshape(grid.shape)
+    ramp = (k - 17.5) / 3.0
+    scale = np.array(_CSV_SPECIALS + [2.0 ** -1074 * 3, -(2.0 ** 1000)] * 11)[:36]
+    return grid, {"rho": 1.0 + k / 7.0, "m1": ramp, "E": scale.reshape(grid.shape)}
+
+
+class TestCsvGolden:
+    def test_writer_reproduces_the_committed_file(self):
+        grid, cols = _golden_columns()
+        buf = io.StringIO()
+        write_columns_csv(buf, grid, cols, comments=["config_hash=golden"])
+        assert buf.getvalue().encode() == _GOLDEN.read_bytes()
+
+    def test_reader_parses_the_committed_file_bit_for_bit(self):
+        grid, cols = _golden_columns()
+        with open(_GOLDEN) as fh:
+            got_grid, got = read_columns_csv(fh)
+        assert got_grid == grid and list(got) == list(cols)
+        for name in cols:
+            assert got[name].tobytes() == cols[name].tobytes()
+
+
+class TestCsvTokenContract:
+    """What a data token may be.  The writer emits only ``'%.17g'`` text."""
+
+    @staticmethod
+    def _with_row(grid, row_text):
+        buf = io.StringIO()
+        write_columns_csv(buf, grid, {"value": np.ones(grid.shape)})
+        lines = buf.getvalue().splitlines()
+        lines[2] = row_text(lines[2])
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("row_text", [
+        lambda r: r + " # note",                 # inline comment after data
+        lambda r: r.replace(",", ",,"),          # empty token
+        lambda r: r.split(",")[0],               # short row
+        lambda r: r + ",1",                      # long row
+        lambda r: r.rsplit(",", 1)[0] + ",0x1",  # hex
+    ], ids=["inline_hash", "empty_token", "short", "long", "hex"])
+    def test_rejected_as_before(self, grid256, row_text):
+        text = self._with_row(grid256, row_text)
+        with pytest.raises(ValueError):
+            read_columns_csv(io.StringIO(text))
+        with pytest.raises(ValueError):
+            _oracle_read_columns_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\u0663.5"])
+    def test_narrowed_tokens(self, grid256, token):
+        # float() accepts digit separators and non-ASCII digits; the parse does not
+        text = self._with_row(grid256, lambda r: r.rsplit(",", 1)[0] + "," + token)
+        float(token)
+        with pytest.raises(ValueError, match="could not convert"):
+            read_columns_csv(io.StringIO(text))
+
+    def test_surrounding_whitespace_still_accepted(self, grid256):
+        text = self._with_row(grid256, lambda r: " " + r.replace(",", " ,\t"))
+        _, cols = read_columns_csv(io.StringIO(text))
+        assert cols["value"].tobytes() == np.ones(256).tobytes()
 
 
 def _besov_ball(grid, rmax, eps):

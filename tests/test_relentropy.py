@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from eulerlab.errors import DomainError
 from eulerlab.grid import PeriodicGrid
 from eulerlab.relentropy import (
     CoercivityCalibration,
+    RelEntropyTrace,
     StateBox,
     calibrate_coercivity,
     coercivity_gap,
@@ -203,6 +205,24 @@ class TestTrajectoryMonitor:
         assert float(np.max(trace.integral)) < 1e-28
         assert np.all(trace.skipped[1:])
         assert np.all(np.isnan(trace.fitted_k[1:]))
+
+    @staticmethod
+    def _check(integral):
+        n = len(integral)
+        trace = RelEntropyTrace(np.linspace(0.0, 0.1, n), np.array(integral), np.zeros(n),
+                                np.ones(n), np.full(n, np.nan), np.ones(n, dtype=bool), 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return gronwall_envelope_check(trace, sigma=0.0)
+
+    def test_zero_envelope_allows_only_zero(self):
+        # E(sigma) = 0 forces E(t) = 0: that passes at 0, anything else is inf
+        held = self._check([0.0, 0.0, 0.0])
+        assert held.ok and held.utilization == 0.0
+        broken = self._check([0.0, 0.0, 1e-300])
+        assert not broken.ok and broken.utilization == math.inf
+        # a positive E(sigma) keeps the plain ratio: budget 1 over [0, 0.05]
+        assert self._check([1.0, 1.0, 1.0]).utilization == 1.0 / math.exp(0.05)
 
     def test_uniform_velocity_offset_total(self, gamma14):
         grid = PeriodicGrid(1, 128)
