@@ -115,8 +115,8 @@ def gate_besov_machinery() -> GateResult:
     details = []
     for alpha in (0.4, 0.6, 0.8):
         f = _weier(alpha, grid)
-        fit = bz.fit_regularity(f, 3.0)
         rep = bz.verify_mollifier_rates(f, alpha, 3.0, list(EPS_SCAN))
+        fit = bz.fit_regularity(rep.table)
         fit_ok = abs(fit.alpha - alpha) <= 0.1
         bounds_ok = bool(np.all(rep.bound_ok))
         ok = ok and fit_ok and bounds_ok

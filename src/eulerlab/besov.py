@@ -9,8 +9,10 @@ the three decay estimates a mollifier family satisfies on such a field:
     ||f(.+h) - f||_p          <= |f| * |h|**beta,
     ||grad f_eps||_p          <= |f| * eps**(beta - 1).
 
-The shift moduli sup_{|h|<eps} ||f(.+h) - f||_p of a whole eps scan come
-from `ball_sups`, the one ball-sup scan, which the product commutators share.
+Every reader takes the shift modulus ||f(.+h) - f||_p from a `ModulusTable`,
+which measures each offset once, by `_diff_norm`: the semi-norm ladder, the
+regularity fit's rungs and the ball sups sup_{|h|<eps} of a whole eps scan,
+which the product commutators share.
 """
 
 from __future__ import annotations
@@ -72,68 +74,67 @@ def dyadic_shift_ladder(
     return sorted(off for off in set(shifts) if offset_length(grid, off) <= cap)
 
 
-def _diff_norm(field: ScalarField, offsets: tuple[int, ...], p: float) -> float:
-    moved = shift_values(field.values, offsets)
-    return lp_norm_values(moved - field.values, p, field.grid.cell_volume)
+def _diff_norm(field, offsets: tuple[int, ...], p: float) -> float:
+    """||v(.+h) - v||_p for the lattice shift h of ``offsets`` cells: the one
+    evaluation of the shift modulus.  ``field`` has a ``grid`` and ``values``,
+    a scalar array on it or a component-first stack measured by magnitude."""
+    grid, values = field.grid, field.values
+    moved = shift_values(values, offsets, values.ndim - grid.dims)
+    return lp_norm_values(magnitude(moved - values, grid), p, grid.cell_volume)
 
 
-def ball_sups(values: np.ndarray, grid: PeriodicGrid, eps_list, p: float) -> list[float]:
-    """sup_{0 < |h| < eps} ||v(.+h) - v||_p per eps (any order; 0.0 if no h).
+class ModulusTable:
+    """(|h|, ||v(.+h) - v||_p) per lattice offset h of one array, each measured once.
 
-    ``values`` is a scalar array on ``grid`` or a component-first stack.  Each
-    offset of the largest ball is evaluated once; the smaller balls are its
-    subsets, as |h| < eps bounds each coordinate by the mollifier radius.
+    ``values`` is a scalar array on ``grid`` or a component-first stack.  The
+    table holds ``offsets`` and the lattice ball 0 < |h| < max(``eps_list``),
+    one offset of each +-h pair.  Each reader takes only its own offsets, so
+    a table that holds more offsets gives the same numbers.
     """
-    big = max(eps_list, default=0.0)
-    first_axis = values.ndim - grid.dims
-    measured = [
-        (offset_length(grid, off),
-         lp_norm_values(magnitude(shift_values(values, off, first_axis) - values, grid),
-                        p, grid.cell_volume))
-        for off in ball_offsets(grid, int(big / grid.cell_width), big)
-    ]
-    return [max((norm for h, norm in measured if h < eps), default=0.0) for eps in eps_list]
 
+    def __init__(self, grid: PeriodicGrid, values: np.ndarray, p: float, offsets, eps_list):
+        self.radius = big = max(eps_list, default=0.0)
+        ball = ball_offsets(grid, int(big / grid.cell_width), big)
+        self.grid, self.values = grid, values
+        self.norms = {off: (offset_length(grid, off), _diff_norm(self, off, p))
+                      for off in sorted(set(offsets) | set(ball))}
 
-def _ladder_norms(field: ScalarField, p: float, shift_set: list[tuple[int, ...]]
-                  ) -> dict[tuple[int, ...], tuple[float, float]]:
-    """(|h|, ||f(.+h) - f||_p) per shift of the set, keyed in sorted shift order."""
-    if not p >= 1.0:
-        raise DomainError(f"p must be >= 1, got {p}")
-    if not shift_set:
-        raise ValueError("shift set must be nonempty")
-    norms = {}
-    for offsets in sorted(shift_set):
-        if all(c == 0 for c in offsets):
-            raise ValueError("zero shift not allowed in shift set")
-        h = offset_length(field.grid, offsets)
-        if h > MAX_SHIFT_FRACTION * PERIOD + 1e-12:
-            raise ValueError(f"shift {offsets} exceeds a quarter period")
-        norms[offsets] = (h, _diff_norm(field, offsets, p))
-    return norms
+    def sup(self, offsets, beta: float) -> float:
+        """max over ``offsets`` of ||v(.+h) - v||_p / |h|^beta.
 
+        Deterministic: offsets are scanned in sorted order and ties keep the
+        earlier (lexicographically smaller) one.
+        """
+        if not 0.0 < beta <= 1.0:
+            raise DomainError(f"beta must lie in (0, 1], got {beta}")
+        best = 0.0
+        for off in sorted(offsets):
+            h, norm = self.norms[off]
+            val = norm / h**beta
+            if val > best:
+                best = val
+        return best
 
-def _ladder_sup(norms: dict[tuple[int, ...], tuple[float, float]], beta: float) -> float:
-    """max of norm / |h|^beta over ``_ladder_norms``; ties keep the earlier shift."""
-    if not 0.0 < beta <= 1.0:
-        raise DomainError(f"beta must lie in (0, 1], got {beta}")
-    best = 0.0
-    for h, norm in norms.values():
-        val = norm / h**beta
-        if val > best:
-            best = val
-    return best
+    def ball_sups(self, eps_list) -> list[float]:
+        """sup_{0 < |h| < eps} ||v(.+h) - v||_p per eps (any order; 0.0 if no h)."""
+        if max(eps_list, default=0.0) > self.radius:
+            raise ValueError(f"eps {max(eps_list):g} exceeds the table's ball {self.radius:g}")
+        return [max((norm for h, norm in self.norms.values() if h < eps), default=0.0)
+                for eps in eps_list]
 
 
 def seminorm(
     field: ScalarField, beta: float, p: float, shift_set: list[tuple[int, ...]]
 ) -> float:
-    """max over the shift set of ||f(.+h) - f||_p / |h|^beta.
-
-    Deterministic: shifts are scanned in sorted order and ties keep the
-    earlier (lexicographically smaller) shift.
-    """
-    return _ladder_sup(_ladder_norms(field, p, shift_set), beta)
+    """max over the shift set of ||f(.+h) - f||_p / |h|^beta (see `ModulusTable.sup`)."""
+    if not shift_set:
+        raise ValueError("shift set must be nonempty")
+    for offsets in shift_set:
+        if all(c == 0 for c in offsets):
+            raise ValueError("zero shift not allowed in shift set")
+        if offset_length(field.grid, offsets) > MAX_SHIFT_FRACTION * PERIOD + 1e-12:
+            raise ValueError(f"shift {offsets} exceeds a quarter period")
+    return ModulusTable(field.grid, field.values, p, shift_set, ()).sup(shift_set, beta)
 
 
 def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
@@ -155,17 +156,18 @@ class RegularityFit:
     residual: float
     lengths: np.ndarray
     diff_norms: np.ndarray
-    window: slice
     degenerate: bool = False
 
 
-def _regularity_fit(grid: PeriodicGrid, norm_of) -> RegularityFit:
-    """Log-log fit of ``norm_of(offsets)`` over the fit's dyadic ladder.
+def fit_regularity(table: ModulusTable) -> RegularityFit:
+    """Slope of log ||f(.+h) - f||_p against log |h| over the fit's dyadic rungs.
 
-    The ladder holds 2**k cells up to a sixteenth of the period, by length:
-    larger shifts decorrelate and would flatten the slope.  A constant field
-    has no scale to fit; the result is flagged degenerate with alpha = +inf.
+    The rungs are 2**k cells up to a sixteenth of the period, by length:
+    larger shifts decorrelate and would flatten the slope.  They lie on the
+    dyadic shift ladder, so a table over the ladder holds them.  A constant
+    field has no scale to fit; the result is flagged degenerate with alpha = +inf.
     """
+    grid = table.grid
     max_cells = max(1, grid.cells_per_dim // 16)   # one rung below 16 cells, not log2(0)
     shifts = sorted(
         dyadic_shift_ladder(grid, include_triples=False, max_cells=max_cells),
@@ -174,33 +176,25 @@ def _regularity_fit(grid: PeriodicGrid, norm_of) -> RegularityFit:
     hs = np.array([offset_length(grid, off) for off in shifts])
     if len(hs) < 4 or hs[-1] / hs[0] < 7.9:
         raise ValueError("shift range must span at least 3 octaves")
-    norms = np.array([norm_of(off) for off in shifts])
+    norms = np.array([table.norms[off][1] for off in shifts])
     if np.min(norms) == 0.0:
-        return RegularityFit(math.inf, 0.0, hs, norms, slice(0, 0), degenerate=True)
+        return RegularityFit(math.inf, 0.0, hs, norms, degenerate=True)
     win = _asymptotic_window(len(hs))
     slope, resid = _loglog_fit(hs[win], norms[win])
-    return RegularityFit(slope, resid, hs, norms, win)
-
-
-def fit_regularity(field: ScalarField, p: float) -> RegularityFit:
-    """Slope of log ||f(.+h) - f||_p against log |h| over a dyadic ladder."""
-    return _regularity_fit(field.grid, lambda off: _diff_norm(field, off, p))
+    return RegularityFit(slope, resid, hs, norms)
 
 
 @dataclass(frozen=True)
 class MollifierRateReport:
-    """Per-epsilon values of the three mollifier quantities and their fits."""
+    """Per-epsilon shift moduli, the three fitted rates and the bound checks."""
 
     p: float
     alpha: float
-    seminorm: float
     eps: np.ndarray
-    mollify_err: np.ndarray
     shift_sup: np.ndarray
-    grad_norm: np.ndarray
     slopes: tuple[float, float, float]
-    window: slice
     bound_ok: np.ndarray  # one row per estimate, one column per eps
+    table: ModulusTable   # the dyadic shift ladder and the ball of the largest eps
 
 
 def verify_mollifier_rates(
@@ -211,14 +205,17 @@ def verify_mollifier_rates(
 ) -> MollifierRateReport:
     """Measure the three mollifier quantities over eps and fit their rates.
 
-    The one-sided bounds use the semi-norm measured on the dyadic shift
-    ladder and admit ``ESTIMATE_SLACK`` relative headroom.  Slopes are fitted
-    on the asymptotic window (two smallest and two largest eps dropped when
-    7+ are given).
+    One modulus table over the dyadic shift ladder and the ball of the
+    largest eps gives the semi-norm (on the ladder) and the shift moduli (on
+    the balls).  The one-sided bounds admit ``ESTIMATE_SLACK`` relative
+    headroom.  Slopes are fitted on the asymptotic window (two smallest and
+    two largest eps dropped when 7+ are given).
     """
     grid = field.grid
-    sem = seminorm(field, alpha, p, dyadic_shift_ladder(grid))
+    ladder = dyadic_shift_ladder(grid)
     eps_range = sorted(float(e) for e in eps_range)
+    table = ModulusTable(grid, field.values, p, ladder, eps_range)
+    sem = table.sup(ladder, alpha)
     if eps_range[0] < 2.0 * grid.cell_width:
         raise ResolutionError(
             f"eps {eps_range[0]:g} below grid resolution {2.0 * grid.cell_width:g}"
@@ -230,7 +227,7 @@ def verify_mollifier_rates(
         m_err.append(lp_norm_values(fe - field.values, p, vol))
         g_nrm.append(lp_norm_values(magnitude(grad_values(fe, grid.cell_width), grid), p, vol))
     eps_arr = np.array(eps_range)
-    s_sup = np.array(ball_sups(field.values, grid, eps_range, p))
+    s_sup = np.array(table.ball_sups(eps_range))
     m_err, g_nrm = np.array(m_err), np.array(g_nrm)
     win = _asymptotic_window(len(eps_arr))
     slopes = tuple(_loglog_fit(eps_arr[win], v[win])[0] for v in (m_err, s_sup, g_nrm))
@@ -242,9 +239,7 @@ def verify_mollifier_rates(
             g_nrm <= cap * eps_arr ** (alpha - 1.0),
         ]
     )
-    return MollifierRateReport(
-        p, alpha, sem, eps_arr, m_err, s_sup, g_nrm, slopes, win, bound_ok
-    )
+    return MollifierRateReport(p, alpha, eps_arr, s_sup, slopes, bound_ok, table)
 
 
 #: Exponents of the ``besov_report`` seminorm scan.
@@ -264,14 +259,12 @@ class BesovReport:
 
 
 def besov_report(field: ScalarField, p: float) -> BesovReport:
-    """Seminorms over ``BETA_GRID`` and the fitted exponent, from one ladder.
-
-    Each rung of the dyadic shift ladder is measured once; the fit's shifts
-    are a subset of the ladder, so the fit reads the same norms.
-    """
-    norms = _ladder_norms(field, p, dyadic_shift_ladder(field.grid))
-    fit = _regularity_fit(field.grid, lambda off: norms[off][1])
-    sems = np.array([_ladder_sup(norms, b) for b in BETA_GRID])
+    """Seminorms over ``BETA_GRID`` and the fitted exponent, from one table
+    over the dyadic shift ladder, which holds the fit's rungs."""
+    ladder = dyadic_shift_ladder(field.grid)
+    table = ModulusTable(field.grid, field.values, p, ladder, ())
+    fit = fit_regularity(table)
+    sems = np.array([table.sup(ladder, b) for b in BETA_GRID])
     # first differences cannot certify more than Lipschitz; cap the report
     alpha = fit.alpha if fit.degenerate else min(fit.alpha, 1.0)
     return BesovReport(p, np.asarray(BETA_GRID), sems, alpha, fit.residual, fit.degenerate)

@@ -177,12 +177,18 @@ def _resolve_probe_fields(cfg: dict):
     grid = None
     for spec in specs:
         if "file" in spec:
+            if not isinstance(spec["file"], str):   # open(3) would read file descriptor 3
+                raise UsageError(f"probe field 'file' must be a path, got {spec['file']!r}")
             f = load_scalar_field(spec["file"])
         elif "weierstrass" in spec:
             w = spec["weierstrass"]
             g = PeriodicGrid(1, int(w.get("grid_n", 8192)))
-            f = weierstrass_field(float(w["alpha"]), int(w["levels"]), g,
-                                  float(w.get("phase", 0.0)))
+            # 2**levels must reach the grid, and 2.0**levels must stay finite
+            least, levels = (g.cells_per_dim - 1).bit_length(), w["levels"]
+            if type(levels) is not int or not least <= levels <= 1023:
+                raise UsageError(f"weierstrass 'levels' must be an integer in "
+                                 f"[{least}, 1023] for {g.cells_per_dim} cells, got {levels!r}")
+            f = weierstrass_field(float(w["alpha"]), levels, g, float(w.get("phase", 0.0)))
         else:
             raise UsageError("each probe field needs 'file' or 'weierstrass'")
         if grid is not None and f.grid != grid:
@@ -204,7 +210,7 @@ def cmd_commutator_rate(args) -> int:
         gmap = cm.get_gmap(gname, GasParams(gamma))
         probe = cm.CommutatorProbe(fields, alphas, gmap, p, tuple(float(e) for e in eps))
         fit = cm.chain_rate_fit(probe)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(repr(exc))
     chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas,
                          "fields": [_digest(f.values) for f in fields]})

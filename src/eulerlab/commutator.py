@@ -17,7 +17,7 @@ the bilinear/trilinear product commutators
 
 whose L^{p/2} norms are checked against squared L^p mollification and shift
 moduli with a constant frozen from a smooth calibration probe.  Both are one
-eps scan, `_product_scan`, whose shift moduli come from one `besov.ball_sups`.
+eps scan, `_product_scan`, whose shift moduli come from one `besov.ModulusTable`.
 
 G is supplied with closed-form first and second derivatives; nothing here
 differentiates G numerically, so the split terms telescope bit-exactly.
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .besov import ball_sups, dyadic_shift_ladder, seminorm, _asymptotic_window, _loglog_fit
+from .besov import ModulusTable, dyadic_shift_ladder, seminorm, _asymptotic_window, _loglog_fit
 from .errors import DomainError
 from .grid import (
     PeriodicGrid,
@@ -269,7 +269,6 @@ class RateFit:
     slope: float
     predicted: float
     fit_residual: float
-    window: slice
     passed: bool
     bound_ok: np.ndarray
 
@@ -300,8 +299,7 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     slope, resid = _loglog_fit(eps_arr[win], norms_arr[win])
     bound_ok = norms_arr <= (1.0 + CHAIN_BOUND_SLACK) * bounds_arr
     passed = bool(slope >= predicted - 0.1 and np.all(bound_ok))
-    return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, resid, win,
-                   passed, bound_ok)
+    return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, resid, passed, bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +313,6 @@ class ProductCommutatorResult:
     norm: float          # L^{p/2} norm of the commutator
     rhs_mollify: float   # squared L^p mollification modulus of the tuple
     rhs_shift: float     # squared L^p shift modulus, sup over |y| < eps
-    c0: float
     passed: bool
     commutator: np.ndarray
 
@@ -330,7 +327,8 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
     prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
     flux = (stack[0] * prod).reshape((-1,) + grid.shape)
     results = []
-    for eps, sup in zip(eps_list, ball_sups(stack, grid, eps_list, PRODUCT_P)):
+    sups = ModulusTable(grid, stack, PRODUCT_P, (), eps_list).ball_sups(eps_list)
+    for eps, sup in zip(eps_list, sups):
         mol = build_mollifier(grid, eps)
         stack_e = mollify_values(stack, mol, first_axis=1)
         u_e = stack_e[1 : 1 + len(u)]
@@ -340,7 +338,7 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
         rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), PRODUCT_P, vol) ** 2
         rhs2 = sup**2
         results.append(ProductCommutatorResult(
-            eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+            eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
         ))
     return results
 

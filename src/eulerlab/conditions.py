@@ -254,7 +254,6 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
 @dataclass(frozen=True)
 class L1Report:
     l1_norm: float
-    fit_coefficient: float
     fit_power: float           # b in min_C ~ a / tau**b near delta
     integrability_doubtful: bool
     points_fitted: int
@@ -280,10 +279,7 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     tf, vf = t[t > 0.0], v[t > 0.0]
     n_fit = min(max(3, len(tf) // 4), len(tf))
     tf, vf = tf[:n_fit], vf[:n_fit]
+    b = 0.0
     if n_fit >= 2 and np.min(vf) > 0.0:
-        slope = float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
-        b = -slope
-        a = float(np.exp(np.mean(np.log(vf) + b * np.log(tf))))
-    else:
-        a, b = 0.0, 0.0
-    return L1Report(l1, a, b, bool(b >= 1.0), n_fit)
+        b = -float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
+    return L1Report(l1, b, bool(b >= 1.0), n_fit)

@@ -9,7 +9,8 @@ The density splits into a kinetic part and a thermodynamic part,
 an algebraic rearrangement of the linearized ballistic free energy that
 makes nonnegativity explicit: both bracketed factors are Bregman gaps of
 convex functions, zero exactly at state equality.  The candidate temperature
-Theta is recovered from (rho, S); the reference temperature enters directly.
+Theta of an entropic-variable state is recovered from (rho, S); a trajectory
+snapshot gives it directly, as it gives the reference temperature T.
 
 On top of the pointwise density sit the coercivity-gap check (quadratic
 lower bound with a constant calibrated per state box) and the Gronwall
@@ -131,7 +132,6 @@ class CoercivityCalibration:
     box: StateBox
     c_hat: float        # quadratic branch constant, 0.9 x sampled min ratio
     c_far: float        # unbounded branch constant, same rule outside 2x box
-    n_samples: int
     seed: int
 
 
@@ -184,14 +184,13 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
     dens_f = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
     far = _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
     c_far = 0.9 * float(np.min(dens_f.total / far))
-    return CoercivityCalibration(box, c_hat, c_far, n, seed)
+    return CoercivityCalibration(box, c_hat, c_far, seed)
 
 
 @dataclass(frozen=True)
 class CoercivityResult:
     branch: str            # "quadratic" inside the box, "far" outside
     gap: np.ndarray        # E - c * lower-bound form, pointwise
-    c_used: float
     lower_form: np.ndarray
 
 
@@ -219,7 +218,7 @@ def coercivity_gap(state: EntropicState, ref: PrimitiveState,
         form = _far_form(state.rho, vel_cand, theta_cand, ref.rho, ref.vel, params)
         c = calibration.c_far
         branch = "far"
-    return CoercivityResult(branch, dens.total - c * form, c, form)
+    return CoercivityResult(branch, dens.total - c * form, form)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +230,15 @@ def rel_entropy_total(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
                       params: GasParams) -> float:
     """Integral over the domain of the relative entropy density.
 
-    The candidate snapshot is read in entropic variables (its temperature is
-    recovered through the (rho, S) map); the reference enters primitively.
+    Both snapshots are read as (rho, rho u, theta) through one map, so a
+    snapshot against itself gives exactly 0: no temperature round trip
+    through (rho, S) and no momentum slip m - rho (m / rho) is left over.
     """
     if cand.rho.shape != grid.shape or ref.rho.shape != grid.shape:
         raise ValueError("snapshots do not live on the given grid")
     c_rho, c_vel, c_theta = snapshot_primitive(cand, params)
-    s_tot = c_rho * entropy(c_rho, c_theta, params)
-    theta_cand = theta_of(c_rho, s_tot, params)
     r_rho, r_vel, r_theta = snapshot_primitive(ref, params)
-    dens = rel_entropy_terms(c_rho, cand.mom, theta_cand, r_rho, r_vel, r_theta, params)
+    dens = rel_entropy_terms(c_rho, c_rho * c_vel, c_theta, r_rho, r_vel, r_theta, params)
     return grid.cell_volume * exact_sum(dens.total)
 
 
@@ -324,7 +322,6 @@ class GronwallCheck:
     ok: bool
     utilization: float          # max of E(t) / envelope(t), 1.0 is the limit
     times: np.ndarray
-    envelope: np.ndarray
 
 
 def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallCheck:
@@ -347,7 +344,7 @@ def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallChe
                                       where=envelope[1:] != 0.0)))
     else:
         util = 1.0
-    return GronwallCheck(bool(util <= 1.0), util, times, envelope)
+    return GronwallCheck(bool(util <= 1.0), util, times)
 
 
 def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,

@@ -273,16 +273,20 @@ def _pressure(U, gamma, system, out, kin):
 
 def _check_physical(U, gamma, system, t):
     """Raise DomainError at the first cell whose state is not finite or has
-    non-positive density or pressure, naming the time, cell and state.
-    Otherwise return the smallest density and pressure."""
+    non-positive density or pressure, naming the time, the cell, its density
+    and pressure and every other conserved component there.  Otherwise
+    return the smallest density and pressure."""
     rho = U[0]
     with np.errstate(all="ignore"):
         p = _pressure(U, gamma, system, np.empty_like(rho), np.empty_like(rho))
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        names = [f"m{ax}" for ax in range(1, U.ndim)] + (["E"] if system == COMPLETE else [])
+        rest = "".join(f", {n} = {v:.6g}" for n, v in zip(names, U[(slice(1, None),) + cell]))
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
-                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}")
+                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}"
+                          + rest)
     return float(rho.min()), float(p.min())
 
 
@@ -396,17 +400,6 @@ def run(config: SolverConfig) -> Trajectory:
     gamma, system = params.gamma, config.system
     rho, vel, theta = make_initial_state(grid, params, config.init)
     ncomp = grid.dims + (2 if system == COMPLETE else 1)
-    U = np.empty((ncomp,) + grid.shape)
-    U[0] = rho
-    # finite primitives can still overflow here (u = 1e200 gives E = inf)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ax in range(grid.dims):
-            U[1 + ax] = rho * vel[ax]
-        if system == COMPLETE:
-            kin = 0.5 * rho * np.sum(vel * vel, axis=0)
-            U[-1] = kin + rho * params.cv * theta
-    _check_physical(U, gamma, system, 0.0)
-
     stride = config.snapshot_stride
     snap_times: list[float] = []
     if stride is not None:
@@ -421,58 +414,71 @@ def run(config: SolverConfig) -> Trajectory:
         energy = U[-1].copy() if system == COMPLETE else None
         snaps.append(Snapshot(t, U[0].copy(), mom, energy))
 
-    started = time.perf_counter()
-    ws = _Workspace(grid, gamma, system, ncomp)
-    dts: list[float] = []
-    courants: list[float] = []
-    rhs_s = 0.0
-    snaps: list[Snapshot] = []
-    t = 0.0
-    tick = time.perf_counter()
-    record(t, U)
-    record_s = time.perf_counter() - tick
-    next_i = 0
-    dx = grid.cell_width
-    t_state = t  # the time of U, which the next RHS checks
-    while t < config.t_end - 1e-14:
+    # Finite data can overflow (u = 1e200 gives E = inf, or an infinite flux
+    # and then NaN): the checks name the bad state, so numpy stays quiet.
+    # One context per run, as one per RHS call would cost more than the call.
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = np.empty((ncomp,) + grid.shape)
+        U[0] = rho
+        for ax in range(grid.dims):
+            U[1 + ax] = rho * vel[ax]
+        if system == COMPLETE:
+            kin = 0.5 * rho * np.sum(vel * vel, axis=0)
+            U[-1] = kin + rho * params.cv * theta
+        _check_physical(U, gamma, system, 0.0)
+
+        started = time.perf_counter()
+        ws = _Workspace(grid, gamma, system, ncomp)
+        dts: list[float] = []
+        courants: list[float] = []
+        rhs_s = 0.0
+        snaps: list[Snapshot] = []
+        t = 0.0
         tick = time.perf_counter()
-        k1, max_speed = _rhs(U, ws, t_state)
-        rhs_s += time.perf_counter() - tick
-        if max_speed <= 0.0:
-            dt = config.t_end - t
-        else:
-            dt = config.cfl * dx / (grid.dims * max_speed)
-        dt = min(dt, snap_times[next_i] - t)
-        t_state = t + dt
-        stage = ws.stage
-        np.multiply(k1, dt, out=stage)
-        stage += U
-        tick = time.perf_counter()
-        k2, speed_stage = _rhs(stage, ws, t_state)
-        rhs_s += time.perf_counter() - tick
-        # U <- 0.5 U + 0.5 (U_stage + dt k2), in place and in that order
-        k2 *= dt
-        stage += k2
-        stage *= 0.5
-        U *= 0.5
-        U += stage
-        courant = speed_stage * dt * grid.dims / dx
-        if courant > 1.0:
-            _check_physical(U, gamma, system, t_state)
-            raise StabilityError(
-                f"Courant violation mid-step at t = {t:.6g}: "
-                f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
-            )
-        dts.append(dt)
-        courants.append(courant)
-        t = t_state
-        if abs(t - snap_times[next_i]) < 1e-12:
-            t = snap_times[next_i]
+        record(t, U)
+        record_s = time.perf_counter() - tick
+        next_i = 0
+        dx = grid.cell_width
+        t_state = t  # the time of U, which the next RHS checks
+        while t < config.t_end - 1e-14:
             tick = time.perf_counter()
-            record(t, U)
-            record_s += time.perf_counter() - tick
-            next_i += 1
-    ws.note(*_check_physical(U, gamma, system, t_state), t_state)
+            k1, max_speed = _rhs(U, ws, t_state)
+            rhs_s += time.perf_counter() - tick
+            if max_speed <= 0.0:
+                dt = config.t_end - t
+            else:
+                dt = config.cfl * dx / (grid.dims * max_speed)
+            dt = min(dt, snap_times[next_i] - t)
+            t_state = t + dt
+            stage = ws.stage
+            np.multiply(k1, dt, out=stage)
+            stage += U
+            tick = time.perf_counter()
+            k2, speed_stage = _rhs(stage, ws, t_state)
+            rhs_s += time.perf_counter() - tick
+            # U <- 0.5 U + 0.5 (U_stage + dt k2), in place and in that order
+            k2 *= dt
+            stage += k2
+            stage *= 0.5
+            U *= 0.5
+            U += stage
+            courant = speed_stage * dt * grid.dims / dx
+            if courant > 1.0:
+                _check_physical(U, gamma, system, t_state)
+                raise StabilityError(
+                    f"Courant violation mid-step at t = {t:.6g}: "
+                    f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
+                )
+            dts.append(dt)
+            courants.append(courant)
+            t = t_state
+            if abs(t - snap_times[next_i]) < 1e-12:
+                t = snap_times[next_i]
+                tick = time.perf_counter()
+                record(t, U)
+                record_s += time.perf_counter() - tick
+                next_i += 1
+        ws.note(*_check_physical(U, gamma, system, t_state), t_state)
     meta = {
         "config_hash": config_hash(config.as_dict()),
         "config": config.as_dict(),

@@ -27,72 +27,37 @@ Arrays = tuple[np.ndarray, ...]
 
 @dataclass(frozen=True)
 class SpaceTimeTest:
-    """Smooth test function with closed-form time and space derivatives.
+    """Smooth test function, given by its values.
 
-    ``value(t, X)``, ``dt(t, X)`` and ``grad(t, X)`` take the snapshot time
-    and the tuple of coordinate arrays; grad returns component-first arrays.
-    ``nonneg`` marks admissibility for entropy testing.
+    ``value(t, X)`` takes the snapshot time and the tuple of coordinate
+    arrays; the weak forms difference its samples in time and on the
+    lattice.  ``nonneg`` marks admissibility for entropy testing.
     """
 
     name: str
     value: Callable
-    dt: Callable
-    grad: Callable
     nonneg: bool = False
 
 
-def _scalar_bump(s: float) -> tuple[float, float]:
+def _scalar_bump(s: float) -> float:
     if abs(s) >= 1.0:
-        return 0.0, 0.0
-    q = 1.0 - s * s
-    v = math.exp(-1.0 / q)
-    return v, v * (-2.0 * s / (q * q))
-
-
-def time_bump(t0: float, t1: float) -> tuple[Callable, Callable]:
-    """Smooth bump supported in (t0, t1) and its derivative."""
-    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-
-    def val(t):
-        return _scalar_bump((t - mid) / half)[0]
-
-    def der(t):
-        return _scalar_bump((t - mid) / half)[1] / half
-
-    return val, der
+        return 0.0
+    return math.exp(-1.0 / (1.0 - s * s))
 
 
 def bump_test(center, width: float, t0: float, t1: float,
               nonneg: bool = True) -> SpaceTimeTest:
     """Tensor bump in space times a bump in time, compact in (t0, t1)."""
     centers = np.atleast_1d(np.asarray(center, dtype=float))
-    tval, tder = time_bump(t0, t1)
+    mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
 
-    def space(X):
-        vals, ders = [], []
-        for ax, x in enumerate(X):
-            v, d = bump_profile(wrap(x - centers[ax]) / width)
-            vals.append(v)
-            ders.append(d / width)
-        total = vals[0]
-        for v in vals[1:]:
-            total = total * v
-        grads = []
-        for ax in range(len(X)):
-            g = ders[ax]
-            for other in range(len(X)):
-                if other != ax:
-                    g = g * vals[other]
-            grads.append(g)
-        return total, np.stack(grads)
+    def value(t, X):
+        space = bump_profile(wrap(X[0] - centers[0]) / width)[0]
+        for ax in range(1, len(X)):
+            space = space * bump_profile(wrap(X[ax] - centers[ax]) / width)[0]
+        return _scalar_bump((t - mid) / half) * space
 
-    return SpaceTimeTest(
-        f"bump(c={tuple(centers)!r},w={width},t=({t0},{t1}))",
-        lambda t, X: tval(t) * space(X)[0],
-        lambda t, X: tder(t) * space(X)[0],
-        lambda t, X: tval(t) * space(X)[1],
-        nonneg,
-    )
+    return SpaceTimeTest(f"bump(c={tuple(centers)!r},w={width},t=({t0},{t1}))", value, nonneg)
 
 
 def _time_trapezoid(times, series) -> float:

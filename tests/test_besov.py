@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from eulerlab import besov
 from eulerlab.besov import (
+    ModulusTable,
     MollifierRateReport,
     _diff_norm,
-    ball_sups,
     besov_report,
     dyadic_shift_ladder,
     fit_regularity,
@@ -29,6 +29,15 @@ from eulerlab.grid import (
 )
 
 EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
+
+
+def _fit_rungs(grid):
+    return dyadic_shift_ladder(grid, include_triples=False, max_cells=max(1, grid.cells_per_dim // 16))
+
+
+def _fit(field, p):
+    """The regularity fit from a table over the fit's own rungs only."""
+    return fit_regularity(ModulusTable(field.grid, field.values, p, _fit_rungs(field.grid), ()))
 
 
 class TestSeminorm:
@@ -91,38 +100,38 @@ class TestSeminorm:
 class TestFitRegularity:
     @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
     def test_recovers_weierstrass_exponent(self, weier8k, alpha):
-        fit = fit_regularity(weier8k[alpha], 3.0)
+        fit = _fit(weier8k[alpha], 3.0)
         assert fit.alpha == pytest.approx(alpha, abs=0.05)
 
     def test_smooth_field_saturates_at_lipschitz(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.sin(np.pi * x))
-        fit = fit_regularity(f, 3.0)
+        fit = _fit(f, 3.0)
         assert fit.alpha == pytest.approx(1.0, abs=0.05)
 
     def test_step_function_scales_as_inverse_p(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.where(np.abs(x) < 0.5, 1.0, 0.0))
-        fit = fit_regularity(f, 3.0)
+        fit = _fit(f, 3.0)
         assert fit.alpha == pytest.approx(1.0 / 3.0, abs=0.02)
         # closed form: two unit jumps give ||Delta_h f||_3 = (2h)**(1/3)
         h = fit.lengths[3]
         assert fit.diff_norms[3] == pytest.approx((2.0 * h) ** (1.0 / 3.0), rel=1e-12)
 
     def test_constant_field_reports_degenerate(self, grid256):
-        fit = fit_regularity(constant_field(grid256, 1.0), 2.0)
+        fit = _fit(constant_field(grid256, 1.0), 2.0)
         assert fit.degenerate and math.isinf(fit.alpha)
 
     def test_requires_three_octaves(self):
         # a 32-cell grid's fit ladder stops at two cells: shifts (1,) and (2,)
         f = field_from_function(PeriodicGrid(1, 32), lambda x: np.sin(np.pi * x))
         with pytest.raises(ValueError, match="3 octaves"):
-            fit_regularity(f, 2.0)
+            _fit(f, 2.0)
 
     @pytest.mark.parametrize("cells", [8, 15])
     def test_grid_under_sixteen_cells_is_too_coarse_not_a_math_error(self, cells):
         # a sixteenth of the period is under one cell, so the ladder holds one rung
         f = field_from_function(PeriodicGrid(1, cells), lambda x: np.sin(np.pi * x))
         with pytest.raises(ValueError, match="shift range must span at least 3 octaves"):
-            fit_regularity(f, 2.0)
+            _fit(f, 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -193,24 +202,36 @@ class TestBallSups:
         f = field_from_function(grid256, lambda x: np.sin(np.pi * x) + np.abs(x))
         dx = grid256.cell_width
         eps = [0.1, 0.5 * dx, 0.0625, 0.1, 2.0 * dx, -1.0]    # 0.1 = 12.8 cells
-        sups = ball_sups(f.values, grid256, eps, 3.0)
+        sups = ModulusTable(grid256, f.values, 3.0, (), eps).ball_sups(eps)
         resolved = [i for i, e in enumerate(eps) if e >= 2.0 * dx]
         assert [sups[i].hex() for i in resolved] == [
             _oracle_shift_sup(f, eps[i], 3.0).hex() for i in resolved]
         assert sups[4] == _diff_norm(f, (1,), 3.0)       # the ball {dx}
         assert sups[1].hex() == sups[5].hex() == "0x0.0p+0"   # empty balls
-        assert ball_sups(f.values, grid256, [], 3.0) == []
+        assert ModulusTable(grid256, f.values, 3.0, (), []).ball_sups([]) == []
 
     def test_each_offset_is_evaluated_once(self, weier8k, monkeypatch):
-        # the per-eps loop shifted 255 + 127 + ... + 3 = 501 times over EPS_SCAN
+        # the per-eps loop shifted 255 + 127 + ... + 3 = 501 times over EPS_SCAN,
+        # a ladder and a ball of their own 22 + 255 = 277: 15 rungs lie in the ball
         calls = []
         real = besov.shift_values
         monkeypatch.setattr(besov, "shift_values",
                             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN))
+        rep = verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN))
+        fit = fit_regularity(rep.table)      # the besov gate's fit: no second pass
         ladder = dyadic_shift_ladder(weier8k[0.6].grid)
-        assert len(calls) == len(ladder) + 255 == 22 + 255   # the seminorm ladder, one ball
-        assert len(set(calls)) == 262                        # 15 rungs lie in the ball
+        assert len(ladder) == 22 and set(_fit_rungs(weier8k[0.6].grid)) <= set(ladder)
+        assert len(calls) == len(set(calls)) == 22 + 255 - 15 == 262
+        alone = _fit(weier8k[0.6], 3.0)
+        assert (fit.alpha.hex(), fit.residual.hex()) == (alone.alpha.hex(), alone.residual.hex())
+
+    def test_a_ball_beyond_the_table_is_refused(self, grid256):
+        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
+        table = ModulusTable(grid256, f.values, 3.0, dyadic_shift_ladder(grid256), [0.0625])
+        assert table.ball_sups([0.0625, 0.03125]) == [
+            _oracle_shift_sup(f, e, 3.0) for e in (0.0625, 0.03125)]
+        with pytest.raises(ValueError, match="exceeds the table's ball"):
+            table.ball_sups([0.125])
 
 
 class TestReports:
@@ -240,7 +261,7 @@ class TestReports:
         monkeypatch.setattr(besov, "_diff_norm", real)
         assert [s.hex() for s in rep.seminorms.tolist()] == [
             seminorm(f, b, p, ladder).hex() for b in rep.beta_grid]
-        fit = fit_regularity(f, p)
+        fit = _fit(f, p)
         assert rep.fitted_alpha.hex() == min(fit.alpha, 1.0).hex()
         assert rep.fit_residual.hex() == fit.residual.hex()
 

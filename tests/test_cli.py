@@ -307,6 +307,27 @@ class TestInputBoundary:
         assert f"initial {field} is not finite at t = 0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"weierstrass": {"alpha": 0.6, "levels": 1024, "grid_n": 64}},
+         "'levels' must be an integer in [6, 1023] for 64 cells, got 1024"),
+        ({"weierstrass": {"alpha": 0.6, "levels": 10**9, "grid_n": 64}}, "got 1000000000"),
+        ({"weierstrass": {"alpha": 0.6, "levels": 5, "grid_n": 64}}, "got 5"),
+        ({"weierstrass": {"alpha": 0.6, "levels": 7.0, "grid_n": 64}}, "got 7.0"),
+        ({"weierstrass": {"alpha": 0.6, "levels": True, "grid_n": 64}}, "got True"),
+        ({"file": 3}, "probe field 'file' must be a path, got 3"),
+    ])
+    def test_commutator_rate_rejects_levels_and_file_where_they_enter(self, tmp_path, capsys,
+                                                                      spec, message):
+        # levels >= 1024 overflowed 2.0**k after building 2**levels, and open(3)
+        # read file descriptor 3
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({"fields": [spec], "G": "square"}))
+        out = tmp_path / "rep"
+        assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("p", [float("nan"), 1.5])
     def test_commutator_rate_rejects_exponent_below_two_or_nan(self, tmp_path, capsys, p):
         cfg = tmp_path / "probe.json"
@@ -394,7 +415,21 @@ class TestInputBoundary:
             code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "at t = 0, cell (0,): rho = 1, p = nan" in err and "Traceback" not in err
+        assert "at t = 0, cell (0,): rho = 1, p = nan, m1 = 1e+200, E = inf" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_flux_exits_1_naming_the_component(self, tmp_path, capsys):
+        # the isentropic pressure stays 1 while the momentum flux m u overflows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"system": "isentropic", "grid_n": 32, "t_end": 0.2,
+                                   "init": {"name": "constant", "u": 1e200}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "cell (0,): rho = 1, p = 1, m1 = nan" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys,
@@ -416,7 +451,7 @@ class TestInputBoundary:
         assert code == 1
         err = capsys.readouterr().err
         # the second step ends at t = 2 dt
-        assert "at t = 0.0361607, cell (0,): rho = -108516, p = -102925" in err
+        assert "at t = 0.0361607, cell (0,): rho = -108516, p = -102925, m1 = " in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -543,6 +578,20 @@ class TestGronwallOnAnEqualPair:
             assert "PASS (utilization 0.000" in capsys.readouterr().out
             rows = _read_rows(out / "relentropy_trace.csv")[2:]
             assert rows and all(r.split(",")[1] == "0" for r in rows)
+
+    def test_a_rarefaction_run_against_itself_is_exactly_0(self, tmp_path, capsys):
+        # the candidate's temperature went through theta_of(rho, rho s) and its
+        # slip through m - rho (m / rho): round-off of 1e-33 that failed the envelope
+        traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.5,
+                         init={"name": "double_rarefaction"})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["relentropy", "--traj-a", str(traj), "--traj-b", str(traj),
+                         "--out", str(tmp_path / "rep")])
+        assert code == 0
+        assert "PASS (utilization 0.000" in capsys.readouterr().out
+        rows = _read_rows(tmp_path / "rep" / "relentropy_trace.csv")[2:]
+        assert len(rows) == 9 and all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
 def _meta_edit(key, value):
@@ -788,3 +837,54 @@ def test_fuzz_field_csv(dims, cells, how, token, seed):
         _run_cli(["besov-fit", "--field", path, "--out", tmp])
         _run_cli(["oslip-check", "--field", path, "--out", tmp])
 
+
+
+# Commutator-probe configs: a valid probe on a 64-cell grid with a few keys,
+# or one probe field, replaced by values from short lists, valid and broken.
+_VALID_PROBE = {"fields": [{"weierstrass": {"alpha": 0.6, "levels": 6, "grid_n": 64}}],
+                "G": "square", "p": 4.0, "eps": [0.5, 0.25, 0.125, 0.0625]}
+_PROBE_VARIANTS = {
+    "G": ["product", "pressure_tilde", "cube", 3, None],
+    "p": [2.0, 1.5, float("nan"), float("inf"), "x", None],
+    "eps": [[0.5, 0.25, 0.125, 0.0625, 0.03125], [0.25, 0.125], [], [0.5, -1.0, 0.0625],
+            [float("nan")] * 4, ["x"], "x", None],
+    "gamma": [5.0 / 3.0, 1.0, "x"],
+}
+_WEIER_VARIANTS = {
+    "levels": [7, 5, 1023, 1024, 10**6, 6.0, "6", True, None, -1],
+    "grid_n": [32, 16, 3, 0, float("inf"), "x"],
+    "alpha": [0.3, 1.0, 1.5, 0.0, float("nan"), "x"],
+    "phase": [1.0, float("inf"), "x"],
+}
+_PROBE_FIELDS = [
+    {"file": "field.csv", "alpha": 0.6}, {"file": "field.csv", "alpha": "x"},
+    {"file": "missing.csv"}, {"file": 3}, {"file": None}, {"file": ["field.csv"]},
+    {"weierstrass": [1]}, {"weierstrass": {"alpha": 0.6}}, {}, 3, "file", None,
+]
+
+
+@st.composite
+def _probe_configs(draw):
+    cfg = dict(_VALID_PROBE)
+    for key in draw(st.lists(st.sampled_from(sorted(_PROBE_VARIANTS)), max_size=1)):
+        cfg[key] = draw(st.sampled_from(_PROBE_VARIANTS[key]))
+    weier = dict(_VALID_PROBE["fields"][0]["weierstrass"])
+    for key in draw(st.lists(st.sampled_from(sorted(_WEIER_VARIANTS)), max_size=1)):
+        weier[key] = draw(st.sampled_from(_WEIER_VARIANTS[key]))
+    # mostly one field; two must share a grid, and the valid file does
+    second = draw(st.sampled_from([None] * 6 + [{"weierstrass": weier}] + _PROBE_FIELDS))
+    cfg["fields"] = [{"weierstrass": weier}] + ([] if second is None else [second])
+    if draw(st.integers(0, 3)) == 0:
+        del cfg["fields"][0]
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cfg=st.one_of(_probe_configs(), st.sampled_from([[], 3, {}, {"G": "square"}])))
+def test_fuzz_commutator_config(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp) / "field.csv"
+        save_scalar_field(field, weierstrass_field(0.6, 6, PeriodicGrid(1, 64)))
+        path = Path(tmp) / "probe.json"
+        path.write_text(json.dumps(cfg).replace('"field.csv"', json.dumps(str(field))))
+        _run_cli(["commutator-rate", "--config", path, "--out", Path(tmp) / "rep"])

@@ -290,7 +290,7 @@ def _oracle_bilinear(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     mag = np.sqrt(np.sum(comm * comm, axis=0))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
     return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+        eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
     )
 
 
@@ -309,7 +309,7 @@ def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     mag = np.sqrt(np.sum(comm * comm, axis=(0, 1)))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
     return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, c0, bool(norm <= c0 * (rhs1 + rhs2)), comm
+        eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
     )
 
 

@@ -315,8 +315,11 @@ def _oracle_check_physical(U, gamma, system, t):
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
+        names = ["m1", "m2"][: U.ndim - 1] + (["E"] if system == COMPLETE else [])
+        rest = "".join(f", {n} = {U[1 + i][cell]:.6g}" for i, n in enumerate(names))
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
-                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}")
+                          f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}"
+                          + rest)
 
 
 def _oracle_run(config, rhs=_oracle_rhs):

@@ -20,6 +20,22 @@ TEST_ONLY = {
     "j1_term": "the kinetic coupling term J1, to be written into the relentropy report",
 }
 
+#: Result fields that only tests read, each kept on purpose.
+TEST_ONLY_FIELDS = {
+    "RegularityFit.lengths": "the step-function test checks a modulus against its closed form",
+    "RegularityFit.diff_norms": "as RegularityFit.lengths",
+    "MollifierRateReport.shift_sup": "the ball-sup oracle test compares it bit for bit",
+    "MollifierRateReport.slopes": "the rate tests hold the three fitted slopes to their bands",
+    "ChainCommutatorResult.norm_a": "the split test checks that each term decays on its own",
+    "ChainCommutatorResult.norm_b": "as ChainCommutatorResult.norm_a",
+    "OslipWeakResult.direction": "where the maximum sits; the fast-path-vs-oracle tests compare it",
+    "OslipWeakResult.bump_label": "as OslipWeakResult.direction",
+    "OslipDiscreteResult.masked_wrap": "records the mask a value was taken with",
+    "L1Report.points_fitted": "the fit-window test pins how many points the power law sees",
+    "CoercivityResult.branch": "the branch tests check which lower bound a pair is held to",
+    "CoercivityResult.lower_form": "the quadratic-branch test checks the form itself",
+}
+
 #: Defaulted parameters that no caller in src/ or perfbench/ sets, each kept on purpose.
 UNSET_OPTIONS = {
     "make_bump_basis(widths)": "the fast-path-vs-oracle tests build other bases",
@@ -32,12 +48,12 @@ UNSET_OPTIONS = {
 
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
-    """(line, enclosing function names) of every reference to ``name``,
-    import statements included unless ``imports`` is false."""
+    """(line, enclosing class and function names) of every reference to
+    ``name``, import statements included unless ``imports`` is false."""
     found = []
 
     def visit(node, scope):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         is_ref = ((isinstance(node, ast.Attribute) and node.attr == name)
                   or (isinstance(node, ast.Name) and node.id == name)
@@ -61,14 +77,44 @@ def test_math_fsum_only_inside_exact_sum():
     assert not stray, f"math.fsum outside grid.exact_sum: {stray}"
 
 
-def test_ball_offsets_only_inside_ball_sups():
-    """One ball-sup scan enumerates lattice balls: no second per-eps loop."""
-    uses = {(path.name, line, scope) for path in sorted(SRC.glob("*.py"))
-            for line, scope in _uses(ast.parse(path.read_text(), str(path)), "ball_offsets",
+def _stray_uses(src: Path, name: str, home: tuple, modules=None) -> list[str]:
+    """``module:line`` of every non-import reference to ``name`` in ``modules``
+    (default: all of ``src``) outside the (module, scope) ``home``; asserts
+    there is one."""
+    uses = {(path.name, line, scope) for path in sorted(src.glob("*.py"))
+            if modules is None or path.name in modules
+            for line, scope in _uses(ast.parse(path.read_text(), str(path)), name,
                                      imports=False)}
-    stray = [f"{name}:{line}" for name, line, scope in sorted(uses)
-             if not (name == "besov.py" and scope == ("ball_sups",))]
-    assert uses and not stray, f"ball_offsets outside besov.ball_sups: {stray}"
+    assert uses, f"{name} is gone"
+    return [f"{module}:{line}" for module, line, scope in sorted(uses)
+            if (module, scope) != home]
+
+
+def test_ball_offsets_only_inside_the_modulus_table():
+    """One function builds a ball table: no second per-eps ball loop."""
+    stray = _stray_uses(SRC, "ball_offsets", ("besov.py", ("ModulusTable", "__init__")))
+    assert not stray, f"ball_offsets outside besov.ModulusTable: {stray}"
+
+
+#: The name the guard tracks, its one allowed (module, scope), and the modules it checks.
+_ONE_MODULUS = ("shift_values", ("besov.py", ("_diff_norm",)), ("besov.py", "commutator.py"))
+
+
+def test_one_shift_modulus_evaluation():
+    """besov._diff_norm is the one place the estimate monitors form
+    f(.+h) - f: every shift modulus is read from a table it fills."""
+    stray = _stray_uses(SRC, *_ONE_MODULUS)
+    assert not stray, f"shift_values outside besov._diff_norm: {stray}"
+
+
+def test_modulus_guard_sees_a_planted_evaluation(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "commutator.py", "a") as fh:
+        fh.write("\n\nclass Planted:\n    def sup(self, v, off):\n"
+                 "        return abs(grid.shift_values(v, off) - v).max()\n")
+    last = (src / "commutator.py").read_text().count("\n")
+    assert _stray_uses(src, *_ONE_MODULUS) == [f"commutator.py:{last}"]
 
 
 def test_guard_sees_fsum():
@@ -130,6 +176,51 @@ def test_guard_sees_a_planted_dead_function(tmp_path):
     with open(src / "besov.py", "a") as fh:
         fh.write("\n_PLANTED = grid.planted\n")
     assert _unread_public_defs(src, BENCH) == before
+
+
+def _unread_fields(src: Path, bench: Path) -> list[str]:
+    """``Class.field`` of every dataclass or NamedTuple field in ``src`` whose
+    name no attribute read in ``src`` or ``bench`` takes (nor, in ``bench``,
+    a string constant); by name, as the public-def guard."""
+    reads = set().union(*({sub.attr for sub in ast.walk(ast.parse(p.read_text()))
+                           if isinstance(sub, ast.Attribute)} for p in src.glob("*.py")),
+                        *(_reads(ast.parse(p.read_text()), bench=True)
+                          for p in bench.glob("*.py")))
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if isinstance(cls, ast.ClassDef) and (
+                    "NamedTuple" in {getattr(b, "id", None) for b in cls.bases}
+                    or any("dataclass" in _reads(d) for d in cls.decorator_list)):
+                found += [f"{cls.name}.{st.target.id}" for st in cls.body
+                          if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
+                          and st.target.id not in reads]
+    return found
+
+
+def test_every_result_field_has_a_reader():
+    """No result value that nothing reads, beyond the listed test-only fields."""
+    unread = _unread_fields(SRC, BENCH)
+    stray = sorted(set(unread) - set(TEST_ONLY_FIELDS))
+    assert not stray, f"fields nothing in src/ or perfbench/ reads: {stray}"
+    stale = sorted(set(TEST_ONLY_FIELDS) - set(unread))
+    assert not stale, f"listed as test-only but now read: {stale}"
+
+
+def test_field_guard_sees_a_planted_field(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = _unread_fields(src, BENCH)
+    with open(src / "grid.py", "a") as fh:
+        fh.write("\n\n@dataclass(frozen=True)\nclass Planted:\n"
+                 "    kept: float\n    planted_extra: int = 0\n\n\n"
+                 "def planted(x):\n"
+                 "    return Planted(x, 1).kept + Planted(x, planted_extra=2).kept\n")
+    # construction is no reader, neither by position nor by keyword
+    assert set(_unread_fields(src, BENCH)) - set(before) == {"Planted.planted_extra"}
+    with open(src / "besov.py", "a") as fh:
+        fh.write("\n_PLANTED = grid.planted(1.0).planted_extra\n")
+    assert _unread_fields(src, BENCH) == before
 
 
 def _options(tree: ast.Module):
