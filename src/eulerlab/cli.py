@@ -182,12 +182,17 @@ def _resolve_probe_fields(cfg: dict):
             f = load_scalar_field(spec["file"])
         elif "weierstrass" in spec:
             w = spec["weierstrass"]
-            g = PeriodicGrid(1, int(w.get("grid_n", 8192)))
-            # 2**levels must reach the grid, and 2.0**levels must stay finite
-            least, levels = (g.cells_per_dim - 1).bit_length(), w["levels"]
-            if type(levels) is not int or not least <= levels <= 1023:
+            cells = w.get("grid_n", 8192)
+            if type(cells) is not int or not 4 <= cells <= 2**16:
+                raise UsageError(f"weierstrass 'grid_n' must be an integer in "
+                                 f"[4, {2**16}], got {cells!r}")
+            g = PeriodicGrid(1, cells)
+            # 2**levels must reach the grid, and the top phase 2.0**levels * pi
+            # must stay finite (2.0**1023 * pi is inf)
+            least, levels = (cells - 1).bit_length(), w["levels"]
+            if type(levels) is not int or not least <= levels <= 1022:
                 raise UsageError(f"weierstrass 'levels' must be an integer in "
-                                 f"[{least}, 1023] for {g.cells_per_dim} cells, got {levels!r}")
+                                 f"[{least}, 1022] for {cells} cells, got {levels!r}")
             f = weierstrass_field(float(w["alpha"]), levels, g, float(w.get("phase", 0.0)))
         else:
             raise UsageError("each probe field needs 'file' or 'weierstrass'")

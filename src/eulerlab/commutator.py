@@ -234,11 +234,11 @@ def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResul
     grid = probe.grid
     mol = build_mollifier(grid, eps)
     f = np.stack([c.values for c in probe.components])
-    fe = np.stack([mollify_values(c.values, mol) for c in probe.components])
+    fe = mollify_values(f, mol, first_axis=1)
     dg = probe.gmap.grad(f)
     dge = probe.gmap.grad(fe)
     grads = np.stack([grad_values(c.values, grid.cell_width) for c in probe.components])
-    grads_e = np.stack([mollify_values(g, mol, first_axis=1) for g in grads])
+    grads_e = mollify_values(grads, mol, first_axis=2)
     term_a = np.einsum("i...,id...->d...", dge - dg, grads_e)
     inner = np.einsum("i...,id...->d...", dg, grads)
     term_b = np.einsum("i...,id...->d...", dg, grads_e) - mollify_values(

@@ -307,10 +307,19 @@ def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
 
 
 def mollify_values(values: np.ndarray, mol: Mollifier, first_axis: int = 0) -> np.ndarray:
-    vol = mol.cell_width ** mol.offsets.shape[1]
+    """out(x) = sum over taps, in tap order, of w * vol * values(x - off*dx).
+
+    The spatial axes (the last ones, from ``first_axis``) are padded once,
+    periodically, by the kernel radius, so each tap reads a view of the pad.
+    """
+    dims = mol.offsets.shape[1]
+    vol = mol.cell_width**dims
+    r, n = mol.radius_cells, values.shape[-1]
+    padded = np.pad(values, [(0, 0)] * first_axis + [(r, r)] * dims, mode="wrap")
+    lead = (slice(None),) * first_axis
     out = np.zeros_like(values)
-    for off, w in zip(mol.offsets, mol.weights):
-        out += (w * vol) * shift_values(values, tuple(-off), first_axis)
+    for off, w in zip(mol.offsets.tolist(), mol.weights):
+        out += (w * vol) * padded[lead + tuple(slice(r - o, r - o + n) for o in off)]
     return out
 
 

@@ -29,7 +29,7 @@ from scipy.stats import qmc
 
 from .conditions import oslip_discrete
 from .errors import DomainError
-from .grid import PeriodicGrid, exact_sum, grad_values
+from .grid import PeriodicGrid, exact_sum, grad_values, shift_values
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import (
     EntropicState,
@@ -289,20 +289,22 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
     )
     oslip = []
     w1inf = []
+    unit = np.eye(grid.dims, dtype=int)
+    theta_prev = None
     for j, i in enumerate(keep):
         _, vel, theta = snapshot_primitive(traj_b.snapshots[i], params)
         oslip.append(oslip_discrete(grid, vel).value)
         grad_sup = max(
-            float(np.max(np.abs(np.roll(theta, -1, axis=ax) - theta))) / grid.cell_width
-            for ax in range(grid.dims)
+            float(np.max(np.abs(shift_values(theta, off) - theta))) / grid.cell_width
+            for off in unit
         )
-        if j > 0:
-            _, _, theta_prev = snapshot_primitive(traj_b.snapshots[keep[j - 1]], params)
+        if theta_prev is not None:
             dt_loc = times[j] - times[j - 1]
             time_sup = float(np.max(np.abs(theta - theta_prev))) / dt_loc
         else:
             time_sup = 0.0
         w1inf.append(max(grad_sup, time_sup))
+        theta_prev = theta
     oslip_c = np.array(oslip)
     k_thermo = KAPPA_STRUCT * np.array(w1inf)
     fitted = np.full(len(times), np.nan)

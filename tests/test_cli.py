@@ -309,7 +309,7 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("spec,message", [
         ({"weierstrass": {"alpha": 0.6, "levels": 1024, "grid_n": 64}},
-         "'levels' must be an integer in [6, 1023] for 64 cells, got 1024"),
+         "'levels' must be an integer in [6, 1022] for 64 cells, got 1024"),
         ({"weierstrass": {"alpha": 0.6, "levels": 10**9, "grid_n": 64}}, "got 1000000000"),
         ({"weierstrass": {"alpha": 0.6, "levels": 5, "grid_n": 64}}, "got 5"),
         ({"weierstrass": {"alpha": 0.6, "levels": 7.0, "grid_n": 64}}, "got 7.0"),
@@ -327,6 +327,37 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("levels,code", [(1022, 0), (1023, 2)])
+    def test_commutator_rate_levels_stop_at_the_last_finite_phase(self, tmp_path, capsys,
+                                                                  levels, code):
+        # 2.0**1023 * pi is inf: level 1023 made numpy warn and the field
+        # check fail without naming levels
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({
+            "fields": [{"weierstrass": {"alpha": 0.3, "levels": levels, "grid_n": 64}}],
+            "G": "square", "eps": [0.5, 0.25, 0.125, 0.0625]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["commutator-rate", "--config", str(cfg),
+                         "--out", str(tmp_path / "rep")]) == code
+        err = capsys.readouterr().err
+        assert ("'levels' must be an integer in [6, 1022]" in err) == (code == 2)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("cells", [2**40, 2**16 + 1, 3, 64.0, True, "64"])
+    def test_commutator_rate_bounds_grid_n_before_building_a_grid(self, tmp_path, capsys,
+                                                                 cells):
+        # int(grid_n) took floats and any size, so 2**40 allocated without limit
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({
+            "fields": [{"weierstrass": {"alpha": 0.6, "levels": 20, "grid_n": cells}}],
+            "G": "square"}))
+        out = tmp_path / "rep"
+        assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"'grid_n' must be an integer in [4, 65536], got {cells!r}" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("p", [float("nan"), 1.5])
     def test_commutator_rate_rejects_exponent_below_two_or_nan(self, tmp_path, capsys, p):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eulerlab.acceptance import EPS_SCAN
 from eulerlab.errors import DomainError, ResolutionError
 from eulerlab.grid import (
     EXACT_SUM_MIN_TERMS,
@@ -78,6 +79,16 @@ class TestNorms:
 
 def _mollify(field, mol):
     return ScalarField(field.grid, mollify_values(field.values, mol))
+
+
+def _mollify_shift_sum(values, mol, first_axis=0):
+    """Oracle: one periodic shifted copy of the field per kernel tap, summed
+    in tap order."""
+    vol = mol.cell_width ** mol.offsets.shape[1]
+    out = np.zeros_like(values)
+    for off, w in zip(mol.offsets, mol.weights):
+        out += (w * vol) * shift_values(values, tuple(-off), first_axis)
+    return out
 
 
 def _laplacian(field):
@@ -174,6 +185,46 @@ class TestMollifier:
         f = _random_field(grid2d, seed=9)
         out = _mollify(f, build_mollifier(grid2d, 0.2))
         assert lp_norm(out, 2) <= lp_norm(f, 2)
+
+
+class TestPaddedMollifierMatchesShiftSum:
+    """mollify_values reads each tap from one periodic pad; bit for bit it is
+    the shift-sum of rolled copies."""
+
+    @staticmethod
+    def _check(grid, eps, lead=(), first_axis=0, seed=0):
+        values = np.random.default_rng(seed).standard_normal(lead + grid.shape)
+        mol = build_mollifier(grid, eps)
+        assert np.array_equal(mollify_values(values, mol, first_axis),
+                              _mollify_shift_sum(values, mol, first_axis))
+        return mol
+
+    @pytest.mark.parametrize("eps", EPS_SCAN)
+    def test_1d_measurement_grid(self, grid8k, eps):
+        self._check(grid8k, eps)
+
+    @pytest.mark.parametrize("eps", [0.125, 0.0625])
+    def test_2d(self, eps):
+        self._check(PeriodicGrid(2, 128), eps)
+
+    def test_component_stack(self):
+        self._check(PeriodicGrid(2, 128), 0.0625, lead=(3,), first_axis=1)
+
+    def test_gradient_stack(self, grid2d):
+        # (component, direction, x, y), as the chain commutator mollifies it
+        self._check(grid2d, 0.1, lead=(2, 2), first_axis=2)
+
+    @pytest.mark.parametrize("dims,cells,eps", [(1, 8192, 0.0123), (1, 256, 0.0917),
+                                                (2, 64, 0.137)])
+    def test_off_lattice_radius(self, dims, cells, eps):
+        self._check(PeriodicGrid(dims, cells), eps)
+
+    @pytest.mark.parametrize("dims,eps,radius", [(1, 5.0, 39), (2, 2.3, 18)])
+    def test_radius_beyond_the_grid(self, dims, eps, radius):
+        # the pad wraps more than once around a 16-cell axis
+        mol = self._check(PeriodicGrid(dims, 16), eps, lead=(2,) * (dims - 1),
+                          first_axis=dims - 1)
+        assert mol.radius_cells == radius >= 16
 
 
 class TestCalculus:

@@ -117,6 +117,30 @@ def test_modulus_guard_sees_a_planted_evaluation(tmp_path):
     assert _stray_uses(src, *_ONE_MODULUS) == [f"commutator.py:{last}"]
 
 
+def _stray_rolls(src: Path) -> list[str]:
+    """``module:line`` of every np.roll outside grid.py, the one module that
+    shifts arrays periodically."""
+    return [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
+            if path.name != "grid.py"
+            for line, _ in _uses(ast.parse(path.read_text(), str(path)), "roll")]
+
+
+def test_np_roll_only_inside_grid():
+    """A periodic shift goes through grid (shift_values, mollify_values,
+    grad_values), not through a private np.roll."""
+    stray = _stray_rolls(SRC)
+    assert not stray, f"np.roll outside grid.py: {stray}"
+
+
+def test_roll_guard_sees_a_planted_roll(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "relentropy.py", "a") as fh:
+        fh.write("\n\ndef planted(v):\n    return np.roll(v, -1, axis=0) - v\n")
+    last = (src / "relentropy.py").read_text().count("\n")
+    assert _stray_rolls(src) == [f"relentropy.py:{last}"]
+
+
 def test_guard_sees_fsum():
     uses = _uses(ast.parse("import math\nfrom math import fsum as f\n"
                            "def g(a):\n    return math.fsum(a)\n"), "fsum")
