@@ -260,7 +260,7 @@ def gate_gronwall_refinement() -> GateResult:
         trajs[n] = run(cfg)
     pair_coarse = project_trajectory(trajs[1024], trajs[512].grid)
     trace = re_.gronwall_monitor(trajs[512], pair_coarse, params, sigma=0.1)
-    check = re_.gronwall_envelope_check(trace, sigma=0.1)
+    check = re_.gronwall_envelope_check(trace)
     e_terminal_coarse = trace.integral[-1]
     pair_fine = project_trajectory(trajs[2048], trajs[1024].grid)
     trace_fine = re_.gronwall_monitor(trajs[1024], pair_fine, params, sigma=0.1)
@@ -274,7 +274,7 @@ def gate_gronwall_refinement() -> GateResult:
     return GateResult(
         "gronwall-refinement", ok, details,
         {"utilization": check.utilization, "shrink": shrink,
-         "kappa": trace.kappa},
+         "kappa": re_.KAPPA_STRUCT},
     )
 
 

@@ -26,7 +26,7 @@ from . import commutator as cm
 from . import conditions as cd
 from . import relentropy as re_
 from .errors import DomainError, RangeError, ResolutionError, StabilityError
-from .grid import PeriodicGrid, load_scalar_field, weierstrass_field
+from .grid import PeriodicGrid, load_scalar_field, time_window, weierstrass_field
 from .solver import (
     SolverConfig,
     Trajectory,
@@ -243,7 +243,7 @@ def cmd_relentropy(args) -> int:
                             project_trajectory, t, grid) for t in (traj_a, traj_b))
     try:
         trace = re_.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=args.sigma)
-        check = re_.gronwall_envelope_check(trace, sigma=float(trace.times[0]))
+        check = re_.gronwall_envelope_check(trace)
     except ValueError as exc:
         raise UsageError(str(exc))
     rows = []
@@ -270,7 +270,8 @@ def cmd_oslip_check(args) -> int:
         if traj.system != "complete":
             raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
-        times, cs, ds = [], [], []
+        inside = time_window(traj.times, delta)
+        cs, ds = [], []
         basis = cd.make_bump_basis(grid)
         for i, snap in enumerate(traj.snapshots):
             if not (snap.rho > 0.0).all():
@@ -279,27 +280,16 @@ def cmd_oslip_check(args) -> int:
                 _, vel, _ = snapshot_primitive(snap, traj.params)
             if not np.isfinite(vel).all():
                 raise UsageError(f"snapshot {i} of {args.traj}: velocity m / rho overflows")
-            weak = cd.oslip_weak_min_c(grid, vel, basis=basis)
-            disc = cd.oslip_discrete(grid, vel, mask_wrap=args.mask_wrap)
-            times.append(snap.t)
-            cs.append(weak.min_c)
-            ds.append(disc.value)
-        kept = [i for i, t in enumerate(times) if t >= delta]
-        if len(kept) < 2:
+            if inside[i]:
+                cs.append(cd.oslip_weak_min_c(grid, vel, basis=basis).min_c)
+                ds.append(cd.oslip_discrete(grid, vel, mask_wrap=args.mask_wrap).value)
+        if len(cs) < 2:
             raise UsageError(f"need at least two snapshots past delta={delta}")
-        partial = 0.0
-        prev = None
         chash = config_hash({"traj": _trajectory_id(traj), "delta": delta,
                              "mask": args.mask_wrap})
-        for i in kept:
-            if prev is not None:
-                partial += 0.5 * (max(cs[i], 0.0) + max(cs[prev], 0.0)) * (
-                    times[i] - times[prev]
-                )
-            rows.append([times[i], cs[i], ds[i], partial, flags])
-            prev = i
-        rep = cd.l1_report(np.array([times[i] for i in kept]),
-                           np.array([cs[i] for i in kept]), delta)
+        times = np.asarray(traj.times)[inside]
+        rep = cd.l1_report(times, np.array(cs), delta)
+        rows = [[*row, flags] for row in zip(times, cs, ds, rep.l1_partial)]
         if rep.integrability_doubtful:
             print(f"integrability doubtful as delta->0 (power {rep.fit_power:.2f})")
     elif args.field:

@@ -28,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import PeriodicGrid, exact_sum, offset_length, shift_values, wrap
+from .grid import (PeriodicGrid, exact_sum, offset_length, shift_values, time_trapezoid,
+                   time_window, wrap)
 
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
 
@@ -254,13 +255,14 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
 @dataclass(frozen=True)
 class L1Report:
     l1_norm: float
+    l1_partial: np.ndarray     # running integral at each time in the window
     fit_power: float           # b in min_C ~ a / tau**b near delta
     integrability_doubtful: bool
     points_fitted: int
 
 
 def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
-    """Trapezoid integral of max(min_C, 0) over (delta, T] plus a blow-up fit.
+    """Running trapezoid integral of max(min_C, 0) over [delta, T] plus a blow-up fit.
 
     The leading points are fitted to a power law a / tau**b; b >= 1 raises
     the doubtful-integrability flag for the delta -> 0 limit.
@@ -269,12 +271,12 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     vals = np.asarray(min_c, dtype=float)
     if times.shape != vals.shape:
         raise ValueError("times and values must align")
-    mask = times >= delta - 1e-15
-    t = times[mask]
-    v = np.maximum(vals[mask], 0.0)
+    inside = time_window(times, delta)
+    t = times[inside]
+    v = np.maximum(vals[inside], 0.0)
     if len(t) < 2:
         raise ValueError("need at least two samples past delta")
-    l1 = float(np.trapezoid(v, t))
+    _, partial = time_trapezoid(t, v)
     # the power law has no value at tau = 0, so only tau > 0 points are fitted
     tf, vf = t[t > 0.0], v[t > 0.0]
     n_fit = min(max(3, len(tf) // 4), len(tf))
@@ -282,4 +284,4 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     b = 0.0
     if n_fit >= 2 and np.min(vf) > 0.0:
         b = -float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
-    return L1Report(l1, b, bool(b >= 1.0), n_fit)
+    return L1Report(float(partial[-1]), partial, b, bool(b >= 1.0), n_fit)

@@ -219,6 +219,27 @@ def integral(field: ScalarField) -> float:
 
 
 # ---------------------------------------------------------------------------
+# time axis
+# ---------------------------------------------------------------------------
+
+
+def time_window(times, start: float) -> np.ndarray:
+    """Mask of the snapshot times in the window [start, T].  A time up to 1e-12
+    below ``start`` counts as inside: a stride's rounding drops no snapshot."""
+    return np.asarray(times, dtype=float) >= start - 1e-12
+
+
+def time_trapezoid(times, values) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid rule over snapshot times: the interval terms
+    0.5 * (v[j] + v[j-1]) * (t[j] - t[j-1]) and their running totals, summed
+    left to right from 0.0, so the last running total is the integral."""
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    terms = 0.5 * (v[1:] + v[:-1]) * (t[1:] - t[:-1])
+    return terms, np.cumsum(np.concatenate(([0.0], terms)))
+
+
+# ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
 

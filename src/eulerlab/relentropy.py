@@ -29,7 +29,7 @@ from scipy.stats import qmc
 
 from .conditions import oslip_discrete
 from .errors import DomainError
-from .grid import PeriodicGrid, exact_sum, grad_values, shift_values
+from .grid import PeriodicGrid, exact_sum, grad_values, shift_values, time_trapezoid, time_window
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import (
     EntropicState,
@@ -250,7 +250,6 @@ class RelEntropyTrace:
     k_thermo: np.ndarray       # heuristic thermodynamic constant (KAPPA_STRUCT)
     fitted_k: np.ndarray       # per-interval growth rate, NaN where skipped
     skipped: np.ndarray        # intervals with integral below the floor
-    kappa: float
 
     @property
     def budget(self) -> np.ndarray:
@@ -277,22 +276,18 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
         sigma = ta[0] + 2.0 * stride
     if not math.isfinite(sigma):
         raise ValueError(f"sigma must be finite, got {sigma}")
-    keep = [i for i, t in enumerate(ta) if t >= sigma - 1e-12]
-    if len(keep) < 2:
+    inside = time_window(ta, sigma)
+    if np.count_nonzero(inside) < 2:
         raise ValueError(f"need at least two snapshots past sigma={sigma}")
-    times = np.array([ta[i] for i in keep])
-    integral = np.array(
-        [
-            rel_entropy_total(grid, traj_a.snapshots[i], traj_b.snapshots[i], params)
-            for i in keep
-        ]
-    )
+    times = np.asarray(ta)[inside]
+    pairs = [(a, b) for a, b, keep in zip(traj_a.snapshots, traj_b.snapshots, inside) if keep]
+    integral = np.array([rel_entropy_total(grid, a, b, params) for a, b in pairs])
     oslip = []
     w1inf = []
     unit = np.eye(grid.dims, dtype=int)
     theta_prev = None
-    for j, i in enumerate(keep):
-        _, vel, theta = snapshot_primitive(traj_b.snapshots[i], params)
+    for j, (_, ref) in enumerate(pairs):
+        _, vel, theta = snapshot_primitive(ref, params)
         oslip.append(oslip_discrete(grid, vel).value)
         grad_sup = max(
             float(np.max(np.abs(shift_values(theta, off) - theta))) / grid.cell_width
@@ -307,37 +302,24 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
         theta_prev = theta
     oslip_c = np.array(oslip)
     k_thermo = KAPPA_STRUCT * np.array(w1inf)
+    mean, _ = time_trapezoid(times, integral)
+    skipped = np.concatenate(([False], mean < INTEGRAL_FLOOR))
     fitted = np.full(len(times), np.nan)
-    skipped = np.zeros(len(times), dtype=bool)
-    for j in range(1, len(times)):
-        dt_loc = times[j] - times[j - 1]
-        mean = 0.5 * (integral[j] + integral[j - 1]) * dt_loc
-        if mean < INTEGRAL_FLOOR:
-            skipped[j] = True
-            continue
-        fitted[j] = (integral[j] - integral[j - 1]) / mean
-    return RelEntropyTrace(times, integral, oslip_c, k_thermo, fitted, skipped, KAPPA_STRUCT)
+    np.divide(np.diff(integral), mean, out=fitted[1:], where=~skipped[1:])
+    return RelEntropyTrace(times, integral, oslip_c, k_thermo, fitted, skipped)
 
 
 @dataclass(frozen=True)
 class GronwallCheck:
     ok: bool
     utilization: float          # max of E(t) / envelope(t), 1.0 is the limit
-    times: np.ndarray
 
 
-def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallCheck:
-    """Verify E(t) <= E(sigma) * exp(integral of budget) on [sigma, T]."""
-    mask = trace.times >= sigma - 1e-12
-    times = trace.times[mask]
-    values = trace.integral[mask]
-    budget = trace.budget[mask]
-    envelope = np.empty_like(values)
-    envelope[0] = values[0]
-    acc = 0.0
-    for j in range(1, len(times)):
-        acc += 0.5 * (budget[j] + budget[j - 1]) * (times[j] - times[j - 1])
-        envelope[j] = values[0] * math.exp(acc)
+def gronwall_envelope_check(trace: RelEntropyTrace) -> GronwallCheck:
+    """Verify E(t) <= E(sigma) * exp(integral of budget) on the trace's window [sigma, T]."""
+    values = trace.integral
+    _, exponent = time_trapezoid(trace.times, trace.budget)
+    envelope = np.array([values[0] * math.exp(a) for a in exponent])
     # the ratio at sigma itself is identically one; report the later max.  A
     # zero envelope allows only E(t) = 0 (E(sigma) = 0 forces it): ratio 0, else inf
     if len(values) > 1:
@@ -346,7 +328,7 @@ def gronwall_envelope_check(trace: RelEntropyTrace, sigma: float) -> GronwallChe
                                       where=envelope[1:] != 0.0)))
     else:
         util = 1.0
-    return GronwallCheck(bool(util <= 1.0), util, times)
+    return GronwallCheck(bool(util <= 1.0), util)
 
 
 def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,

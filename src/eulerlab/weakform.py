@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .conditions import bump_profile
-from .grid import PERIOD, PeriodicGrid, exact_sum, grad_values, wrap
+from .grid import PERIOD, PeriodicGrid, exact_sum, grad_values, time_trapezoid, wrap
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import GasParams, entropy
 
@@ -58,13 +58,6 @@ def bump_test(center, width: float, t0: float, t1: float,
         return _scalar_bump((t - mid) / half) * space
 
     return SpaceTimeTest(f"bump(c={tuple(centers)!r},w={width},t=({t0},{t1}))", value, nonneg)
-
-
-def _time_trapezoid(times, series) -> float:
-    total = 0.0
-    for j in range(1, len(times)):
-        total += 0.5 * (series[j] + series[j - 1]) * (times[j] - times[j - 1])
-    return total
 
 
 def _fields(snap: Snapshot, params: GasParams, which: str):
@@ -113,7 +106,7 @@ def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str) -> float:
         for ax in range(grid.dims):
             integrand = integrand + flux[ax] * gphi[ax]
         flux_series.append(vol * exact_sum(integrand))
-    interior = _time_trapezoid(times, flux_series)
+    interior = float(time_trapezoid(times, flux_series)[1][-1])
     for j in range(1, len(times)):
         q_mid = 0.5 * (qs[j] + qs[j - 1])
         interior += vol * exact_sum(q_mid * (phis[j] - phis[j - 1]))

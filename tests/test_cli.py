@@ -401,6 +401,23 @@ class TestInputBoundary:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_sigma_and_delta_share_one_window(self, tmp_path):
+        # snapshots at 0, 0.3, 0.6, 3 * 0.3 = 0.8999999999999999 and 1.2: the
+        # fourth is inside the window of --sigma 0.9 and of --delta 0.9
+        traj = _simulate(tmp_path, "a", grid_n=64, t_end=1.2, snapshot_stride=0.3,
+                         init={"name": "double_rarefaction"})
+        assert main(["relentropy", "--traj-a", str(traj), "--traj-b", str(traj),
+                     "--sigma", "0.9", "--out", str(tmp_path / "re")]) == 0
+        assert main(["oslip-check", "--traj", str(traj), "--delta", "0.9",
+                     "--out", str(tmp_path / "os")]) == 0
+
+        def first_column(path):
+            return [line.split(",")[0] for line in _read_rows(path)[2:]]
+
+        taus = first_column(tmp_path / "os" / "oslip_report.csv")
+        assert taus == first_column(tmp_path / "re" / "relentropy_trace.csv")
+        assert taus == ["0.89999999999999991", "1.2"]
+
     def test_oslip_check_builds_the_basis_once(self, tmp_path, monkeypatch):
         traj = _simulate(tmp_path, "a", grid_n=32, snapshot_stride=0.01)
         built = []

@@ -332,6 +332,52 @@ class TestL1Report:
             l1_report(np.array([0.1]), np.array([1.0]), delta=0.05)
 
 
+def _l1_partial_loop(times, min_c):
+    """oslip-check's running integral of max(min_C, 0) before l1_report gave it."""
+    partial, prev, out = 0.0, None, []
+    for i in range(len(times)):
+        if prev is not None:
+            partial += 0.5 * (max(min_c[i], 0.0) + max(min_c[prev], 0.0)) * (
+                times[i] - times[prev]
+            )
+        out.append(partial)
+        prev = i
+    return out
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestL1PartialAgainstLoop:
+    @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (40, 3), (1000, 4)])
+    def test_random_series(self, n, seed):
+        rng = np.random.default_rng(seed)
+        times = np.cumsum(rng.uniform(0.01, 0.3, n))
+        self._assert_matches_loop(times, rng.standard_normal(n))
+
+    @pytest.mark.parametrize("min_c", [[-0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0],
+                                       [1.0, math.nan, 2.0], [math.nan, -0.0]])
+    def test_signed_zero_and_nan(self, min_c):
+        self._assert_matches_loop(0.1 * np.arange(1, len(min_c) + 1), np.array(min_c))
+
+    @staticmethod
+    def _assert_matches_loop(times, min_c):
+        rep = l1_report(times, min_c, delta=float(times[0]))
+        assert _hex(rep.l1_partial) == _hex(_l1_partial_loop(times, min_c))
+        assert rep.l1_norm == rep.l1_partial[-1] or math.isnan(rep.l1_norm)
+
+    def test_window_cuts_the_running_integral(self):
+        times = np.array([0.0, 0.3, 0.6, 3 * 0.3, 1.2])
+        rep = l1_report(times, np.array([5.0, 4.0, 3.0, 2.0, 1.0]), delta=0.9)
+        assert _hex(rep.l1_partial) == _hex(_l1_partial_loop(times[3:], [2.0, 1.0]))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples(self, n):
+        with pytest.raises(ValueError, match="at least two samples"):
+            l1_report(np.arange(n, dtype=float), np.ones(n), delta=0.0)
+
+
 class TestDirections:
     def test_1d_both_signs(self):
         assert unit_directions(1) == [(1.0,), (-1.0,)]

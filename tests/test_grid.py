@@ -26,10 +26,27 @@ from eulerlab.grid import (
     read_columns_csv,
     offset_length,
     shift_values,
+    time_trapezoid,
+    time_window,
     weierstrass_field,
     weierstrass_values,
     write_columns_csv,
 )
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _time_series(n, seed=0):
+    """(times, values) of length n: increasing random times, values of both signs."""
+    rng = np.random.default_rng(seed)
+    return np.cumsum(rng.uniform(0.01, 0.3, n)), rng.standard_normal(n)
+
+
+#: Value series that hold a signed zero or a NaN.
+SPECIAL_SERIES = ([-0.0, -0.0], [-0.0, 0.0, -0.0], [0.0, -0.0], [1.0, math.nan, 2.0],
+                  [math.nan, -0.0], [-1.0, 1.0, -0.0])
 
 
 def _random_field(grid, seed=0):
@@ -745,3 +762,41 @@ class TestExactSumByRow:
         want = [[math.fsum(a[i, :, j]) for j in range(4)] for i in range(3)]
         assert got.tolist() == want
         assert exact_sum(a.transpose(0, 2, 1), axis=-1).tolist() == want
+
+
+def _time_trapezoid_loop(times, series) -> float:
+    """The weak residual's time quadrature before grid.time_trapezoid."""
+    total = 0.0
+    for j in range(1, len(times)):
+        total += 0.5 * (series[j] + series[j - 1]) * (times[j] - times[j - 1])
+    return total
+
+
+class TestTimeAxis:
+    @pytest.mark.parametrize("n,seed", [(0, 0), (1, 0), (2, 0), (2, 1), (7, 2), (50, 3),
+                                        (1000, 4)])
+    def test_running_totals_match_the_loop(self, n, seed):
+        times, values = _time_series(n, seed)
+        self._assert_matches_loop(list(times), list(values))
+
+    @pytest.mark.parametrize("values", SPECIAL_SERIES)
+    def test_signed_zero_and_nan_match_the_loop(self, values):
+        self._assert_matches_loop([0.1 * (j + 1) for j in range(len(values))], values)
+
+    @staticmethod
+    def _assert_matches_loop(times, values):
+        terms, running = time_trapezoid(times, values)
+        assert len(terms) == max(len(times) - 1, 0) and len(running) == len(terms) + 1
+        # every running total is the loop over its prefix, signed zero included
+        assert _hex(running) == _hex(_time_trapezoid_loop(times[:k + 1], values[:k + 1])
+                                     for k in range(len(running)))
+        assert _hex(terms) == _hex(0.5 * (values[j] + values[j - 1]) * (times[j] - times[j - 1])
+                                   for j in range(1, len(times)))
+
+    def test_window_keeps_a_stride_rounded_below_its_start(self):
+        times = [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
+        assert times[3] == 0.8999999999999999
+        assert time_window(times, 0.9).tolist() == [False, False, False, True, True]
+        assert time_window(times, 0.9 + 2e-12).tolist() == [False] * 4 + [True]
+        assert time_window([], 0.0).tolist() == []
+        assert not time_window(times, math.nan).any()

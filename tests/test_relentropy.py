@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eulerlab import relentropy
 from eulerlab.errors import DomainError
 from eulerlab.grid import PeriodicGrid
 from eulerlab.relentropy import (
+    INTEGRAL_FLOOR,
     CoercivityCalibration,
     RelEntropyTrace,
     StateBox,
@@ -21,7 +23,7 @@ from eulerlab.relentropy import (
     rel_entropy_terms,
     rel_entropy_total,
 )
-from eulerlab.solver import SolverConfig, project_trajectory, run
+from eulerlab.solver import SolverConfig, Snapshot, Trajectory, project_trajectory, run
 from eulerlab.thermo import (
     EntropicState,
     GasParams,
@@ -210,10 +212,10 @@ class TestTrajectoryMonitor:
     def _check(integral):
         n = len(integral)
         trace = RelEntropyTrace(np.linspace(0.0, 0.1, n), np.array(integral), np.zeros(n),
-                                np.ones(n), np.full(n, np.nan), np.ones(n, dtype=bool), 5.0)
+                                np.ones(n), np.full(n, np.nan), np.ones(n, dtype=bool))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return gronwall_envelope_check(trace, sigma=0.0)
+            return gronwall_envelope_check(trace)
 
     def test_zero_envelope_allows_only_zero(self):
         # E(sigma) = 0 forces E(t) = 0: that passes at 0, anything else is inf
@@ -251,7 +253,7 @@ class TestTrajectoryMonitor:
     def test_gronwall_envelope_on_rarefaction_pair(self):
         traj_a, traj_b, params = _pair(512)
         trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
-        check = gronwall_envelope_check(trace, sigma=0.1)
+        check = gronwall_envelope_check(trace)
         assert check.ok
         assert check.utilization <= 1.0
 
@@ -285,3 +287,125 @@ class TestTrajectoryMonitor:
                              init=cfg, snapshot_stride=0.05))
         with pytest.raises(ValueError):
             gronwall_monitor(a, b, gamma14)
+
+
+def _fitted_loop(times, integral):
+    """gronwall_monitor's per-interval growth rates before grid.time_trapezoid."""
+    fitted = np.full(len(times), np.nan)
+    skipped = np.zeros(len(times), dtype=bool)
+    for j in range(1, len(times)):
+        dt_loc = times[j] - times[j - 1]
+        mean = 0.5 * (integral[j] + integral[j - 1]) * dt_loc
+        if mean < INTEGRAL_FLOOR:
+            skipped[j] = True
+            continue
+        fitted[j] = (integral[j] - integral[j - 1]) / mean
+    return fitted, skipped
+
+
+def _envelope_check_loop(trace):
+    """(ok, utilization) of gronwall_envelope_check before grid.time_trapezoid."""
+    times, values, budget = trace.times, trace.integral, trace.budget
+    envelope = np.empty_like(values)
+    envelope[0] = values[0]
+    acc = 0.0
+    for j in range(1, len(times)):
+        acc += 0.5 * (budget[j] + budget[j - 1]) * (times[j] - times[j - 1])
+        envelope[j] = values[0] * math.exp(acc)
+    if len(values) > 1:
+        zero = np.where(values[1:] == 0.0, 0.0, np.inf)
+        util = float(np.max(np.divide(values[1:], envelope[1:], out=zero,
+                                      where=envelope[1:] != 0.0)))
+    else:
+        util = 1.0
+    return bool(util <= 1.0), util
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+#: Integral series that hold a signed zero, a NaN, or sit at the floor.
+SPECIAL_INTEGRALS = ([-0.0, -0.0], [0.0, -0.0, 1e-20], [1.0, math.nan, 2.0],
+                     [math.nan, -0.0], [1e-14, 1e-14, 1e-12], [2.0, -0.0, 1.0])
+
+RANDOM_SIZES = [(2, 0), (2, 1), (3, 2), (17, 3), (200, 4)]
+
+
+def _random_times(rng, n):
+    return np.cumsum(rng.uniform(0.01, 0.3, n))
+
+
+class TestTimeQuadratureAgainstLoops:
+    @staticmethod
+    def _monitor(monkeypatch, times, integral):
+        """gronwall_monitor over flat snapshots at ``times`` whose E reads ``integral``."""
+        params = GasParams(1.4)
+        snaps = [Snapshot(float(t), np.ones(4), np.zeros((1, 4)), np.full(4, 2.5))
+                 for t in times]
+        traj = Trajectory(PeriodicGrid(1, 4), params, "complete", snaps)
+        values = iter(integral)
+        monkeypatch.setattr(relentropy, "rel_entropy_total", lambda *args: next(values))
+        return gronwall_monitor(traj, traj, params, sigma=float(times[0]) if len(times) else 0.0)
+
+    def _assert_monitor_matches_loop(self, monkeypatch, times, integral):
+        trace = self._monitor(monkeypatch, times, integral)
+        fitted, skipped = _fitted_loop(trace.times, trace.integral)
+        assert _hex(trace.fitted_k) == _hex(fitted)
+        assert trace.skipped.tolist() == skipped.tolist()
+
+    @pytest.mark.parametrize("n,seed", RANDOM_SIZES)
+    def test_monitor_random_series(self, monkeypatch, n, seed):
+        rng = np.random.default_rng(seed)
+        # magnitudes from 1e-16 to 1 straddle the floor
+        integral = rng.standard_normal(n) * 10.0 ** rng.integers(-16, 1, n)
+        self._assert_monitor_matches_loop(monkeypatch, _random_times(rng, n), integral)
+
+    @pytest.mark.parametrize("integral", SPECIAL_INTEGRALS)
+    def test_monitor_signed_zero_nan_and_floor(self, monkeypatch, integral):
+        times = 0.1 * np.arange(1, len(integral) + 1)
+        self._assert_monitor_matches_loop(monkeypatch, times, integral)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_monitor_needs_two_snapshots(self, monkeypatch, n):
+        with pytest.raises(ValueError, match="at least two snapshots"):
+            self._monitor(monkeypatch, 0.1 * np.arange(n), np.ones(n))
+
+    @staticmethod
+    def _assert_envelope_matches_loop(times, integral, oslip_c, k_thermo):
+        n = len(times)
+        trace = RelEntropyTrace(np.asarray(times, dtype=float), np.asarray(integral, dtype=float),
+                                np.asarray(oslip_c, dtype=float), np.asarray(k_thermo, dtype=float),
+                                np.full(n, np.nan), np.zeros(n, dtype=bool))
+        check = gronwall_envelope_check(trace)
+        ok, util = _envelope_check_loop(trace)
+        assert (check.ok, check.utilization.hex()) == (ok, util.hex())
+
+    @pytest.mark.parametrize("n,seed", [(1, 0)] + RANDOM_SIZES)
+    def test_envelope_random_series(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self._assert_envelope_matches_loop(_random_times(rng, n), rng.uniform(0.0, 2.0, n),
+                                           rng.standard_normal(n), rng.uniform(0.0, 1.0, n))
+
+    @pytest.mark.parametrize("integral", SPECIAL_INTEGRALS)
+    def test_envelope_signed_zero_and_nan(self, integral):
+        n = len(integral)
+        times = 0.1 * np.arange(1, n + 1)
+        self._assert_envelope_matches_loop(times, integral, np.ones(n), np.zeros(n))
+        budget_nan = np.where(np.arange(n) == 1, math.nan, -0.0)
+        self._assert_envelope_matches_loop(times, integral, budget_nan, np.full(n, -0.0))
+
+    def test_envelope_of_no_snapshot(self):
+        with pytest.raises(IndexError):
+            self._assert_envelope_matches_loop([], [], [], [])
+
+    def test_real_pair(self):
+        traj_a, traj_b, params = _pair(64)
+        trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        fitted, skipped = _fitted_loop(trace.times, trace.integral)
+        assert np.isfinite(fitted).sum() >= len(fitted) // 2
+        assert _hex(trace.fitted_k) == _hex(fitted)
+        assert trace.skipped.tolist() == skipped.tolist()
+        check = gronwall_envelope_check(trace)
+        ok, util = _envelope_check_loop(trace)
+        assert (check.ok, check.utilization.hex()) == (ok, util.hex())

@@ -141,6 +141,35 @@ def test_roll_guard_sees_a_planted_roll(tmp_path):
     assert _stray_rolls(src) == [f"relentropy.py:{last}"]
 
 
+#: Quadratures that would integrate over time past grid.time_trapezoid.
+_TRAPEZOIDS = ("trapezoid", "trapz", "cumulative_trapezoid")
+
+
+def _stray_trapezoids(src: Path) -> list[str]:
+    """``module:line`` of every reference to a library trapezoid rule in ``src``."""
+    return sorted(f"{path.name}:{line}" for path in src.glob("*.py")
+                  for name in _TRAPEZOIDS
+                  for line, _ in _uses(ast.parse(path.read_text(), str(path)), name))
+
+
+def test_one_trapezoid_in_time():
+    """Every time integral over snapshots goes through grid.time_trapezoid,
+    which sums left to right as the Gronwall envelope's loop did."""
+    stray = _stray_trapezoids(SRC)
+    assert not stray, f"library trapezoid rule under src/: {stray}"
+
+
+def test_trapezoid_guard_sees_planted_rules(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "conditions.py", "a") as fh:
+        fh.write("\n\nfrom scipy.integrate import cumulative_trapezoid\n\n\n"
+                 "def planted(v, t):\n    return np.trapezoid(v, t) + np.trapz(v, t)\n")
+    last = (src / "conditions.py").read_text().count("\n")
+    assert _stray_trapezoids(src) == sorted(
+        [f"conditions.py:{last - 4}", f"conditions.py:{last}", f"conditions.py:{last}"])
+
+
 def test_guard_sees_fsum():
     uses = _uses(ast.parse("import math\nfrom math import fsum as f\n"
                            "def g(a):\n    return math.fsum(a)\n"), "fsum")
