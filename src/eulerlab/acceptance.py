@@ -9,6 +9,7 @@ acceptance test module.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -48,6 +49,7 @@ class GateResult:
     passed: bool
     details: str
     metrics: dict = dc_field(default_factory=dict)
+    elapsed: float = math.nan     # seconds the gate took, set by run_all; not a metric
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -325,7 +327,9 @@ GATES: list[Callable[[], GateResult]] = [
 def run_all(echo: Callable[[str], None] | None = None) -> list[GateResult]:
     results = []
     for gate in GATES:
+        start = time.perf_counter()
         result = gate()
+        result.elapsed = time.perf_counter() - start
         results.append(result)
         if echo is not None:
             echo(result.line())

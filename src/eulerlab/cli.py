@@ -270,7 +270,12 @@ def cmd_oslip_check(args) -> int:
         if traj.system != "complete":
             raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
-        inside = time_window(traj.times, delta)
+        try:
+            inside = time_window(traj.times, delta, "delta")
+        except ValueError as exc:
+            raise UsageError(str(exc))
+        if np.count_nonzero(inside) < 2:
+            raise UsageError(f"need at least two snapshots past delta={delta}")
         cs, ds = [], []
         basis = cd.make_bump_basis(grid)
         for i, snap in enumerate(traj.snapshots):
@@ -283,8 +288,6 @@ def cmd_oslip_check(args) -> int:
             if inside[i]:
                 cs.append(cd.oslip_weak_min_c(grid, vel, basis=basis).min_c)
                 ds.append(cd.oslip_discrete(grid, vel, mask_wrap=args.mask_wrap).value)
-        if len(cs) < 2:
-            raise UsageError(f"need at least two snapshots past delta={delta}")
         chash = config_hash({"traj": _trajectory_id(traj), "delta": delta,
                              "mask": args.mask_wrap})
         times = np.asarray(traj.times)[inside]
@@ -329,10 +332,14 @@ def cmd_verify_thermo(args) -> int:
 def cmd_accept(args) -> int:
     results = acceptance.run_all(echo=print)
     if args.out:
+        out = _out_dir(args)
         rows = [[r.name, r.passed, r.details] for r in results]
         chash = config_hash({"gates": [r.name for r in results]})
-        _write_report(_out_dir(args) / "acceptance.csv",
-                      ["gate", "passed", "details"], rows, chash)
+        _write_report(out / "acceptance.csv", ["gate", "passed", "details"], rows, chash)
+        # elapsed stays out of metrics: reruns reproduce the metrics bit for bit
+        gates = {r.name: {"metrics": r.metrics, "elapsed": r.elapsed} for r in results}
+        (out / "acceptance_metrics.json").write_text(
+            json.dumps(gates, indent=1, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

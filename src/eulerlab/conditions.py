@@ -271,7 +271,7 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     vals = np.asarray(min_c, dtype=float)
     if times.shape != vals.shape:
         raise ValueError("times and values must align")
-    inside = time_window(times, delta)
+    inside = time_window(times, delta, "delta")
     t = times[inside]
     v = np.maximum(vals[inside], 0.0)
     if len(t) < 2:

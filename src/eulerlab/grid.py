@@ -223,9 +223,12 @@ def integral(field: ScalarField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def time_window(times, start: float) -> np.ndarray:
+def time_window(times, start: float, name: str) -> np.ndarray:
     """Mask of the snapshot times in the window [start, T].  A time up to 1e-12
-    below ``start`` counts as inside: a stride's rounding drops no snapshot."""
+    below ``start`` counts as inside: a stride's rounding drops no snapshot.
+    A non-finite ``start`` is a ValueError that calls it ``name``."""
+    if not math.isfinite(start):
+        raise ValueError(f"{name} must be finite, got {start}")
     return np.asarray(times, dtype=float) >= start - 1e-12
 
 

@@ -167,6 +167,14 @@ class TestReports:
         assert "[PASS] thermo-identities" in out
         lines = _read_rows(tmp_path / "acceptance.csv")
         assert lines[1] == "gate,passed,details"
+        text = (tmp_path / "acceptance_metrics.json").read_text()
+        gates = json.loads(text)
+        assert text == json.dumps(gates, indent=1, sort_keys=True) + "\n"
+        entry = gates["thermo-identities"]
+        assert sorted(entry) == ["elapsed", "metrics"] and entry["elapsed"] > 0.0
+        # the timing is kept out of the metrics, which reruns reproduce bit for bit
+        assert entry["metrics"] == acceptance.gate_thermo_identities().metrics
+        assert "elapsed" not in entry["metrics"]
 
     def test_accept_fails_when_a_gate_fails(self, tmp_path, monkeypatch):
         from eulerlab import acceptance
@@ -383,8 +391,6 @@ class TestInputBoundary:
         assert "divide" in capsys.readouterr().err
 
     @pytest.mark.parametrize("sigma,message", [
-        ("nan", "sigma must be finite, got nan"),
-        ("inf", "sigma must be finite, got inf"),
         ("0.5", "need at least two snapshots past sigma=0.5"),   # past the last
         ("0.1", "need at least two snapshots past sigma=0.1"),   # at the last
     ])
@@ -400,6 +406,28 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", [("relentropy", "--sigma"),
+                                              ("oslip-check", "--delta")])
+    def test_non_finite_window_start_exits_2_before_any_scan(self, tmp_path, capsys,
+                                                             monkeypatch, command, flag, value):
+        traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.1, snapshot_stride=0.05,
+                         init={"name": "double_rarefaction"})
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a snapshot was scanned")
+
+        monkeypatch.setattr(conditions, "oslip_weak_min_c", scanned)
+        monkeypatch.setattr("eulerlab.cli.snapshot_primitive", scanned)
+        monkeypatch.setattr("eulerlab.relentropy.snapshot_primitive", scanned)
+        inputs = {"relentropy": ["--traj-a", str(traj), "--traj-b", str(traj)],
+                  "oslip-check": ["--traj", str(traj)]}[command]
+        out = tmp_path / "rep"
+        assert main([command, *inputs, f"{flag}={value}", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag.lstrip('-')} must be finite, got {value}" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_sigma_and_delta_share_one_window(self, tmp_path):
         # snapshots at 0, 0.3, 0.6, 3 * 0.3 = 0.8999999999999999 and 1.2: the

@@ -796,7 +796,11 @@ class TestTimeAxis:
     def test_window_keeps_a_stride_rounded_below_its_start(self):
         times = [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
         assert times[3] == 0.8999999999999999
-        assert time_window(times, 0.9).tolist() == [False, False, False, True, True]
-        assert time_window(times, 0.9 + 2e-12).tolist() == [False] * 4 + [True]
-        assert time_window([], 0.0).tolist() == []
-        assert not time_window(times, math.nan).any()
+        assert time_window(times, 0.9, "t0").tolist() == [False, False, False, True, True]
+        assert time_window(times, 0.9 + 2e-12, "t0").tolist() == [False] * 4 + [True]
+        assert time_window([], 0.0, "t0").tolist() == []
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_window_start_must_be_finite(self, start):
+        with pytest.raises(ValueError, match=f"t0 must be finite, got {start}"):
+            time_window([0.0, 0.5, 1.0], start, "t0")

@@ -144,6 +144,12 @@ class TestCoercivity:
         assert calibration.c_hat > 0.0
         assert calibration.c_far > 0.0
 
+    def test_gate_calibration_is_pinned(self, gamma14):
+        # the relative-entropy gate's call: same Sobol engines, seeds and draw order
+        calib = calibrate_coercivity(BOX, gamma14, n=2**17, seed=20240)
+        assert calib.c_hat.hex() == "0x1.28b3025f4585fp-3"
+        assert calib.c_far.hex() == "0x1.1caf1273310a2p-7"
+
     def test_gap_nonnegative_on_fresh_samples(self, calibration, gamma14):
         rng = np.random.default_rng(777)
         n = 10000

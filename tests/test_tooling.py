@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import eulerlab
@@ -168,6 +172,63 @@ def test_trapezoid_guard_sees_planted_rules(tmp_path):
     last = (src / "conditions.py").read_text().count("\n")
     assert _stray_trapezoids(src) == sorted(
         [f"conditions.py:{last - 4}", f"conditions.py:{last}", f"conditions.py:{last}"])
+
+
+#: Run in a fresh interpreter: the everyday CLI subcommands on small inputs, then
+#: the relative-entropy gate; prints the scipy modules loaded after each.
+_STARTUP_SCRIPT = """
+import json, sys
+from pathlib import Path
+import eulerlab.cli
+from eulerlab import acceptance
+from eulerlab.grid import PeriodicGrid, save_scalar_field, weierstrass_field
+
+tmp = Path(sys.argv[1])
+assert Path(eulerlab.cli.__file__).resolve().parents[1] == Path(sys.argv[2]).resolve()
+cfg = tmp / "cfg.json"
+cfg.write_text(json.dumps({"grid_n": 16, "t_end": 0.1, "snapshot_stride": 0.05,
+                           "init": {"name": "double_rarefaction"}}))
+save_scalar_field(tmp / "field.csv", weierstrass_field(0.6, 8, PeriodicGrid(1, 256)))
+codes = [eulerlab.cli.main(argv) for argv in (
+    ["simulate", "--config", str(cfg), "--out", str(tmp / "a")],
+    ["simulate", "--config", str(cfg), "--grid-n", "32", "--out", str(tmp / "b")],
+    ["relentropy", "--traj-a", str(tmp / "a"), "--traj-b", str(tmp / "b"), "--sigma", "0",
+     "--out", str(tmp / "re")],
+    ["oslip-check", "--traj", str(tmp / "a"), "--out", str(tmp / "os")],
+    ["besov-fit", "--field", str(tmp / "field.csv"), "--out", str(tmp / "bf")])]
+after_cli = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+acceptance.gate_relative_entropy()
+print(json.dumps({"codes": codes, "after_cli": after_cli,
+                  "after_gate": "scipy.stats" in sys.modules}))
+"""
+
+
+def _startup_imports(tree: Path, tmp: Path) -> dict:
+    """What the start-up script reports when eulerlab is imported from ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree)}
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp), str(tree)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_starts_without_scipy(tmp_path):
+    """Only the coercivity calibration needs scipy (its Sobol sampler); the
+    subcommands that never calibrate do not pay the ~1 s that loading
+    scipy.stats costs, and the gate that calibrates still loads it."""
+    found = _startup_imports(SRC.parent, tmp_path)
+    assert all(code in (0, 1) for code in found["codes"]), found["codes"]
+    assert found["after_cli"] == [], f"scipy loaded by the CLI: {found['after_cli'][:5]}"
+    assert found["after_gate"]
+
+
+def test_startup_guard_sees_a_planted_import(tmp_path):
+    tree = tmp_path / "tree"
+    shutil.copytree(SRC, tree / "eulerlab", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / "eulerlab" / "grid.py", "a") as fh:
+        fh.write("\nfrom scipy.stats import qmc\n")
+    (tmp_path / "run").mkdir()
+    assert "scipy.stats" in _startup_imports(tree, tmp_path / "run")["after_cli"]
 
 
 def test_guard_sees_fsum():
