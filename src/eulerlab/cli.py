@@ -262,7 +262,7 @@ def cmd_relentropy(args) -> int:
 
 
 def cmd_oslip_check(args) -> int:
-    delta = args.delta
+    delta = 0.0 if args.delta is None else args.delta
     rows = []
     flags = "masked" if args.mask_wrap else "unmasked"
     if args.traj:
@@ -296,6 +296,8 @@ def cmd_oslip_check(args) -> int:
         if rep.integrability_doubtful:
             print(f"integrability doubtful as delta->0 (power {rep.fit_power:.2f})")
     elif args.field:
+        if args.delta is not None:
+            raise UsageError("--delta cuts a trajectory's time window; --field has none")
         field = _load(args.field, load_scalar_field, args.field)
         vel = field.values[None] if field.grid.dims == 1 else None
         if vel is None:
@@ -388,10 +390,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="start of the reported window")
 
     p = command("oslip-check", cmd_oslip_check, "one-sided Lipschitz constants")
-    p.add_argument("--field", help="1D velocity field CSV")
-    p.add_argument("--traj", help="trajectory directory")
-    p.add_argument("--delta", type=float, default=0.0,
-                   help="lower end of the reported time window")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--field", help="1D velocity field CSV")
+    source.add_argument("--traj", help="trajectory directory")
+    p.add_argument("--delta", type=float, default=None,
+                   help="lower end of the reported time window (--traj only; default 0)")
     p.add_argument("--mask-wrap", action="store_true",
                    help="exclude stencils crossing the periodic wrap")
 

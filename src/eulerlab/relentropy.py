@@ -148,19 +148,69 @@ def _far_form(rho, vel_cand, theta_cand, r_ref, u_ref, params):
     return 0.5 * rho * (vel_cand - u_ref) ** 2 + 1.0 + np.abs(rho * s) + e
 
 
+_SOBOL_BITS = 30
+#: place value of each bit of a direction number, most significant first
+_SOBOL_PLACE = 2 ** np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+
+
+def _sobol_directions() -> np.ndarray:
+    """Joe-Kuo direction numbers of the first six dimensions, scaled to 30 bits."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, vinit in zip((3, 7, 11, 13, 19),
+                           ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))):
+        deg = poly.bit_length() - 1
+        v = list(vinit)
+        for k in range(deg, _SOBOL_BITS):
+            x = v[k - deg] ^ (v[k - deg] << deg)
+            for lag in range(1, deg):
+                if poly >> (deg - lag) & 1:
+                    x ^= v[k - lag] << lag
+            v.append(x)
+        rows.append(v)
+    return np.array(rows, dtype=np.uint32) * _SOBOL_PLACE
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol(n: int, seed: int) -> np.ndarray:
+    """scipy's ``qmc.Sobol(d=6, scramble=True, seed=seed).random(n)``, byte for byte.
+
+    The seed's Generator draws the digital shift, then the lower-triangular
+    LMS matrices (unit diagonal), each applied over GF(2) to the bits of a
+    direction number, most significant first. In Gray-code order, points
+    [h, 2h) are points [0, h) reversed, XOR the scrambled direction log2(h).
+    """
+    if n > 2**_SOBOL_BITS:
+        raise ValueError(f"a {_SOBOL_BITS}-bit Sobol sequence has at most "
+                         f"2**{_SOBOL_BITS} points, asked for {n}")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, size=(6, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_PLACE[::-1]
+    ltm = np.tril(rng.integers(0, 2, size=(6, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
+    bits = _SOBOL_V[:, :, None] // _SOBOL_PLACE & 1
+    sv = (np.einsum("dpm,djm->djp", ltm, bits) & 1) @ _SOBOL_PLACE
+    size = 1 << (n - 1).bit_length()
+    x = np.empty((6, size), dtype=np.uint32)
+    x[:, 0] = shift
+    for b in range(size.bit_length() - 1):
+        h = 1 << b
+        np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
+    return x[:, :n].T * 2.0**-_SOBOL_BITS
+
+
 def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
-                         seed: int = 20240 ) -> CoercivityCalibration:
+                         seed: int = 20240) -> CoercivityCalibration:
     """Freeze coercivity constants by Sobol-sampling state pairs.
 
     The quadratic constant is 0.9 times the sampled minimum of E over the
     quadratic form for in-box pairs; the far constant repeats the rule with
     the candidate pushed outside twice the box (reference still inside).
+    The sampler is ``_sobol``: Joe-Kuo direction numbers, LMS plus
+    digital-shift scrambling, the same points as scipy's scrambled Sobol
+    (``qmc.Sobol(d=6, scramble=True)``), seeds ``seed`` and ``seed + 1``.
     """
-    # loading scipy.stats costs about 1 s and 64 MB, and only this calibration needs it
-    from scipy.stats import qmc
-
-    eng = qmc.Sobol(d=6, scramble=True, seed=seed)
-    u01 = eng.random(n)
+    u01 = _sobol(n, seed)
     lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
     hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
     s = lo + u01 * (hi - lo)
@@ -171,8 +221,7 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
     c_hat = 0.9 * float(np.min(dens.total[mask] / quad[mask]))
 
     # far branch: candidate outside twice the box, reference in box
-    eng2 = qmc.Sobol(d=6, scramble=True, seed=seed + 1)
-    u01 = eng2.random(n)
+    u01 = _sobol(n, seed + 1)
     rho_f = np.where(u01[:, 0] < 0.5,
                      box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
                      box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))

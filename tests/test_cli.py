@@ -429,6 +429,45 @@ class TestInputBoundary:
         assert f"{flag.lstrip('-')} must be finite, got {value}" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "0", "0.5"])
+    def test_oslip_check_field_rejects_delta(self, tmp_path, capsys, monkeypatch, value):
+        fpath = tmp_path / "vel.csv"
+        save_scalar_field(fpath, weierstrass_field(0.6, 8, PeriodicGrid(1, 256)))
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("the field was scanned")
+
+        monkeypatch.setattr(conditions, "oslip_weak_min_c", scanned)
+        out = tmp_path / "rep"
+        assert main(["oslip-check", "--field", str(fpath), "--delta", value,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--delta" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_oslip_check_takes_one_source(self, tmp_path, capsys):
+        traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.1, snapshot_stride=0.05,
+                         init={"name": "double_rarefaction"})
+        fpath = tmp_path / "vel.csv"
+        save_scalar_field(fpath, weierstrass_field(0.6, 8, PeriodicGrid(1, 256)))
+        out = tmp_path / "rep"
+        with pytest.raises(SystemExit) as exc:
+            main(["oslip-check", "--traj", str(traj), "--field", str(fpath),
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_oslip_check_trajectory_delta_defaults_to_zero(self, tmp_path):
+        traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.1, snapshot_stride=0.05,
+                         init={"name": "double_rarefaction"})
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path / "unset")]) == 0
+        assert main(["oslip-check", "--traj", str(traj), "--delta", "0",
+                     "--out", str(tmp_path / "zero")]) == 0
+        report = "oslip_report.csv"
+        assert ((tmp_path / "unset" / report).read_bytes()
+                == (tmp_path / "zero" / report).read_bytes())
+
     def test_sigma_and_delta_share_one_window(self, tmp_path):
         # snapshots at 0, 0.3, 0.6, 3 * 0.3 = 0.8999999999999999 and 1.2: the
         # fourth is inside the window of --sigma 0.9 and of --delta 0.9

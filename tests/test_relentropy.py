@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,6 +189,44 @@ class TestCoercivity:
         bad_ref = PrimitiveState(np.array([5.0]), np.array([0.0]), np.array([1.0]))
         with pytest.raises(DomainError):
             coercivity_gap(state, bad_ref, calibration, gamma14)
+
+
+@pytest.fixture(scope="module")
+def scipy_sobol():
+    """scipy's scrambled Sobol engine, the oracle the numpy sampler replaces."""
+    from scipy.stats import qmc
+
+    def draw(n, seed):
+        with warnings.catch_warnings():
+            # scipy warns that n is not a power of two; the points are still defined
+            warnings.simplefilter("ignore", UserWarning)
+            return qmc.Sobol(d=6, scramble=True, seed=seed).random(n)
+
+    return draw
+
+
+class TestSobolAgainstScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 4096])
+    def test_small_draws_are_byte_identical(self, scipy_sobol, n):
+        for seed in range(40):
+            ours = relentropy._sobol(n, seed)
+            assert ours.shape == (n, 6) and ours.dtype == np.float64
+            assert ours.tobytes() == scipy_sobol(n, seed).tobytes(), seed
+
+    @pytest.mark.parametrize("seed", [20240, 20241])
+    def test_gate_draws_are_byte_identical(self, scipy_sobol, seed):
+        # the relative-entropy gate draws 2**17 points at seeds 20240 and 20241
+        assert relentropy._sobol(2**17, seed).tobytes() == scipy_sobol(2**17, seed).tobytes()
+
+    def test_too_many_points_raise_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most 2\\*\\*30"):
+                relentropy._sobol(2**30 + 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def _pair(n, t_end=1.0, stride=0.05, init=None):

@@ -53,7 +53,8 @@ UNSET_OPTIONS = {
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
     """(line, enclosing class and function names) of every reference to
-    ``name``, import statements included unless ``imports`` is false."""
+    ``name``, import statements included unless ``imports`` is false; an
+    import of package ``name`` or of one of its submodules counts too."""
     found = []
 
     def visit(node, scope):
@@ -61,7 +62,10 @@ def _uses(tree: ast.AST, name: str, imports: bool = True):
             scope = scope + (node.name,)
         is_ref = ((isinstance(node, ast.Attribute) and node.attr == name)
                   or (isinstance(node, ast.Name) and node.id == name)
-                  or (imports and isinstance(node, ast.alias) and node.name == name))
+                  or (imports and isinstance(node, ast.alias)
+                      and node.name.split(".")[0] == name)
+                  or (imports and isinstance(node, ast.ImportFrom) and node.level == 0
+                      and node.module.split(".")[0] == name))
         if is_ref:
             found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
@@ -175,7 +179,7 @@ def test_trapezoid_guard_sees_planted_rules(tmp_path):
 
 
 #: Run in a fresh interpreter: the everyday CLI subcommands on small inputs, then
-#: the relative-entropy gate; prints the scipy modules loaded after each.
+#: the 9 acceptance gates; prints the scipy modules loaded after each.
 _STARTUP_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -196,10 +200,16 @@ codes = [eulerlab.cli.main(argv) for argv in (
      "--out", str(tmp / "re")],
     ["oslip-check", "--traj", str(tmp / "a"), "--out", str(tmp / "os")],
     ["besov-fit", "--field", str(tmp / "field.csv"), "--out", str(tmp / "bf")])]
-after_cli = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-acceptance.gate_relative_entropy()
-print(json.dumps({"codes": codes, "after_cli": after_cli,
-                  "after_gate": "scipy.stats" in sys.modules}))
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+after_cli = scipy_modules()
+gates = acceptance.run_all()
+print(json.dumps({"codes": codes, "after_cli": after_cli, "gates": len(gates),
+                  "after_gates": scipy_modules()}))
 """
 
 
@@ -213,13 +223,14 @@ def _startup_imports(tree: Path, tmp: Path) -> dict:
 
 
 def test_cli_starts_without_scipy(tmp_path):
-    """Only the coercivity calibration needs scipy (its Sobol sampler); the
-    subcommands that never calibrate do not pay the ~1 s that loading
-    scipy.stats costs, and the gate that calibrates still loads it."""
+    """Nothing at run time loads scipy: not the everyday subcommands, and not
+    the acceptance gates, whose coercivity calibration draws its Sobol points
+    with relentropy._sobol (scipy is only the tests' oracle for it)."""
     found = _startup_imports(SRC.parent, tmp_path)
     assert all(code in (0, 1) for code in found["codes"]), found["codes"]
     assert found["after_cli"] == [], f"scipy loaded by the CLI: {found['after_cli'][:5]}"
-    assert found["after_gate"]
+    assert found["gates"] == 9
+    assert found["after_gates"] == [], f"scipy loaded by the gates: {found['after_gates'][:5]}"
 
 
 def test_startup_guard_sees_a_planted_import(tmp_path):
@@ -229,6 +240,30 @@ def test_startup_guard_sees_a_planted_import(tmp_path):
         fh.write("\nfrom scipy.stats import qmc\n")
     (tmp_path / "run").mkdir()
     assert "scipy.stats" in _startup_imports(tree, tmp_path / "run")["after_cli"]
+
+
+def _scipy_imports(src: Path) -> list[str]:
+    """``module:line`` of every import of scipy or a scipy submodule in ``src``,
+    at any depth (module level or inside a function)."""
+    return sorted(f"{path.name}:{line}" for path in src.glob("*.py")
+                  for line, _ in _uses(ast.parse(path.read_text(), str(path)), "scipy"))
+
+
+def test_no_scipy_import_under_src():
+    """numpy is the one run-time dependency; scipy is a test dependency."""
+    stray = _scipy_imports(SRC)
+    assert not stray, f"scipy imported under src/: {stray}"
+
+
+def test_scipy_guard_sees_a_planted_local_import(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "grid.py", "a") as fh:
+        fh.write("\n\ndef planted(n):\n    from scipy.stats import qmc\n"
+                 "    return qmc.Sobol(d=1).random(n)\n\n\n"
+                 "def planted_too():\n    import scipy.special as sp\n    return sp\n")
+    last = (src / "grid.py").read_text().count("\n")
+    assert _scipy_imports(src) == [f"grid.py:{last - 6}", f"grid.py:{last - 1}"]
 
 
 def test_guard_sees_fsum():
