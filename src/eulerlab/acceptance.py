@@ -165,8 +165,8 @@ def gate_product_commutators() -> GateResult:
     alpha = 0.4
     rho = ScalarField(grid, 1.5 + 0.25 * _weier(alpha, grid).values / 3.0)
     u = _weier(alpha, grid, phase=0.7)
-    s2, _, res2 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
-    s3, _, res3 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="triple")
+    s2, res2 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
+    s3, res3 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="triple")
     ok = bool(
         s2 >= 2 * alpha - 0.1
         and s3 >= 3 * alpha - 1.0 - 0.1

@@ -188,9 +188,6 @@ def fit_regularity(table: ModulusTable) -> RegularityFit:
 class MollifierRateReport:
     """Per-epsilon shift moduli, the three fitted rates and the bound checks."""
 
-    p: float
-    alpha: float
-    eps: np.ndarray
     shift_sup: np.ndarray
     slopes: tuple[float, float, float]
     bound_ok: np.ndarray  # one row per estimate, one column per eps
@@ -239,7 +236,7 @@ def verify_mollifier_rates(
             g_nrm <= cap * eps_arr ** (alpha - 1.0),
         ]
     )
-    return MollifierRateReport(p, alpha, eps_arr, s_sup, slopes, bound_ok, table)
+    return MollifierRateReport(s_sup, slopes, bound_ok, table)
 
 
 #: Exponents of the ``besov_report`` seminorm scan.
@@ -250,12 +247,10 @@ BETA_GRID = tuple(round(0.1 * k, 3) for k in range(1, 11))
 class BesovReport:
     """Semi-norm scan over beta plus the fitted regularity exponent."""
 
-    p: float
     beta_grid: np.ndarray
     seminorms: np.ndarray
-    fitted_alpha: float
+    fitted_alpha: float   # +inf for a constant field, which has no scale to fit
     fit_residual: float
-    degenerate: bool = False
 
 
 def besov_report(field: ScalarField, p: float) -> BesovReport:
@@ -267,4 +262,4 @@ def besov_report(field: ScalarField, p: float) -> BesovReport:
     sems = np.array([table.sup(ladder, b) for b in BETA_GRID])
     # first differences cannot certify more than Lipschitz; cap the report
     alpha = fit.alpha if fit.degenerate else min(fit.alpha, 1.0)
-    return BesovReport(p, np.asarray(BETA_GRID), sems, alpha, fit.residual, fit.degenerate)
+    return BesovReport(np.asarray(BETA_GRID), sems, alpha, fit.residual)

@@ -106,7 +106,7 @@ def _trajectory_id(traj: Trajectory) -> dict:
             "data": _digest(np.array(traj.times), *arrays)}
 
 
-def _out_dir(args) -> Path:
+def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -117,7 +117,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     grid_n = _field(cfg, "grid_n", int, 256) if args.grid_n is None else args.grid_n
     dims = _field(cfg, "dims", int, 1)
@@ -148,7 +148,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_besov_fit(args) -> int:
+def cmd_besov_fit(args: argparse.Namespace) -> int:
     if not args.field:
         raise UsageError("besov-fit requires --field <csv>")
     field = _load(args.field, load_scalar_field, args.field)
@@ -204,7 +204,7 @@ def _resolve_probe_fields(cfg: dict):
     return tuple(fields), tuple(alphas)
 
 
-def cmd_commutator_rate(args) -> int:
+def cmd_commutator_rate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     gamma = _field(cfg, "gamma", float, 1.4) if args.gamma is None else args.gamma
     gname = _field(cfg, "G", str, required=True)
@@ -231,11 +231,11 @@ def cmd_commutator_rate(args) -> int:
     return 0 if fit.passed else 1
 
 
-def cmd_relentropy(args) -> int:
+def cmd_relentropy(args: argparse.Namespace) -> int:
     if not args.traj_a or not args.traj_b:
         raise UsageError("relentropy requires --traj-a and --traj-b directories")
-    traj_a = _load(args.traj_a, Trajectory.load, args.traj_a)
-    traj_b = _load(args.traj_b, Trajectory.load, args.traj_b)
+    traj_a: Trajectory = _load(args.traj_a, Trajectory.load, args.traj_a)
+    traj_b: Trajectory = _load(args.traj_b, Trajectory.load, args.traj_b)
     chash = config_hash({"a": _trajectory_id(traj_a), "b": _trajectory_id(traj_b),
                          "sigma": args.sigma})
     grid = min(traj_a.grid, traj_b.grid, key=lambda g: g.cells_per_dim)
@@ -261,12 +261,12 @@ def cmd_relentropy(args) -> int:
     return 0 if check.ok else 1
 
 
-def cmd_oslip_check(args) -> int:
+def cmd_oslip_check(args: argparse.Namespace) -> int:
     delta = 0.0 if args.delta is None else args.delta
     rows = []
     flags = "masked" if args.mask_wrap else "unmasked"
     if args.traj:
-        traj = _load(args.traj, Trajectory.load, args.traj)
+        traj: Trajectory = _load(args.traj, Trajectory.load, args.traj)
         if traj.system != "complete":
             raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
@@ -314,7 +314,7 @@ def cmd_oslip_check(args) -> int:
     return 0
 
 
-def cmd_verify_thermo(args) -> int:
+def cmd_verify_thermo(args: argparse.Namespace) -> int:
     gamma = 1.4 if args.gamma is None else args.gamma
     try:
         params = GasParams(gamma)
@@ -331,7 +331,7 @@ def cmd_verify_thermo(args) -> int:
     return 0 if ident.passed and convex.passed else 1
 
 
-def cmd_accept(args) -> int:
+def cmd_accept(args: argparse.Namespace) -> int:
     results = acceptance.run_all(echo=print)
     if args.out:
         out = _out_dir(args)

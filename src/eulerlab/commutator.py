@@ -71,24 +71,20 @@ _FACTORS = {"bilinear": 1, "triple": 2}
 
 @dataclass(frozen=True)
 class GMap:
-    """C^2 map of k scalar arguments with closed-form derivatives.
+    """C^2 map of k scalar arguments, given by its closed-form derivatives.
 
-    ``value``, ``grad`` and ``hess`` act on a stacked array Y of shape
-    (k, ...); grad returns shape (k, ...) and hess (k, k, ...).
+    ``grad`` and ``hess`` act on a stacked array Y of shape (k, ...); grad
+    returns shape (k, ...) and hess (k, k, ...).
     """
 
-    name: str
     arity: int
-    value: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
 
 def gmap_square() -> GMap:
     return GMap(
-        "square",
         1,
-        lambda y: y[0] ** 2,
         lambda y: np.stack([2.0 * y[0]]),
         lambda y: np.stack([np.stack([2.0 + 0.0 * y[0]])]),
     )
@@ -97,9 +93,7 @@ def gmap_square() -> GMap:
 def gmap_product() -> GMap:
     zero = lambda y: 0.0 * y[0]
     return GMap(
-        "product",
         2,
-        lambda y: y[0] * y[1],
         lambda y: np.stack([y[1], y[0]]),
         lambda y: np.stack(
             [np.stack([zero(y), 1.0 + zero(y)]), np.stack([1.0 + zero(y), zero(y)])]
@@ -110,16 +104,13 @@ def gmap_product() -> GMap:
 def gmap_pressure_tilde(params: GasParams) -> GMap:
     """Pressure as a function of (rho, S); convex with closed-form Hessian."""
 
-    def value(y):
-        return tilde_pressure_derivatives(y[0], y[1], params)[0]
-
     def gradf(y):
         return tilde_pressure_derivatives(y[0], y[1], params)[1]
 
     def hessf(y):
         return tilde_pressure_derivatives(y[0], y[1], params)[2]
 
-    return GMap("pressure_tilde", 2, value, gradf, hessf)
+    return GMap(2, gradf, hessf)
 
 
 def get_gmap(name: str, params: GasParams | None = None) -> GMap:
@@ -212,7 +203,6 @@ def chain_bound(probe: CommutatorProbe, eps: float) -> float:
 
 @dataclass(frozen=True)
 class ChainCommutatorResult:
-    eps: float
     commutator: VectorField
     term_a: VectorField
     term_b: VectorField
@@ -250,7 +240,6 @@ def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResul
         for v in (comm, term_a, term_b)
     )
     return ChainCommutatorResult(
-        eps,
         VectorField(grid, comm),
         VectorField(grid, term_a),
         VectorField(grid, term_b),
@@ -268,7 +257,6 @@ class RateFit:
     bounds: np.ndarray
     slope: float
     predicted: float
-    fit_residual: float
     passed: bool
     bound_ok: np.ndarray
 
@@ -296,10 +284,10 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     ]
     predicted = min(active) if active else math.inf
     win = _asymptotic_window(len(eps_arr))
-    slope, resid = _loglog_fit(eps_arr[win], norms_arr[win])
+    slope, _ = _loglog_fit(eps_arr[win], norms_arr[win])
     bound_ok = norms_arr <= (1.0 + CHAIN_BOUND_SLACK) * bounds_arr
     passed = bool(slope >= predicted - 0.1 and np.all(bound_ok))
-    return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, resid, passed, bound_ok)
+    return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, passed, bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +297,14 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
 
 @dataclass(frozen=True)
 class ProductCommutatorResult:
-    eps: float
     norm: float          # L^{p/2} norm of the commutator
     rhs_mollify: float   # squared L^p mollification modulus of the tuple
     rhs_shift: float     # squared L^p shift modulus, sup over |y| < eps
-    passed: bool
-    commutator: np.ndarray
+    passed: bool         # norm <= C0_PRODUCT * (rhs_mollify + rhs_shift)
 
 
 def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, eps_list,
-                  c0: float, factors: int) -> list[ProductCommutatorResult]:
+                  factors: int) -> list[ProductCommutatorResult]:
     """rho_eps U_eps - (rho U)_eps per eps, U = u or u (x) u for 1 or 2 ``factors``;
     the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
     grid, vol = rho_field.grid, rho_field.grid.cell_volume
@@ -338,7 +324,7 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
         rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), PRODUCT_P, vol) ** 2
         rhs2 = sup**2
         results.append(ProductCommutatorResult(
-            eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
+            norm, rhs1, rhs2, bool(norm <= C0_PRODUCT * (rhs1 + rhs2))
         ))
     return results
 
@@ -346,26 +332,26 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
 def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
                         eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps - (rho u)_eps with its one-sided modulus bound."""
-    return _product_scan(rho_field, u_field, [eps], C0_PRODUCT, 1)[0]
+    return _product_scan(rho_field, u_field, [eps], 1)[0]
 
 
 def triple_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
                       eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps (x) u_eps - (rho u (x) u)_eps, Frobenius magnitude."""
-    return _product_scan(rho_field, u_field, [eps], C0_PRODUCT, 2)[0]
+    return _product_scan(rho_field, u_field, [eps], 2)[0]
 
 
 def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
                      eps_range: Sequence[float], kind: str = "bilinear"):
-    """Decay slope of a product commutator over a dyadic eps scan."""
+    """Decay slope of a product commutator over a dyadic eps scan, and its results."""
     if kind not in _FACTORS:
         raise ValueError(f"unknown product commutator kind {kind!r}; known: bilinear, triple")
     eps_arr = np.array(sorted(float(e) for e in eps_range))
-    results = _product_scan(rho_field, u_field, eps_arr, C0_PRODUCT, _FACTORS[kind])
+    results = _product_scan(rho_field, u_field, eps_arr, _FACTORS[kind])
     norms = np.array([r.norm for r in results])
     win = _asymptotic_window(len(eps_arr))
-    slope, resid = _loglog_fit(eps_arr[win], norms[win])
-    return slope, resid, results
+    slope, _ = _loglog_fit(eps_arr[win], norms[win])
+    return slope, results
 
 
 def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
@@ -374,6 +360,6 @@ def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
     eps_list = [float(e) for e in eps_range]
     worst = 0.0
     for factors in _FACTORS.values():
-        for r in _product_scan(rho_field, u_field, eps_list, math.inf, factors):
+        for r in _product_scan(rho_field, u_field, eps_list, factors):
             worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
     return worst

@@ -201,15 +201,7 @@ def lp_norm_values(magnitudes: np.ndarray, p: float, cell_volume: float) -> floa
     mag = np.abs(np.asarray(magnitudes, dtype=float))
     if p == np.inf:
         return float(np.max(mag))
-    if p == 1.0:
-        terms = mag
-    elif p == 2.0:
-        terms = mag * mag
-    elif float(p).is_integer():
-        terms = mag ** int(p)
-    else:
-        terms = mag**p
-    total = exact_sum(terms)
+    total = exact_sum(mag**p)
     return float((cell_volume * total) ** (1.0 / p))
 
 
@@ -260,12 +252,19 @@ def offset_length(grid: PeriodicGrid, offsets: Sequence[int]) -> float:
     return grid.cell_width * math.sqrt(sum(c * c for c in offsets))
 
 
+def _check_radius(eps: float) -> None:
+    """Past half the period a ball's or a kernel's offsets land on the same cells again."""
+    if eps > PERIOD / 2.0:
+        raise DomainError(f"radius {eps:g} exceeds half the period, {PERIOD / 2.0:g}")
+
+
 def ball_offsets(grid: PeriodicGrid, rmax: int, eps: float) -> list[tuple[int, ...]]:
     """Nonzero lattice offsets with |h| < eps and at most rmax cells per axis.
 
     One offset of each +-h pair is kept (the first nonzero coordinate is
-    positive), in lexicographic order.
+    positive), in lexicographic order.  ``eps`` is at most half the period.
     """
+    _check_radius(eps)
     if grid.dims == 1:
         cand = [(c,) for c in range(1, rmax + 1)]
     else:
@@ -307,6 +306,7 @@ def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
     eps = float(epsilon)
     if eps <= 0:
         raise DomainError(f"mollifier radius must be positive, got {eps}")
+    _check_radius(eps)
     dx = grid.cell_width
     if eps < 2.0 * dx:
         raise ResolutionError(

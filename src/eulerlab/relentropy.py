@@ -131,7 +131,6 @@ class CoercivityCalibration:
     box: StateBox
     c_hat: float        # quadratic branch constant, 0.9 x sampled min ratio
     c_far: float        # unbounded branch constant, same rule outside 2x box
-    seed: int
 
 
 def _quadratic_form(rho, vel_cand, theta_cand, r_ref, u_ref, t_ref):
@@ -235,7 +234,7 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
     dens_f = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
     far = _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
     c_far = 0.9 * float(np.min(dens_f.total / far))
-    return CoercivityCalibration(box, c_hat, c_far, seed)
+    return CoercivityCalibration(box, c_hat, c_far)
 
 
 @dataclass(frozen=True)
@@ -311,11 +310,13 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
                      sigma: float | None = None) -> RelEntropyTrace:
     """Track integral E(a | b) and the Gronwall budget of the reference b.
 
-    Both trajectories must share grid and snapshot times.  The reported
+    Both trajectories must share gas, grid and snapshot times.  The reported
     window starts at ``sigma`` (default: two snapshot strides in, mirroring
     the vanishing-initial-layer convention); a non-finite ``sigma``, or one
     that leaves fewer than two snapshots in the window, is a ValueError.
     """
+    if traj_a.params != traj_b.params:
+        raise ValueError(f"trajectories of different gases: {traj_a.params}, {traj_b.params}")
     if traj_a.grid != traj_b.grid:
         raise ValueError("trajectories live on different grids")
     ta, tb = traj_a.times, traj_b.times

@@ -34,7 +34,6 @@ class SpaceTimeTest:
     lattice.  ``nonneg`` marks admissibility for entropy testing.
     """
 
-    name: str
     value: Callable
     nonneg: bool = False
 
@@ -57,7 +56,7 @@ def bump_test(center, width: float, t0: float, t1: float,
             space = space * bump_profile(wrap(X[ax] - centers[ax]) / width)[0]
         return _scalar_bump((t - mid) / half) * space
 
-    return SpaceTimeTest(f"bump(c={tuple(centers)!r},w={width},t=({t0},{t1}))", value, nonneg)
+    return SpaceTimeTest(value, nonneg)
 
 
 def _fields(snap: Snapshot, params: GasParams, which: str):

@@ -379,6 +379,17 @@ class TestInputBoundary:
         assert f"p must be >= 2, got {p}" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_commutator_rate_bounds_the_mollifier_radius(self, tmp_path, capsys):
+        # eps = 50 on a 64-cell probe built 3,199 taps that wrapped the axis
+        # 50 times, and wrote a row
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({**_VALID_PROBE, "eps": [50.0, 0.25, 0.125, 0.0625]}))
+        out = tmp_path / "rep"
+        assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "radius 50 exceeds half the period" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_relentropy_missing_directories(self, tmp_path):
         assert main(["relentropy", "--traj-a", str(tmp_path / "a"),
                      "--traj-b", str(tmp_path / "b"), "--out", str(tmp_path)]) == 2
@@ -389,6 +400,17 @@ class TestInputBoundary:
         assert main(["relentropy", "--traj-a", str(a), "--traj-b", str(b),
                      "--out", str(tmp_path / "rep")]) == 2
         assert "divide" in capsys.readouterr().err
+
+    def test_relentropy_rejects_two_gases(self, tmp_path, capsys):
+        # the gamma = 5/3 run used to be read with the gamma = 1.4 closure, and passed
+        pair = [_simulate(tmp_path, name, grid_n=32, t_end=0.2, snapshot_stride=0.05,
+                          gamma=gamma) for name, gamma in (("a", 1.4), ("b", 5.0 / 3.0))]
+        out = tmp_path / "rep"
+        assert main(["relentropy", "--traj-a", str(pair[0]), "--traj-b", str(pair[1]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "trajectories of different gases" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma,message", [
         ("0.5", "need at least two snapshots past sigma=0.5"),   # past the last
@@ -962,7 +984,7 @@ _PROBE_VARIANTS = {
     "G": ["product", "pressure_tilde", "cube", 3, None],
     "p": [2.0, 1.5, float("nan"), float("inf"), "x", None],
     "eps": [[0.5, 0.25, 0.125, 0.0625, 0.03125], [0.25, 0.125], [], [0.5, -1.0, 0.0625],
-            [float("nan")] * 4, ["x"], "x", None],
+            [float("nan")] * 4, ["x"], "x", None, [50.0, 0.25, 0.125, 0.0625]],
     "gamma": [5.0 / 3.0, 1.0, "x"],
 }
 _WEIER_VARIANTS = {

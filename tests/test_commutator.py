@@ -44,9 +44,7 @@ EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
 
 def _linear_gmap():
     return GMap(
-        "linear",
         1,
-        lambda y: 3.0 * y[0] + 1.0,
         lambda y: np.stack([3.0 + 0.0 * y[0]]),
         lambda y: np.stack([np.stack([0.0 * y[0]])]),
     )
@@ -197,7 +195,9 @@ class TestChainRates:
     def test_pressure_tilde_gmap_available(self, grid256):
         gmap = gmap_pressure_tilde(GasParams(1.4))
         y = np.stack([np.full(4, 1.0), np.zeros(4)])
-        np.testing.assert_allclose(gmap.value(y), 1.0, rtol=1e-14)
+        # (dp/drho, dp/dS) = (gamma, gamma - 1) at rho = 1, S = 0
+        np.testing.assert_allclose(gmap.grad(y), np.stack([np.full(4, 1.4), np.full(4, 0.4)]),
+                                   rtol=1e-14)
         hess = gmap.hess(y)
         assert hess.shape == (2, 2, 4)
 
@@ -211,13 +211,13 @@ class TestProductCommutators:
 
     def test_bilinear_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
+        slope, results = product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
         assert slope >= 2 * 0.4 - 0.1
         assert all(r.passed for r in results)
 
     def test_triple_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, _, results = product_rate_fit(rho, u, EPS_SCAN, kind="triple")
+        slope, results = product_rate_fit(rho, u, EPS_SCAN, kind="triple")
         assert slope >= 3 * 0.4 - 1.0 - 0.1
         assert all(r.passed for r in results)
 
@@ -289,9 +289,7 @@ def _oracle_bilinear(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     comm = rho_e * u_e - mollify_values(rho * u, mol, first_axis=1)
     mag = np.sqrt(np.sum(comm * comm, axis=0))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
-    )
+    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)))
 
 
 def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
@@ -308,9 +306,7 @@ def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     comm = rho_e * outer_e - mollify_values(flat, mol, first_axis=1).reshape(outer.shape)
     mag = np.sqrt(np.sum(comm * comm, axis=(0, 1)))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(
-        eps, norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), comm
-    )
+    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)))
 
 
 _ORACLES = {"bilinear": (_oracle_bilinear, bilinear_commutator),
@@ -321,8 +317,6 @@ def _assert_same(new, old):
     for name in ("norm", "rhs_mollify", "rhs_shift"):
         assert float(getattr(new, name)).hex() == float(getattr(old, name)).hex(), name
     assert new.passed == old.passed
-    assert new.commutator.shape == old.commutator.shape
-    assert np.array_equal(new.commutator, old.commutator)
 
 
 def _pair_2d():
@@ -343,10 +337,10 @@ class TestProductScanMatchesPerEps:
         # descending, with repeats: product_rate_fit sorts, the scan keeps order
         eps = list(eps_scan) + [eps_scan[1], eps_scan[1]]
         expected = {e: oracle(rho, u, e) for e in eps_scan}
-        _, _, results = product_rate_fit(rho, u, eps, kind=kind)
-        assert [r.eps for r in results] == sorted(eps)
-        for r in results:
-            _assert_same(r, expected[r.eps])
+        _, results = product_rate_fit(rho, u, eps, kind=kind)
+        assert len(results) == len(eps)
+        for e, r in zip(sorted(eps), results):
+            _assert_same(r, expected[e])
         _assert_same(entry(rho, u, eps_scan[2]), expected[eps_scan[2]])
 
     def test_1d_measurement_grid(self, rough_pair_8k, kind):
@@ -406,9 +400,7 @@ def _gate_product_probe():
 def _cubic_gmap():
     # |d^2 G / dy0 dy1| = |y0| peaks on the last sample row of the first axis
     return GMap(
-        "cubic",
         2,
-        lambda y: 0.5 * y[0] ** 2 * y[1],
         lambda y: np.stack([y[0] * y[1], 0.5 * y[0] ** 2]),
         lambda y: np.stack([np.stack([y[1], y[0]]), np.stack([y[0], 0.0 * y[0]])]),
     )

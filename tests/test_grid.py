@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eulerlab import grid as grid_module
 from eulerlab.acceptance import EPS_SCAN
 from eulerlab.errors import DomainError, ResolutionError
 from eulerlab.grid import (
@@ -22,6 +23,7 @@ from eulerlab.grid import (
     grad_values,
     integral,
     lp_norm,
+    lp_norm_values,
     mollify_values,
     read_columns_csv,
     offset_length,
@@ -92,6 +94,51 @@ class TestNorms:
         v = VectorField(grid2d, np.stack([np.full(grid2d.shape, 3.0),
                                           np.full(grid2d.shape, 4.0)]))
         assert lp_norm(v, np.inf) == pytest.approx(5.0)
+
+
+def _lp_terms_oracle(mag, p):
+    """The terms lp_norm_values summed when it chose the power by p."""
+    if p == 1.0:
+        return mag
+    if p == 2.0:
+        return mag * mag
+    if float(p).is_integer():
+        return mag ** int(p)
+    return mag**p
+
+
+#: Zeros, subnormals, every decade of the normal range, and magnitudes whose
+#: powers overflow, of both signs.
+_LP_MAGNITUDES = np.concatenate([
+    [0.0, -0.0, 5e-324, -1e-320, 1e-310, 2.2250738585072014e-308],
+    np.logspace(-307, 307, 20_001), -np.logspace(-6, 6, 2_001),
+    [1e100, 1.3407807929942596e154, 1e200, 1e300, np.finfo(float).max],
+])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+class TestOnePower:
+    """lp_norm_values takes |v|**p for every finite p, bit-identical to the
+    per-p branches it replaced (|v|, |v|*|v|, |v|**int(p), |v|**p)."""
+
+    def test_terms(self, monkeypatch, p):
+        summed = []
+        monkeypatch.setattr(grid_module, "exact_sum", lambda t: summed.append(t) or 0.0)
+        with np.errstate(over="ignore"):
+            lp_norm_values(_LP_MAGNITUDES, p, 1.0)
+            expected = _lp_terms_oracle(np.abs(_LP_MAGNITUDES), p)
+        assert [t.hex() for t in summed[0].tolist()] == [t.hex() for t in expected.tolist()]
+
+    def test_norms(self, p):
+        # six decades at a time, up to where the sum of the powers overflows
+        for lo in range(-306, int(300 / p) - 6, 12):
+            mag = np.logspace(lo, lo + 6, 2_000)
+            for vol in (1.0, 2.0**-13):
+                expected = (vol * exact_sum(_lp_terms_oracle(mag, p))) ** (1.0 / p)
+                assert lp_norm_values(mag, p, vol).hex() == expected.hex(), lo
+        tiny = _LP_MAGNITUDES[:6]
+        expected = exact_sum(_lp_terms_oracle(np.abs(tiny), p)) ** (1.0 / p)
+        assert lp_norm_values(tiny, p, 1.0).hex() == expected.hex()
 
 
 def _mollify(field, mol):
@@ -236,12 +283,13 @@ class TestPaddedMollifierMatchesShiftSum:
     def test_off_lattice_radius(self, dims, cells, eps):
         self._check(PeriodicGrid(dims, cells), eps)
 
-    @pytest.mark.parametrize("dims,eps,radius", [(1, 5.0, 39), (2, 2.3, 18)])
-    def test_radius_beyond_the_grid(self, dims, eps, radius):
-        # the pad wraps more than once around a 16-cell axis
-        mol = self._check(PeriodicGrid(dims, 16), eps, lead=(2,) * (dims - 1),
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_widest_radius(self, dims):
+        # half the period: 7 cells each way on a 16-cell axis, the widest
+        # kernel whose taps all land on distinct cells
+        mol = self._check(PeriodicGrid(dims, 16), 1.0, lead=(2,) * (dims - 1),
                           first_axis=dims - 1)
-        assert mol.radius_cells == radius >= 16
+        assert mol.radius_cells == 7
 
 
 class TestCalculus:
@@ -581,6 +629,18 @@ class TestBallOffsets:
         for eps in (2.0**-4, 2.0**-10):
             mol = build_mollifier(grid8k, eps)
             assert mol.radius_cells == math.ceil(eps / grid8k.cell_width) - 1
+
+    @pytest.mark.parametrize("dims,eps", [(1, 5.0), (2, 2.3), (1, math.nextafter(1.0, 2.0)),
+                                          (2, math.inf)])
+    def test_radius_past_half_the_period_is_refused(self, dims, eps):
+        # past PERIOD / 2 the taps of a kernel, and the offsets of a ball, land
+        # on the same cells again; the tap count grew as (2 eps / dx)**dims
+        grid = PeriodicGrid(dims, 16)
+        with pytest.raises(DomainError, match="exceeds half the period"):
+            build_mollifier(grid, eps)
+        with pytest.raises(DomainError, match="exceeds half the period"):
+            ball_offsets(grid, 64, eps)
+        assert max(abs(c) for off in ball_offsets(grid, 64, 1.0) for c in off) == 7
 
 
 class TestWeierstrassPhase:

@@ -333,6 +333,14 @@ class TestTrajectoryMonitor:
         with pytest.raises(ValueError):
             gronwall_monitor(a, b, gamma14)
 
+    def test_mismatched_gases_rejected(self, gamma14):
+        # b's snapshots were read with a's gamma
+        a, b = (run(SolverConfig(grid=PeriodicGrid(1, 64), params=params, t_end=0.1,
+                                 init={"name": "smooth"}, snapshot_stride=0.05))
+                for params in (gamma14, GasParams(5.0 / 3.0)))
+        with pytest.raises(ValueError, match="trajectories of different gases"):
+            gronwall_monitor(a, b, gamma14)
+
 
 def _fitted_loop(times, integral):
     """gronwall_monitor's per-interval growth rates before grid.time_trapezoid."""

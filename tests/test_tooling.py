@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import eulerlab
 
 SRC = Path(eulerlab.__file__).parent
@@ -49,6 +51,9 @@ UNSET_OPTIONS = {
     "bump_test(nonneg)": "the entropy test's rejection of a signed test function",
     "j1_term(mask)": "the window off the wrap jumps; J1 is to enter the relentropy report",
 }
+
+#: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
+_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 12, "UNSET_OPTIONS": 6}
 
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
@@ -327,14 +332,191 @@ def test_guard_sees_a_planted_dead_function(tmp_path):
     assert _unread_public_defs(src, BENCH) == before
 
 
+#: Scopes of their own: a receiver name inside one is looked up there first.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+#: What a name bound to an eulerlab module resolves to; its attributes are no fields.
+_SRC_MODULE = "eulerlab module"
+
+
+def _union(*types):
+    """One type from several: unknown (None) if any is unknown or a module."""
+    if not all(isinstance(t, frozenset) for t in types):
+        return None
+    return frozenset().union(*types)
+
+
+def _own_nodes(node: ast.AST):
+    """Every node under ``node``, in source order, without entering a nested scope
+    (the nested scope's own node is yielded)."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _own_nodes(child)
+
+
+class _Receivers:
+    """Resolves the receiver ``x`` of a read ``x.f`` to a type: a frozenset of
+    ``src`` class names (empty for what comes from outside ``src``, such as an
+    ``argparse.Namespace``), or None where it cannot be told (a loop variable,
+    an unannotated parameter, what a builtin returns).
+
+    ``self`` is its class; a parameter or variable is its annotation; a name
+    assigned from ``C(...)``, or from a call of a ``src`` def annotated
+    ``-> C``, is ``C``; an attribute is its field's annotation; a call on
+    something from outside ``src`` returns something from outside ``src``."""
+
+    def __init__(self, src: Path):
+        self.modules = {path.stem for path in src.glob("*.py")}
+        self.classes, self.aliases, self.returns = {}, {}, {}
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            self.aliases.update((st.targets[0].id, st.value) for st in tree.body
+                                if isinstance(st, ast.Assign) and len(st.targets) == 1
+                                and isinstance(st.targets[0], ast.Name))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    self.classes[node.name] = node
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.returns.setdefault(node.name, []).append(node.returns)
+
+    def annotation(self, node):
+        """The type an annotation names: ``C``, ``C | D``, a ``src`` alias of
+        these, or a string of one; anything else is outside ``src``."""
+        if node is None:
+            return None
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+            return _union(self.annotation(node.left), self.annotation(node.right))
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if name in self.classes:
+            return frozenset({name})
+        if isinstance(node, ast.Name) and name in self.aliases:
+            return self.annotation(self.aliases[name])
+        return frozenset()
+
+    def member(self, owner, name: str, called: bool):
+        """Type of ``x.name``, or of the call ``x.name(...)``, for ``x`` of type
+        ``owner``: a field's annotation, a property's or a called method's
+        return annotation."""
+        if not owner:   # None, or something from outside src
+            return owner
+        types = []
+        for cls in owner:
+            st = next((st for st in self.classes[cls].body
+                       if name in (getattr(st, "name", None),
+                                   getattr(getattr(st, "target", None), "id", None))), None)
+            if isinstance(st, ast.AnnAssign) and not called:
+                types.append(self.annotation(st.annotation))
+            elif isinstance(st, ast.FunctionDef) and (called or st.decorator_list):
+                types.append(self.annotation(st.returns))
+            else:
+                return None
+        return _union(*types)
+
+    def type_of(self, node: ast.AST, env: list[dict]):
+        """The type of the expression ``node`` in the scopes ``env``, innermost first."""
+        if isinstance(node, ast.Name):
+            return next((scope[node.id] for scope in env if node.id in scope), None)
+        if isinstance(node, ast.IfExp):
+            return _union(self.type_of(node.body, env), self.type_of(node.orelse, env))
+        called = isinstance(node, ast.Call)
+        func = node.func if called else node
+        if isinstance(func, ast.Attribute):
+            owner = self.type_of(func.value, env)
+            if owner != _SRC_MODULE:
+                return self.member(owner, func.attr, called)
+            name = func.attr
+        elif called and isinstance(func, ast.Name):
+            if any(func.id in scope for scope in env):
+                return frozenset() if self.type_of(func, env) == frozenset() else None
+            name = func.id
+        else:
+            return None
+        if not called:
+            return None
+        if name in self.classes:
+            return frozenset({name})
+        return _union(*map(self.annotation, self.returns.get(name, [None])))
+
+    def reads(self, tree: ast.Module) -> list:
+        """(attribute, receiver type) of every attribute read in ``tree``."""
+        found = []
+
+        def scope(node, outer: list[dict], cls: str | None = None):
+            env: dict = {}
+            chain = [env] + outer
+
+            def bind(name, kind):
+                env[name] = kind if env.get(name, kind) == kind else _union(env[name], kind)
+
+            if not isinstance(node, (ast.Module, ast.ClassDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                for i, arg in enumerate(params):
+                    bind(arg.arg, frozenset({cls} & self.classes.keys()) if cls and i == 0 else
+                         self.annotation(arg.annotation))
+                for arg in (a.vararg, a.kwarg):
+                    if arg:
+                        bind(arg.arg, None)
+            typed, attrs, nested = set(), [], []
+            for sub in _own_nodes(node):
+                if isinstance(sub, ast.Attribute):
+                    attrs.append(sub)
+                elif isinstance(sub, _SCOPES):
+                    nested.append(sub)
+                elif isinstance(sub, ast.Assign) and len(sub.targets) == 1 and isinstance(
+                        sub.targets[0], ast.Name):
+                    typed.add(sub.targets[0])
+                    bind(sub.targets[0].id, self.type_of(sub.value, chain))
+                elif isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    typed.add(sub.target)
+                    bind(sub.target.id, self.annotation(sub.annotation))
+                elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    if sub not in typed:
+                        bind(sub.id, None)
+                elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                    bind(sub.name, None)
+                elif isinstance(sub, ast.Import):
+                    for alias in sub.names:
+                        root = alias.name.split(".")[0]
+                        bind(alias.asname or root,
+                             _SRC_MODULE if root == "eulerlab" else frozenset())
+                elif isinstance(sub, ast.ImportFrom):
+                    ours = sub.level > 0 or sub.module.split(".")[0] == "eulerlab"
+                    for alias in sub.names:
+                        if not ours or alias.name in self.modules:
+                            bind(alias.asname or alias.name,
+                                 _SRC_MODULE if ours else frozenset())
+            for a in attrs:
+                owner = self.type_of(a.value, chain)
+                found.append((a.attr, frozenset() if owner == _SRC_MODULE else owner))
+            for sub in nested:
+                if isinstance(node, ast.ClassDef) and not isinstance(sub, ast.Lambda):
+                    # a method does not see the class body; its first parameter is the class
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in sub.decorator_list)
+                    scope(sub, outer, None if static or isinstance(sub, ast.ClassDef)
+                          else node.name)
+                else:
+                    scope(sub, chain)
+
+        scope(tree, [])
+        return found
+
+
 def _unread_fields(src: Path, bench: Path) -> list[str]:
-    """``Class.field`` of every dataclass or NamedTuple field in ``src`` whose
-    name no attribute read in ``src`` or ``bench`` takes (nor, in ``bench``,
-    a string constant); by name, as the public-def guard."""
-    reads = set().union(*({sub.attr for sub in ast.walk(ast.parse(p.read_text()))
-                           if isinstance(sub, ast.Attribute)} for p in src.glob("*.py")),
-                        *(_reads(ast.parse(p.read_text()), bench=True)
-                          for p in bench.glob("*.py")))
+    """``Class.field`` of every dataclass or NamedTuple field in ``src`` that no
+    attribute read in ``src`` or ``bench`` takes: a read ``x.f`` counts for
+    ``C.f`` when ``x`` resolves to ``C`` or cannot be resolved (see
+    ``_Receivers``).  String constants in ``bench`` keep no field alive."""
+    known = _Receivers(src)
+    readers: dict[str, set] = {}   # attribute -> the classes its reads count for; None: all
+    for path in [*sorted(src.glob("*.py")), *sorted(bench.glob("*.py"))]:
+        for attr, owner in known.reads(ast.parse(path.read_text())):
+            readers.setdefault(attr, set()).update(
+                {None} if owner is None else owner)
     found = []
     for path in sorted(src.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -343,7 +525,7 @@ def _unread_fields(src: Path, bench: Path) -> list[str]:
                     or any("dataclass" in _reads(d) for d in cls.decorator_list)):
                 found += [f"{cls.name}.{st.target.id}" for st in cls.body
                           if isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)
-                          and st.target.id not in reads]
+                          and not readers.get(st.target.id, set()) & {None, cls.name}]
     return found
 
 
@@ -370,6 +552,62 @@ def test_field_guard_sees_a_planted_field(tmp_path):
     with open(src / "besov.py", "a") as fh:
         fh.write("\n_PLANTED = grid.planted(1.0).planted_extra\n")
     assert _unread_fields(src, BENCH) == before
+
+
+#: A record whose one field shares its name with Trajectory.times, which src reads,
+#: and a def that returns it.
+_PLANTED_TIMES = ("\n\n@dataclass(frozen=True)\nclass Planted:\n    times: float\n\n\n"
+                  "def planted(x: float) -> Planted:\n    return Planted(x)\n")
+
+
+@pytest.mark.parametrize("reader,reads", [
+    ("def planted_reader(rec: grid.Planted):\n    return rec.times\n", True),
+    ("def planted_reader():\n    rec = grid.planted(1.0)\n    return rec.times\n", True),
+    ("def planted_reader(rows):\n    return [row.times for row in rows]\n", True),
+    ("def planted_reader(traj: Trajectory):\n    return traj.times\n", False),
+    ("def planted_reader(args: argparse.Namespace):\n    return args.times\n", False),
+    ("def planted_reader():\n    from argparse import ArgumentParser\n"
+     "    args = ArgumentParser().parse_args()\n    return args.times\n", False),
+], ids=["annotated-parameter", "returned-by-src-def", "unresolvable", "other-class",
+        "annotated-outside-src", "called-outside-src"])
+def test_field_guard_resolves_receivers(tmp_path, reader, reads):
+    """A read x.times keeps Planted.times alive when x is a Planted or cannot
+    be told; a Trajectory, or an argparse.Namespace, keeps it unread."""
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    before = _unread_fields(src, BENCH)
+    with open(src / "grid.py", "a") as fh:
+        fh.write(_PLANTED_TIMES)
+    # src reads Trajectory.times and RelEntropyTrace.times, not Planted.times
+    assert set(_unread_fields(src, BENCH)) - set(before) == {"Planted.times"}
+    with open(src / "besov.py", "a") as fh:
+        fh.write("\n\n" + reader)
+    assert set(_unread_fields(src, BENCH)) - set(before) == (set() if reads else {"Planted.times"})
+
+
+def test_bench_strings_keep_defs_but_no_fields_alive(tmp_path):
+    """The benchmark wraps functions by name, so its strings keep a def
+    alive; a dict key of the same name as a field reads no field."""
+    src, bench = tmp_path / "eulerlab", tmp_path / "perfbench"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(BENCH, bench, ignore=shutil.ignore_patterns("__pycache__"))
+    fields, defs = _unread_fields(src, bench), _unread_public_defs(src, bench)
+    with open(src / "grid.py", "a") as fh:
+        fh.write(_PLANTED_TIMES.replace("times", "planted_key")
+                 + "\n\ndef planted_entry():\n    return planted(1.0)\n")
+    assert set(_unread_fields(src, bench)) - set(fields) == {"Planted.planted_key"}
+    assert set(_unread_public_defs(src, bench)) - set(defs) == {"grid.py:planted_entry"}
+    with open(bench / "run.py", "a") as fh:
+        fh.write('\n_PLANTED = {"planted_key": 0, "planted_entry": 1}\n')
+    assert set(_unread_fields(src, bench)) - set(fields) == {"Planted.planted_key"}
+    assert _unread_public_defs(src, bench) == defs
+
+
+def test_keep_lists_only_shrink():
+    sizes = {name: len(globals()[name]) for name in _KEEP_LIST_CAPS}
+    grown = {name: (n, _KEEP_LIST_CAPS[name]) for name, n in sizes.items()
+             if n > _KEEP_LIST_CAPS[name]}
+    assert not grown, f"keep-lists past their caps, (size, cap): {grown}"
 
 
 def _options(tree: ast.Module):
