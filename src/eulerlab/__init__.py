@@ -1,10 +1,10 @@
 """Numerical laboratory for compressible Euler flow estimates.
 
-Implements the ideal-gas Euler systems (complete and isentropic) on periodic
-domains together with the quantitative machinery their stability theory
-rests on: Besov semi-norm measurement, mollification commutator decay,
-relative-entropy coercivity, one-sided Lipschitz constants, and a Gronwall
-growth monitor between discrete solutions.
+Implements the complete ideal-gas Euler system, in the conserved variables
+(rho, m, E), on periodic domains together with the quantitative machinery
+its stability theory rests on: Besov semi-norm measurement, mollification
+commutator decay, relative-entropy coercivity, one-sided Lipschitz
+constants, and a Gronwall growth monitor between discrete solutions.
 """
 
 __version__ = "0.1.0"

@@ -94,7 +94,7 @@ class ModulusTable:
 
     def __init__(self, grid: PeriodicGrid, values: np.ndarray, p: float, offsets, eps_list):
         self.radius = big = max(eps_list, default=0.0)
-        ball = ball_offsets(grid, int(big / grid.cell_width), big)
+        ball = ball_offsets(grid, big)
         self.grid, self.values = grid, values
         self.norms = {off: (offset_length(grid, off), _diff_norm(self, off, p))
                       for off in sorted(set(offsets) | set(ball))}

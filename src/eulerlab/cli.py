@@ -1,7 +1,7 @@
 """Experiment harness: deterministic batch runs with CSV reports.
 
-Subcommands cover the whole laboratory: `simulate` integrates a configured
-system and persists the trajectory; `besov-fit`, `commutator-rate`,
+Subcommands cover the whole laboratory: `simulate` integrates the complete
+Euler system and persists the trajectory; `besov-fit`, `commutator-rate`,
 `relentropy` and `oslip-check` run the estimate monitors on fields or
 trajectory directories; `verify-thermo` checks the closure identities; and
 `accept` executes the acceptance gates.  Configs are JSON, all numeric
@@ -28,6 +28,7 @@ from . import relentropy as re_
 from .errors import DomainError, RangeError, ResolutionError, StabilityError
 from .grid import PeriodicGrid, load_scalar_field, time_window, weierstrass_field
 from .solver import (
+    COMPLETE,
     SolverConfig,
     Trajectory,
     config_hash,
@@ -52,25 +53,42 @@ def _load(what: str, loader, *args):
         raise UsageError(f"cannot load {what}: {exc!r}")
 
 
-def _load_config(path: str | None) -> dict:
+#: The top-level keys each subcommand's config may hold, with their types.
+_SIMULATE_KEYS = {"grid_n": int, "dims": int, "gamma": float, "t_end": float, "system": str,
+                  "cfl": float, "init": dict, "snapshot_stride": float}
+_PROBE_KEYS = {"fields": list, "G": str, "p": float, "eps": list, "gamma": float}
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _load_config(path: str | None, keys: dict) -> dict:
+    """The JSON object at ``path`` (none: ``{}``), every key of it one of
+    ``keys`` and of that key's JSON type.  An integer passes for a number,
+    which it becomes; a bool passes for nothing."""
     if path is None:
         return {}
     cfg = _load(f"config {path}", lambda: json.loads(Path(path).read_text()))
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
+    unread = sorted(set(cfg) - set(keys))
+    if unread:
+        raise UsageError(f"config {path} has keys this subcommand does not read: {unread}")
+    for name, value in cfg.items():
+        kind = keys[name]
+        if type(value) not in ((int, float) if kind is float else (kind,)):
+            raise UsageError(f"config field {name!r} must be {_JSON_TYPES[kind]}, "
+                             f"got {value!r}")
+        try:
+            cfg[name] = kind(value)
+        except OverflowError:   # an integer past the float range
+            raise UsageError(f"config field {name!r} has invalid value {value!r}")
     return cfg
 
 
-def _field(cfg: dict, name: str, kind, default=None, required=False):
+def _required(cfg: dict, name: str):
     if name not in cfg:
-        if required:
-            raise UsageError(f"config field {name!r} is required")
-        return default
-    value = cfg[name]
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"config field {name!r} has invalid value {value!r}")
+        raise UsageError(f"config field {name!r} is required")
+    return cfg[name]
 
 
 def _write_report(path: Path, header: list[str], rows: list[list], config_hash: str):
@@ -101,7 +119,7 @@ def _digest(*arrays) -> str:
 
 
 def _trajectory_id(traj: Trajectory) -> dict:
-    arrays = [a for s in traj.snapshots for a in (s.rho, s.mom, s.energy) if a is not None]
+    arrays = [a for s in traj.snapshots for a in (s.rho, s.mom, s.energy)]
     return {"config_hash": traj.meta.get("config_hash"),
             "data": _digest(np.array(traj.times), *arrays)}
 
@@ -118,21 +136,21 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    grid_n = _field(cfg, "grid_n", int, 256) if args.grid_n is None else args.grid_n
-    dims = _field(cfg, "dims", int, 1)
-    gamma = _field(cfg, "gamma", float, 1.4) if args.gamma is None else args.gamma
-    init = _field(cfg, "init", dict, {"name": "sod"})
-    t_end = _field(cfg, "t_end", float, 0.2)
+    cfg = _load_config(args.config, _SIMULATE_KEYS)
+    grid_n = cfg.get("grid_n", 256) if args.grid_n is None else args.grid_n
+    gamma = cfg.get("gamma", 1.4) if args.gamma is None else args.gamma
+    init = cfg.get("init", {"name": "sod"})
+    t_end = cfg.get("t_end", 0.2)
+    if cfg.get("system", COMPLETE) != COMPLETE:
+        raise UsageError(f"config field 'system' must be {COMPLETE!r}, got {cfg['system']!r}")
     try:
         config = SolverConfig(
-            grid=PeriodicGrid(dims, grid_n),
+            grid=PeriodicGrid(cfg.get("dims", 1), grid_n),
             params=GasParams(gamma),
             t_end=t_end,
-            system=_field(cfg, "system", str, "complete"),
-            cfl=_field(cfg, "cfl", float, 0.4),
+            cfl=cfg.get("cfl", 0.4),
             init=init,
-            snapshot_stride=_field(cfg, "snapshot_stride", float, t_end / 10.0),
+            snapshot_stride=cfg.get("snapshot_stride", t_end / 10.0),
         )
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc))
@@ -172,7 +190,7 @@ def cmd_besov_fit(args: argparse.Namespace) -> int:
 
 
 def _resolve_probe_fields(cfg: dict):
-    specs = _field(cfg, "fields", list, required=True)
+    specs = _required(cfg, "fields")
     fields, alphas = [], []
     grid = None
     for spec in specs:
@@ -205,11 +223,11 @@ def _resolve_probe_fields(cfg: dict):
 
 
 def cmd_commutator_rate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
-    gamma = _field(cfg, "gamma", float, 1.4) if args.gamma is None else args.gamma
-    gname = _field(cfg, "G", str, required=True)
-    p = _field(cfg, "p", float, 4.0)
-    eps = _field(cfg, "eps", list, [2.0 ** (-k) for k in range(4, 11)])
+    cfg = _load_config(args.config, _PROBE_KEYS)
+    gamma = cfg.get("gamma", 1.4) if args.gamma is None else args.gamma
+    gname = _required(cfg, "G")
+    p = cfg.get("p", 4.0)
+    eps = cfg.get("eps", [2.0 ** (-k) for k in range(4, 11)])
     try:
         fields, alphas = _resolve_probe_fields(cfg)
         gmap = cm.get_gmap(gname, GasParams(gamma))
@@ -267,8 +285,6 @@ def cmd_oslip_check(args: argparse.Namespace) -> int:
     flags = "masked" if args.mask_wrap else "unmasked"
     if args.traj:
         traj: Trajectory = _load(args.traj, Trajectory.load, args.traj)
-        if traj.system != "complete":
-            raise UsageError("oslip-check needs the velocity of a complete-system run")
         grid = traj.grid
         try:
             inside = time_window(traj.times, delta, "delta")

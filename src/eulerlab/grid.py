@@ -31,10 +31,12 @@ class PeriodicGrid:
     cells_per_dim: int
 
     def __post_init__(self) -> None:
-        if self.dims not in (1, 2):
-            raise ValueError(f"dims must be 1 or 2, got {self.dims}")
-        if self.cells_per_dim < 4:
-            raise ValueError(f"need at least 4 cells per dimension, got {self.cells_per_dim}")
+        # a float or a bool would pass the range checks and break indexing later
+        if type(self.dims) is not int or self.dims not in (1, 2):
+            raise ValueError(f"dims must be the integer 1 or 2, got {self.dims!r}")
+        if type(self.cells_per_dim) is not int or self.cells_per_dim < 4:
+            raise ValueError(f"need an integer of at least 4 cells per dimension, "
+                             f"got {self.cells_per_dim!r}")
 
     @property
     def cell_width(self) -> float:
@@ -258,13 +260,14 @@ def _check_radius(eps: float) -> None:
         raise DomainError(f"radius {eps:g} exceeds half the period, {PERIOD / 2.0:g}")
 
 
-def ball_offsets(grid: PeriodicGrid, rmax: int, eps: float) -> list[tuple[int, ...]]:
-    """Nonzero lattice offsets with |h| < eps and at most rmax cells per axis.
+def ball_offsets(grid: PeriodicGrid, eps: float) -> list[tuple[int, ...]]:
+    """Nonzero lattice offsets with |h| < eps.
 
     One offset of each +-h pair is kept (the first nonzero coordinate is
     positive), in lexicographic order.  ``eps`` is at most half the period.
     """
     _check_radius(eps)
+    rmax = int(eps / grid.cell_width)
     if grid.dims == 1:
         cand = [(c,) for c in range(1, rmax + 1)]
     else:

@@ -1,8 +1,8 @@
 """First-order finite-volume solver on the periodic domain.
 
 Local Lax-Friedrichs interface fluxes with two-stage strong-stability-
-preserving time stepping, for the full energy-carrying system and for the
-isentropic reduction with pressure rho**gamma.  The scheme is conservative
+preserving time stepping, for the complete system in the conserved
+variables (rho, m, E) with ideal-gas pressure.  The scheme is conservative
 by telescoping, keeps density and temperature positive at moderate Courant
 numbers, and is deterministic: a config reruns to a bit-identical
 trajectory.  Accuracy is deliberately modest; the solver exists to feed the
@@ -25,8 +25,8 @@ from .grid import PeriodicGrid, read_columns_csv, write_columns_csv
 from .riemann import Wave1D, rarefaction_connected_state
 from .thermo import GasParams
 
+#: The one system the solver integrates, as configs and ``meta.json`` name it.
 COMPLETE = "complete"
-ISENTROPIC = "isentropic"
 
 
 #: Most snapshots a run may record; a finer stride is a config error.
@@ -44,14 +44,11 @@ class SolverConfig:
     grid: PeriodicGrid
     params: GasParams
     t_end: float
-    system: str = COMPLETE
     cfl: float = 0.4
     init: dict = dc_field(default_factory=lambda: {"name": "constant"})
     snapshot_stride: float | None = None
 
     def __post_init__(self):
-        if self.system not in (COMPLETE, ISENTROPIC):
-            raise ValueError(f"unknown system {self.system!r}")
         if not 0.0 < self.cfl <= 0.5:
             raise ValueError(f"Courant number must lie in (0, 0.5], got {self.cfl}")
         if not 0.0 < self.t_end < math.inf:
@@ -67,7 +64,7 @@ class SolverConfig:
             "grid": {"dims": self.grid.dims, "cells_per_dim": self.grid.cells_per_dim},
             "params": {"gamma": self.params.gamma},
             "t_end": self.t_end,
-            "system": self.system,
+            "system": COMPLETE,
             "cfl": self.cfl,
             "init": self.init,
             "snapshot_stride": self.snapshot_stride,
@@ -79,14 +76,13 @@ class Snapshot:
     t: float
     rho: np.ndarray
     mom: np.ndarray          # (dims, ...) component-first
-    energy: np.ndarray | None  # None in isentropic mode
+    energy: np.ndarray
 
 
 @dataclass
 class Trajectory:
     grid: PeriodicGrid
     params: GasParams
-    system: str
     snapshots: list[Snapshot]
     meta: dict = dc_field(default_factory=dict)
 
@@ -102,7 +98,7 @@ class Trajectory:
             {
                 "grid": {"dims": self.grid.dims, "cells_per_dim": self.grid.cells_per_dim},
                 "gamma": self.params.gamma,
-                "system": self.system,
+                "system": COMPLETE,
                 "times": self.times,
             }
         )
@@ -112,24 +108,22 @@ class Trajectory:
             cols = {"rho": snap.rho}
             for ax in range(self.grid.dims):
                 cols[f"m{ax + 1}"] = snap.mom[ax]
-            if snap.energy is not None:
-                cols["E"] = snap.energy
+            cols["E"] = snap.energy
             with open(d / f"t_{i:04d}.csv", "w") as fh:
                 write_columns_csv(fh, self.grid, cols, comments)
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
-        """Read a ``save`` directory.  ``meta.json`` must name the system, a
-        gamma above 1 and finite, strictly increasing times, one per snapshot
-        file ``t_NNNN.csv``, with no other snapshot file, and each snapshot
-        must hold the system's columns; any miss is a ValueError."""
+        """Read a ``save`` directory.  ``meta.json`` must name the complete
+        system, a gamma above 1 and finite, strictly increasing times, one per
+        snapshot file ``t_NNNN.csv``, with no other snapshot file, and each
+        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError."""
         d = Path(directory)
         meta = json.loads((d / "meta.json").read_text())
         grid = PeriodicGrid(meta["grid"]["dims"], meta["grid"]["cells_per_dim"])
         gamma, times, system = meta["gamma"], meta["times"], meta["system"]
-        if system not in (COMPLETE, ISENTROPIC):
-            raise ValueError(f"meta.json system must be {COMPLETE!r} or {ISENTROPIC!r}, "
-                             f"got {system!r}")
+        if system != COMPLETE:
+            raise ValueError(f"meta.json system must be {COMPLETE!r}, got {system!r}")
         if not (_is_finite_number(gamma) and gamma > 1.0):
             raise ValueError(f"meta.json gamma must be a finite number > 1, got {gamma!r}")
         if not (isinstance(times, list) and times and all(map(_is_finite_number, times))
@@ -142,8 +136,7 @@ class Trajectory:
             raise ValueError(f"need one snapshot file t_NNNN.csv per time in meta.json "
                              f"({len(times)}), found {sorted(found)!r:.80}")
         params = GasParams(gamma)
-        names = ["rho"] + [f"m{ax + 1}" for ax in range(grid.dims)]
-        names += ["E"] if system == COMPLETE else []
+        names = ["rho"] + [f"m{ax + 1}" for ax in range(grid.dims)] + ["E"]
         snaps = []
         for i, t in enumerate(times):
             with open(d / f"t_{i:04d}.csv") as fh:
@@ -153,8 +146,8 @@ class Trajectory:
             if list(cols) != names:
                 raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
             mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
-            snaps.append(Snapshot(float(t), cols["rho"], mom, cols.get("E")))
-        return cls(grid, params, system, snaps, meta)
+            snaps.append(Snapshot(float(t), cols["rho"], mom, cols["E"]))
+        return cls(grid, params, snaps, meta)
 
 
 def _is_finite_number(value) -> bool:
@@ -254,12 +247,10 @@ def scenario_riemann_states(init: dict, params: GasParams) -> tuple[Wave1D, Wave
 # ---------------------------------------------------------------------------
 
 
-def _pressure(U, gamma, system, out, kin):
-    """Pressure into ``out``: (gamma - 1) (E - 0.5 |m|^2 / rho), or rho**gamma;
-    ``kin`` is scratch of the same shape."""
+def _pressure(U, gamma, out, kin):
+    """Pressure (gamma - 1) (E - 0.5 |m|^2 / rho) into ``out``; ``kin`` is
+    scratch of the same shape."""
     rho = U[0]
-    if system == ISENTROPIC:
-        return np.power(rho, gamma, out=out)
     np.multiply(U[1], U[1], out=kin)
     for m in U[2:-1]:
         np.multiply(m, m, out=out)
@@ -271,18 +262,18 @@ def _pressure(U, gamma, system, out, kin):
     return out
 
 
-def _check_physical(U, gamma, system, t):
+def _check_physical(U, gamma, t):
     """Raise DomainError at the first cell whose state is not finite or has
     non-positive density or pressure, naming the time, the cell, its density
     and pressure and every other conserved component there.  Otherwise
     return the smallest density and pressure."""
     rho = U[0]
     with np.errstate(all="ignore"):
-        p = _pressure(U, gamma, system, np.empty_like(rho), np.empty_like(rho))
+        p = _pressure(U, gamma, np.empty_like(rho), np.empty_like(rho))
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        names = [f"m{ax}" for ax in range(1, U.ndim)] + (["E"] if system == COMPLETE else [])
+        names = [f"m{ax}" for ax in range(1, U.ndim)] + ["E"]
         rest = "".join(f", {n} = {v:.6g}" for n, v in zip(names, U[(slice(1, None),) + cell]))
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
                           f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}"
@@ -304,9 +295,9 @@ class _Workspace:
     """The arrays every RHS evaluation of one run overwrites, allocated once,
     and the smallest density and pressure those evaluations saw."""
 
-    def __init__(self, grid: PeriodicGrid, gamma: float, system: str, ncomp: int):
-        self.dx, self.dims, self.gamma, self.system = grid.cell_width, grid.dims, gamma, system
-        stack, row, rows = (ncomp,) + grid.shape, grid.shape, (grid.dims,) + grid.shape
+    def __init__(self, grid: PeriodicGrid, gamma: float):
+        self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
+        stack, row, rows = (grid.dims + 2,) + grid.shape, grid.shape, (grid.dims,) + grid.shape
         self.dudt, self.F, self.A, self.B, self.stage = (np.empty(stack) for _ in range(5))
         self.p, self.c, self.scratch = (np.empty(row) for _ in range(3))
         self.un, self.speed = np.empty(rows), np.empty(rows)
@@ -327,27 +318,23 @@ def _rhs(U, ws: _Workspace, t):
     checked before any square root is taken: a cell that is not finite or has
     non-positive density or pressure raises DomainError at time ``t``.
     """
-    gamma, system, dims = ws.gamma, ws.system, ws.dims
+    gamma, dims = ws.gamma, ws.dims
     rho, p, c = U[0], ws.p, ws.c
     # Reductions stand in for the cell-wise check.  A state passes them only
     # if rho is positive and finite, p is positive (a non-finite momentum
-    # makes the complete pressure -inf or NaN), and every axis's largest
+    # makes the pressure -inf or NaN), and every axis's largest
     # |u_n| + c is finite (so is the momentum, and the energy, since E = inf
     # gives c = inf).  Any miss runs the exact check.
     rho_min = float(rho.min())
     if not (rho_min > 0.0 and rho.max() < math.inf):
-        _check_physical(U, gamma, system, t)
-    _pressure(U, gamma, system, p, ws.scratch)
+        _check_physical(U, gamma, t)
+    _pressure(U, gamma, p, ws.scratch)
     p_min = float(p.min())
     if not p_min > 0.0:
-        _check_physical(U, gamma, system, t)
+        _check_physical(U, gamma, t)
     ws.note(rho_min, p_min, t)
-    if system == COMPLETE:
-        np.multiply(p, gamma, out=c)
-        c /= rho
-    else:
-        np.power(rho, gamma - 1.0, out=c)
-        c *= gamma
+    np.multiply(p, gamma, out=c)
+    c /= rho
     np.sqrt(c, out=c)
     un, speed = ws.un, ws.speed
     np.divide(U[1 : 1 + dims], rho, out=un)
@@ -355,7 +342,7 @@ def _rhs(U, ws: _Workspace, t):
     speed += c
     axis_max = [float(s.max()) for s in speed]
     if not all(s < math.inf for s in axis_max):
-        _check_physical(U, gamma, system, t)
+        _check_physical(U, gamma, t)
 
     # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis
     F, A, B, a, dudt = ws.F, ws.A, ws.B, ws.scratch, ws.dudt
@@ -364,9 +351,8 @@ def _rhs(U, ws: _Workspace, t):
         F[0] = U[1 + axis]
         np.multiply(U[1 : 1 + dims], un[axis], out=F[1 : 1 + dims])
         F[1 + axis] += p
-        if system == COMPLETE:
-            np.add(U[-1], p, out=F[-1])
-            F[-1] *= un[axis]
+        np.add(U[-1], p, out=F[-1])
+        F[-1] *= un[axis]
         _roll_into(A, F, -1, ax)
         A += F
         A *= 0.5
@@ -388,7 +374,7 @@ def _rhs(U, ws: _Workspace, t):
 
 
 def run(config: SolverConfig) -> Trajectory:
-    """Integrate the configured system and collect snapshots.
+    """Integrate the complete system and collect snapshots.
 
     Snapshots land exactly on multiples of ``snapshot_stride`` (time steps
     are clipped to them) plus the initial and final times.  ``meta["stats"]``
@@ -397,9 +383,8 @@ def run(config: SolverConfig) -> Trajectory:
     times, and the seconds spent in the RHS and in recording snapshots.
     """
     grid, params = config.grid, config.params
-    gamma, system = params.gamma, config.system
+    gamma = params.gamma
     rho, vel, theta = make_initial_state(grid, params, config.init)
-    ncomp = grid.dims + (2 if system == COMPLETE else 1)
     stride = config.snapshot_stride
     snap_times: list[float] = []
     if stride is not None:
@@ -410,25 +395,22 @@ def run(config: SolverConfig) -> Trajectory:
     snap_times.append(config.t_end)
 
     def record(t, U):
-        mom = U[1 : 1 + grid.dims].copy()
-        energy = U[-1].copy() if system == COMPLETE else None
-        snaps.append(Snapshot(t, U[0].copy(), mom, energy))
+        snaps.append(Snapshot(t, U[0].copy(), U[1 : 1 + grid.dims].copy(), U[-1].copy()))
 
     # Finite data can overflow (u = 1e200 gives E = inf, or an infinite flux
     # and then NaN): the checks name the bad state, so numpy stays quiet.
     # One context per run, as one per RHS call would cost more than the call.
     with np.errstate(over="ignore", invalid="ignore"):
-        U = np.empty((ncomp,) + grid.shape)
+        U = np.empty((grid.dims + 2,) + grid.shape)
         U[0] = rho
         for ax in range(grid.dims):
             U[1 + ax] = rho * vel[ax]
-        if system == COMPLETE:
-            kin = 0.5 * rho * np.sum(vel * vel, axis=0)
-            U[-1] = kin + rho * params.cv * theta
-        _check_physical(U, gamma, system, 0.0)
+        kin = 0.5 * rho * np.sum(vel * vel, axis=0)
+        U[-1] = kin + rho * params.cv * theta
+        _check_physical(U, gamma, 0.0)
 
         started = time.perf_counter()
-        ws = _Workspace(grid, gamma, system, ncomp)
+        ws = _Workspace(grid, gamma)
         dts: list[float] = []
         courants: list[float] = []
         rhs_s = 0.0
@@ -464,7 +446,7 @@ def run(config: SolverConfig) -> Trajectory:
             U += stage
             courant = speed_stage * dt * grid.dims / dx
             if courant > 1.0:
-                _check_physical(U, gamma, system, t_state)
+                _check_physical(U, gamma, t_state)
                 raise StabilityError(
                     f"Courant violation mid-step at t = {t:.6g}: "
                     f"speed {speed_stage:.4g} * dt {dt:.4g} exceeds dx {dx:.4g}"
@@ -478,7 +460,7 @@ def run(config: SolverConfig) -> Trajectory:
                 record(t, U)
                 record_s += time.perf_counter() - tick
                 next_i += 1
-        ws.note(*_check_physical(U, gamma, system, t_state), t_state)
+        ws.note(*_check_physical(U, gamma, t_state), t_state)
     meta = {
         "config_hash": config_hash(config.as_dict()),
         "config": config.as_dict(),
@@ -496,7 +478,7 @@ def run(config: SolverConfig) -> Trajectory:
             "record_s": record_s,
         },
     }
-    return Trajectory(grid, params, system, snaps, meta)
+    return Trajectory(grid, params, snaps, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -505,9 +487,7 @@ def run(config: SolverConfig) -> Trajectory:
 
 
 def snapshot_primitive(snap: Snapshot, params: GasParams):
-    """(rho, vel, theta) arrays of a complete-system snapshot."""
-    if snap.energy is None:
-        raise ValueError("snapshot carries no energy field (isentropic run)")
+    """(rho, vel, theta) arrays of a snapshot."""
     vel = snap.mom / snap.rho
     kin = 0.5 * snap.rho * np.sum(vel * vel, axis=0)
     theta = (snap.energy - kin) / (snap.rho * params.cv)
@@ -526,8 +506,7 @@ def project_snapshot(snap: Snapshot, factor: int, grid: PeriodicGrid) -> Snapsho
         raise ValueError("unsupported rank")
 
     mom = np.stack([down(m) for m in snap.mom])
-    energy = down(snap.energy) if snap.energy is not None else None
-    out = Snapshot(snap.t, down(snap.rho), mom, energy)
+    out = Snapshot(snap.t, down(snap.rho), mom, down(snap.energy))
     if out.rho.shape != grid.shape:
         raise ValueError("projection does not land on the target grid")
     return out
@@ -542,4 +521,4 @@ def project_trajectory(traj: Trajectory, target_grid: PeriodicGrid) -> Trajector
     snaps = [project_snapshot(s, factor, target_grid) for s in traj.snapshots]
     meta = dict(traj.meta)
     meta["projected_from"] = traj.grid.cells_per_dim
-    return Trajectory(target_grid, traj.params, traj.system, snaps, meta)
+    return Trajectory(target_grid, traj.params, snaps, meta)

@@ -21,7 +21,6 @@ from eulerlab.grid import (
     PeriodicGrid,
     ScalarField,
     ball_offsets,
-    build_mollifier,
     constant_field,
     field_from_function,
     lp_norm,
@@ -178,9 +177,8 @@ class TestMollifierRates:
 
 def _oracle_shift_sup(field, eps, p):
     """The per-eps ball loop verify_mollifier_rates ran before `ball_sups`."""
-    mol = build_mollifier(field.grid, eps)
     sup = 0.0
-    for off in ball_offsets(field.grid, mol.radius_cells, eps):
+    for off in ball_offsets(field.grid, eps):
         sup = max(sup, _diff_norm(field, off, p))
     return sup
 
@@ -231,6 +229,16 @@ class TestBallSups:
             _oracle_shift_sup(f, e, 3.0) for e in (0.0625, 0.03125)]
         with pytest.raises(ValueError, match="exceeds the table's ball"):
             table.ball_sups([0.125])
+
+    @pytest.mark.parametrize("eps", [math.inf, 5.0])
+    def test_a_radius_past_half_the_period_is_refused(self, eps):
+        # the radius rule runs before the ball's cell bound int(eps / dx), which inf overflows
+        grid = PeriodicGrid(1, 64)
+        with pytest.raises(DomainError, match="exceeds half the period"):
+            ModulusTable(grid, np.zeros(64), 3.0, (), [eps])
+        f = weierstrass_field(0.6, 6, grid)
+        with pytest.raises(DomainError, match="exceeds half the period"):
+            verify_mollifier_rates(f, 0.6, 3.0, [0.125, 0.25, eps])
 
 
 class TestReports:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import acceptance, conditions, solver
+from eulerlab import acceptance, cli, conditions, solver
 from eulerlab.cli import main
 from eulerlab.grid import (
     PeriodicGrid,
@@ -521,10 +521,6 @@ class TestInputBoundary:
         assert main(["oslip-check", "--traj", str(tmp_path / "nope"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_oslip_check_on_isentropic_run(self, tmp_path):
-        traj = _simulate(tmp_path, "a", grid_n=32, system="isentropic")
-        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
-
     def test_malformed_snapshot_is_a_usage_error(self, tmp_path):
         traj = _simulate(tmp_path, "a", grid_n=32)
         (traj / "t_0001.csv").write_text("x,rho\n0.5,1.0\n")
@@ -554,19 +550,6 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert "at t = 0, cell (0,): rho = 1, p = nan, m1 = 1e+200, E = inf" in err
         assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
-
-    def test_non_finite_flux_exits_1_naming_the_component(self, tmp_path, capsys):
-        # the isentropic pressure stays 1 while the momentum flux m u overflows
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"system": "isentropic", "grid_n": 32, "t_end": 0.2,
-                                   "init": {"name": "constant", "u": 1e200}}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "cell (0,): rho = 1, p = 1, m1 = nan" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_failure_inside_the_run_exits_1_with_location(self, tmp_path, capsys,
@@ -776,9 +759,16 @@ class TestTrajectoryMetaAtLoad:
         pytest.param(_meta_edit("gamma", None), "gamma must be a finite number > 1",
                      id="gamma_null"),
         pytest.param(_meta_edit("system", "other"),
-                     "system must be 'complete' or 'isentropic'", id="system_unknown"),
-        pytest.param(_meta_edit("system", "isentropic"), "columns ['rho', 'm1', 'E'] are not",
+                     "meta.json system must be 'complete', got 'other'", id="system_unknown"),
+        pytest.param(_meta_edit("system", "isentropic"),
+                     "meta.json system must be 'complete', got 'isentropic'",
                      id="system_mislabelled"),
+        pytest.param(_meta_edit("grid", {"dims": 1, "cells_per_dim": 32.0}),
+                     "integer of at least 4 cells per dimension, got 32.0", id="cells_float"),
+        pytest.param(_meta_edit("grid", {"dims": 1, "cells_per_dim": "32"}),
+                     "integer of at least 4 cells per dimension, got '32'", id="cells_string"),
+        pytest.param(_meta_edit("grid", {"dims": True, "cells_per_dim": 16}),
+                     "dims must be the integer 1 or 2, got True", id="dims_bool"),
     ])
     def test_rejected(self, tmp_path, capsys, edit, message):
         traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
@@ -794,11 +784,15 @@ class TestTrajectoryMetaAtLoad:
             assert not out.exists()
 
     def test_a_complete_snapshot_without_energy_is_rejected(self, tmp_path, capsys):
-        traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05,
-                         system="isentropic")
-        _meta_edit("system", "complete")(traj)
+        traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
+        with open(traj / "t_0001.csv") as fh:
+            grid, cols = read_columns_csv(fh)
+        del cols["E"]
+        with open(traj / "t_0001.csv", "w") as fh:
+            write_columns_csv(fh, grid, cols)
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 2
-        assert "columns ['rho', 'm1'] are not ['rho', 'm1', 'E']" in capsys.readouterr().err
+        assert ("snapshot 1 columns ['rho', 'm1'] are not ['rho', 'm1', 'E']"
+                in capsys.readouterr().err)
 
 
 # Fuzz trajectory directories through cli.main: a valid 16-cell run has some
@@ -812,6 +806,7 @@ _META_VARIANTS = {
     "system": ["isentropic", "other", None, 3],
     "grid": [{"dims": 1, "cells_per_dim": 32}, {"dims": 2, "cells_per_dim": 4},
              {"dims": 3, "cells_per_dim": 16}, {"dims": 1}, {"dims": 1, "cells_per_dim": "16"},
+             {"dims": 1, "cells_per_dim": 16.0}, {"dims": True, "cells_per_dim": 16},
              None, [], "x"],
     "config_hash": ["0" * 12, None, 3],
 }
@@ -888,14 +883,25 @@ def test_fuzz_trajectory_directory(edits, dropped, how):
 # per dimension or fewer and runs stay short.
 _VALID_CONFIG = {"grid_n": 16, "dims": 1, "gamma": 1.4, "t_end": 0.02, "cfl": 0.4,
                  "system": "complete", "snapshot_stride": 0.01, "init": {"name": "sod"}}
-_VARIANTS = {
-    "grid_n": [4, 64, 3, 0, -8, 2.5, "32", None, float("inf")],
-    "dims": [2, 3, "2", None],
-    "gamma": [2.0, 1.0, 0.5, "x", float("nan")],
-    "t_end": [0.05, 0.0, -1.0, float("nan"), float("inf"), "soon"],
-    "cfl": [0.5, 0.0, 0.9, float("nan"), "x"],
-    "system": ["isentropic", "other", 3],
-    "snapshot_stride": [0.05, 0.0, -0.1, 1e-12, float("nan"), float("inf"), None, "x"],
+#: Values of another JSON type than their key takes: each exits 2 naming the key.
+_WRONG_TYPES = {
+    "grid_n": [2.5, 32.9, 16.0, float("inf"), "32", True, None],
+    "dims": [1.0, "2", True, None],
+    "gamma": ["x", True],
+    "t_end": ["soon", True],
+    "cfl": ["x", True],
+    "system": [3, True],
+    "snapshot_stride": [None, "x", False],
+    "init": [None, 5, "sod", [], [["name", "sod"]]],
+}
+_VARIANTS = {key: values + _WRONG_TYPES[key] for key, values in {
+    "grid_n": [4, 64, 3, 0, -8],
+    "dims": [2, 3],
+    "gamma": [2.0, 1.0, 0.5, float("nan")],
+    "t_end": [0.05, 0.0, -1.0, float("nan"), float("inf")],
+    "cfl": [0.5, 0.0, 0.9, float("nan")],
+    "system": ["isentropic", "other"],
+    "snapshot_stride": [0.05, 0.0, -0.1, 1e-12, float("nan"), float("inf")],
     "init": [
         {"name": "double_rarefaction", "transverse": 0.1}, {}, {"name": "smooth"},
         {"name": "riemann", "left": [1, 0, 1], "right": [0.125, 0, 0.1]},
@@ -905,9 +911,8 @@ _VARIANTS = {
         {"name": "single_rarefaction", "rho_right": 2.0}, {"name": "advection", "amp": 1.5},
         {"name": "constant", "u": 1e200}, {"name": "constant", "rho": "x"},
         {"name": "smooth", "transverse": "x"}, {"name": "nope"}, {"name": 5},
-        None, 5, "sod", [],
     ],
-}
+}.items()}
 
 
 @st.composite
@@ -935,6 +940,22 @@ def test_fuzz_simulate_config(cfg):
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         _run_cli(["simulate", "--config", path, "--out", Path(tmp) / "traj"])
+
+
+def _assert_config_refused(tmp_path, capsys, command, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [(k, v) for k, vs in _WRONG_TYPES.items() for v in vs])
+def test_simulate_config_value_of_another_json_type_exits_2(tmp_path, capsys, key, value):
+    _assert_config_refused(tmp_path, capsys, "simulate", {**_VALID_CONFIG, key: value},
+                           f"config field {key!r} must be")
 
 
 def _mutate(lines, how, token):
@@ -980,13 +1001,20 @@ def test_fuzz_field_csv(dims, cells, how, token, seed):
 # or one probe field, replaced by values from short lists, valid and broken.
 _VALID_PROBE = {"fields": [{"weierstrass": {"alpha": 0.6, "levels": 6, "grid_n": 64}}],
                 "G": "square", "p": 4.0, "eps": [0.5, 0.25, 0.125, 0.0625]}
-_PROBE_VARIANTS = {
-    "G": ["product", "pressure_tilde", "cube", 3, None],
-    "p": [2.0, 1.5, float("nan"), float("inf"), "x", None],
-    "eps": [[0.5, 0.25, 0.125, 0.0625, 0.03125], [0.25, 0.125], [], [0.5, -1.0, 0.0625],
-            [float("nan")] * 4, ["x"], "x", None, [50.0, 0.25, 0.125, 0.0625]],
-    "gamma": [5.0 / 3.0, 1.0, "x"],
+_PROBE_WRONG_TYPES = {
+    "fields": [{"file": "field.csv"}, "x", None],
+    "G": [3, None, True, ["square"]],
+    "p": ["x", None, True],
+    "eps": ["x", None, 0.5, {"0": 0.5}],
+    "gamma": ["x", False],
 }
+_PROBE_VARIANTS = {key: values + _PROBE_WRONG_TYPES[key] for key, values in {
+    "G": ["product", "pressure_tilde", "cube"],
+    "p": [2.0, 1.5, float("nan"), float("inf")],
+    "eps": [[0.5, 0.25, 0.125, 0.0625, 0.03125], [0.25, 0.125], [], [0.5, -1.0, 0.0625],
+            [float("nan")] * 4, ["x"], [50.0, 0.25, 0.125, 0.0625]],
+    "gamma": [5.0 / 3.0, 1.0],
+}.items()}
 _WEIER_VARIANTS = {
     "levels": [7, 5, 1023, 1024, 10**6, 6.0, "6", True, None, -1],
     "grid_n": [32, 16, 3, 0, float("inf"), "x"],
@@ -1025,3 +1053,38 @@ def test_fuzz_commutator_config(cfg):
         path = Path(tmp) / "probe.json"
         path.write_text(json.dumps(cfg).replace('"field.csv"', json.dumps(str(field))))
         _run_cli(["commutator-rate", "--config", path, "--out", Path(tmp) / "rep"])
+
+
+@pytest.mark.parametrize("key,value",
+                         [(k, v) for k, vs in _PROBE_WRONG_TYPES.items() for v in vs])
+def test_probe_config_value_of_another_json_type_exits_2(tmp_path, capsys, key, value):
+    _assert_config_refused(tmp_path, capsys, "commutator-rate", {**_VALID_PROBE, key: value},
+                           f"config field {key!r} must be")
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("simulate", {**_VALID_CONFIG, "snapshot_strid": 0.05}, "snapshot_strid"),
+    ("simulate", {**_VALID_CONFIG, "G": "square"}, "G"),
+    ("commutator-rate", {**_VALID_PROBE, "grid_n": 64}, "grid_n"),
+    ("commutator-rate", {**_VALID_PROBE, "init": {"name": "sod"}}, "init"),
+])
+def test_config_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, command, cfg, key):
+    _assert_config_refused(tmp_path, capsys, command, cfg,
+                           f"keys this subcommand does not read: [{key!r}]")
+
+
+def _readme_json(after: str) -> dict:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split(after, 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+@pytest.mark.parametrize("after,keys", [
+    ("Example `run.json`:", cli._SIMULATE_KEYS),
+    ("Example commutator probe config:", cli._PROBE_KEYS),
+])
+def test_readme_configs_pass_the_key_and_type_checks(tmp_path, after, keys):
+    cfg = _readme_json(after)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli._load_config(str(path), keys) == cfg

@@ -272,7 +272,7 @@ def _oracle_pair_modulus(stack, mol, grid, p):
     diff = np.sqrt(np.sum((stack_e - stack) ** 2, axis=0))
     moll_term = lp_norm_values(diff, p, grid.cell_volume) ** 2
     sup = 0.0
-    for off in ball_offsets(grid, mol.radius_cells, mol.epsilon):
+    for off in ball_offsets(grid, mol.epsilon):
         moved = shift_values(stack, off, first_axis=1)
         d = np.sqrt(np.sum((moved - stack) ** 2, axis=0))
         sup = max(sup, lp_norm_values(d, p, grid.cell_volume) ** 2)

@@ -62,7 +62,8 @@ class TestGrid:
         assert g.cell_width * g.cells_per_dim == pytest.approx(2.0)
         assert g.axis_centers()[0] == pytest.approx(-1.0 + 0.5 * g.cell_width)
 
-    @pytest.mark.parametrize("dims,cells", [(3, 16), (0, 16), (1, 3)])
+    @pytest.mark.parametrize("dims,cells", [(3, 16), (0, 16), (1, 3), (1, 32.0), (1, "32"),
+                                            (True, 16), (1.0, 16), (1, np.int64(32))])
     def test_validation(self, dims, cells):
         with pytest.raises(ValueError):
             PeriodicGrid(dims, cells)
@@ -621,7 +622,7 @@ class TestBallOffsets:
         for eps in EPS_SCAN:
             # the mollifier radius: the largest r with r * dx < eps
             rmax = math.ceil(eps / grid.cell_width) - 1
-            offs = ball_offsets(grid, rmax, eps)
+            offs = ball_offsets(grid, eps)
             assert offs == _besov_ball(grid, rmax, eps)
             assert offs == _commutator_ball(grid, rmax, eps)
 
@@ -639,8 +640,8 @@ class TestBallOffsets:
         with pytest.raises(DomainError, match="exceeds half the period"):
             build_mollifier(grid, eps)
         with pytest.raises(DomainError, match="exceeds half the period"):
-            ball_offsets(grid, 64, eps)
-        assert max(abs(c) for off in ball_offsets(grid, 64, 1.0) for c in off) == 7
+            ball_offsets(grid, eps)
+        assert max(abs(c) for off in ball_offsets(grid, 1.0) for c in off) == 7
 
 
 class TestWeierstrassPhase:

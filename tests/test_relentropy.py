@@ -396,7 +396,7 @@ class TestTimeQuadratureAgainstLoops:
         params = GasParams(1.4)
         snaps = [Snapshot(float(t), np.ones(4), np.zeros((1, 4)), np.full(4, 2.5))
                  for t in times]
-        traj = Trajectory(PeriodicGrid(1, 4), params, "complete", snaps)
+        traj = Trajectory(PeriodicGrid(1, 4), params, snaps)
         values = iter(integral)
         monkeypatch.setattr(relentropy, "rel_entropy_total", lambda *args: next(values))
         return gronwall_monitor(traj, traj, params, sigma=float(times[0]) if len(times) else 0.0)

@@ -10,7 +10,6 @@ from eulerlab.errors import DomainError, StabilityError
 from eulerlab.grid import PeriodicGrid
 from eulerlab.riemann import exact_riemann, periodic_double_riemann, solve_star
 from eulerlab.solver import (
-    COMPLETE,
     SolverConfig,
     Snapshot,
     Trajectory,
@@ -23,13 +22,11 @@ from eulerlab.solver import (
 from eulerlab.thermo import GasParams, entropy
 
 
-def _config(n=128, t_end=0.1, init=None, system="complete", stride=None, gamma=1.4,
-            dims=1, cfl=0.4):
+def _config(n=128, t_end=0.1, init=None, stride=None, gamma=1.4, dims=1, cfl=0.4):
     return SolverConfig(
         grid=PeriodicGrid(dims, n),
         params=GasParams(gamma),
         t_end=t_end,
-        system=system,
         cfl=cfl,
         init=init or {"name": "constant"},
         snapshot_stride=stride,
@@ -38,7 +35,7 @@ def _config(n=128, t_end=0.1, init=None, system="complete", stride=None, gamma=1
 
 def _totals(snap, vol):
     mass = float(np.sum(snap.rho)) * vol
-    energy = float(np.sum(snap.energy)) * vol if snap.energy is not None else None
+    energy = float(np.sum(snap.energy)) * vol
     return mass, energy
 
 
@@ -78,11 +75,11 @@ class TestBasics:
 
         bad_rho = np.array([[1.0, -0.1], [0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(DomainError, match="vacuum") as exc:
-            _check_physical(bad_rho, 1.4, "complete", t=0.1)
+            _check_physical(bad_rho, 1.4, t=0.1)
         assert "t = 0.1, cell (1,): rho = -0.1, p = " in str(exc.value)
         bad_p = np.array([[1.0, 1.0], [2.0, 0.0], [1.0, 0.5]])
         with pytest.raises(DomainError, match="pressure"):
-            _check_physical(bad_p, 1.4, "complete", t=0.1)
+            _check_physical(bad_p, 1.4, t=0.1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -174,28 +171,6 @@ class TestAccuracy:
         assert errs[256] < 0.05
 
 
-class TestIsentropic:
-    def test_conservation_and_positivity(self):
-        cfg = _config(n=128, t_end=0.1, system="isentropic",
-                      init={"name": "smooth", "amp": 0.2})
-        traj = run(cfg)
-        vol = traj.grid.cell_volume
-        m0, _ = _totals(traj.snapshots[0], vol)
-        m1, _ = _totals(traj.snapshots[-1], vol)
-        assert abs(m1 - m0) / m0 < 1e-10
-        assert traj.snapshots[-1].energy is None
-        assert np.min(traj.snapshots[-1].rho) > 0.0
-
-    def test_matches_complete_system_on_isentropic_data(self):
-        # theta = rho**(gamma-1) makes the complete system start isentropic;
-        # both systems then evolve the same (rho, m) up to discretization
-        init = {"name": "isentropic_smooth", "amp": 0.1, "u_amp": 0.05}
-        out_i = run(_config(n=256, t_end=0.1, system="isentropic", init=init))
-        out_c = run(_config(n=256, t_end=0.1, system="complete", init=init))
-        diff = np.max(np.abs(out_i.snapshots[-1].rho - out_c.snapshots[-1].rho))
-        assert diff < 5e-3
-
-
 class TestStateMaps:
     @pytest.mark.parametrize("dims,n", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("init", [{"name": "sod"}, {"name": "smooth"},
@@ -275,31 +250,26 @@ def _oracle_pressure_complete(U, gamma):
     return (gamma - 1.0) * (U[-1] - 0.5 * kin / rho)
 
 
-def _oracle_flux_axis(U, axis, gamma, system):
+def _oracle_flux_axis(U, axis, gamma):
     rho = U[0]
-    nd = U.shape[0] - (2 if system == COMPLETE else 1)
+    nd = U.shape[0] - 2
     un = U[1 + axis] / rho
-    if system == COMPLETE:
-        p = _oracle_pressure_complete(U, gamma)
-        c = np.sqrt(gamma * p / rho)
-    else:
-        p = rho**gamma
-        c = np.sqrt(gamma * rho ** (gamma - 1.0))
+    p = _oracle_pressure_complete(U, gamma)
+    c = np.sqrt(gamma * p / rho)
     F = np.empty_like(U)
     F[0] = U[1 + axis]
     for ax in range(nd):
         F[1 + ax] = U[1 + ax] * un
     F[1 + axis] += p
-    if system == COMPLETE:
-        F[-1] = (U[-1] + p) * un
+    F[-1] = (U[-1] + p) * un
     return F, np.abs(un) + c, p
 
 
-def _oracle_rhs(U, dx, gamma, system):
+def _oracle_rhs(U, dx, gamma):
     dudt = np.zeros_like(U)
     max_speed = 0.0
     for axis in range(U[0].ndim):
-        F, speed, p = _oracle_flux_axis(U, axis, gamma, system)
+        F, speed, p = _oracle_flux_axis(U, axis, gamma)
         max_speed = max(max_speed, float(speed.max()))
         U_r = np.roll(U, -1, axis=1 + axis)
         F_r = np.roll(F, -1, axis=1 + axis)
@@ -309,13 +279,13 @@ def _oracle_rhs(U, dx, gamma, system):
     return dudt, max_speed
 
 
-def _oracle_check_physical(U, gamma, system, t):
+def _oracle_check_physical(U, gamma, t):
     rho = U[0]
-    p = _oracle_pressure_complete(U, gamma) if system == COMPLETE else rho**gamma
+    p = _oracle_pressure_complete(U, gamma)
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        names = ["m1", "m2"][: U.ndim - 1] + (["E"] if system == COMPLETE else [])
+        names = ["m1", "m2"][: U.ndim - 1] + ["E"]
         rest = "".join(f", {n} = {U[1 + i][cell]:.6g}" for i, n in enumerate(names))
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
                           f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}"
@@ -325,14 +295,13 @@ def _oracle_check_physical(U, gamma, system, t):
 def _oracle_run(config, rhs=_oracle_rhs):
     """The snapshots of the allocating loop, with the same initial map."""
     grid, params = config.grid, config.params
-    gamma, system = params.gamma, config.system
+    gamma = params.gamma
     rho, vel, theta = make_initial_state(grid, params, config.init)
-    U = np.empty((grid.dims + (2 if system == COMPLETE else 1),) + grid.shape)
+    U = np.empty((grid.dims + 2,) + grid.shape)
     U[0] = rho
     for ax in range(grid.dims):
         U[1 + ax] = rho * vel[ax]
-    if system == COMPLETE:
-        U[-1] = 0.5 * rho * np.sum(vel * vel, axis=0) + rho * params.cv * theta
+    U[-1] = 0.5 * rho * np.sum(vel * vel, axis=0) + rho * params.cv * theta
     stride, snap_times = config.snapshot_stride, []
     if stride is not None:
         k = 1
@@ -342,20 +311,19 @@ def _oracle_run(config, rhs=_oracle_rhs):
     snap_times.append(config.t_end)
 
     def record(t, U):
-        energy = U[-1].copy() if system == COMPLETE else None
-        snaps.append(Snapshot(t, U[0].copy(), U[1 : 1 + grid.dims].copy(), energy))
+        snaps.append(Snapshot(t, U[0].copy(), U[1 : 1 + grid.dims].copy(), U[-1].copy()))
 
     snaps, t, next_i, dx = [], 0.0, 0, grid.cell_width
     record(t, U)
     while t < config.t_end - 1e-14:
-        k1, max_speed = rhs(U, dx, gamma, system)
+        k1, max_speed = rhs(U, dx, gamma)
         dt = config.t_end - t if max_speed <= 0.0 else config.cfl * dx / (grid.dims * max_speed)
         dt = min(dt, snap_times[next_i] - t)
         U_stage = U + dt * k1
-        _oracle_check_physical(U_stage, gamma, system, t + dt)
-        k2, speed_stage = rhs(U_stage, dx, gamma, system)
+        _oracle_check_physical(U_stage, gamma, t + dt)
+        k2, speed_stage = rhs(U_stage, dx, gamma)
         U = 0.5 * U + 0.5 * (U_stage + dt * k2)
-        _oracle_check_physical(U, gamma, system, t + dt)
+        _oracle_check_physical(U, gamma, t + dt)
         if speed_stage * dt * grid.dims / dx > 1.0:
             raise StabilityError(
                 f"Courant violation mid-step at t = {t:.6g}: "
@@ -371,7 +339,7 @@ def _oracle_run(config, rhs=_oracle_rhs):
 
 def _digests(snapshots):
     def sha(a):
-        return None if a is None else hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
     return [(s.t, sha(s.rho), sha(s.mom), sha(s.energy)) for s in snapshots]
 
@@ -389,32 +357,30 @@ _REGISTRY = [
 
 
 class TestOracleParity:
-    @pytest.mark.parametrize("system", ["complete", "isentropic"])
     @pytest.mark.parametrize("dims", [1, 2])
     @pytest.mark.parametrize("init", _REGISTRY, ids=[i["name"] for i in _REGISTRY])
-    def test_every_snapshot_is_bit_identical_to_the_allocating_step(self, init, dims, system):
+    def test_every_snapshot_is_bit_identical_to_the_allocating_step(self, init, dims):
         for gamma in (1.4, 5.0 / 3.0):
             for stride in (None, 0.03):
                 for transverse in ((0.0, 0.1) if dims == 2 else (0.0,)):
                     # 48 and 12 cells: a cell width that is no power of two
-                    cfg = _config(n=48 if dims == 1 else 12, t_end=0.1, system=system,
+                    cfg = _config(n=48 if dims == 1 else 12, t_end=0.1,
                                   init={**init, "transverse": transverse}, stride=stride,
                                   gamma=gamma, dims=dims)
                     assert _digests(run(cfg).snapshots) == _digests(_oracle_run(cfg)), cfg
 
     @pytest.mark.parametrize("init", _REGISTRY[3:6], ids=[i["name"] for i in _REGISTRY[3:6]])
-    @pytest.mark.parametrize("dims,system", [(1, "complete"), (2, "complete"), (1, "isentropic")])
-    def test_rhs_is_bit_identical_to_the_allocating_rhs(self, init, dims, system):
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_rhs_is_bit_identical_to_the_allocating_rhs(self, init, dims):
         # the first axis forms 0.0 - term, so even the sign of a zero matches
-        cfg = _config(n=48 if dims == 1 else 12, t_end=0.05, system=system, dims=dims,
+        cfg = _config(n=48 if dims == 1 else 12, t_end=0.05, dims=dims,
                       init={**init, "transverse": 0.1})
         snaps = run(cfg).snapshots
         at_rest = Snapshot(0.0, snaps[0].rho, np.zeros_like(snaps[0].mom), snaps[0].energy)
         for snap in (at_rest, *snaps):
-            U = np.concatenate([snap.rho[None], snap.mom]
-                               + ([snap.energy[None]] if system == COMPLETE else []))
-            old, old_speed = _oracle_rhs(U, cfg.grid.cell_width, cfg.params.gamma, system)
-            ws = solver._Workspace(cfg.grid, cfg.params.gamma, system, len(U))
+            U = np.concatenate([snap.rho[None], snap.mom, snap.energy[None]])
+            old, old_speed = _oracle_rhs(U, cfg.grid.cell_width, cfg.params.gamma)
+            ws = solver._Workspace(cfg.grid, cfg.params.gamma)
             new, new_speed = solver._rhs(U, ws, snap.t)
             assert new.tobytes() == old.tobytes() and new_speed == old_speed
 
@@ -460,18 +426,16 @@ class TestOracleParity:
         self._assert_fails_alike(monkeypatch, cfg, bad_call, lambda k: k * 1e6, courant)
 
     @pytest.mark.parametrize("bad_call", [1, 2])
-    @pytest.mark.parametrize("system,component", [
-        ("isentropic", 1), ("complete", 1), ("complete", -1)], ids=["m_isen", "m", "E"])
+    @pytest.mark.parametrize("component", [1, -1], ids=["m", "E"])
     def test_non_finite_state_raises_what_the_allocating_step_raised(self, monkeypatch,
-                                                                     bad_call, system,
-                                                                     component):
-        # an infinite momentum leaves the isentropic pressure finite, and an
-        # infinite energy makes the pressure +inf: only the speed shows either
+                                                                     bad_call, component):
+        # an infinite momentum makes the pressure -inf or NaN, which the pressure
+        # check sees; an infinite energy makes it +inf, which only the speed shows
         def spoil(k):
             k[component][3] = np.inf
             return k
 
-        cfg = _config(n=32, t_end=0.05, init={"name": "sod"}, system=system, stride=0.01)
+        cfg = _config(n=32, t_end=0.05, init={"name": "sod"}, stride=0.01)
         self._assert_fails_alike(monkeypatch, cfg, bad_call, spoil)
 
 
@@ -488,9 +452,9 @@ class TestStepStatistics:
         assert traj.meta["stats"]["steps"] > 0
         assert len(calls) == 2 * traj.meta["stats"]["steps"]
 
-    @pytest.mark.parametrize("dims,system", [(1, "complete"), (2, "isentropic")])
-    def test_stats_bound_what_the_snapshots_show(self, tmp_path, dims, system):
-        cfg = _config(n=64 if dims == 1 else 16, t_end=0.1, system=system, dims=dims,
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_stats_bound_what_the_snapshots_show(self, tmp_path, dims):
+        cfg = _config(n=64 if dims == 1 else 16, t_end=0.1, dims=dims,
                       init={"name": "double_rarefaction"}, stride=0.025)
         traj = run(cfg)
         stats = traj.meta["stats"]
@@ -500,9 +464,8 @@ class TestStepStatistics:
         assert 0.0 < stats["rho_min"] <= rho_seen
         assert 0.0 <= stats["rho_min_t"] <= cfg.t_end
         assert 0.0 < stats["p_min"] and 0.0 <= stats["p_min_t"] <= cfg.t_end
-        if system == "complete":
-            rho, _, theta = snapshot_primitive(traj.snapshots[-1], cfg.params)
-            assert stats["p_min"] <= float(np.min(rho * theta))
+        rho, _, theta = snapshot_primitive(traj.snapshots[-1], cfg.params)
+        assert stats["p_min"] <= float(np.min(rho * theta))
         assert stats["rhs_s"] > 0.0 and stats["record_s"] > 0.0
         traj.save(tmp_path / "traj")
         saved = json.loads((tmp_path / "traj" / "meta.json").read_text())
