@@ -57,32 +57,42 @@ def _load(what: str, loader, *args):
 _SIMULATE_KEYS = {"grid_n": int, "dims": int, "gamma": float, "t_end": float, "system": str,
                   "cfl": float, "init": dict, "snapshot_stride": float}
 _PROBE_KEYS = {"fields": list, "G": str, "p": float, "eps": list, "gamma": float}
+#: The keys of a probe field and of its ``weierstrass`` object, with their types.
+_FIELD_KEYS = {"file": str, "weierstrass": dict, "alpha": float}
+_WEIER_KEYS = {"alpha": float, "phase": float, "levels": int, "grid_n": int}
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string", list: "a list",
                dict: "an object"}
 
 
+def _typed(value, kind: type, name: str):
+    """``value`` if it is of JSON type ``kind``.  An integer passes for a
+    number, which it becomes; a bool passes for nothing."""
+    if type(value) not in ((int, float) if kind is float else (kind,)):
+        raise UsageError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:   # an integer past the float range
+        raise UsageError(f"{name} has invalid value {value!r}")
+
+
+def _checked(obj, keys: dict, where: str) -> dict:
+    """``obj``, a JSON object whose every key is one of ``keys`` and of that
+    key's JSON type; ``where`` names it in messages."""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{where} must hold a JSON object, got {obj!r}")
+    unread = sorted(set(obj) - set(keys))
+    if unread:
+        raise UsageError(f"{where} has keys this subcommand does not read: {unread}")
+    return {name: _typed(value, keys[name], f"{where} field {name!r}")
+            for name, value in obj.items()}
+
+
 def _load_config(path: str | None, keys: dict) -> dict:
-    """The JSON object at ``path`` (none: ``{}``), every key of it one of
-    ``keys`` and of that key's JSON type.  An integer passes for a number,
-    which it becomes; a bool passes for nothing."""
+    """The JSON object at ``path`` (none: ``{}``), checked by ``_checked``."""
     if path is None:
         return {}
-    cfg = _load(f"config {path}", lambda: json.loads(Path(path).read_text()))
-    if not isinstance(cfg, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    unread = sorted(set(cfg) - set(keys))
-    if unread:
-        raise UsageError(f"config {path} has keys this subcommand does not read: {unread}")
-    for name, value in cfg.items():
-        kind = keys[name]
-        if type(value) not in ((int, float) if kind is float else (kind,)):
-            raise UsageError(f"config field {name!r} must be {_JSON_TYPES[kind]}, "
-                             f"got {value!r}")
-        try:
-            cfg[name] = kind(value)
-        except OverflowError:   # an integer past the float range
-            raise UsageError(f"config field {name!r} has invalid value {value!r}")
-    return cfg
+    return _checked(_load(f"config {path}", lambda: json.loads(Path(path).read_text())),
+                    keys, "config")
 
 
 def _required(cfg: dict, name: str):
@@ -190,35 +200,36 @@ def cmd_besov_fit(args: argparse.Namespace) -> int:
 
 
 def _resolve_probe_fields(cfg: dict):
-    specs = _required(cfg, "fields")
     fields, alphas = [], []
     grid = None
-    for spec in specs:
+    for spec in _required(cfg, "fields"):
+        spec = _checked(spec, _FIELD_KEYS, "probe")
+        if ("file" in spec) == ("weierstrass" in spec):
+            raise UsageError(f"each probe field needs one of 'file' and 'weierstrass', "
+                             f"got keys {sorted(spec)}")
+        alpha = 0.5
         if "file" in spec:
-            if not isinstance(spec["file"], str):   # open(3) would read file descriptor 3
-                raise UsageError(f"probe field 'file' must be a path, got {spec['file']!r}")
             f = load_scalar_field(spec["file"])
-        elif "weierstrass" in spec:
-            w = spec["weierstrass"]
+        else:
+            w = _checked(spec["weierstrass"], _WEIER_KEYS, "weierstrass")
             cells = w.get("grid_n", 8192)
-            if type(cells) is not int or not 4 <= cells <= 2**16:
+            if not 4 <= cells <= 2**16:
                 raise UsageError(f"weierstrass 'grid_n' must be an integer in "
                                  f"[4, {2**16}], got {cells!r}")
             g = PeriodicGrid(1, cells)
             # 2**levels must reach the grid, and the top phase 2.0**levels * pi
             # must stay finite (2.0**1023 * pi is inf)
             least, levels = (cells - 1).bit_length(), w["levels"]
-            if type(levels) is not int or not least <= levels <= 1022:
+            if not least <= levels <= 1022:
                 raise UsageError(f"weierstrass 'levels' must be an integer in "
                                  f"[{least}, 1022] for {cells} cells, got {levels!r}")
-            f = weierstrass_field(float(w["alpha"]), levels, g, float(w.get("phase", 0.0)))
-        else:
-            raise UsageError("each probe field needs 'file' or 'weierstrass'")
+            alpha = w["alpha"]
+            f = weierstrass_field(alpha, levels, g, w.get("phase", 0.0))
         if grid is not None and f.grid != grid:
             raise UsageError("probe fields live on different grids")
         grid = f.grid
         fields.append(f)
-        alphas.append(float(spec.get("alpha", spec.get("weierstrass", {}).get("alpha", 0.5))))
+        alphas.append(spec.get("alpha", alpha))
     return tuple(fields), tuple(alphas)
 
 
@@ -231,7 +242,8 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
     try:
         fields, alphas = _resolve_probe_fields(cfg)
         gmap = cm.get_gmap(gname, GasParams(gamma))
-        probe = cm.CommutatorProbe(fields, alphas, gmap, p, tuple(float(e) for e in eps))
+        probe = cm.CommutatorProbe(fields, alphas, gmap, p, tuple(
+            _typed(e, float, "config field 'eps' entry") for e in eps))
         fit = cm.chain_rate_fit(probe)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(repr(exc))

@@ -1,7 +1,7 @@
 """One-sided Lipschitz diagnostics for velocity fields.
 
 The weak form asks for the smallest constant C such that the directional
-stretching of the velocity is bounded by C against every nonnegative test
+stretching of the velocity is bounded by C against every non-negative test
 bump; the reported minimum is
 
     max over (xi, phi) of  -integral (xi . u) (xi . grad phi) / integral phi

@@ -7,7 +7,7 @@ The density splits into a kinetic part and a thermodynamic part,
       + T * (rho log(rho / r) - rho + r),
 
 an algebraic rearrangement of the linearized ballistic free energy that
-makes nonnegativity explicit: both bracketed factors are Bregman gaps of
+makes non-negativity explicit: both bracketed factors are Bregman gaps of
 convex functions, zero exactly at state equality.  The candidate temperature
 Theta of an entropic-variable state is recovered from (rho, S); a trajectory
 snapshot gives it directly, as it gives the reference temperature T.

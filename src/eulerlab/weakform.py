@@ -12,7 +12,6 @@ shocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,21 +21,6 @@ from .grid import PERIOD, PeriodicGrid, exact_sum, grad_values, time_trapezoid, 
 from .solver import Snapshot, Trajectory, snapshot_primitive
 from .thermo import GasParams, entropy
 
-Arrays = tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class SpaceTimeTest:
-    """Smooth test function, given by its values.
-
-    ``value(t, X)`` takes the snapshot time and the tuple of coordinate
-    arrays; the weak forms difference its samples in time and on the
-    lattice.  ``nonneg`` marks admissibility for entropy testing.
-    """
-
-    value: Callable
-    nonneg: bool = False
-
 
 def _scalar_bump(s: float) -> float:
     if abs(s) >= 1.0:
@@ -44,9 +28,10 @@ def _scalar_bump(s: float) -> float:
     return math.exp(-1.0 / (1.0 - s * s))
 
 
-def bump_test(center, width: float, t0: float, t1: float,
-              nonneg: bool = True) -> SpaceTimeTest:
-    """Tensor bump in space times a bump in time, compact in (t0, t1)."""
+def bump_test(center, width: float, t0: float, t1: float) -> Callable:
+    """Tensor bump in space times a bump in time, compact in (t0, t1): the
+    non-negative test function ``value(t, X)`` of the snapshot time and the
+    tuple of coordinate arrays."""
     centers = np.atleast_1d(np.asarray(center, dtype=float))
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
 
@@ -56,7 +41,7 @@ def bump_test(center, width: float, t0: float, t1: float,
             space = space * bump_profile(wrap(X[ax] - centers[ax]) / width)[0]
         return _scalar_bump((t - mid) / half) * space
 
-    return SpaceTimeTest(value, nonneg)
+    return value
 
 
 def _fields(snap: Snapshot, params: GasParams, which: str):
@@ -81,47 +66,48 @@ def _fields(snap: Snapshot, params: GasParams, which: str):
     raise ValueError(f"unknown balance law {which!r}")
 
 
-def weak_residual(traj: Trajectory, test: SpaceTimeTest, which: str) -> float:
-    """Interior weak integral minus boundary terms for one balance law.
+def weak_residual(traj: Trajectory, tests: list[Callable], which: str) -> list[float]:
+    """Interior weak integral minus boundary terms for one balance law, per test.
 
     Midpoint quadrature in space over cells; the time-derivative term pairs
     each snapshot interval with the exact increment of the test function, so
     it telescopes against the boundary terms, and the flux term contracts
     against the lattice gradient of the test samples, so constant fluxes
     cancel by periodic telescoping.  Constant states therefore give residuals
-    at rounding level, and smooth flows at quadrature order.
+    at rounding level, and smooth flows at quadrature order.  Each snapshot's
+    density and flux are formed once and read by every test.
     """
     grid = traj.grid
     X = grid.coordinates()
     vol = grid.cell_volume
     times = traj.times
-    phis = [test.value(t, X) * np.ones(grid.shape) for t in times]
-    qs, flux_series = [], []
-    for snap in traj.snapshots:
-        q, flux = _fields(snap, traj.params, which)
-        qs.append(q)
-        gphi = grad_values(phis[len(qs) - 1], grid.cell_width)
-        integrand = np.zeros(grid.shape)
-        for ax in range(grid.dims):
-            integrand = integrand + flux[ax] * gphi[ax]
-        flux_series.append(vol * exact_sum(integrand))
-    interior = float(time_trapezoid(times, flux_series)[1][-1])
-    for j in range(1, len(times)):
-        q_mid = 0.5 * (qs[j] + qs[j - 1])
-        interior += vol * exact_sum(q_mid * (phis[j] - phis[j - 1]))
-    boundary = vol * exact_sum(qs[-1] * phis[-1]) - vol * exact_sum(qs[0] * phis[0])
-    return interior - boundary
+    qs, fluxes = zip(*(_fields(snap, traj.params, which) for snap in traj.snapshots))
+    q_mids = [0.5 * (qs[j] + qs[j - 1]) for j in range(1, len(times))]
+    residuals = []
+    for test in tests:
+        phis = [test(t, X) * np.ones(grid.shape) for t in times]
+        flux_series = []
+        for flux, phi in zip(fluxes, phis):
+            gphi = grad_values(phi, grid.cell_width)
+            integrand = np.zeros(grid.shape)
+            for ax in range(grid.dims):
+                integrand = integrand + flux[ax] * gphi[ax]
+            flux_series.append(vol * exact_sum(integrand))
+        interior = float(time_trapezoid(times, flux_series)[1][-1])
+        for j in range(1, len(times)):
+            interior += vol * exact_sum(q_mids[j - 1] * (phis[j] - phis[j - 1]))
+        boundary = vol * exact_sum(qs[-1] * phis[-1]) - vol * exact_sum(qs[0] * phis[0])
+        residuals.append(interior - boundary)
+    return residuals
 
 
-def entropy_production(traj: Trajectory, test: SpaceTimeTest) -> float:
-    """Entropy balance surplus: boundary growth minus interior transport.
+def entropy_production(traj: Trajectory, tests: list[Callable]) -> list[float]:
+    """Entropy balance surplus per test: boundary growth minus interior transport.
 
     Nonnegative (up to O(dx)) for admissible solutions, strictly positive for
     test bumps riding on a shock.
     """
-    if not test.nonneg:
-        raise ValueError("entropy testing requires a nonnegative test function")
-    return -weak_residual(traj, test, "entropy")
+    return [-r for r in weak_residual(traj, tests, "entropy")]
 
 
 def entropy_production_tol(grid: PeriodicGrid) -> float:
@@ -133,7 +119,7 @@ def entropy_production_tol(grid: PeriodicGrid) -> float:
 SHOCK_BUMPS = 8
 
 
-def shock_tracking_bumps(traj: Trajectory) -> list[SpaceTimeTest]:
+def shock_tracking_bumps(traj: Trajectory) -> list[Callable]:
     """Space bumps spread over the domain, time bump inside (0, T)."""
     t0, t1 = traj.times[0], traj.times[-1]
     tb0 = t0 + 0.2 * (t1 - t0)

@@ -322,7 +322,7 @@ class TestInputBoundary:
         ({"weierstrass": {"alpha": 0.6, "levels": 5, "grid_n": 64}}, "got 5"),
         ({"weierstrass": {"alpha": 0.6, "levels": 7.0, "grid_n": 64}}, "got 7.0"),
         ({"weierstrass": {"alpha": 0.6, "levels": True, "grid_n": 64}}, "got True"),
-        ({"file": 3}, "probe field 'file' must be a path, got 3"),
+        ({"file": 3}, "probe field 'file' must be a string, got 3"),
     ])
     def test_commutator_rate_rejects_levels_and_file_where_they_enter(self, tmp_path, capsys,
                                                                       spec, message):
@@ -357,6 +357,10 @@ class TestInputBoundary:
     def test_commutator_rate_bounds_grid_n_before_building_a_grid(self, tmp_path, capsys,
                                                                  cells):
         # int(grid_n) took floats and any size, so 2**40 allocated without limit
+        if type(cells) is int:
+            message = f"weierstrass 'grid_n' must be an integer in [4, 65536], got {cells!r}"
+        else:
+            message = f"weierstrass field 'grid_n' must be an integer, got {cells!r}"
         cfg = tmp_path / "probe.json"
         cfg.write_text(json.dumps({
             "fields": [{"weierstrass": {"alpha": 0.6, "levels": 20, "grid_n": cells}}],
@@ -364,7 +368,7 @@ class TestInputBoundary:
         out = tmp_path / "rep"
         assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert f"'grid_n' must be an integer in [4, 65536], got {cells!r}" in err
+        assert message in err
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("p", [float("nan"), 1.5])
@@ -999,7 +1003,8 @@ def test_fuzz_field_csv(dims, cells, how, token, seed):
 
 # Commutator-probe configs: a valid probe on a 64-cell grid with a few keys,
 # or one probe field, replaced by values from short lists, valid and broken.
-_VALID_PROBE = {"fields": [{"weierstrass": {"alpha": 0.6, "levels": 6, "grid_n": 64}}],
+_VALID_WEIER = {"alpha": 0.6, "levels": 6, "grid_n": 64}
+_VALID_PROBE = {"fields": [{"weierstrass": _VALID_WEIER}],
                 "G": "square", "p": 4.0, "eps": [0.5, 0.25, 0.125, 0.0625]}
 _PROBE_WRONG_TYPES = {
     "fields": [{"file": "field.csv"}, "x", None],
@@ -1012,19 +1017,22 @@ _PROBE_VARIANTS = {key: values + _PROBE_WRONG_TYPES[key] for key, values in {
     "G": ["product", "pressure_tilde", "cube"],
     "p": [2.0, 1.5, float("nan"), float("inf")],
     "eps": [[0.5, 0.25, 0.125, 0.0625, 0.03125], [0.25, 0.125], [], [0.5, -1.0, 0.0625],
-            [float("nan")] * 4, ["x"], [50.0, 0.25, 0.125, 0.0625]],
+            [float("nan")] * 4, ["x"], [50.0, 0.25, 0.125, 0.0625], [0.5, 0.25, 0.125, True]],
     "gamma": [5.0 / 3.0, 1.0],
 }.items()}
 _WEIER_VARIANTS = {
     "levels": [7, 5, 1023, 1024, 10**6, 6.0, "6", True, None, -1],
     "grid_n": [32, 16, 3, 0, float("inf"), "x"],
-    "alpha": [0.3, 1.0, 1.5, 0.0, float("nan"), "x"],
+    "alpha": [0.3, 1.0, 1.5, 0.0, float("nan"), "x", "0.6"],
     "phase": [1.0, float("inf"), "x"],
+    "phse": [1.0],
 }
 _PROBE_FIELDS = [
     {"file": "field.csv", "alpha": 0.6}, {"file": "field.csv", "alpha": "x"},
     {"file": "missing.csv"}, {"file": 3}, {"file": None}, {"file": ["field.csv"]},
     {"weierstrass": [1]}, {"weierstrass": {"alpha": 0.6}}, {}, 3, "file", None,
+    {"weierstrass": _VALID_WEIER, "alpha": True}, {"weierstrass": _VALID_WEIER, "alpah": 0.6},
+    {"file": "field.csv", "weierstrass": _VALID_WEIER},
 ]
 
 
@@ -1033,7 +1041,7 @@ def _probe_configs(draw):
     cfg = dict(_VALID_PROBE)
     for key in draw(st.lists(st.sampled_from(sorted(_PROBE_VARIANTS)), max_size=1)):
         cfg[key] = draw(st.sampled_from(_PROBE_VARIANTS[key]))
-    weier = dict(_VALID_PROBE["fields"][0]["weierstrass"])
+    weier = dict(_VALID_WEIER)
     for key in draw(st.lists(st.sampled_from(sorted(_WEIER_VARIANTS)), max_size=1)):
         weier[key] = draw(st.sampled_from(_WEIER_VARIANTS[key]))
     # mostly one field; two must share a grid, and the valid file does
@@ -1060,6 +1068,38 @@ def test_fuzz_commutator_config(cfg):
 def test_probe_config_value_of_another_json_type_exits_2(tmp_path, capsys, key, value):
     _assert_config_refused(tmp_path, capsys, "commutator-rate", {**_VALID_PROBE, key: value},
                            f"config field {key!r} must be")
+
+
+def _probe_with(spec: dict) -> dict:
+    return {**_VALID_PROBE, "fields": [spec]}
+
+
+#: Misses inside a probe config, with the message that names the key.
+_NESTED_PROBE_MISSES = {
+    "eps_entry_bool": ({**_VALID_PROBE, "eps": [0.5, 0.25, 0.125, True]},
+                       "config field 'eps' entry must be a number, got True"),
+    "weier_alpha_string": (_probe_with({"weierstrass": {**_VALID_WEIER, "alpha": "0.6"}}),
+                           "weierstrass field 'alpha' must be a number, got '0.6'"),
+    "field_alpha_bool": (_probe_with({"weierstrass": _VALID_WEIER, "alpha": True}),
+                         "probe field 'alpha' must be a number, got True"),
+    "weier_typo": (_probe_with({"weierstrass": {**_VALID_WEIER, "phse": 1.0}}),
+                   "weierstrass has keys this subcommand does not read: ['phse']"),
+    "field_typo": (_probe_with({"weierstrass": _VALID_WEIER, "alpah": 0.6}),
+                   "probe has keys this subcommand does not read: ['alpah']"),
+    "file_and_weierstrass": (_probe_with({"file": "field.csv", "weierstrass": _VALID_WEIER}),
+                             "needs one of 'file' and 'weierstrass', "
+                             "got keys ['file', 'weierstrass']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NESTED_PROBE_MISSES))
+def test_probe_config_miss_inside_a_field_or_eps_exits_2(tmp_path, capsys, case):
+    # each ran before: the value was coerced, the key ignored or 'file' preferred
+    cfg, message = _NESTED_PROBE_MISSES[case]
+    field = tmp_path / "field.csv"
+    save_scalar_field(field, weierstrass_field(0.6, 6, PeriodicGrid(1, 64)))
+    cfg = json.loads(json.dumps(cfg).replace('"field.csv"', json.dumps(str(field))))
+    _assert_config_refused(tmp_path, capsys, "commutator-rate", cfg, message)
 
 
 @pytest.mark.parametrize("command,cfg,key", [
