@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -292,16 +292,21 @@ class Mollifier:
 
     ``offsets`` holds integer lattice offsets (rows), ``weights`` the kernel
     values there, normalized so that sum(weights) * cell_volume = 1.
+    ``spectrum`` is its real spectrum on the torus of ``grid``: each tap, times
+    the cell volume, on its offset mod the cell count, a cell of its own.
     """
 
     epsilon: float
-    cell_width: float
+    grid: PeriodicGrid
     offsets: np.ndarray
     weights: np.ndarray
+    spectrum: np.ndarray = dc_field(init=False, repr=False)
 
-    @property
-    def radius_cells(self) -> int:
-        return int(np.max(np.abs(self.offsets)))
+    def __post_init__(self) -> None:
+        kernel = np.zeros(self.grid.shape)
+        kernel[tuple((self.offsets % self.grid.cells_per_dim).T)] = (
+            self.weights * self.grid.cell_volume)
+        object.__setattr__(self, "spectrum", np.fft.rfftn(kernel))
 
 
 def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
@@ -330,24 +335,16 @@ def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
     w = np.exp(-1.0 / (1.0 - dist2[keep]))
     w = w / (exact_sum(w) * grid.cell_volume)
     order = np.lexsort(offsets.T[::-1])
-    return Mollifier(eps, dx, offsets[order], w[order])
+    return Mollifier(eps, grid, offsets[order], w[order])
 
 
-def mollify_values(values: np.ndarray, mol: Mollifier, first_axis: int = 0) -> np.ndarray:
-    """out(x) = sum over taps, in tap order, of w * vol * values(x - off*dx).
-
-    The spatial axes (the last ones, from ``first_axis``) are padded once,
-    periodically, by the kernel radius, so each tap reads a view of the pad.
-    """
-    dims = mol.offsets.shape[1]
-    vol = mol.cell_width**dims
-    r, n = mol.radius_cells, values.shape[-1]
-    padded = np.pad(values, [(0, 0)] * first_axis + [(r, r)] * dims, mode="wrap")
-    lead = (slice(None),) * first_axis
-    out = np.zeros_like(values)
-    for off, w in zip(mol.offsets.tolist(), mol.weights):
-        out += (w * vol) * padded[lead + tuple(slice(r - o, r - o + n) for o in off)]
-    return out
+def mollify_values(values: np.ndarray, mol: Mollifier) -> np.ndarray:
+    """out(x) = sum over taps of w * vol * values(x - off*dx), periodic in the
+    last ``dims`` axes, as a product of real spectra: one ``rfftn`` of the
+    values times ``mol.spectrum``, and back.  It is the tap sum to rounding."""
+    axes = tuple(range(-mol.grid.dims, 0))
+    spectrum = np.fft.rfftn(values, axes=axes) * mol.spectrum
+    return np.fft.irfftn(spectrum, s=mol.grid.shape, axes=axes)
 
 
 # ---------------------------------------------------------------------------

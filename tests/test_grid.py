@@ -146,14 +146,19 @@ def _mollify(field, mol):
     return ScalarField(field.grid, mollify_values(field.values, mol))
 
 
-def _mollify_shift_sum(values, mol, first_axis=0):
+def _mollify_shift_sum(values, mol):
     """Oracle: one periodic shifted copy of the field per kernel tap, summed
-    in tap order."""
-    vol = mol.cell_width ** mol.offsets.shape[1]
+    in tap order, over the last ``dims`` axes."""
+    vol = mol.grid.cell_volume
+    first_axis = values.ndim - mol.grid.dims
     out = np.zeros_like(values)
     for off, w in zip(mol.offsets, mol.weights):
         out += (w * vol) * shift_values(values, tuple(-off), first_axis)
     return out
+
+
+def _radius_cells(mol):
+    return int(np.max(np.abs(mol.offsets)))
 
 
 def _laplacian(field):
@@ -194,7 +199,10 @@ class TestMollifier:
         vol = grid256.cell_volume
         assert math.fsum(mol.weights) * vol == pytest.approx(1.0, rel=1e-12)
         assert np.all(mol.weights >= 0.0)
-        assert mol.radius_cells * grid256.cell_width < 0.1
+        assert _radius_cells(mol) * grid256.cell_width < 0.1
+        # the spectrum's mean mode is the kernel's total mass
+        assert mol.spectrum.shape == (129,)
+        assert mol.spectrum[0].real == pytest.approx(1.0, rel=1e-12)
 
     def test_too_small_radius_raises(self, grid256):
         with pytest.raises(ResolutionError):
@@ -216,12 +224,12 @@ class TestMollifier:
         out = _mollify(f, build_mollifier(grid256, 0.1))
         assert lp_norm(out, p) <= lp_norm(f, p) * (1.0 + 1e-12)
 
-    def test_commutes_with_lattice_shift_exactly(self, grid256):
+    def test_commutes_with_lattice_shift_to_rounding(self, grid256):
         f = _random_field(grid256, seed=2)
         mol = build_mollifier(grid256, 0.0625)
         a = shift_values(mollify_values(f.values, mol), (3,))
         b = mollify_values(shift_values(f.values, (3,)), mol)
-        assert np.array_equal(a, b)
+        assert np.max(np.abs(a - b)) <= MOLLIFY_TOL * np.max(np.abs(f.values))
 
     def test_smooth_convergence_rate_two(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.sin(np.pi * x))
@@ -252,16 +260,22 @@ class TestMollifier:
         assert lp_norm(out, 2) <= lp_norm(f, 2)
 
 
-class TestPaddedMollifierMatchesShiftSum:
-    """mollify_values reads each tap from one periodic pad; bit for bit it is
-    the shift-sum of rolled copies."""
+#: |mollify_values - shift-sum oracle| <= MOLLIFY_TOL * max|values|: the
+#: product of spectra rounds differently from the tap sum (at most 3.2e-15
+#: measured, on Weierstrass fields up to 8,192 cells and eps up to 0.5).
+MOLLIFY_TOL = 1e-13
+
+
+class TestSpectralMollifierMatchesShiftSum:
+    """mollify_values is a product of real spectra; it is the shift-sum of
+    rolled copies to rounding."""
 
     @staticmethod
-    def _check(grid, eps, lead=(), first_axis=0, seed=0):
+    def _check(grid, eps, lead=(), seed=0):
         values = np.random.default_rng(seed).standard_normal(lead + grid.shape)
         mol = build_mollifier(grid, eps)
-        assert np.array_equal(mollify_values(values, mol, first_axis),
-                              _mollify_shift_sum(values, mol, first_axis))
+        gap = np.max(np.abs(mollify_values(values, mol) - _mollify_shift_sum(values, mol)))
+        assert gap <= MOLLIFY_TOL * np.max(np.abs(values))
         return mol
 
     @pytest.mark.parametrize("eps", EPS_SCAN)
@@ -273,24 +287,75 @@ class TestPaddedMollifierMatchesShiftSum:
         self._check(PeriodicGrid(2, 128), eps)
 
     def test_component_stack(self):
-        self._check(PeriodicGrid(2, 128), 0.0625, lead=(3,), first_axis=1)
+        self._check(PeriodicGrid(2, 128), 0.0625, lead=(3,))
 
     def test_gradient_stack(self, grid2d):
         # (component, direction, x, y), as the chain commutator mollifies it
-        self._check(grid2d, 0.1, lead=(2, 2), first_axis=2)
+        self._check(grid2d, 0.1, lead=(2, 2))
 
     @pytest.mark.parametrize("dims,cells,eps", [(1, 8192, 0.0123), (1, 256, 0.0917),
                                                 (2, 64, 0.137)])
     def test_off_lattice_radius(self, dims, cells, eps):
         self._check(PeriodicGrid(dims, cells), eps)
 
+    @pytest.mark.parametrize("dims,cells,eps", [(1, 255, 0.1), (1, 255, 1.0), (2, 63, 0.2)])
+    def test_odd_cell_count(self, dims, cells, eps):
+        # irfftn needs the cell count: an odd axis has no Nyquist mode
+        self._check(PeriodicGrid(dims, cells), eps, lead=(2,) * (dims - 1))
+
     @pytest.mark.parametrize("dims", [1, 2])
     def test_widest_radius(self, dims):
         # half the period: 7 cells each way on a 16-cell axis, the widest
         # kernel whose taps all land on distinct cells
-        mol = self._check(PeriodicGrid(dims, 16), 1.0, lead=(2,) * (dims - 1),
-                          first_axis=dims - 1)
-        assert mol.radius_cells == 7
+        mol = self._check(PeriodicGrid(dims, 16), 1.0, lead=(2,) * (dims - 1))
+        assert _radius_cells(mol) == 7
+
+
+class TestMollifierIsBitStable:
+    """The same field gives the same bits, whatever stacks or holds it."""
+
+    @staticmethod
+    def _stack(grid, rows=3):
+        return np.random.default_rng(4).standard_normal((rows,) + grid.shape)
+
+    @pytest.mark.parametrize("dims,cells", [(1, 8192), (2, 128)])
+    def test_row_of_a_stack_equals_the_row_alone(self, dims, cells):
+        grid = PeriodicGrid(dims, cells)
+        stack, mol = self._stack(grid), build_mollifier(grid, 0.0625)
+        batch = mollify_values(stack, mol)
+        for row in range(len(stack)):
+            assert np.array_equal(batch[row], mollify_values(stack[row], mol))
+
+    def test_rerun_and_memory_layout(self):
+        grid = PeriodicGrid(2, 128)
+        values, mol = self._stack(grid, 1)[0], build_mollifier(grid, 0.125)
+        first = mollify_values(values, mol)
+        assert np.array_equal(mollify_values(values, mol), first)
+        assert np.array_equal(mollify_values(np.asfortranarray(values), mol), first)
+        # the same field as a window into a larger array: an offset, strided view
+        wide = np.zeros((131, 133))
+        wide[2:130, 3:131] = values
+        assert np.array_equal(mollify_values(wide[2:130, 3:131], mol), first)
+
+    def test_offset_view_1d(self, grid8k):
+        wide = np.random.default_rng(5).standard_normal(8192 + 3)
+        mol = build_mollifier(grid8k, 0.0625)
+        assert np.array_equal(mollify_values(wide[3:], mol), mollify_values(wide[3:].copy(), mol))
+
+    def test_non_finite_input_gives_non_finite_output(self, grid256):
+        values = _random_field(grid256).values.copy()
+        values[17] = np.nan
+        assert not np.all(np.isfinite(mollify_values(values, build_mollifier(grid256, 0.1))))
+
+    def test_spectrum_is_formed_once_per_mollifier(self, grid256, monkeypatch):
+        calls = []
+        real = np.fft.rfftn
+        monkeypatch.setattr(np.fft, "rfftn", lambda *a, **k: calls.append(1) or real(*a, **k))
+        mol = build_mollifier(grid256, 0.1)
+        assert len(calls) == 1
+        for _ in range(3):
+            mollify_values(_random_field(grid256).values, mol)
+        assert len(calls) == 4      # one transform of the values per call, none of the kernel
 
 
 class TestCalculus:
@@ -629,7 +694,7 @@ class TestBallOffsets:
     def test_mollifier_radius_convention(self, grid8k):
         for eps in (2.0**-4, 2.0**-10):
             mol = build_mollifier(grid8k, eps)
-            assert mol.radius_cells == math.ceil(eps / grid8k.cell_width) - 1
+            assert _radius_cells(mol) == math.ceil(eps / grid8k.cell_width) - 1
 
     @pytest.mark.parametrize("dims,eps", [(1, 5.0), (2, 2.3), (1, math.nextafter(1.0, 2.0)),
                                           (2, math.inf)])

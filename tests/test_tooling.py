@@ -138,8 +138,8 @@ def _stray_rolls(src: Path) -> list[str]:
 
 
 def test_np_roll_only_inside_grid():
-    """A periodic shift goes through grid (shift_values, mollify_values,
-    grad_values), not through a private np.roll."""
+    """A periodic shift goes through grid (shift_values, grad_values), not
+    through a private np.roll."""
     stray = _stray_rolls(SRC)
     assert not stray, f"np.roll outside grid.py: {stray}"
 
@@ -151,6 +151,47 @@ def test_roll_guard_sees_a_planted_roll(tmp_path):
         fh.write("\n\ndef planted(v):\n    return np.roll(v, -1, axis=0) - v\n")
     last = (src / "relentropy.py").read_text().count("\n")
     assert _stray_rolls(src) == [f"relentropy.py:{last}"]
+
+
+#: The one convolution: the mollifier's spectrum and mollify_values, in grid.py.
+_FFT_HOME = {("grid.py", ("Mollifier", "__post_init__")), ("grid.py", ("mollify_values",))}
+
+
+def _stray_ffts(src: Path) -> list[str]:
+    """``module:line`` of every FFT reference in ``src`` outside ``_FFT_HOME``:
+    ``np.fft``, a name ``fft``, or an import of or from an ``fft`` module."""
+    stray = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        uses = _uses(tree, "fft") + [
+            (node.lineno, ()) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and any("fft" in name.split(".") for name in
+                    [getattr(node, "module", None) or ""] + [a.name for a in node.names])]
+        stray |= {(path.name, line) for line, scope in uses
+                  if (path.name, scope) not in _FFT_HOME}
+    return [f"{module}:{line}" for module, line in sorted(stray)]
+
+
+def test_np_fft_only_inside_the_mollifier():
+    """A convolution goes through grid.mollify_values, the one place that
+    multiplies spectra."""
+    stray = _stray_ffts(SRC)
+    assert not stray, f"FFT outside grid's mollifier: {stray}"
+
+
+def test_fft_guard_sees_planted_transforms(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "besov.py", "a") as fh:
+        fh.write("\n\nfrom numpy.fft import irfft\n\n\n"
+                 "def planted(v):\n    return np.fft.rfft(v)\n")
+    with open(src / "grid.py", "a") as fh:
+        fh.write("\n\ndef planted(v):\n    return np.fft.rfft(v)\n")
+    last = (src / "besov.py").read_text().count("\n")
+    last_grid = (src / "grid.py").read_text().count("\n")
+    assert _stray_ffts(src) == [f"besov.py:{last - 4}", f"besov.py:{last}",
+                                f"grid.py:{last_grid}"]
 
 
 #: Quadratures that would integrate over time past grid.time_trapezoid.
