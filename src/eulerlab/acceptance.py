@@ -124,7 +124,14 @@ def gate_besov_machinery() -> GateResult:
         ok = ok and fit_ok and bounds_ok
         metrics[f"fitted_alpha_{alpha}"] = fit.alpha
         metrics[f"bounds_ok_{alpha}"] = bounds_ok
-        details.append(f"a={alpha}: fit {fit.alpha:.3f}, bounds {bounds_ok}")
+        bounds = f"bounds {bounds_ok}"
+        if not bounds_ok:
+            # the first failing estimate, at its smallest failing eps (the report sorts eps)
+            row, col = np.argwhere(~rep.bound_ok)[0]
+            ratio = rep.estimates[row, col] / rep.bounds[row, col]
+            bounds = (f"{bz.ESTIMATES[row]} bound first fails at eps "
+                      f"2^{math.log2(sorted(EPS_SCAN)[col]):g}: norm / bound {ratio:.3f}")
+        details.append(f"a={alpha}: fit {fit.alpha:.3f}, {bounds}")
     return GateResult("besov-machinery", ok, "; ".join(details), metrics)
 
 
@@ -196,18 +203,22 @@ def gate_relative_entropy() -> GateResult:
     calib = re_.calibrate_coercivity(box, params, n=2**17, seed=20240)
     rng = np.random.default_rng(31337)
     n = 100_000
-    rho = rng.uniform(0.5, 2.0, n)
-    theta = rng.uniform(0.5, 2.0, n)
-    s_tot = rho * entropy(rho, theta, params)
-    state = EntropicState(rho, rho * rng.uniform(-1, 1, n), s_tot)
-    ref = PrimitiveState(
-        rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
-    )
-    gap = re_.coercivity_gap(state, ref, calib, params)
-    dens_fresh = re_.rel_entropy_density(state, ref, params)
-    min_density = float(np.min(dens_fresh.total))
-    min_gap = float(np.min(gap.gap))
-    ok = bool(exact_zero and min_density >= 0.0 and min_gap >= 0.0)
+    rho, theta, vel = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n)
+    r_ref, u_ref, t_ref = rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
+    # the sample is checked in blocks, each held to the quadratic branch (C = c_hat)
+    quadratic, densities, gaps = True, [], []
+    for start in range(0, n, re_.CALIBRATION_BLOCK):
+        blk = slice(start, start + re_.CALIBRATION_BLOCK)
+        r = rho[blk]
+        state = EntropicState(r, r * vel[blk], r * entropy(r, theta[blk], params))
+        ref = PrimitiveState(r_ref[blk], u_ref[blk], t_ref[blk])
+        gap = re_.coercivity_gap(state, ref, calib, params)
+        quadratic = quadratic and gap.branch == "quadratic"
+        gaps.append(np.min(gap.gap))
+        densities.append(np.min(re_.rel_entropy_density(state, ref, params).total))
+    min_density = float(np.min(densities))
+    min_gap = float(np.min(gaps))
+    ok = bool(exact_zero and quadratic and min_density >= 0.0 and min_gap >= 0.0)
     details = (
         f"equality value {dens.total:.1e} (exact 0), min E {min_density:.2e}, "
         f"min coercivity gap {min_gap:.2e} with C={calib.c_hat:.3f} on 1e5 samples"

@@ -184,14 +184,22 @@ def fit_regularity(table: ModulusTable) -> RegularityFit:
     return RegularityFit(slope, resid, hs, norms)
 
 
+#: The three mollifier estimates, in the row order of a ``MollifierRateReport``.
+ESTIMATES = ("mollification error", "shift modulus", "gradient")
+
+
 @dataclass(frozen=True)
 class MollifierRateReport:
-    """Per-epsilon shift moduli, the three fitted rates and the bound checks."""
+    """Per-epsilon estimates and their one-sided bounds, and the three fitted rates."""
 
-    shift_sup: np.ndarray
+    estimates: np.ndarray  # one row per estimate (ESTIMATES), one column per eps
+    bounds: np.ndarray     # the bound each estimate is held to, same layout
     slopes: tuple[float, float, float]
-    bound_ok: np.ndarray  # one row per estimate, one column per eps
-    table: ModulusTable   # the dyadic shift ladder and the ball of the largest eps
+    table: ModulusTable    # the dyadic shift ladder and the ball of the largest eps
+
+    @property
+    def bound_ok(self) -> np.ndarray:
+        return self.estimates <= self.bounds
 
 
 def verify_mollifier_rates(
@@ -229,14 +237,9 @@ def verify_mollifier_rates(
     win = _asymptotic_window(len(eps_arr))
     slopes = tuple(_loglog_fit(eps_arr[win], v[win])[0] for v in (m_err, s_sup, g_nrm))
     cap = (1.0 + ESTIMATE_SLACK) * sem
-    bound_ok = np.stack(
-        [
-            m_err <= cap * eps_arr**alpha,
-            s_sup <= cap * eps_arr**alpha,
-            g_nrm <= cap * eps_arr ** (alpha - 1.0),
-        ]
-    )
-    return MollifierRateReport(s_sup, slopes, bound_ok, table)
+    bounds = np.stack([cap * eps_arr**alpha, cap * eps_arr**alpha,
+                       cap * eps_arr ** (alpha - 1.0)])
+    return MollifierRateReport(np.stack([m_err, s_sup, g_nrm]), bounds, slopes, table)
 
 
 #: Exponents of the ``besov_report`` seminorm scan.

@@ -272,16 +272,19 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
     if times.shape != vals.shape:
         raise ValueError("times and values must align")
     inside = time_window(times, delta, "delta")
-    t = times[inside]
-    v = np.maximum(vals[inside], 0.0)
-    if len(t) < 2:
+    if np.count_nonzero(inside) < 2:
         raise ValueError("need at least two samples past delta")
-    _, partial = time_trapezoid(t, v)
-    # the power law has no value at tau = 0, so only tau > 0 points are fitted
+    t, v = times[inside], vals[inside]
+    np.maximum(v, 0.0, out=v)
+    # the power law has no value at tau = 0, so only tau > 0 points are fitted.
+    # The fit runs first, on copies of the fitted points alone, and they are
+    # freed before the running integral is formed
     tf, vf = t[t > 0.0], v[t > 0.0]
     n_fit = min(max(3, len(tf) // 4), len(tf))
-    tf, vf = tf[:n_fit], vf[:n_fit]
+    tf, vf = tf[:n_fit].copy(), vf[:n_fit].copy()
     b = 0.0
     if n_fit >= 2 and np.min(vf) > 0.0:
-        b = -float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
+        b = -float(np.polyfit(np.log(tf, out=tf), np.log(vf, out=vf), 1)[0])
+    del tf, vf
+    _, partial = time_trapezoid(t, v)
     return L1Report(float(partial[-1]), partial, b, bool(b >= 1.0), n_fit)

@@ -233,7 +233,8 @@ def time_trapezoid(times, values) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
     terms = 0.5 * (v[1:] + v[:-1]) * (t[1:] - t[:-1])
-    return terms, np.cumsum(np.concatenate(([0.0], terms)))
+    running = np.concatenate(([0.0], terms))
+    return terms, np.cumsum(running, out=running)
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,27 @@ def _sobol_directions() -> np.ndarray:
 
 _SOBOL_V = _sobol_directions()
 
+#: Points per block of the coercivity calibration and of the relative-entropy
+#: gate's sample check: 64 kB per array, so the scan's footprint does not
+#: grow with the sample count.
+CALIBRATION_BLOCK = 2**13
 
-def _sobol(n: int, seed: int) -> np.ndarray:
-    """scipy's ``qmc.Sobol(d=6, scramble=True, seed=seed).random(n)``, byte for byte.
 
-    The seed's Generator draws the digital shift, then the lower-triangular
-    LMS matrices (unit diagonal), each applied over GF(2) to the bits of a
-    direction number, most significant first. In Gray-code order, points
-    [h, 2h) are points [0, h) reversed, XOR the scrambled direction log2(h).
+def _sobol_blocks(n: int, seed: int):
+    """scipy's ``qmc.Sobol(d=6, scramble=True, seed=seed).random(n)``, byte for
+    byte, as consecutive (rows, 6) blocks of ``CALIBRATION_BLOCK`` rows.
+
+    ``n`` is checked before anything is drawn.  The points are held as their
+    30-bit words, one row per dimension, and a block is scaled to [0, 1) only
+    when it is reached.  The seed's Generator draws the digital shift, then
+    the lower-triangular LMS matrices (unit diagonal), each applied over GF(2)
+    to the bits of a direction number, most significant first. In Gray-code
+    order, points [h, 2h) are points [0, h) reversed, XOR the scrambled
+    direction log2(h).
     """
-    if n > 2**_SOBOL_BITS:
-        raise ValueError(f"a {_SOBOL_BITS}-bit Sobol sequence has at most "
-                         f"2**{_SOBOL_BITS} points, asked for {n}")
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 2**_SOBOL_BITS:
+        raise ValueError(f"n must be an int in [1, 2**{_SOBOL_BITS}]: a {_SOBOL_BITS}-bit "
+                         f"Sobol sequence has at most 2**{_SOBOL_BITS} points, got n={n!r}")
     rng = np.random.default_rng(seed)
     shift = rng.integers(0, 2, size=(6, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_PLACE[::-1]
     ltm = np.tril(rng.integers(0, 2, size=(6, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
@@ -195,7 +204,17 @@ def _sobol(n: int, seed: int) -> np.ndarray:
     for b in range(size.bit_length() - 1):
         h = 1 << b
         np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
-    return x[:, :n].T * 2.0**-_SOBOL_BITS
+    return (x[:, start:min(start + CALIBRATION_BLOCK, n)].T * 2.0**-_SOBOL_BITS
+            for start in range(0, n, CALIBRATION_BLOCK))
+
+
+def _sampled_min(n: int, seed: int, ratio) -> float:
+    """np.min of ``ratio(points)`` over the Sobol points, one block at a time;
+    a NaN anywhere gives NaN, and a ratio empty in every block a ValueError."""
+    minima = [np.min(r) for r in map(ratio, _sobol_blocks(n, seed)) if r.size]
+    if not minima:
+        raise ValueError(f"no sampled pair of the {n} points is off the diagonal")
+    return float(np.min(minima))
 
 
 def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
@@ -205,35 +224,39 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
     The quadratic constant is 0.9 times the sampled minimum of E over the
     quadratic form for in-box pairs; the far constant repeats the rule with
     the candidate pushed outside twice the box (reference still inside).
-    The sampler is ``_sobol``: Joe-Kuo direction numbers, LMS plus
+    The sampler is ``_sobol_blocks``: Joe-Kuo direction numbers, LMS plus
     digital-shift scrambling, the same points as scipy's scrambled Sobol
     (``qmc.Sobol(d=6, scramble=True)``), seeds ``seed`` and ``seed + 1``.
+    Both branches scan their points in blocks, and only one branch's points
+    are held at a time.
     """
-    u01 = _sobol(n, seed)
     lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
     hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
-    s = lo + u01 * (hi - lo)
-    rho, theta_c, vel_c, r_ref, t_ref, u_ref = s.T
-    dens = rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
-    quad = _quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
-    mask = quad > 1e-30
-    c_hat = 0.9 * float(np.min(dens.total[mask] / quad[mask]))
+
+    def near(u01):
+        rho, theta_c, vel_c, r_ref, t_ref, u_ref = (lo + u01 * (hi - lo)).T
+        dens = rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
+        quad = _quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
+        mask = quad > 1e-30
+        return dens.total[mask] / quad[mask]
 
     # far branch: candidate outside twice the box, reference in box
-    u01 = _sobol(n, seed + 1)
-    rho_f = np.where(u01[:, 0] < 0.5,
-                     box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
-                     box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
-    th_f = np.where(u01[:, 2] < 0.5,
-                    box.theta_min * 0.5 * (0.2 + 1.6 * u01[:, 3]),
-                    box.theta_max * 2.0 * (1.0 + 4.0 * u01[:, 3]))
-    vel_f = -1.0 + 2.0 * u01[:, 4]
-    r_ref = box.rho_min + (box.rho_max - box.rho_min) * u01[:, 5]
-    t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
-    u_ref = 1.0 - 2.0 * u01[:, 1]
-    dens_f = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
-    far = _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
-    c_far = 0.9 * float(np.min(dens_f.total / far))
+    def far(u01):
+        rho_f = np.where(u01[:, 0] < 0.5,
+                         box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
+                         box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
+        th_f = np.where(u01[:, 2] < 0.5,
+                        box.theta_min * 0.5 * (0.2 + 1.6 * u01[:, 3]),
+                        box.theta_max * 2.0 * (1.0 + 4.0 * u01[:, 3]))
+        vel_f = -1.0 + 2.0 * u01[:, 4]
+        r_ref = box.rho_min + (box.rho_max - box.rho_min) * u01[:, 5]
+        t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
+        u_ref = 1.0 - 2.0 * u01[:, 1]
+        dens = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
+        return dens.total / _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
+
+    c_hat = 0.9 * _sampled_min(n, seed, near)
+    c_far = 0.9 * _sampled_min(n, seed + 1, far)
     return CoercivityCalibration(box, c_hat, c_far)
 
 

@@ -83,3 +83,119 @@ def test_a_wrong_split_term_fails_the_chain_gate(monkeypatch):
     result = acceptance.gate_chain_commutator()
     assert not result.passed
     assert result.metrics["split_gap"] > 1e-12
+
+
+def _relative_entropy_sample_unblocked(calib):
+    """The relative-entropy gate's sample check before it ran in blocks:
+    (min E, min coercivity gap, branch) over all 1e5 pairs at once."""
+    import numpy as np
+
+    from eulerlab import relentropy
+    from eulerlab.thermo import EntropicState, GasParams, PrimitiveState, entropy
+
+    params = GasParams(1.4)
+    rng = np.random.default_rng(31337)
+    n = 100_000
+    rho = rng.uniform(0.5, 2.0, n)
+    theta = rng.uniform(0.5, 2.0, n)
+    s_tot = rho * entropy(rho, theta, params)
+    state = EntropicState(rho, rho * rng.uniform(-1, 1, n), s_tot)
+    ref = PrimitiveState(
+        rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
+    )
+    gap = relentropy.coercivity_gap(state, ref, calib, params)
+    dens = relentropy.rel_entropy_density(state, ref, params)
+    return float(np.min(dens.total)), float(np.min(gap.gap)), gap.branch, state.rho
+
+
+class TestRelativeEntropySample:
+    @pytest.fixture(scope="class")
+    def run(self):
+        """The gate, its calibration, and the candidate densities of each block."""
+        from eulerlab import relentropy
+
+        calibs, blocks = [], []
+        real_cal, real_gap = relentropy.calibrate_coercivity, relentropy.coercivity_gap
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(relentropy, "calibrate_coercivity",
+                       lambda *a, **k: calibs.append(real_cal(*a, **k)) or calibs[-1])
+            mp.setattr(relentropy, "coercivity_gap",
+                       lambda state, *a: blocks.append(state.rho) or real_gap(state, *a))
+            result = acceptance.gate_relative_entropy()
+        return result, calibs[0], blocks
+
+    def test_blocked_check_matches_the_unblocked_one(self, run):
+        result, calib, _ = run
+        min_density, min_gap, branch, _ = _relative_entropy_sample_unblocked(calib)
+        assert branch == "quadratic" and result.passed
+        assert result.metrics["min_density"].hex() == min_density.hex()
+        assert result.metrics["min_gap"].hex() == min_gap.hex()
+
+    def test_every_sample_is_checked_once_in_order(self, run):
+        import numpy as np
+
+        from eulerlab import relentropy
+
+        _, calib, blocks = run
+        assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
+        all_rho = _relative_entropy_sample_unblocked(calib)[3]
+        assert np.concatenate(blocks).tobytes() == all_rho.tobytes()
+
+    def test_a_block_off_the_quadratic_branch_fails(self, monkeypatch):
+        import dataclasses
+
+        from eulerlab import relentropy
+
+        real = relentropy.coercivity_gap
+        calls = []
+
+        def far_once(*args):
+            calls.append(None)
+            res = real(*args)
+            return dataclasses.replace(res, branch="far") if len(calls) == 3 else res
+
+        monkeypatch.setattr(relentropy, "coercivity_gap", far_once)
+        assert not acceptance.gate_relative_entropy().passed
+
+
+def test_besov_gate_fail_names_the_estimate_and_eps(monkeypatch):
+    from eulerlab import besov
+
+    monkeypatch.setattr(besov, "ESTIMATE_SLACK", -0.5)
+    result = acceptance.gate_besov_machinery()
+    assert not result.passed
+    assert "bounds False" not in result.line()
+    parts = result.details.split("; ")
+    assert len(parts) == 3
+    for part in parts:
+        head, ratio = part.rsplit(": norm / bound ", 1)
+        assert head.endswith("shift modulus bound first fails at eps 2^-10")
+        assert float(ratio) > 1.0
+
+
+def test_besov_gate_fail_takes_the_first_failing_estimate(monkeypatch):
+    """Rows are searched in ESTIMATES order, then eps upward."""
+    import dataclasses
+
+    from eulerlab import besov
+
+    real = besov.verify_mollifier_rates
+
+    def broken(*args):
+        rep = real(*args)
+        bounds = rep.bounds.copy()
+        bounds[2, 3:] = 0.5 * rep.estimates[2, 3:]    # gradient, from the fourth eps on
+        bounds[1, 5] = 0.8 * rep.estimates[1, 5]      # shift modulus, sixth eps
+        return dataclasses.replace(rep, bounds=bounds)
+
+    monkeypatch.setattr(besov, "verify_mollifier_rates", broken)
+    result = acceptance.gate_besov_machinery()
+    assert not result.passed
+    assert result.details.count("shift modulus bound first fails at eps 2^-5: "
+                                "norm / bound 1.250") == 3
+    assert [v for k, v in result.metrics.items() if k.startswith("bounds_ok")] == [False] * 3
+
+
+def test_besov_gate_pass_line_is_unchanged():
+    details = acceptance.gate_besov_machinery().details
+    assert details.count("bounds True") == 3 and "first fails" not in details

@@ -192,7 +192,7 @@ class TestBallSups:
         # descending, with a repeat: the report sorts, the scan takes any order
         eps = list(eps_scan) + [eps_scan[2]]
         rep = verify_mollifier_rates(f, 0.6, 3.0, eps)
-        assert [v.hex() for v in rep.shift_sup.tolist()] == [
+        assert [v.hex() for v in rep.estimates[1].tolist()] == [
             _oracle_shift_sup(f, e, 3.0).hex() for e in sorted(eps)]
 
     def test_any_eps_order_and_empty_balls(self, grid256):

@@ -378,6 +378,79 @@ class TestL1PartialAgainstLoop:
             l1_report(np.arange(n, dtype=float), np.ones(n), delta=0.0)
 
 
+def _l1_report_before(times, min_c, delta):
+    """l1_report before it clipped in place and fitted before integrating."""
+    from eulerlab.grid import time_window
+
+    times = np.asarray(times, dtype=float)
+    vals = np.asarray(min_c, dtype=float)
+    inside = time_window(times, delta, "delta")
+    t = times[inside]
+    v = np.maximum(vals[inside], 0.0)
+    if len(t) < 2:
+        raise ValueError("need at least two samples past delta")
+    terms = 0.5 * (v[1:] + v[:-1]) * (t[1:] - t[:-1])
+    partial = np.cumsum(np.concatenate(([0.0], terms)))
+    tf, vf = t[t > 0.0], v[t > 0.0]
+    n_fit = min(max(3, len(tf) // 4), len(tf))
+    tf, vf = tf[:n_fit], vf[:n_fit]
+    b = 0.0
+    if n_fit >= 2 and np.min(vf) > 0.0:
+        b = -float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
+    return L1Report(float(partial[-1]), partial, b, bool(b >= 1.0), n_fit)
+
+
+def _l1_series():
+    """(times, min_c, delta) cases: a window from mid-array, tau <= 0 points,
+    unsorted times, two points, signed zeros and NaN."""
+    rng = np.random.default_rng(11)
+    up = np.cumsum(rng.uniform(0.01, 0.3, 60))
+    return [
+        (up, rng.standard_normal(60), float(up[0])),
+        (up, 1.0 / up, float(up[23])),                        # window from mid-array
+        (np.linspace(-0.5, 1.0, 31), rng.standard_normal(31) + 2.0, -0.2),   # tau <= 0
+        (np.linspace(-1.0, 0.0, 9), np.full(9, 3.0), -1.0),   # no tau > 0 point to fit
+        (np.linspace(0.0, 1.0, 41), 2.0 / (0.01 + np.linspace(0.0, 1.0, 41)), 0.0),
+        (rng.permutation(up), rng.standard_normal(60) + 1.0, float(up[10])),  # unsorted
+        (np.array([0.3, 0.7]), np.array([2.0, 1.0]), 0.3),
+        (np.array([0.7, 0.3]), np.array([-0.0, 4.0]), 0.0),
+        (np.array([0.1, 0.2, 0.3]), np.array([1.0, math.nan, 2.0]), 0.1),
+        (np.array([0.1, 0.2, 0.3, 0.4]), np.array([-0.0, 0.0, -1.0, 5.0]), 0.1),
+    ]
+
+
+class TestL1ReportAgainstItsOldBody:
+    @pytest.mark.parametrize("times,min_c,delta", _l1_series())
+    def test_every_field_is_bit_identical(self, times, min_c, delta):
+        kept = min_c.copy()
+        got, want = l1_report(times, min_c, delta), _l1_report_before(times, min_c, delta)
+        assert _hex(got.l1_partial) == _hex(want.l1_partial)
+        assert _hex([got.l1_norm, got.fit_power]) == _hex([want.l1_norm, want.fit_power])
+        assert (got.integrability_doubtful, got.points_fitted) == (
+            want.integrability_doubtful, want.points_fitted)
+        # the clip works on the report's own copy, never on the caller's series
+        assert min_c.tobytes() == kept.tobytes()
+
+    def test_a_window_of_one_point_is_refused(self):
+        with pytest.raises(ValueError, match="at least two samples past delta"):
+            l1_report(np.array([0.1, 0.2, 0.3]), np.ones(3), 0.25)
+
+    def test_dense_report_peak_memory_is_bounded(self):
+        # the one-sided-Lipschitz gate's 200,001-node report held about 12.4 MB
+        import tracemalloc
+
+        t = np.linspace(0.1, 1.0, 200001)
+        v = 1.0 / t
+        tracemalloc.start()
+        try:
+            rep = l1_report(t, v, delta=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert rep.l1_norm.hex() == _l1_report_before(t, v, 0.1).l1_norm.hex()
+
+
 class TestDirections:
     def test_1d_both_signs(self):
         assert unit_directions(1) == [(1.0,), (-1.0,)]

@@ -919,6 +919,17 @@ class TestTimeAxis:
         assert _hex(terms) == _hex(0.5 * (values[j] + values[j - 1]) * (times[j] - times[j - 1])
                                    for j in range(1, len(times)))
 
+    @pytest.mark.parametrize("n,seed", [(0, 0), (1, 0), (2, 0), (2, 1), (9, 5), (1000, 6)])
+    def test_matches_its_old_expressions(self, n, seed):
+        # the terms, and the running totals as a fresh cumsum of [0.0, *terms], as they
+        # were formed before the totals were accumulated in place; unsorted times too
+        times, values = _time_series(n, seed)
+        for t in (times, np.random.default_rng(seed).permutation(times)):
+            terms, running = time_trapezoid(t, values)
+            old = 0.5 * (values[1:] + values[:-1]) * (t[1:] - t[:-1])
+            assert _hex(terms) == _hex(old)
+            assert _hex(running) == _hex(np.cumsum(np.concatenate(([0.0], old))))
+
     def test_window_keeps_a_stride_rounded_below_its_start(self):
         times = [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
         assert times[3] == 0.8999999999999999

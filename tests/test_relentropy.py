@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -205,28 +206,161 @@ def scipy_sobol():
     return draw
 
 
+def _sobol_points(n, seed):
+    """The calibration's Sobol blocks, concatenated."""
+    return np.concatenate(list(relentropy._sobol_blocks(n, seed)))
+
+
 class TestSobolAgainstScipy:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 4096])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 4096, 8193])
     def test_small_draws_are_byte_identical(self, scipy_sobol, n):
-        for seed in range(40):
-            ours = relentropy._sobol(n, seed)
+        for seed in range(40 if n < 8192 else 3):
+            ours = _sobol_points(n, seed)
             assert ours.shape == (n, 6) and ours.dtype == np.float64
             assert ours.tobytes() == scipy_sobol(n, seed).tobytes(), seed
 
     @pytest.mark.parametrize("seed", [20240, 20241])
     def test_gate_draws_are_byte_identical(self, scipy_sobol, seed):
         # the relative-entropy gate draws 2**17 points at seeds 20240 and 20241
-        assert relentropy._sobol(2**17, seed).tobytes() == scipy_sobol(2**17, seed).tobytes()
+        assert _sobol_points(2**17, seed).tobytes() == scipy_sobol(2**17, seed).tobytes()
 
-    def test_too_many_points_raise_before_allocating(self):
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+    def test_blocks_are_consecutive_and_full_but_the_last(self, n):
+        rows = [len(b) for b in relentropy._sobol_blocks(n, 7)]
+        full, rest = divmod(n, relentropy.CALIBRATION_BLOCK)
+        assert rows == [relentropy.CALIBRATION_BLOCK] * full + ([rest] if rest else [])
+
+    def test_too_many_points_raise_before_allocating(self, gamma14):
+        # a bad count is refused where it enters, before any point is formed
+        for n in (2**30 + 1, -5, 0, 2.5, True, False, "8", None):
+            for call in (lambda: relentropy._sobol_blocks(n, 0),
+                         lambda: calibrate_coercivity(BOX, gamma14, n=n, seed=0)):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match=(
+                            r"n must be an int in \[1, 2\*\*30\]: a 30-bit Sobol sequence "
+                            rf"has at most 2\*\*30 points, got n={re.escape(repr(n))}$")):
+                        call()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 2**20, n
+
+
+def _calibrate_unblocked(box, params, n, seed):
+    """calibrate_coercivity as it was before the block scan: every point at once."""
+    # the sampler returned the points column-major, as the transposed word table
+    u01 = np.asfortranarray(_sobol_points(n, seed))
+    lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
+    hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
+    s = lo + u01 * (hi - lo)
+    rho, theta_c, vel_c, r_ref, t_ref, u_ref = s.T
+    dens = relentropy.rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
+    quad = relentropy._quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
+    mask = quad > 1e-30
+    c_hat = 0.9 * float(np.min(dens.total[mask] / quad[mask]))
+    u01 = np.asfortranarray(_sobol_points(n, seed + 1))
+    rho_f = np.where(u01[:, 0] < 0.5,
+                     box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
+                     box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
+    th_f = np.where(u01[:, 2] < 0.5,
+                    box.theta_min * 0.5 * (0.2 + 1.6 * u01[:, 3]),
+                    box.theta_max * 2.0 * (1.0 + 4.0 * u01[:, 3]))
+    vel_f = -1.0 + 2.0 * u01[:, 4]
+    r_ref = box.rho_min + (box.rho_max - box.rho_min) * u01[:, 5]
+    t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
+    u_ref = 1.0 - 2.0 * u01[:, 1]
+    dens_f = relentropy.rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
+    far = relentropy._far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
+    c_far = 0.9 * float(np.min(dens_f.total / far))
+    return c_hat, c_far
+
+
+def _spy(monkeypatch, name, seen):
+    """Record the candidate density of every call of relentropy.<name>."""
+    real = getattr(relentropy, name)
+
+    def spy(rho, *args):
+        seen.append(np.array(rho))
+        return real(rho, *args)
+
+    monkeypatch.setattr(relentropy, name, spy)
+
+
+class TestBlockedCalibration:
+    @pytest.mark.parametrize("n", [1, 1000, 8192, 8197, 2**15, 2**17])
+    @pytest.mark.parametrize("seed", [20240, 4242, 7])
+    def test_matches_the_unblocked_calibration(self, gamma14, n, seed):
+        calib = calibrate_coercivity(BOX, gamma14, n=n, seed=seed)
+        want = _calibrate_unblocked(BOX, gamma14, n, seed)
+        assert (calib.c_hat.hex(), calib.c_far.hex()) == tuple(c.hex() for c in want)
+
+    @pytest.mark.parametrize("n", [8197, 3 * 8192])
+    def test_every_point_is_scanned_once_in_order(self, gamma14, monkeypatch, n):
+        # each branch sees the oracle's candidate densities, block after block
+        quad, far = [], []
+        _spy(monkeypatch, "_quadratic_form", quad)
+        _spy(monkeypatch, "_far_form", far)
+        calibrate_coercivity(BOX, gamma14, n=n, seed=1)
+        assert max(len(b) for b in quad + far) <= relentropy.CALIBRATION_BLOCK
+        lo, hi = BOX.rho_min, BOX.rho_max
+        near_rho = lo + np.asfortranarray(_sobol_points(n, 1))[:, 0] * (hi - lo)
+        assert np.concatenate(quad).tobytes() == near_rho.tobytes()
+        u01 = np.asfortranarray(_sobol_points(n, 2))
+        far_rho = np.where(u01[:, 0] < 0.5, lo * 0.5 * (0.2 + 1.6 * u01[:, 1]),
+                           hi * 2.0 * (1.0 + 4.0 * u01[:, 1]))
+        assert np.concatenate(far).tobytes() == far_rho.tobytes()
+
+    @pytest.mark.parametrize("call,branch", [(2, "c_hat"), (7, "c_far")])
+    def test_a_nan_in_a_late_block_propagates(self, gamma14, monkeypatch, call, branch):
+        # 2**15 points are four blocks per branch; the NaN sits in the third
+        # near block or the last far one, after finite block minima
+        calls = []
+        real = relentropy.rel_entropy_terms
+
+        def planted(*args):
+            dens = real(*args)
+            if len(calls) == call:
+                dens.kinetic[5] = math.nan
+            calls.append(len(args[0]))
+            return dens
+
+        monkeypatch.setattr(relentropy, "rel_entropy_terms", planted)
+        calib = calibrate_coercivity(BOX, gamma14, n=2**15, seed=4242)
+        assert len(calls) == 8
+        assert math.isnan(getattr(calib, branch))
+        other = {"c_hat": "c_far", "c_far": "c_hat"}[branch]
+        assert math.isfinite(getattr(calib, other))
+
+    def test_no_pair_off_the_diagonal_is_a_value_error(self, gamma14, monkeypatch):
+        monkeypatch.setattr(relentropy, "_quadratic_form", lambda rho, *a: np.zeros_like(rho))
+        with pytest.raises(ValueError, match="no sampled pair of the 9000 points"):
+            calibrate_coercivity(BOX, gamma14, n=9000, seed=1)
+
+    def test_blocks_with_an_empty_mask_are_skipped(self, gamma14, monkeypatch):
+        # the first two of three blocks keep no point: the minimum is the last block's
+        real = relentropy._quadratic_form
+        calls = []
+
+        def late(*args):
+            calls.append(None)
+            return real(*args) * (len(calls) == 3)
+
+        monkeypatch.setattr(relentropy, "_quadratic_form", late)
+        calib = calibrate_coercivity(BOX, gamma14, n=2 * 8192 + 100, seed=3)
+        monkeypatch.setattr(relentropy, "_quadratic_form",
+                            lambda *a: np.concatenate([np.zeros(2 * 8192), real(*a)[2 * 8192:]]))
+        assert calib.c_hat.hex() == _calibrate_unblocked(BOX, gamma14, 2 * 8192 + 100, 3)[0].hex()
+
+    def test_peak_memory_is_bounded(self, gamma14):
+        # all 2 x 2**17 pairs at once held about 31 MB
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="at most 2\\*\\*30"):
-                relentropy._sobol(2**30 + 1, 0)
+            calibrate_coercivity(BOX, gamma14, n=2**17, seed=20240)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert peak < 12 * 2**20
 
 
 def _pair(n, t_end=1.0, stride=0.05, init=None):

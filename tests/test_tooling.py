@@ -30,7 +30,6 @@ TEST_ONLY = {
 TEST_ONLY_FIELDS = {
     "RegularityFit.lengths": "the step-function test checks a modulus against its closed form",
     "RegularityFit.diff_norms": "as RegularityFit.lengths",
-    "MollifierRateReport.shift_sup": "the ball-sup oracle test compares it bit for bit",
     "MollifierRateReport.slopes": "the rate tests hold the three fitted slopes to their bands",
     "ChainCommutatorResult.norm_a": "the split test checks that each term decays on its own",
     "ChainCommutatorResult.norm_b": "as ChainCommutatorResult.norm_a",
@@ -38,7 +37,6 @@ TEST_ONLY_FIELDS = {
     "OslipWeakResult.bump_label": "as OslipWeakResult.direction",
     "OslipDiscreteResult.masked_wrap": "records the mask a value was taken with",
     "L1Report.points_fitted": "the fit-window test pins how many points the power law sees",
-    "CoercivityResult.branch": "the branch tests check which lower bound a pair is held to",
     "CoercivityResult.lower_form": "the quadratic-branch test checks the form itself",
 }
 
@@ -52,7 +50,7 @@ UNSET_OPTIONS = {
 }
 
 #: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
-_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 12, "UNSET_OPTIONS": 5}
+_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 10, "UNSET_OPTIONS": 5}
 
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
@@ -270,7 +268,7 @@ def _startup_imports(tree: Path, tmp: Path) -> dict:
 def test_cli_starts_without_scipy(tmp_path):
     """Nothing at run time loads scipy: not the everyday subcommands, and not
     the acceptance gates, whose coercivity calibration draws its Sobol points
-    with relentropy._sobol (scipy is only the tests' oracle for it)."""
+    with relentropy._sobol_blocks (scipy is only the tests' oracle for it)."""
     found = _startup_imports(SRC.parent, tmp_path)
     assert all(code in (0, 1) for code in found["codes"]), found["codes"]
     assert found["after_cli"] == [], f"scipy loaded by the CLI: {found['after_cli'][:5]}"
