@@ -60,47 +60,26 @@ def _bregman_density(rho, r_ref):
     return np.maximum(w * np.log(w) - w + 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class RelEntropyDensity:
-    kinetic: np.ndarray
-    thermo: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.kinetic + self.thermo
-
-
 def rel_entropy_terms(rho, mom, theta_cand, r_ref, u_ref, t_ref,
-                      params: GasParams) -> RelEntropyDensity:
-    """Pointwise relative entropy with the candidate temperature given.
+                      params: GasParams) -> np.ndarray:
+    """Pointwise relative entropy E with the candidate temperature given.
 
     Vector momenta/velocities carry the component axis first.  Equal inputs
     produce an exact floating-point zero.
     """
     rho = np.asarray(rho, dtype=float)
     mom = np.asarray(mom, dtype=float)
+    r_ref = np.asarray(r_ref, dtype=float)
     t_ref = np.asarray(t_ref, dtype=float)
     if np.min(rho) <= 0.0 or np.min(np.asarray(theta_cand)) <= 0.0:
         raise DomainError("candidate density and temperature must be positive")
-    if np.min(np.asarray(r_ref)) <= 0.0 or np.min(t_ref) <= 0.0:
+    if np.min(r_ref) <= 0.0 or np.min(t_ref) <= 0.0:
         raise DomainError("reference density and temperature must be positive")
     slip = mom - rho * np.asarray(u_ref, dtype=float)
     slip_sq = slip * slip if slip.ndim == rho.ndim else np.sum(slip * slip, axis=0)
-    kinetic = 0.5 * slip_sq / rho
-    thermo = params.cv * rho * t_ref * _bregman_temperature(theta_cand, t_ref)
-    thermo = thermo + t_ref * np.asarray(r_ref, dtype=float) * _bregman_density(
-        rho, np.asarray(r_ref, dtype=float)
-    )
-    return RelEntropyDensity(kinetic, thermo)
-
-
-def rel_entropy_density(state: EntropicState, ref: PrimitiveState,
-                        params: GasParams) -> RelEntropyDensity:
-    """Relative entropy of an entropic-variable state against a reference."""
-    theta_cand = theta_of(state.rho, state.total_entropy, params)
-    return rel_entropy_terms(
-        state.rho, state.mom, theta_cand, ref.rho, ref.vel, ref.theta, params
-    )
+    thermo = (params.cv * rho * t_ref * _bregman_temperature(theta_cand, t_ref)
+              + t_ref * r_ref * _bregman_density(rho, r_ref))
+    return 0.5 * slip_sq / rho + thermo
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +217,7 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
         dens = rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
         quad = _quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
         mask = quad > 1e-30
-        return dens.total[mask] / quad[mask]
+        return dens[mask] / quad[mask]
 
     # far branch: candidate outside twice the box, reference in box
     def far(u01):
@@ -253,7 +232,7 @@ def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
         t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
         u_ref = 1.0 - 2.0 * u01[:, 1]
         dens = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
-        return dens.total / _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
+        return dens / _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
 
     c_hat = 0.9 * _sampled_min(n, seed, near)
     c_far = 0.9 * _sampled_min(n, seed + 1, far)
@@ -265,12 +244,13 @@ class CoercivityResult:
     branch: str            # "quadratic" inside the box, "far" outside
     gap: np.ndarray        # E - c * lower-bound form, pointwise
     lower_form: np.ndarray
+    density: np.ndarray    # E, pointwise
 
 
 def coercivity_gap(state: EntropicState, ref: PrimitiveState,
                    calibration: CoercivityCalibration,
                    params: GasParams) -> CoercivityResult:
-    """Pointwise gap E - C * (coercive lower-bound form).
+    """Pointwise gap E - C * (coercive lower-bound form), and E itself.
 
     In-box pairs are held against the quadratic form with the calibrated
     constant; a candidate leaving the box is reported against the unbounded
@@ -291,7 +271,7 @@ def coercivity_gap(state: EntropicState, ref: PrimitiveState,
         form = _far_form(state.rho, vel_cand, theta_cand, ref.rho, ref.vel, params)
         c = calibration.c_far
         branch = "far"
-    return CoercivityResult(branch, dens.total - c * form, form)
+    return CoercivityResult(branch, dens - c * form, form, dens)
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +279,21 @@ def coercivity_gap(state: EntropicState, ref: PrimitiveState,
 # ---------------------------------------------------------------------------
 
 
-def rel_entropy_total(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
+def rel_entropy_total(grid: PeriodicGrid, cand: tuple, ref: tuple,
                       params: GasParams) -> float:
     """Integral over the domain of the relative entropy density.
 
-    Both snapshots are read as (rho, rho u, theta) through one map, so a
-    snapshot against itself gives exactly 0: no temperature round trip
-    through (rho, S) and no momentum slip m - rho (m / rho) is left over.
+    Both states are (rho, vel, theta) triples, as ``snapshot_primitive``
+    reads a snapshot, so a state against itself gives exactly 0: no
+    temperature round trip through (rho, S) and no momentum slip
+    m - rho (m / rho) is left over.
     """
-    if cand.rho.shape != grid.shape or ref.rho.shape != grid.shape:
+    c_rho, c_vel, c_theta = cand
+    r_rho, r_vel, r_theta = ref
+    if c_rho.shape != grid.shape or r_rho.shape != grid.shape:
         raise ValueError("snapshots do not live on the given grid")
-    c_rho, c_vel, c_theta = snapshot_primitive(cand, params)
-    r_rho, r_vel, r_theta = snapshot_primitive(ref, params)
     dens = rel_entropy_terms(c_rho, c_rho * c_vel, c_theta, r_rho, r_vel, r_theta, params)
-    return grid.cell_volume * exact_sum(dens.total)
+    return grid.cell_volume * exact_sum(dens)
 
 
 @dataclass
@@ -354,13 +335,15 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
         raise ValueError(f"need at least two snapshots past sigma={sigma}")
     times = np.asarray(ta)[inside]
     pairs = [(a, b) for a, b, keep in zip(traj_a.snapshots, traj_b.snapshots, inside) if keep]
-    integral = np.array([rel_entropy_total(grid, a, b, params) for a, b in pairs])
-    oslip = []
-    w1inf = []
+    integral, oslip, w1inf = [], [], []
     unit = np.eye(grid.dims, dtype=int)
     theta_prev = None
-    for j, (_, ref) in enumerate(pairs):
-        _, vel, theta = snapshot_primitive(ref, params)
+    # one pass: each snapshot is converted once, and the reference's triple
+    # feeds E, the one-sided Lipschitz constant and the W^{1,inf} budget
+    for j, (cand, ref) in enumerate(pairs):
+        prim = snapshot_primitive(ref, params)
+        integral.append(rel_entropy_total(grid, snapshot_primitive(cand, params), prim, params))
+        _, vel, theta = prim
         oslip.append(oslip_discrete(grid, vel).value)
         grad_sup = max(
             float(np.max(np.abs(shift_values(theta, off) - theta))) / grid.cell_width
@@ -373,6 +356,7 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
             time_sup = 0.0
         w1inf.append(max(grad_sup, time_sup))
         theta_prev = theta
+    integral = np.array(integral)
     oslip_c = np.array(oslip)
     k_thermo = KAPPA_STRUCT * np.array(w1inf)
     mean, _ = time_trapezoid(times, integral)
@@ -388,11 +372,19 @@ class GronwallCheck:
     utilization: float          # max of E(t) / envelope(t), 1.0 is the limit
 
 
+def _envelope(e_sigma: float, exponent: float) -> float:
+    """E(sigma) * exp(exponent), inf past exp's range (0 if E(sigma) = 0)."""
+    try:
+        return e_sigma * math.exp(exponent)
+    except OverflowError:
+        return e_sigma * math.inf if e_sigma != 0.0 else e_sigma
+
+
 def gronwall_envelope_check(trace: RelEntropyTrace) -> GronwallCheck:
     """Verify E(t) <= E(sigma) * exp(integral of budget) on the trace's window [sigma, T]."""
     values = trace.integral
     _, exponent = time_trapezoid(trace.times, trace.budget)
-    envelope = np.array([values[0] * math.exp(a) for a in exponent])
+    envelope = np.array([_envelope(values[0], a) for a in exponent])
     # the ratio at sigma itself is identically one; report the later max.  A
     # zero envelope allows only E(t) = 0 (E(sigma) = 0 forces it): ratio 0, else inf
     if len(values) > 1:

@@ -104,8 +104,7 @@ def _relative_entropy_sample_unblocked(calib):
         rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
     )
     gap = relentropy.coercivity_gap(state, ref, calib, params)
-    dens = relentropy.rel_entropy_density(state, ref, params)
-    return float(np.min(dens.total)), float(np.min(gap.gap)), gap.branch, state.rho
+    return float(np.min(gap.density)), float(np.min(gap.gap)), gap.branch, state.rho
 
 
 class TestRelativeEntropySample:
@@ -140,6 +139,21 @@ class TestRelativeEntropySample:
         assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
         all_rho = _relative_entropy_sample_unblocked(calib)[3]
         assert np.concatenate(blocks).tobytes() == all_rho.tobytes()
+
+    def test_each_block_evaluates_E_once(self, run, monkeypatch):
+        import numpy as np
+
+        from eulerlab import relentropy
+
+        _, calib, _ = run
+        sizes = []
+        real = relentropy.rel_entropy_terms
+        monkeypatch.setattr(relentropy, "calibrate_coercivity", lambda *a, **k: calib)
+        monkeypatch.setattr(relentropy, "rel_entropy_terms",
+                            lambda rho, *a: sizes.append(np.size(rho)) or real(rho, *a))
+        assert acceptance.gate_relative_entropy().passed
+        # the equality check, then one evaluation per sample block: the gap's own E
+        assert sizes == [1] + [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
 
     def test_a_block_off_the_quadratic_branch_fails(self, monkeypatch):
         import dataclasses

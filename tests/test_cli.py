@@ -235,20 +235,32 @@ class TestReports:
         partials = [float(r[3]) for r in rows]
         assert partials == sorted(partials)
 
-    def test_relentropy_trace(self, tmp_path):
+    @pytest.mark.parametrize("base,cells,summary", [
+        ({"t_end": 0.5, "init": {"name": "double_rarefaction"}, "snapshot_stride": 0.05},
+         512, "PASS (utilization "),
+        # a 1000 : 0.01 pressure jump: the budget integral passes 709.78, where
+        # math.exp overflows; the envelope is inf and the ratio 0
+        ({"t_end": 0.01, "snapshot_stride": 0.001, "init": {
+            "name": "riemann", "left": [1.0, 0.0, 1000.0], "right": [1.0, 0.0, 0.01]}},
+         256, "PASS (utilization 0.000"),
+    ], ids=["rarefaction", "budget-past-the-float-range"])
+    def test_relentropy_trace(self, tmp_path, capsys, base, cells, summary):
         cfg = tmp_path / "cfg.json"
-        base = {"t_end": 0.5, "init": {"name": "double_rarefaction"},
-                "snapshot_stride": 0.05}
-        cfg.write_text(json.dumps({**base, "grid_n": 512}))
+        cfg.write_text(json.dumps({**base, "grid_n": cells}))
         cfg2 = tmp_path / "cfg2.json"
-        cfg2.write_text(json.dumps({**base, "grid_n": 1024}))
+        cfg2.write_text(json.dumps({**base, "grid_n": 2 * cells}))
         main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
         main(["simulate", "--config", str(cfg2), "--out", str(tmp_path / "b")])
+        capsys.readouterr()
         out = tmp_path / "rep"
-        code = main(["relentropy", "--traj-a", str(tmp_path / "a"),
-                     "--traj-b", str(tmp_path / "b"), "--out", str(out),
-                     "--sigma", "0.1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["relentropy", "--traj-a", str(tmp_path / "a"),
+                         "--traj-b", str(tmp_path / "b"), "--out", str(out),
+                         "--sigma", str(2 * base["snapshot_stride"])])
         assert code == 0
+        captured = capsys.readouterr()
+        assert summary in captured.out and "Traceback" not in captured.err
         lines = _read_rows(out / "relentropy_trace.csv")
         assert lines[1] == "t,integral_E,oslip_C,fitted_K,pass"
         assert len(lines) > 4

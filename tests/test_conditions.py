@@ -314,6 +314,20 @@ class TestL1Report:
         assert rep.fit_power == pytest.approx(1.0, abs=0.01)
         assert rep.integrability_doubtful
 
+    @pytest.mark.parametrize("nodes", [2001, 10001, 20001, 200001])
+    def test_exact_inverse_time_is_flagged_at_every_node_count(self, nodes):
+        # the fitted power lands within about 1e-15 of 1, on either side
+        t = np.linspace(0.1, 1.0, nodes)
+        rep = l1_report(t, 1.0 / t, delta=0.1)
+        assert abs(rep.fit_power - 1.0) < 1e-12
+        assert rep.integrability_doubtful
+
+    def test_a_power_under_one_is_not_flagged(self):
+        t = np.linspace(0.1, 1.0, 20001)
+        rep = l1_report(t, t**-0.9, delta=0.1)
+        assert rep.fit_power == pytest.approx(0.9, abs=1e-12)
+        assert not rep.integrability_doubtful
+
     def test_negative_parts_clipped(self):
         t = np.linspace(0.0, 1.0, 11)
         vals = np.where(t < 0.5, -1.0, 1.0)
@@ -397,7 +411,8 @@ def _l1_report_before(times, min_c, delta):
     b = 0.0
     if n_fit >= 2 and np.min(vf) > 0.0:
         b = -float(np.polyfit(np.log(tf), np.log(vf), 1)[0])
-    return L1Report(float(partial[-1]), partial, b, bool(b >= 1.0), n_fit)
+    # the flag as it is now: b >= 1 up to the fit's rounding
+    return L1Report(float(partial[-1]), partial, b, bool(b >= 1.0 - 1e-9), n_fit)
 
 
 def _l1_series():
@@ -436,7 +451,7 @@ class TestL1ReportAgainstItsOldBody:
             l1_report(np.array([0.1, 0.2, 0.3]), np.ones(3), 0.25)
 
     def test_dense_report_peak_memory_is_bounded(self):
-        # the one-sided-Lipschitz gate's 200,001-node report held about 12.4 MB
+        # a 200,001-node report held about 12.4 MB before it clipped in place
         import tracemalloc
 
         t = np.linspace(0.1, 1.0, 200001)

@@ -21,11 +21,17 @@ from eulerlab.relentropy import (
     gronwall_envelope_check,
     gronwall_monitor,
     j1_term,
-    rel_entropy_density,
     rel_entropy_terms,
     rel_entropy_total,
 )
-from eulerlab.solver import SolverConfig, Snapshot, Trajectory, project_trajectory, run
+from eulerlab.solver import (
+    SolverConfig,
+    Snapshot,
+    Trajectory,
+    project_trajectory,
+    run,
+    snapshot_primitive,
+)
 from eulerlab.thermo import (
     EntropicState,
     GasParams,
@@ -65,22 +71,23 @@ class TestDensity:
         u = 0.41
         mom = rho * u
         dens = rel_entropy_terms(rho, mom, theta, rho, u, theta, gamma14)
-        assert dens.kinetic == 0.0
-        assert dens.thermo == 0.0
-        assert dens.total == 0.0
+        # E is a kinetic part plus a thermal part, both >= 0: an exact zero is both
+        assert dens == 0.0
 
-    def test_entropic_state_roundtrip_near_equality(self, gamma14):
+    def test_entropic_state_roundtrip_near_equality(self, gamma14, calibration):
         prim = PrimitiveState(np.array([1.3]), np.array([[0.4]]), np.array([0.9]))
         state = _entropic(prim, gamma14)
-        dens = rel_entropy_density(state, prim, gamma14)
-        assert np.all(dens.total >= 0.0)
-        assert float(np.max(dens.total)) < 1e-28
+        dens = coercivity_gap(state, prim, calibration, gamma14).density
+        assert np.all(dens >= 0.0)
+        assert float(np.max(dens)) < 1e-28
 
     def test_velocity_offset_is_pure_kinetic(self, gamma2):
         rho, theta, du = 1.5, 1.1, 0.3
         dens = rel_entropy_terms(rho, rho * (0.2 + du), theta, rho, 0.2, theta, gamma2)
-        assert dens.thermo == 0.0
-        assert dens.kinetic == pytest.approx(0.5 * rho * du**2, rel=1e-12)
+        # the thermal part adds an exact zero to the kinetic part
+        slip = rho * (0.2 + du) - rho * 0.2
+        assert dens == 0.5 * (slip * slip) / rho
+        assert dens == pytest.approx(0.5 * rho * du**2, rel=1e-12)
 
     def test_matches_direct_ballistic_assembly(self, gamma14):
         rng = np.random.default_rng(42)
@@ -90,7 +97,7 @@ class TestDensity:
         r_ref = rng.uniform(0.5, 2.0, 500)
         t_ref = rng.uniform(0.5, 2.0, 500)
         u_ref = rng.uniform(-1.0, 1.0, 500)
-        ours = rel_entropy_terms(rho, mom, theta, r_ref, u_ref, t_ref, gamma14).total
+        ours = rel_entropy_terms(rho, mom, theta, r_ref, u_ref, t_ref, gamma14)
         direct = _direct_form(rho, mom, theta, r_ref, u_ref, t_ref, gamma14)
         np.testing.assert_allclose(ours, direct, rtol=1e-10, atol=1e-12)
 
@@ -101,14 +108,14 @@ class TestDensity:
     )
     def test_nonnegative_on_box(self, rho, theta, v, r, t, u):
         dens = rel_entropy_terms(rho, rho * v, theta, r, u, t, GasParams(1.4))
-        assert dens.total >= 0.0
+        assert dens >= 0.0
 
     def test_nonnegative_even_far_from_box(self, gamma14):
         rng = np.random.default_rng(1)
         rho = np.exp(rng.uniform(-8, 8, 10000))
         theta = np.exp(rng.uniform(-8, 8, 10000))
         dens = rel_entropy_terms(rho, rho * 0.1, theta, 1.0, 0.0, 1.0, gamma14)
-        assert np.min(dens.total) >= 0.0
+        assert np.min(dens) >= 0.0
 
     def test_vanishes_exactly_where_states_agree_cellwise(self, gamma14):
         rho = np.array([1.0, 1.2, 1.0, 0.7])
@@ -117,7 +124,7 @@ class TestDensity:
         ref_rho = np.array([1.0, 1.0, 1.0, 0.7])
         ref_theta = np.full(4, 0.9)
         dens = rel_entropy_terms(rho, rho * u, theta, ref_rho, u, ref_theta, gamma14)
-        totals = np.asarray(dens.total)
+        totals = np.asarray(dens)
         assert totals[0] == 0.0 and totals[3] == 0.0   # states agree
         assert totals[1] > 0.0 and totals[2] > 0.0     # density/temperature differ
 
@@ -126,8 +133,8 @@ class TestDensity:
         b = (0.8, -0.1, 1.4)
         e_ab = rel_entropy_terms(a[0], a[0] * a[1], a[2], b[0], b[1], b[2], gamma14)
         e_ba = rel_entropy_terms(b[0], b[0] * b[1], b[2], a[0], a[1], a[2], gamma14)
-        assert e_ab.total > 0.0 and e_ba.total > 0.0
-        assert e_ab.total != pytest.approx(e_ba.total, rel=1e-6)
+        assert e_ab > 0.0 and e_ba > 0.0
+        assert e_ab != pytest.approx(e_ba, rel=1e-6)
 
     def test_rejects_nonpositive_inputs(self, gamma14):
         with pytest.raises(DomainError):
@@ -258,7 +265,7 @@ def _calibrate_unblocked(box, params, n, seed):
     dens = relentropy.rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
     quad = relentropy._quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
     mask = quad > 1e-30
-    c_hat = 0.9 * float(np.min(dens.total[mask] / quad[mask]))
+    c_hat = 0.9 * float(np.min(dens[mask] / quad[mask]))
     u01 = np.asfortranarray(_sobol_points(n, seed + 1))
     rho_f = np.where(u01[:, 0] < 0.5,
                      box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
@@ -272,7 +279,7 @@ def _calibrate_unblocked(box, params, n, seed):
     u_ref = 1.0 - 2.0 * u01[:, 1]
     dens_f = relentropy.rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
     far = relentropy._far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
-    c_far = 0.9 * float(np.min(dens_f.total / far))
+    c_far = 0.9 * float(np.min(dens_f / far))
     return c_hat, c_far
 
 
@@ -321,7 +328,7 @@ class TestBlockedCalibration:
         def planted(*args):
             dens = real(*args)
             if len(calls) == call:
-                dens.kinetic[5] = math.nan
+                dens[5] = math.nan
             calls.append(len(args[0]))
             return dens
 
@@ -388,13 +395,15 @@ class TestTrajectoryMonitor:
         assert np.all(np.isnan(trace.fitted_k[1:]))
 
     @staticmethod
-    def _check(integral):
+    def _trace(integral, budget=1.0):
         n = len(integral)
-        trace = RelEntropyTrace(np.linspace(0.0, 0.1, n), np.array(integral), np.zeros(n),
-                                np.ones(n), np.full(n, np.nan), np.ones(n, dtype=bool))
+        return RelEntropyTrace(np.linspace(0.0, 0.1, n), np.array(integral), np.zeros(n),
+                               np.full(n, budget), np.full(n, np.nan), np.ones(n, dtype=bool))
+
+    def _check(self, integral, budget=1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return gronwall_envelope_check(trace)
+            return gronwall_envelope_check(self._trace(integral, budget))
 
     def test_zero_envelope_allows_only_zero(self):
         # E(sigma) = 0 forces E(t) = 0: that passes at 0, anything else is inf
@@ -404,6 +413,36 @@ class TestTrajectoryMonitor:
         assert not broken.ok and broken.utilization == math.inf
         # a positive E(sigma) keeps the plain ratio: budget 1 over [0, 0.05]
         assert self._check([1.0, 1.0, 1.0]).utilization == 1.0 / math.exp(0.05)
+
+    def test_an_exponent_past_the_float_range_is_an_infinite_envelope(self):
+        # budget 1e4 over [0, 0.1]: the exponent 1000 is past exp's range (709.78)
+        held = self._check([2.0, 1e300], budget=1e4)
+        assert held.ok and held.utilization == 0.0
+        # E(sigma) = 0 keeps the zero-envelope rule
+        assert self._check([0.0, 0.0], budget=1e4).utilization == 0.0
+        broken = self._check([0.0, 1e-300], budget=1e4)
+        assert not broken.ok and broken.utilization == math.inf
+        # just inside the range the envelope is still E(sigma) * math.exp
+        trace = self._trace([1e-300, 1e5], budget=7097.0)
+        ok, util = _envelope_check_loop(trace)
+        check = gronwall_envelope_check(trace)
+        assert (check.ok, check.utilization.hex()) == (ok, util.hex()) and ok
+
+    def test_each_snapshot_of_the_window_is_converted_once(self, monkeypatch):
+        # one pass: the pair's two snapshots feed E, oslip_C and the W^{1,inf} budget
+        traj_a, traj_b, params = _pair(32, t_end=0.3, stride=0.05)
+        want = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        seen = []
+        real = relentropy.snapshot_primitive
+        monkeypatch.setattr(relentropy, "snapshot_primitive",
+                            lambda snap, gas: seen.append(snap) or real(snap, gas))
+        trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        pairs = len(trace.times)
+        assert pairs == 5 and len(seen) == 2 * pairs
+        window = traj_a.snapshots[-pairs:] + traj_b.snapshots[-pairs:]
+        assert sorted(map(id, seen)) == sorted(map(id, window))
+        for name in ("integral", "oslip_c", "k_thermo", "fitted_k"):
+            assert _hex(getattr(trace, name)) == _hex(getattr(want, name))
 
     def test_uniform_velocity_offset_total(self, gamma14):
         grid = PeriodicGrid(1, 128)
@@ -415,17 +454,18 @@ class TestTrajectoryMonitor:
         cand = Snapshot(0.0, rho, np.stack([rho * 0.1]), energy)
         ref = Snapshot(0.0, rho, np.stack([rho * 0.0]),
                        0.0 * rho + rho * gamma14.cv * theta)
-        total = rel_entropy_total(grid, cand, ref, gamma14)
+        total = rel_entropy_total(grid, snapshot_primitive(cand, gamma14),
+                                  snapshot_primitive(ref, gamma14), gamma14)
         assert total == pytest.approx(0.5 * 0.01 * 2.0, rel=1e-10)
 
     @pytest.mark.slow
     def test_refinement_shrinks_terminal_entropy(self):
         traj_a, traj_b, params = _pair(256, t_end=0.5, stride=0.05)
         traj_a2, traj_b2, _ = _pair(512, t_end=0.5, stride=0.05)
-        e_coarse = rel_entropy_total(traj_a.grid, traj_a.snapshots[-1],
-                                     traj_b.snapshots[-1], params)
-        e_fine = rel_entropy_total(traj_a2.grid, traj_a2.snapshots[-1],
-                                   traj_b2.snapshots[-1], params)
+        e_coarse, e_fine = (
+            rel_entropy_total(a.grid, snapshot_primitive(a.snapshots[-1], params),
+                              snapshot_primitive(b.snapshots[-1], params), params)
+            for a, b in ((traj_a, traj_b), (traj_a2, traj_b2)))
         assert e_fine < e_coarse
 
     @pytest.mark.slow
@@ -449,12 +489,12 @@ class TestTrajectoryMonitor:
                 continue
             val = j1_term(grid, traj_a.snapshots[i], traj_b.snapshots[i], params,
                           mask=mask)
-            total = rel_entropy_total(grid, traj_a.snapshots[i],
-                                      traj_b.snapshots[i], params)
+            ref = snapshot_primitive(traj_b.snapshots[i], params)
+            total = rel_entropy_total(grid, snapshot_primitive(traj_a.snapshots[i], params),
+                                      ref, params)
             from eulerlab.conditions import oslip_discrete
-            from eulerlab.solver import snapshot_primitive
 
-            _, vel, _ = snapshot_primitive(traj_b.snapshots[i], params)
+            _, vel, _ = ref
             c_t = max(oslip_discrete(grid, vel).value, 0.0)
             assert val <= c_t * total + 1e-12
 

@@ -404,11 +404,11 @@ class _Receivers:
     ``-> C``, is ``C``; an attribute is its field's annotation; a call on
     something from outside ``src`` returns something from outside ``src``."""
 
-    def __init__(self, src: Path):
-        self.modules = {path.stem for path in src.glob("*.py")}
+    def __init__(self, trees: dict[str, ast.Module]):
+        """``trees``: the parsed modules of ``src``, by module name."""
+        self.modules = set(trees)
         self.classes, self.aliases, self.returns = {}, {}, {}
-        for path in sorted(src.glob("*.py")):
-            tree = ast.parse(path.read_text())
+        for tree in trees.values():
             self.aliases.update((st.targets[0].id, st.value) for st in tree.body
                                 if isinstance(st, ast.Assign) and len(st.targets) == 1
                                 and isinstance(st.targets[0], ast.Name))
@@ -549,15 +549,18 @@ def _unread_fields(src: Path, bench: Path) -> list[str]:
     attribute read in ``src`` or ``bench`` takes: a read ``x.f`` counts for
     ``C.f`` when ``x`` resolves to ``C`` or cannot be resolved (see
     ``_Receivers``).  String constants in ``bench`` keep no field alive."""
-    known = _Receivers(src)
+    # each file is parsed once: the receivers, the reads and the classes share the trees
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    known = _Receivers(trees)
     readers: dict[str, set] = {}   # attribute -> the classes its reads count for; None: all
-    for path in [*sorted(src.glob("*.py")), *sorted(bench.glob("*.py"))]:
-        for attr, owner in known.reads(ast.parse(path.read_text())):
+    bench_trees = [ast.parse(path.read_text()) for path in sorted(bench.glob("*.py"))]
+    for tree in [*trees.values(), *bench_trees]:
+        for attr, owner in known.reads(tree):
             readers.setdefault(attr, set()).update(
                 {None} if owner is None else owner)
     found = []
-    for path in sorted(src.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
+    for tree in trees.values():
+        for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef) and (
                     "NamedTuple" in {getattr(b, "id", None) for b in cls.bases}
                     or any("dataclass" in _reads(d) for d in cls.decorator_list)):
