@@ -201,17 +201,19 @@ def gate_relative_entropy() -> GateResult:
     exact_zero = dens == 0.0
     box = re_.StateBox(0.5, 2.0, 0.5, 2.0)
     calib = re_.calibrate_coercivity(box, params, n=2**17, seed=20240)
-    rng = np.random.default_rng(31337)
     n = 100_000
-    rho, theta, vel = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n)
-    r_ref, u_ref, t_ref = rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
+    ranges = ((0.5, 2.0), (0.5, 2.0), (-1, 1), (0.5, 2.0), (-1, 1), (0.5, 2.0))
     # the sample is checked in blocks, each held to the quadratic branch (C = c_hat)
     quadratic, densities, gaps = True, [], []
     for start in range(0, n, re_.CALIBRATION_BLOCK):
-        blk = slice(start, start + re_.CALIBRATION_BLOCK)
-        r = rho[blk]
-        state = EntropicState(r, r * vel[blk], r * entropy(r, theta[blk], params))
-        ref = PrimitiveState(r_ref[blk], u_ref[blk], t_ref[blk])
+        size = min(re_.CALIBRATION_BLOCK, n - start)
+        # entries [start, start + size) of default_rng(31337)'s six uniform(n)
+        # draws in turn: one double per draw, so the j-th skips j * n + start
+        r, theta, vel, r_ref, u_ref, t_ref = (
+            np.random.Generator(np.random.PCG64(31337).advance(j * n + start))
+            .uniform(lo, hi, size) for j, (lo, hi) in enumerate(ranges))
+        state = EntropicState(r, r * vel, r * entropy(r, theta, params))
+        ref = PrimitiveState(r_ref, u_ref, t_ref)
         gap = re_.coercivity_gap(state, ref, calib, params)
         quadratic = quadratic and gap.branch == "quadratic"
         gaps.append(np.min(gap.gap))

@@ -285,9 +285,11 @@ def cmd_relentropy(args: argparse.Namespace) -> int:
                      fitted, okay])
     _write_report(_out_dir(args) / "relentropy_trace.csv",
                   ["t", "integral_E", "oslip_C", "fitted_K", "pass"], rows, chash)
+    vacuous = ("" if check.vacuous_from is None else
+               f", vacuous from t = {check.vacuous_from:.3g}, where the envelope is infinite")
     print(f"Gronwall envelope on [{trace.times[0]:.3g}, {trace.times[-1]:.3g}]: "
           f"{'PASS' if check.ok else 'FAIL'} (utilization {check.utilization:.3f}, "
-          f"k_thermo heuristic)")
+          f"k_thermo heuristic){vacuous}")
     return 0 if check.ok else 1
 
 

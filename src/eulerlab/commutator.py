@@ -63,7 +63,7 @@ PRODUCT_P = 3.0
 HULL_SAMPLES_PER_DIM = 1000
 
 #: Rows of the first hull axis sampled at once; bounds the sampling's memory.
-HULL_SLAB_ROWS = 50
+HULL_SLAB_ROWS = 10
 
 #: Velocity factors of each product commutator: rho u and rho u (x) u.
 _FACTORS = {"bilinear": 1, "triple": 2}

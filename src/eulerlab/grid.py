@@ -416,20 +416,21 @@ def write_columns_csv(
         stream.write(f"# {line}\n")
     names = list(columns)
     stream.write(",".join(_COORD_NAMES[: grid.dims] + tuple(names)) + "\n")
-    data = [np.asarray(columns[n]).reshape(grid.shape).ravel().tolist() for n in names]
+    n = grid.cells_per_dim
+    data = [np.asarray(columns[name]).reshape(grid.shape).reshape(-1, n) for name in names]
     row = ("%s" + ",%.17g" * len(names) + "\n").__mod__
-    rows = zip(_coordinate_text(grid), *data)
-    # one write per first-axis row of cells: a whole-file join would hold
-    # twice the text at once for no speed
-    for _ in range(grid.cells_per_dim ** (grid.dims - 1)):
-        stream.write("".join(map(row, itertools.islice(rows, grid.cells_per_dim))))
+    axis = _coordinate_text(grid)
+    # one write per first-axis row of cells, formatted when it is reached: the
+    # file's text, or a list of every value, would grow with the grid
+    for i in range(n ** (grid.dims - 1)):
+        coords = axis if grid.dims == 1 else [f"{axis[i]},{y}" for y in axis]
+        stream.write("".join(map(row, zip(coords, *(d[i].tolist() for d in data)))))
 
 
 @functools.lru_cache(maxsize=8)
 def _coordinate_text(grid: PeriodicGrid) -> list[str]:
-    """The ``x[,y]`` text of every row: coordinates are the same in every dump."""
-    coords = zip(*(c.ravel().tolist() for c in grid.coordinates()))
-    return [",".join(["%.17g"] * grid.dims) % xs for xs in coords]
+    """The ``%.17g`` text of the cell centres of one axis, the same in every dump."""
+    return ["%.17g" % x for x in grid.axis_centers().tolist()]
 
 
 def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray]]:
@@ -440,23 +441,20 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
     the grid the row count implies.  A token is an ASCII decimal float: the
     ``1_0`` and non-ASCII digits that ``float()`` took are rejected.
     """
-    header = None
-    rows = []
-    for line in stream:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(line)
-    if header is None or not rows:
+    # the stripped non-comment lines, read as numpy parses them: no list of
+    # every row is held
+    lines = (s for s in map(str.strip, stream) if s and not s.startswith("#"))
+    header = next(lines, None)
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty field CSV")
+    header = header.split(",")
     ncoord = 2 if header[:2] == list(_COORD_NAMES) else 1
     if header[0] != "x" or len(header) == ncoord:
         raise ValueError(f"expected header x[,y] plus data columns, got {header}")
     # comments=None: a "#" after data is a bad token, as it is to float()
-    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                      ndmin=2, dtype=float)
     if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
         raise ValueError(f"rows must hold {len(header)} finite values each")
     count = data.shape[0]
@@ -464,9 +462,12 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
     if n**ncoord != count:
         raise ValueError(f"row count {count} is not a {ncoord}-dim grid")
     grid = PeriodicGrid(ncoord, n)
-    centers = np.stack([c.ravel() for c in grid.coordinates()], axis=1)
-    # far looser than the 17-digit round trip, far tighter than one cell
-    if not np.all(np.abs(data[:, :ncoord] - centers) <= 0.1 * grid.cell_width):
+    centers = grid.axis_centers()
+    # far looser than the 17-digit round trip, far tighter than one cell; the
+    # k-th coordinate of the row-major cells is the centre of their k-th index
+    if not all(np.all(np.abs(data[:, k].reshape(grid.shape)
+                             - centers.reshape((-1,) + (1,) * (ncoord - 1 - k)))
+                      <= 0.1 * grid.cell_width) for k in range(ncoord)):
         raise ValueError("coordinates are not the row-major cell centres of the grid")
     columns = {
         name: data[:, ncoord + j].reshape(grid.shape)

@@ -166,7 +166,11 @@ def _sobol_blocks(n: int, seed: int):
     the lower-triangular LMS matrices (unit diagonal), each applied over GF(2)
     to the bits of a direction number, most significant first. In Gray-code
     order, points [h, 2h) are points [0, h) reversed, XOR the scrambled
-    direction log2(h).
+    direction log2(h), so point i is the shift XOR the directions of the bits
+    of gray(i) = i ^ (i >> 1).  Only the first block is built so; as
+    gray(start + k) = gray(start) ^ gray(k) for k < ``CALIBRATION_BLOCK``
+    and ``start`` a multiple of it, the block at ``start`` is the first block
+    XOR the directions of gray(start).
     """
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 2**_SOBOL_BITS:
         raise ValueError(f"n must be an int in [1, 2**{_SOBOL_BITS}]: a {_SOBOL_BITS}-bit "
@@ -177,14 +181,20 @@ def _sobol_blocks(n: int, seed: int):
     ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
     bits = _SOBOL_V[:, :, None] // _SOBOL_PLACE & 1
     sv = (np.einsum("dpm,djm->djp", ltm, bits) & 1) @ _SOBOL_PLACE
-    size = 1 << (n - 1).bit_length()
+    size = min(1 << (n - 1).bit_length(), CALIBRATION_BLOCK)
     x = np.empty((6, size), dtype=np.uint32)
     x[:, 0] = shift
     for b in range(size.bit_length() - 1):
         h = 1 << b
         np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
-    return (x[:, start:min(start + CALIBRATION_BLOCK, n)].T * 2.0**-_SOBOL_BITS
-            for start in range(0, n, CALIBRATION_BLOCK))
+
+    def block(start):
+        gray = start ^ start >> 1
+        offset = np.bitwise_xor.reduce(sv[:, [b for b in range(_SOBOL_BITS) if gray >> b & 1]],
+                                       axis=1)
+        return (x[:, :min(CALIBRATION_BLOCK, n - start)] ^ offset[:, None]).T * 2.0**-_SOBOL_BITS
+
+    return map(block, range(0, n, CALIBRATION_BLOCK))
 
 
 def _sampled_min(n: int, seed: int, ratio) -> float:
@@ -370,12 +380,14 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
 class GronwallCheck:
     ok: bool
     utilization: float          # max of E(t) / envelope(t), 1.0 is the limit
+    vacuous_from: float | None  # first time the envelope is inf (E(sigma) > 0), else None
 
 
 def _envelope(e_sigma: float, exponent: float) -> float:
-    """E(sigma) * exp(exponent), inf past exp's range (0 if E(sigma) = 0)."""
+    """E(sigma) * exp(exponent), inf past the float range (0 if E(sigma) = 0).
+    A Python float product overflows to inf without numpy's warning."""
     try:
-        return e_sigma * math.exp(exponent)
+        return float(e_sigma) * math.exp(exponent)
     except OverflowError:
         return e_sigma * math.inf if e_sigma != 0.0 else e_sigma
 
@@ -393,7 +405,10 @@ def gronwall_envelope_check(trace: RelEntropyTrace) -> GronwallCheck:
                                       where=envelope[1:] != 0.0)))
     else:
         util = 1.0
-    return GronwallCheck(bool(util <= 1.0), util)
+    # past that time any finite E(t) passes: the check there says nothing
+    infinite = np.flatnonzero(envelope == math.inf)
+    vacuous_from = float(trace.times[infinite[0]]) if infinite.size else None
+    return GronwallCheck(bool(util <= 1.0), util, vacuous_from)
 
 
 def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,

@@ -298,8 +298,8 @@ class _Workspace:
     def __init__(self, grid: PeriodicGrid, gamma: float):
         self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
         stack, row, rows = (grid.dims + 2,) + grid.shape, grid.shape, (grid.dims,) + grid.shape
-        self.dudt, self.F, self.A, self.B, self.stage = (np.empty(stack) for _ in range(5))
-        self.p, self.c, self.scratch = (np.empty(row) for _ in range(3))
+        self.dudt, self.F, self.A, self.stage = (np.empty(stack) for _ in range(4))
+        self.p, self.scratch = np.empty(row), np.empty(row)
         self.un, self.speed = np.empty(rows), np.empty(rows)
         self.rho_min = self.p_min = math.inf
         self.rho_min_t = self.p_min_t = None
@@ -319,7 +319,7 @@ def _rhs(U, ws: _Workspace, t):
     non-positive density or pressure raises DomainError at time ``t``.
     """
     gamma, dims = ws.gamma, ws.dims
-    rho, p, c = U[0], ws.p, ws.c
+    rho, p = U[0], ws.p
     # Reductions stand in for the cell-wise check.  A state passes them only
     # if rho is positive and finite, p is positive (a non-finite momentum
     # makes the pressure -inf or NaN), and every axis's largest
@@ -333,6 +333,7 @@ def _rhs(U, ws: _Workspace, t):
     if not p_min > 0.0:
         _check_physical(U, gamma, t)
     ws.note(rho_min, p_min, t)
+    c = ws.scratch  # the sound speed; free again once it is in ``speed``
     np.multiply(p, gamma, out=c)
     c /= rho
     np.sqrt(c, out=c)
@@ -344,8 +345,9 @@ def _rhs(U, ws: _Workspace, t):
     if not all(s < math.inf for s in axis_max):
         _check_physical(U, gamma, t)
 
-    # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis
-    F, A, B, a, dudt = ws.F, ws.A, ws.B, ws.scratch, ws.dudt
+    # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis; F
+    # is free once it is in A, and holds the upwind terms from then on
+    F, A, a, dudt = ws.F, ws.A, ws.scratch, ws.dudt
     for axis in range(dims):
         ax = axis - dims
         F[0] = U[1 + axis]
@@ -356,15 +358,15 @@ def _rhs(U, ws: _Workspace, t):
         _roll_into(A, F, -1, ax)
         A += F
         A *= 0.5
-        _roll_into(B, U, -1, ax)
-        B -= U
+        _roll_into(F, U, -1, ax)
+        F -= U
         _roll_into(a, speed[axis], -1, ax)
         np.maximum(speed[axis], a, out=a)
         a *= 0.5
-        B *= a
-        A -= B
-        _roll_into(B, A, 1, ax)
-        A -= B
+        F *= a
+        A -= F
+        _roll_into(F, A, 1, ax)
+        A -= F
         A /= ws.dx
         if axis == 0:
             np.subtract(0.0, A, out=dudt)
@@ -407,6 +409,7 @@ def run(config: SolverConfig) -> Trajectory:
             U[1 + ax] = rho * vel[ax]
         kin = 0.5 * rho * np.sum(vel * vel, axis=0)
         U[-1] = kin + rho * params.cv * theta
+        del rho, vel, theta, kin  # U holds the state from here on
         _check_physical(U, gamma, 0.0)
 
         started = time.perf_counter()

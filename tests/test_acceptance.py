@@ -123,6 +123,21 @@ class TestRelativeEntropySample:
             result = acceptance.gate_relative_entropy()
         return result, calibs[0], blocks
 
+    @pytest.fixture
+    def calls(self, run, monkeypatch):
+        """The (state, ref) pair of every block the gate checks."""
+        from eulerlab import relentropy
+
+        _, calib, _ = run
+        pairs = []
+        real = relentropy.coercivity_gap
+        monkeypatch.setattr(relentropy, "calibrate_coercivity", lambda *a, **k: calib)
+        monkeypatch.setattr(relentropy, "coercivity_gap",
+                            lambda state, ref, *a: pairs.append((state, ref))
+                            or real(state, ref, *a))
+        assert acceptance.gate_relative_entropy().passed
+        return pairs
+
     def test_blocked_check_matches_the_unblocked_one(self, run):
         result, calib, _ = run
         min_density, min_gap, branch, _ = _relative_entropy_sample_unblocked(calib)
@@ -139,6 +154,39 @@ class TestRelativeEntropySample:
         assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
         all_rho = _relative_entropy_sample_unblocked(calib)[3]
         assert np.concatenate(blocks).tobytes() == all_rho.tobytes()
+
+    def test_block_draws_are_the_sequential_draws(self, calls):
+        # the six uniform(1e5) arrays that default_rng(31337) drew in turn,
+        # against what each block drew, the short last block included
+        import numpy as np
+
+        from eulerlab.thermo import GasParams, entropy
+
+        rng = np.random.default_rng(31337)
+        n = 100_000
+        rho, theta, vel = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n)
+        r_ref, u_ref, t_ref = (rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n),
+                               rng.uniform(0.5, 2.0, n))
+        want = (rho, rho * vel, rho * entropy(rho, theta, GasParams(1.4)), r_ref, u_ref, t_ref)
+        start = 0
+        for state, ref in calls:
+            got = (state.rho, state.mom, state.total_entropy, ref.rho, ref.vel, ref.theta)
+            blk = slice(start, start + len(state.rho))
+            assert [g.tobytes() for g in got] == [w[blk].tobytes() for w in want]
+            start = blk.stop
+        assert start == n and len(state.rho) == 1696
+
+    def test_gate_peak_memory_is_bounded(self):
+        # the six whole arrays and the 2**17-word Sobol table peaked at 5.4 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert acceptance.gate_relative_entropy().passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_each_block_evaluates_E_once(self, run, monkeypatch):
         import numpy as np

@@ -1,5 +1,7 @@
 import io
 import json
+import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eulerlab import acceptance, cli, conditions, solver
+from eulerlab import acceptance, cli, conditions, relentropy, solver
 from eulerlab.cli import main
 from eulerlab.grid import (
     PeriodicGrid,
@@ -264,6 +266,39 @@ class TestReports:
         lines = _read_rows(out / "relentropy_trace.csv")
         assert lines[1] == "t,integral_E,oslip_C,fitted_K,pass"
         assert len(lines) > 4
+
+    def test_relentropy_names_where_the_envelope_turns_infinite(self, tmp_path, capsys):
+        # the 1000 : 0.01 pressure jump on 256 / 512 cells: PASS at utilization
+        # 0 against an infinite envelope is vacuous, and the summary says from when
+        base = {"t_end": 0.01, "snapshot_stride": 0.001, "init": {
+            "name": "riemann", "left": [1.0, 0.0, 1000.0], "right": [1.0, 0.0, 0.01]}}
+        for name, cells in (("a", 256), ("b", 512)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, "grid_n": cells}))
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["relentropy", "--traj-a", str(tmp_path / "a"), "--traj-b",
+                         str(tmp_path / "b"), "--out", str(tmp_path / "rep"),
+                         "--sigma", "0.002"])
+        assert code == 0
+        # the oracle: the first window time at which E(sigma) * exp(integral of
+        # the budget) leaves the float range
+        traj_a, traj_b = (solver.Trajectory.load(tmp_path / name) for name in "ab")
+        traj_b = solver.project_trajectory(traj_b, traj_a.grid)
+        trace = relentropy.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=0.002)
+        room = math.log(sys.float_info.max) - math.log(trace.integral[0])
+        exponent, first = 0.0, None
+        for j in range(1, len(trace.times)):
+            dt = trace.times[j] - trace.times[j - 1]
+            exponent += 0.5 * dt * (trace.budget[j] + trace.budget[j - 1])
+            if first is None and exponent > room:
+                first = float(trace.times[j])
+        assert first is not None and first < trace.times[-1]
+        assert capsys.readouterr().out == (
+            "Gronwall envelope on [0.002, 0.01]: PASS (utilization 0.000, k_thermo "
+            f"heuristic), vacuous from t = {first:.3g}, where the envelope is infinite\n")
 
     def test_oslip_check_default_delta_on_trajectory(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from eulerlab import acceptance, besov
+from eulerlab import acceptance, besov, commutator
 from eulerlab.besov import dyadic_shift_ladder, seminorm
 from eulerlab.commutator import (
     C0_PRODUCT,
@@ -427,4 +428,21 @@ class TestHullSampling:
         finally:
             tracemalloc.stop()
         assert sups == _oracle_hull_sups(probe)
-        assert peak < 32 * 2**20
+        # 50-row slabs peaked at 6.1 MiB; 10-row slabs at 1.3 MiB
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("gname", ["product", "pressure_tilde"])
+    def test_ten_row_slabs_match_fifty_row_slabs(self, monkeypatch, gname):
+        if gname == "product":
+            comps = _gate_product_probe().components
+        else:
+            grid = PeriodicGrid(1, 8192)
+            comps = (field_from_function(grid, lambda x: 1.0 + 0.5 * np.sin(np.pi * x)),
+                     field_from_function(grid, lambda x: np.cos(3 * np.pi * x) - 0.3))
+        probe = _probe(comps, (0.4, 0.8), get_gmap(gname, GasParams(1.4)), eps=EPS_SCAN)
+        assert commutator.HULL_SLAB_ROWS == 10
+        fine = dict(probe.sups)
+        monkeypatch.setattr(commutator, "HULL_SLAB_ROWS", 50)
+        coarse = dict(dataclasses.replace(probe).sups)
+        assert list(fine) == list(coarse)
+        assert [v.hex() for v in fine.values()] == [v.hex() for v in coarse.values()]

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -569,6 +570,47 @@ class TestCsvOracle:
             # comment, header, then one write per first-axis row of cells
             slabs = grid.cells_per_dim ** (grid.dims - 1)
             assert stream.rows_per_write == [1, 1] + [grid.cells_per_dim] * slabs
+
+    def test_footprint_is_one_row_of_text(self, tmp_path):
+        # at 256^2 the per-cell coordinate text and the value lists held 17 MiB
+        # while writing, and the list of rows 16 MiB while reading
+        grid = PeriodicGrid(2, 256)
+        cols = _csv_columns(grid, 4, seed=5)
+        path = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w") as fh:
+                write_columns_csv(fh, grid, cols)
+            _, written = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with open(path) as fh:
+                got_grid, got = read_columns_csv(fh)
+            _, read = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got_grid == grid and all(got[k].tobytes() == cols[k].tobytes() for k in cols)
+        assert written < 2**20
+        # the parsed table is 3 MiB of the 4 MiB read peak
+        assert read < 6 * 2**20
+
+    def test_coordinates_are_checked_per_axis(self):
+        grid = PeriodicGrid(2, 12)
+        lines = _both_ways(grid, _csv_columns(grid, 1, 0))[0].splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        swapped = [lines[0]] + [",".join([y, x, v]) for x, y, v in rows]
+        with pytest.raises(ValueError, match="cell centres"):
+            read_columns_csv(io.StringIO("\n".join(swapped)))
+        width = grid.cell_width
+        for axis, frac, ok in [(0, 0.09, True), (0, 0.11, False),
+                               (1, 0.09, True), (1, 0.11, False)]:
+            moved = [r.copy() for r in rows]
+            moved[29][axis] = repr(float(moved[29][axis]) + frac * width)
+            text = "\n".join([lines[0]] + [",".join(r) for r in moved])
+            if ok:
+                assert read_columns_csv(io.StringIO(text))[0] == grid
+            else:
+                with pytest.raises(ValueError, match="cell centres"):
+                    read_columns_csv(io.StringIO(text))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), dims=st.sampled_from([1, 2]), ncols=st.integers(1, 4))

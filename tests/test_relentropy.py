@@ -218,6 +218,25 @@ def _sobol_points(n, seed):
     return np.concatenate(list(relentropy._sobol_blocks(n, seed)))
 
 
+def _sobol_whole_table(n, seed):
+    """The sampler before it built one block of words: the Gray-code recursion
+    over the whole power-of-two table, scaled column-major at once."""
+    rng = np.random.default_rng(seed)
+    place, bits_ = relentropy._SOBOL_PLACE, relentropy._SOBOL_BITS
+    shift = rng.integers(0, 2, size=(6, bits_), dtype=np.uint32) @ place[::-1]
+    ltm = np.tril(rng.integers(0, 2, size=(6, bits_, bits_), dtype=np.uint32))
+    ltm[:, range(bits_), range(bits_)] = 1
+    bits = relentropy._SOBOL_V[:, :, None] // place & 1
+    sv = (np.einsum("dpm,djm->djp", ltm, bits) & 1) @ place
+    size = 1 << (n - 1).bit_length()
+    x = np.empty((6, size), dtype=np.uint32)
+    x[:, 0] = shift
+    for b in range(size.bit_length() - 1):
+        h = 1 << b
+        np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
+    return x[:, :n].T * 2.0**-bits_
+
+
 class TestSobolAgainstScipy:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 4096, 8193])
     def test_small_draws_are_byte_identical(self, scipy_sobol, n):
@@ -230,6 +249,14 @@ class TestSobolAgainstScipy:
     def test_gate_draws_are_byte_identical(self, scipy_sobol, seed):
         # the relative-entropy gate draws 2**17 points at seeds 20240 and 20241
         assert _sobol_points(2**17, seed).tobytes() == scipy_sobol(2**17, seed).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 8197, 2**15, 2**17])
+    @pytest.mark.parametrize("seed", [20240, 4242, 7])
+    def test_blocks_match_the_whole_table_recursion(self, n, seed):
+        # equal bytes: every value equal by float.hex, signed zeros included
+        got, want = _sobol_points(n, seed), _sobol_whole_table(n, seed)
+        assert got.shape == want.shape == (n, 6)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5])
     def test_blocks_are_consecutive_and_full_but_the_last(self, n):
@@ -257,7 +284,7 @@ class TestSobolAgainstScipy:
 def _calibrate_unblocked(box, params, n, seed):
     """calibrate_coercivity as it was before the block scan: every point at once."""
     # the sampler returned the points column-major, as the transposed word table
-    u01 = np.asfortranarray(_sobol_points(n, seed))
+    u01 = _sobol_whole_table(n, seed)
     lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
     hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
     s = lo + u01 * (hi - lo)
@@ -266,7 +293,7 @@ def _calibrate_unblocked(box, params, n, seed):
     quad = relentropy._quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
     mask = quad > 1e-30
     c_hat = 0.9 * float(np.min(dens[mask] / quad[mask]))
-    u01 = np.asfortranarray(_sobol_points(n, seed + 1))
+    u01 = _sobol_whole_table(n, seed + 1)
     rho_f = np.where(u01[:, 0] < 0.5,
                      box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
                      box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
@@ -360,14 +387,15 @@ class TestBlockedCalibration:
         assert calib.c_hat.hex() == _calibrate_unblocked(BOX, gamma14, 2 * 8192 + 100, 3)[0].hex()
 
     def test_peak_memory_is_bounded(self, gamma14):
-        # all 2 x 2**17 pairs at once held about 31 MB
+        # all 2 x 2**17 pairs at once held about 31 MB, and the whole 2**17
+        # word table with the block scan 5.0 MiB; one block of words, 2.0 MiB
         tracemalloc.start()
         try:
             calibrate_coercivity(BOX, gamma14, n=2**17, seed=20240)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 3 * 2**20
 
 
 def _pair(n, t_end=1.0, stride=0.05, init=None):
@@ -427,6 +455,18 @@ class TestTrajectoryMonitor:
         ok, util = _envelope_check_loop(trace)
         check = gronwall_envelope_check(trace)
         assert (check.ok, check.utilization.hex()) == (ok, util.hex()) and ok
+
+    def test_the_first_time_of_an_infinite_envelope_is_recorded(self):
+        # budget 1e4 at times 0, 0.025, ..., 0.1: exponents 0, 250, ..., 1000
+        times = np.linspace(0.0, 0.1, 5)
+        check = self._check([2.0, 1.0, 1.0, 1.0, 1.0], budget=1e4)
+        assert check.ok and check.vacuous_from == times[3]        # exp(750) overflows
+        # E(sigma) * exp(250) overflows where exp(250) does not
+        assert self._check([1e300] * 5, budget=1e4).vacuous_from == times[1]
+        # a finite envelope, or E(sigma) = 0 (the zero envelope), is not vacuous
+        assert self._check([1.0, 1.0, 1.0]).vacuous_from is None
+        assert self._check([0.0, 0.0, 0.0, 0.0, 0.0], budget=1e4).vacuous_from is None
+        assert self._check([2.0], budget=1e4).vacuous_from is None
 
     def test_each_snapshot_of_the_window_is_converted_once(self, monkeypatch):
         # one pass: the pair's two snapshots feed E, oslip_C and the W^{1,inf} budget
