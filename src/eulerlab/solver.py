@@ -291,16 +291,39 @@ def _roll_into(out, x, shift, axis):
     out[(..., slice(None, k)) + tail] = x[(..., slice(n - k, None)) + tail]
 
 
+#: Bytes of L2 cache per core on the 2-core Xeon hosts the benchmarks record.
+_L2_BYTES = 2 << 20
+#: The largest conserved stack one RHS block holds.  A grid whose stack fits
+#: is swept whole; a larger one in blocks of first-axis rows, so that each
+#: block's state, fluxes and cell values stay in cache while it is swept.
+RHS_BLOCK_BYTES = _L2_BYTES // 4
+
+
+def _block_rows(grid: PeriodicGrid) -> int:
+    """First-axis rows per RHS block: ``cells_per_dim`` when the grid is one."""
+    n = grid.cells_per_dim
+    row_bytes = (grid.dims + 2) * n ** (grid.dims - 1) * 8
+    return min(n, max(1, RHS_BLOCK_BYTES // row_bytes))
+
+
 class _Workspace:
     """The arrays every RHS evaluation of one run overwrites, allocated once,
-    and the smallest density and pressure those evaluations saw."""
+    and the smallest density and pressure those evaluations saw.  ``dudt``
+    and ``stage`` span the grid; the rest span one block, with a halo row on
+    each side when the grid takes several (``wrap`` then gathers the two
+    blocks that wrap around the periodic edge)."""
 
     def __init__(self, grid: PeriodicGrid, gamma: float):
         self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
-        stack, row, rows = (grid.dims + 2,) + grid.shape, grid.shape, (grid.dims,) + grid.shape
-        self.dudt, self.F, self.A, self.stage = (np.empty(stack) for _ in range(4))
-        self.p, self.scratch = np.empty(row), np.empty(row)
-        self.un, self.speed = np.empty(rows), np.empty(rows)
+        self.rows = _block_rows(grid)
+        whole = self.rows == grid.cells_per_dim
+        block = (self.rows if whole else self.rows + 2,) + grid.shape[1:]
+        stack, axes = (grid.dims + 2,) + block, (grid.dims,) + block
+        self.dudt, self.stage = (np.empty((grid.dims + 2,) + grid.shape) for _ in range(2))
+        self.F, self.A = np.empty(stack), np.empty(stack)
+        self.wrap = None if whole else np.empty(stack)
+        self.p, self.scratch = np.empty(block), np.empty(block)
+        self.un, self.speed = np.empty(axes), np.empty(axes)
         self.rho_min = self.p_min = math.inf
         self.rho_min_t = self.p_min_t = None
 
@@ -311,68 +334,138 @@ class _Workspace:
             self.p_min, self.p_min_t = p_min, t
 
 
-def _rhs(U, ws: _Workspace, t):
-    """dU/dt of the local Lax-Friedrichs scheme, and the largest signal speed.
+def _cell_values(B, U, ws: _Workspace, t, p, c, un, speed):
+    """Pressure ``p``, normal velocities ``un`` and signal speeds
+    ``speed = |u_n| + c`` of the cells of ``B``, the state ``U`` or a block
+    of its rows; ``c`` is scratch.  Return the smallest density and pressure
+    and each axis's largest signal speed.
 
-    The result is ``ws.dudt``, which the next call overwrites.  The state is
-    checked before any square root is taken: a cell that is not finite or has
-    non-positive density or pressure raises DomainError at time ``t``.
+    Reductions stand in for the cell-wise check, and run before any square
+    root.  A block passes them only if rho is positive and finite, p is
+    positive (a non-finite momentum makes the pressure -inf or NaN), and
+    every axis's largest |u_n| + c is finite (so is the momentum, and the
+    energy, since E = inf gives c = inf).  Any miss runs the exact check on
+    all of ``U``, which names the first bad cell of the grid.
     """
-    gamma, dims = ws.gamma, ws.dims
-    rho, p = U[0], ws.p
-    # Reductions stand in for the cell-wise check.  A state passes them only
-    # if rho is positive and finite, p is positive (a non-finite momentum
-    # makes the pressure -inf or NaN), and every axis's largest
-    # |u_n| + c is finite (so is the momentum, and the energy, since E = inf
-    # gives c = inf).  Any miss runs the exact check.
+    gamma, rho = ws.gamma, B[0]
     rho_min = float(rho.min())
     if not (rho_min > 0.0 and rho.max() < math.inf):
         _check_physical(U, gamma, t)
-    _pressure(U, gamma, p, ws.scratch)
+    _pressure(B, gamma, p, c)
     p_min = float(p.min())
     if not p_min > 0.0:
         _check_physical(U, gamma, t)
-    ws.note(rho_min, p_min, t)
-    c = ws.scratch  # the sound speed; free again once it is in ``speed``
     np.multiply(p, gamma, out=c)
     c /= rho
     np.sqrt(c, out=c)
-    un, speed = ws.un, ws.speed
-    np.divide(U[1 : 1 + dims], rho, out=un)
+    np.divide(B[1 : 1 + ws.dims], rho, out=un)
     np.absolute(un, out=speed)
     speed += c
     axis_max = [float(s.max()) for s in speed]
     if not all(s < math.inf for s in axis_max):
         _check_physical(U, gamma, t)
+    return rho_min, p_min, axis_max
 
-    # f_hat = 0.5 (F + F_r) - 0.5 max(speed, speed_r) (U_r - U), per axis; F
-    # is free once it is in A, and holds the upwind terms from then on
-    F, A, a, dudt = ws.F, ws.A, ws.scratch, ws.dudt
-    for axis in range(dims):
-        ax = axis - dims
-        F[0] = U[1 + axis]
-        np.multiply(U[1 : 1 + dims], un[axis], out=F[1 : 1 + dims])
-        F[1 + axis] += p
-        np.add(U[-1], p, out=F[-1])
-        F[-1] *= un[axis]
-        _roll_into(A, F, -1, ax)
-        A += F
-        A *= 0.5
-        _roll_into(F, U, -1, ax)
-        F -= U
-        _roll_into(a, speed[axis], -1, ax)
-        np.maximum(speed[axis], a, out=a)
-        a *= 0.5
-        F *= a
-        A -= F
-        _roll_into(F, A, 1, ax)
-        A -= F
-        A /= ws.dx
-        if axis == 0:
-            np.subtract(0.0, A, out=dudt)
+
+def _flux(B, axis, un, p, F):
+    """The physical flux of ``B`` along ``axis`` into ``F``."""
+    dims = B.shape[0] - 2
+    F[0] = B[1 + axis]
+    np.multiply(B[1 : 1 + dims], un, out=F[1 : 1 + dims])
+    F[1 + axis] += p
+    np.add(B[-1], p, out=F[-1])
+    F[-1] *= un
+
+
+def _sweep(B, axis, un, p, speed, F, A, a, dx):
+    """(f_hat_i - f_hat_{i-1}) / dx along ``axis`` into ``A``, by periodic
+    shifts within ``B``, for f_hat = 0.5 (F + F_r) - 0.5 max(speed,
+    speed_r) (U_r - U).  ``F`` is free once it is in ``A``, and holds the
+    upwind terms from then on; ``a`` is scratch."""
+    ax = axis - (B.shape[0] - 2)
+    _flux(B, axis, un, p, F)
+    _roll_into(A, F, -1, ax)
+    A += F
+    A *= 0.5
+    _roll_into(F, B, -1, ax)
+    F -= B
+    _roll_into(a, speed, -1, ax)
+    np.maximum(speed, a, out=a)
+    a *= 0.5
+    F *= a
+    A -= F
+    _roll_into(F, A, 1, ax)
+    A -= F
+    A /= dx
+    return A
+
+
+def _first_axis_block(B, un, p, speed, F, A, a, dx, out):
+    """``out = 0.0 - _sweep(...)`` along the first axis for the inner rows of
+    ``B``, a block with one halo row on each side: the neighbours are the
+    next rows, so the same operations run on slices instead of shifts."""
+    _flux(B, 0, un, p, F)
+    lo, hi = slice(None, -1), slice(1, None)
+    fh = A[:, lo]                          # f_hat at each row's upper interface
+    np.add(F[:, hi], F[:, lo], out=fh)
+    fh *= 0.5
+    jump = F[:, lo]
+    np.subtract(B[:, hi], B[:, lo], out=jump)
+    a = a[lo]
+    np.maximum(speed[lo], speed[hi], out=a)
+    a *= 0.5
+    jump *= a
+    fh -= jump
+    np.subtract(fh[:, 1:], fh[:, :-1], out=out)
+    out /= dx
+    np.subtract(0.0, out, out=out)
+
+
+def _rhs(U, ws: _Workspace, t):
+    """dU/dt of the local Lax-Friedrichs scheme, and the largest signal speed.
+
+    The result is ``ws.dudt``, which the next call overwrites.  The state is
+    checked before any square root is taken: a cell that is not finite or has
+    non-positive density or pressure raises DomainError at time ``t``.  A
+    grid of several blocks is swept block by block, each cell with the same
+    operations on the same operands as the whole-grid sweep.
+    """
+    dims, dx, dudt, rows = ws.dims, ws.dx, ws.dudt, ws.rows
+    F, A, a, p, un, speed = ws.F, ws.A, ws.scratch, ws.p, ws.un, ws.speed
+    n = U.shape[1]
+    if rows == n:
+        rho_min, p_min, axis_max = _cell_values(U, U, ws, t, p, a, un, speed)
+        for axis in range(dims):
+            _sweep(U, axis, un[axis], p, speed[axis], F, A, a, dx)
+            if axis == 0:
+                np.subtract(0.0, A, out=dudt)
+            else:
+                dudt -= A
+        ws.note(rho_min, p_min, t)
+        return dudt, max(0.0, *axis_max)
+    lows, tops = [], []
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        h = r1 - r0
+        if 0 < r0 and r1 < n:
+            B = U[:, r0 - 1 : r1 + 1]
         else:
-            dudt -= A
-    return dudt, max(0.0, *axis_max)
+            B = ws.wrap[:, : h + 2]
+            np.take(U, np.arange(r0 - 1, r1 + 1), axis=1, out=B, mode="wrap")
+        bp, ba, bun, bspeed = p[: h + 2], a[: h + 2], un[:, : h + 2], speed[:, : h + 2]
+        rho_min, p_min, axis_max = _cell_values(B, U, ws, t, bp, ba, bun, bspeed)
+        lows.append((rho_min, p_min))
+        tops.append(axis_max)
+        out = dudt[:, r0:r1]
+        _first_axis_block(B, bun[0], bp, bspeed[0], F[:, : h + 2], A[:, : h + 2], ba, dx, out)
+        inner = slice(1, h + 1)
+        for axis in range(1, dims):
+            out -= _sweep(B[:, inner], axis, bun[axis, inner], bp[inner], bspeed[axis, inner],
+                          F[:, :h], A[:, :h], ba[:h], dx)
+    # numpy's reductions, as on the whole grid: a NaN in any block propagates
+    rho_min, p_min = np.min(lows, axis=0).tolist()
+    ws.note(rho_min, p_min, t)
+    return dudt, max(0.0, *np.max(tops, axis=0).tolist())
 
 
 def run(config: SolverConfig) -> Trajectory:
@@ -382,7 +475,8 @@ def run(config: SolverConfig) -> Trajectory:
     are clipped to them) plus the initial and final times.  ``meta["stats"]``
     records the step count, the smallest and largest step, the largest
     realized Courant number, the smallest density and pressure with their
-    times, and the seconds spent in the RHS and in recording snapshots.
+    times, the seconds spent in the RHS and in recording snapshots, and the
+    first-axis rows of one RHS block (``cells_per_dim`` for a single block).
     """
     grid, params = config.grid, config.params
     gamma = params.gamma
@@ -478,6 +572,7 @@ def run(config: SolverConfig) -> Trajectory:
             "p_min": ws.p_min,
             "p_min_t": ws.p_min_t,
             "rhs_s": rhs_s,
+            "rhs_block_rows": ws.rows,
             "record_s": record_s,
         },
     }

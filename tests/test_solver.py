@@ -470,3 +470,131 @@ class TestStepStatistics:
         traj.save(tmp_path / "traj")
         saved = json.loads((tmp_path / "traj" / "meta.json").read_text())
         assert saved["stats"] == stats
+
+
+# ---------------------------------------------------------------------------
+# the blocked RHS: a grid whose conserved stack exceeds RHS_BLOCK_BYTES is
+# swept in blocks of first-axis rows.  Small grids are forced into several
+# blocks by shrinking the budget; each must still match the oracle bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _force_block_rows(monkeypatch, grid, rows):
+    row_bytes = (grid.dims + 2) * grid.cells_per_dim ** (grid.dims - 1) * 8
+    monkeypatch.setattr(solver, "RHS_BLOCK_BYTES", rows * row_bytes)
+    assert solver._block_rows(grid) == rows
+
+
+def _state(snap):
+    return np.concatenate([snap.rho[None], snap.mom, snap.energy[None]])
+
+
+# 12 rows in 5-row blocks are 5/5/2, so the wrapping last block is ragged;
+# 1-row blocks make every row a first, a last and a halo row
+_BLOCKINGS = [(2, 12, 5), (2, 12, 1), (1, 48, 5)]
+_BLOCKING_IDS = ["12sq-5-5-2", "12sq-1-row", "1d-48-in-5"]
+
+
+class TestBlockedRhs:
+    @pytest.mark.parametrize("dims,n,rows", _BLOCKINGS, ids=_BLOCKING_IDS)
+    @pytest.mark.parametrize("init", _REGISTRY, ids=[i["name"] for i in _REGISTRY])
+    def test_blocked_rhs_is_bit_identical_to_the_allocating_rhs(self, monkeypatch, init,
+                                                                dims, n, rows):
+        cfg = _config(n=n, t_end=0.05, dims=dims, init={**init, "transverse": 0.1})
+        _force_block_rows(monkeypatch, cfg.grid, rows)
+        snaps = run(cfg).snapshots
+        at_rest = Snapshot(0.0, snaps[0].rho, np.zeros_like(snaps[0].mom), snaps[0].energy)
+        for snap in (at_rest, *snaps):
+            U = _state(snap)
+            old, old_speed = _oracle_rhs(U, cfg.grid.cell_width, cfg.params.gamma)
+            ws = solver._Workspace(cfg.grid, cfg.params.gamma)
+            new, new_speed = solver._rhs(U, ws, snap.t)
+            assert new.tobytes() == old.tobytes() and new_speed == old_speed
+
+    @pytest.mark.parametrize("dims,n,rows", _BLOCKINGS, ids=_BLOCKING_IDS)
+    @pytest.mark.parametrize("init", _REGISTRY, ids=[i["name"] for i in _REGISTRY])
+    def test_blocked_run_is_bit_identical_to_the_allocating_step(self, monkeypatch, init,
+                                                                 dims, n, rows):
+        cfg = _config(n=n, t_end=0.1, dims=dims, init={**init, "transverse": 0.1},
+                      stride=0.03)
+        _force_block_rows(monkeypatch, cfg.grid, rows)
+        traj = run(cfg)
+        assert traj.meta["stats"]["rhs_block_rows"] == rows
+        assert _digests(traj.snapshots) == _digests(_oracle_run(cfg))
+
+    def test_256_squared_run_matches_the_whole_grid_sweep(self, monkeypatch):
+        cfg = _config(n=256, t_end=0.002, dims=2,
+                      init={"name": "riemann", "left": [1.0, 0.01, 1.0],
+                            "right": [0.125, 0.0, 0.1], "transverse": 0.1})
+        blocked = run(cfg)
+        monkeypatch.setattr(solver, "RHS_BLOCK_BYTES", 4 * 256 * 256 * 8)
+        whole = run(cfg)
+        assert blocked.meta["stats"]["rhs_block_rows"] < 256
+        assert whole.meta["stats"]["rhs_block_rows"] == 256
+        assert _digests(blocked.snapshots) == _digests(whole.snapshots)
+        timings = ("rhs_s", "record_s", "rhs_block_rows")
+        for key, value in whole.meta["stats"].items():
+            if key not in timings:
+                assert blocked.meta["stats"][key] == value, key
+
+    @pytest.mark.parametrize("rows", [5, 1])
+    @pytest.mark.parametrize("row", [0, 4, 5, 9, 10, 11])
+    @pytest.mark.parametrize("plant", ["vacuum", "negative", "nan_rho", "no_pressure",
+                                       "inf_m", "inf_E"])
+    def test_blocked_rhs_fails_like_the_exact_check(self, monkeypatch, rows, row, plant):
+        # rows 0, 5, 10 start a 5-row block, 4, 9, 11 end one, and 11 is also
+        # the halo that the first block gathers across the periodic edge
+        cfg = _config(n=12, t_end=0.02, dims=2, init={"name": "sod", "transverse": 0.1})
+        _force_block_rows(monkeypatch, cfg.grid, rows)
+        U = _state(run(cfg).snapshots[-1])
+        component, value = {"vacuum": (0, 0.0), "negative": (0, -0.5),
+                            "nan_rho": (0, np.nan), "no_pressure": (-1, 0.0),
+                            "inf_m": (2, np.inf),
+                            "inf_E": (-1, np.inf)}[plant]
+        U[component][row, 7] = value
+        with pytest.raises(DomainError) as old, np.errstate(all="ignore"):
+            _oracle_check_physical(U, cfg.params.gamma, 0.25)
+        ws = solver._Workspace(cfg.grid, cfg.params.gamma)
+        with pytest.raises(DomainError) as new, warnings.catch_warnings(), \
+                np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")   # the check comes before any square root
+            solver._rhs(U, ws, 0.25)
+        assert str(new.value) == str(old.value)
+        assert f"cell ({row}, 7)" in str(new.value)
+
+    @pytest.mark.parametrize("row", [0, 4, 5, 11])
+    @pytest.mark.parametrize("bad_call", [1, 2])
+    @pytest.mark.parametrize("component", [0, 1, -1], ids=["rho", "m", "E"])
+    def test_blocked_run_raises_what_the_allocating_step_raised(self, monkeypatch, row,
+                                                               bad_call, component):
+        def spoil(k):
+            k[component][row, 3] = -1e9 if component == 0 else np.inf
+            return k
+
+        cfg = _config(n=12, t_end=0.05, dims=2, init={"name": "sod", "transverse": 0.1},
+                      stride=0.01)
+        _force_block_rows(monkeypatch, cfg.grid, 5)
+        TestOracleParity._assert_fails_alike(monkeypatch, cfg, bad_call, spoil)
+
+    def test_256_squared_run_peak_memory(self):
+        import tracemalloc
+
+        cfg = _config(n=256, t_end=0.002, dims=2, init={"name": "sod", "transverse": 0.1})
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # grid-sized F, A, p, scratch, un and speed peaked at 18.0 MiB; with
+        # block-sized ones the run peaks at 13.3 MiB
+        assert peak < 15 * 2**20
+
+    @pytest.mark.parametrize("dims,n,rows", [
+        (1, 512, 512), (2, 128, 128),
+        (2, 256, solver.RHS_BLOCK_BYTES // (4 * 256 * 8)),
+    ])
+    def test_stats_name_the_block_height(self, dims, n, rows):
+        # TestStepStatistics checks that meta.json saves the stats as they are
+        traj = run(_config(n=n, t_end=0.002, dims=dims, init={"name": "sod"}))
+        assert traj.meta["stats"]["rhs_block_rows"] == rows
