@@ -308,10 +308,17 @@ def _block_rows(grid: PeriodicGrid) -> int:
 
 class _Workspace:
     """The arrays every RHS evaluation of one run overwrites, allocated once,
-    and the smallest density and pressure those evaluations saw.  ``dudt``
-    and ``stage`` span the grid; the rest span one block, with a halo row on
-    each side when the grid takes several (``wrap`` then gathers the two
-    blocks that wrap around the periodic edge)."""
+    and the smallest density and pressure those evaluations saw.  ``stage``
+    spans the grid and receives the first stage's derivative k1.  The rest
+    span one block, with a halo row on each side when the grid takes several
+    (``wrap`` then gathers the two blocks that wrap around the periodic
+    edge); ``dudt`` holds the second stage's derivative of one block until
+    it folds into the state.
+
+    A second stage turns k1 into the stage state U + dt k1 in place, row by
+    row as its sweep reaches them (``begin`` and ``finish``): rows below
+    ``done``, and the last row, are finished, and no stage row is pending
+    once ``done`` reaches the last row."""
 
     def __init__(self, grid: PeriodicGrid, gamma: float):
         self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
@@ -319,13 +326,16 @@ class _Workspace:
         whole = self.rows == grid.cells_per_dim
         block = (self.rows if whole else self.rows + 2,) + grid.shape[1:]
         stack, axes = (grid.dims + 2,) + block, (grid.dims,) + block
-        self.dudt, self.stage = (np.empty((grid.dims + 2,) + grid.shape) for _ in range(2))
+        self.stage = np.empty((grid.dims + 2,) + grid.shape)
+        self.dudt = np.empty((grid.dims + 2, self.rows) + grid.shape[1:])
         self.F, self.A = np.empty(stack), np.empty(stack)
         self.wrap = None if whole else np.empty(stack)
         self.p, self.scratch = np.empty(block), np.empty(block)
         self.un, self.speed = np.empty(axes), np.empty(axes)
         self.rho_min = self.p_min = math.inf
         self.rho_min_t = self.p_min_t = None
+        self.k1 = self.U = self.dt = None
+        self.done = grid.cells_per_dim - 1
 
     def note(self, rho_min: float, p_min: float, t: float) -> None:
         if rho_min < self.rho_min:
@@ -333,10 +343,40 @@ class _Workspace:
         if p_min < self.p_min:
             self.p_min, self.p_min_t = p_min, t
 
+    def begin(self, k1, U, dt: float) -> None:
+        """Start a second stage from ``k1 = dU/dt``.  A single block
+        finishes the whole stage state now; several finish the last row (the
+        first block's lower halo) now and the rest as the sweep reaches them."""
+        self.k1, self.U, self.dt = k1, U, dt
+        n = U.shape[1]
+        if self.rows == n:
+            self.done = 0
+            self.finish(n)
+        else:
+            self.done = n - 1
+            self.finish(n)
+            self.done = 0
 
-def _cell_values(B, U, ws: _Workspace, t, p, c, un, speed):
+    def finish(self, stop: int) -> None:
+        """Rows ``done`` to ``stop`` of k1 become U + dt k1, in place."""
+        if self.done < stop:
+            rows = slice(self.done, stop)
+            stage = self.k1[:, rows]
+            stage *= self.dt
+            stage += self.U[:, rows]
+            self.done = stop
+
+
+def _check_whole(S, ws: _Workspace, t):
+    """``_check_physical`` on all of ``S``, once every pending stage row is
+    finished, so that it names the first bad cell of the whole stage."""
+    ws.finish(S.shape[1] - 1)
+    _check_physical(S, ws.gamma, t)
+
+
+def _cell_values(B, S, ws: _Workspace, t, p, c, un, speed):
     """Pressure ``p``, normal velocities ``un`` and signal speeds
-    ``speed = |u_n| + c`` of the cells of ``B``, the state ``U`` or a block
+    ``speed = |u_n| + c`` of the cells of ``B``, the state ``S`` or a block
     of its rows; ``c`` is scratch.  Return the smallest density and pressure
     and each axis's largest signal speed.
 
@@ -345,16 +385,16 @@ def _cell_values(B, U, ws: _Workspace, t, p, c, un, speed):
     positive (a non-finite momentum makes the pressure -inf or NaN), and
     every axis's largest |u_n| + c is finite (so is the momentum, and the
     energy, since E = inf gives c = inf).  Any miss runs the exact check on
-    all of ``U``, which names the first bad cell of the grid.
+    all of ``S``, which names the first bad cell of the grid.
     """
     gamma, rho = ws.gamma, B[0]
     rho_min = float(rho.min())
     if not (rho_min > 0.0 and rho.max() < math.inf):
-        _check_physical(U, gamma, t)
+        _check_whole(S, ws, t)
     _pressure(B, gamma, p, c)
     p_min = float(p.min())
     if not p_min > 0.0:
-        _check_physical(U, gamma, t)
+        _check_whole(S, ws, t)
     np.multiply(p, gamma, out=c)
     c /= rho
     np.sqrt(c, out=c)
@@ -363,7 +403,7 @@ def _cell_values(B, U, ws: _Workspace, t, p, c, un, speed):
     speed += c
     axis_max = [float(s.max()) for s in speed]
     if not all(s < math.inf for s in axis_max):
-        _check_physical(U, gamma, t)
+        _check_whole(S, ws, t)
     return rho_min, p_min, axis_max
 
 
@@ -421,62 +461,96 @@ def _first_axis_block(B, un, p, speed, F, A, a, dx, out):
     np.subtract(0.0, out, out=out)
 
 
-def _rhs(U, ws: _Workspace, t):
-    """dU/dt of the local Lax-Friedrichs scheme, and the largest signal speed.
+def _fold(k, U, stage, rows, dt):
+    """Rows ``rows`` of the step's end, U <- 0.5 U + 0.5 (U_stage + dt k),
+    from the stage's derivative ``k`` of those rows, in place and in that
+    order; ``k`` is free afterwards."""
+    k *= dt
+    k += stage[:, rows]
+    k *= 0.5
+    u = U[:, rows]
+    u *= 0.5
+    u += k
 
-    The result is ``ws.dudt``, which the next call overwrites.  The state is
-    checked before any square root is taken: a cell that is not finite or has
-    non-positive density or pressure raises DomainError at time ``t``.  A
-    grid of several blocks is swept block by block, each cell with the same
-    operations on the same operands as the whole-grid sweep.
+
+def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
+    """One stage of the step from ``U``, and the largest signal speed of
+    the state it sweeps.
+
+    Without ``k1``: dU/dt of ``U`` into ``ws.stage``, which is returned and
+    which the next call overwrites.  With ``k1``, the derivative of ``U``
+    that the first call returned, and the step ``dt``: the second stage.
+    Each block of the sweep first finishes the rows of the stage state
+    U + dt k1 it reads (in ``k1``, in place), then takes their derivative
+    and folds it into the same rows of ``U``; ``U`` is returned.
+
+    The state is checked before any square root is taken: a cell that is
+    not finite or has non-positive density or pressure raises DomainError
+    at time ``t``.  A grid of several blocks is swept block by block, each
+    cell with the same operations on the same operands as the whole-grid
+    sweep.
     """
-    dims, dx, dudt, rows = ws.dims, ws.dx, ws.dudt, ws.rows
+    dims, dx, rows = ws.dims, ws.dx, ws.rows
     F, A, a, p, un, speed = ws.F, ws.A, ws.scratch, ws.p, ws.un, ws.speed
     n = U.shape[1]
+    if k1 is None:
+        S, out, result = U, ws.stage, ws.stage
+    else:
+        ws.begin(k1, U, dt)
+        S, out, result = k1, ws.dudt, U
     if rows == n:
-        rho_min, p_min, axis_max = _cell_values(U, U, ws, t, p, a, un, speed)
+        rho_min, p_min, axis_max = _cell_values(S, S, ws, t, p, a, un, speed)
         for axis in range(dims):
-            _sweep(U, axis, un[axis], p, speed[axis], F, A, a, dx)
+            _sweep(S, axis, un[axis], p, speed[axis], F, A, a, dx)
             if axis == 0:
-                np.subtract(0.0, A, out=dudt)
+                np.subtract(0.0, A, out=out)
             else:
-                dudt -= A
+                out -= A
+        if k1 is not None:
+            _fold(out, U, S, slice(None), dt)
         ws.note(rho_min, p_min, t)
-        return dudt, max(0.0, *axis_max)
+        return result, max(0.0, *axis_max)
     lows, tops = [], []
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         h = r1 - r0
+        ws.finish(min(r1 + 1, n - 1))
         if 0 < r0 and r1 < n:
-            B = U[:, r0 - 1 : r1 + 1]
+            B = S[:, r0 - 1 : r1 + 1]
         else:
             B = ws.wrap[:, : h + 2]
-            np.take(U, np.arange(r0 - 1, r1 + 1), axis=1, out=B, mode="wrap")
+            np.take(S, np.arange(r0 - 1, r1 + 1), axis=1, out=B, mode="wrap")
         bp, ba, bun, bspeed = p[: h + 2], a[: h + 2], un[:, : h + 2], speed[:, : h + 2]
-        rho_min, p_min, axis_max = _cell_values(B, U, ws, t, bp, ba, bun, bspeed)
+        rho_min, p_min, axis_max = _cell_values(B, S, ws, t, bp, ba, bun, bspeed)
         lows.append((rho_min, p_min))
         tops.append(axis_max)
-        out = dudt[:, r0:r1]
-        _first_axis_block(B, bun[0], bp, bspeed[0], F[:, : h + 2], A[:, : h + 2], ba, dx, out)
+        k = out[:, r0:r1] if k1 is None else out[:, :h]
+        _first_axis_block(B, bun[0], bp, bspeed[0], F[:, : h + 2], A[:, : h + 2], ba, dx, k)
         inner = slice(1, h + 1)
         for axis in range(1, dims):
-            out -= _sweep(B[:, inner], axis, bun[axis, inner], bp[inner], bspeed[axis, inner],
-                          F[:, :h], A[:, :h], ba[:h], dx)
+            k -= _sweep(B[:, inner], axis, bun[axis, inner], bp[inner], bspeed[axis, inner],
+                        F[:, :h], A[:, :h], ba[:h], dx)
+        if k1 is not None:
+            _fold(k, U, S, slice(r0, r1), dt)
     # numpy's reductions, as on the whole grid: a NaN in any block propagates
     rho_min, p_min = np.min(lows, axis=0).tolist()
     ws.note(rho_min, p_min, t)
-    return dudt, max(0.0, *np.max(tops, axis=0).tolist())
+    return result, max(0.0, *np.max(tops, axis=0).tolist())
 
 
 def run(config: SolverConfig) -> Trajectory:
     """Integrate the complete system and collect snapshots.
 
+    Each step takes two stages, and each stage is one sweep of the RHS row
+    blocks with the step's stage arithmetic riding in it: the second stage
+    forms U + dt k1, its derivative and the step's end block by block.
     Snapshots land exactly on multiples of ``snapshot_stride`` (time steps
     are clipped to them) plus the initial and final times.  ``meta["stats"]``
     records the step count, the smallest and largest step, the largest
     realized Courant number, the smallest density and pressure with their
-    times, the seconds spent in the RHS and in recording snapshots, and the
-    first-axis rows of one RHS block (``cells_per_dim`` for a single block).
+    times, the seconds spent in the RHS (the stage arithmetic included) and
+    in recording snapshots, and the first-axis rows of one RHS block
+    (``cells_per_dim`` for a single block).
     """
     grid, params = config.grid, config.params
     gamma = params.gamma
@@ -529,18 +603,10 @@ def run(config: SolverConfig) -> Trajectory:
                 dt = config.cfl * dx / (grid.dims * max_speed)
             dt = min(dt, snap_times[next_i] - t)
             t_state = t + dt
-            stage = ws.stage
-            np.multiply(k1, dt, out=stage)
-            stage += U
             tick = time.perf_counter()
-            k2, speed_stage = _rhs(stage, ws, t_state)
+            # U <- 0.5 U + 0.5 (U_stage + dt k2), block by block, in place
+            _, speed_stage = _rhs(U, ws, t_state, k1, dt)
             rhs_s += time.perf_counter() - tick
-            # U <- 0.5 U + 0.5 (U_stage + dt k2), in place and in that order
-            k2 *= dt
-            stage += k2
-            stage *= 0.5
-            U *= 0.5
-            U += stage
             courant = speed_stage * dt * grid.dims / dx
             if courant > 1.0:
                 _check_physical(U, gamma, t_state)

@@ -386,18 +386,19 @@ class TestOracleParity:
 
     @staticmethod
     def _assert_fails_alike(monkeypatch, cfg, bad_call, spoil, courant=False):
-        """Spoil the derivative that RHS call `bad_call` returns: an odd call
-        spoils a stage, an even call a step's result.  With `courant` every
-        stage speed also breaks the Courant check; the physical failure must
-        still win where it won before."""
+        """Spoil the derivative of RHS call `bad_call`: an odd call spoils a
+        stage, an even call a step's result.  `run` hands only the first
+        stage's derivative back from `_rhs`; the second stage's is spoiled
+        block by block, as `_fold` receives it, in grid rows.  With `courant`
+        every stage speed also breaks the Courant check; the physical failure
+        must still win where it won before."""
+        calls = []
 
-        def spoiled(real):
-            calls = []
-
+        def counted(real, spoil_second_stage):
             def rhs(*args):
+                calls.append(None)
                 k, speed = real(*args)
-                calls.append(speed)
-                if len(calls) == bad_call:
+                if len(calls) == bad_call and (spoil_second_stage or bad_call % 2):
                     k = spoil(k.copy())
                 if courant and len(calls) % 2 == 0:
                     speed = 100.0 * speed
@@ -405,9 +406,20 @@ class TestOracleParity:
 
             return rhs
 
+        real_fold = solver._fold
+
+        def fold(k, U, stage, rows, dt):
+            if len(calls) == bad_call:
+                grid_k = np.zeros_like(U)
+                grid_k[:, rows] = k
+                k[...] = spoil(grid_k)[:, rows]
+            real_fold(k, U, stage, rows, dt)
+
         with pytest.raises((DomainError, StabilityError)) as old, np.errstate(all="ignore"):
-            _oracle_run(cfg, rhs=spoiled(_oracle_rhs))
-        monkeypatch.setattr(solver, "_rhs", spoiled(solver._rhs))
+            _oracle_run(cfg, rhs=counted(_oracle_rhs, True))
+        calls.clear()
+        monkeypatch.setattr(solver, "_rhs", counted(solver._rhs, False))
+        monkeypatch.setattr(solver, "_fold", fold)
         with pytest.raises((DomainError, StabilityError)) as new, warnings.catch_warnings():
             warnings.simplefilter("error")   # the check comes before any square root
             run(cfg)
@@ -494,6 +506,33 @@ def _state(snap):
 _BLOCKINGS = [(2, 12, 5), (2, 12, 1), (1, 48, 5)]
 _BLOCKING_IDS = ["12sq-5-5-2", "12sq-1-row", "1d-48-in-5"]
 
+# the second stage finishes the last row first and the stage rows a block
+# reads just before it reads them: 11 rows in 5-row blocks are 5/5/1 (the
+# one-row last block is that first-finished row), 10 rows are exactly two
+# blocks, both wrapping, and 1-row blocks finish one row each
+_FUSED_BLOCKINGS = [(2, 11, 5), (2, 10, 5), (2, 7, 1), (1, 11, 5)]
+_FUSED_IDS = ["11sq-5-5-1", "10sq-two-blocks", "7sq-1-row", "1d-11-in-5"]
+
+
+def _plant_first_stage(real, cfg, cells):
+    """`_rhs` (or `_oracle_rhs`) whose first call returns a derivative k1
+    set so that the stage state U + dt k1 holds ``cells[(component, row,
+    col)]`` there, up to rounding; dt is the first step's, as `run` forms it."""
+    calls = []
+
+    def rhs(*args):
+        calls.append(None)
+        k, speed = real(*args)
+        if len(calls) == 1:
+            U, k = args[0], k.copy()
+            dt = min(cfg.cfl * cfg.grid.cell_width / (cfg.grid.dims * speed), cfg.t_end - 0.0)
+            for (component, row, col), value in cells.items():
+                k[component][row, col] = (value - U[component][row, col]) / dt
+        return k, speed
+
+    return rhs
+
+
 
 class TestBlockedRhs:
     @pytest.mark.parametrize("dims,n,rows", _BLOCKINGS, ids=_BLOCKING_IDS)
@@ -511,7 +550,8 @@ class TestBlockedRhs:
             new, new_speed = solver._rhs(U, ws, snap.t)
             assert new.tobytes() == old.tobytes() and new_speed == old_speed
 
-    @pytest.mark.parametrize("dims,n,rows", _BLOCKINGS, ids=_BLOCKING_IDS)
+    @pytest.mark.parametrize("dims,n,rows", _BLOCKINGS + _FUSED_BLOCKINGS,
+                             ids=_BLOCKING_IDS + _FUSED_IDS)
     @pytest.mark.parametrize("init", _REGISTRY, ids=[i["name"] for i in _REGISTRY])
     def test_blocked_run_is_bit_identical_to_the_allocating_step(self, monkeypatch, init,
                                                                  dims, n, rows):
@@ -521,6 +561,84 @@ class TestBlockedRhs:
         traj = run(cfg)
         assert traj.meta["stats"]["rhs_block_rows"] == rows
         assert _digests(traj.snapshots) == _digests(_oracle_run(cfg))
+
+    @pytest.mark.parametrize("later", [None, 9], ids=["speed-only", "vacuum-at-9"])
+    @pytest.mark.parametrize("row", [11, 0, 4, 5])
+    def test_second_stage_trip_in_the_first_block_raises_what_the_allocating_step_raised(
+            self, monkeypatch, row, later):
+        # rows 11 (the wrap halo), 0-4 and 5 (the upper halo) are the first
+        # block's; when its quick checks fail, rows 6-10 still hold k1.  With
+        # a vacuum at row 9 the exact check must name it at its stage value;
+        # with the overflowing speed alone it finds no bad cell, and the
+        # stage goes on to the Courant check with every row finished once
+        cfg = _config(n=12, t_end=0.05, dims=2, init={"name": "sod", "transverse": 0.1})
+        _force_block_rows(monkeypatch, cfg.grid, 5)
+        # positive, finite density and pressure, so the exact check passes the
+        # cell, but c**2 = gamma p / rho overflows and its signal speed is inf
+        cells = {(0, row, 7): 1e-10, (-1, row, 7): 1e300}
+        if later is not None:
+            cells[(0, later, 3)] = -0.5
+        with pytest.raises((DomainError, StabilityError)) as old, np.errstate(all="ignore"):
+            _oracle_run(cfg, rhs=_plant_first_stage(_oracle_rhs, cfg, cells))
+        monkeypatch.setattr(solver, "_rhs", _plant_first_stage(solver._rhs, cfg, cells))
+        with pytest.raises((DomainError, StabilityError)) as new, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run(cfg)
+        assert type(new.value) is type(old.value)
+        assert str(new.value) == str(old.value)
+        if later is not None:
+            assert f"cell ({later}, 3)" in str(new.value)
+
+    @pytest.mark.parametrize("dims,n,rows", [(2, 12, 5), *_FUSED_BLOCKINGS],
+                             ids=["12sq-5-5-2", *_FUSED_IDS])
+    @pytest.mark.parametrize("speed_overflow", [False, True], ids=["finite", "inf-speed"])
+    def test_second_stage_finishes_each_stage_row_once(self, monkeypatch, dims, n, rows,
+                                                      speed_overflow):
+        cfg = _config(n=n, t_end=0.05, dims=dims, init={"name": "sod", "transverse": 0.1})
+        _force_block_rows(monkeypatch, cfg.grid, rows)
+        U = _state(run(cfg).snapshots[-1])
+        gamma, dx, t = cfg.params.gamma, cfg.grid.cell_width, 0.05
+        ws = solver._Workspace(cfg.grid, gamma)
+        k1, speed = solver._rhs(U, ws, t)
+        k1 = k1.copy()
+        dt = cfg.cfl * dx / (dims * speed)
+        if speed_overflow:   # row 1, which every first block reads, trips its checks
+            U[0][1], U[-1][1] = 1e-10, 1e300
+            k1[0][1] = k1[-1][1] = 0.0
+        with np.errstate(all="ignore"):
+            stage = U + dt * k1
+            k2, old_speed = _oracle_rhs(stage, dx, gamma)
+            old = 0.5 * U + 0.5 * (stage + dt * k2)
+            new, new_speed = solver._rhs(U, ws, t + dt, k1, dt)
+        assert new is U and new_speed == old_speed
+        assert (new_speed == np.inf) is speed_overflow
+        assert k1.tobytes() == stage.tobytes()
+        assert np.array_equal(new, old, equal_nan=True)
+        assert bool(np.isnan(new).any()) is speed_overflow
+
+    @pytest.mark.parametrize("dims,n,rows", [(2, 12, 12), (2, 12, 5), (1, 48, 48), (1, 48, 5)],
+                             ids=["12sq-whole", "12sq-5-5-2", "1d-whole", "1d-48-in-5"])
+    @pytest.mark.parametrize("init,transverse", [
+        ({"name": "smooth"}, 0.0),
+        ({"name": "riemann", "left": [1.0, -0.0, 1.0], "right": [1.0, 0.0, 1.0]}, 0.0),
+        ({"name": "riemann", "left": [1.0, 1e-310, 1.0], "right": [1.0, 3e-310, 1.0]}, 0.1),
+        ({"name": "constant", "u": 1e-310}, 0.1),
+    ], ids=["zero-m2", "signed-zero-u", "subnormal-jump", "subnormal-u"])
+    def test_signed_zeros_and_subnormals_match_the_allocating_step(self, monkeypatch, init,
+                                                                  transverse, dims, n, rows):
+        # halving and the first axis's 0.0 - term are exact here only as
+        # written: dividing by 2 dx instead rounds subnormal fluxes
+        # differently, and subtracting in reverse turns some +0.0 into -0.0
+        cfg = _config(n=n, t_end=0.05, dims=dims, init={**init, "transverse": transverse},
+                      stride=0.02)
+        _force_block_rows(monkeypatch, cfg.grid, rows)
+        traj = run(cfg)
+        assert _digests(traj.snapshots) == _digests(_oracle_run(cfg))
+        for snap in traj.snapshots:
+            U = _state(snap)
+            old, old_speed = _oracle_rhs(U, cfg.grid.cell_width, cfg.params.gamma)
+            new, new_speed = solver._rhs(U, solver._Workspace(cfg.grid, cfg.params.gamma), snap.t)
+            assert new.tobytes() == old.tobytes() and new_speed == old_speed
 
     def test_256_squared_run_matches_the_whole_grid_sweep(self, monkeypatch):
         cfg = _config(n=256, t_end=0.002, dims=2,
@@ -586,9 +704,10 @@ class TestBlockedRhs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # grid-sized F, A, p, scratch, un and speed peaked at 18.0 MiB; with
-        # block-sized ones the run peaks at 13.3 MiB
-        assert peak < 15 * 2**20
+        # grid-sized F, A, p, scratch, un and speed peaked at 18.0 MiB, and
+        # block-sized ones with a grid-sized second-stage derivative at
+        # 13.3 MiB; with that derivative one block in size it peaks at 11.8 MiB
+        assert peak < 12.5 * 2**20
 
     @pytest.mark.parametrize("dims,n,rows", [
         (1, 512, 512), (2, 128, 128),
