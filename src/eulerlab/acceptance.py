@@ -287,8 +287,8 @@ def gate_gronwall_refinement() -> GateResult:
     shrink = float(e_terminal_coarse / e_terminal_fine)
     ok = bool(check.ok and shrink >= 1.5)
     details = (
-        f"envelope holds on [0.1,1]: {check.ok} (utilization {check.utilization:.2f}), "
-        f"terminal integral shrink x{shrink:.2f} (>=1.5)"
+        f"envelope holds on [0.1,1]: {check.ok} (utilization {check.utilization:.2f}"
+        f"{check.where_broken}), terminal integral shrink x{shrink:.2f} (>=1.5)"
     )
     return GateResult(
         "gronwall-refinement", ok, details,

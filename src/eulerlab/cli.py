@@ -289,7 +289,7 @@ def cmd_relentropy(args: argparse.Namespace) -> int:
                f", vacuous from t = {check.vacuous_from:.3g}, where the envelope is infinite")
     print(f"Gronwall envelope on [{trace.times[0]:.3g}, {trace.times[-1]:.3g}]: "
           f"{'PASS' if check.ok else 'FAIL'} (utilization {check.utilization:.3f}, "
-          f"k_thermo heuristic){vacuous}")
+          f"k_thermo heuristic){vacuous}{check.where_broken}")
     return 0 if check.ok else 1
 
 

@@ -381,6 +381,14 @@ class GronwallCheck:
     ok: bool
     utilization: float          # max of E(t) / envelope(t), 1.0 is the limit
     vacuous_from: float | None  # first time the envelope is inf (E(sigma) > 0), else None
+    broken_at: float | None     # first time E(t) exceeds the envelope (or is NaN), else None
+    broken_ratio: float | None  # E(t) / envelope(t) at broken_at
+
+    @property
+    def where_broken(self) -> str:
+        """The clause a FAIL line adds: when the envelope first broke, and by how much."""
+        return ("" if self.ok else f", first broken at t = {self.broken_at:.3g} "
+                f"with E/envelope {self.broken_ratio:.3g}")
 
 
 def _envelope(e_sigma: float, exponent: float) -> float:
@@ -393,22 +401,23 @@ def _envelope(e_sigma: float, exponent: float) -> float:
 
 
 def gronwall_envelope_check(trace: RelEntropyTrace) -> GronwallCheck:
-    """Verify E(t) <= E(sigma) * exp(integral of budget) on the trace's window [sigma, T]."""
+    """Verify E(t) <= E(sigma) * exp(integral of budget) on the trace's window
+    [sigma, T]; a failure records the first time past sigma that broke it."""
     values = trace.integral
     _, exponent = time_trapezoid(trace.times, trace.budget)
     envelope = np.array([_envelope(values[0], a) for a in exponent])
     # the ratio at sigma itself is identically one; report the later max.  A
     # zero envelope allows only E(t) = 0 (E(sigma) = 0 forces it): ratio 0, else inf
-    if len(values) > 1:
-        zero = np.where(values[1:] == 0.0, 0.0, np.inf)
-        util = float(np.max(np.divide(values[1:], envelope[1:], out=zero,
-                                      where=envelope[1:] != 0.0)))
-    else:
-        util = 1.0
+    zero = np.where(values[1:] == 0.0, 0.0, np.inf)
+    ratio = np.divide(values[1:], envelope[1:], out=zero, where=envelope[1:] != 0.0)
+    util = float(np.max(ratio)) if len(values) > 1 else 1.0
     # past that time any finite E(t) passes: the check there says nothing
     infinite = np.flatnonzero(envelope == math.inf)
     vacuous_from = float(trace.times[infinite[0]]) if infinite.size else None
-    return GronwallCheck(bool(util <= 1.0), util, vacuous_from)
+    broken = np.flatnonzero(~(ratio <= 1.0))
+    broken_at, broken_ratio = ((float(trace.times[broken[0] + 1]), float(ratio[broken[0]]))
+                               if broken.size else (None, None))
+    return GronwallCheck(bool(util <= 1.0), util, vacuous_from, broken_at, broken_ratio)
 
 
 def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,

@@ -12,8 +12,10 @@ estimate monitors, not to chase resolution.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -91,8 +93,18 @@ class Trajectory:
         return [s.t for s in self.snapshots]
 
     def save(self, directory) -> None:
+        """Write one ``t_NNNN.csv`` per snapshot, its binary copy ``t_NNNN.npy``
+        (the float64 stack rho, m1[, m2], E) and then ``meta.json``, which
+        records the SHA-256 of both files of every snapshot: a complete
+        ``meta.json`` marks a finished save.  Snapshot files of an earlier
+        save into ``directory`` that this one does not overwrite are removed."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
+        (d / "meta.json").unlink(missing_ok=True)
+        keep = {f"t_{i:04d}{ext}" for i in range(len(self.snapshots)) for ext in (".csv", ".npy")}
+        for f in d.glob("t_*"):
+            if _SNAPSHOT_FILE.fullmatch(f.name) and f.name not in keep:
+                f.unlink()
         meta = dict(self.meta)
         meta.update(
             {
@@ -102,22 +114,34 @@ class Trajectory:
                 "times": self.times,
             }
         )
-        (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
         comments = [f"config_hash={meta.get('config_hash', 'none')}"]
+        digests = []
         for i, snap in enumerate(self.snapshots):
             cols = {"rho": snap.rho}
             for ax in range(self.grid.dims):
                 cols[f"m{ax + 1}"] = snap.mom[ax]
             cols["E"] = snap.energy
-            with open(d / f"t_{i:04d}.csv", "w") as fh:
+            csv = d / f"t_{i:04d}.csv"
+            with open(csv, "w") as fh:
                 write_columns_csv(fh, self.grid, cols, comments)
+            npy = d / f"t_{i:04d}.npy"
+            np.save(npy, np.array([np.reshape(c, self.grid.shape) for c in cols.values()],
+                                  dtype=float))
+            digests.append([_file_sha256(csv), _file_sha256(npy)])
+        meta[_DIGESTS] = digests
+        (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
         """Read a ``save`` directory.  ``meta.json`` must name the complete
         system, a gamma above 1 and finite, strictly increasing times, one per
         snapshot file ``t_NNNN.csv``, with no other snapshot file, and each
-        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError."""
+        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError.
+
+        A snapshot is read from its ``.npy`` copy when the CSV and the copy
+        both hash to the digests ``meta.json`` records; without digests, or
+        with a copy that is missing or a file changed since the save, the CSV
+        is parsed."""
         d = Path(directory)
         meta = json.loads((d / "meta.json").read_text())
         grid = PeriodicGrid(meta["grid"]["dims"], meta["grid"]["cells_per_dim"])
@@ -135,19 +159,68 @@ class Trajectory:
         if found != expected:
             raise ValueError(f"need one snapshot file t_NNNN.csv per time in meta.json "
                              f"({len(times)}), found {sorted(found)!r:.80}")
+        digests = meta.get(_DIGESTS)
+        if _DIGESTS in meta and not (
+                isinstance(digests, list) and len(digests) == len(times)
+                and all(isinstance(pair, list) and len(pair) == 2
+                        and all(isinstance(h, str) and _SHA256.fullmatch(h) for h in pair)
+                        for pair in digests)):
+            raise ValueError(f"meta.json {_DIGESTS} must hold one [csv, npy] pair of SHA-256 "
+                             f"hex digests per time, got {digests!r:.80}")
         params = GasParams(gamma)
         names = ["rho"] + [f"m{ax + 1}" for ax in range(grid.dims)] + ["E"]
+        shape = (len(names),) + grid.shape
         snaps = []
         for i, t in enumerate(times):
-            with open(d / f"t_{i:04d}.csv") as fh:
-                file_grid, cols = read_columns_csv(fh)
-            if file_grid != grid:
-                raise ValueError(f"snapshot {i} grid does not match meta.json")
-            if list(cols) != names:
-                raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
-            mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
-            snaps.append(Snapshot(float(t), cols["rho"], mom, cols["E"]))
+            stack = None if digests is None else _binary_copy(d / f"t_{i:04d}", *digests[i])
+            if stack is None:
+                with open(d / f"t_{i:04d}.csv") as fh:
+                    file_grid, cols = read_columns_csv(fh)
+                if file_grid != grid:
+                    raise ValueError(f"snapshot {i} grid does not match meta.json")
+                if list(cols) != names:
+                    raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
+                mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
+                rho, energy = cols["rho"], cols["E"]
+            else:
+                if stack.dtype != np.float64 or stack.shape != shape:
+                    raise ValueError(f"snapshot {i} copy holds {stack.dtype} {stack.shape}, "
+                                     f"not float64 {shape}")
+                if not np.all(np.isfinite(stack)):
+                    raise ValueError(f"snapshot {i} copy holds non-finite values")
+                rho, mom, energy = stack[0], stack[1:-1], stack[-1]
+            snaps.append(Snapshot(float(t), rho, mom, energy))
         return cls(grid, params, snaps, meta)
+
+
+#: The ``meta.json`` key of the snapshots' [csv, npy] SHA-256 digests.
+_DIGESTS = "snapshot_sha256"
+_SHA256 = re.compile(r"[0-9a-f]{64}")
+#: What ``save`` names a snapshot file, and so removes when it is not its own.
+_SNAPSHOT_FILE = re.compile(r"t_[0-9]+\.(csv|npy)")
+
+
+def _file_sha256(path: Path) -> str:
+    """SHA-256 of a file, read in 64 KiB blocks: ``hashlib.file_digest``'s
+    256 KiB buffer per call left ``cli2d``'s peak RSS a few tenths of a MB higher."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            h.update(block)
+    return h.hexdigest()
+
+
+def _binary_copy(stem: Path, csv_sha: str, npy_sha: str) -> np.ndarray | None:
+    """The array in ``stem``.npy if it and ``stem``.csv hash to the recorded
+    digests, else None.  The array is read from the bytes that were hashed."""
+    try:
+        data = stem.with_suffix(".npy").read_bytes()
+    except FileNotFoundError:
+        return None
+    if (hashlib.sha256(data).hexdigest() != npy_sha
+            or _file_sha256(stem.with_suffix(".csv")) != csv_sha):
+        return None
+    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 def _is_finite_number(value) -> bool:

@@ -261,3 +261,21 @@ def test_besov_gate_fail_takes_the_first_failing_estimate(monkeypatch):
 def test_besov_gate_pass_line_is_unchanged():
     details = acceptance.gate_besov_machinery().details
     assert details.count("bounds True") == 3 and "first fails" not in details
+
+
+def test_gronwall_gate_fail_names_when_the_envelope_broke(monkeypatch):
+    from eulerlab import relentropy
+
+    monkeypatch.setattr(relentropy, "KAPPA_STRUCT", 0.5)
+    result = acceptance.gate_gronwall_refinement()
+    assert not result.passed
+    assert "at every eps" not in result.line()
+    assert result.details.startswith(
+        "envelope holds on [0.1,1]: False (utilization 1.03, first broken at t = 0.15 "
+        "with E/envelope 1.03), terminal integral shrink x1.78")
+
+
+def test_gronwall_gate_pass_line_is_unchanged():
+    assert acceptance.gate_gronwall_refinement().details == (
+        "envelope holds on [0.1,1]: True (utilization 0.92), "
+        "terminal integral shrink x1.78 (>=1.5)")

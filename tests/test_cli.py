@@ -132,6 +132,17 @@ class TestSimulate:
         main(["simulate", "--config", str(cfg), "--out", str(out2)])
         assert (out1 / "t_0001.csv").read_bytes() == (out2 / "t_0001.csv").read_bytes()
 
+    def test_a_coarser_rerun_into_one_directory_leaves_no_stale_snapshot(self, tmp_path):
+        out = tmp_path / "traj"
+        for name, stride in (("fine", 0.01), ("coarse", 0.05)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"grid_n": 16, "t_end": 0.1, "init": {"name": "sod"},
+                                       "snapshot_stride": stride}))
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.glob("t_*")) == [
+            f"t_{i:04d}.{ext}" for i in range(3) for ext in ("csv", "npy")]
+        assert main(["oslip-check", "--traj", str(out), "--out", str(tmp_path / "rep")]) == 0
+
 
 class TestReports:
     def test_besov_fit_report(self, tmp_path):
@@ -266,6 +277,35 @@ class TestReports:
         lines = _read_rows(out / "relentropy_trace.csv")
         assert lines[1] == "t,integral_E,oslip_C,fitted_K,pass"
         assert len(lines) > 4
+
+    def test_relentropy_fail_names_when_the_envelope_broke(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(relentropy, "KAPPA_STRUCT", 0.5)
+        base = {"t_end": 0.5, "init": {"name": "double_rarefaction"}, "snapshot_stride": 0.05}
+        for name, cells in (("a", 64), ("b", 128)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({**base, "grid_n": cells}))
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        assert main(["relentropy", "--traj-a", str(tmp_path / "a"), "--traj-b",
+                     str(tmp_path / "b"), "--out", str(tmp_path / "rep"),
+                     "--sigma", "0.1"]) == 1
+        # the oracle: the envelope built by a plain loop, and its first excess
+        traj_a, traj_b = (solver.Trajectory.load(tmp_path / name) for name in "ab")
+        traj_b = solver.project_trajectory(traj_b, traj_a.grid)
+        trace = relentropy.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=0.1)
+        exponent = 0.0
+        for j in range(1, len(trace.times)):
+            exponent += 0.5 * (trace.budget[j] + trace.budget[j - 1]) * (
+                trace.times[j] - trace.times[j - 1])
+            ratio = trace.integral[j] / (trace.integral[0] * math.exp(exponent))
+            if ratio > 1.0:
+                break
+        assert ratio > 1.0
+        line = capsys.readouterr().out
+        assert line.startswith("Gronwall envelope on [0.1, 0.5]: FAIL (utilization ")
+        assert line.endswith(f"k_thermo heuristic), first broken at t = {trace.times[j]:.3g} "
+                             f"with E/envelope {ratio:.3g}\n")
 
     def test_relentropy_names_where_the_envelope_turns_infinite(self, tmp_path, capsys):
         # the 1000 : 0.01 pressure jump on 256 / 512 cells: PASS at utilization
@@ -820,6 +860,10 @@ class TestTrajectoryMetaAtLoad:
                      "integer of at least 4 cells per dimension, got '32'", id="cells_string"),
         pytest.param(_meta_edit("grid", {"dims": True, "cells_per_dim": 16}),
                      "dims must be the integer 1 or 2, got True", id="dims_bool"),
+        pytest.param(_meta_edit("snapshot_sha256", [["0" * 64, "0" * 64]] * 2),
+                     "snapshot_sha256 must hold one [csv, npy] pair", id="digests_fewer"),
+        pytest.param(_meta_edit("snapshot_sha256", "x"),
+                     "snapshot_sha256 must hold one [csv, npy] pair", id="digests_string"),
     ])
     def test_rejected(self, tmp_path, capsys, edit, message):
         traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
@@ -860,6 +904,7 @@ _META_VARIANTS = {
              {"dims": 1, "cells_per_dim": 16.0}, {"dims": True, "cells_per_dim": 16},
              None, [], "x"],
     "config_hash": ["0" * 12, None, 3],
+    "snapshot_sha256": [[["0" * 64] * 2] * 3, [["0" * 64] * 2] * 2, [], "x", None],
 }
 _FILE_EDITS = ["none", "drop_last", "extra", "stray", "truncate", "header_only",
                "perturb", "other_grid", "no_meta", "meta_not_json", "meta_list"]

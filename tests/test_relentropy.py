@@ -456,6 +456,21 @@ class TestTrajectoryMonitor:
         check = gronwall_envelope_check(trace)
         assert (check.ok, check.utilization.hex()) == (ok, util.hex()) and ok
 
+    def test_a_failure_records_the_first_time_that_broke_the_envelope(self):
+        # budget 1 at times 0, 0.025, ..., 0.1: the envelope is exp(t)
+        times = np.linspace(0.0, 0.1, 5)
+        check = self._check([1.0, 1.0, 2.0, 0.5, 3.0])
+        assert not check.ok and check.utilization == 3.0 / math.exp(0.1)
+        assert check.broken_at == times[2] and check.broken_ratio == 2.0 / math.exp(0.05)
+        held = self._check([1.0, 1.0, 1.0])
+        assert held.ok and (held.broken_at, held.broken_ratio) == (None, None)
+        # a zero envelope broken by E(t) > 0: the ratio is inf
+        zero = self._check([0.0, 0.0, 1e-300, 0.0])
+        assert (zero.broken_at, zero.broken_ratio) == (np.linspace(0.0, 0.1, 4)[2], math.inf)
+        # a NaN integral fails the check, and is where it broke
+        nan = self._check([1.0, math.nan, 2.0])
+        assert not nan.ok and nan.broken_at == 0.05 and math.isnan(nan.broken_ratio)
+
     def test_the_first_time_of_an_infinite_envelope_is_recorded(self):
         # budget 1e4 at times 0, 0.025, ..., 0.1: exponents 0, 250, ..., 1000
         times = np.linspace(0.0, 0.1, 5)

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eulerlab import solver
 from eulerlab.errors import DomainError, StabilityError
-from eulerlab.grid import PeriodicGrid
+from eulerlab.grid import PeriodicGrid, write_columns_csv
 from eulerlab.riemann import exact_riemann, periodic_double_riemann, solve_star
 from eulerlab.solver import (
     SolverConfig,
@@ -219,6 +220,170 @@ class TestPersistence:
             assert np.array_equal(a.mom, b.mom)
             assert np.array_equal(a.energy, b.energy)
         assert back.meta["config_hash"] == traj.meta["config_hash"]
+
+    def test_resave_removes_the_snapshots_it_does_not_write(self, tmp_path):
+        d = tmp_path / "traj"
+        run(_config(n=16, t_end=0.1, stride=0.01)).save(d)
+        (d / "notes.txt").write_text("kept")
+        traj = run(_config(n=16, t_end=0.1, stride=0.05))
+        traj.save(d)
+        assert sorted(f.name for f in d.iterdir()) == ["meta.json", "notes.txt"] + [
+            f"t_{i:04d}.{ext}" for i in range(3) for ext in ("csv", "npy")]
+        assert Trajectory.load(d).times == traj.times
+
+    def test_an_interrupted_save_leaves_no_meta_json(self, tmp_path, monkeypatch):
+        d = tmp_path / "traj"
+        traj = run(_config(n=16, t_end=0.1, stride=0.05))
+        traj.save(d)
+        calls = []
+
+        def failing_save(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return np.save(*args, **kwargs)
+
+        monkeypatch.setattr(solver.np, "save", failing_save)
+        with pytest.raises(OSError):
+            traj.save(d)
+        assert not (d / "meta.json").exists()
+
+
+def _snapshots_with_edge_values(dims):
+    """Three snapshots on a 1D or 2D grid whose values include -0.0, the
+    smallest subnormal, subnormals and 17-digit values of every magnitude."""
+    grid = PeriodicGrid(dims, 16)
+    rng = np.random.default_rng(dims)
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                     -1.7976931348623157e308, 1.0 / 3.0])
+    snaps = []
+    for k in range(3):
+        values = rng.standard_normal((dims + 2,) + grid.shape) * 10.0 ** rng.integers(
+            -300, 300, (dims + 2,) + grid.shape)
+        values.reshape(dims + 2, -1)[:, :len(edge)] = np.roll(edge, k)
+        snaps.append(Snapshot(0.1 * k, values[0], values[1:-1], values[-1]))
+    return Trajectory(grid, GasParams(1.4), snaps, {"config_hash": "edge"})
+
+
+def _load_counting_parses(monkeypatch, directory):
+    """``Trajectory.load`` of ``directory`` and the snapshot files it parsed."""
+    parsed = []
+    real = solver.read_columns_csv
+
+    def counting(fh):
+        parsed.append(Path(fh.name).name)
+        return real(fh)
+
+    monkeypatch.setattr(solver, "read_columns_csv", counting)
+    return Trajectory.load(directory), parsed
+
+
+def _bits(traj):
+    return [(s.rho.tobytes(), s.mom.tobytes(), s.energy.tobytes()) for s in traj.snapshots]
+
+
+class TestBinaryCopy:
+    """``load`` reads a snapshot's .npy only while both of its files hash to
+    the digests in meta.json; the parsed CSV is the oracle."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_copy_and_parse_are_bit_identical(self, tmp_path, monkeypatch, dims):
+        traj = _snapshots_with_edge_values(dims)
+        d = tmp_path / "traj"
+        traj.save(d)
+        copied, parsed = _load_counting_parses(monkeypatch, d)
+        assert parsed == []
+        for f in d.glob("*.npy"):
+            f.unlink()
+        oracle, parsed = _load_counting_parses(monkeypatch, d)
+        assert parsed == ["t_0000.csv", "t_0001.csv", "t_0002.csv"]
+        assert _bits(copied) == _bits(oracle) == _bits(traj)
+        assert np.signbit(copied.snapshots[0].rho.reshape(-1)[0])
+        assert copied.times == oracle.times and copied.meta == oracle.meta
+
+    def test_the_copy_is_the_float64_stack_in_column_order(self, tmp_path):
+        traj = _snapshots_with_edge_values(2)
+        traj.save(tmp_path / "traj")
+        stack = np.load(tmp_path / "traj" / "t_0001.npy", allow_pickle=False)
+        snap = traj.snapshots[1]
+        assert stack.dtype == np.float64 and stack.shape == (4, 16, 16)
+        assert stack.tobytes() == np.concatenate(
+            [snap.rho[None], snap.mom, snap.energy[None]]).tobytes()
+
+    def _perturbed_csv(self, d):
+        with open(d / "t_0001.csv") as fh:
+            grid, cols = solver.read_columns_csv(fh)
+        cols["rho"][11] *= 1.0 + 2.0**-40
+        with open(d / "t_0001.csv", "w") as fh:
+            write_columns_csv(fh, grid, cols, ["config_hash=edge"])
+        return cols["rho"][11]
+
+    @pytest.mark.parametrize("case", ["csv_edited", "npy_tampered", "npy_truncated",
+                                      "npy_missing"])
+    def test_a_changed_or_missing_file_parses_the_csv(self, tmp_path, monkeypatch, case):
+        traj = _snapshots_with_edge_values(1)
+        d = tmp_path / "traj"
+        traj.save(d)
+        npy = d / "t_0001.npy"
+        expected = traj.snapshots[1].rho.copy()
+        if case == "csv_edited":
+            expected[11] = self._perturbed_csv(d)
+        elif case == "npy_tampered":
+            stack = np.load(npy)
+            stack[0, 3] = 7.0
+            np.save(npy, stack)
+        elif case == "npy_truncated":
+            npy.write_bytes(npy.read_bytes()[:-8])
+        else:
+            npy.unlink()
+        back, parsed = _load_counting_parses(monkeypatch, d)
+        assert parsed == ["t_0001.csv"]
+        assert back.snapshots[1].rho.tobytes() == expected.tobytes()
+        assert _bits(back)[::2] == _bits(traj)[::2]
+
+    def test_meta_json_without_digests_loads_as_before(self, tmp_path, monkeypatch):
+        traj = _snapshots_with_edge_values(2)
+        d = tmp_path / "traj"
+        traj.save(d)
+        meta = json.loads((d / "meta.json").read_text())
+        del meta["snapshot_sha256"]
+        (d / "meta.json").write_text(json.dumps(meta))
+        back, parsed = _load_counting_parses(monkeypatch, d)
+        assert parsed == ["t_0000.csv", "t_0001.csv", "t_0002.csv"]
+        assert _bits(back) == _bits(traj)
+
+    @pytest.mark.parametrize("digests", [
+        None, "x", [], [["0" * 64, "0" * 64]] * 2, [["0" * 64, "0" * 64]] * 4,
+        [["0" * 64]] * 3, [["0" * 64, "0" * 64, "0" * 64]] * 3, [["0" * 63, "0" * 64]] * 3,
+        [["0" * 64, "G" * 64]] * 3, [["0" * 64, "A" * 64]] * 3, [["0" * 64, 0]] * 3,
+        [{"csv": "0" * 64, "npy": "0" * 64}] * 3,
+    ])
+    def test_a_malformed_digest_list_is_rejected(self, tmp_path, digests):
+        d = tmp_path / "traj"
+        _snapshots_with_edge_values(1).save(d)
+        meta = json.loads((d / "meta.json").read_text())
+        meta["snapshot_sha256"] = digests
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="snapshot_sha256 must hold one"):
+            Trajectory.load(d)
+
+    @pytest.mark.parametrize("stack,message", [
+        (np.ones((3, 16), dtype=np.float32), "copy holds float32 \\(3, 16\\), not float64"),
+        (np.ones((3, 4)), "copy holds float64 \\(3, 4\\), not float64 \\(3, 16\\)"),
+        (np.ones((4, 16)), "copy holds float64 \\(4, 16\\)"),
+        (np.full((3, 16), np.nan), "copy holds non-finite values"),
+        (np.array([None, 1.0, 2.0], dtype=object), "allow_pickle=False"),
+    ])
+    def test_a_copy_that_matches_forged_digests_is_checked(self, tmp_path, stack, message):
+        d = tmp_path / "traj"
+        _snapshots_with_edge_values(1).save(d)
+        np.save(d / "t_0002.npy", stack, allow_pickle=True)
+        meta = json.loads((d / "meta.json").read_text())
+        meta["snapshot_sha256"][2][1] = hashlib.sha256(
+            (d / "t_0002.npy").read_bytes()).hexdigest()
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message):
+            Trajectory.load(d)
 
     def test_projection_preserves_means(self):
         traj = run(_config(n=128, t_end=0.05, init={"name": "sod"}))

@@ -1,6 +1,7 @@
 """Source-layout guards over src/eulerlab, and the benchmark's hold on it."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import json
@@ -51,6 +52,13 @@ UNSET_OPTIONS = {
 
 #: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
 _KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 10, "UNSET_OPTIONS": 5}
+
+
+@functools.cache
+def _unplanted(guard) -> list[str]:
+    """What ``guard`` finds in the unplanted ``src/`` and ``perfbench/``,
+    computed once per module: a planted copy differs from it by the plant only."""
+    return guard(SRC, BENCH)
 
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
@@ -348,7 +356,7 @@ def _unread_public_defs(src: Path, bench: Path) -> list[str]:
 
 def test_every_public_def_has_a_reader():
     """No library surface that only tests read, beyond the listed fixtures."""
-    unread = _unread_public_defs(SRC, BENCH)
+    unread = _unplanted(_unread_public_defs)
     stray = [entry for entry in unread if entry.split(":")[1] not in TEST_ONLY]
     assert not stray, f"public defs nothing in src/ or perfbench/ reads: {stray}"
     stale = set(TEST_ONLY) - {entry.split(":")[1] for entry in unread}
@@ -358,7 +366,7 @@ def test_every_public_def_has_a_reader():
 def test_guard_sees_a_planted_dead_function(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unread_public_defs(src, BENCH)
+    before = _unplanted(_unread_public_defs)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n")
     with open(src / "__init__.py", "a") as fh:
@@ -572,7 +580,7 @@ def _unread_fields(src: Path, bench: Path) -> list[str]:
 
 def test_every_result_field_has_a_reader():
     """No result value that nothing reads, beyond the listed test-only fields."""
-    unread = _unread_fields(SRC, BENCH)
+    unread = _unplanted(_unread_fields)
     stray = sorted(set(unread) - set(TEST_ONLY_FIELDS))
     assert not stray, f"fields nothing in src/ or perfbench/ reads: {stray}"
     stale = sorted(set(TEST_ONLY_FIELDS) - set(unread))
@@ -582,7 +590,7 @@ def test_every_result_field_has_a_reader():
 def test_field_guard_sees_a_planted_field(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unread_fields(src, BENCH)
+    before = _unplanted(_unread_fields)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\n@dataclass(frozen=True)\nclass Planted:\n"
                  "    kept: float\n    planted_extra: int = 0\n\n\n"
@@ -616,7 +624,7 @@ def test_field_guard_resolves_receivers(tmp_path, reader, reads):
     be told; a Trajectory, or an argparse.Namespace, keeps it unread."""
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unread_fields(src, BENCH)
+    before = _unplanted(_unread_fields)
     with open(src / "grid.py", "a") as fh:
         fh.write(_PLANTED_TIMES)
     # src reads Trajectory.times and RelEntropyTrace.times, not Planted.times
@@ -632,7 +640,7 @@ def test_bench_strings_keep_defs_but_no_fields_alive(tmp_path):
     src, bench = tmp_path / "eulerlab", tmp_path / "perfbench"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(BENCH, bench, ignore=shutil.ignore_patterns("__pycache__"))
-    fields, defs = _unread_fields(src, bench), _unread_public_defs(src, bench)
+    fields, defs = _unplanted(_unread_fields), _unplanted(_unread_public_defs)
     with open(src / "grid.py", "a") as fh:
         fh.write(_PLANTED_TIMES.replace("times", "planted_key")
                  + "\n\ndef planted_entry():\n    return planted(1.0)\n")
@@ -718,7 +726,7 @@ def _unset_options(src: Path, bench: Path) -> list[str]:
 
 def test_every_option_is_set_by_a_caller():
     """A library option that one value reaches is a constant, beyond the listed ones."""
-    unset = _unset_options(SRC, BENCH)
+    unset = _unplanted(_unset_options)
     stray = sorted(set(unset) - set(UNSET_OPTIONS))
     assert not stray, f"defaulted parameters nothing in src/ or perfbench/ sets: {stray}"
     stale = sorted(set(UNSET_OPTIONS) - set(unset))
@@ -728,7 +736,7 @@ def test_every_option_is_set_by_a_caller():
 def test_option_guard_sees_a_planted_option(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unset_options(src, BENCH)
+    before = _unplanted(_unset_options)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\ndef planted(n, depth=0, *, scale=1.0):\n"
                  "    return planted(n - 1, depth + 1, scale=scale) if n else depth\n")
