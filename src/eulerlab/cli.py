@@ -134,6 +134,15 @@ def _trajectory_id(traj: Trajectory) -> dict:
             "data": _digest(np.array(traj.times), *arrays)}
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` that is a file or lies under one, without making
+    anything: every subcommand checks it before it starts its work."""
+    path = Path(out or ".")
+    first = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not first.is_dir():
+        raise UsageError(f"--out {path}: {first} is not a directory")
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -437,9 +446,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:   # inputs load through _load, so this is the output
+        print(f"error: cannot write to --out {args.out or '.'}: {exc}", file=sys.stderr)
         return 2
     except (DomainError, RangeError, ResolutionError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -232,25 +232,13 @@ def _is_finite_number(value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _broadcast_1d(grid: PeriodicGrid, rho, u1, theta):
-    """Extend 1D profiles invariantly along the second dimension."""
-    if grid.dims == 1:
-        vel = u1[None]
-        return rho, vel, theta
-    shape = grid.shape
-    rho2 = np.broadcast_to(rho[:, None], shape).copy()
-    th2 = np.broadcast_to(theta[:, None], shape).copy()
-    vel = np.zeros((2,) + shape)
-    vel[0] = np.broadcast_to(u1[:, None], shape)
-    return rho2, vel, th2
-
-
-def _riemann_profile(grid, left: Wave1D, right: Wave1D):
-    x = grid.axis_centers()
-    rho = np.where(x < 0.0, left.rho, right.rho)
-    u1 = np.where(x < 0.0, left.u, right.u)
-    p = np.where(x < 0.0, left.p, right.p)
-    return rho, u1, p / rho
+#: The ``init`` keys each scenario reads, besides ``name`` and ``transverse``.
+_SCENARIO_KEYS = {
+    "constant": ("rho", "u", "theta"), "advection": ("rho0", "amp", "u", "p"),
+    "smooth": ("amp", "u_amp", "theta"), "isentropic_smooth": ("amp", "u_amp"),
+    "sod": (), "riemann": ("left", "right"), "double_rarefaction": ("u_out", "p"),
+    "single_rarefaction": ("rho_left", "u_left", "p_left", "rho_right"),
+}
 
 
 def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
@@ -258,9 +246,17 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
 
     Riemann-type scenarios are one-dimensional profiles, extended invariantly
     in the transverse direction on 2D grids; `transverse` adds a smooth
-    density perturbation for stability probing.
+    density perturbation for stability probing.  An unknown scenario, or a
+    key outside its ``_SCENARIO_KEYS``, is a ValueError.
     """
     name = init.get("name", "constant")
+    if name not in _SCENARIO_KEYS:
+        raise ValueError(f"unknown scenario {name!r}; the scenarios are {list(_SCENARIO_KEYS)}")
+    keys = _SCENARIO_KEYS[name]
+    stray = [key for key in init if key not in ("name", "transverse", *keys)]
+    if stray:
+        raise ValueError(f"scenario {name!r} reads no init key {stray[0]!r}; its keys are "
+                         f"{list(keys)}, besides 'name' and 'transverse'")
     x = grid.axis_centers()
     if name == "constant":
         rho = np.full(len(x), init.get("rho", 1.0))
@@ -281,8 +277,16 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
         u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
         theta = rho ** (params.gamma - 1.0)
     else:
-        rho, u1, theta = _riemann_profile(grid, *scenario_riemann_states(init, params))
-    rho, vel, theta = _broadcast_1d(grid, rho, u1, theta)
+        left, right = scenario_riemann_states(init, params)
+        rho = np.where(x < 0.0, left.rho, right.rho)
+        u1 = np.where(x < 0.0, left.u, right.u)
+        theta = np.where(x < 0.0, left.p, right.p) / rho
+    if grid.dims == 1:
+        vel = u1[None]
+    else:   # the 1D profiles, extended invariantly along the second axis
+        rho, theta = (np.broadcast_to(a[:, None], grid.shape).copy() for a in (rho, theta))
+        vel = np.zeros((2,) + grid.shape)
+        vel[0] = u1[:, None]
     if grid.dims == 2 and init.get("transverse", 0.0):
         _, yy = grid.coordinates()
         rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
@@ -382,16 +386,12 @@ def _block_rows(grid: PeriodicGrid) -> int:
 class _Workspace:
     """The arrays every RHS evaluation of one run overwrites, allocated once,
     and the smallest density and pressure those evaluations saw.  ``stage``
-    spans the grid and receives the first stage's derivative k1.  The rest
+    spans the grid and receives the first stage's derivative k1, which the
+    second stage turns into the stage state U + dt k1 in place.  The rest
     span one block, with a halo row on each side when the grid takes several
     (``wrap`` then gathers the two blocks that wrap around the periodic
     edge); ``dudt`` holds the second stage's derivative of one block until
-    it folds into the state.
-
-    A second stage turns k1 into the stage state U + dt k1 in place, row by
-    row as its sweep reaches them (``begin`` and ``finish``): rows below
-    ``done``, and the last row, are finished, and no stage row is pending
-    once ``done`` reaches the last row."""
+    it folds into the state."""
 
     def __init__(self, grid: PeriodicGrid, gamma: float):
         self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
@@ -407,44 +407,12 @@ class _Workspace:
         self.un, self.speed = np.empty(axes), np.empty(axes)
         self.rho_min = self.p_min = math.inf
         self.rho_min_t = self.p_min_t = None
-        self.k1 = self.U = self.dt = None
-        self.done = grid.cells_per_dim - 1
 
     def note(self, rho_min: float, p_min: float, t: float) -> None:
         if rho_min < self.rho_min:
             self.rho_min, self.rho_min_t = rho_min, t
         if p_min < self.p_min:
             self.p_min, self.p_min_t = p_min, t
-
-    def begin(self, k1, U, dt: float) -> None:
-        """Start a second stage from ``k1 = dU/dt``.  A single block
-        finishes the whole stage state now; several finish the last row (the
-        first block's lower halo) now and the rest as the sweep reaches them."""
-        self.k1, self.U, self.dt = k1, U, dt
-        n = U.shape[1]
-        if self.rows == n:
-            self.done = 0
-            self.finish(n)
-        else:
-            self.done = n - 1
-            self.finish(n)
-            self.done = 0
-
-    def finish(self, stop: int) -> None:
-        """Rows ``done`` to ``stop`` of k1 become U + dt k1, in place."""
-        if self.done < stop:
-            rows = slice(self.done, stop)
-            stage = self.k1[:, rows]
-            stage *= self.dt
-            stage += self.U[:, rows]
-            self.done = stop
-
-
-def _check_whole(S, ws: _Workspace, t):
-    """``_check_physical`` on all of ``S``, once every pending stage row is
-    finished, so that it names the first bad cell of the whole stage."""
-    ws.finish(S.shape[1] - 1)
-    _check_physical(S, ws.gamma, t)
 
 
 def _cell_values(B, S, ws: _Workspace, t, p, c, un, speed):
@@ -463,11 +431,11 @@ def _cell_values(B, S, ws: _Workspace, t, p, c, un, speed):
     gamma, rho = ws.gamma, B[0]
     rho_min = float(rho.min())
     if not (rho_min > 0.0 and rho.max() < math.inf):
-        _check_whole(S, ws, t)
+        _check_physical(S, gamma, t)
     _pressure(B, gamma, p, c)
     p_min = float(p.min())
     if not p_min > 0.0:
-        _check_whole(S, ws, t)
+        _check_physical(S, gamma, t)
     np.multiply(p, gamma, out=c)
     c /= rho
     np.sqrt(c, out=c)
@@ -476,7 +444,7 @@ def _cell_values(B, S, ws: _Workspace, t, p, c, un, speed):
     speed += c
     axis_max = [float(s.max()) for s in speed]
     if not all(s < math.inf for s in axis_max):
-        _check_whole(S, ws, t)
+        _check_physical(S, gamma, t)
     return rho_min, p_min, axis_max
 
 
@@ -553,8 +521,8 @@ def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
     Without ``k1``: dU/dt of ``U`` into ``ws.stage``, which is returned and
     which the next call overwrites.  With ``k1``, the derivative of ``U``
     that the first call returned, and the step ``dt``: the second stage.
-    Each block of the sweep first finishes the rows of the stage state
-    U + dt k1 it reads (in ``k1``, in place), then takes their derivative
+    It first turns ``k1`` into the stage state U + dt k1, in place and
+    whole; each block of the sweep then takes the derivative of its rows
     and folds it into the same rows of ``U``; ``U`` is returned.
 
     The state is checked before any square root is taken: a cell that is
@@ -569,7 +537,8 @@ def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
     if k1 is None:
         S, out, result = U, ws.stage, ws.stage
     else:
-        ws.begin(k1, U, dt)
+        k1 *= dt
+        k1 += U
         S, out, result = k1, ws.dudt, U
     if rows == n:
         rho_min, p_min, axis_max = _cell_values(S, S, ws, t, p, a, un, speed)
@@ -587,7 +556,6 @@ def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         h = r1 - r0
-        ws.finish(min(r1 + 1, n - 1))
         if 0 < r0 and r1 < n:
             B = S[:, r0 - 1 : r1 + 1]
         else:
@@ -615,8 +583,8 @@ def run(config: SolverConfig) -> Trajectory:
     """Integrate the complete system and collect snapshots.
 
     Each step takes two stages, and each stage is one sweep of the RHS row
-    blocks with the step's stage arithmetic riding in it: the second stage
-    forms U + dt k1, its derivative and the step's end block by block.
+    blocks: the second forms the stage state U + dt k1 in two whole-grid
+    operations, then its derivative and the step's end block by block.
     Snapshots land exactly on multiples of ``snapshot_stride`` (time steps
     are clipped to them) plus the initial and final times.  ``meta["stats"]``
     records the step count, the smallest and largest step, the largest

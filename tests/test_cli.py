@@ -90,6 +90,55 @@ class TestDispatch:
         assert code == 2
         assert "t_end" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "besov-fit", "commutator-rate",
+                                         "relentropy", "oslip-check", "verify-thermo",
+                                         "accept"])
+    def test_out_that_is_or_lies_under_a_file_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, under):
+        traj = _simulate(tmp_path, "traj", grid_n=16, t_end=0.1, snapshot_stride=0.05)
+        field = tmp_path / "field.csv"
+        save_scalar_field(field, weierstrass_field(0.6, 8, PeriodicGrid(1, 256)))
+        probe = tmp_path / "probe.json"
+        probe.write_text(json.dumps({**_VALID_PROBE, "eps": [0.25, 0.125]}))
+        inputs = {"simulate": ["--config", str(tmp_path / "traj.json")],
+                  "besov-fit": ["--field", str(field)],
+                  "commutator-rate": ["--config", str(probe)],
+                  "relentropy": ["--traj-a", str(traj), "--traj-b", str(traj)],
+                  "oslip-check": ["--traj", str(traj)]}.get(command, [])
+
+        def worked(*args, **kwargs):
+            raise AssertionError("the subcommand ran before its --out was checked")
+
+        monkeypatch.setattr(cli, "run", worked)
+        monkeypatch.setattr(acceptance, "run_all", worked)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        before = sorted(tmp_path.rglob("*"))
+        out = blocker / "sub" / "dir" if under else blocker
+        assert main([command, *inputs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {out}: {blocker} is not a directory" in err and "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command,taken", [
+        ("simulate", "t_0000.csv"), ("simulate", "t_0001.npy"), ("simulate", "meta.json"),
+        ("verify-thermo", "thermo_report.csv"), ("accept", "acceptance_metrics.json"),
+    ])
+    def test_output_that_cannot_be_written_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   command, taken):
+        # a directory in the way of an output file makes its write fail
+        monkeypatch.setattr(acceptance, "GATES", [acceptance.gate_thermo_identities])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 16, "t_end": 0.1, "snapshot_stride": 0.05}))
+        out = tmp_path / "out"
+        (out / taken).mkdir(parents=True)
+        argv = ["--config", str(cfg)] if command == "simulate" else []
+        assert main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot write to --out {out}" in err and taken in err
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):
@@ -1204,6 +1253,28 @@ def test_config_key_the_subcommand_does_not_read_exits_2(tmp_path, capsys, comma
     _assert_config_refused(tmp_path, capsys, command, cfg,
                            f"keys this subcommand does not read: [{key!r}]")
 
+
+#: Per scenario, an init key it does not read: a misspelling, or another
+#: scenario's key.
+_STRAY_INIT_KEYS = {
+    "constant": {"thetta": 1.0},
+    "advection": {"rho": 1.0},
+    "smooth": {"u_ampl": 0.1},
+    "isentropic_smooth": {"theta": 1.0},
+    "sod": {"transvers": 0.1},
+    "riemann": {"left": [1, 0, 1], "right": [0.125, 0, 0.1], "u": 3},
+    "double_rarefaction": {"u_outt": 0.5},
+    "single_rarefaction": {"rho_rigth": 0.4},
+}
+
+
+@pytest.mark.parametrize("name", list(solver._SCENARIO_KEYS))
+def test_init_key_the_scenario_does_not_read_exits_2(tmp_path, capsys, name):
+    init = {"name": name, **_STRAY_INIT_KEYS[name]}
+    key = list(init)[-1]
+    _assert_config_refused(tmp_path, capsys, "simulate", {**_VALID_CONFIG, "init": init},
+                           f"scenario {name!r} reads no init key {key!r}; its keys are "
+                           f"{list(solver._SCENARIO_KEYS[name])}")
 
 def _readme_json(after: str) -> dict:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

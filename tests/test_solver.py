@@ -88,6 +88,28 @@ class TestBasics:
         with pytest.raises(ValueError):
             run(_config(init={"name": "nope"}))
 
+    @pytest.mark.parametrize("name", list(solver._SCENARIO_KEYS))
+    def test_scenario_keys_are_the_keys_the_scenario_reads(self, name):
+        class Recording(dict):
+            def get(self, key, default=None):
+                read.add(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        init = Recording(name=name, transverse=0.1)
+        if name == "riemann":
+            init.update(left=[1.0, 0.0, 1.0], right=[0.125, 0.0, 0.1])
+        make_initial_state(PeriodicGrid(2, 8), GasParams(1.4), init)
+        assert read - {"name", "transverse"} == set(solver._SCENARIO_KEYS[name])
+        init["rho"] = 1.0   # a key of another scenario for all but constant
+        if name != "constant":
+            with pytest.raises(ValueError, match="reads no init key 'rho'"):
+                make_initial_state(PeriodicGrid(2, 8), GasParams(1.4), init)
+
     @pytest.mark.parametrize("kwargs", [
         {"t_end": float("nan")}, {"t_end": float("inf")},
         {"cfl": float("nan")}, {"cfl": float("inf")},
@@ -671,10 +693,10 @@ def _state(snap):
 _BLOCKINGS = [(2, 12, 5), (2, 12, 1), (1, 48, 5)]
 _BLOCKING_IDS = ["12sq-5-5-2", "12sq-1-row", "1d-48-in-5"]
 
-# the second stage finishes the last row first and the stage rows a block
-# reads just before it reads them: 11 rows in 5-row blocks are 5/5/1 (the
-# one-row last block is that first-finished row), 10 rows are exactly two
-# blocks, both wrapping, and 1-row blocks finish one row each
+# ragged and exact blockings of the fused second stage: 11 rows in 5-row
+# blocks are 5/5/1 (the one-row last block is the first block's wrap halo),
+# 10 rows are exactly two blocks, both wrapping, and 1-row blocks fold one
+# row each
 _FUSED_BLOCKINGS = [(2, 11, 5), (2, 10, 5), (2, 7, 1), (1, 11, 5)]
 _FUSED_IDS = ["11sq-5-5-1", "10sq-two-blocks", "7sq-1-row", "1d-11-in-5"]
 
@@ -732,10 +754,10 @@ class TestBlockedRhs:
     def test_second_stage_trip_in_the_first_block_raises_what_the_allocating_step_raised(
             self, monkeypatch, row, later):
         # rows 11 (the wrap halo), 0-4 and 5 (the upper halo) are the first
-        # block's; when its quick checks fail, rows 6-10 still hold k1.  With
-        # a vacuum at row 9 the exact check must name it at its stage value;
-        # with the overflowing speed alone it finds no bad cell, and the
-        # stage goes on to the Courant check with every row finished once
+        # block's; when its quick checks fail, rows 6-10 are not yet swept.
+        # With a vacuum at row 9 the exact check must name it at its stage
+        # value; with the overflowing speed alone it finds no bad cell, and
+        # the stage goes on to the Courant check with every row formed once
         cfg = _config(n=12, t_end=0.05, dims=2, init={"name": "sod", "transverse": 0.1})
         _force_block_rows(monkeypatch, cfg.grid, 5)
         # positive, finite density and pressure, so the exact check passes the

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -53,12 +54,36 @@ UNSET_OPTIONS = {
 #: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
 _KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 10, "UNSET_OPTIONS": 5}
 
+#: The yardstick at its last count: a change that grows src/ raises this in its own diff.
+_YARDSTICK_CAP = 3274
+
 
 @functools.cache
-def _unplanted(guard) -> list[str]:
-    """What ``guard`` finds in the unplanted ``src/`` and ``perfbench/``,
-    computed once per module: a planted copy differs from it by the plant only."""
-    return guard(SRC, BENCH)
+def _tree(name: str, text: str) -> ast.Module:
+    """The parse of module ``name`` with source ``text``, once per content: a
+    planted copy of ``src/`` parses again only the files its plant changed.
+    The name keeps two modules of equal text from sharing nodes."""
+    return ast.parse(text)
+
+
+def _parse(path: Path) -> ast.Module:
+    return _tree(path.name, path.read_text())
+
+
+def _once_per_content(guard):
+    """``guard(src, bench)``, computed once per content of the ``*.py`` files
+    it reads: the unplanted tree once per session, and each plant once."""
+    found = {}
+
+    @functools.wraps(guard)
+    def cached(src: Path, bench: Path) -> list[str]:
+        key = hashlib.sha256(repr([(path.name, path.read_text()) for tree in (src, bench)
+                                   for path in sorted(tree.glob("*.py"))]).encode()).digest()
+        if key not in found:
+            found[key] = guard(src, bench)
+        return list(found[key])
+
+    return cached
 
 
 def _uses(tree: ast.AST, name: str, imports: bool = True):
@@ -89,7 +114,7 @@ def test_math_fsum_only_inside_exact_sum():
     """Every exact sum goes through grid.exact_sum, the one exact-sum primitive."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
-        for line, scope in _uses(ast.parse(path.read_text(), str(path)), "fsum"):
+        for line, scope in _uses(_parse(path), "fsum"):
             if not (path.name == "grid.py" and scope == ("exact_sum",)):
                 stray.append(f"{path.name}:{line}")
     assert not stray, f"math.fsum outside grid.exact_sum: {stray}"
@@ -101,8 +126,7 @@ def _stray_uses(src: Path, name: str, home: tuple, modules=None) -> list[str]:
     there is one."""
     uses = {(path.name, line, scope) for path in sorted(src.glob("*.py"))
             if modules is None or path.name in modules
-            for line, scope in _uses(ast.parse(path.read_text(), str(path)), name,
-                                     imports=False)}
+            for line, scope in _uses(_parse(path), name, imports=False)}
     assert uses, f"{name} is gone"
     return [f"{module}:{line}" for module, line, scope in sorted(uses)
             if (module, scope) != home]
@@ -140,7 +164,7 @@ def _stray_rolls(src: Path) -> list[str]:
     shifts arrays periodically."""
     return [f"{path.name}:{line}" for path in sorted(src.glob("*.py"))
             if path.name != "grid.py"
-            for line, _ in _uses(ast.parse(path.read_text(), str(path)), "roll")]
+            for line, _ in _uses(_parse(path), "roll")]
 
 
 def test_np_roll_only_inside_grid():
@@ -168,7 +192,7 @@ def _stray_ffts(src: Path) -> list[str]:
     ``np.fft``, a name ``fft``, or an import of or from an ``fft`` module."""
     stray = set()
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+        tree = _parse(path)
         uses = _uses(tree, "fft") + [
             (node.lineno, ()) for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -208,7 +232,7 @@ def _stray_trapezoids(src: Path) -> list[str]:
     """``module:line`` of every reference to a library trapezoid rule in ``src``."""
     return sorted(f"{path.name}:{line}" for path in src.glob("*.py")
                   for name in _TRAPEZOIDS
-                  for line, _ in _uses(ast.parse(path.read_text(), str(path)), name))
+                  for line, _ in _uses(_parse(path), name))
 
 
 def test_one_trapezoid_in_time():
@@ -230,7 +254,8 @@ def test_trapezoid_guard_sees_planted_rules(tmp_path):
 
 
 #: Run in a fresh interpreter: the everyday CLI subcommands on small inputs, then
-#: the 9 acceptance gates; prints the scipy modules loaded after each.
+#: the 9 acceptance gates unless its third argument is "cli"; prints the scipy
+#: modules loaded after each.
 _STARTUP_SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -258,16 +283,17 @@ def scipy_modules():
 
 
 after_cli = scipy_modules()
-gates = acceptance.run_all()
+gates = [] if sys.argv[3] == "cli" else acceptance.run_all()
 print(json.dumps({"codes": codes, "after_cli": after_cli, "gates": len(gates),
                   "after_gates": scipy_modules()}))
 """
 
 
-def _startup_imports(tree: Path, tmp: Path) -> dict:
-    """What the start-up script reports when eulerlab is imported from ``tree``."""
+def _startup_imports(tree: Path, tmp: Path, run: str = "all") -> dict:
+    """What the start-up script reports when eulerlab is imported from ``tree``;
+    ``run="cli"`` skips the gates."""
     env = {**os.environ, "PYTHONPATH": str(tree)}
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp), str(tree)],
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp), str(tree), run],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.splitlines()[-1])
@@ -290,14 +316,15 @@ def test_startup_guard_sees_a_planted_import(tmp_path):
     with open(tree / "eulerlab" / "grid.py", "a") as fh:
         fh.write("\nfrom scipy.stats import qmc\n")
     (tmp_path / "run").mkdir()
-    assert "scipy.stats" in _startup_imports(tree, tmp_path / "run")["after_cli"]
+    # the plant loads with the CLI, so the gates need not run to show it
+    assert "scipy.stats" in _startup_imports(tree, tmp_path / "run", "cli")["after_cli"]
 
 
 def _scipy_imports(src: Path) -> list[str]:
     """``module:line`` of every import of scipy or a scipy submodule in ``src``,
     at any depth (module level or inside a function)."""
     return sorted(f"{path.name}:{line}" for path in src.glob("*.py")
-                  for line, _ in _uses(ast.parse(path.read_text(), str(path)), "scipy"))
+                  for line, _ in _uses(_parse(path), "scipy"))
 
 
 def test_no_scipy_import_under_src():
@@ -340,14 +367,15 @@ def _reads(node: ast.AST, bench: bool = False) -> set[str]:
     return found
 
 
+@_once_per_content
 def _unread_public_defs(src: Path, bench: Path) -> list[str]:
     """``module:name`` of every public top-level def or class in ``src`` with
     no reader: no other top-level statement of ``src`` names it (``__init__``
     re-exports do not count), and nothing in ``bench`` does."""
-    bench_reads = set().union(*(_reads(ast.parse(p.read_text()), bench=True)
+    bench_reads = set().union(*(_reads(_parse(p), bench=True)
                                 for p in bench.glob("*.py")))
     stmts = [(path.name, stmt, _reads(stmt)) for path in sorted(src.glob("*.py"))
-             if path.name != "__init__.py" for stmt in ast.parse(path.read_text()).body]
+             if path.name != "__init__.py" for stmt in _parse(path).body]
     return [f"{module}:{stmt.name}" for module, stmt, _ in stmts
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
             and not stmt.name.startswith("_") and stmt.name not in bench_reads
@@ -356,7 +384,7 @@ def _unread_public_defs(src: Path, bench: Path) -> list[str]:
 
 def test_every_public_def_has_a_reader():
     """No library surface that only tests read, beyond the listed fixtures."""
-    unread = _unplanted(_unread_public_defs)
+    unread = _unread_public_defs(SRC, BENCH)
     stray = [entry for entry in unread if entry.split(":")[1] not in TEST_ONLY]
     assert not stray, f"public defs nothing in src/ or perfbench/ reads: {stray}"
     stale = set(TEST_ONLY) - {entry.split(":")[1] for entry in unread}
@@ -366,7 +394,7 @@ def test_every_public_def_has_a_reader():
 def test_guard_sees_a_planted_dead_function(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unplanted(_unread_public_defs)
+    before = _unread_public_defs(SRC, BENCH)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\ndef planted(n):\n    return planted(n - 1) if n else 0\n")
     with open(src / "__init__.py", "a") as fh:
@@ -552,16 +580,17 @@ class _Receivers:
         return found
 
 
+@_once_per_content
 def _unread_fields(src: Path, bench: Path) -> list[str]:
     """``Class.field`` of every dataclass or NamedTuple field in ``src`` that no
     attribute read in ``src`` or ``bench`` takes: a read ``x.f`` counts for
     ``C.f`` when ``x`` resolves to ``C`` or cannot be resolved (see
     ``_Receivers``).  String constants in ``bench`` keep no field alive."""
     # each file is parsed once: the receivers, the reads and the classes share the trees
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    trees = {path.stem: _parse(path) for path in sorted(src.glob("*.py"))}
     known = _Receivers(trees)
     readers: dict[str, set] = {}   # attribute -> the classes its reads count for; None: all
-    bench_trees = [ast.parse(path.read_text()) for path in sorted(bench.glob("*.py"))]
+    bench_trees = [_parse(path) for path in sorted(bench.glob("*.py"))]
     for tree in [*trees.values(), *bench_trees]:
         for attr, owner in known.reads(tree):
             readers.setdefault(attr, set()).update(
@@ -580,7 +609,7 @@ def _unread_fields(src: Path, bench: Path) -> list[str]:
 
 def test_every_result_field_has_a_reader():
     """No result value that nothing reads, beyond the listed test-only fields."""
-    unread = _unplanted(_unread_fields)
+    unread = _unread_fields(SRC, BENCH)
     stray = sorted(set(unread) - set(TEST_ONLY_FIELDS))
     assert not stray, f"fields nothing in src/ or perfbench/ reads: {stray}"
     stale = sorted(set(TEST_ONLY_FIELDS) - set(unread))
@@ -590,7 +619,7 @@ def test_every_result_field_has_a_reader():
 def test_field_guard_sees_a_planted_field(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unplanted(_unread_fields)
+    before = _unread_fields(SRC, BENCH)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\n@dataclass(frozen=True)\nclass Planted:\n"
                  "    kept: float\n    planted_extra: int = 0\n\n\n"
@@ -624,7 +653,7 @@ def test_field_guard_resolves_receivers(tmp_path, reader, reads):
     be told; a Trajectory, or an argparse.Namespace, keeps it unread."""
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unplanted(_unread_fields)
+    before = _unread_fields(SRC, BENCH)
     with open(src / "grid.py", "a") as fh:
         fh.write(_PLANTED_TIMES)
     # src reads Trajectory.times and RelEntropyTrace.times, not Planted.times
@@ -640,7 +669,7 @@ def test_bench_strings_keep_defs_but_no_fields_alive(tmp_path):
     src, bench = tmp_path / "eulerlab", tmp_path / "perfbench"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(BENCH, bench, ignore=shutil.ignore_patterns("__pycache__"))
-    fields, defs = _unplanted(_unread_fields), _unplanted(_unread_public_defs)
+    fields, defs = _unread_fields(SRC, BENCH), _unread_public_defs(SRC, BENCH)
     with open(src / "grid.py", "a") as fh:
         fh.write(_PLANTED_TIMES.replace("times", "planted_key")
                  + "\n\ndef planted_entry():\n    return planted(1.0)\n")
@@ -657,6 +686,27 @@ def test_keep_lists_only_shrink():
     grown = {name: (n, _KEEP_LIST_CAPS[name]) for name, n in sizes.items()
              if n > _KEEP_LIST_CAPS[name]}
     assert not grown, f"keep-lists past their caps, (size, cap): {grown}"
+
+
+def _yardstick(src: Path) -> int:
+    """Non-blank, non-comment lines of the ``*.py`` files under ``src``,
+    docstrings included."""
+    return sum(1 for path in src.rglob("*.py") for line in path.read_text().splitlines()
+               if line.strip() and not line.lstrip().startswith("#"))
+
+
+def test_yardstick_stays_under_its_cap():
+    """The library grows only where a change raises the cap on purpose."""
+    lines = _yardstick(SRC)
+    assert lines <= _YARDSTICK_CAP, f"src/ has {lines} yardstick lines, cap {_YARDSTICK_CAP}"
+
+
+def test_yardstick_counts_code_and_docstrings(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text('"""Doc\n\n    more doc."""\n\n# note\nx = 1  # n\n    \n')
+    (tmp_path / "sub" / "b.py").write_text("def f():\n    # inside\n    return 2\n")
+    (tmp_path / "c.txt").write_text("not python\n")
+    assert _yardstick(tmp_path) == 5
 
 
 def _options(tree: ast.Module):
@@ -711,14 +761,15 @@ def _passes(call: ast.Call, param: str, position: int | None) -> bool:
     return position is not None and len(call.args) > position
 
 
+@_once_per_content
 def _unset_options(src: Path, bench: Path) -> list[str]:
     """``def(parameter)`` of every defaulted parameter of a public def or
     method in ``src`` that no call of that name passes, by keyword or by
     position: in ``src`` outside the def's own body, or in ``bench``."""
-    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    trees = [_parse(path) for path in sorted(src.glob("*.py"))]
     calls = [c for tree in trees for c in _calls(tree)]
     calls += [(name, call, ()) for path in sorted(bench.glob("*.py"))
-              for name, call, _ in _calls(ast.parse(path.read_text()))]
+              for name, call, _ in _calls(_parse(path))]
     return [f"{node.name}({param})" for tree in trees for node, param, position in _options(tree)
             if not any(name == node.name and node not in scope
                        and _passes(call, param, position) for name, call, scope in calls)]
@@ -726,7 +777,7 @@ def _unset_options(src: Path, bench: Path) -> list[str]:
 
 def test_every_option_is_set_by_a_caller():
     """A library option that one value reaches is a constant, beyond the listed ones."""
-    unset = _unplanted(_unset_options)
+    unset = _unset_options(SRC, BENCH)
     stray = sorted(set(unset) - set(UNSET_OPTIONS))
     assert not stray, f"defaulted parameters nothing in src/ or perfbench/ sets: {stray}"
     stale = sorted(set(UNSET_OPTIONS) - set(unset))
@@ -736,7 +787,7 @@ def test_every_option_is_set_by_a_caller():
 def test_option_guard_sees_a_planted_option(tmp_path):
     src = tmp_path / "eulerlab"
     shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-    before = _unplanted(_unset_options)
+    before = _unset_options(SRC, BENCH)
     with open(src / "grid.py", "a") as fh:
         fh.write("\n\ndef planted(n, depth=0, *, scale=1.0):\n"
                  "    return planted(n - 1, depth + 1, scale=scale) if n else depth\n")
