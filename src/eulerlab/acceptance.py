@@ -159,6 +159,16 @@ def gate_chain_commutator() -> GateResult:
         f"product a=(0.4,0.8): slope {fit2.slope:.3f} (>= {fit2.predicted - 0.1:.2f}); "
         f"split gap {split_gap:.1e}"
     )
+    # the first failing eps of the first probe whose one-sided bound fails (eps ascend)
+    slack = cm.CHAIN_BOUND_SLACK
+    broken = next(((label, eps, n / ((1.0 + slack) * b))
+                   for label, fit in (("square", fit1), ("product", fit2))
+                   for eps, n, b, good in zip(fit.eps, fit.norms, fit.bounds, fit.bound_ok)
+                   if not good), None)
+    if broken is not None:
+        label, eps, ratio = broken
+        details += (f"; {label} one-sided bound with slack {slack:g} first fails "
+                    f"at eps 2^{math.log2(eps):g}: norm / bound {ratio:.3f}")
     return GateResult(
         "chain-commutator", ok, details,
         {"slope_square": fit1.slope, "slope_product": fit2.slope,

@@ -83,8 +83,8 @@ def bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _axis_profiles(grid: PeriodicGrid, w: float, centers: np.ndarray):
     """Cells, values and derivatives of the 1D profile of every translate.
 
-    A window of cells around each center is sampled, then its nonzero values
-    are packed to the front of the row; packed rows end in zeros.
+    A window of cells around each center is sampled, then a stable sort moves
+    its nonzero values to the front of the row; rows are cut to the widest support.
     """
     n = grid.cells_per_dim
     dx = grid.cell_width
@@ -92,14 +92,9 @@ def _axis_profiles(grid: PeriodicGrid, w: float, centers: np.ndarray):
     first = np.floor((centers + 1.0 - w) / dx - 0.5).astype(np.int64) - 2
     cells = (first[:, None] + np.arange(min(n, math.ceil(2.0 * w / dx) + 5))) % n
     val, der = bump_profile(wrap(grid.axis_centers()[cells] - centers[:, None]) / w)
-    nonzero = val != 0.0
-    rank = np.cumsum(nonzero, axis=1) - 1
-    row = np.nonzero(nonzero)[0]
-    packed = [np.zeros((len(centers), int(rank[:, -1].max()) + 1), dtype=a.dtype)
-              for a in (cells, val, der)]
-    for dst, a in zip(packed, (cells, val, der)):
-        dst[row, rank[nonzero]] = a[nonzero]
-    return packed
+    order = np.argsort(val == 0.0, axis=1, kind="stable")
+    order = order[:, :np.count_nonzero(val, axis=1).max()]
+    return [a[np.arange(len(a))[:, None], order] for a in (cells, val, der)]
 
 
 def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
@@ -229,7 +224,6 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
     """
     vel = _check_velocity(grid, vel)
     dx = grid.cell_width
-    n = grid.cells_per_dim
     best = -math.inf
     offsets = [(1,)] if grid.dims == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
     for off in offsets:
@@ -237,17 +231,8 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
         xi = np.asarray(off, dtype=float) * dx / h_len
         moved = shift_values(vel, off, first_axis=1)
         quot = np.tensordot(xi, moved - vel, axes=(0, 0)) / h_len
-        if mask_wrap:
-            keep = np.ones(grid.shape, dtype=bool)
-            idx = np.indices(grid.shape)
-            for ax, c in enumerate(off):
-                if c > 0:
-                    keep &= idx[ax] + c <= n - 1
-                elif c < 0:
-                    keep &= idx[ax] + c >= 0
-            if not np.any(keep):
-                continue
-            quot = quot[keep]
+        if mask_wrap:   # the cells whose step c stays inside the box
+            quot = quot[tuple(slice(None, -c) if c > 0 else slice(-c, None) for c in off)]
         best = max(best, float(np.max(quot)))
     return OslipDiscreteResult(best, mask_wrap)
 

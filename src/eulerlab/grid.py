@@ -244,11 +244,8 @@ def time_trapezoid(times, values) -> tuple[np.ndarray, np.ndarray]:
 
 def shift_values(values: np.ndarray, offsets: Sequence[int], first_axis: int = 0) -> np.ndarray:
     """Translate so that out(x) = in(x + offsets*dx), periodic."""
-    out = values
-    for axis, cells in enumerate(offsets):
-        if cells:
-            out = np.roll(out, -cells, axis=first_axis + axis)
-    return out
+    return np.roll(values, [-c for c in offsets],
+                   axis=tuple(range(first_axis, first_axis + len(offsets))))
 
 
 def offset_length(grid: PeriodicGrid, offsets: Sequence[int]) -> float:

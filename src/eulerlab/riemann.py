@@ -114,15 +114,8 @@ class RiemannSolution:
         return Wave1D(self.right.rho, -self.right.u, self.right.p)
 
     def sample(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        xi = np.asarray(xi, dtype=float)
-        rho = np.empty_like(xi)
-        u = np.empty_like(xi)
-        p = np.empty_like(xi)
-        it = np.nditer(xi, flags=["multi_index"])
-        for s in it:
-            idx = it.multi_index
-            rho[idx], u[idx], p[idx] = self._sample_one(float(s))
-        return rho, u, p
+        sample = np.vectorize(lambda s: self._sample_one(float(s)), otypes=[float] * 3)
+        return sample(np.asarray(xi, dtype=float))
 
     def _sample_one(self, s: float) -> tuple[float, float, float]:
         """The right half of the fan is the left half of its mirror image

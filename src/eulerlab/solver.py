@@ -16,6 +16,7 @@ import io
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -116,17 +117,15 @@ class Trajectory:
         )
         comments = [f"config_hash={meta.get('config_hash', 'none')}"]
         digests = []
+        names = _columns(self.grid.dims)
         for i, snap in enumerate(self.snapshots):
-            cols = {"rho": snap.rho}
-            for ax in range(self.grid.dims):
-                cols[f"m{ax + 1}"] = snap.mom[ax]
-            cols["E"] = snap.energy
+            stack = np.array([np.reshape(c, self.grid.shape)
+                              for c in (snap.rho, *snap.mom, snap.energy)], dtype=float)
             csv = d / f"t_{i:04d}.csv"
             with open(csv, "w") as fh:
-                write_columns_csv(fh, self.grid, cols, comments)
+                write_columns_csv(fh, self.grid, dict(zip(names, stack)), comments)
             npy = d / f"t_{i:04d}.npy"
-            np.save(npy, np.array([np.reshape(c, self.grid.shape) for c in cols.values()],
-                                  dtype=float))
+            np.save(npy, stack)
             digests.append([_file_sha256(csv), _file_sha256(npy)])
         meta[_DIGESTS] = digests
         (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
@@ -168,7 +167,7 @@ class Trajectory:
             raise ValueError(f"meta.json {_DIGESTS} must hold one [csv, npy] pair of SHA-256 "
                              f"hex digests per time, got {digests!r:.80}")
         params = GasParams(gamma)
-        names = ["rho"] + [f"m{ax + 1}" for ax in range(grid.dims)] + ["E"]
+        names = _columns(grid.dims)
         shape = (len(names),) + grid.shape
         snaps = []
         for i, t in enumerate(times):
@@ -180,16 +179,13 @@ class Trajectory:
                     raise ValueError(f"snapshot {i} grid does not match meta.json")
                 if list(cols) != names:
                     raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
-                mom = np.stack([cols[f"m{ax + 1}"] for ax in range(grid.dims)])
-                rho, energy = cols["rho"], cols["E"]
-            else:
-                if stack.dtype != np.float64 or stack.shape != shape:
-                    raise ValueError(f"snapshot {i} copy holds {stack.dtype} {stack.shape}, "
-                                     f"not float64 {shape}")
-                if not np.all(np.isfinite(stack)):
-                    raise ValueError(f"snapshot {i} copy holds non-finite values")
-                rho, mom, energy = stack[0], stack[1:-1], stack[-1]
-            snaps.append(Snapshot(float(t), rho, mom, energy))
+                stack = np.stack(list(cols.values()))
+            elif stack.dtype != np.float64 or stack.shape != shape:
+                raise ValueError(f"snapshot {i} copy holds {stack.dtype} {stack.shape}, "
+                                 f"not float64 {shape}")
+            elif not np.all(np.isfinite(stack)):
+                raise ValueError(f"snapshot {i} copy holds non-finite values")
+            snaps.append(Snapshot(float(t), stack[0], stack[1:-1], stack[-1]))
         return cls(grid, params, snaps, meta)
 
 
@@ -198,6 +194,11 @@ _DIGESTS = "snapshot_sha256"
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 #: What ``save`` names a snapshot file, and so removes when it is not its own.
 _SNAPSHOT_FILE = re.compile(r"t_[0-9]+\.(csv|npy)")
+
+
+def _columns(dims: int) -> list[str]:
+    """The conserved components of a snapshot, as its files name them."""
+    return ["rho"] + [f"m{ax + 1}" for ax in range(dims)] + ["E"]
 
 
 def _file_sha256(path: Path) -> str:
@@ -223,8 +224,13 @@ def _binary_copy(stem: Path, csv_sha: str, npy_sha: str) -> np.ndarray | None:
     return np.load(io.BytesIO(data), allow_pickle=False)
 
 
+def _is_number(value) -> bool:
+    """An int or float, not a bool, within the float range; NaN and inf pass."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+
+
 def _is_finite_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    return _is_number(value) and math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +252,29 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
 
     Riemann-type scenarios are one-dimensional profiles, extended invariantly
     in the transverse direction on 2D grids; `transverse` adds a smooth
-    density perturbation for stability probing.  An unknown scenario, or a
-    key outside its ``_SCENARIO_KEYS``, is a ValueError.
+    density perturbation for stability probing.  An unknown scenario, a key
+    outside its ``_SCENARIO_KEYS``, a value other than a number (``left`` and
+    ``right``: a list of three), or a ``riemann`` init without both states,
+    is a ValueError that names the key.
     """
     name = init.get("name", "constant")
-    if name not in _SCENARIO_KEYS:
+    if type(name) is not str or name not in _SCENARIO_KEYS:
         raise ValueError(f"unknown scenario {name!r}; the scenarios are {list(_SCENARIO_KEYS)}")
     keys = _SCENARIO_KEYS[name]
     stray = [key for key in init if key not in ("name", "transverse", *keys)]
     if stray:
         raise ValueError(f"scenario {name!r} reads no init key {stray[0]!r}; its keys are "
                          f"{list(keys)}, besides 'name' and 'transverse'")
+    missing = [key for key in ("left", "right") if name == "riemann" and key not in init]
+    if missing:
+        raise ValueError(f"scenario 'riemann' needs init key {missing[0]!r}, a list [rho, u, p]")
+    for key, value in init.items():
+        if key in ("left", "right"):
+            if not (type(value) is list and len(value) == 3 and all(map(_is_number, value))):
+                raise ValueError(f"init key {key!r} must be a list of three numbers "
+                                 f"[rho, u, p], got {value!r:.60}")
+        elif key != "name" and not _is_number(value):
+            raise ValueError(f"init key {key!r} must be a number, got {value!r:.60}")
     x = grid.axis_centers()
     if name == "constant":
         rho = np.full(len(x), init.get("rho", 1.0))
@@ -350,8 +368,8 @@ def _check_physical(U, gamma, t):
     bad = (rho <= 0.0) | (p <= 0.0) | ~np.all(np.isfinite(U), axis=0)
     if np.any(bad):
         cell = tuple(int(i) for i in np.argwhere(bad)[0])
-        names = [f"m{ax}" for ax in range(1, U.ndim)] + ["E"]
-        rest = "".join(f", {n} = {v:.6g}" for n, v in zip(names, U[(slice(1, None),) + cell]))
+        rest = "".join(f", {n} = {v:.6g}"
+                       for n, v in zip(_columns(U.ndim - 1)[1:], U[(slice(1, None),) + cell]))
         raise DomainError(f"vacuum, non-positive pressure or non-finite state at "
                           f"t = {t:.6g}, cell {cell}: rho = {rho[cell]:.6g}, p = {p[cell]:.6g}"
                           + rest)
@@ -702,13 +720,9 @@ def snapshot_primitive(snap: Snapshot, params: GasParams):
 def project_snapshot(snap: Snapshot, factor: int, grid: PeriodicGrid) -> Snapshot:
     """Conservative block average onto a grid coarsened by ``factor``."""
 
-    def down(a):
-        if a.ndim == 1:
-            return a.reshape(-1, factor).mean(axis=1)
-        if a.ndim == 2:
-            return a.reshape(a.shape[0] // factor, factor,
-                             a.shape[1] // factor, factor).mean(axis=(1, 3))
-        raise ValueError("unsupported rank")
+    def down(a):   # axis k of ``a`` splits into (blocks, factor); the factors average out
+        blocks = a.reshape([m for k in a.shape for m in (k // factor, factor)])
+        return blocks.mean(axis=tuple(range(1, 2 * a.ndim, 2)))
 
     mom = np.stack([down(m) for m in snap.mom])
     out = Snapshot(snap.t, down(snap.rho), mom, down(snap.energy))

@@ -85,6 +85,48 @@ def test_a_wrong_split_term_fails_the_chain_gate(monkeypatch):
     assert result.metrics["split_gap"] > 1e-12
 
 
+def test_chain_gate_fail_names_the_first_failing_bound(monkeypatch):
+    from eulerlab import commutator
+
+    monkeypatch.setattr(commutator, "CHAIN_BOUND_SLACK", -0.9)
+    result = acceptance.gate_chain_commutator()
+    assert not result.passed
+    assert "at every eps" not in result.line()
+    head, ratio = result.details.rsplit(": norm / bound ", 1)
+    assert head.endswith("; square one-sided bound with slack -0.9 first fails at eps 2^-10")
+    assert float(ratio) > 1.0
+
+
+def test_chain_gate_fail_takes_the_first_failing_probe(monkeypatch):
+    """Probes are searched square first, then eps upward."""
+    import dataclasses
+
+    from eulerlab import commutator
+
+    real = commutator.chain_rate_fit
+
+    def broken(probe):
+        fit = real(probe)
+        if len(probe.components) == 1:   # the square probe holds
+            return fit
+        bound_ok = fit.bound_ok.copy()
+        bound_ok[4:] = False
+        return dataclasses.replace(fit, passed=False, bound_ok=bound_ok)
+
+    monkeypatch.setattr(commutator, "chain_rate_fit", broken)
+    result = acceptance.gate_chain_commutator()
+    assert not result.passed
+    assert "; product one-sided bound with slack 0.1 first fails at eps 2^-6: " \
+        "norm / bound " in result.details
+
+
+def test_chain_gate_pass_line_is_unchanged():
+    result = acceptance.gate_chain_commutator()
+    assert result.passed
+    assert result.details == ("square a=0.6: slope 0.189 (>= 0.10); product a=(0.4,0.8): "
+                              "slope 0.180 (>= 0.10); split gap 1.3e-14")
+
+
 def _relative_entropy_sample_unblocked(calib):
     """The relative-entropy gate's sample check before it ran in blocks:
     (min E, min coercivity gap, branch) over all 1e5 pairs at once."""

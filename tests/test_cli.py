@@ -898,6 +898,10 @@ class TestTrajectoryMetaAtLoad:
                      id="gamma_one"),
         pytest.param(_meta_edit("gamma", None), "gamma must be a finite number > 1",
                      id="gamma_null"),
+        pytest.param(_meta_edit("gamma", 10**400), "gamma must be a finite number > 1",
+                     id="gamma_past_the_float_range"),
+        pytest.param(_meta_edit("times", [0.0, 0.05, 10**400]), "list of finite",
+                     id="times_past_the_float_range"),
         pytest.param(_meta_edit("system", "other"),
                      "meta.json system must be 'complete', got 'other'", id="system_unknown"),
         pytest.param(_meta_edit("system", "isentropic"),
@@ -1101,6 +1105,28 @@ def _assert_config_refused(tmp_path, capsys, command, cfg, message):
 def test_simulate_config_value_of_another_json_type_exits_2(tmp_path, capsys, key, value):
     _assert_config_refused(tmp_path, capsys, "simulate", {**_VALID_CONFIG, key: value},
                            f"config field {key!r} must be")
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("init,message", [
+    ({"name": "double_rarefaction", "u_out": True}, "init key 'u_out' must be a number"),
+    ({"name": "smooth", "amp": [1]}, "init key 'amp' must be a number"),
+    ({"name": "constant", "rho": "x"}, "init key 'rho' must be a number"),
+    ({"name": "sod", "transverse": "x"}, "init key 'transverse' must be a number"),
+    ({"name": "smooth", "amp": 10**400}, "init key 'amp' must be a number"),
+    ({"name": "riemann", "left": [1, 0, 1]}, "needs init key 'right'"),
+    ({"name": "riemann", "right": [1, 0, 1]}, "needs init key 'left'"),
+    ({"name": "riemann", "left": [1, 0], "right": [1, 0, 1]},
+     "init key 'left' must be a list of three numbers"),
+    ({"name": "riemann", "left": [1, 0, 1], "right": [1, False, 1]},
+     "init key 'right' must be a list of three numbers"),
+    ({"name": "riemann", "left": 1.0, "right": [1, 0, 1]},
+     "init key 'left' must be a list of three numbers"),
+    ({"name": [1]}, "unknown scenario [1]"),
+])
+def test_simulate_init_value_of_a_wrong_type_exits_2(tmp_path, capsys, dims, init, message):
+    _assert_config_refused(tmp_path, capsys, "simulate",
+                           {**_VALID_CONFIG, "dims": dims, "init": init}, message)
 
 
 def _mutate(lines, how, token):

@@ -300,6 +300,62 @@ class TestDiscrete:
         assert res.value == pytest.approx(0.3 * np.pi, rel=0.05)
 
 
+def _masked_quotients_by_loop(grid, vel):
+    """The largest masked quotient of each lattice step, one cell at a time:
+    a stencil whose far end leaves the box [0, n - 1]^dims is dropped."""
+    n, dx = grid.cells_per_dim, grid.cell_width
+    steps = [(1,)] if grid.dims == 1 else [(1, 0), (0, 1), (1, 1), (1, -1)]
+    best = {}
+    for off in steps:
+        h_len = dx * math.sqrt(sum(c * c for c in off))
+        quots = []
+        for cell in np.ndindex(grid.shape):
+            far = tuple(i + c for i, c in zip(cell, off))
+            if all(0 <= j <= n - 1 for j in far):
+                diff = [float(vel[(a,) + far] - vel[(a,) + cell]) for a in range(grid.dims)]
+                quots.append(sum(c * dx / h_len * d for c, d in zip(off, diff)) / h_len)
+        best[off] = max(quots)
+    return best
+
+
+class TestDiscreteMaskAgainstLoop:
+    """``mask_wrap`` drops exactly the stencils that cross the periodic
+    identification.  Each velocity is a compressive ramp, whose wrap jumps
+    are the largest expansive quotients, plus noise."""
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("n", [4, 5, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_masked_value_is_the_loop_maximum(self, dims, n, seed):
+        grid = PeriodicGrid(dims, n)
+        rng = np.random.default_rng(seed)
+        ramp = -np.stack(grid.coordinates()) if dims == 2 else -grid.axis_centers()[None]
+        vel = ramp + 0.3 * grid.cell_width * rng.standard_normal((dims,) + grid.shape)
+        res = oslip_discrete(grid, vel, mask_wrap=True)
+        assert res.masked_wrap
+        assert res.value == pytest.approx(max(_masked_quotients_by_loop(grid, vel).values()),
+                                          rel=1e-12, abs=1e-12)
+        assert oslip_discrete(grid, vel).value > res.value + 1.0
+
+    @pytest.mark.parametrize("n", [4, 5, 16])
+    @pytest.mark.parametrize("step", [(1, 0), (0, 1), (1, 1), (1, -1)])
+    def test_each_2d_step_is_masked(self, n, step):
+        # u = A x with A = -c h h^T - K (I - h h^T), h the unit step: along h
+        # the ramp is gently compressive, so its wrap jumps are expansive;
+        # across h it is steep, so ``step`` alone carries the masked maximum
+        grid = PeriodicGrid(2, n)
+        h = np.asarray(step, dtype=float) / math.hypot(*step)
+        a = -1.0 * np.outer(h, h) - 20.0 * (np.eye(2) - np.outer(h, h))
+        rng = np.random.default_rng(n)
+        vel = np.tensordot(a, np.stack(grid.coordinates()), axes=(1, 0))
+        vel += 0.3 * grid.cell_width * rng.standard_normal((2,) + grid.shape)
+        loop = _masked_quotients_by_loop(grid, vel)
+        assert max(loop, key=loop.get) == step
+        res = oslip_discrete(grid, vel, mask_wrap=True)
+        assert res.value == pytest.approx(loop[step], rel=1e-12, abs=1e-12)
+        assert oslip_discrete(grid, vel).value > res.value + 10.0
+
+
 class TestL1Report:
     def test_constant_rate(self):
         t = np.linspace(0.1, 1.0, 181)

@@ -111,6 +111,17 @@ class TestSampling:
         flux_right = SOD_R.rho * (SOD_R.u - s)
         assert flux_star == pytest.approx(flux_right, rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(), (3, 4), (0,), (2, 0)])
+    def test_any_shape_samples_point_by_point(self, gamma14, shape):
+        sol = exact_riemann(SOD_L, SOD_R, gamma14)
+        xi = np.linspace(-2.0, 2.0, int(np.prod(shape))).reshape(shape)
+        sampled = sol.sample(xi)
+        assert len(sampled) == 3
+        for k, a in enumerate(sampled):
+            assert a.shape == shape and a.dtype == np.float64
+            want = np.array([sol._sample_one(float(s))[k] for s in xi.ravel()], dtype=float)
+            assert a.tobytes() == want.tobytes()
+
 
 class TestRarefactionConnection:
     def test_connected_state_yields_single_fan(self, gamma14):

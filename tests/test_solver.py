@@ -414,6 +414,27 @@ class TestBinaryCopy:
         assert np.mean(snap.rho) == pytest.approx(np.mean(traj.snapshots[-1].rho),
                                                   rel=1e-14)
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_projection_is_the_per_rank_block_mean(self, dims, factor):
+        def down(a):   # the block mean written out for each rank
+            if a.ndim == 1:
+                return a.reshape(-1, factor).mean(axis=1)
+            return a.reshape(a.shape[0] // factor, factor,
+                             a.shape[1] // factor, factor).mean(axis=(1, 3))
+
+        n = 16
+        rng = np.random.default_rng(dims * 10 + factor)
+        shape = (n,) * dims
+        snap = Snapshot(0.25, rng.uniform(0.5, 2.0, shape), rng.standard_normal((dims,) + shape),
+                        rng.uniform(2.0, 3.0, shape))
+        out = project_snapshot(snap, factor, PeriodicGrid(dims, n // factor))
+        assert out.t == 0.25
+        assert out.rho.tobytes() == down(snap.rho).tobytes()
+        assert out.mom.tobytes() == np.stack([down(m) for m in snap.mom]).tobytes()
+        assert out.energy.tobytes() == down(snap.energy).tobytes()
+        assert out.mom.shape == (dims,) + (n // factor,) * dims
+
     def test_make_initial_state_rejects_nonpositive(self):
         grid = PeriodicGrid(1, 64)
         with pytest.raises(DomainError):
