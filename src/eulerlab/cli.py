@@ -454,6 +454,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:   # inputs load through _load, so this is the output
         print(f"error: cannot write to --out {args.out or '.'}: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
+        return 2
     except (DomainError, RangeError, ResolutionError, StabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,6 @@ terms and therefore independent of cell order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -416,18 +415,12 @@ def write_columns_csv(
     n = grid.cells_per_dim
     data = [np.asarray(columns[name]).reshape(grid.shape).reshape(-1, n) for name in names]
     row = ("%s" + ",%.17g" * len(names) + "\n").__mod__
-    axis = _coordinate_text(grid)
+    axis = ["%.17g" % x for x in grid.axis_centers().tolist()]
     # one write per first-axis row of cells, formatted when it is reached: the
     # file's text, or a list of every value, would grow with the grid
     for i in range(n ** (grid.dims - 1)):
         coords = axis if grid.dims == 1 else [f"{axis[i]},{y}" for y in axis]
         stream.write("".join(map(row, zip(coords, *(d[i].tolist() for d in data)))))
-
-
-@functools.lru_cache(maxsize=8)
-def _coordinate_text(grid: PeriodicGrid) -> list[str]:
-    """The ``%.17g`` text of the cell centres of one axis, the same in every dump."""
-    return ["%.17g" % x for x in grid.axis_centers().tolist()]
 
 
 def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray]]:

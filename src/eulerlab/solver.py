@@ -407,9 +407,9 @@ class _Workspace:
     spans the grid and receives the first stage's derivative k1, which the
     second stage turns into the stage state U + dt k1 in place.  The rest
     span one block, with a halo row on each side when the grid takes several
-    (``wrap`` then gathers the two blocks that wrap around the periodic
-    edge); ``dudt`` holds the second stage's derivative of one block until
-    it folds into the state."""
+    (the first-axis sweep runs over them; ``wrap`` then gathers the two
+    blocks that wrap around the periodic edge); ``dudt`` holds the second
+    stage's derivative of one block until it folds into the state."""
 
     def __init__(self, grid: PeriodicGrid, gamma: float):
         self.dx, self.dims, self.gamma = grid.cell_width, grid.dims, gamma
@@ -480,7 +480,9 @@ def _sweep(B, axis, un, p, speed, F, A, a, dx):
     """(f_hat_i - f_hat_{i-1}) / dx along ``axis`` into ``A``, by periodic
     shifts within ``B``, for f_hat = 0.5 (F + F_r) - 0.5 max(speed,
     speed_r) (U_r - U).  ``F`` is free once it is in ``A``, and holds the
-    upwind terms from then on; ``a`` is scratch."""
+    upwind terms from then on; ``a`` is scratch.  On a block with one halo
+    row on each side, only the inner rows are the grid's: the shifts wrap
+    the halo rows onto each other."""
     ax = axis - (B.shape[0] - 2)
     _flux(B, axis, un, p, F)
     _roll_into(A, F, -1, ax)
@@ -497,27 +499,6 @@ def _sweep(B, axis, un, p, speed, F, A, a, dx):
     A -= F
     A /= dx
     return A
-
-
-def _first_axis_block(B, un, p, speed, F, A, a, dx, out):
-    """``out = 0.0 - _sweep(...)`` along the first axis for the inner rows of
-    ``B``, a block with one halo row on each side: the neighbours are the
-    next rows, so the same operations run on slices instead of shifts."""
-    _flux(B, 0, un, p, F)
-    lo, hi = slice(None, -1), slice(1, None)
-    fh = A[:, lo]                          # f_hat at each row's upper interface
-    np.add(F[:, hi], F[:, lo], out=fh)
-    fh *= 0.5
-    jump = F[:, lo]
-    np.subtract(B[:, hi], B[:, lo], out=jump)
-    a = a[lo]
-    np.maximum(speed[lo], speed[hi], out=a)
-    a *= 0.5
-    jump *= a
-    fh -= jump
-    np.subtract(fh[:, 1:], fh[:, :-1], out=out)
-    out /= dx
-    np.subtract(0.0, out, out=out)
 
 
 def _fold(k, U, stage, rows, dt):
@@ -545,9 +526,10 @@ def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
 
     The state is checked before any square root is taken: a cell that is
     not finite or has non-positive density or pressure raises DomainError
-    at time ``t``.  A grid of several blocks is swept block by block, each
-    cell with the same operations on the same operands as the whole-grid
-    sweep.
+    at time ``t``.  A grid of several blocks is swept block by block with
+    the same shift kernel, `_sweep`: the first axis over the block's rows
+    and its halo rows, the last axis over its own rows.  Each cell sees the
+    same operations on the same operands as in the whole-grid sweep.
     """
     dims, dx, rows = ws.dims, ws.dx, ws.rows
     F, A, a, p, un, speed = ws.F, ws.A, ws.scratch, ws.p, ws.un, ws.speed
@@ -584,8 +566,9 @@ def _rhs(U, ws: _Workspace, t, k1=None, dt=None):
         lows.append((rho_min, p_min))
         tops.append(axis_max)
         k = out[:, r0:r1] if k1 is None else out[:, :h]
-        _first_axis_block(B, bun[0], bp, bspeed[0], F[:, : h + 2], A[:, : h + 2], ba, dx, k)
         inner = slice(1, h + 1)
+        np.subtract(0.0, _sweep(B, 0, bun[0], bp, bspeed[0], F[:, : h + 2], A[:, : h + 2], ba,
+                                dx)[:, inner], out=k)
         for axis in range(1, dims):
             k -= _sweep(B[:, inner], axis, bun[axis, inner], bp[inner], bspeed[axis, inner],
                         F[:, :h], A[:, :h], ba[:h], dx)

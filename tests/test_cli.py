@@ -139,6 +139,23 @@ class TestDispatch:
         assert f"cannot write to --out {out}" in err and taken in err
         assert "Traceback" not in err
 
+    def test_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a grid too large for the host fails where numpy allocates it
+        def run(config):
+            raise MemoryError("Unable to allocate 2.98 GiB for an array with shape "
+                              "(20000, 20000) and data type float64")
+
+        monkeypatch.setattr(cli, "run", run)
+        cfg = tmp_path / "big.json"
+        cfg.write_text(json.dumps({"dims": 2, "init": {"name": "sod"}, "t_end": 0.1}))
+        argv = ["simulate", "--config", str(cfg), "--grid-n", "20000", "--out",
+                str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: not enough memory for this input: Unable to allocate 2.98 GiB "
+                       "for an array with shape (20000, 20000) and data type float64\n")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_trajectory(self, tmp_path, capsys):

@@ -157,6 +157,18 @@ class TestChainRates:
         assert fit.slope >= 0.1
         assert fit.passed
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.45, 0.55, 0.6, 0.7])
+    def test_square_slope_changes_sign_at_one_half(self, alpha):
+        # the first theorem's alpha > 1/2: the chain commutator of a B^{alpha,inf}_p
+        # field scales like eps^{2 alpha - 1}, so it vanishes as eps -> 0 only
+        # above alpha = 1/2 and grows below it
+        field = acceptance._weier(alpha, acceptance._measurement_grid())
+        probe = CommutatorProbe((field,), (alpha,), get_gmap("square"), 4.0,
+                                acceptance.EPS_SCAN)
+        slope = chain_rate_fit(probe).slope
+        assert math.copysign(1.0, slope) == math.copysign(1.0, 2.0 * alpha - 1.0)
+        assert slope == pytest.approx(2.0 * alpha - 1.0, abs=0.05)
+
     def test_product_mixed_alphas(self, weier8k, grid8k):
         x = grid8k.axis_centers()
         f2 = np.zeros_like(x)

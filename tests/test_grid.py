@@ -546,16 +546,17 @@ class TestCsvOracle:
         assert fast == slow
         _assert_parses_alike(fast, grid, cols)
 
-    def test_coordinate_text_is_formatted_once_per_grid(self):
-        from eulerlab import grid as grid_mod
-
-        grid_mod._coordinate_text.cache_clear()
-        grid = PeriodicGrid(2, 12)
-        for seed in range(3):
-            fast, slow = _both_ways(grid, _csv_columns(grid, 2, seed))
-            assert fast == slow
-        info = grid_mod._coordinate_text.cache_info()
-        assert (info.misses, info.hits) == (1, 2)
+    def test_coordinate_text_is_formatted_once_per_write(self, monkeypatch):
+        # one axis's n centres serve every row, in 2D as both coordinates
+        calls = []
+        real = PeriodicGrid.axis_centers
+        monkeypatch.setattr(PeriodicGrid, "axis_centers",
+                            lambda grid: calls.append(grid) or real(grid))
+        for grid in (PeriodicGrid(1, 48), PeriodicGrid(2, 12)):
+            for seed in range(3):
+                calls.clear()
+                write_columns_csv(io.StringIO(), grid, _csv_columns(grid, 2, seed))
+                assert calls == [grid]
 
     def test_each_first_axis_row_is_one_write(self):
         class Recording(io.StringIO):

@@ -824,8 +824,11 @@ class TestBlockedRhs:
         assert np.array_equal(new, old, equal_nan=True)
         assert bool(np.isnan(new).any()) is speed_overflow
 
-    @pytest.mark.parametrize("dims,n,rows", [(2, 12, 12), (2, 12, 5), (1, 48, 48), (1, 48, 5)],
-                             ids=["12sq-whole", "12sq-5-5-2", "1d-whole", "1d-48-in-5"])
+    # 1-row blocks take each first-axis derivative from shifts within 3 rows
+    @pytest.mark.parametrize("dims,n,rows", [(2, 12, 12), (2, 12, 5), (2, 12, 1), (2, 11, 5),
+                                             (1, 48, 48), (1, 48, 5)],
+                             ids=["12sq-whole", "12sq-5-5-2", "12sq-1-row", "11sq-5-5-1",
+                                  "1d-whole", "1d-48-in-5"])
     @pytest.mark.parametrize("init,transverse", [
         ({"name": "smooth"}, 0.0),
         ({"name": "riemann", "left": [1.0, -0.0, 1.0], "right": [1.0, 0.0, 1.0]}, 0.0),
