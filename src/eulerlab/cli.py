@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def _required(cfg: dict, name: str):
     return cfg[name]
 
 
-def _write_report(path: Path, header: list[str], rows: list[list], config_hash: str):
+def _write_report(path: Path, header: list[str], rows: Iterable[Sequence], config_hash: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash} eulerlab={__version__}\n")
@@ -285,15 +286,9 @@ def cmd_relentropy(args: argparse.Namespace) -> int:
         check = re_.gronwall_envelope_check(trace)
     except ValueError as exc:
         raise UsageError(str(exc))
-    rows = []
-    for j, t in enumerate(trace.times):
-        budget = float(trace.budget[j])
-        fitted = float(trace.fitted_k[j])
-        okay = bool(trace.skipped[j] or np.isnan(fitted) or fitted <= budget)
-        rows.append([float(t), float(trace.integral[j]), float(trace.oslip_c[j]),
-                     fitted, okay])
-    _write_report(_out_dir(args) / "relentropy_trace.csv",
-                  ["t", "integral_E", "oslip_C", "fitted_K", "pass"], rows, chash)
+    columns = trace.columns
+    _write_report(_out_dir(args) / "relentropy_trace.csv", list(columns),
+                  zip(*(col.tolist() for col in columns.values())), chash)
     vacuous = ("" if check.vacuous_from is None else
                f", vacuous from t = {check.vacuous_from:.3g}, where the envelope is infinite")
     print(f"Gronwall envelope on [{trace.times[0]:.3g}, {trace.times[-1]:.3g}]: "

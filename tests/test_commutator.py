@@ -32,7 +32,9 @@ from eulerlab.grid import (
     ball_offsets,
     build_mollifier,
     constant_field,
+    exact_sum,
     field_from_function,
+    grad_values,
     lp_norm_values,
     mollify_values,
     shift_values,
@@ -168,6 +170,29 @@ class TestChainRates:
         slope = chain_rate_fit(probe).slope
         assert math.copysign(1.0, slope) == math.copysign(1.0, 2.0 * alpha - 1.0)
         assert slope == pytest.approx(2.0 * alpha - 1.0, abs=0.05)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.30, 0.34, 0.40, 0.50, 0.60])
+    def test_flux_pairing_slope_changes_sign_at_one_third(self, alpha):
+        # the flux commutator R_eps = (rho u^2)_eps - rho_eps u_eps^2 paired with
+        # d_x u_eps: Pi_eps = int R_eps d_x u_eps scales like eps^{3 alpha - 1}
+        # on the product gate's fields, so it vanishes only above alpha = 1/3
+        grid = acceptance._measurement_grid()
+        rho = 1.5 + 0.25 * acceptance._weier(alpha, grid).values / 3.0
+        u = acceptance._weier(alpha, grid, phase=0.7).values
+        eps = np.array(sorted(acceptance.EPS_SCAN))
+        pis = []
+        for e in eps:
+            rho_e, u_e, flux_e = mollify_values(np.stack([rho, u, rho * u * u]),
+                                                build_mollifier(grid, e))
+            remainder = flux_e - rho_e * u_e**2
+            pis.append(grid.cell_width
+                       * exact_sum(remainder * grad_values(u_e, grid.cell_width)[0]))
+        pis = np.array(pis)
+        win = besov._asymptotic_window(len(eps))
+        slope, _ = besov._loglog_fit(eps[win], np.abs(pis[win]))
+        assert np.all(pis < 0.0)
+        if abs(3.0 * alpha - 1.0) >= 0.1:
+            assert math.copysign(1.0, slope) == math.copysign(1.0, 3.0 * alpha - 1.0)
 
     def test_product_mixed_alphas(self, weier8k, grid8k):
         x = grid8k.axis_centers()

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulerlab import relentropy
+from eulerlab.conditions import oslip_discrete
 from eulerlab.errors import DomainError
-from eulerlab.grid import PeriodicGrid
+from eulerlab.grid import PeriodicGrid, exact_sum
 from eulerlab.relentropy import (
     INTEGRAL_FLOOR,
     CoercivityCalibration,
@@ -547,11 +548,36 @@ class TestTrajectoryMonitor:
             ref = snapshot_primitive(traj_b.snapshots[i], params)
             total = rel_entropy_total(grid, snapshot_primitive(traj_a.snapshots[i], params),
                                       ref, params)
-            from eulerlab.conditions import oslip_discrete
-
             _, vel, _ = ref
             c_t = max(oslip_discrete(grid, vel).value, 0.0)
             assert val <= c_t * total + 1e-12
+
+    @pytest.mark.parametrize("init", ["double_rarefaction", "sod", "smooth"])
+    def test_j1_is_bounded_by_the_compression_side(self, init):
+        # J1 = -int rho w^2 d_x v <= sup(-d_x v) int rho w^2, w = u - v, whatever the
+        # sign of d_x v: the lattice sup is oslip_discrete of -v.  Every snapshot
+        # from t = 0.1 on; the largest ratios were 0.27, 0.43 and 0.29
+        traj_a, traj_b, params = _pair(256, init={"name": init})
+        grid = traj_a.grid
+        for cand, ref in zip(traj_a.snapshots[2:], traj_b.snapshots[2:]):
+            j1 = j1_term(grid, cand, ref, params)
+            c_rho, c_vel, _ = snapshot_primitive(cand, params)
+            _, r_vel, _ = snapshot_primitive(ref, params)
+            kinetic = grid.cell_volume * exact_sum(c_rho * (c_vel[0] - r_vel[0]) ** 2)
+            assert j1 <= oslip_discrete(grid, -r_vel).value * kinetic * (1.0 + 1e-12)
+
+    def test_j1_outgrows_oslip_c_on_the_fine_rarefaction_pair(self):
+        # oslip_C, the stretching side of grad v, does not bound J1: on the
+        # 1024/2048 double-rarefaction pair J1 / int E first exceeds it at t = 0.25
+        traj_a, traj_b, params = _pair(1024, t_end=0.25)
+        grid = traj_a.grid
+        over = []
+        for t, cand, ref in zip(traj_a.times[2:], traj_a.snapshots[2:], traj_b.snapshots[2:]):
+            prim = snapshot_primitive(ref, params)
+            total = rel_entropy_total(grid, snapshot_primitive(cand, params), prim, params)
+            if j1_term(grid, cand, ref, params) / total > oslip_discrete(grid, prim[1]).value:
+                over.append(round(t, 12))
+        assert over == [0.25]
 
     def test_mismatched_grids_rejected(self, gamma14):
         cfg = {"name": "smooth"}
@@ -635,6 +661,9 @@ class TestTimeQuadratureAgainstLoops:
         fitted, skipped = _fitted_loop(trace.times, trace.integral)
         assert _hex(trace.fitted_k) == _hex(fitted)
         assert trace.skipped.tolist() == skipped.tolist()
+        # the report's pass column, row by row as the CLI once formed it
+        assert trace.columns["pass"].tolist() == [
+            bool(s or np.isnan(f) or f <= b) for s, f, b in zip(skipped, fitted, trace.budget)]
 
     @pytest.mark.parametrize("n,seed", RANDOM_SIZES)
     def test_monitor_random_series(self, monkeypatch, n, seed):
