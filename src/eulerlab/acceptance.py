@@ -112,12 +112,13 @@ def gate_tilde_pressure_convexity(params: GasParams = GasParams(1.4)) -> GateRes
 def gate_besov_machinery() -> GateResult:
     """Exponent recovery within 0.1 and one-sided mollifier estimates."""
     grid = _measurement_grid()
+    scan = bz.eps_scan(grid, EPS_SCAN)
     metrics: dict = {}
     ok = True
     details = []
     for alpha in (0.4, 0.6, 0.8):
         f = _weier(alpha, grid)
-        rep = bz.verify_mollifier_rates(f, alpha, 3.0, list(EPS_SCAN))
+        rep = bz.verify_mollifier_rates(f, alpha, 3.0, scan)
         fit = bz.fit_regularity(rep.table)
         fit_ok = abs(fit.alpha - alpha) <= 0.1
         bounds_ok = bool(np.all(rep.bound_ok))
@@ -126,11 +127,11 @@ def gate_besov_machinery() -> GateResult:
         metrics[f"bounds_ok_{alpha}"] = bounds_ok
         bounds = f"bounds {bounds_ok}"
         if not bounds_ok:
-            # the first failing estimate, at its smallest failing eps (the report sorts eps)
+            # the first failing estimate, at its smallest failing eps (the scan ascends)
             row, col = np.argwhere(~rep.bound_ok)[0]
             ratio = rep.estimates[row, col] / rep.bounds[row, col]
             bounds = (f"{bz.ESTIMATES[row]} bound first fails at eps "
-                      f"2^{math.log2(sorted(EPS_SCAN)[col]):g}: norm / bound {ratio:.3f}")
+                      f"2^{math.log2(scan.eps[col]):g}: norm / bound {ratio:.3f}")
         details.append(f"a={alpha}: fit {fit.alpha:.3f}, {bounds}")
     return GateResult("besov-machinery", ok, "; ".join(details), metrics)
 
@@ -138,18 +139,15 @@ def gate_besov_machinery() -> GateResult:
 def gate_chain_commutator() -> GateResult:
     """Chain-rule commutator rates and one-sided bounds for two probes."""
     grid = _measurement_grid()
+    scan = bz.eps_scan(grid, EPS_SCAN)
     f06 = _weier(0.6, grid)
-    probe1 = cm.CommutatorProbe(
-        (f06,), (0.6,), cm.get_gmap("square"), 4.0, EPS_SCAN
-    )
+    probe1 = cm.CommutatorProbe((f06,), (0.6,), cm.get_gmap("square"), 4.0, scan)
     fit1 = cm.chain_rate_fit(probe1)
     f04 = _weier(0.4, grid)
     f08 = _weier(0.8, grid, phase=1.0)
-    probe2 = cm.CommutatorProbe(
-        (f04, f08), (0.4, 0.8), cm.get_gmap("product"), 4.0, EPS_SCAN
-    )
+    probe2 = cm.CommutatorProbe((f04, f08), (0.4, 0.8), cm.get_gmap("product"), 4.0, scan)
     fit2 = cm.chain_rate_fit(probe2)
-    res = cm.chain_commutator(probe1, 2.0**-6)
+    res = cm.chain_commutator(probe1, next(m for m in scan.mollifiers if m.epsilon == 2.0**-6))
     split_gap = float(
         np.max(np.abs(res.term_a.values + res.term_b.values - res.commutator.values))
     )
@@ -163,7 +161,7 @@ def gate_chain_commutator() -> GateResult:
     slack = cm.CHAIN_BOUND_SLACK
     broken = next(((label, eps, n / ((1.0 + slack) * b))
                    for label, fit in (("square", fit1), ("product", fit2))
-                   for eps, n, b, good in zip(fit.eps, fit.norms, fit.bounds, fit.bound_ok)
+                   for eps, n, b, good in zip(scan.eps, fit.norms, fit.bounds, fit.bound_ok)
                    if not good), None)
     if broken is not None:
         label, eps, ratio = broken
@@ -182,11 +180,12 @@ def gate_product_commutators() -> GateResult:
     alpha = 0.4
     rho = ScalarField(grid, 1.5 + 0.25 * _weier(alpha, grid).values / 3.0)
     u = _weier(alpha, grid, phase=0.7)
-    s2, res2 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
-    s3, res3 = cm.product_rate_fit(rho, u, EPS_SCAN, kind="triple")
-    # the results run in ascending eps, as product_rate_fit sorts its scan
+    scan = bz.eps_scan(grid, EPS_SCAN)
+    s2, res2 = cm.product_rate_fit(rho, u, scan, kind="bilinear")
+    s3, res3 = cm.product_rate_fit(rho, u, scan, kind="triple")
+    # the results run in ascending eps, as the scan does
     broken = next(((kind, eps, r) for kind, res in (("bilinear", res2), ("triple", res3))
-                   for eps, r in zip(sorted(EPS_SCAN), res) if not r.passed), None)
+                   for eps, r in zip(scan.eps, res) if not r.passed), None)
     ok = bool(s2 >= 2 * alpha - 0.1 and s3 >= 3 * alpha - 1.0 - 0.1 and broken is None)
     bound = f"modulus bound with C0={cm.C0_PRODUCT}"
     if broken is None:

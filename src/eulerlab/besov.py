@@ -12,7 +12,8 @@ the three decay estimates a mollifier family satisfies on such a field:
 Every reader takes the shift modulus ||f(.+h) - f||_p from a `ModulusTable`,
 which measures each offset once, by `_diff_norm`: the semi-norm ladder, the
 regularity fit's rungs and the ball sups sup_{|h|<eps} of a whole eps scan,
-which the product commutators share.
+which the product commutators share.  Every reader of an eps scan takes its
+kernels and its slope fit from one `EpsScan`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError
 from .grid import (
     PERIOD,
+    Mollifier,
     PeriodicGrid,
     ScalarField,
     ball_offsets,
@@ -151,6 +153,28 @@ def _asymptotic_window(m: int) -> slice:
 
 
 @dataclass(frozen=True)
+class EpsScan:
+    """The ascending ``eps`` of a scan on ``grid``, repeats kept, and each one's kernel."""
+
+    grid: PeriodicGrid
+    eps: np.ndarray
+    mollifiers: tuple[Mollifier, ...]
+
+    def slope(self, values) -> float:
+        """Log-log slope of ``values`` (one per eps) on the asymptotic window."""
+        win = _asymptotic_window(len(self.eps))
+        return _loglog_fit(self.eps[win], np.asarray(values)[win])[0]
+
+
+def eps_scan(grid: PeriodicGrid, eps_range) -> EpsScan:
+    """The scan of ``eps_range`` on ``grid``, one `build_mollifier` per distinct
+    eps; an eps under two cells raises its `ResolutionError`."""
+    eps = sorted(float(e) for e in eps_range)
+    kernels = {e: build_mollifier(grid, e) for e in dict.fromkeys(eps)}
+    return EpsScan(grid, np.array(eps), tuple(kernels[e] for e in eps))
+
+
+@dataclass(frozen=True)
 class RegularityFit:
     alpha: float
     residual: float
@@ -202,43 +226,33 @@ class MollifierRateReport:
         return self.estimates <= self.bounds
 
 
-def verify_mollifier_rates(
-    field: ScalarField,
-    alpha: float,
-    p: float,
-    eps_range: list[float],
-) -> MollifierRateReport:
-    """Measure the three mollifier quantities over eps and fit their rates.
+def verify_mollifier_rates(field: ScalarField, alpha: float, p: float,
+                           scan: EpsScan) -> MollifierRateReport:
+    """Measure the three mollifier quantities over the scan and fit their rates.
 
     One modulus table over the dyadic shift ladder and the ball of the
     largest eps gives the semi-norm (on the ladder) and the shift moduli (on
     the balls).  The one-sided bounds admit ``ESTIMATE_SLACK`` relative
-    headroom.  Slopes are fitted on the asymptotic window (two smallest and
-    two largest eps dropped when 7+ are given).
+    headroom, and ``scan.slope`` fits the three rates.
     """
     grid = field.grid
+    if scan.grid != grid:
+        raise ValueError("the field and the eps scan must share one grid")
     ladder = dyadic_shift_ladder(grid)
-    eps_range = sorted(float(e) for e in eps_range)
-    table = ModulusTable(grid, field.values, p, ladder, eps_range)
+    table = ModulusTable(grid, field.values, p, ladder, scan.eps)
     sem = table.sup(ladder, alpha)
-    if eps_range[0] < 2.0 * grid.cell_width:
-        raise ResolutionError(
-            f"eps {eps_range[0]:g} below grid resolution {2.0 * grid.cell_width:g}"
-        )
     m_err, g_nrm = [], []
     vol = grid.cell_volume
-    for eps in eps_range:
-        fe = mollify_values(field.values, build_mollifier(grid, eps))
+    for mol in scan.mollifiers:
+        fe = mollify_values(field.values, mol)
         m_err.append(lp_norm_values(fe - field.values, p, vol))
         g_nrm.append(lp_norm_values(magnitude(grad_values(fe, grid.cell_width), grid), p, vol))
-    eps_arr = np.array(eps_range)
-    s_sup = np.array(table.ball_sups(eps_range))
+    s_sup = np.array(table.ball_sups(scan.eps))
     m_err, g_nrm = np.array(m_err), np.array(g_nrm)
-    win = _asymptotic_window(len(eps_arr))
-    slopes = tuple(_loglog_fit(eps_arr[win], v[win])[0] for v in (m_err, s_sup, g_nrm))
+    slopes = tuple(scan.slope(v) for v in (m_err, s_sup, g_nrm))
     cap = (1.0 + ESTIMATE_SLACK) * sem
-    bounds = np.stack([cap * eps_arr**alpha, cap * eps_arr**alpha,
-                       cap * eps_arr ** (alpha - 1.0)])
+    bounds = np.stack([cap * scan.eps**alpha, cap * scan.eps**alpha,
+                       cap * scan.eps ** (alpha - 1.0)])
     return MollifierRateReport(np.stack([m_err, s_sup, g_nrm]), bounds, slopes, table)
 
 

@@ -212,7 +212,10 @@ def cmd_besov_fit(args: argparse.Namespace) -> int:
 def _resolve_probe_fields(cfg: dict):
     fields, alphas = [], []
     grid = None
-    for spec in _required(cfg, "fields"):
+    specs = _required(cfg, "fields")
+    if not specs:
+        raise UsageError("config field 'fields' must name at least one field")
+    for spec in specs:
         spec = _checked(spec, _FIELD_KEYS, "probe")
         if ("file" in spec) == ("weierstrass" in spec):
             raise UsageError(f"each probe field needs one of 'file' and 'weierstrass', "
@@ -252,8 +255,9 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
     try:
         fields, alphas = _resolve_probe_fields(cfg)
         gmap = cm.get_gmap(gname, GasParams(gamma))
-        probe = cm.CommutatorProbe(fields, alphas, gmap, p, tuple(
-            _typed(e, float, "config field 'eps' entry") for e in eps))
+        scan = bz.eps_scan(fields[0].grid, [_typed(e, float, "config field 'eps' entry")
+                                            for e in eps])
+        probe = cm.CommutatorProbe(fields, alphas, gmap, p, scan)
         fit = cm.chain_rate_fit(probe)
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise UsageError(repr(exc))
@@ -261,7 +265,7 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
                          "fields": [_digest(f.values) for f in fields]})
     rows = [
         [float(e), float(n), float(b), bool(okay)]
-        for e, n, b, okay in zip(fit.eps, fit.norms, fit.bounds, fit.bound_ok)
+        for e, n, b, okay in zip(scan.eps, fit.norms, fit.bounds, fit.bound_ok)
     ]
     rows.append(["slope", float("nan"), fit.slope, fit.passed])
     _write_report(_out_dir(args) / "commutator_rate.csv",

@@ -17,7 +17,8 @@ the bilinear/trilinear product commutators
 
 whose L^{p/2} norms are checked against squared L^p mollification and shift
 moduli with a constant frozen from a smooth calibration probe.  Both are one
-eps scan, `_product_scan`, whose shift moduli come from one `besov.ModulusTable`.
+pass over a `besov.EpsScan`, `_product_scan`, whose shift moduli come from one
+`besov.ModulusTable`.
 
 G is supplied with closed-form first and second derivatives; nothing here
 differentiates G numerically, so the split's gap is rounding alone.
@@ -30,17 +31,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations_with_replacement
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .besov import ModulusTable, dyadic_shift_ladder, seminorm, _asymptotic_window, _loglog_fit
+from .besov import EpsScan, ModulusTable, dyadic_shift_ladder, eps_scan, seminorm
 from .errors import DomainError
 from .grid import (
+    Mollifier,
     PeriodicGrid,
     ScalarField,
     VectorField,
-    build_mollifier,
     grad_values,
     lp_norm_values,
     magnitude,
@@ -125,7 +126,7 @@ def get_gmap(name: str, params: GasParams | None = None) -> GMap:
 
 @dataclass(frozen=True)
 class CommutatorProbe:
-    """Fields with declared regularities, a G map, and a mollification scan.
+    """Fields with declared regularities, a G map, and an eps scan on their grid.
 
     The probe measures what every eps of its scan shares once, and caches
     the floats: the component seminorms over the dyadic shift ladder, the
@@ -136,7 +137,7 @@ class CommutatorProbe:
     alphas: tuple[float, ...]
     gmap: GMap
     p: float
-    eps_range: tuple[float, ...]
+    scan: EpsScan
 
     def __post_init__(self):
         if len(self.components) != self.gmap.arity:
@@ -146,8 +147,8 @@ class CommutatorProbe:
         if not self.p >= 2.0:
             raise DomainError(f"p must be >= 2, got {self.p}")
         grid = self.components[0].grid
-        if any(f.grid != grid for f in self.components):
-            raise ValueError("all components must share one grid")
+        if any(f.grid != grid for f in self.components) or self.scan.grid != grid:
+            raise ValueError("all components and the eps scan must share one grid")
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -212,8 +213,8 @@ class ChainCommutatorResult:
     bound: float
 
 
-def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResult:
-    """Evaluate grad(G(F_eps)) - (grad G(F))_eps and its split terms.
+def chain_commutator(probe: CommutatorProbe, mol: Mollifier) -> ChainCommutatorResult:
+    """Evaluate grad(G(F_eps)) - (grad G(F))_eps and its split terms, eps = mol.epsilon.
 
     Gradients of compositions are expanded with the closed-form chain rule,
     and comm = term_a + term_b holds to rounding, a check on both terms:
@@ -223,7 +224,6 @@ def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResul
         term_b = DG(F) . grad F_eps - (DG(F) . grad F)_eps
     """
     grid = probe.grid
-    mol = build_mollifier(grid, eps)
     f = np.stack([c.values for c in probe.components])
     fe = mollify_values(f, mol)
     dg = probe.gmap.grad(f)
@@ -238,20 +238,13 @@ def chain_commutator(probe: CommutatorProbe, eps: float) -> ChainCommutatorResul
         lp_norm_values(magnitude(v, grid), probe.p / 2.0, grid.cell_volume)
         for v in (comm, term_a, term_b)
     )
-    return ChainCommutatorResult(
-        VectorField(grid, comm),
-        VectorField(grid, term_a),
-        VectorField(grid, term_b),
-        norm,
-        norm_a,
-        norm_b,
-        chain_bound(probe, eps),
-    )
+    return ChainCommutatorResult(VectorField(grid, comm), VectorField(grid, term_a),
+                                 VectorField(grid, term_b), norm, norm_a, norm_b,
+                                 chain_bound(probe, mol.epsilon))
 
 
 @dataclass(frozen=True)
 class RateFit:
-    eps: np.ndarray
     norms: np.ndarray
     bounds: np.ndarray
     slope: float
@@ -267,26 +260,18 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     one-sided bound (with measured semi-norms and sampled derivative sups)
     to hold at every eps within ``CHAIN_BOUND_SLACK``.
     """
-    eps_arr = np.array(sorted(probe.eps_range))
-    if eps_arr[-1] / eps_arr[0] < 7.9:
+    scan = probe.scan
+    if not scan.eps.size or scan.eps[-1] / scan.eps[0] < 7.9:
         raise ValueError("eps range must span at least 3 octaves")
-    norms, bounds = [], []
-    for eps in eps_arr:
-        res = chain_commutator(probe, float(eps))
-        norms.append(res.norm)
-        bounds.append(res.bound)
-    norms_arr, bounds_arr = np.array(norms), np.array(bounds)
-    active = [
-        sum(g * a for g, a in zip(gamma, probe.alphas)) - 1.0
-        for gamma, sup in probe.sups.items()
-        if sup > 0.0
-    ]
+    results = (chain_commutator(probe, mol) for mol in scan.mollifiers)
+    norms, bounds = map(np.array, zip(*((r.norm, r.bound) for r in results)))
+    active = [sum(g * a for g, a in zip(gamma, probe.alphas)) - 1.0
+              for gamma, sup in probe.sups.items() if sup > 0.0]
     predicted = min(active) if active else math.inf
-    win = _asymptotic_window(len(eps_arr))
-    slope, _ = _loglog_fit(eps_arr[win], norms_arr[win])
-    bound_ok = norms_arr <= (1.0 + CHAIN_BOUND_SLACK) * bounds_arr
+    slope = scan.slope(norms)
+    bound_ok = norms <= (1.0 + CHAIN_BOUND_SLACK) * bounds
     passed = bool(slope >= predicted - 0.1 and np.all(bound_ok))
-    return RateFit(eps_arr, norms_arr, bounds_arr, slope, predicted, passed, bound_ok)
+    return RateFit(norms, bounds, slope, predicted, passed, bound_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +287,20 @@ class ProductCommutatorResult:
     passed: bool         # norm <= C0_PRODUCT * (rhs_mollify + rhs_shift)
 
 
-def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, eps_list,
+def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, scan: EpsScan,
                   factors: int) -> list[ProductCommutatorResult]:
-    """rho_eps U_eps - (rho U)_eps per eps, U = u or u (x) u for 1 or 2 ``factors``;
-    the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
+    """rho_eps U_eps - (rho U)_eps per eps of the scan, U = u or u (x) u for 1 or 2
+    ``factors``; the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
     grid, vol = rho_field.grid, rho_field.grid.cell_volume
+    if scan.grid != grid:
+        raise ValueError("the fields and the eps scan must share one grid")
     u = u_field.values if isinstance(u_field, VectorField) else u_field.values[None]
     stack = np.concatenate([rho_field.values[None]] + [u] * factors)
     prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
     flux = (stack[0] * prod).reshape((-1,) + grid.shape)
     results = []
-    sups = ModulusTable(grid, stack, PRODUCT_P, (), eps_list).ball_sups(eps_list)
-    for eps, sup in zip(eps_list, sups):
-        mol = build_mollifier(grid, eps)
+    sups = ModulusTable(grid, stack, PRODUCT_P, (), scan.eps).ball_sups(scan.eps)
+    for mol, sup in zip(scan.mollifiers, sups):
         stack_e = mollify_values(stack, mol)
         u_e = stack_e[1 : 1 + len(u)]
         prod_e = u_e if factors == 1 else np.einsum("i...,j...->ij...", u_e, u_e)
@@ -331,34 +317,29 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, ep
 def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
                         eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps - (rho u)_eps with its one-sided modulus bound."""
-    return _product_scan(rho_field, u_field, [eps], 1)[0]
+    return _product_scan(rho_field, u_field, eps_scan(rho_field.grid, [eps]), 1)[0]
 
 
 def triple_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
                       eps: float) -> ProductCommutatorResult:
     """rho_eps u_eps (x) u_eps - (rho u (x) u)_eps, Frobenius magnitude."""
-    return _product_scan(rho_field, u_field, [eps], 2)[0]
+    return _product_scan(rho_field, u_field, eps_scan(rho_field.grid, [eps]), 2)[0]
 
 
 def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
-                     eps_range: Sequence[float], kind: str = "bilinear"):
+                     scan: EpsScan, kind: str = "bilinear"):
     """Decay slope of a product commutator over a dyadic eps scan, and its results."""
     if kind not in _FACTORS:
         raise ValueError(f"unknown product commutator kind {kind!r}; known: bilinear, triple")
-    eps_arr = np.array(sorted(float(e) for e in eps_range))
-    results = _product_scan(rho_field, u_field, eps_arr, _FACTORS[kind])
-    norms = np.array([r.norm for r in results])
-    win = _asymptotic_window(len(eps_arr))
-    slope, _ = _loglog_fit(eps_arr[win], norms[win])
-    return slope, results
+    results = _product_scan(rho_field, u_field, scan, _FACTORS[kind])
+    return scan.slope([r.norm for r in results]), results
 
 
 def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
-                 eps_range: Sequence[float]) -> float:
+                 scan: EpsScan) -> float:
     """Max measured ratio norm / (rhs_mollify + rhs_shift) over the scan."""
-    eps_list = [float(e) for e in eps_range]
     worst = 0.0
     for factors in _FACTORS.values():
-        for r in _product_scan(rho_field, u_field, eps_list, factors):
+        for r in _product_scan(rho_field, u_field, scan, factors):
             worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
     return worst

@@ -20,6 +20,22 @@ def test_gate(gate, capsys):
     assert result.passed, result.details
 
 
+@pytest.mark.parametrize("gate", [acceptance.gate_besov_machinery,
+                                  acceptance.gate_chain_commutator,
+                                  acceptance.gate_product_commutators],
+                         ids=lambda g: g.__name__)
+def test_scan_gates_build_each_mollifier_once(monkeypatch, gate):
+    """Each gate scans EPS_SCAN once: one kernel per eps, shared by its probes."""
+    from eulerlab import grid
+
+    built = []
+    real = grid.Mollifier.__post_init__
+    monkeypatch.setattr(grid.Mollifier, "__post_init__",
+                        lambda mol: built.append((mol.grid, mol.epsilon)) or real(mol))
+    assert gate().passed
+    assert len(built) == len(set(built)) == len(acceptance.EPS_SCAN) == 7
+
+
 def test_one_sided_lipschitz_builds_the_basis_once(monkeypatch):
     from eulerlab import conditions
 
@@ -70,14 +86,16 @@ def test_a_wrong_split_term_fails_the_chain_gate(monkeypatch):
     import dataclasses
 
     from eulerlab import commutator
+    from eulerlab.grid import build_mollifier
 
     real = commutator.chain_commutator
 
-    def wrong(probe, eps):
-        res = real(probe, eps)
-        if eps != 2.0**-6:
+    def wrong(probe, mol):
+        res = real(probe, mol)
+        if mol.epsilon != 2.0**-6:
             return res
-        return dataclasses.replace(res, term_b=real(probe, 2.0**-5).term_b)
+        twice = build_mollifier(probe.grid, 2.0**-5)
+        return dataclasses.replace(res, term_b=real(probe, twice).term_b)
 
     monkeypatch.setattr(commutator, "chain_commutator", wrong)
     result = acceptance.gate_chain_commutator()

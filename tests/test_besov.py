@@ -12,6 +12,7 @@ from eulerlab.besov import (
     _diff_norm,
     besov_report,
     dyadic_shift_ladder,
+    eps_scan,
     fit_regularity,
     seminorm,
     verify_mollifier_rates,
@@ -136,7 +137,7 @@ class TestFitRegularity:
 @pytest.fixture(scope="module")
 def report(weier8k) -> MollifierRateReport:
     eps = [2.0 ** (-k) for k in range(4, 11)]
-    return verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, eps)
+    return verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, eps_scan(weier8k[0.6].grid, eps))
 
 
 class TestMollifierRates:
@@ -156,7 +157,7 @@ class TestMollifierRates:
     def test_smooth_field_gradient_stays_bounded(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.sin(np.pi * x))
         eps = [2.0 ** (-k) for k in range(4, 9)]
-        rep = verify_mollifier_rates(f, 1.0, 3.0, eps)
+        rep = verify_mollifier_rates(f, 1.0, 3.0, eps_scan(grid8k, eps))
         # one-sided estimate: bounded gradient certainly beats eps**(alpha-1)
         assert abs(rep.slopes[2]) < 0.1
         assert bool(np.all(rep.bound_ok[2]))
@@ -164,14 +165,19 @@ class TestMollifierRates:
     def test_eps_below_resolution_raises(self, grid256):
         f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
         with pytest.raises(ResolutionError):
-            verify_mollifier_rates(f, 1.0, 2.0, [grid256.cell_width])
+            verify_mollifier_rates(f, 1.0, 2.0, eps_scan(grid256, [grid256.cell_width]))
+
+    def test_a_scan_on_another_grid_is_refused(self, grid256):
+        f = field_from_function(grid256, lambda x: np.sin(np.pi * x))
+        with pytest.raises(ValueError, match="share one grid"):
+            verify_mollifier_rates(f, 1.0, 2.0, eps_scan(PeriodicGrid(2, 256), [0.125]))
 
     def test_2d_bounds_hold(self):
         from eulerlab.grid import PeriodicGrid, weierstrass_field
 
         grid = PeriodicGrid(2, 64)
         f = weierstrass_field(0.6, 6, grid)
-        rep = verify_mollifier_rates(f, 0.6, 3.0, [0.125, 0.25, 0.5])
+        rep = verify_mollifier_rates(f, 0.6, 3.0, eps_scan(grid, [0.125, 0.25, 0.5]))
         assert bool(np.all(rep.bound_ok))
 
 
@@ -183,15 +189,44 @@ def _oracle_shift_sup(field, eps, p):
     return sup
 
 
+class TestEpsScan:
+    def test_ascending_with_repeats_one_kernel_per_distinct_eps(self, grid256, monkeypatch):
+        built = []
+        real = besov.build_mollifier
+        monkeypatch.setattr(besov, "build_mollifier",
+                            lambda grid, e: built.append(e) or real(grid, e))
+        scan = eps_scan(grid256, [0.25, 0.0625, 0.125, 0.0625])
+        assert scan.eps.tolist() == [0.0625, 0.0625, 0.125, 0.25]
+        assert sorted(built) == [0.0625, 0.125, 0.25]
+        assert scan.mollifiers[0] is scan.mollifiers[1]
+        for e, mol in zip(scan.eps, scan.mollifiers):
+            alone = real(grid256, e)
+            assert mol.epsilon == e and mol.grid == grid256
+            assert np.array_equal(mol.offsets, alone.offsets)
+            assert np.array_equal(mol.weights, alone.weights)
+
+    def test_empty_scan(self, grid256):
+        scan = eps_scan(grid256, [])
+        assert scan.eps.size == 0 and scan.mollifiers == ()
+
+    @pytest.mark.parametrize("count,window", [(7, slice(2, 5)), (4, slice(0, 4))])
+    def test_slope_fits_the_asymptotic_window(self, grid8k, count, window):
+        eps = [2.0 ** (-k) for k in range(4, 4 + count)]
+        scan = eps_scan(grid8k, eps)
+        values = [3.0 * e**0.6 * (1.0 + 0.1 * math.sin(7.0 * e)) for e in scan.eps]
+        expected = np.polyfit(np.log(scan.eps[window]), np.log(values[window]), 1)[0]
+        assert scan.slope(values).hex() == float(expected).hex()
+
+
 class TestBallSups:
-    @pytest.mark.parametrize("dims,cells,eps_scan", [
+    @pytest.mark.parametrize("dims,cells,eps_list", [
         (1, 8192, EPS_SCAN), (2, 64, (0.5, 0.25, 0.125, 0.0625)),
     ])
-    def test_verify_mollifier_rates_matches_per_eps_loop(self, dims, cells, eps_scan):
+    def test_verify_mollifier_rates_matches_per_eps_loop(self, dims, cells, eps_list):
         f = weierstrass_field(0.6, 13, PeriodicGrid(dims, cells))
-        # descending, with a repeat: the report sorts, the scan takes any order
-        eps = list(eps_scan) + [eps_scan[2]]
-        rep = verify_mollifier_rates(f, 0.6, 3.0, eps)
+        # descending, with a repeat: the scan sorts them and keeps the repeat
+        eps = list(eps_list) + [eps_list[2]]
+        rep = verify_mollifier_rates(f, 0.6, 3.0, eps_scan(f.grid, eps))
         assert [v.hex() for v in rep.estimates[1].tolist()] == [
             _oracle_shift_sup(f, e, 3.0).hex() for e in sorted(eps)]
 
@@ -214,7 +249,8 @@ class TestBallSups:
         real = besov.shift_values
         monkeypatch.setattr(besov, "shift_values",
                             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        rep = verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, list(EPS_SCAN))
+        rep = verify_mollifier_rates(weier8k[0.6], 0.6, 3.0,
+                                     eps_scan(weier8k[0.6].grid, EPS_SCAN))
         fit = fit_regularity(rep.table)      # the besov gate's fit: no second pass
         ladder = dyadic_shift_ladder(weier8k[0.6].grid)
         assert len(ladder) == 22 and set(_fit_rungs(weier8k[0.6].grid)) <= set(ladder)
@@ -238,7 +274,7 @@ class TestBallSups:
             ModulusTable(grid, np.zeros(64), 3.0, (), [eps])
         f = weierstrass_field(0.6, 6, grid)
         with pytest.raises(DomainError, match="exceeds half the period"):
-            verify_mollifier_rates(f, 0.6, 3.0, [0.125, 0.25, eps])
+            verify_mollifier_rates(f, 0.6, 3.0, eps_scan(grid, [0.125, 0.25, eps]))
 
 
 class TestReports:

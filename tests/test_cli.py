@@ -1262,6 +1262,9 @@ def _probe_with(spec: dict) -> dict:
 _NESTED_PROBE_MISSES = {
     "eps_entry_bool": ({**_VALID_PROBE, "eps": [0.5, 0.25, 0.125, True]},
                        "config field 'eps' entry must be a number, got True"),
+    "eps_empty": ({**_VALID_PROBE, "eps": []}, "eps range must span at least 3 octaves"),
+    "fields_empty": ({**_VALID_PROBE, "fields": []},
+                     "config field 'fields' must name at least one field"),
     "weier_alpha_string": (_probe_with({"weierstrass": {**_VALID_WEIER, "alpha": "0.6"}}),
                            "weierstrass field 'alpha' must be a number, got '0.6'"),
     "field_alpha_bool": (_probe_with({"weierstrass": _VALID_WEIER, "alpha": True}),
@@ -1278,7 +1281,8 @@ _NESTED_PROBE_MISSES = {
 
 @pytest.mark.parametrize("case", sorted(_NESTED_PROBE_MISSES))
 def test_probe_config_miss_inside_a_field_or_eps_exits_2(tmp_path, capsys, case):
-    # each ran before: the value was coerced, the key ignored or 'file' preferred
+    # each ran before: the value was coerced, the key ignored or 'file' preferred,
+    # or the run ended in a traceback (an empty eps list)
     cfg, message = _NESTED_PROBE_MISSES[case]
     field = tmp_path / "field.csv"
     save_scalar_field(field, weierstrass_field(0.6, 6, PeriodicGrid(1, 64)))

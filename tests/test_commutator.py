@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eulerlab import acceptance, besov, commutator
-from eulerlab.besov import dyadic_shift_ladder, seminorm
+from eulerlab.besov import dyadic_shift_ladder, eps_scan, seminorm
 from eulerlab.commutator import (
     C0_PRODUCT,
     HULL_SAMPLES_PER_DIM,
@@ -56,7 +56,12 @@ def _linear_gmap():
 def _probe(field, alpha, gmap, p=4.0, eps=EPS_SCAN):
     comps = (field,) if isinstance(field, ScalarField) else tuple(field)
     alphas = (alpha,) if isinstance(alpha, float) else tuple(alpha)
-    return CommutatorProbe(comps, alphas, gmap, p, tuple(eps))
+    return CommutatorProbe(comps, alphas, gmap, p, eps_scan(comps[0].grid, eps))
+
+
+def _kernel(probe, eps):
+    """The probe's scan kernel of radius ``eps``."""
+    return next(mol for mol in probe.scan.mollifiers if mol.epsilon == eps)
 
 
 class TestChainCommutator:
@@ -64,53 +69,55 @@ class TestChainCommutator:
         # zero second derivative kills the bound; float distributivity across
         # the kernel sum leaves at most ulp-level residue
         probe = _probe(weier8k[0.6], 0.6, _linear_gmap())
-        res = chain_commutator(probe, 0.0625)
+        res = chain_commutator(probe, _kernel(probe, 0.0625))
         assert res.bound == 0.0
         assert np.max(np.abs(res.commutator.values)) < 1e-11
 
     def test_constant_field_commutes_exactly(self, grid256):
         probe = _probe(constant_field(grid256, 1.3), 0.5, get_gmap("square"), p=4.0,
                        eps=(0.0625, 0.125, 0.25, 0.5))
-        res = chain_commutator(probe, 0.125)
+        res = chain_commutator(probe, _kernel(probe, 0.125))
         assert res.norm == 0.0
 
     def test_square_probe_obeys_bound_with_slack(self, weier8k):
         probe = _probe(weier8k[0.6], 0.6, get_gmap("square"))
-        for eps in EPS_SCAN:
-            res = chain_commutator(probe, eps)
+        for mol in probe.scan.mollifiers:
+            res = chain_commutator(probe, mol)
             assert res.norm <= 1.10 * res.bound
 
     def test_split_terms_sum_exactly(self, weier8k):
         probe = _probe(weier8k[0.6], 0.6, get_gmap("square"))
-        res = chain_commutator(probe, 2.0**-6)
+        res = chain_commutator(probe, _kernel(probe, 2.0**-6))
         recon = res.term_a.values + res.term_b.values
         assert np.max(np.abs(recon - res.commutator.values)) < 1e-12
 
     def test_split_terms_entry_point(self, weier8k):
         # chain_commutator is the one entry point to the split terms
         probe = _probe(weier8k[0.6], 0.6, get_gmap("square"))
-        first = chain_commutator(probe, 2.0**-6)
-        res = chain_commutator(probe, 2.0**-6)
+        first = chain_commutator(probe, _kernel(probe, 2.0**-6))
+        res = chain_commutator(probe, _kernel(probe, 2.0**-6))
         assert np.array_equal(first.term_a.values, res.term_a.values)
         assert np.array_equal(first.term_b.values, res.term_b.values)
 
     def test_linear_split_terms_vanish(self, weier8k):
         probe = _probe(weier8k[0.6], 0.6, _linear_gmap())
-        res = chain_commutator(probe, 0.0625)
+        res = chain_commutator(probe, _kernel(probe, 0.0625))
         assert np.all(res.term_a.values == 0.0)  # DG is constant, difference exact
         assert np.max(np.abs(res.term_b.values)) < 1e-11
 
     def test_rejects_small_p(self, grid256):
         with pytest.raises(DomainError):
-            _probe(constant_field(grid256, 1.0), 0.5, get_gmap("square"), p=1.5)
+            _probe(constant_field(grid256, 1.0), 0.5, get_gmap("square"), p=1.5,
+                   eps=(0.0625, 0.125, 0.25, 0.5))
 
     def test_2d_probe_obeys_bound_and_split(self):
         from eulerlab.grid import weierstrass_field
 
         grid = PeriodicGrid(2, 64)
         f = weierstrass_field(0.6, 6, grid)
-        probe = CommutatorProbe((f,), (0.6,), get_gmap("square"), 4.0, (0.125, 0.25))
-        res = chain_commutator(probe, 0.125)
+        probe = CommutatorProbe((f,), (0.6,), get_gmap("square"), 4.0,
+                                eps_scan(grid, (0.125, 0.25)))
+        res = chain_commutator(probe, _kernel(probe, 0.125))
         assert res.norm <= 1.10 * res.bound
         gap = np.max(np.abs(res.term_a.values + res.term_b.values
                             - res.commutator.values))
@@ -129,7 +136,7 @@ def _count_cached(monkeypatch, name):
 
 class TestProbeMeasuresOnce:
     def test_chain_gate_counts(self, monkeypatch):
-        # the split check's extra chain_commutator(probe1, 2**-6) measured
+        # the split check's extra chain_commutator at 2**-6 measured
         # probe1's ladder and hull again: 88 difference norms, 3 samplings
         norms = []
         real = besov._diff_norm
@@ -142,7 +149,7 @@ class TestProbeMeasuresOnce:
     def test_probe_caches_floats_only(self, weier8k):
         probe = _probe((weier8k[0.4], weier8k[0.8]), (0.4, 0.8), get_gmap("product"))
         chain_rate_fit(probe)
-        fields = {"components", "alphas", "gmap", "p", "eps_range"}
+        fields = {"components", "alphas", "gmap", "p", "scan"}
         assert set(vars(probe)) == fields | {"seminorms", "hull", "sups"}
         leaves = [*probe.seminorms, *(x for box in probe.hull for x in box),
                   *probe.sups.values()]
@@ -166,7 +173,7 @@ class TestChainRates:
         # above alpha = 1/2 and grows below it
         field = acceptance._weier(alpha, acceptance._measurement_grid())
         probe = CommutatorProbe((field,), (alpha,), get_gmap("square"), 4.0,
-                                acceptance.EPS_SCAN)
+                                eps_scan(field.grid, acceptance.EPS_SCAN))
         slope = chain_rate_fit(probe).slope
         assert math.copysign(1.0, slope) == math.copysign(1.0, 2.0 * alpha - 1.0)
         assert slope == pytest.approx(2.0 * alpha - 1.0, abs=0.05)
@@ -179,17 +186,15 @@ class TestChainRates:
         grid = acceptance._measurement_grid()
         rho = 1.5 + 0.25 * acceptance._weier(alpha, grid).values / 3.0
         u = acceptance._weier(alpha, grid, phase=0.7).values
-        eps = np.array(sorted(acceptance.EPS_SCAN))
+        scan = eps_scan(grid, acceptance.EPS_SCAN)
         pis = []
-        for e in eps:
-            rho_e, u_e, flux_e = mollify_values(np.stack([rho, u, rho * u * u]),
-                                                build_mollifier(grid, e))
+        for mol in scan.mollifiers:
+            rho_e, u_e, flux_e = mollify_values(np.stack([rho, u, rho * u * u]), mol)
             remainder = flux_e - rho_e * u_e**2
             pis.append(grid.cell_width
                        * exact_sum(remainder * grad_values(u_e, grid.cell_width)[0]))
         pis = np.array(pis)
-        win = besov._asymptotic_window(len(eps))
-        slope, _ = besov._loglog_fit(eps[win], np.abs(pis[win]))
+        slope = scan.slope(np.abs(pis))
         assert np.all(pis < 0.0)
         if abs(3.0 * alpha - 1.0) >= 0.1:
             assert math.copysign(1.0, slope) == math.copysign(1.0, 3.0 * alpha - 1.0)
@@ -218,13 +223,12 @@ class TestChainRates:
 
     def test_split_terms_decay_individually(self, weier8k):
         probe = _probe(weier8k[0.6], 0.6, get_gmap("square"))
-        eps = np.array(EPS_SCAN)
         norms_a, norms_b = [], []
-        for e in sorted(eps):
-            res = chain_commutator(probe, float(e))
+        for mol in probe.scan.mollifiers:
+            res = chain_commutator(probe, mol)
             norms_a.append(res.norm_a)
             norms_b.append(res.norm_b)
-        le = np.log(sorted(eps))
+        le = np.log(probe.scan.eps)
         slope_a = np.polyfit(le[2:-2], np.log(norms_a)[2:-2], 1)[0]
         slope_b = np.polyfit(le[2:-2], np.log(norms_b)[2:-2], 1)[0]
         assert slope_a >= 0.2 - 0.1
@@ -249,13 +253,13 @@ class TestProductCommutators:
 
     def test_bilinear_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, results = product_rate_fit(rho, u, EPS_SCAN, kind="bilinear")
+        slope, results = product_rate_fit(rho, u, eps_scan(rho.grid, EPS_SCAN), kind="bilinear")
         assert slope >= 2 * 0.4 - 0.1
         assert all(r.passed for r in results)
 
     def test_triple_rate_weierstrass_04(self, rough_pair_8k):
         rho, u = rough_pair_8k
-        slope, results = product_rate_fit(rho, u, EPS_SCAN, kind="triple")
+        slope, results = product_rate_fit(rho, u, eps_scan(rho.grid, EPS_SCAN), kind="triple")
         assert slope >= 3 * 0.4 - 1.0 - 0.1
         assert all(r.passed for r in results)
 
@@ -266,7 +270,7 @@ class TestProductCommutators:
         u = field_from_function(
             grid8k, lambda x: 0.4 * np.sin(2 * np.pi * x) + 0.2 * np.cos(np.pi * x)
         )
-        measured = calibrate_c0(rho, u, [2.0 ** (-k) for k in range(4, 9)])
+        measured = calibrate_c0(rho, u, eps_scan(grid8k, [2.0 ** (-k) for k in range(4, 9)]))
         assert measured < C0_PRODUCT
 
     def test_2d_bilinear_runs(self, grid2d):
@@ -370,16 +374,16 @@ def _pair_2d():
 class TestProductScanMatchesPerEps:
     """Every number of the eps-list scan is bit-identical to the per-eps oracle."""
 
-    def _check(self, rho, u, eps_scan, kind):
+    def _check(self, rho, u, eps_list, kind):
         oracle, entry = _ORACLES[kind]
-        # descending, with repeats: product_rate_fit sorts, the scan keeps order
-        eps = list(eps_scan) + [eps_scan[1], eps_scan[1]]
-        expected = {e: oracle(rho, u, e) for e in eps_scan}
-        _, results = product_rate_fit(rho, u, eps, kind=kind)
+        # descending, with repeats: the scan sorts them and keeps the repeats
+        eps = list(eps_list) + [eps_list[1], eps_list[1]]
+        expected = {e: oracle(rho, u, e) for e in eps_list}
+        _, results = product_rate_fit(rho, u, eps_scan(rho.grid, eps), kind=kind)
         assert len(results) == len(eps)
         for e, r in zip(sorted(eps), results):
             _assert_same(r, expected[e])
-        _assert_same(entry(rho, u, eps_scan[2]), expected[eps_scan[2]])
+        _assert_same(entry(rho, u, eps_list[2]), expected[eps_list[2]])
 
     def test_1d_measurement_grid(self, rough_pair_8k, kind):
         self._check(*rough_pair_8k, EPS_SCAN, kind)
@@ -393,24 +397,35 @@ class TestProductScanMatchesPerEps:
         real = besov.shift_values
         monkeypatch.setattr(besov, "shift_values",
                             lambda *a, **k: calls.append(a[1]) or real(*a, **k))
-        product_rate_fit(*rough_pair_8k, EPS_SCAN, kind=kind)
+        rho, u = rough_pair_8k
+        product_rate_fit(rho, u, eps_scan(rho.grid, EPS_SCAN), kind=kind)
         assert len(calls) == len(set(calls)) == 255
 
 
 def test_calibration_matches_per_eps_oracle():
-    rho, u, eps_scan = _pair_2d()
-    eps = list(eps_scan) + [eps_scan[0]]
+    rho, u, eps_list = _pair_2d()
+    eps = list(eps_list) + [eps_list[0]]
     worst = 0.0
     for e in eps:
         for oracle, _ in _ORACLES.values():
             r = oracle(rho, u, e, c0=math.inf)
             worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
-    assert calibrate_c0(rho, u, eps).hex() == worst.hex()
+    assert calibrate_c0(rho, u, eps_scan(rho.grid, eps)).hex() == worst.hex()
+
+
+def test_a_scan_on_another_grid_is_refused(grid256):
+    rho = constant_field(grid256, 1.0)
+    other = eps_scan(PeriodicGrid(2, 256), (0.0625, 0.5))
+    with pytest.raises(ValueError, match="share one grid"):
+        CommutatorProbe((rho,), (0.5,), get_gmap("square"), 4.0, other)
+    with pytest.raises(ValueError, match="share one grid"):
+        product_rate_fit(rho, rho, other)
 
 
 def test_unknown_product_kind_is_rejected(rough_pair_8k):
+    rho, u = rough_pair_8k
     with pytest.raises(ValueError, match="'bilnear'.*bilinear, triple"):
-        product_rate_fit(*rough_pair_8k, EPS_SCAN, kind="bilnear")
+        product_rate_fit(rho, u, eps_scan(rho.grid, EPS_SCAN), kind="bilnear")
 
 
 def _oracle_hull_sups(probe):
@@ -432,7 +447,8 @@ def _oracle_hull_sups(probe):
 def _gate_product_probe():
     grid = PeriodicGrid(1, 8192)
     f04, f08 = weierstrass_field(0.4, 13, grid), weierstrass_field(0.8, 13, grid, phase=1.0)
-    return CommutatorProbe((f04, f08), (0.4, 0.8), get_gmap("product"), 4.0, EPS_SCAN)
+    return CommutatorProbe((f04, f08), (0.4, 0.8), get_gmap("product"), 4.0,
+                           eps_scan(grid, EPS_SCAN))
 
 
 def _cubic_gmap():

@@ -533,24 +533,19 @@ class TestTrajectoryMonitor:
         assert check.utilization <= 1.0
 
     @pytest.mark.slow
-    def test_j1_term_bounded_by_budget(self):
+    def test_j1_is_negative_on_the_rarefaction_window(self):
         # the wrap jumps of the embedded profile are compressive shocks the
-        # shock-free assumption excludes, so the inequality is evaluated on
-        # the masked window where the reference is a genuine rarefaction
+        # shock-free assumption excludes; on the masked window the reference
+        # is a genuine rarefaction, whose stretching d_x v > 0 makes
+        # J1 = -int rho w^2 d_x v negative (-4.9e-6 ... -2.5e-6 for t in [0.1, 0.5])
         traj_a, traj_b, params = _pair(512, t_end=0.5, stride=0.05)
         grid = traj_a.grid
         mask = np.abs(grid.axis_centers()) < 0.6
-        for i, t in enumerate(traj_a.times):
-            if t < 0.1:
-                continue
-            val = j1_term(grid, traj_a.snapshots[i], traj_b.snapshots[i], params,
-                          mask=mask)
-            ref = snapshot_primitive(traj_b.snapshots[i], params)
-            total = rel_entropy_total(grid, snapshot_primitive(traj_a.snapshots[i], params),
-                                      ref, params)
-            _, vel, _ = ref
-            c_t = max(oslip_discrete(grid, vel).value, 0.0)
-            assert val <= c_t * total + 1e-12
+        j1 = [j1_term(grid, cand, ref, params, mask=mask)
+              for t, cand, ref in zip(traj_a.times, traj_a.snapshots, traj_b.snapshots)
+              if t >= 0.1]
+        assert len(j1) == 9
+        assert all(val < 0.0 for val in j1)
 
     @pytest.mark.parametrize("init", ["double_rarefaction", "sod", "smooth"])
     def test_j1_is_bounded_by_the_compression_side(self, init):
