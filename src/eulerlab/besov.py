@@ -214,11 +214,10 @@ ESTIMATES = ("mollification error", "shift modulus", "gradient")
 
 @dataclass(frozen=True)
 class MollifierRateReport:
-    """Per-epsilon estimates and their one-sided bounds, and the three fitted rates."""
+    """Per-epsilon estimates and their one-sided bounds; ``scan.slope`` fits a rate."""
 
     estimates: np.ndarray  # one row per estimate (ESTIMATES), one column per eps
     bounds: np.ndarray     # the bound each estimate is held to, same layout
-    slopes: tuple[float, float, float]
     table: ModulusTable    # the dyadic shift ladder and the ball of the largest eps
 
     @property
@@ -228,12 +227,12 @@ class MollifierRateReport:
 
 def verify_mollifier_rates(field: ScalarField, alpha: float, p: float,
                            scan: EpsScan) -> MollifierRateReport:
-    """Measure the three mollifier quantities over the scan and fit their rates.
+    """Measure the three mollifier quantities over the scan, with their bounds.
 
     One modulus table over the dyadic shift ladder and the ball of the
     largest eps gives the semi-norm (on the ladder) and the shift moduli (on
     the balls).  The one-sided bounds admit ``ESTIMATE_SLACK`` relative
-    headroom, and ``scan.slope`` fits the three rates.
+    headroom.
     """
     grid = field.grid
     if scan.grid != grid:
@@ -247,13 +246,11 @@ def verify_mollifier_rates(field: ScalarField, alpha: float, p: float,
         fe = mollify_values(field.values, mol)
         m_err.append(lp_norm_values(fe - field.values, p, vol))
         g_nrm.append(lp_norm_values(magnitude(grad_values(fe, grid.cell_width), grid), p, vol))
-    s_sup = np.array(table.ball_sups(scan.eps))
-    m_err, g_nrm = np.array(m_err), np.array(g_nrm)
-    slopes = tuple(scan.slope(v) for v in (m_err, s_sup, g_nrm))
+    s_sup = table.ball_sups(scan.eps)
     cap = (1.0 + ESTIMATE_SLACK) * sem
     bounds = np.stack([cap * scan.eps**alpha, cap * scan.eps**alpha,
                        cap * scan.eps ** (alpha - 1.0)])
-    return MollifierRateReport(np.stack([m_err, s_sup, g_nrm]), bounds, slopes, table)
+    return MollifierRateReport(np.stack([m_err, s_sup, g_nrm]), bounds, table)
 
 
 #: Exponents of the ``besov_report`` seminorm scan.

@@ -208,8 +208,6 @@ class ChainCommutatorResult:
     term_a: VectorField
     term_b: VectorField
     norm: float
-    norm_a: float
-    norm_b: float
     bound: float
 
 
@@ -234,19 +232,16 @@ def chain_commutator(probe: CommutatorProbe, mol: Mollifier) -> ChainCommutatorR
     comm = np.einsum("i...,id...->d...", dge, grads_e) - inner_e
     term_a = np.einsum("i...,id...->d...", dge - dg, grads_e)
     term_b = np.einsum("i...,id...->d...", dg, grads_e) - inner_e
-    norm, norm_a, norm_b = (
-        lp_norm_values(magnitude(v, grid), probe.p / 2.0, grid.cell_volume)
-        for v in (comm, term_a, term_b)
-    )
+    norm = lp_norm_values(magnitude(comm, grid), probe.p / 2.0, grid.cell_volume)
     return ChainCommutatorResult(VectorField(grid, comm), VectorField(grid, term_a),
-                                 VectorField(grid, term_b), norm, norm_a, norm_b,
-                                 chain_bound(probe, mol.epsilon))
+                                 VectorField(grid, term_b), norm, chain_bound(probe, mol.epsilon))
 
 
 @dataclass(frozen=True)
 class RateFit:
     norms: np.ndarray
     bounds: np.ndarray
+    split_gaps: np.ndarray   # max |term_a + term_b - commutator| per eps
     slope: float
     predicted: float
     passed: bool
@@ -264,14 +259,16 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     if not scan.eps.size or scan.eps[-1] / scan.eps[0] < 7.9:
         raise ValueError("eps range must span at least 3 octaves")
     results = (chain_commutator(probe, mol) for mol in scan.mollifiers)
-    norms, bounds = map(np.array, zip(*((r.norm, r.bound) for r in results)))
+    norms, bounds, split_gaps = map(np.array, zip(*(
+        (r.norm, r.bound, np.max(np.abs(r.term_a.values + r.term_b.values - r.commutator.values)))
+        for r in results)))
     active = [sum(g * a for g, a in zip(gamma, probe.alphas)) - 1.0
               for gamma, sup in probe.sups.items() if sup > 0.0]
     predicted = min(active) if active else math.inf
     slope = scan.slope(norms)
     bound_ok = norms <= (1.0 + CHAIN_BOUND_SLACK) * bounds
     passed = bool(slope >= predicted - 0.1 and np.all(bound_ok))
-    return RateFit(norms, bounds, slope, predicted, passed, bound_ok)
+    return RateFit(norms, bounds, split_gaps, slope, predicted, passed, bound_ok)
 
 
 # ---------------------------------------------------------------------------

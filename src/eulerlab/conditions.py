@@ -10,8 +10,7 @@ with unit directions xi, which converges to the supremum of the symmetric
 velocity-gradient quadratic form as the bump basis refines.  A discrete
 surrogate takes one-sided lattice difference quotients directly and upper
 bounds the weak constant up to O(dx).  Expansive wrap-around jumps of
-profiles embedded periodically can dominate; they are maskable and the mask
-is recorded.
+profiles embedded periodically can dominate; they are maskable.
 
 The bump basis is held per width as a stencil: the supports of all
 translates, padded with dead cells to one length.  A scan then takes every
@@ -207,20 +206,13 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
     return OslipWeakResult(best, best_dir, best_label)
 
 
-@dataclass(frozen=True)
-class OslipDiscreteResult:
-    value: float
-    masked_wrap: bool
-
-
-def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
-                   mask_wrap: bool = False) -> OslipDiscreteResult:
+def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray, mask_wrap: bool = False) -> float:
     """Max one-sided directional difference quotient over one-cell steps.
 
     For each lattice step h (one cell along each axis, and both diagonals in
     2D) the quotient (h/|h|) . (u(x+h) - u(x)) / |h| is maximized over cells;
     with ``mask_wrap`` the stencils crossing the periodic identification are
-    dropped (recorded in the result).
+    dropped.
     """
     vel = _check_velocity(grid, vel)
     dx = grid.cell_width
@@ -234,7 +226,7 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray,
         if mask_wrap:   # the cells whose step c stays inside the box
             quot = quot[tuple(slice(None, -c) if c > 0 else slice(-c, None) for c in off)]
         best = max(best, float(np.max(quot)))
-    return OslipDiscreteResult(best, mask_wrap)
+    return best
 
 
 #: Fitted power at which 1/tau-type blow-up is flagged.  A least-squares fit of

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError
+from .errors import DomainError, RangeError, ResolutionError
 
 #: Physical extent of the domain per dimension.
 PERIOD = 2.0
@@ -202,7 +202,15 @@ def lp_norm_values(magnitudes: np.ndarray, p: float, cell_volume: float) -> floa
     mag = np.abs(np.asarray(magnitudes, dtype=float))
     if p == np.inf:
         return float(np.max(mag))
-    total = exact_sum(mag**p)
+    try:
+        with np.errstate(over="ignore"):   # an overflowed term shows in the total
+            total = exact_sum(mag**p)
+    except OverflowError:   # finite terms whose sum overflows
+        total = math.inf
+    # a zero total of terms not all zero: every one of them underflowed
+    if not math.isfinite(total) or (total == 0.0 and mag.any()):
+        raise RangeError(f"the sum of |v|**{p:g} over {mag.size} cells is {total}, "
+                         f"outside the float range")
     return float((cell_volume * total) ** (1.0 / p))
 
 
@@ -287,8 +295,8 @@ def wrap(delta: np.ndarray) -> np.ndarray:
 class Mollifier:
     """Discretized smooth bump with support strictly inside {|y| < epsilon}.
 
-    ``offsets`` holds integer lattice offsets (rows), ``weights`` the kernel
-    values there, normalized so that sum(weights) * cell_volume = 1.
+    ``offsets`` holds integer lattice offsets (rows, lexicographic), ``weights``
+    the kernel values there, normalized so that sum(weights) * cell_volume = 1.
     ``spectrum`` is its real spectrum on the torus of ``grid``: each tap, times
     the cell volume, on its offset mod the cell count, a cell of its own.
     """
@@ -331,8 +339,7 @@ def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
     offsets = offsets[keep]
     w = np.exp(-1.0 / (1.0 - dist2[keep]))
     w = w / (exact_sum(w) * grid.cell_volume)
-    order = np.lexsort(offsets.T[::-1])
-    return Mollifier(eps, grid, offsets[order], w[order])
+    return Mollifier(eps, grid, offsets, w)
 
 
 def mollify_values(values: np.ndarray, mol: Mollifier) -> np.ndarray:

@@ -364,7 +364,7 @@ def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
         prim = snapshot_primitive(ref, params)
         integral.append(rel_entropy_total(grid, snapshot_primitive(cand, params), prim, params))
         _, vel, theta = prim
-        oslip.append(oslip_discrete(grid, vel).value)
+        oslip.append(oslip_discrete(grid, vel))
         grad_sup = max(
             float(np.max(np.abs(shift_values(theta, off) - theta))) / grid.cell_width
             for off in unit

@@ -36,6 +36,22 @@ def test_scan_gates_build_each_mollifier_once(monkeypatch, gate):
     assert len(built) == len(set(built)) == len(acceptance.EPS_SCAN) == 7
 
 
+def test_chain_gate_evaluates_each_probe_and_eps_once(monkeypatch):
+    """The split gap comes from the rate fit: 2 probes x 7 eps, no eighth pass."""
+    from eulerlab import commutator
+
+    calls = []
+    real = commutator.chain_commutator
+
+    def counted(probe, mol):
+        calls.append((id(probe), mol.epsilon))
+        return real(probe, mol)
+
+    monkeypatch.setattr(commutator, "chain_commutator", counted)
+    assert acceptance.gate_chain_commutator().passed
+    assert len(calls) == len(set(calls)) == 2 * len(acceptance.EPS_SCAN) == 14
+
+
 def test_one_sided_lipschitz_builds_the_basis_once(monkeypatch):
     from eulerlab import conditions
 

@@ -135,31 +135,37 @@ class TestFitRegularity:
 
 
 @pytest.fixture(scope="module")
-def report(weier8k) -> MollifierRateReport:
-    eps = [2.0 ** (-k) for k in range(4, 11)]
-    return verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, eps_scan(weier8k[0.6].grid, eps))
+def scan8k(grid8k):
+    return eps_scan(grid8k, [2.0 ** (-k) for k in range(4, 11)])
+
+
+@pytest.fixture(scope="module")
+def report(weier8k, scan8k) -> MollifierRateReport:
+    return verify_mollifier_rates(weier8k[0.6], 0.6, 3.0, scan8k)
 
 
 class TestMollifierRates:
-    def test_mollify_rate_in_band(self, report):
-        assert 0.55 <= report.slopes[0] <= 0.75
+    def test_mollify_rate_in_band(self, report, scan8k):
+        assert 0.55 <= scan8k.slope(report.estimates[0]) <= 0.75
 
-    def test_gradient_rate_in_band(self, report):
-        assert -0.45 <= report.slopes[2] <= -0.25
+    def test_gradient_rate_in_band(self, report, scan8k):
+        assert -0.45 <= scan8k.slope(report.estimates[2]) <= -0.25
 
     def test_one_sided_bounds_hold_everywhere(self, report):
         assert bool(np.all(report.bound_ok))
 
-    def test_shift_modulus_tracks_mollify_error(self, report):
+    def test_shift_modulus_tracks_mollify_error(self, report, scan8k):
         # both moduli decay at the same nominal rate
-        assert report.slopes[1] == pytest.approx(report.slopes[0], abs=0.1)
+        assert scan8k.slope(report.estimates[1]) == pytest.approx(
+            scan8k.slope(report.estimates[0]), abs=0.1)
 
     def test_smooth_field_gradient_stays_bounded(self, grid8k):
         f = field_from_function(grid8k, lambda x: np.sin(np.pi * x))
         eps = [2.0 ** (-k) for k in range(4, 9)]
-        rep = verify_mollifier_rates(f, 1.0, 3.0, eps_scan(grid8k, eps))
+        scan = eps_scan(grid8k, eps)
+        rep = verify_mollifier_rates(f, 1.0, 3.0, scan)
         # one-sided estimate: bounded gradient certainly beats eps**(alpha-1)
-        assert abs(rep.slopes[2]) < 0.1
+        assert abs(scan.slope(rep.estimates[2])) < 0.1
         assert bool(np.all(rep.bound_ok[2]))
 
     def test_eps_below_resolution_raises(self, grid256):

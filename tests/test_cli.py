@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import shutil
 import sys
 import tempfile
 import warnings
@@ -442,6 +443,25 @@ class TestInputBoundary:
         assert f"must be >= 1, got {float(p)}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale,p", [(1.0, "1000"), (1e153, "2")])
+    def test_besov_fit_sum_past_the_float_range_is_a_usage_error(self, tmp_path, capsys,
+                                                                scale, p):
+        # |f(.+h) - f|**1000 overflowed or underflowed to 0: numpy warned and
+        # the fit reported seminorms and an exponent of inf, exit 0.  At
+        # 1e153 the squares are finite but their sum overflowed in fsum, a
+        # traceback
+        fpath = tmp_path / "field.csv"
+        f = weierstrass_field(0.6, 9, PeriodicGrid(1, 512))
+        save_scalar_field(fpath, ScalarField(f.grid, scale * f.values))
+        out = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["besov-fit", "--field", str(fpath), "--p", p, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"the sum of |v|**{p} over 512 cells is " in err
+        assert "outside the float range" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cells", [8, 15])
     def test_besov_fit_on_a_grid_under_sixteen_cells_is_a_usage_error(self, tmp_path, capsys,
                                                                      cells):
@@ -535,6 +555,22 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert f"p must be >= 2, got {p}" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_commutator_rate_exponent_past_the_float_range_is_a_usage_error(self, tmp_path,
+                                                                            capsys):
+        # |comm|**(p / 2) overflowed: numpy warned and every row held inf
+        # norms and bounds marked pass, then a slope of nan
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({
+            "fields": [{"weierstrass": {"alpha": 0.6, "levels": 9, "grid_n": 512}}],
+            "G": "square", "p": 1e308, "eps": [0.25, 0.125, 0.0625, 0.03125]}))
+        out = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["commutator-rate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "over 512 cells is inf, outside the float range" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_commutator_rate_bounds_the_mollifier_radius(self, tmp_path, capsys):
         # eps = 50 on a 64-cell probe built 3,199 taps that wrapped the axis
@@ -684,16 +720,27 @@ class TestInputBoundary:
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, 1e-320])
-    def test_snapshot_density_without_a_velocity_is_a_usage_error(self, tmp_path, capsys, rho):
-        # rho <= 0 is not a density, and m / 1e-320 overflows
-        traj = _simulate(tmp_path, "a", grid_n=32)
-        with open(traj / "t_0001.csv") as fh:
+    @pytest.mark.parametrize("snapshot", [1, 2])
+    @pytest.mark.parametrize("flag", ["--traj", "--traj-a", "--traj-b"])
+    def test_snapshot_density_without_a_velocity_is_a_usage_error(self, tmp_path, capsys, rho,
+                                                                  snapshot, flag):
+        # rho <= 0 is not a density, and m / 1e-320 overflows.  relentropy's
+        # window starts at snapshot 2: it did not check snapshot 1, and at 2
+        # numpy warned and the error named no snapshot
+        good = _simulate(tmp_path, "good", grid_n=32)
+        traj = shutil.copytree(good, tmp_path / "bad")
+        with open(traj / f"t_{snapshot:04d}.csv") as fh:
             grid, cols = read_columns_csv(fh)
         cols["rho"][5], cols["m1"][5] = rho, 1.0
-        with open(traj / "t_0001.csv", "w") as fh:
+        with open(traj / f"t_{snapshot:04d}.csv", "w") as fh:
             write_columns_csv(fh, grid, cols)
-        assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
-        assert "snapshot 1" in capsys.readouterr().err
+        argv = {"--traj": ["oslip-check", "--traj", str(traj)],
+                "--traj-a": ["relentropy", "--traj-a", str(traj), "--traj-b", str(good)],
+                "--traj-b": ["relentropy", "--traj-a", str(good), "--traj-b", str(traj)]}[flag]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(tmp_path / "rep")]) == 2
+        assert f"snapshot {snapshot} of {traj}:" in capsys.readouterr().err
 
     def test_overflowing_initial_data_exits_1_at_t_0(self, tmp_path, capsys):
         # finite primitives whose conserved state overflows: E = inf

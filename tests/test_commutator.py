@@ -35,6 +35,7 @@ from eulerlab.grid import (
     exact_sum,
     field_from_function,
     grad_values,
+    lp_norm,
     lp_norm_values,
     mollify_values,
     shift_values,
@@ -226,8 +227,8 @@ class TestChainRates:
         norms_a, norms_b = [], []
         for mol in probe.scan.mollifiers:
             res = chain_commutator(probe, mol)
-            norms_a.append(res.norm_a)
-            norms_b.append(res.norm_b)
+            norms_a.append(lp_norm(res.term_a, probe.p / 2))
+            norms_b.append(lp_norm(res.term_b, probe.p / 2))
         le = np.log(probe.scan.eps)
         slope_a = np.polyfit(le[2:-2], np.log(norms_a)[2:-2], 1)[0]
         slope_b = np.polyfit(le[2:-2], np.log(norms_b)[2:-2], 1)[0]

@@ -270,25 +270,22 @@ class TestWeakScanContract:
 
 class TestDiscrete:
     def test_constant_gives_zero(self, grid4k):
-        res = oslip_discrete(grid4k, _vel1d(grid4k, lambda x: 1.3 + 0.0 * x))
-        assert res.value == 0.0
+        assert oslip_discrete(grid4k, _vel1d(grid4k, lambda x: 1.3 + 0.0 * x)) == 0.0
 
     def test_compressive_sawtooth_dominated_by_wrap(self, grid4k):
         vel = _vel1d(grid4k, lambda x: -x)
         unmasked = oslip_discrete(grid4k, vel)
         masked = oslip_discrete(grid4k, vel, mask_wrap=True)
-        assert unmasked.value > 100.0          # expansive wrap jump blows up
-        assert masked.value == pytest.approx(-1.0, abs=1e-9)
-        assert masked.masked_wrap
+        assert unmasked > 100.0          # expansive wrap jump blows up
+        assert masked == pytest.approx(-1.0, abs=1e-9)
 
     def test_fan_slope(self, grid4k):
-        res = oslip_discrete(grid4k, _clamped_fan(grid4k, 0.5))
-        assert res.value == pytest.approx(2.0, rel=0.02)
+        assert oslip_discrete(grid4k, _clamped_fan(grid4k, 0.5)) == pytest.approx(2.0, rel=0.02)
 
     def test_upper_bounds_weak_constant(self, grid4k):
         vel = _vel1d(grid4k, lambda x: np.sin(np.pi * x) + 0.2 * np.sin(3 * np.pi * x))
         weak = oslip_weak_min_c(grid4k, vel).min_c
-        disc = oslip_discrete(grid4k, vel).value
+        disc = oslip_discrete(grid4k, vel)
         assert disc >= weak - 4.0 * grid4k.cell_width
 
     def test_multi_step_and_2d(self):
@@ -296,8 +293,7 @@ class TestDiscrete:
         grid = PeriodicGrid(2, 64)
         xx, yy = grid.coordinates()
         vel = np.stack([0.3 * np.sin(np.pi * xx), 0.1 * np.sin(np.pi * yy)])
-        res = oslip_discrete(grid, vel)
-        assert res.value == pytest.approx(0.3 * np.pi, rel=0.05)
+        assert oslip_discrete(grid, vel) == pytest.approx(0.3 * np.pi, rel=0.05)
 
 
 def _masked_quotients_by_loop(grid, vel):
@@ -331,11 +327,10 @@ class TestDiscreteMaskAgainstLoop:
         rng = np.random.default_rng(seed)
         ramp = -np.stack(grid.coordinates()) if dims == 2 else -grid.axis_centers()[None]
         vel = ramp + 0.3 * grid.cell_width * rng.standard_normal((dims,) + grid.shape)
-        res = oslip_discrete(grid, vel, mask_wrap=True)
-        assert res.masked_wrap
-        assert res.value == pytest.approx(max(_masked_quotients_by_loop(grid, vel).values()),
-                                          rel=1e-12, abs=1e-12)
-        assert oslip_discrete(grid, vel).value > res.value + 1.0
+        masked = oslip_discrete(grid, vel, mask_wrap=True)
+        assert masked == pytest.approx(max(_masked_quotients_by_loop(grid, vel).values()),
+                                       rel=1e-12, abs=1e-12)
+        assert oslip_discrete(grid, vel) > masked + 1.0
 
     @pytest.mark.parametrize("n", [4, 5, 16])
     @pytest.mark.parametrize("step", [(1, 0), (0, 1), (1, 1), (1, -1)])
@@ -351,9 +346,9 @@ class TestDiscreteMaskAgainstLoop:
         vel += 0.3 * grid.cell_width * rng.standard_normal((2,) + grid.shape)
         loop = _masked_quotients_by_loop(grid, vel)
         assert max(loop, key=loop.get) == step
-        res = oslip_discrete(grid, vel, mask_wrap=True)
-        assert res.value == pytest.approx(loop[step], rel=1e-12, abs=1e-12)
-        assert oslip_discrete(grid, vel).value > res.value + 10.0
+        masked = oslip_discrete(grid, vel, mask_wrap=True)
+        assert masked == pytest.approx(loop[step], rel=1e-12, abs=1e-12)
+        assert oslip_discrete(grid, vel) > masked + 10.0
 
 
 class TestL1Report:

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from eulerlab import grid as grid_module
 from eulerlab.acceptance import EPS_SCAN
-from eulerlab.errors import DomainError, ResolutionError
+from eulerlab.errors import DomainError, RangeError, ResolutionError
 from eulerlab.grid import (
     EXACT_SUM_MIN_TERMS,
     PeriodicGrid,
@@ -125,22 +125,32 @@ class TestOnePower:
 
     def test_terms(self, monkeypatch, p):
         summed = []
-        monkeypatch.setattr(grid_module, "exact_sum", lambda t: summed.append(t) or 0.0)
+        monkeypatch.setattr(grid_module, "exact_sum", lambda t: summed.append(t) or 1.0)
         with np.errstate(over="ignore"):
             lp_norm_values(_LP_MAGNITUDES, p, 1.0)
             expected = _lp_terms_oracle(np.abs(_LP_MAGNITUDES), p)
         assert [t.hex() for t in summed[0].tolist()] == [t.hex() for t in expected.tolist()]
 
     def test_norms(self, p):
-        # six decades at a time, up to where the sum of the powers overflows
-        for lo in range(-306, int(300 / p) - 6, 12):
-            mag = np.logspace(lo, lo + 6, 2_000)
-            for vol in (1.0, 2.0**-13):
-                expected = (vol * exact_sum(_lp_terms_oracle(mag, p))) ** (1.0 / p)
-                assert lp_norm_values(mag, p, vol).hex() == expected.hex(), lo
-        tiny = _LP_MAGNITUDES[:6]
-        expected = exact_sum(_lp_terms_oracle(np.abs(tiny), p)) ** (1.0 / p)
-        assert lp_norm_values(tiny, p, 1.0).hex() == expected.hex()
+        # six decades at a time, up to where the sum of the powers overflows,
+        # and subnormals; where every power underflows to 0 there is no norm
+        cases = [(np.logspace(lo, lo + 6, 2_000), vol)
+                 for lo in range(-306, int(300 / p) - 6, 12) for vol in (1.0, 2.0**-13)]
+        for mag, vol in cases + [(_LP_MAGNITUDES[:6], 1.0)]:
+            total = exact_sum(_lp_terms_oracle(np.abs(mag), p))
+            if total == 0.0:
+                with pytest.raises(RangeError, match="outside the float range"):
+                    lp_norm_values(mag, p, vol)
+            else:
+                expected = (vol * total) ** (1.0 / p)
+                assert lp_norm_values(mag, p, vol).hex() == expected.hex(), mag[0]
+
+    def test_a_sum_past_the_float_range_raises(self, p):
+        # four finite powers whose sum overflows, and (p > 1) a power that overflows
+        big = (0.5 * np.finfo(float).max) ** (1.0 / p)
+        for mag in [[big] * 4] + ([[1e300, 1.0]] if p > 1.0 else []):
+            with pytest.raises(RangeError, match="outside the float range"):
+                lp_norm_values(np.array(mag), p, 1.0)
 
 
 def _mollify(field, mol):
@@ -195,9 +205,11 @@ class TestShift:
 
 
 class TestMollifier:
-    def test_kernel_invariants(self, grid256):
+    def test_kernel_invariants(self, grid256, grid2d):
         mol = build_mollifier(grid256, 0.1)
         vol = grid256.cell_volume
+        for offsets in (mol.offsets, build_mollifier(grid2d, 0.2).offsets):  # lexicographic
+            assert np.array_equal(np.lexsort(offsets.T[::-1]), np.arange(len(offsets)))
         assert math.fsum(mol.weights) * vol == pytest.approx(1.0, rel=1e-12)
         assert np.all(mol.weights >= 0.0)
         assert _radius_cells(mol) * grid256.cell_width < 0.1

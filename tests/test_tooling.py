@@ -32,12 +32,8 @@ TEST_ONLY = {
 TEST_ONLY_FIELDS = {
     "RegularityFit.lengths": "the step-function test checks a modulus against its closed form",
     "RegularityFit.diff_norms": "as RegularityFit.lengths",
-    "MollifierRateReport.slopes": "the rate tests hold the three fitted slopes to their bands",
-    "ChainCommutatorResult.norm_a": "the split test checks that each term decays on its own",
-    "ChainCommutatorResult.norm_b": "as ChainCommutatorResult.norm_a",
     "OslipWeakResult.direction": "where the maximum sits; the fast-path-vs-oracle tests compare it",
     "OslipWeakResult.bump_label": "as OslipWeakResult.direction",
-    "OslipDiscreteResult.masked_wrap": "records the mask a value was taken with",
     "L1Report.points_fitted": "the fit-window test pins how many points the power law sees",
     "CoercivityResult.lower_form": "the quadratic-branch test checks the form itself",
 }
@@ -52,10 +48,10 @@ UNSET_OPTIONS = {
 }
 
 #: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
-_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 10, "UNSET_OPTIONS": 5}
+_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 6, "UNSET_OPTIONS": 5}
 
 #: The yardstick at its last count: a change that grows src/ raises this in its own diff.
-_YARDSTICK_CAP = 3242
+_YARDSTICK_CAP = 3241
 
 
 @functools.cache
