@@ -183,7 +183,10 @@ def gate_product_commutators() -> GateResult:
     # the results run in ascending eps, as the scan does
     broken = next(((kind, eps, r) for kind, res in (("bilinear", res2), ("triple", res3))
                    for eps, r in zip(scan.eps, res) if not r.passed), None)
-    ok = bool(s2 >= 2 * alpha - 0.1 and s3 >= 3 * alpha - 1.0 - 0.1 and broken is None)
+    # |Pi_eps|, the energy-flux pairing of the alpha > 1/3 theorem, scales like eps^(3 alpha - 1)
+    s_pi = scan.slope(np.abs([r.flux_pairing for r in res3]))
+    ok = bool(s2 >= 2 * alpha - 0.1 and min(s3, s_pi) >= 3 * alpha - 1.0 - 0.1
+              and broken is None)
     bound = f"modulus bound with C0={cm.C0_PRODUCT}"
     if broken is None:
         bound += " at every eps"
@@ -193,11 +196,11 @@ def gate_product_commutators() -> GateResult:
         bound = f"{kind} {bound} first fails at eps 2^{math.log2(eps):g}: norm / bound {ratio:.3f}"
     details = (
         f"bilinear slope {s2:.3f} (>= {2 * alpha - 0.1:.2f}), "
-        f"triple slope {s3:.3f} (>= {3 * alpha - 1.0 - 0.1:.2f}), {bound}"
+        f"triple slope {s3:.3f} (>= {3 * alpha - 1.0 - 0.1:.2f}), "
+        f"flux pairing slope {s_pi:.3f} (>= {3 * alpha - 1.0 - 0.1:.2f}), {bound}"
     )
-    return GateResult(
-        "product-commutators", ok, details, {"bilinear_slope": s2, "triple_slope": s3}
-    )
+    return GateResult("product-commutators", ok, details,
+                      {"bilinear_slope": s2, "triple_slope": s3, "flux_pairing_slope": s_pi})
 
 
 def gate_relative_entropy() -> GateResult:

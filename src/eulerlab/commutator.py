@@ -42,6 +42,7 @@ from .grid import (
     PeriodicGrid,
     ScalarField,
     VectorField,
+    exact_sum,
     grad_values,
     lp_norm_values,
     magnitude,
@@ -282,12 +283,18 @@ class ProductCommutatorResult:
     rhs_mollify: float   # squared L^p mollification modulus of the tuple
     rhs_shift: float     # squared L^p shift modulus, sup over |y| < eps
     passed: bool         # norm <= C0_PRODUCT * (rhs_mollify + rhs_shift)
+    flux_pairing: float | None   # triple with one u component per axis: Pi_eps
 
 
 def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, scan: EpsScan,
                   factors: int) -> list[ProductCommutatorResult]:
     """rho_eps U_eps - (rho U)_eps per eps of the scan, U = u or u (x) u for 1 or 2
-    ``factors``; the moduli measure the stacked tuple (rho, u) or (rho, u, u)."""
+    ``factors``; the moduli measure the stacked tuple (rho, u) or (rho, u, u).
+
+    With two factors and a velocity u (one component per axis) each result
+    also holds the energy-flux pairing Pi_eps = int R_eps : grad u_eps of
+    R_eps = (rho u (x) u)_eps - rho_eps u_eps (x) u_eps, which scales like
+    eps^{3 alpha - 1} (Constantin, E & Titi, Comm. Math. Phys. 165, 1994)."""
     grid, vol = rho_field.grid, rho_field.grid.cell_volume
     if scan.grid != grid:
         raise ValueError("the fields and the eps scan must share one grid")
@@ -295,6 +302,7 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, sc
     stack = np.concatenate([rho_field.values[None]] + [u] * factors)
     prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
     flux = (stack[0] * prod).reshape((-1,) + grid.shape)
+    forms_pairing = factors == 2 and len(u) == grid.dims
     results = []
     sups = ModulusTable(grid, stack, PRODUCT_P, (), scan.eps).ball_sups(scan.eps)
     for mol, sup in zip(scan.mollifiers, sups):
@@ -305,8 +313,12 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, sc
         norm = lp_norm_values(magnitude(comm, grid), PRODUCT_P / 2.0, vol)
         rhs1 = lp_norm_values(magnitude(stack_e - stack, grid), PRODUCT_P, vol) ** 2
         rhs2 = sup**2
+        pairing = None
+        if forms_pairing:   # R_eps = -comm; grad_e[i, j] = d_j u_i
+            grad_e = np.stack([grad_values(c, grid.cell_width) for c in u_e])
+            pairing = -vol * exact_sum(comm * grad_e)
         results.append(ProductCommutatorResult(
-            norm, rhs1, rhs2, bool(norm <= C0_PRODUCT * (rhs1 + rhs2))
+            norm, rhs1, rhs2, bool(norm <= C0_PRODUCT * (rhs1 + rhs2)), pairing
         ))
     return results
 

@@ -207,8 +207,10 @@ def lp_norm_values(magnitudes: np.ndarray, p: float, cell_volume: float) -> floa
             total = exact_sum(mag**p)
     except OverflowError:   # finite terms whose sum overflows
         total = math.inf
+    if math.isnan(total):
+        raise RangeError(f"a magnitude among the {mag.size} cells is not a number")
     # a zero total of terms not all zero: every one of them underflowed
-    if not math.isfinite(total) or (total == 0.0 and mag.any()):
+    if math.isinf(total) or (total == 0.0 and mag.any()):
         raise RangeError(f"the sum of |v|**{p:g} over {mag.size} cells is {total}, "
                          f"outside the float range")
     return float((cell_volume * total) ** (1.0 / p))
@@ -436,7 +438,8 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
     The header must be ``x[,y]`` followed by at least one data column, and
     every coordinate must sit on the centre of its cell (row-major order) of
     the grid the row count implies.  A token is an ASCII decimal float: the
-    ``1_0`` and non-ASCII digits that ``float()`` took are rejected.
+    ``1_0`` and non-ASCII digits that ``float()`` took are rejected.  Data
+    values may be inf or nan: each reader checks the values it keeps.
     """
     # the stripped non-comment lines, read as numpy parses them: no list of
     # every row is held
@@ -452,8 +455,8 @@ def read_columns_csv(stream: TextIO) -> tuple[PeriodicGrid, dict[str, np.ndarray
     # comments=None: a "#" after data is a bad token, as it is to float()
     data = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
                       ndmin=2, dtype=float)
-    if data.shape[1] != len(header) or not np.all(np.isfinite(data)):
-        raise ValueError(f"rows must hold {len(header)} finite values each")
+    if data.shape[1] != len(header):
+        raise ValueError(f"rows must hold {len(header)} values each")
     count = data.shape[0]
     n = round(count ** (1.0 / ncoord))
     if n**ncoord != count:

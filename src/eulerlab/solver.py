@@ -135,7 +135,8 @@ class Trajectory:
         """Read a ``save`` directory.  ``meta.json`` must name the complete
         system, a gamma above 1 and finite, strictly increasing times, one per
         snapshot file ``t_NNNN.csv``, with no other snapshot file, and each
-        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError.
+        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError.  A cell
+        the solver would refuse, or whose m / rho overflows, is a DomainError.
 
         A snapshot is read from its ``.npy`` copy when the CSV and the copy
         both hash to the digests ``meta.json`` records; without digests, or
@@ -183,8 +184,11 @@ class Trajectory:
             elif stack.dtype != np.float64 or stack.shape != shape:
                 raise ValueError(f"snapshot {i} copy holds {stack.dtype} {stack.shape}, "
                                  f"not float64 {shape}")
-            elif not np.all(np.isfinite(stack)):
-                raise ValueError(f"snapshot {i} copy holds non-finite values")
+            _check_physical(stack, gamma, t)
+            with np.errstate(over="ignore"):   # _check_physical passes rho = 5e-324, m = 1e-10
+                bad = np.argwhere(~np.all(np.isfinite(stack[1:-1] / stack[0]), axis=0)).tolist()
+            if bad:
+                raise DomainError(f"velocity m / rho overflows at t = {t:.6g}, cell {(*bad[0],)}")
             snaps.append(Snapshot(float(t), stack[0], stack[1:-1], stack[-1]))
         return cls(grid, params, snaps, meta)
 

@@ -270,6 +270,17 @@ class TestReports:
         assert "PASS" in capsys.readouterr().out
         assert (tmp_path / "thermo_report.csv").exists()
 
+    @pytest.mark.parametrize("gamma,code", [("89", 0), ("90", 2), ("500", 2)])
+    def test_verify_thermo_overflow_is_a_usage_error(self, tmp_path, capsys, gamma, code):
+        # at gamma 90 exp((gamma - 1) S / rho) overflows at S / rho = 8: the
+        # Hessian held inf and nan, and the gate reported non-convexity
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify-thermo", "--gamma", gamma, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        assert "FAIL" not in out and "Traceback" not in err
+        assert ("pressure derivatives overflow" in err) == (code == 2)
+
     def test_verify_thermo_rows_are_the_gate_metrics(self, tmp_path):
         from eulerlab.thermo import GasParams
 
@@ -419,6 +430,13 @@ class TestReports:
         rows = _read_rows(out / "oslip_report.csv")[2:]
         assert float(rows[0].split(",")[0]) == 0.0
         assert float(rows[0].split(",")[1]) > 0.0   # min_C at tau = 0 is positive
+
+
+def _trajectory_argv(flag, traj, good):
+    """The command that reads ``traj`` through ``flag``, with ``good`` as the other run."""
+    return {"--traj": ["oslip-check", "--traj", str(traj)],
+            "--traj-a": ["relentropy", "--traj-a", str(traj), "--traj-b", str(good)],
+            "--traj-b": ["relentropy", "--traj-a", str(good), "--traj-b", str(traj)]}[flag]
 
 
 def _simulate(tmp_path, name, **cfg):
@@ -634,7 +652,6 @@ class TestInputBoundary:
             raise AssertionError("a snapshot was scanned")
 
         monkeypatch.setattr(conditions, "oslip_weak_min_c", scanned)
-        monkeypatch.setattr("eulerlab.cli.snapshot_primitive", scanned)
         monkeypatch.setattr("eulerlab.relentropy.snapshot_primitive", scanned)
         inputs = {"relentropy": ["--traj-a", str(traj), "--traj-b", str(traj)],
                   "oslip-check": ["--traj", str(traj)]}[command]
@@ -725,8 +742,7 @@ class TestInputBoundary:
     def test_snapshot_density_without_a_velocity_is_a_usage_error(self, tmp_path, capsys, rho,
                                                                   snapshot, flag):
         # rho <= 0 is not a density, and m / 1e-320 overflows.  relentropy's
-        # window starts at snapshot 2: it did not check snapshot 1, and at 2
-        # numpy warned and the error named no snapshot
+        # window starts at snapshot 2: snapshot 1 lies outside it
         good = _simulate(tmp_path, "good", grid_n=32)
         traj = shutil.copytree(good, tmp_path / "bad")
         with open(traj / f"t_{snapshot:04d}.csv") as fh:
@@ -734,13 +750,42 @@ class TestInputBoundary:
         cols["rho"][5], cols["m1"][5] = rho, 1.0
         with open(traj / f"t_{snapshot:04d}.csv", "w") as fh:
             write_columns_csv(fh, grid, cols)
-        argv = {"--traj": ["oslip-check", "--traj", str(traj)],
-                "--traj-a": ["relentropy", "--traj-a", str(traj), "--traj-b", str(good)],
-                "--traj-b": ["relentropy", "--traj-a", str(good), "--traj-b", str(traj)]}[flag]
+        t = json.loads((traj / "meta.json").read_text())["times"][snapshot]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main([*argv, "--out", str(tmp_path / "rep")]) == 2
-        assert f"snapshot {snapshot} of {traj}:" in capsys.readouterr().err
+            assert main([*_trajectory_argv(flag, traj, good), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load {traj}: " in err and "Traceback" not in err
+        assert f"at t = {t:.6g}, cell (5,): rho = {rho:.6g}, p = " in err
+
+    @pytest.mark.parametrize("copy", [True, False], ids=["copy", "csv"])
+    @pytest.mark.parametrize("state,what", [
+        ((-1.0, 1.0, 1.0), "non-positive pressure or non-finite state"),
+        ((1.0, 1.0, 0.01), "non-positive pressure or non-finite state"),
+        ((1.0, np.inf, 1.0), "non-positive pressure or non-finite state"),
+        ((5e-324, 1e-10, 1e304), "velocity m / rho overflows"),
+    ], ids=["density", "pressure", "non_finite", "velocity"])
+    @pytest.mark.parametrize("snapshot", [1, 2])
+    @pytest.mark.parametrize("flag", ["--traj", "--traj-a", "--traj-b"])
+    def test_a_state_the_solver_would_refuse_is_a_usage_error(self, tmp_path, capsys, flag,
+                                                              snapshot, state, what, copy):
+        # p = -0.196 at (rho, m, E) = (1, 1, 0.01): oslip-check reported on it,
+        # and relentropy named no directory, time or cell.  The velocity state
+        # has positive density and pressure, but m / rho overflows
+        good = _simulate(tmp_path, "good", grid_n=32)
+        traj = solver.Trajectory.load(good)
+        snap = traj.snapshots[snapshot]
+        snap.rho[5], snap.mom[0, 5], snap.energy[5] = state
+        bad = tmp_path / "bad"
+        traj.save(bad)
+        if not copy:
+            (bad / f"t_{snapshot:04d}.npy").unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*_trajectory_argv(flag, bad, good), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot load {bad}: " in err and "Traceback" not in err
+        assert f"{what} at t = {snap.t:.6g}, cell (5,)" in err
 
     def test_overflowing_initial_data_exits_1_at_t_0(self, tmp_path, capsys):
         # finite primitives whose conserved state overflows: E = inf

@@ -185,16 +185,11 @@ class TestChainRates:
         # d_x u_eps: Pi_eps = int R_eps d_x u_eps scales like eps^{3 alpha - 1}
         # on the product gate's fields, so it vanishes only above alpha = 1/3
         grid = acceptance._measurement_grid()
-        rho = 1.5 + 0.25 * acceptance._weier(alpha, grid).values / 3.0
-        u = acceptance._weier(alpha, grid, phase=0.7).values
+        rho = ScalarField(grid, 1.5 + 0.25 * acceptance._weier(alpha, grid).values / 3.0)
+        u = acceptance._weier(alpha, grid, phase=0.7)
         scan = eps_scan(grid, acceptance.EPS_SCAN)
-        pis = []
-        for mol in scan.mollifiers:
-            rho_e, u_e, flux_e = mollify_values(np.stack([rho, u, rho * u * u]), mol)
-            remainder = flux_e - rho_e * u_e**2
-            pis.append(grid.cell_width
-                       * exact_sum(remainder * grad_values(u_e, grid.cell_width)[0]))
-        pis = np.array(pis)
+        _, results = product_rate_fit(rho, u, scan, kind="triple")
+        pis = np.array([r.flux_pairing for r in results])
         slope = scan.slope(np.abs(pis))
         assert np.all(pis < 0.0)
         if abs(3.0 * alpha - 1.0) >= 0.1:
@@ -332,7 +327,7 @@ def _oracle_bilinear(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     comm = rho_e * u_e - mollify_values(rho * u, mol)
     mag = np.sqrt(np.sum(comm * comm, axis=0))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)))
+    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)), None)
 
 
 def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
@@ -349,7 +344,13 @@ def _oracle_triple(rho_field, u_field, eps, p=3.0, c0=C0_PRODUCT):
     comm = rho_e * outer_e - mollify_values(flat, mol).reshape(outer.shape)
     mag = np.sqrt(np.sum(comm * comm, axis=(0, 1)))
     norm = lp_norm_values(mag, p / 2.0, grid.cell_volume)
-    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)))
+    # Pi_eps = int R_eps : grad u_eps, R_eps = (rho u (x) u)_eps - rho_eps u_eps (x) u_eps
+    remainder = mollify_values(flat, mol).reshape(outer.shape) - rho_e * outer_e
+    pairing = grid.cell_volume * math.fsum(
+        x for i in range(ncomp) for j in range(ncomp)
+        for x in (remainder[i, j] * grad_values(u_e[i], grid.cell_width)[j]).ravel().tolist())
+    return ProductCommutatorResult(norm, rhs1, rhs2, bool(norm <= c0 * (rhs1 + rhs2)),
+                                   pairing)
 
 
 _ORACLES = {"bilinear": (_oracle_bilinear, bilinear_commutator),
@@ -360,6 +361,9 @@ def _assert_same(new, old):
     for name in ("norm", "rhs_mollify", "rhs_shift"):
         assert float(getattr(new, name)).hex() == float(getattr(old, name)).hex(), name
     assert new.passed == old.passed
+    assert (new.flux_pairing is None) == (old.flux_pairing is None)
+    if new.flux_pairing is not None:
+        assert new.flux_pairing.hex() == old.flux_pairing.hex()
 
 
 def _pair_2d():

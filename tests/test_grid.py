@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,16 @@ class TestOnePower:
         for mag in [[big] * 4] + ([[1e300, 1.0]] if p > 1.0 else []):
             with pytest.raises(RangeError, match="outside the float range"):
                 lp_norm_values(np.array(mag), p, 1.0)
+
+
+@pytest.mark.parametrize("mag", [np.full(600, np.nan), [1.0, np.nan]], ids=["all", "one"])
+def test_a_nan_magnitude_is_called_not_a_number(mag):
+    # not a range problem: the sum of the powers is nan, not past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError) as exc:
+            lp_norm_values(mag, 2.0, 1.0)
+    assert str(exc.value) == f"a magnitude among the {len(mag)} cells is not a number"
 
 
 def _mollify(field, mol):

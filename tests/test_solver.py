@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -288,8 +289,36 @@ class TestPersistence:
 
 
 def _snapshots_with_edge_values(dims):
-    """Three snapshots on a 1D or 2D grid whose values include -0.0, the
-    smallest subnormal, subnormals and 17-digit values of every magnitude."""
+    """Three physical snapshots on a 1D or 2D grid.  The momentum holds -0.0,
+    +0.0, the smallest subnormals, other subnormals and 17-digit values of
+    every magnitude; where it is zero, rho and E reach the largest float."""
+    grid = PeriodicGrid(dims, 16)
+    rng = np.random.default_rng(dims)
+    edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310,
+                     1.0 / 3.0, -2.0 / 3.0])
+    top = np.finfo(float).max
+
+    def decades(lo, hi, signed):   # 17-digit values over 10**[lo, hi)
+        n = rng.standard_normal((dims,) + grid.shape if signed else grid.shape)
+        return (n if signed else np.abs(n)) * 10.0 ** rng.integers(lo, hi, n.shape)
+
+    snaps = []
+    for k in range(3):
+        # |m| stays below 1e152, so |m|**2 and the kinetic energy are finite
+        rho = decades(-75, 75, False)
+        mom = rho * decades(-75, 75, True)
+        mom.reshape(dims, -1)[:, :len(edge)] = np.roll(edge, k)
+        kin = 0.5 * np.sum(mom * mom, axis=0) / rho
+        energy = 2.0 * kin + decades(-300, 300, False)
+        zero = np.flatnonzero(~np.any(mom.reshape(dims, -1), axis=0))
+        rho.reshape(-1)[zero[0]], energy.reshape(-1)[zero[1]] = top, top
+        snaps.append(Snapshot(0.1 * k, rho, mom, energy))
+    return Trajectory(grid, GasParams(1.4), snaps, {"config_hash": "edge"})
+
+
+def _unphysical_snapshots(dims):
+    """Three snapshots like ``_snapshots_with_edge_values`` but with values
+    of either sign in every component: no density, pressure or velocity."""
     grid = PeriodicGrid(dims, 16)
     rng = np.random.default_rng(dims)
     edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
@@ -336,7 +365,7 @@ class TestBinaryCopy:
         oracle, parsed = _load_counting_parses(monkeypatch, d)
         assert parsed == ["t_0000.csv", "t_0001.csv", "t_0002.csv"]
         assert _bits(copied) == _bits(oracle) == _bits(traj)
-        assert np.signbit(copied.snapshots[0].rho.reshape(-1)[0])
+        assert np.signbit(copied.snapshots[0].mom.reshape(-1)[0])
         assert copied.times == oracle.times and copied.meta == oracle.meta
 
     def test_the_copy_is_the_float64_stack_in_column_order(self, tmp_path):
@@ -390,6 +419,39 @@ class TestBinaryCopy:
         assert parsed == ["t_0000.csv", "t_0001.csv", "t_0002.csv"]
         assert _bits(back) == _bits(traj)
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_an_unphysical_snapshot_is_refused_on_both_read_paths(self, tmp_path, monkeypatch,
+                                                                   dims):
+        d = tmp_path / "traj"
+        _unphysical_snapshots(dims).save(d)
+        message = re.escape(f"non-finite state at t = 0, cell {(0,) * dims}: rho = -0, p = nan")
+        monkeypatch.setattr(solver, "read_columns_csv", lambda fh: pytest.fail("parsed"))
+        with pytest.raises(DomainError, match=message) as copied:
+            Trajectory.load(d)
+        monkeypatch.undo()
+        for f in d.glob("*.npy"):
+            f.unlink()
+        with pytest.raises(DomainError, match=message) as parsed:
+            Trajectory.load(d)
+        assert str(copied.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("npy", [True, False])
+    def test_a_state_without_a_velocity_is_refused(self, tmp_path, npy):
+        # positive density and pressure, which the solver's check passes, but
+        # m / rho = 1e-10 / 5e-324 overflows
+        state = np.array([5e-324, 1e-10, 1e304])
+        solver._check_physical(state[:, None], 1.4, 0.1)
+        traj = _snapshots_with_edge_values(1)
+        snap = traj.snapshots[1]
+        snap.rho[5], snap.mom[0, 5], snap.energy[5] = state
+        d = tmp_path / "traj"
+        traj.save(d)
+        if not npy:
+            (d / "t_0001.npy").unlink()
+        with pytest.raises(DomainError) as exc:
+            Trajectory.load(d)
+        assert str(exc.value) == "velocity m / rho overflows at t = 0.1, cell (5,)"
+
     @pytest.mark.parametrize("digests", [
         None, "x", [], [["0" * 64, "0" * 64]] * 2, [["0" * 64, "0" * 64]] * 4,
         [["0" * 64]] * 3, [["0" * 64, "0" * 64, "0" * 64]] * 3, [["0" * 63, "0" * 64]] * 3,
@@ -409,7 +471,8 @@ class TestBinaryCopy:
         (np.ones((3, 16), dtype=np.float32), "copy holds float32 \\(3, 16\\), not float64"),
         (np.ones((3, 4)), "copy holds float64 \\(3, 4\\), not float64 \\(3, 16\\)"),
         (np.ones((4, 16)), "copy holds float64 \\(4, 16\\)"),
-        (np.full((3, 16), np.nan), "copy holds non-finite values"),
+        (np.full((3, 16), np.nan),
+         "non-finite state at t = 0.2, cell \\(0,\\): rho = nan, p = nan, m1 = nan, E = nan"),
         (np.array([None, 1.0, 2.0], dtype=object), "allow_pickle=False"),
     ])
     def test_a_copy_that_matches_forged_digests_is_checked(self, tmp_path, stack, message):
