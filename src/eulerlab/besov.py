@@ -161,9 +161,11 @@ class EpsScan:
     mollifiers: tuple[Mollifier, ...]
 
     def slope(self, values) -> float:
-        """Log-log slope of ``values`` (one per eps) on the asymptotic window."""
+        """Log-log slope of ``values`` (one per eps) on the asymptotic window;
+        +inf where they are all 0 there, as `fit_regularity` gives a constant field."""
         win = _asymptotic_window(len(self.eps))
-        return _loglog_fit(self.eps[win], np.asarray(values)[win])[0]
+        values = np.asarray(values)[win]
+        return _loglog_fit(self.eps[win], values)[0] if values.any() else math.inf
 
 
 def eps_scan(grid: PeriodicGrid, eps_range) -> EpsScan:

@@ -7,12 +7,14 @@ trajectory directories; `verify-thermo` checks the closure identities; and
 `accept` executes the acceptance gates.  Configs are JSON, all numeric
 output is CSV whose first line records the config hash and package version,
 and re-running a subcommand with the same config reproduces byte-identical
-data rows.  Exit codes: 0 pass, 1 fail, 2 usage error.
+data rows.  Exit codes: 0 pass, 1 fail, 2 a refused input, which is any
+ValueError: `main` maps each to 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -27,7 +29,7 @@ from . import besov as bz
 from . import commutator as cm
 from . import conditions as cd
 from . import relentropy as re_
-from .errors import DomainError, RangeError, ResolutionError, StabilityError
+from .errors import DomainError, StabilityError
 from .grid import PeriodicGrid, load_scalar_field, time_window, weierstrass_field
 from .solver import (
     COMPLETE,
@@ -40,8 +42,8 @@ from .solver import (
 from .thermo import GasParams
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """An input the subcommand refuses; like every library refusal, a ValueError."""
 
 
 def _load(what: str, loader, *args):
@@ -96,9 +98,9 @@ def _load_config(path: str | None, keys: dict) -> dict:
                     keys, "config")
 
 
-def _required(cfg: dict, name: str):
+def _required(cfg: dict, name: str, where: str = "config"):
     if name not in cfg:
-        raise UsageError(f"config field {name!r} is required")
+        raise UsageError(f"{where} field {name!r} is required")
     return cfg[name]
 
 
@@ -106,9 +108,9 @@ def _write_report(path: Path, header: list[str], rows: Iterable[Sequence], confi
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config_hash={config_hash} eulerlab={__version__}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_fmt, row) for row in rows)
 
 
 def _fmt(v) -> str:
@@ -163,23 +165,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     t_end = cfg.get("t_end", 0.2)
     if cfg.get("system", COMPLETE) != COMPLETE:
         raise UsageError(f"config field 'system' must be {COMPLETE!r}, got {cfg['system']!r}")
-    try:
-        config = SolverConfig(
-            grid=PeriodicGrid(cfg.get("dims", 1), grid_n),
-            params=GasParams(gamma),
-            t_end=t_end,
-            cfl=cfg.get("cfl", 0.4),
-            init=init,
-            snapshot_stride=cfg.get("snapshot_stride", t_end / 10.0),
-        )
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc))
+    config = SolverConfig(
+        grid=PeriodicGrid(cfg.get("dims", 1), grid_n),
+        params=GasParams(gamma),
+        t_end=t_end,
+        cfl=cfg.get("cfl", 0.4),
+        init=init,
+        snapshot_stride=cfg.get("snapshot_stride", t_end / 10.0),
+    )
     try:
         traj = run(config)
-    except DomainError:
-        raise  # the run itself failed: exit 1
-    except (ValueError, KeyError, TypeError) as exc:
-        raise UsageError(f"invalid init {init!r}: {exc!r}")
+    except (DomainError, StabilityError) as exc:   # the run itself failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     out = _out_dir(args)
     traj.save(out)
     print(f"wrote trajectory ({len(traj.snapshots)} snapshots) to {out}")
@@ -192,10 +190,7 @@ def cmd_besov_fit(args: argparse.Namespace) -> int:
     field = _load(args.field, load_scalar_field, args.field)
     p = args.p
     chash = config_hash({"field": _digest(field.values), "p": p})
-    try:
-        rep = bz.besov_report(field, p)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rep = bz.besov_report(field, p)
     rows: list[list] = [
         ["seminorm", float(b), float(s), float("nan"), float("nan")]
         for b, s in zip(rep.beta_grid, rep.seminorms)
@@ -222,7 +217,7 @@ def _resolve_probe_fields(cfg: dict):
                              f"got keys {sorted(spec)}")
         alpha = 0.5
         if "file" in spec:
-            f = load_scalar_field(spec["file"])
+            f = _load(spec["file"], load_scalar_field, spec["file"])
         else:
             w = _checked(spec["weierstrass"], _WEIER_KEYS, "weierstrass")
             cells = w.get("grid_n", 8192)
@@ -232,11 +227,11 @@ def _resolve_probe_fields(cfg: dict):
             g = PeriodicGrid(1, cells)
             # 2**levels must reach the grid, and the top phase 2.0**levels * pi
             # must stay finite (2.0**1023 * pi is inf)
-            least, levels = (cells - 1).bit_length(), w["levels"]
+            least, levels = (cells - 1).bit_length(), _required(w, "levels", "weierstrass")
             if not least <= levels <= 1022:
                 raise UsageError(f"weierstrass 'levels' must be an integer in "
                                  f"[{least}, 1022] for {cells} cells, got {levels!r}")
-            alpha = w["alpha"]
+            alpha = _required(w, "alpha", "weierstrass")
             f = weierstrass_field(alpha, levels, g, w.get("phase", 0.0))
         if grid is not None and f.grid != grid:
             raise UsageError("probe fields live on different grids")
@@ -252,15 +247,11 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
     gname = _required(cfg, "G")
     p = cfg.get("p", 4.0)
     eps = cfg.get("eps", [2.0 ** (-k) for k in range(4, 11)])
-    try:
-        fields, alphas = _resolve_probe_fields(cfg)
-        gmap = cm.get_gmap(gname, GasParams(gamma))
-        scan = bz.eps_scan(fields[0].grid, [_typed(e, float, "config field 'eps' entry")
-                                            for e in eps])
-        probe = cm.CommutatorProbe(fields, alphas, gmap, p, scan)
-        fit = cm.chain_rate_fit(probe)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise UsageError(repr(exc))
+    fields, alphas = _resolve_probe_fields(cfg)
+    gmap = cm.get_gmap(gname, GasParams(gamma))
+    scan = bz.eps_scan(fields[0].grid, [_typed(e, float, "config field 'eps' entry")
+                                        for e in eps])
+    fit = cm.chain_rate_fit(cm.CommutatorProbe(fields, alphas, gmap, p, scan))
     chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas,
                          "fields": [_digest(f.values) for f in fields]})
     rows = [
@@ -284,11 +275,8 @@ def cmd_relentropy(args: argparse.Namespace) -> int:
     grid = min(traj_a.grid, traj_b.grid, key=lambda g: g.cells_per_dim)
     traj_a, traj_b = (_load(f"{args.traj_a} and {args.traj_b} on one grid",
                             project_trajectory, t, grid) for t in (traj_a, traj_b))
-    try:
-        trace = re_.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=args.sigma)
-        check = re_.gronwall_envelope_check(trace)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    trace = re_.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=args.sigma)
+    check = re_.gronwall_envelope_check(trace)
     columns = trace.columns
     _write_report(_out_dir(args) / "relentropy_trace.csv", list(columns),
                   zip(*(col.tolist() for col in columns.values())), chash)
@@ -307,10 +295,7 @@ def cmd_oslip_check(args: argparse.Namespace) -> int:
     if args.traj:
         traj: Trajectory = _load(args.traj, Trajectory.load, args.traj)
         grid = traj.grid
-        try:
-            inside = time_window(traj.times, delta, "delta")
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        inside = time_window(traj.times, delta, "delta")
         if np.count_nonzero(inside) < 2:
             raise UsageError(f"need at least two snapshots past delta={delta}")
         cs, ds = [], []
@@ -347,15 +332,9 @@ def cmd_oslip_check(args: argparse.Namespace) -> int:
 
 def cmd_verify_thermo(args: argparse.Namespace) -> int:
     gamma = 1.4 if args.gamma is None else args.gamma
-    try:
-        params = GasParams(gamma)
-    except DomainError as exc:
-        raise UsageError(str(exc))
+    params = GasParams(gamma)
     ident = acceptance.gate_thermo_identities(params)
-    try:
-        convex = acceptance.gate_tilde_pressure_convexity(params)
-    except RangeError as exc:   # gamma too large for the gate's state box
-        raise UsageError(str(exc))
+    convex = acceptance.gate_tilde_pressure_convexity(params)
     rows = [[name, ident.metrics[name]] for name in acceptance.THERMO_IDENTITIES]
     rows.append(["tilde_pressure_min_eigenvalue", convex.metrics["min_eigenvalue"]])
     _write_report(_out_dir(args) / "thermo_report.csv",
@@ -443,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(args.out)
         return args.fn(args)
-    except UsageError as exc:
+    except ValueError as exc:   # a UsageError or a library refusal of the input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:   # inputs load through _load, so this is the output
@@ -452,9 +431,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, RangeError, ResolutionError, StabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -325,9 +325,10 @@ class RelEntropyTrace:
         order.  ``pass`` checks each interval's growth rate against the budget
         at the interval's end (a skipped interval or a NaN rate passes); it is
         not the envelope verdict of ``gronwall_envelope_check``."""
+        budget = self.budget
         return {"t": self.times, "integral_E": self.integral, "oslip_C": self.oslip_c,
-                "fitted_K": self.fitted_k,
-                "pass": self.skipped | np.isnan(self.fitted_k) | (self.fitted_k <= self.budget)}
+                "k_thermo": self.k_thermo, "budget": budget, "fitted_K": self.fitted_k,
+                "pass": self.skipped | np.isnan(self.fitted_k) | (self.fitted_k <= budget)}
 
 
 def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, StabilityError
+from .errors import DomainError, RangeError, StabilityError
 from .grid import PeriodicGrid, read_columns_csv, write_columns_csv
 from .riemann import Wave1D, rarefaction_connected_state
 from .thermo import GasParams
@@ -34,6 +34,9 @@ COMPLETE = "complete"
 
 #: Most snapshots a run may record; a finer stride is a config error.
 MAX_SNAPSHOTS = 10_000
+#: Most time steps a run may take; a run that the Courant step cannot finish
+#: within the steps left is refused as soon as that shows.
+MAX_STEPS = 10**6
 
 
 def config_hash(payload: dict) -> str:
@@ -647,6 +650,11 @@ def run(config: SolverConfig) -> Trajectory:
                 dt = config.t_end - t
             else:
                 dt = config.cfl * dx / (grid.dims * max_speed)
+            if config.t_end - t > (MAX_STEPS - len(dts)) * dt:
+                raise RangeError(
+                    f"t_end = {config.t_end:.6g} lies past the {MAX_STEPS} steps a run may "
+                    f"take: at t = {t:.6g} the Courant step is dt = {dt:.4g} with "
+                    f"{MAX_STEPS - len(dts)} steps left")
             dt = min(dt, snap_times[next_i] - t)
             t_state = t + dt
             tick = time.perf_counter()

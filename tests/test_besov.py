@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,14 @@ class TestEpsScan:
         values = [3.0 * e**0.6 * (1.0 + 0.1 * math.sin(7.0 * e)) for e in scan.eps]
         expected = np.polyfit(np.log(scan.eps[window]), np.log(values[window]), 1)[0]
         assert scan.slope(values).hex() == float(expected).hex()
+
+    def test_a_series_of_zeros_on_the_window_has_slope_inf(self, grid8k):
+        # as a constant field's regularity: log(0) warned and the fit gave nan
+        scan = eps_scan(grid8k, [2.0 ** (-k) for k in range(4, 11)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scan.slope(np.zeros(7)) == math.inf
+            assert scan.slope([1.0, 2.0, 0.0, 0.0, 0.0, 3.0, 4.0]) == math.inf
 
 
 class TestBallSups:

@@ -1,9 +1,11 @@
+import csv
 import io
 import json
 import math
 import shutil
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -256,6 +258,38 @@ class TestReports:
         assert entry["metrics"] == acceptance.gate_thermo_identities().metrics
         assert "elapsed" not in entry["metrics"]
 
+    def test_acceptance_csv_reads_back_each_gates_details(self, tmp_path, monkeypatch):
+        # the fields were joined with bare commas: a details clause with a
+        # comma split into more fields than the header's three
+        ran, real = [], acceptance.run_all
+        monkeypatch.setattr(acceptance, "run_all", lambda echo: ran.extend(real(echo)) or ran)
+        assert main(["accept", "--out", str(tmp_path)]) == 0
+        assert any("," in r.details for r in ran)
+        with open(tmp_path / "acceptance.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [["gate", "passed", "details"], *([r.name, "true", r.details]
+                                                          for r in ran)]
+
+    def test_relentropy_trace_holds_the_budget_that_decides_pass(self, tmp_path):
+        base = {"dims": 2, "t_end": 0.1, "snapshot_stride": 0.025, "init": {"name": "sod"}}
+        pair = [_simulate(tmp_path, name, grid_n=cells, **base)
+                for name, cells in (("a", 32), ("b", 128))]
+        out = tmp_path / "rep"
+        assert main(["relentropy", "--traj-a", str(pair[0]), "--traj-b", str(pair[1]),
+                     "--sigma", "0.025", "--out", str(out)]) in (0, 1)
+        with open(out / "relentropy_trace.csv", newline="") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert len(rows) == 4
+        fitted = 0
+        for row in rows:
+            oslip, k_thermo, budget, rate = (float(row[name]) for name in
+                                             ("oslip_C", "k_thermo", "budget", "fitted_K"))
+            assert budget.hex() == (max(oslip, 0.0) + k_thermo).hex()
+            if not math.isnan(rate):   # NaN: the first row, or a skipped interval
+                fitted += 1
+                assert row["pass"] == str(rate <= budget).lower()
+        assert fitted == 3
+
     def test_accept_fails_when_a_gate_fails(self, tmp_path, monkeypatch):
         from eulerlab import acceptance
 
@@ -353,7 +387,7 @@ class TestReports:
         captured = capsys.readouterr()
         assert summary in captured.out and "Traceback" not in captured.err
         lines = _read_rows(out / "relentropy_trace.csv")
-        assert lines[1] == "t,integral_E,oslip_C,fitted_K,pass"
+        assert lines[1] == "t,integral_E,oslip_C,k_thermo,budget,fitted_K,pass"
         assert len(lines) > 4
 
     def test_relentropy_fail_names_when_the_envelope_broke(self, tmp_path, capsys,
@@ -601,6 +635,74 @@ class TestInputBoundary:
         assert "radius 50 exceeds half the period" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg,dt", [({"t_end": 1e300}, "0.04226"),
+                                        ({"t_end": 0.1, "gamma": 1e300}, "5e-152")],
+                             ids=["t_end", "gamma"])
+    def test_a_run_the_step_budget_cannot_finish_exits_2_at_once(self, tmp_path, capsys,
+                                                                  cfg, dt):
+        # each ran on until killed: t stopped growing, or dt was 1e-151
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"grid_n": 16, **cfg}))
+        started = time.perf_counter()
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert time.perf_counter() - started < 1.0 and code == 2
+        assert capsys.readouterr().err == (
+            f"error: t_end = {cfg['t_end']:.6g} lies past the 1000000 steps a run may take: "
+            f"at t = 0 the Courant step is dt = {dt} with 1000000 steps left\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("source", ["constant-csv", "phase-1e300"])
+    def test_commutator_rate_of_a_zero_commutator_passes_at_slope_inf(self, tmp_path, capsys,
+                                                                      source):
+        # log(0) warned, and the slope of nan FAILed an exactly 0 commutator
+        field = tmp_path / "field.csv"
+        save_scalar_field(field, ScalarField(PeriodicGrid(1, 64), np.full(64, 3.0)))
+        spec = ({"file": str(field), "alpha": 0.6} if source == "constant-csv" else
+                {"weierstrass": {**_VALID_WEIER, "phase": 1e300}})
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({**_VALID_PROBE, "fields": [spec]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["commutator-rate", "--config", str(cfg),
+                         "--out", str(tmp_path / "rep")]) == 0
+        assert capsys.readouterr().out == "decay slope inf vs predicted 0.2000: PASS\n"
+        rows = _read_rows(tmp_path / "rep" / "commutator_rate.csv")[2:]
+        assert rows[-1] == "slope,nan,inf,true"
+        assert all(row.split(",")[1:] == ["0", "0", "true"] for row in rows[:-1])
+
+    def test_a_value_error_where_no_subcommand_catches_it_exits_2(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refused(grid):
+            raise ValueError("planted refusal")
+
+        monkeypatch.setattr(conditions, "make_bump_basis", refused)
+        traj = _simulate(tmp_path, "traj", grid_n=16, t_end=0.1, snapshot_stride=0.05)
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert main(["oslip-check", "--traj", str(traj), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: planted refusal\n"
+        assert not (out / "oslip_report.csv").exists()
+
+    @pytest.mark.parametrize("spec,eps,message", [
+        ({"alpha": 0.6, "levels": 6, "grid_n": 64}, [],
+         "eps range must span at least 3 octaves\n"),
+        ({"alpha": 0.6, "grid_n": 64}, None, "weierstrass field 'levels' is required\n"),
+        ({"levels": 6, "grid_n": 64}, None, "weierstrass field 'alpha' is required\n"),
+        (None, None, "cannot load {}: FileNotFoundError(2, 'No such file or directory')\n"),
+    ], ids=["eps-range", "levels", "alpha", "file"])
+    def test_commutator_rate_refusal_reads_as_the_library_says_it(self, tmp_path, capsys,
+                                                                  spec, eps, message):
+        # these read "ValueError('eps range ...')", "KeyError('levels')" and
+        # "FileNotFoundError(...)"
+        missing = tmp_path / "missing.csv"
+        cfg = tmp_path / "probe.json"
+        cfg.write_text(json.dumps({
+            **_VALID_PROBE, **({} if eps is None else {"eps": eps}),
+            "fields": [{"file": str(missing)} if spec is None else {"weierstrass": spec}]}))
+        assert main(["commutator-rate", "--config", str(cfg),
+                     "--out", str(tmp_path / "rep")]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(missing)
+
     def test_relentropy_missing_directories(self, tmp_path):
         assert main(["relentropy", "--traj-a", str(tmp_path / "a"),
                      "--traj-b", str(tmp_path / "b"), "--out", str(tmp_path)]) == 2
@@ -839,7 +941,7 @@ class TestInputBoundary:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         err = capsys.readouterr().err
-        assert "Courant violation mid-step at t = 0:" in err
+        assert "Courant violation mid-step at t = 0:" in err and "Traceback" not in err
         for part in ("speed ", "dt ", "exceeds dx 0.0625"):
             assert part in err
         assert not (tmp_path / "o").exists()

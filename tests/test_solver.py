@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eulerlab import solver
-from eulerlab.errors import DomainError, StabilityError
+from eulerlab.errors import DomainError, RangeError, StabilityError
 from eulerlab.grid import PeriodicGrid, write_columns_csv
 from eulerlab.riemann import exact_riemann, periodic_double_riemann, solve_star
 from eulerlab.solver import (
@@ -1007,3 +1007,22 @@ class TestBlockedRhs:
         # TestStepStatistics checks that meta.json saves the stats as they are
         traj = run(_config(n=n, t_end=0.002, dims=dims, init={"name": "sod"}))
         assert traj.meta["stats"]["rhs_block_rows"] == rows
+
+
+def test_a_run_past_the_step_budget_is_refused_before_it_exceeds_it(monkeypatch):
+    real_rhs, calls = solver._rhs, []
+
+    def counted_rhs(*args):
+        calls.append(args)
+        return real_rhs(*args)
+
+    monkeypatch.setattr(solver, "_rhs", counted_rhs)
+    config = _config(n=64, t_end=0.2, init={"name": "sod"})
+    budget = run(config).meta["stats"]["steps"] // 2
+    monkeypatch.setattr(solver, "MAX_STEPS", budget)
+    calls.clear()
+    with pytest.raises(RangeError, match=rf"t_end = 0.2 lies past the {budget} steps a run "
+                                         rf"may take: at t = \S+ the Courant step is dt = "):
+        run(config)
+    # each step sweeps the RHS twice, and the refused step once
+    assert (len(calls) - 1) // 2 <= budget

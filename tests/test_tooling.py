@@ -51,7 +51,7 @@ UNSET_OPTIONS = {
 _KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 6, "UNSET_OPTIONS": 5}
 
 #: The yardstick at its last count: a change that grows src/ raises this in its own diff.
-_YARDSTICK_CAP = 3257
+_YARDSTICK_CAP = 3242
 
 
 @functools.cache
@@ -679,8 +679,8 @@ def test_bench_strings_keep_defs_but_no_fields_alive(tmp_path):
 
 def test_relentropy_report_columns_are_named_in_relentropy_alone():
     """relentropy_trace.csv's columns are decided in one place: no second list
-    of their names (the three that no other report shares) anywhere in src/."""
-    names = ("fitted_K", "integral_E", "oslip_C")
+    of their names (the five that no other report shares) anywhere in src/."""
+    names = ("budget", "fitted_K", "integral_E", "k_thermo", "oslip_C")
     found = sorted((path.name, node.value) for path in SRC.glob("*.py")
                    for node in ast.walk(_parse(path))
                    if isinstance(node, ast.Constant) and node.value in names)
