@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -209,34 +210,39 @@ def gate_relative_entropy() -> GateResult:
     dens = re_.rel_entropy_terms(1.37, 1.37 * 0.41, 0.82, 1.37, 0.41, 0.82, params)
     exact_zero = dens == 0.0
     box = re_.StateBox(0.5, 2.0, 0.5, 2.0)
-    calib = re_.calibrate_coercivity(box, params, n=2**17, seed=20240)
+    c = re_.calibrate_coercivity(box, params)
     n = 100_000
     ranges = ((0.5, 2.0), (0.5, 2.0), (-1, 1), (0.5, 2.0), (-1, 1), (0.5, 2.0))
-    # the sample is checked in blocks, each held to the quadratic branch (C = c_hat)
-    quadratic, densities, gaps = True, [], []
-    for start in range(0, n, re_.CALIBRATION_BLOCK):
+
+    def uniform(start):
         size = min(re_.CALIBRATION_BLOCK, n - start)
         # entries [start, start + size) of default_rng(31337)'s six uniform(n)
         # draws in turn: one double per draw, so the j-th skips j * n + start
-        r, theta, vel, r_ref, u_ref, t_ref = (
-            np.random.Generator(np.random.PCG64(31337).advance(j * n + start))
-            .uniform(lo, hi, size) for j, (lo, hi) in enumerate(ranges))
+        return [np.random.Generator(np.random.PCG64(31337).advance(j * n + start))
+                .uniform(lo, hi, size) for j, (lo, hi) in enumerate(ranges)]
+
+    # the corner where the bound is sharp: rho = rho_max against r just below
+    # it, both at theta_min, at rest
+    top, cold, rest = np.full(3, box.rho_max), np.full(3, box.theta_min), np.zeros(3)
+    corner = [top, cold, rest, top - [0.1, 0.01, 0.001], rest, cold]
+    densities, gaps, ratios = [], [], []
+    blocks = chain(map(uniform, range(0, n, re_.CALIBRATION_BLOCK)), [corner])
+    for r, theta, vel, r_ref, u_ref, t_ref in blocks:
         state = EntropicState(r, r * vel, r * entropy(r, theta, params))
-        ref = PrimitiveState(r_ref, u_ref, t_ref)
-        gap = re_.coercivity_gap(state, ref, calib, params)
-        quadratic = quadratic and gap.branch == "quadratic"
+        gap = re_.coercivity_gap(state, PrimitiveState(r_ref, u_ref, t_ref), box, params)
         gaps.append(np.min(gap.gap))
         densities.append(np.min(gap.density))
-    min_density = float(np.min(densities))
-    min_gap = float(np.min(gaps))
-    ok = bool(exact_zero and quadratic and min_density >= 0.0 and min_gap >= 0.0)
+        ratios.append(np.min(gap.density / gap.lower_form))
+    min_density, min_gap, min_ratio = (float(np.min(v)) for v in (densities, gaps, ratios))
+    ok = bool(exact_zero and min_density >= 0.0 and min_gap >= 0.0)
     details = (
         f"equality value {dens:.1e} (exact 0), min E {min_density:.2e}, "
-        f"min coercivity gap {min_gap:.2e} with C={calib.c_hat:.3f} on 1e5 samples"
+        f"min coercivity gap {min_gap:.2e} with C={c:.3f} (min E/quad {min_ratio:.5f}) "
+        f"on 1e5 samples and 3 corner states"
     )
     return GateResult(
         "relative-entropy", ok, details,
-        {"c_hat": calib.c_hat, "min_density": min_density, "min_gap": min_gap},
+        {"c_hat": c, "min_density": min_density, "min_gap": min_gap, "min_ratio": min_ratio},
     )
 
 

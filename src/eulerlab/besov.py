@@ -98,8 +98,9 @@ class ModulusTable:
         self.radius = big = max(eps_list, default=0.0)
         ball = ball_offsets(grid, big)
         self.grid, self.values = grid, values
-        self.norms = {off: (offset_length(grid, off), _diff_norm(self, off, p))
-                      for off in sorted(set(offsets) | set(ball))}
+        with np.errstate(over="ignore"):   # an overflowed difference shows in its norm
+            self.norms = {off: (offset_length(grid, off), _diff_norm(self, off, p))
+                          for off in sorted(set(offsets) | set(ball))}
 
     def sup(self, offsets, beta: float) -> float:
         """max over ``offsets`` of ||v(.+h) - v||_p / |h|^beta.

@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import compress
@@ -249,8 +250,11 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
     eps = cfg.get("eps", [2.0 ** (-k) for k in range(4, 11)])
     fields, alphas = _resolve_probe_fields(cfg)
     gmap = cm.get_gmap(gname, GasParams(gamma))
-    scan = bz.eps_scan(fields[0].grid, [_typed(e, float, "config field 'eps' entry")
-                                        for e in eps])
+    eps_values = [_typed(e, float, "config field 'eps' entry") for e in eps]
+    for e in eps_values:
+        if not 0.0 < e < math.inf:
+            raise UsageError(f"config field 'eps' entry must be finite and positive, got {e}")
+    scan = bz.eps_scan(fields[0].grid, eps_values)
     fit = cm.chain_rate_fit(cm.CommutatorProbe(fields, alphas, gmap, p, scan))
     chash = config_hash({"G": gname, "p": p, "eps": eps, "alphas": alphas,
                          "fields": [_digest(f.values) for f in fields]})

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import RangeError
 from .grid import (PeriodicGrid, exact_sum, offset_length, shift_values, time_trapezoid,
                    time_window, wrap)
 
@@ -177,12 +178,19 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
         raise ValueError(f"directions must be finite and nonzero, of length {grid.dims}")
     vol = grid.cell_volume
     flat = vel.reshape(grid.dims, -1)
-    moments = []
-    for blk in basis.blocks:
-        terms = np.where(blk.live, flat[:, None, blk.cells] * blk.grads[None], -0.0)
-        moments.append(-vol * exact_sum(terms, axis=-1))
+    try:
+        with np.errstate(over="ignore"):   # an overflowed term shows in its moment
+            moment = np.concatenate([
+                -vol * exact_sum(np.where(blk.live, flat[:, None, blk.cells] * blk.grads[None],
+                                          -0.0), axis=-1)
+                for blk in basis.blocks], axis=-1)
+    except (OverflowError, ValueError):   # finite terms whose sum overflows, or inf - inf
+        moment = np.array(math.inf)
+    if not np.isfinite(moment).all():
+        raise RangeError(f"a moment of the velocity over {flat.shape[1]} cells is "
+                         f"outside the float range")
     # moment[bump, a, b] = -integral u_a d_b(phi)
-    moment = np.ascontiguousarray(np.concatenate(moments, axis=-1).transpose(2, 0, 1))
+    moment = np.ascontiguousarray(moment.transpose(2, 0, 1))
     bumps = np.flatnonzero(basis.masses > 0.0)
     xi, m = np.array(dirs), moment[bumps]
     with np.errstate(all="ignore"):
@@ -222,10 +230,15 @@ def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray, mask_wrap: bool = False)
         h_len = offset_length(grid, off)
         xi = np.asarray(off, dtype=float) * dx / h_len
         moved = shift_values(vel, off, first_axis=1)
-        quot = np.tensordot(xi, moved - vel, axes=(0, 0)) / h_len
+        with np.errstate(over="ignore", invalid="ignore"):   # shows in the maximum
+            quot = np.tensordot(xi, moved - vel, axes=(0, 0)) / h_len
         if mask_wrap:   # the cells whose step c stays inside the box
             quot = quot[tuple(slice(None, -c) if c > 0 else slice(-c, None) for c in off)]
-        best = max(best, float(np.max(quot)))
+        top = float(np.max(quot))
+        if not math.isfinite(top):
+            raise RangeError(f"a difference quotient of the velocity over {vel[0].size} cells "
+                             f"is outside the float range")
+        best = max(best, top)
     return best
 
 

@@ -319,7 +319,7 @@ class Mollifier:
 def build_mollifier(grid: PeriodicGrid, epsilon: float) -> Mollifier:
     """Kernel exp(-1/(1 - |y/eps|^2)) sampled on the lattice and normalized."""
     eps = float(epsilon)
-    if eps <= 0:
+    if not eps > 0:
         raise DomainError(f"mollifier radius must be positive, got {eps}")
     _check_radius(eps)
     dx = grid.cell_width

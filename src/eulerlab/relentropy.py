@@ -13,7 +13,7 @@ Theta of an entropic-variable state is recovered from (rho, S); a trajectory
 snapshot gives it directly, as it gives the reference temperature T.
 
 On top of the pointwise density sit the coercivity-gap check (quadratic
-lower bound with a constant calibrated per state box) and the Gronwall
+lower bound with the closed-form constant of a state box) and the Gronwall
 monitor that tracks the integral of E between two trajectories against the
 budget built from the reference's one-sided Lipschitz constant and its
 temperature gradients.
@@ -34,7 +34,6 @@ from .thermo import (
     EntropicState,
     GasParams,
     PrimitiveState,
-    entropy,
     theta_of,
 )
 
@@ -105,13 +104,6 @@ class StateBox:
         )
 
 
-@dataclass(frozen=True)
-class CoercivityCalibration:
-    box: StateBox
-    c_hat: float        # quadratic branch constant, 0.9 x sampled min ratio
-    c_far: float        # unbounded branch constant, same rule outside 2x box
-
-
 def _quadratic_form(rho, vel_cand, theta_cand, r_ref, u_ref, t_ref):
     return (
         0.5 * rho * (vel_cand - u_ref) ** 2
@@ -120,168 +112,64 @@ def _quadratic_form(rho, vel_cand, theta_cand, r_ref, u_ref, t_ref):
     )
 
 
-def _far_form(rho, vel_cand, theta_cand, r_ref, u_ref, params):
-    s = entropy(rho, theta_cand, params)
-    e = params.cv * theta_cand
-    return 0.5 * rho * (vel_cand - u_ref) ** 2 + 1.0 + np.abs(rho * s) + e
-
-
-_SOBOL_BITS = 30
-#: place value of each bit of a direction number, most significant first
-_SOBOL_PLACE = 2 ** np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
-
-
-def _sobol_directions() -> np.ndarray:
-    """Joe-Kuo direction numbers of the first six dimensions, scaled to 30 bits."""
-    rows = [[1] * _SOBOL_BITS]
-    for poly, vinit in zip((3, 7, 11, 13, 19),
-                           ((1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))):
-        deg = poly.bit_length() - 1
-        v = list(vinit)
-        for k in range(deg, _SOBOL_BITS):
-            x = v[k - deg] ^ (v[k - deg] << deg)
-            for lag in range(1, deg):
-                if poly >> (deg - lag) & 1:
-                    x ^= v[k - lag] << lag
-            v.append(x)
-        rows.append(v)
-    return np.array(rows, dtype=np.uint32) * _SOBOL_PLACE
-
-
-_SOBOL_V = _sobol_directions()
-
-#: Points per block of the coercivity calibration and of the relative-entropy
-#: gate's sample check: 64 kB per array, so the scan's footprint does not
-#: grow with the sample count.
+#: Points per block of the relative-entropy gate's sample check: 64 kB per
+#: array, so the scan's footprint does not grow with the sample count.
 CALIBRATION_BLOCK = 2**13
 
 
-def _sobol_blocks(n: int, seed: int):
-    """scipy's ``qmc.Sobol(d=6, scramble=True, seed=seed).random(n)``, byte for
-    byte, as consecutive (rows, 6) blocks of ``CALIBRATION_BLOCK`` rows.
+def calibrate_coercivity(box: StateBox, params: GasParams) -> float:
+    """The coercivity constant of ``box``, proven and sharp: the largest c with
+    E >= c * quad for every pair of states in the box, where
+    quad = rho (u - v)^2 / 2 + (rho - r)^2 + (Theta - T)^2, is
 
-    ``n`` is checked before anything is drawn.  The points are held as their
-    30-bit words, one row per dimension, and a block is scaled to [0, 1) only
-    when it is reached.  The seed's Generator draws the digital shift, then
-    the lower-triangular LMS matrices (unit diagonal), each applied over GF(2)
-    to the bits of a direction number, most significant first. In Gray-code
-    order, points [h, 2h) are points [0, h) reversed, XOR the scrambled
-    direction log2(h), so point i is the shift XOR the directions of the bits
-    of gray(i) = i ^ (i >> 1).  Only the first block is built so; as
-    gray(start + k) = gray(start) ^ gray(k) for k < ``CALIBRATION_BLOCK``
-    and ``start`` a multiple of it, the block at ``start`` is the first block
-    XOR the directions of gray(start).
+        c = min(1, rho_min c_V / (2 theta_max), theta_min / (2 rho_max)).
+
+    Proof.  E is the sum of three nonnegative terms, one per term of quad,
+    so E / quad is at least the smallest of the three term-wise ratios.
+    - The kinetic term is rho (u - v)^2 / 2 itself: ratio 1.
+    - The temperature term is rho c_V phi with phi = Theta - T - T log(Theta / T)
+      = T (x - 1 - ln x), x = Theta / T.  For x >= 1, ln x <= (x - 1/x) / 2
+      gives x - 1 - ln x >= (x - 1)^2 / (2x); for x < 1 the second derivative
+      1/s^2 >= 1 on [x, 1] gives (x - 1)^2 / 2.  So phi >= (Theta - T)^2 /
+      (2 max(Theta, T)), and the term is >= rho_min c_V (Theta - T)^2 / (2 theta_max).
+    - The density term is T psi with psi = rho log(rho / r) - rho + r.  It
+      vanishes with its rho-derivative at rho = r, and psi'' = 1/rho >= 1/rho_max,
+      so it is >= theta_min (rho - r)^2 / (2 rho_max).
+
+    Each bound is sharp, so c is: with the other slots equal, the density
+    ratio tends to its bound as rho, r -> rho_max at T = theta_min, and the
+    temperature ratio as Theta, T -> theta_max at rho = rho_min.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= 2**_SOBOL_BITS:
-        raise ValueError(f"n must be an int in [1, 2**{_SOBOL_BITS}]: a {_SOBOL_BITS}-bit "
-                         f"Sobol sequence has at most 2**{_SOBOL_BITS} points, got n={n!r}")
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(0, 2, size=(6, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_PLACE[::-1]
-    ltm = np.tril(rng.integers(0, 2, size=(6, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
-    ltm[:, range(_SOBOL_BITS), range(_SOBOL_BITS)] = 1
-    bits = _SOBOL_V[:, :, None] // _SOBOL_PLACE & 1
-    sv = (np.einsum("dpm,djm->djp", ltm, bits) & 1) @ _SOBOL_PLACE
-    size = min(1 << (n - 1).bit_length(), CALIBRATION_BLOCK)
-    x = np.empty((6, size), dtype=np.uint32)
-    x[:, 0] = shift
-    for b in range(size.bit_length() - 1):
-        h = 1 << b
-        np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
-
-    def block(start):
-        gray = start ^ start >> 1
-        offset = np.bitwise_xor.reduce(sv[:, [b for b in range(_SOBOL_BITS) if gray >> b & 1]],
-                                       axis=1)
-        return (x[:, :min(CALIBRATION_BLOCK, n - start)] ^ offset[:, None]).T * 2.0**-_SOBOL_BITS
-
-    return map(block, range(0, n, CALIBRATION_BLOCK))
-
-
-def _sampled_min(n: int, seed: int, ratio) -> float:
-    """np.min of ``ratio(points)`` over the Sobol points, one block at a time;
-    a NaN anywhere gives NaN, and a ratio empty in every block a ValueError."""
-    minima = [np.min(r) for r in map(ratio, _sobol_blocks(n, seed)) if r.size]
-    if not minima:
-        raise ValueError(f"no sampled pair of the {n} points is off the diagonal")
-    return float(np.min(minima))
-
-
-def calibrate_coercivity(box: StateBox, params: GasParams, n: int = 2**17,
-                         seed: int = 20240) -> CoercivityCalibration:
-    """Freeze coercivity constants by Sobol-sampling state pairs.
-
-    The quadratic constant is 0.9 times the sampled minimum of E over the
-    quadratic form for in-box pairs; the far constant repeats the rule with
-    the candidate pushed outside twice the box (reference still inside).
-    The sampler is ``_sobol_blocks``: Joe-Kuo direction numbers, LMS plus
-    digital-shift scrambling, the same points as scipy's scrambled Sobol
-    (``qmc.Sobol(d=6, scramble=True)``), seeds ``seed`` and ``seed + 1``.
-    Both branches scan their points in blocks, and only one branch's points
-    are held at a time.
-    """
-    lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
-    hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
-
-    def near(u01):
-        rho, theta_c, vel_c, r_ref, t_ref, u_ref = (lo + u01 * (hi - lo)).T
-        dens = rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
-        quad = _quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
-        mask = quad > 1e-30
-        return dens[mask] / quad[mask]
-
-    # far branch: candidate outside twice the box, reference in box
-    def far(u01):
-        rho_f = np.where(u01[:, 0] < 0.5,
-                         box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
-                         box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
-        th_f = np.where(u01[:, 2] < 0.5,
-                        box.theta_min * 0.5 * (0.2 + 1.6 * u01[:, 3]),
-                        box.theta_max * 2.0 * (1.0 + 4.0 * u01[:, 3]))
-        vel_f = -1.0 + 2.0 * u01[:, 4]
-        r_ref = box.rho_min + (box.rho_max - box.rho_min) * u01[:, 5]
-        t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
-        u_ref = 1.0 - 2.0 * u01[:, 1]
-        dens = rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
-        return dens / _far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
-
-    c_hat = 0.9 * _sampled_min(n, seed, near)
-    c_far = 0.9 * _sampled_min(n, seed + 1, far)
-    return CoercivityCalibration(box, c_hat, c_far)
+    return min(1.0, box.rho_min * params.cv / (2.0 * box.theta_max),
+               box.theta_min / (2.0 * box.rho_max))
 
 
 @dataclass(frozen=True)
 class CoercivityResult:
-    branch: str            # "quadratic" inside the box, "far" outside
-    gap: np.ndarray        # E - c * lower-bound form, pointwise
-    lower_form: np.ndarray
-    density: np.ndarray    # E, pointwise
+    gap: np.ndarray         # E - c * quad, pointwise
+    lower_form: np.ndarray  # quad, the quadratic form, pointwise
+    density: np.ndarray     # E, pointwise
 
 
-def coercivity_gap(state: EntropicState, ref: PrimitiveState,
-                   calibration: CoercivityCalibration,
+def coercivity_gap(state: EntropicState, ref: PrimitiveState, box: StateBox,
                    params: GasParams) -> CoercivityResult:
-    """Pointwise gap E - C * (coercive lower-bound form), and E itself.
+    """Pointwise gap E - c * (quadratic form), with c the proven constant
+    ``calibrate_coercivity(box, params)``, and E itself.
 
-    In-box pairs are held against the quadratic form with the calibrated
-    constant; a candidate leaving the box is reported against the unbounded
-    branch instead of raising.
+    Both states must lie in ``box``, where the constant is proven: a
+    candidate or a reference outside it is a DomainError.
     """
     theta_cand = theta_of(state.rho, state.total_entropy, params)
-    if not calibration.box.contains(ref.rho, ref.theta):
-        raise DomainError("reference state leaves the calibration box")
+    if not box.contains(ref.rho, ref.theta):
+        raise DomainError("reference state leaves the state box")
+    if not box.contains(state.rho, theta_cand):
+        raise DomainError("candidate state leaves the state box")
     dens = rel_entropy_terms(
         state.rho, state.mom, theta_cand, ref.rho, ref.vel, ref.theta, params
     )
-    vel_cand = state.mom / state.rho
-    if calibration.box.contains(state.rho, theta_cand):
-        form = _quadratic_form(state.rho, vel_cand, theta_cand, ref.rho, ref.vel, ref.theta)
-        c = calibration.c_hat
-        branch = "quadratic"
-    else:
-        form = _far_form(state.rho, vel_cand, theta_cand, ref.rho, ref.vel, params)
-        c = calibration.c_far
-        branch = "far"
-    return CoercivityResult(branch, dens - c * form, form, dens)
+    form = _quadratic_form(state.rho, state.mom / state.rho, theta_cand,
+                           ref.rho, ref.vel, ref.theta)
+    return CoercivityResult(dens - calibrate_coercivity(box, params) * form, form, dens)
 
 
 # ---------------------------------------------------------------------------

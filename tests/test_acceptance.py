@@ -161,9 +161,15 @@ def test_chain_gate_pass_line_is_unchanged():
                               "slope 0.180 (>= 0.10); split gap 1.3e-14")
 
 
-def _relative_entropy_sample_unblocked(calib):
+#: The relative-entropy gate's corner states after its 1e5 uniform samples:
+#: rho = 2 against r = 2 - d, both at theta 0.5, at rest.
+CORNER_D = (0.1, 0.01, 0.001)
+
+
+def _relative_entropy_sample_unblocked():
     """The relative-entropy gate's sample check before it ran in blocks:
-    (min E, min coercivity gap, branch) over all 1e5 pairs at once."""
+    (min E, min coercivity gap, min E / quad, candidate densities) over all
+    1e5 pairs and the corner states at once."""
     import numpy as np
 
     from eulerlab import relentropy
@@ -171,69 +177,76 @@ def _relative_entropy_sample_unblocked(calib):
 
     params = GasParams(1.4)
     rng = np.random.default_rng(31337)
-    n = 100_000
-    rho = rng.uniform(0.5, 2.0, n)
-    theta = rng.uniform(0.5, 2.0, n)
-    s_tot = rho * entropy(rho, theta, params)
-    state = EntropicState(rho, rho * rng.uniform(-1, 1, n), s_tot)
-    ref = PrimitiveState(
-        rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
-    )
-    gap = relentropy.coercivity_gap(state, ref, calib, params)
-    return float(np.min(gap.density)), float(np.min(gap.gap)), gap.branch, state.rho
+    n, top, cold, rest = 100_000, [2.0] * 3, [0.5] * 3, [0.0] * 3
+    rho, theta, vel, r_ref, u_ref, t_ref = (
+        np.concatenate([rng.uniform(lo, hi, n), corner]) for lo, hi, corner in (
+            (0.5, 2.0, top), (0.5, 2.0, cold), (-1, 1, rest),
+            (0.5, 2.0, np.subtract(2.0, CORNER_D)), (-1, 1, rest), (0.5, 2.0, cold)))
+    state = EntropicState(rho, rho * vel, rho * entropy(rho, theta, params))
+    gap = relentropy.coercivity_gap(state, PrimitiveState(r_ref, u_ref, t_ref),
+                                    relentropy.StateBox(0.5, 2.0, 0.5, 2.0), params)
+    return (float(np.min(gap.density)), float(np.min(gap.gap)),
+            float(np.min(gap.density / gap.lower_form)), state.rho)
 
 
 class TestRelativeEntropySample:
     @pytest.fixture(scope="class")
     def run(self):
-        """The gate, its calibration, and the candidate densities of each block."""
+        """The gate and the candidate densities of each block."""
         from eulerlab import relentropy
 
-        calibs, blocks = [], []
-        real_cal, real_gap = relentropy.calibrate_coercivity, relentropy.coercivity_gap
+        blocks = []
+        real = relentropy.coercivity_gap
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(relentropy, "calibrate_coercivity",
-                       lambda *a, **k: calibs.append(real_cal(*a, **k)) or calibs[-1])
             mp.setattr(relentropy, "coercivity_gap",
-                       lambda state, *a: blocks.append(state.rho) or real_gap(state, *a))
+                       lambda state, *a: blocks.append(state.rho) or real(state, *a))
             result = acceptance.gate_relative_entropy()
-        return result, calibs[0], blocks
+        return result, blocks
 
     @pytest.fixture
-    def calls(self, run, monkeypatch):
+    def calls(self, monkeypatch):
         """The (state, ref) pair of every block the gate checks."""
         from eulerlab import relentropy
 
-        _, calib, _ = run
         pairs = []
         real = relentropy.coercivity_gap
-        monkeypatch.setattr(relentropy, "calibrate_coercivity", lambda *a, **k: calib)
         monkeypatch.setattr(relentropy, "coercivity_gap",
                             lambda state, ref, *a: pairs.append((state, ref))
                             or real(state, ref, *a))
         assert acceptance.gate_relative_entropy().passed
         return pairs
 
+    def test_the_gate_holds_the_proven_constant(self, run):
+        # the Sobol calibration gave C = 0.145, which the corner states break
+        result, _ = run
+        assert result.passed
+        assert result.metrics["c_hat"] == 0.125
+        assert result.metrics["min_gap"] >= 0.0
+        assert 0.125 <= result.metrics["min_ratio"] < 0.12505
+        assert "with C=0.125 (min E/quad 0.12504) on 1e5 samples and 3 corner states" in (
+            result.details)
+
     def test_blocked_check_matches_the_unblocked_one(self, run):
-        result, calib, _ = run
-        min_density, min_gap, branch, _ = _relative_entropy_sample_unblocked(calib)
-        assert branch == "quadratic" and result.passed
+        result, _ = run
+        min_density, min_gap, min_ratio, _ = _relative_entropy_sample_unblocked()
         assert result.metrics["min_density"].hex() == min_density.hex()
         assert result.metrics["min_gap"].hex() == min_gap.hex()
+        assert result.metrics["min_ratio"].hex() == min_ratio.hex()
 
     def test_every_sample_is_checked_once_in_order(self, run):
         import numpy as np
 
         from eulerlab import relentropy
 
-        _, calib, blocks = run
-        assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
-        all_rho = _relative_entropy_sample_unblocked(calib)[3]
+        _, blocks = run
+        assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696, 3]
+        all_rho = _relative_entropy_sample_unblocked()[3]
         assert np.concatenate(blocks).tobytes() == all_rho.tobytes()
 
     def test_block_draws_are_the_sequential_draws(self, calls):
         # the six uniform(1e5) arrays that default_rng(31337) drew in turn,
-        # against what each block drew, the short last block included
+        # against what each block drew, the short last block included; then
+        # the corner states
         import numpy as np
 
         from eulerlab.thermo import GasParams, entropy
@@ -245,12 +258,16 @@ class TestRelativeEntropySample:
                                rng.uniform(0.5, 2.0, n))
         want = (rho, rho * vel, rho * entropy(rho, theta, GasParams(1.4)), r_ref, u_ref, t_ref)
         start = 0
-        for state, ref in calls:
+        for state, ref in calls[:-1]:
             got = (state.rho, state.mom, state.total_entropy, ref.rho, ref.vel, ref.theta)
             blk = slice(start, start + len(state.rho))
             assert [g.tobytes() for g in got] == [w[blk].tobytes() for w in want]
             start = blk.stop
         assert start == n and len(state.rho) == 1696
+        state, ref = calls[-1]
+        assert state.rho.tolist() == [2.0] * 3 and state.mom.tolist() == [0.0] * 3
+        assert ref.rho.tolist() == [2.0 - d for d in CORNER_D]
+        assert ref.vel.tolist() == [0.0] * 3 and ref.theta.tolist() == [0.5] * 3
 
     def test_gate_peak_memory_is_bounded(self):
         # the six whole arrays and the 2**17-word Sobol table peaked at 5.4 MiB
@@ -264,22 +281,25 @@ class TestRelativeEntropySample:
             tracemalloc.stop()
         assert peak < 3 * 2**20
 
-    def test_each_block_evaluates_E_once(self, run, monkeypatch):
+    def test_each_block_evaluates_E_once(self, monkeypatch):
         import numpy as np
 
         from eulerlab import relentropy
 
-        _, calib, _ = run
         sizes = []
         real = relentropy.rel_entropy_terms
-        monkeypatch.setattr(relentropy, "calibrate_coercivity", lambda *a, **k: calib)
         monkeypatch.setattr(relentropy, "rel_entropy_terms",
                             lambda rho, *a: sizes.append(np.size(rho)) or real(rho, *a))
         assert acceptance.gate_relative_entropy().passed
         # the equality check, then one evaluation per sample block: the gap's own E
-        assert sizes == [1] + [relentropy.CALIBRATION_BLOCK] * 12 + [1696]
+        assert sizes == [1] + [relentropy.CALIBRATION_BLOCK] * 12 + [1696, 3]
 
-    def test_a_block_off_the_quadratic_branch_fails(self, monkeypatch):
+    @pytest.mark.parametrize("field,value", [("gap", -1e-300), ("gap", math.nan),
+                                             ("density", math.nan)])
+    @pytest.mark.parametrize("block", [0, 6, 12, 13])
+    def test_a_bad_value_in_any_block_fails_the_gate(self, monkeypatch, block, field, value):
+        # the first, a middle, the short last sample block and the corner block:
+        # each block's minimum reaches the verdict, a NaN included
         import dataclasses
 
         from eulerlab import relentropy
@@ -287,13 +307,30 @@ class TestRelativeEntropySample:
         real = relentropy.coercivity_gap
         calls = []
 
-        def far_once(*args):
-            calls.append(None)
+        def planted(*args):
             res = real(*args)
-            return dataclasses.replace(res, branch="far") if len(calls) == 3 else res
+            calls.append(None)
+            if len(calls) - 1 != block:
+                return res
+            bad = getattr(res, field).copy()
+            bad[-1] = value
+            return dataclasses.replace(res, **{field: bad})
 
-        monkeypatch.setattr(relentropy, "coercivity_gap", far_once)
-        assert not acceptance.gate_relative_entropy().passed
+        monkeypatch.setattr(relentropy, "coercivity_gap", planted)
+        result = acceptance.gate_relative_entropy()
+        assert len(calls) == 14
+        assert not result.passed
+        assert not result.metrics[f"min_{field}"] >= 0.0
+
+    def test_the_sampled_constant_fails_the_gate(self, monkeypatch):
+        # the Sobol calibration's C = 0.145 is above E / quad at the corner states
+        from eulerlab import relentropy
+
+        monkeypatch.setattr(relentropy, "calibrate_coercivity",
+                            lambda box, params: float.fromhex("0x1.28b3025f4585fp-3"))
+        result = acceptance.gate_relative_entropy()
+        assert not result.passed
+        assert result.metrics["min_gap"] < 0.0 and result.metrics["min_ratio"] >= 0.125
 
 
 def test_besov_gate_fail_names_the_estimate_and_eps(monkeypatch):

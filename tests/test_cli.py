@@ -514,6 +514,22 @@ class TestInputBoundary:
         assert "outside the float range" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_besov_fit_difference_past_the_float_range_is_a_usage_error(self, tmp_path, capsys,
+                                                                       scale):
+        # v(. + h) - v of an alternating field overflowed: numpy warned
+        # "overflow in subtract" before the sum's refusal
+        fpath = tmp_path / "field.csv"
+        save_scalar_field(fpath, ScalarField(PeriodicGrid(1, 512),
+                                             scale * (-1.0) ** np.arange(512)))
+        out = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["besov-fit", "--field", str(fpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the sum of |v|**3 over 512 cells is inf, outside the float range" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("cells", [8, 15])
     def test_besov_fit_on_a_grid_under_sixteen_cells_is_a_usage_error(self, tmp_path, capsys,
                                                                      cells):
@@ -762,6 +778,24 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert f"{flag.lstrip('-')} must be finite, got {value}" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    @pytest.mark.parametrize("shape", ["constant", "alternating", "ramp"])
+    def test_oslip_check_field_past_the_float_range_exits_2(self, tmp_path, capsys, scale,
+                                                           shape):
+        # numpy warned "overflow in multiply", then an OverflowError from the
+        # moments' exact sum escaped main as a traceback
+        k = np.arange(64)
+        values = {"constant": np.ones(64), "alternating": (-1.0) ** k, "ramp": k / 63.0}[shape]
+        fpath = tmp_path / "field.csv"
+        save_scalar_field(fpath, ScalarField(PeriodicGrid(1, 64), scale * values))
+        out = tmp_path / "rep"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oslip-check", "--field", str(fpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "over 64 cells is outside the float range" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "0", "0.5"])
     def test_oslip_check_field_rejects_delta(self, tmp_path, capsys, monkeypatch, value):
@@ -1456,6 +1490,16 @@ def _probe_with(spec: dict) -> dict:
 _NESTED_PROBE_MISSES = {
     "eps_entry_bool": ({**_VALID_PROBE, "eps": [0.5, 0.25, 0.125, True]},
                        "config field 'eps' entry must be a number, got True"),
+    "eps_entry_nan": ({**_VALID_PROBE, "eps": [math.nan, 0.25, 0.125, 0.0625]},
+                      "config field 'eps' entry must be finite and positive, got nan"),
+    "eps_entry_inf": ({**_VALID_PROBE, "eps": [0.5, 0.25, math.inf, 0.0625]},
+                      "config field 'eps' entry must be finite and positive, got inf"),
+    "eps_entry_zero": ({**_VALID_PROBE, "eps": [0.5, 0.25, 0.125, 0]},
+                       "config field 'eps' entry must be finite and positive, got 0.0"),
+    "eps_entry_negative": ({**_VALID_PROBE, "eps": [0.5, 0.25, -0.125, 0.0625]},
+                           "config field 'eps' entry must be finite and positive, got -0.125"),
+    "eps_entry_minus_inf": ({**_VALID_PROBE, "eps": [-math.inf, 0.25, 0.125, 0.0625]},
+                            "config field 'eps' entry must be finite and positive, got -inf"),
     "eps_empty": ({**_VALID_PROBE, "eps": []}, "eps range must span at least 3 octaves"),
     "fields_empty": ({**_VALID_PROBE, "fields": []},
                      "config field 'fields' must name at least one field"),

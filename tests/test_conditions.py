@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from eulerlab.conditions import (
     oslip_weak_min_c,
     unit_directions,
 )
+from eulerlab.errors import RangeError
 from eulerlab.grid import PeriodicGrid, wrap
 
 
@@ -243,6 +245,18 @@ class TestWeakScanContract:
             with pytest.raises(ValueError, match="finite"):
                 fn(grid, broken)
 
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    @pytest.mark.parametrize("shape", ["constant", "alternating", "ramp"])
+    def test_moments_past_the_float_range_are_a_range_error(self, scale, shape):
+        # u * d(phi) overflowed: numpy warned, then exact_sum's OverflowError escaped
+        k = np.arange(64)
+        values = {"constant": np.ones(64), "alternating": (-1.0) ** k, "ramp": k / 63.0}[shape]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="a moment of the velocity over 64 cells is "
+                                                 "outside the float range"):
+                oslip_weak_min_c(PeriodicGrid(1, 64), scale * values[None])
+
     @pytest.mark.parametrize("directions", [
         [(1.0, 0.0), (0.0, 0.0)],            # zero
         [(1.0,)],                             # wrong length
@@ -287,6 +301,26 @@ class TestDiscrete:
         weak = oslip_weak_min_c(grid4k, vel).min_c
         disc = oslip_discrete(grid4k, vel)
         assert disc >= weak - 4.0 * grid4k.cell_width
+
+    def test_quotients_past_the_float_range_are_a_range_error(self):
+        # the differences overflowed: numpy warned, and 0 * inf made the 2D maximum NaN
+        grid = PeriodicGrid(2, 8)
+        alternating = 1e308 * (-1.0) ** np.arange(8)
+        vel = np.stack([np.broadcast_to(alternating, grid.shape), np.zeros(grid.shape)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="a difference quotient of the velocity over "
+                                                 "64 cells is outside the float range"):
+                oslip_discrete(grid, vel)
+
+    def test_an_overflow_below_the_maximum_leaves_it_alone(self):
+        # the wrap quotient of a ramp to 1e307 is -inf; the largest one is finite
+        grid = PeriodicGrid(1, 64)
+        vel = 1e307 * (np.arange(64) / 63.0)[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disc = oslip_discrete(grid, vel)
+        assert disc == np.max(np.diff(vel[0])) / grid.cell_width
 
     def test_multi_step_and_2d(self):
         # one-cell steps along both axes and both diagonals

@@ -232,6 +232,13 @@ class TestMollifier:
         with pytest.raises(ResolutionError):
             build_mollifier(grid256, 1.5 * grid256.cell_width)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.1, -math.inf, math.nan])
+    def test_radius_not_positive_is_a_domain_error(self, grid256, eps):
+        # a NaN radius passed every guard and ended in int(floor(nan)): "cannot
+        # convert float NaN to integer"
+        with pytest.raises(DomainError, match=f"mollifier radius must be positive, got {eps}"):
+            build_mollifier(grid256, eps)
+
     def test_constant_is_fixed_point(self, grid256):
         mol = build_mollifier(grid256, 0.05)
         out = _mollify(constant_field(grid256, 3.7), mol)

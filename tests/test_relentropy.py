@@ -1,6 +1,4 @@
 import math
-import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,7 +12,6 @@ from eulerlab.errors import DomainError
 from eulerlab.grid import PeriodicGrid, exact_sum
 from eulerlab.relentropy import (
     INTEGRAL_FLOOR,
-    CoercivityCalibration,
     RelEntropyTrace,
     StateBox,
     calibrate_coercivity,
@@ -75,10 +72,10 @@ class TestDensity:
         # E is a kinetic part plus a thermal part, both >= 0: an exact zero is both
         assert dens == 0.0
 
-    def test_entropic_state_roundtrip_near_equality(self, gamma14, calibration):
+    def test_entropic_state_roundtrip_near_equality(self, gamma14):
         prim = PrimitiveState(np.array([1.3]), np.array([[0.4]]), np.array([0.9]))
         state = _entropic(prim, gamma14)
-        dens = coercivity_gap(state, prim, calibration, gamma14).density
+        dens = coercivity_gap(state, prim, BOX, gamma14).density
         assert np.all(dens >= 0.0)
         assert float(np.max(dens)) < 1e-28
 
@@ -144,23 +141,106 @@ class TestDensity:
             rel_entropy_terms(1.0, 0.0, 1.0, 1.0, 0.0, -1.0, gamma14)
 
 
-@pytest.fixture(scope="module")
-def calibration(gamma14) -> CoercivityCalibration:
-    return calibrate_coercivity(BOX, gamma14, n=2**15, seed=4242)
+#: The constant the Sobol calibration of the relative-entropy gate gave on BOX
+#: (0.9 times its sampled minimum of E / quad); the corner states break it.
+SAMPLED_C = float.fromhex("0x1.28b3025f4585fp-3")
+
+
+def _corner(d, params):
+    """rho = 2 against r = 2 - d, both at theta 0.5 and at rest: the corner of
+    BOX where the bound is sharp."""
+    state = _entropic(PrimitiveState(np.full(len(d), 2.0), np.zeros(len(d)),
+                                     np.full(len(d), 0.5)), params)
+    ref = PrimitiveState(2.0 - np.asarray(d), np.zeros(len(d)), np.full(len(d), 0.5))
+    return coercivity_gap(state, ref, BOX, params)
+
+
+def _grid_infimum(term, lo, hi, n=1001):
+    """min of term(a, b) / (a - b)^2 over an n x n grid of [lo, hi]^2, off the diagonal."""
+    a, b = np.meshgrid(np.linspace(lo, hi, n), np.linspace(lo, hi, n), indexing="ij")
+    off = a != b
+    return float(np.min(term(a[off], b[off]) / (a[off] - b[off]) ** 2))
+
+
+#: (box, gamma, the term whose ratio binds): each term binds on two boxes or
+#: more, the kinetic one only for gamma <= 5/4, where c_V >= 4 lets both
+#: other ratios exceed 1.
+COERCIVITY_CASES = {
+    "density": (BOX, 1.4, "density"),
+    "density-wide": (StateBox(1.0, 10.0, 0.5, 1.0), 1.4, "density"),
+    "density-monatomic": (StateBox(2.0, 4.0, 0.1, 3.0), 5.0 / 3.0, "density"),
+    "temperature": (StateBox(1.0, 2.0, 3.0, 4.0), 1.4, "temperature"),
+    "temperature-monatomic": (StateBox(0.25, 1.0, 0.2, 3.0), 5.0 / 3.0, "temperature"),
+    "kinetic": (StateBox(4.0, 5.0, 12.0, 16.0), 1.1, "kinetic"),
+    "kinetic-cv5": (StateBox(4.0, 4.4, 9.0, 9.5), 1.2, "kinetic"),
+}
+
+
+def _term_bounds(box, params):
+    """The proof's lower bound on each term's ratio E / quad in ``box``."""
+    return {"kinetic": 1.0,
+            "temperature": box.rho_min * params.cv / (2.0 * box.theta_max),
+            "density": box.theta_min / (2.0 * box.rho_max)}
+
+
+def _term_corners(box, d):
+    """For each term, pairs where only its slot differs, at the box corner
+    where its bound is sharp; d is the offset in units of the box's span."""
+    d = np.asarray(d, dtype=float)
+    one = np.ones_like(d)
+    rho_lo, rho_hi, th_lo, th_hi = (v * one for v in (box.rho_min, box.rho_max,
+                                                       box.theta_min, box.theta_max))
+    rest = np.zeros_like(d)
+    return {
+        "kinetic": (PrimitiveState(rho_lo, d, th_lo), PrimitiveState(rho_lo, rest, th_lo)),
+        # the candidate sits inside the temperature span, the reference on its edge
+        "temperature": (PrimitiveState(rho_lo, rest, th_hi - d * (th_hi - th_lo)),
+                        PrimitiveState(rho_lo, rest, th_hi)),
+        "density": (PrimitiveState(rho_hi, rest, th_lo),
+                    PrimitiveState(rho_hi - d * (rho_hi - rho_lo), rest, th_lo)),
+    }
 
 
 class TestCoercivity:
-    def test_constants_are_positive(self, calibration):
-        assert calibration.c_hat > 0.0
-        assert calibration.c_far > 0.0
+    def test_constants_are_positive(self):
+        # the kinetic ratio is 1, so no box has a larger constant
+        for box, gamma, _ in COERCIVITY_CASES.values():
+            assert 0.0 < calibrate_coercivity(box, GasParams(gamma)) <= 1.0
 
-    def test_gate_calibration_is_pinned(self, gamma14):
-        # the relative-entropy gate's call: same Sobol engines, seeds and draw order
-        calib = calibrate_coercivity(BOX, gamma14, n=2**17, seed=20240)
-        assert calib.c_hat.hex() == "0x1.28b3025f4585fp-3"
-        assert calib.c_far.hex() == "0x1.1caf1273310a2p-7"
+    def test_gate_calibration_is_pinned(self):
+        # the relative-entropy gate's call: its box and gas give exactly 1/8
+        c = calibrate_coercivity(StateBox(0.5, 2.0, 0.5, 2.0), GasParams(1.4))
+        assert c.hex() == "0x1.0000000000000p-3"
 
-    def test_gap_nonnegative_on_fresh_samples(self, calibration, gamma14):
+    def test_the_constant_is_the_closed_form(self, gamma14):
+        # min(1, rho_min c_V / (2 theta_max), theta_min / (2 rho_max)) = min(1, 0.3125, 0.125)
+        assert calibrate_coercivity(BOX, gamma14) == 0.125
+        # c_V = 2.5 up to rounding: the temperature ratio binds, 1 * c_V / 8 < 3 / 4
+        assert calibrate_coercivity(StateBox(1.0, 2.0, 3.0, 4.0), gamma14) == gamma14.cv / 8.0
+        # c_V = 10: 4 * 10 / 32 and 12 / 10 both exceed 1, so the kinetic ratio binds
+        assert calibrate_coercivity(StateBox(4.0, 5.0, 12.0, 16.0), GasParams(1.1)) == 1.0
+
+    def test_each_term_bound_holds_and_is_sharp_on_a_dense_grid(self, gamma14):
+        # E is linear in the slot a term does not vary, so each term's ratio is
+        # smallest at rho = rho_min (temperature) and T = theta_min (density)
+        temperature = _grid_infimum(
+            lambda th, t: rel_entropy_terms(0.5, 0.0, th, 0.5, 0.0, t, gamma14), 0.5, 2.0)
+        density = _grid_infimum(
+            lambda rho, r: rel_entropy_terms(rho, 0.0, 0.5, r, 0.0, 0.5, gamma14), 0.5, 2.0)
+        assert 0.3125 <= temperature < 0.3125 + 1e-3
+        assert 0.125 <= density < 0.125 + 1e-3
+
+    def test_the_corner_states_hold_the_proven_constant_and_break_the_sampled_one(self,
+                                                                                 gamma14):
+        res = _corner([0.1, 0.01, 0.001], gamma14)
+        np.testing.assert_allclose(res.gap, [4.33e-5, 4.18e-8, 4.17e-11], rtol=0.01)
+        assert np.all(res.gap >= 0.0)
+        assert np.all(res.density - SAMPLED_C * res.lower_form < 0.0)
+        # E / quad tends to 1/8 from above
+        ratio = res.density / res.lower_form
+        assert np.all(np.diff(ratio) < 0.0) and ratio[-1] < 0.12505
+
+    def test_gap_nonnegative_on_fresh_samples(self, gamma14):
         rng = np.random.default_rng(777)
         n = 10000
         rho = rng.uniform(0.5, 2.0, n)
@@ -170,233 +250,80 @@ class TestCoercivity:
         ref = PrimitiveState(
             rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0.5, 2.0, n)
         )
-        res = coercivity_gap(state, ref, calibration, gamma14)
-        assert res.branch == "quadratic"
+        res = coercivity_gap(state, ref, BOX, gamma14)
         assert float(np.min(res.gap)) >= 0.0
 
-    def test_equal_states_have_zero_gap(self, calibration, gamma14):
+    def test_equal_states_have_zero_gap(self, gamma14):
         prim = PrimitiveState(np.array([1.0]), np.array([0.25]), np.array([1.0]))
         state = _entropic(prim, gamma14)
-        res = coercivity_gap(state, prim, calibration, gamma14)
+        res = coercivity_gap(state, prim, BOX, gamma14)
         assert abs(float(res.gap[0])) < 1e-25
         assert float(res.lower_form[0]) < 1e-25
 
-    def test_out_of_box_uses_far_branch(self, calibration, gamma14):
-        rho = np.array([8.0])
-        theta = np.array([1.0])
-        s_tot = rho * entropy(rho, theta, gamma14)
-        state = EntropicState(rho, rho * 0.0, s_tot)
+    @pytest.mark.parametrize("rho,theta", [(8.0, 1.0), (1.0, 0.25), (0.4, 1.0), (1.0, 2.5)])
+    def test_candidate_must_stay_in_box(self, gamma14, rho, theta):
+        state = _entropic(PrimitiveState(np.array([rho]), np.array([0.0]), np.array([theta])),
+                          gamma14)
         ref = PrimitiveState(np.array([1.0]), np.array([0.0]), np.array([1.0]))
-        res = coercivity_gap(state, ref, calibration, gamma14)
-        assert res.branch == "far"
-        assert float(np.min(res.gap)) >= 0.0
+        with pytest.raises(DomainError, match="candidate state leaves the state box"):
+            coercivity_gap(state, ref, BOX, gamma14)
 
-    def test_reference_must_stay_in_box(self, calibration, gamma14):
+    def test_reference_must_stay_in_box(self, gamma14):
         state = _entropic(
             PrimitiveState(np.array([1.0]), np.array([0.0]), np.array([1.0])), gamma14
         )
         bad_ref = PrimitiveState(np.array([5.0]), np.array([0.0]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            coercivity_gap(state, bad_ref, calibration, gamma14)
+        with pytest.raises(DomainError, match="reference state leaves the state box"):
+            coercivity_gap(state, bad_ref, BOX, gamma14)
 
 
-@pytest.fixture(scope="module")
-def scipy_sobol():
-    """scipy's scrambled Sobol engine, the oracle the numpy sampler replaces."""
-    from scipy.stats import qmc
+@pytest.mark.parametrize("case", list(COERCIVITY_CASES))
+class TestCoercivityAcrossBoxes:
+    def test_gap_is_nonnegative_on_samples_in_the_box(self, case):
+        box, gamma, _ = COERCIVITY_CASES[case]
+        params = GasParams(gamma)
+        rng = np.random.default_rng(2024)
+        n = 4096
+        rho, theta = (rng.uniform(box.rho_min, box.rho_max, n),
+                      rng.uniform(box.theta_min, box.theta_max, n))
+        ref = PrimitiveState(rng.uniform(box.rho_min, box.rho_max, n), rng.uniform(-1, 1, n),
+                             rng.uniform(box.theta_min, box.theta_max, n))
+        res = coercivity_gap(_entropic(PrimitiveState(rho, rng.uniform(-1, 1, n), theta),
+                                       params), ref, box, params)
+        assert float(np.min(res.gap)) >= 0.0
 
-    def draw(n, seed):
-        with warnings.catch_warnings():
-            # scipy warns that n is not a power of two; the points are still defined
-            warnings.simplefilter("ignore", UserWarning)
-            return qmc.Sobol(d=6, scramble=True, seed=seed).random(n)
+    def test_each_term_bound_holds_on_a_dense_grid(self, case):
+        # E is linear in the slot a term does not vary, so each term's ratio is
+        # smallest at rho = rho_min (temperature) and T = theta_min (density)
+        box, gamma, _ = COERCIVITY_CASES[case]
+        params = GasParams(gamma)
+        bounds = _term_bounds(box, params)
+        temperature = _grid_infimum(
+            lambda th, t: rel_entropy_terms(box.rho_min, 0.0, th, box.rho_min, 0.0, t, params),
+            box.theta_min, box.theta_max)
+        density = _grid_infimum(
+            lambda rho, r: rel_entropy_terms(rho, 0.0, box.theta_min, r, 0.0, box.theta_min,
+                                             params), box.rho_min, box.rho_max)
+        assert bounds["temperature"] <= temperature
+        assert bounds["density"] <= density
 
-    return draw
-
-
-def _sobol_points(n, seed):
-    """The calibration's Sobol blocks, concatenated."""
-    return np.concatenate(list(relentropy._sobol_blocks(n, seed)))
-
-
-def _sobol_whole_table(n, seed):
-    """The sampler before it built one block of words: the Gray-code recursion
-    over the whole power-of-two table, scaled column-major at once."""
-    rng = np.random.default_rng(seed)
-    place, bits_ = relentropy._SOBOL_PLACE, relentropy._SOBOL_BITS
-    shift = rng.integers(0, 2, size=(6, bits_), dtype=np.uint32) @ place[::-1]
-    ltm = np.tril(rng.integers(0, 2, size=(6, bits_, bits_), dtype=np.uint32))
-    ltm[:, range(bits_), range(bits_)] = 1
-    bits = relentropy._SOBOL_V[:, :, None] // place & 1
-    sv = (np.einsum("dpm,djm->djp", ltm, bits) & 1) @ place
-    size = 1 << (n - 1).bit_length()
-    x = np.empty((6, size), dtype=np.uint32)
-    x[:, 0] = shift
-    for b in range(size.bit_length() - 1):
-        h = 1 << b
-        np.bitwise_xor(x[:, h - 1::-1], sv[:, b, None], out=x[:, h:2 * h])
-    return x[:, :n].T * 2.0**-bits_
-
-
-class TestSobolAgainstScipy:
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 4096, 8193])
-    def test_small_draws_are_byte_identical(self, scipy_sobol, n):
-        for seed in range(40 if n < 8192 else 3):
-            ours = _sobol_points(n, seed)
-            assert ours.shape == (n, 6) and ours.dtype == np.float64
-            assert ours.tobytes() == scipy_sobol(n, seed).tobytes(), seed
-
-    @pytest.mark.parametrize("seed", [20240, 20241])
-    def test_gate_draws_are_byte_identical(self, scipy_sobol, seed):
-        # the relative-entropy gate draws 2**17 points at seeds 20240 and 20241
-        assert _sobol_points(2**17, seed).tobytes() == scipy_sobol(2**17, seed).tobytes()
-
-    @pytest.mark.parametrize("n", [1, 1000, 8192, 8193, 8197, 2**15, 2**17])
-    @pytest.mark.parametrize("seed", [20240, 4242, 7])
-    def test_blocks_match_the_whole_table_recursion(self, n, seed):
-        # equal bytes: every value equal by float.hex, signed zeros included
-        got, want = _sobol_points(n, seed), _sobol_whole_table(n, seed)
-        assert got.shape == want.shape == (n, 6)
-        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 3 * 8192 + 5])
-    def test_blocks_are_consecutive_and_full_but_the_last(self, n):
-        rows = [len(b) for b in relentropy._sobol_blocks(n, 7)]
-        full, rest = divmod(n, relentropy.CALIBRATION_BLOCK)
-        assert rows == [relentropy.CALIBRATION_BLOCK] * full + ([rest] if rest else [])
-
-    def test_too_many_points_raise_before_allocating(self, gamma14):
-        # a bad count is refused where it enters, before any point is formed
-        for n in (2**30 + 1, -5, 0, 2.5, True, False, "8", None):
-            for call in (lambda: relentropy._sobol_blocks(n, 0),
-                         lambda: calibrate_coercivity(BOX, gamma14, n=n, seed=0)):
-                tracemalloc.start()
-                try:
-                    with pytest.raises(ValueError, match=(
-                            r"n must be an int in \[1, 2\*\*30\]: a 30-bit Sobol sequence "
-                            rf"has at most 2\*\*30 points, got n={re.escape(repr(n))}$")):
-                        call()
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert peak < 2**20, n
-
-
-def _calibrate_unblocked(box, params, n, seed):
-    """calibrate_coercivity as it was before the block scan: every point at once."""
-    # the sampler returned the points column-major, as the transposed word table
-    u01 = _sobol_whole_table(n, seed)
-    lo = np.array([box.rho_min, box.theta_min, -1.0, box.rho_min, box.theta_min, -1.0])
-    hi = np.array([box.rho_max, box.theta_max, 1.0, box.rho_max, box.theta_max, 1.0])
-    s = lo + u01 * (hi - lo)
-    rho, theta_c, vel_c, r_ref, t_ref, u_ref = s.T
-    dens = relentropy.rel_entropy_terms(rho, rho * vel_c, theta_c, r_ref, u_ref, t_ref, params)
-    quad = relentropy._quadratic_form(rho, vel_c, theta_c, r_ref, u_ref, t_ref)
-    mask = quad > 1e-30
-    c_hat = 0.9 * float(np.min(dens[mask] / quad[mask]))
-    u01 = _sobol_whole_table(n, seed + 1)
-    rho_f = np.where(u01[:, 0] < 0.5,
-                     box.rho_min * 0.5 * (0.2 + 1.6 * u01[:, 1]),
-                     box.rho_max * 2.0 * (1.0 + 4.0 * u01[:, 1]))
-    th_f = np.where(u01[:, 2] < 0.5,
-                    box.theta_min * 0.5 * (0.2 + 1.6 * u01[:, 3]),
-                    box.theta_max * 2.0 * (1.0 + 4.0 * u01[:, 3]))
-    vel_f = -1.0 + 2.0 * u01[:, 4]
-    r_ref = box.rho_min + (box.rho_max - box.rho_min) * u01[:, 5]
-    t_ref = box.theta_min + (box.theta_max - box.theta_min) * u01[:, 0]
-    u_ref = 1.0 - 2.0 * u01[:, 1]
-    dens_f = relentropy.rel_entropy_terms(rho_f, rho_f * vel_f, th_f, r_ref, u_ref, t_ref, params)
-    far = relentropy._far_form(rho_f, vel_f, th_f, r_ref, u_ref, params)
-    c_far = 0.9 * float(np.min(dens_f / far))
-    return c_hat, c_far
-
-
-def _spy(monkeypatch, name, seen):
-    """Record the candidate density of every call of relentropy.<name>."""
-    real = getattr(relentropy, name)
-
-    def spy(rho, *args):
-        seen.append(np.array(rho))
-        return real(rho, *args)
-
-    monkeypatch.setattr(relentropy, name, spy)
-
-
-class TestBlockedCalibration:
-    @pytest.mark.parametrize("n", [1, 1000, 8192, 8197, 2**15, 2**17])
-    @pytest.mark.parametrize("seed", [20240, 4242, 7])
-    def test_matches_the_unblocked_calibration(self, gamma14, n, seed):
-        calib = calibrate_coercivity(BOX, gamma14, n=n, seed=seed)
-        want = _calibrate_unblocked(BOX, gamma14, n, seed)
-        assert (calib.c_hat.hex(), calib.c_far.hex()) == tuple(c.hex() for c in want)
-
-    @pytest.mark.parametrize("n", [8197, 3 * 8192])
-    def test_every_point_is_scanned_once_in_order(self, gamma14, monkeypatch, n):
-        # each branch sees the oracle's candidate densities, block after block
-        quad, far = [], []
-        _spy(monkeypatch, "_quadratic_form", quad)
-        _spy(monkeypatch, "_far_form", far)
-        calibrate_coercivity(BOX, gamma14, n=n, seed=1)
-        assert max(len(b) for b in quad + far) <= relentropy.CALIBRATION_BLOCK
-        lo, hi = BOX.rho_min, BOX.rho_max
-        near_rho = lo + np.asfortranarray(_sobol_points(n, 1))[:, 0] * (hi - lo)
-        assert np.concatenate(quad).tobytes() == near_rho.tobytes()
-        u01 = np.asfortranarray(_sobol_points(n, 2))
-        far_rho = np.where(u01[:, 0] < 0.5, lo * 0.5 * (0.2 + 1.6 * u01[:, 1]),
-                           hi * 2.0 * (1.0 + 4.0 * u01[:, 1]))
-        assert np.concatenate(far).tobytes() == far_rho.tobytes()
-
-    @pytest.mark.parametrize("call,branch", [(2, "c_hat"), (7, "c_far")])
-    def test_a_nan_in_a_late_block_propagates(self, gamma14, monkeypatch, call, branch):
-        # 2**15 points are four blocks per branch; the NaN sits in the third
-        # near block or the last far one, after finite block minima
-        calls = []
-        real = relentropy.rel_entropy_terms
-
-        def planted(*args):
-            dens = real(*args)
-            if len(calls) == call:
-                dens[5] = math.nan
-            calls.append(len(args[0]))
-            return dens
-
-        monkeypatch.setattr(relentropy, "rel_entropy_terms", planted)
-        calib = calibrate_coercivity(BOX, gamma14, n=2**15, seed=4242)
-        assert len(calls) == 8
-        assert math.isnan(getattr(calib, branch))
-        other = {"c_hat": "c_far", "c_far": "c_hat"}[branch]
-        assert math.isfinite(getattr(calib, other))
-
-    def test_no_pair_off_the_diagonal_is_a_value_error(self, gamma14, monkeypatch):
-        monkeypatch.setattr(relentropy, "_quadratic_form", lambda rho, *a: np.zeros_like(rho))
-        with pytest.raises(ValueError, match="no sampled pair of the 9000 points"):
-            calibrate_coercivity(BOX, gamma14, n=9000, seed=1)
-
-    def test_blocks_with_an_empty_mask_are_skipped(self, gamma14, monkeypatch):
-        # the first two of three blocks keep no point: the minimum is the last block's
-        real = relentropy._quadratic_form
-        calls = []
-
-        def late(*args):
-            calls.append(None)
-            return real(*args) * (len(calls) == 3)
-
-        monkeypatch.setattr(relentropy, "_quadratic_form", late)
-        calib = calibrate_coercivity(BOX, gamma14, n=2 * 8192 + 100, seed=3)
-        monkeypatch.setattr(relentropy, "_quadratic_form",
-                            lambda *a: np.concatenate([np.zeros(2 * 8192), real(*a)[2 * 8192:]]))
-        assert calib.c_hat.hex() == _calibrate_unblocked(BOX, gamma14, 2 * 8192 + 100, 3)[0].hex()
-
-    def test_peak_memory_is_bounded(self, gamma14):
-        # all 2 x 2**17 pairs at once held about 31 MB, and the whole 2**17
-        # word table with the block scan 5.0 MiB; one block of words, 2.0 MiB
-        tracemalloc.start()
-        try:
-            calibrate_coercivity(BOX, gamma14, n=2**17, seed=20240)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2**20
+    def test_the_binding_term_tends_to_the_constant_at_its_corner(self, case):
+        box, gamma, binding = COERCIVITY_CASES[case]
+        params = GasParams(gamma)
+        c = calibrate_coercivity(box, params)
+        bounds = _term_bounds(box, params)
+        assert min(bounds, key=bounds.get) == binding and bounds[binding] == c
+        for term, (cand, ref) in _term_corners(box, [0.1, 0.01, 0.001]).items():
+            res = coercivity_gap(_entropic(cand, params), ref, box, params)
+            ratio = res.density / res.lower_form
+            assert np.all(res.gap >= 0.0), term
+            if term == "kinetic":
+                # E and quad are the same kinetic energy
+                np.testing.assert_allclose(ratio, 1.0, rtol=1e-15)
+            else:
+                # E / quad falls to the term's bound from above
+                assert np.all(np.diff(ratio) < 0.0), term
+                assert bounds[term] <= ratio[-1] < bounds[term] * (1.0 + 1e-3), term
 
 
 def _pair(n, t_end=1.0, stride=0.05, init=None):
