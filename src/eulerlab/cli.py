@@ -337,6 +337,9 @@ def cmd_oslip_check(args: argparse.Namespace) -> int:
 def cmd_verify_thermo(args: argparse.Namespace) -> int:
     gamma = 1.4 if args.gamma is None else args.gamma
     params = GasParams(gamma)
+    if gamma - 1.0 < 1e-5:   # c_V = 1e10 rounds the identities to 7.6e-6
+        raise UsageError(f"verify-thermo needs gamma - 1 >= 1e-5, got gamma = {gamma!r}: the "
+                         "residuals are O(c_V * 2**-52), c_V = 1/(gamma - 1), against 1e-10")
     ident = acceptance.gate_thermo_identities(params)
     convex = acceptance.gate_tilde_pressure_convexity(params)
     rows = [[name, ident.metrics[name]] for name in acceptance.THERMO_IDENTITIES]

@@ -20,8 +20,8 @@ moduli with a constant frozen from a smooth calibration probe.  Both are one
 pass over a `besov.EpsScan`, `_product_scan`, whose shift moduli come from one
 `besov.ModulusTable`.
 
-G is supplied with closed-form first and second derivatives; nothing here
-differentiates G numerically, so the split's gap is rounding alone.
+G comes with a closed-form gradient and closed-form sups of its second
+derivatives over a box: nothing here differentiates or samples G.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
 from types import MappingProxyType
 from typing import Callable
 
@@ -61,58 +60,58 @@ C0_PRODUCT = 0.25
 #: at: the commutators are measured in L^{p/2} = L^{3/2}.
 PRODUCT_P = 3.0
 
-#: Sample count per component axis when taking sup|d^gamma G| over the hull.
-HULL_SAMPLES_PER_DIM = 1000
-
-#: Rows of the first hull axis sampled at once; bounds the sampling's memory.
-HULL_SLAB_ROWS = 10
-
 #: Velocity factors of each product commutator: rho u and rho u (x) u.
 _FACTORS = {"bilinear": 1, "triple": 2}
 
 
 @dataclass(frozen=True)
 class GMap:
-    """C^2 map of k scalar arguments, given by its closed-form derivatives.
-
-    ``grad`` and ``hess`` act on a stacked array Y of shape (k, ...); grad
-    returns shape (k, ...) and hess (k, k, ...).
-    """
+    """C^2 map of k scalar arguments in closed form: ``grad`` of a stacked
+    array Y of shape (k, ...), and ``sups`` of a box, one (lo, hi) per
+    argument, as {gamma: sup |d^gamma G| over the box} for |gamma| = 2."""
 
     arity: int
     grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
+    sups: Callable[[tuple[tuple[float, float], ...]], dict[tuple[int, ...], float]]
 
 
 def gmap_square() -> GMap:
-    return GMap(
-        1,
-        lambda y: np.stack([2.0 * y[0]]),
-        lambda y: np.stack([np.stack([2.0 + 0.0 * y[0]])]),
-    )
+    return GMap(1, lambda y: np.stack([2.0 * y[0]]), lambda hull: {(2,): 2.0})
 
 
 def gmap_product() -> GMap:
-    zero = lambda y: 0.0 * y[0]
-    return GMap(
-        2,
-        lambda y: np.stack([y[1], y[0]]),
-        lambda y: np.stack(
-            [np.stack([zero(y), 1.0 + zero(y)]), np.stack([1.0 + zero(y), zero(y)])]
-        ),
-    )
+    return GMap(2, lambda y: np.stack([y[1], y[0]]),
+                lambda hull: {(2, 0): 0.0, (1, 1): 1.0, (0, 2): 0.0})
 
 
 def gmap_pressure_tilde(params: GasParams) -> GMap:
     """Pressure as a function of (rho, S); convex with closed-form Hessian."""
 
-    def gradf(y):
-        return tilde_pressure_derivatives(y[0], y[1], params)[1]
+    def sups(hull):
+        """With a = g - 1 and w = S / rho, each Hessian entry of p = rho**g e^{a w}
+        is h = rho**(g - 2) e^{a w} q(w), q = a (g - 2aw + aw**2), a**2 (1 - w) or
+        a**2.  Then dh/dS = rho**(g - 3) e^{a w} (a q + q') and dh/drho =
+        rho**(g - 3) e^{a w} ((g - 2) q - w (a q + q')) vanish together only
+        where (g - 2) q = 0, and h = 0 where q = 0, so the max of |h| is on the
+        boundary (at g = 2 h is a function of w, whose range the boundary
+        covers).  Inside a rho-edge it sits at a root of a q + q' (S = w rho),
+        inside an S-edge at a root of (g - 2) q - w (a q + q') (rho = S / w),
+        both at most cubic.  A candidate in the box cannot raise the sup, so
+        each root keeps its real part and each entry takes every candidate."""
+        g, a = params.gamma, params.gamma - 1.0
+        (r_lo, r_hi), (s_lo, s_hi) = hull
+        points = [(r, x) for r in (r_lo, r_hi) for x in (s_lo, s_hi)]
+        for q in map(np.array, ([a * a, -2.0 * a * a, a * g], [-a * a, a * a], [a * a])):
+            d_s = np.polyadd(a * q, np.polyder(q))   # coefficients, highest power first
+            d_r = np.polysub((g - 2.0) * q, np.polymul([1.0, 0.0], d_s))
+            points += [(r, v * r) for v in np.roots(d_s).real.tolist() for r in (r_lo, r_hi)]
+            points += [(x / v, x) for v in np.roots(d_r).real.tolist() if v for x in (s_lo, s_hi)]
+        rho, s = np.array([(r, x) for r, x in points if r_lo <= r <= r_hi and s_lo <= x <= s_hi]).T
+        hess = np.abs(tilde_pressure_derivatives(rho, s, params)[2])
+        return {(2, 0): float(hess[0, 0].max()), (1, 1): float(hess[0, 1].max()),
+                (0, 2): float(hess[1, 1].max())}
 
-    def hessf(y):
-        return tilde_pressure_derivatives(y[0], y[1], params)[2]
-
-    return GMap(2, gradf, hessf)
+    return GMap(2, lambda y: tilde_pressure_derivatives(y[0], y[1], params)[1], sups)
 
 
 def get_gmap(name: str, params: GasParams | None = None) -> GMap:
@@ -130,8 +129,8 @@ class CommutatorProbe:
     """Fields with declared regularities, a G map, and an eps scan on their grid.
 
     The probe measures what every eps of its scan shares once, and caches
-    the floats: the component seminorms over the dyadic shift ladder, the
-    hull (the field ranges, padded) and sup |d^gamma G| over that hull.
+    the floats: the component seminorms over the dyadic shift ladder and
+    sup |d^gamma G| over the box of the field ranges.
     """
 
     components: tuple[ScalarField, ...]
@@ -162,33 +161,11 @@ class CommutatorProbe:
         return tuple(seminorm(f, a, self.p, ladder) for f, a in zip(self.components, self.alphas))
 
     @cached_property
-    def hull(self) -> tuple[tuple[float, float], ...]:
-        """The coordinate box (lo, hi) per component, padded past the field range."""
-        pads = []
-        for f in self.components:
-            lo, hi = float(f.values.min()), float(f.values.max())
-            pad = 1e-9 + 1e-9 * (hi - lo)
-            pads.append((lo - pad, hi + pad))
-        return tuple(pads)
-
-    @cached_property
     def sups(self) -> MappingProxyType[tuple[int, ...], float]:
-        """sup |d^gamma G| over the hull box, |gamma| = 2, by dense sampling in slabs."""
-        k = self.gmap.arity
-        axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in self.hull]
-        pairs = list(combinations_with_replacement(range(k), 2))
-        peaks = []
-        for start in range(0, HULL_SAMPLES_PER_DIM, HULL_SLAB_ROWS):
-            mesh = np.meshgrid(axes[0][start : start + HULL_SLAB_ROWS], *axes[1:], indexing="ij")
-            hess = self.gmap.hess(np.stack([m.ravel() for m in mesh]))
-            peaks.append([np.max(np.abs(hess[i, j])) for i, j in pairs])
-        sups: dict[tuple[int, ...], float] = {}
-        for (i, j), sup in zip(pairs, np.max(peaks, axis=0)):
-            gamma = [0] * k
-            gamma[i] += 1
-            gamma[j] += 1
-            sups[tuple(gamma)] = float(sup)
-        return MappingProxyType(sups)
+        """sup |d^gamma G|, |gamma| = 2, over the box of the field ranges, which
+        holds each F_eps too: the kernel is positive with unit mass."""
+        box = tuple((float(f.values.min()), float(f.values.max())) for f in self.components)
+        return MappingProxyType(self.gmap.sups(box))
 
 
 def chain_bound(probe: CommutatorProbe, eps: float) -> float:
@@ -253,7 +230,7 @@ def chain_rate_fit(probe: CommutatorProbe) -> RateFit:
     """Fit the decay slope of the commutator norm and compare to the bound.
 
     PASS requires slope >= (min active sum gamma.alpha) - 1 - 0.1 and the
-    one-sided bound (with measured semi-norms and sampled derivative sups)
+    one-sided bound (with measured semi-norms and closed-form derivative sups)
     to hold at every eps within ``CHAIN_BOUND_SLACK``.
     """
     scan = probe.scan

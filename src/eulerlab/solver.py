@@ -283,38 +283,40 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
         elif key != "name" and not _is_number(value):
             raise ValueError(f"init key {key!r} must be a number, got {value!r:.60}")
     x = grid.axis_centers()
-    if name == "constant":
-        rho = np.full(len(x), init.get("rho", 1.0))
-        u1 = np.full(len(x), init.get("u", 0.0))
-        theta = np.full(len(x), init.get("theta", 1.0))
-    elif name == "advection":
-        # contact-only exact solution: density profile advects at constant u
-        rho = init.get("rho0", 1.0) + init.get("amp", 0.2) * np.sin(np.pi * x)
-        u1 = np.full(len(x), init.get("u", 0.5))
-        theta = init.get("p", 1.0) / rho
-    elif name == "smooth":
-        rho = 1.0 + init.get("amp", 0.2) * np.sin(np.pi * x)
-        u1 = init.get("u_amp", 0.1) * np.sin(np.pi * x)
-        theta = np.full(len(x), init.get("theta", 1.0))
-    elif name == "isentropic_smooth":
-        # uniform-entropy data: theta = rho**(gamma-1), so p = rho**gamma
-        rho = 1.0 + init.get("amp", 0.1) * np.sin(np.pi * x)
-        u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
-        theta = rho ** (params.gamma - 1.0)
-    else:
-        left, right = scenario_riemann_states(init, params)
-        rho = np.where(x < 0.0, left.rho, right.rho)
-        u1 = np.where(x < 0.0, left.u, right.u)
-        theta = np.where(x < 0.0, left.p, right.p) / rho
-    if grid.dims == 1:
-        vel = u1[None]
-    else:   # the 1D profiles, extended invariantly along the second axis
-        rho, theta = (np.broadcast_to(a[:, None], grid.shape).copy() for a in (rho, theta))
-        vel = np.zeros((2,) + grid.shape)
-        vel[0] = u1[:, None]
-    if grid.dims == 2 and init.get("transverse", 0.0):
-        _, yy = grid.coordinates()
-        rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
+    # a profile past the float range shows as inf or nan, which the check below names
+    with np.errstate(all="ignore"):
+        if name == "constant":
+            rho = np.full(len(x), init.get("rho", 1.0))
+            u1 = np.full(len(x), init.get("u", 0.0))
+            theta = np.full(len(x), init.get("theta", 1.0))
+        elif name == "advection":
+            # contact-only exact solution: density profile advects at constant u
+            rho = init.get("rho0", 1.0) + init.get("amp", 0.2) * np.sin(np.pi * x)
+            u1 = np.full(len(x), init.get("u", 0.5))
+            theta = init.get("p", 1.0) / rho
+        elif name == "smooth":
+            rho = 1.0 + init.get("amp", 0.2) * np.sin(np.pi * x)
+            u1 = init.get("u_amp", 0.1) * np.sin(np.pi * x)
+            theta = np.full(len(x), init.get("theta", 1.0))
+        elif name == "isentropic_smooth":
+            # uniform-entropy data: theta = rho**(gamma-1), so p = rho**gamma
+            rho = 1.0 + init.get("amp", 0.1) * np.sin(np.pi * x)
+            u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
+            theta = rho ** (params.gamma - 1.0)
+        else:
+            left, right = scenario_riemann_states(init, params)
+            rho = np.where(x < 0.0, left.rho, right.rho)
+            u1 = np.where(x < 0.0, left.u, right.u)
+            theta = np.where(x < 0.0, left.p, right.p) / rho
+        if grid.dims == 1:
+            vel = u1[None]
+        else:   # the 1D profiles, extended invariantly along the second axis
+            rho, theta = (np.broadcast_to(a[:, None], grid.shape).copy() for a in (rho, theta))
+            vel = np.zeros((2,) + grid.shape)
+            vel[0] = u1[:, None]
+        if grid.dims == 2 and init.get("transverse", 0.0):
+            _, yy = grid.coordinates()
+            rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
     for name, values in (("rho", rho), ("velocity", vel), ("theta", theta)):
         bad = np.argwhere(~np.isfinite(values))
         if len(bad):

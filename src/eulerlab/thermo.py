@@ -168,18 +168,19 @@ def tilde_pressure_derivatives(rho, total_entropy, params: GasParams):
     a = g - 1.0
     w = s_tot / rho
     with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows in the values
-        expf = np.exp(a * w)
+        aw = a * w
+        expf = np.exp(aw)
         value = rho**g * expf
-        p_r = rho ** (g - 1.0) * expf * (g - a * w)
+        p_r = rho ** (g - 1.0) * expf * (g - aw)
         p_s = a * rho ** (g - 1.0) * expf
-        p_rr = a * rho ** (g - 2.0) * expf * (g - 2.0 * a * w + a * w * w)
+        p_rr = a * rho ** (g - 2.0) * expf * (g - 2.0 * aw + aw * w)
         p_rs = a * a * rho ** (g - 2.0) * expf * (1.0 - w)
         p_ss = a * a * rho ** (g - 2.0) * expf
     grad = np.stack([p_r, p_s])
     hess = np.stack([np.stack([p_rr, p_rs]), np.stack([p_rs, p_ss])])
     if not all(np.isfinite(v).all() for v in (value, grad, hess)):
         raise RangeError(f"(rho, S) pressure derivatives overflow: exponent "
-                         f"{np.max(a * w):.3g} in exp((gamma - 1) * S / rho)")
+                         f"{np.max(aw):.3g} in exp((gamma - 1) * S / rho)")
     return value, grad, hess
 
 

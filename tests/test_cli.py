@@ -315,6 +315,18 @@ class TestReports:
         assert "FAIL" not in out and "Traceback" not in err
         assert ("pressure derivatives overflow" in err) == (code == 2)
 
+    @pytest.mark.parametrize("gamma,code", [("1.0000000001", 2), ("1.00001", 0)])
+    def test_verify_thermo_refuses_gamma_within_1e_5_of_1(self, tmp_path, capsys, gamma,
+                                                          code):
+        # at c_V = 1e10 the closed-form residual is rounding of terms of size
+        # c_V, 7.63e-6 against 1e-10: the identities gate FAILed (exit 1)
+        assert main(["verify-thermo", "--gamma", gamma, "--out", str(tmp_path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "needs gamma - 1 >= 1e-5, got gamma = 1.0000000001" in err and not out
+        else:
+            assert out.count("[PASS]") == 2 and not err
+
     def test_verify_thermo_rows_are_the_gate_metrics(self, tmp_path):
         from eulerlab.thermo import GasParams
 
@@ -1576,3 +1588,101 @@ def test_readme_configs_pass_the_key_and_type_checks(tmp_path, after, keys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli._load_config(str(path), keys) == cfg
+
+
+#: The CLI's input contract as one table: argv (a dict is written as the
+#: ``--config`` file, an array as a 1D ``--field`` CSV, "TRAJ" names a short
+#: sod run) and the exit code the README states, None where it states none.
+_RAMP = np.arange(64) / 63.0
+_ADVERSARIAL = {
+    "riemann-rho-5e-324": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "riemann", "left": [5e-324, 0, 1], "right": [1, 0, 1]}}], 1),
+    "advection-rho-5e-324": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "advection", "rho0": 5e-324, "amp": 0.0}}], 1),
+    "advection-rho-0": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "advection", "rho0": 0.0, "amp": 0.0}}], 1),
+    "isentropic-amp-1e308": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "isentropic_smooth", "amp": 1e308}}], 1),
+    "sod-transverse-1e308": (["simulate", {**_VALID_CONFIG, "dims": 2, "init": {
+        "name": "sod", "transverse": 1e308}}], 1),
+    "constant-rho-nan": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "constant", "rho": float("nan")}}], 1),
+    "constant-u-inf": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "constant", "u": -float("inf")}}], 1),
+    "constant-u-1e200": (["simulate", {**_VALID_CONFIG, "init": {
+        "name": "constant", "u": 1e200}}], 1),
+    "t-end-1e300": (["simulate", {"grid_n": 16, "t_end": 1e300}], 2),
+    "gamma-1e300": (["simulate", {**_VALID_CONFIG, "gamma": 1e300}], 2),
+    "t-end-nan": (["simulate", {**_VALID_CONFIG, "t_end": float("nan")}], 2),
+    "t-end-negative": (["simulate", {**_VALID_CONFIG, "t_end": -1.0}], 2),
+    "cfl-0": (["simulate", {**_VALID_CONFIG, "cfl": 0.0}], 2),
+    "cfl-1e308": (["simulate", {**_VALID_CONFIG, "cfl": 1e308}], None),
+    "stride-0": (["simulate", {**_VALID_CONFIG, "snapshot_stride": 0.0}], 2),
+    "stride-1e308": (["simulate", {**_VALID_CONFIG, "snapshot_stride": 1e308}], None),
+    "grid-n-flag-0": (["simulate", {**_VALID_CONFIG}, "--grid-n", "0"], 2),
+    "thermo-gamma-1e308": (["verify-thermo", "--gamma", "1e308"], 2),
+    "thermo-gamma--1e308": (["verify-thermo", "--gamma=-1e308"], 2),
+    "thermo-gamma-inf": (["verify-thermo", "--gamma", "inf"], 2),
+    "thermo-gamma-nan": (["verify-thermo", "--gamma", "nan"], 2),
+    "thermo-gamma-1+1e-10": (["verify-thermo", "--gamma", "1.0000000001"], 2),
+    "thermo-gamma-1+1e-5": (["verify-thermo", "--gamma", "1.00001"], 0),
+    "besov-alternating-1e308": (["besov-fit", 1e308 * (-1.0) ** np.arange(64)], 2),
+    "besov-alternating--1e308": (["besov-fit", -1e308 * (-1.0) ** np.arange(64)], 2),
+    "besov-5e-324": (["besov-fit", np.full(64, 5e-324)], None),
+    "besov-p-1e308": (["besov-fit", _RAMP, "--p", "1e308"], 2),
+    "besov-p-inf": (["besov-fit", _RAMP, "--p", "inf"], None),
+    "oslip-constant-1e308": (["oslip-check", np.full(64, 1e308)], 2),
+    "oslip-ramp--1e308": (["oslip-check", -1e308 * _RAMP], 2),
+    "oslip-alternating-1e308": (["oslip-check", 1e308 * (-1.0) ** np.arange(64)], 2),
+    "oslip-ramp-5e-324": (["oslip-check", 5e-324 * _RAMP], None),
+    "oslip-field-delta": (["oslip-check", _RAMP, "--delta", "0"], 2),
+    "oslip-traj-delta-nan": (["oslip-check", "--traj", "TRAJ", "--delta", "nan"], 2),
+    "oslip-traj-delta-1e308": (["oslip-check", "--traj", "TRAJ", "--delta", "1e308"], 2),
+    "relentropy-sigma-nan": (["relentropy", "--traj-a", "TRAJ", "--traj-b", "TRAJ",
+                              "--sigma", "nan"], 2),
+    "relentropy-sigma--1e308": (["relentropy", "--traj-a", "TRAJ", "--traj-b", "TRAJ",
+                                 "--sigma=-1e308"], None),
+    "commutator-eps-nan": (["commutator-rate", {**_VALID_PROBE, "eps": [float("nan")] * 4}], 2),
+    "commutator-eps-inf": (["commutator-rate", {**_VALID_PROBE, "eps": [float("inf"), 0.5,
+                                                                        0.25, 0.125]}], 2),
+    "commutator-p-1e308": (["commutator-rate", {**_VALID_PROBE, "p": 1e308}], None),
+    "commutator-phase-1e308": (["commutator-rate", {**_VALID_PROBE, "fields": [
+        {"weierstrass": {**_VALID_WEIER, "phase": 1e308}}]}], None),
+    "commutator-pressure-of-a-negative-density": (["commutator-rate", {
+        **_VALID_PROBE, "G": "pressure_tilde", "gamma": 1e308, "fields": [
+            {"weierstrass": _VALID_WEIER}, {"weierstrass": {**_VALID_WEIER, "phase": 1.0}}]}],
+        None),
+}
+
+
+@pytest.fixture(scope="module")
+def short_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("adversarial") / "traj"
+    cfg = out.parent / "run.json"
+    cfg.write_text(json.dumps({"grid_n": 16, "t_end": 0.1, "snapshot_stride": 0.05}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("case", list(_ADVERSARIAL))
+def test_adversarial_input_table(tmp_path, capsys, short_run, case):
+    """No input ends in a traceback, a numpy warning or an exit code outside
+    0, 1 and 2."""
+    argv, code = _ADVERSARIAL[case]
+    args = []
+    for item in argv:
+        if isinstance(item, dict):
+            args += ["--config", str(tmp_path / "cfg.json")]
+            (tmp_path / "cfg.json").write_text(json.dumps(item))
+        elif isinstance(item, np.ndarray):
+            args += ["--field", str(tmp_path / "field.csv")]
+            save_scalar_field(tmp_path / "field.csv",
+                              ScalarField(PeriodicGrid(1, len(item)), item))
+        else:
+            args.append(str(short_run) if item == "TRAJ" else item)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = main(args + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert got in (0, 1, 2) and "Traceback" not in err
+    assert code is None or got == code

@@ -1,17 +1,14 @@
-import dataclasses
 import functools
 import math
-import tracemalloc
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from eulerlab import acceptance, besov, commutator
+from eulerlab import acceptance, besov
 from eulerlab.besov import dyadic_shift_ladder, eps_scan, seminorm
 from eulerlab.commutator import (
     C0_PRODUCT,
-    HULL_SAMPLES_PER_DIM,
     CommutatorProbe,
     GMap,
     ProductCommutatorResult,
@@ -39,19 +36,14 @@ from eulerlab.grid import (
     lp_norm_values,
     mollify_values,
     shift_values,
-    weierstrass_field,
 )
-from eulerlab.thermo import GasParams
+from eulerlab.thermo import GasParams, tilde_pressure_derivatives
 
 EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
 
 
 def _linear_gmap():
-    return GMap(
-        1,
-        lambda y: np.stack([3.0 + 0.0 * y[0]]),
-        lambda y: np.stack([np.stack([0.0 * y[0]])]),
-    )
+    return GMap(1, lambda y: np.stack([3.0 + 0.0 * y[0]]), lambda hull: {(2,): 0.0})
 
 
 def _probe(field, alpha, gmap, p=4.0, eps=EPS_SCAN):
@@ -138,22 +130,21 @@ def _count_cached(monkeypatch, name):
 class TestProbeMeasuresOnce:
     def test_chain_gate_counts(self, monkeypatch):
         # the split check's extra chain_commutator at 2**-6 measured
-        # probe1's ladder and hull again: 88 difference norms, 3 samplings
+        # probe1's ladder and sups again: 88 difference norms, 3 sup evaluations
         norms = []
         real = besov._diff_norm
         monkeypatch.setattr(besov, "_diff_norm", lambda *a: norms.append(a[1]) or real(*a))
-        samplings = _count_cached(monkeypatch, "sups")
+        sup_evaluations = _count_cached(monkeypatch, "sups")
         assert acceptance.gate_chain_commutator().passed
         assert len(norms) == 3 * len(dyadic_shift_ladder(PeriodicGrid(1, 8192))) == 66
-        assert len(samplings) == 2
+        assert len(sup_evaluations) == 2
 
     def test_probe_caches_floats_only(self, weier8k):
         probe = _probe((weier8k[0.4], weier8k[0.8]), (0.4, 0.8), get_gmap("product"))
         chain_rate_fit(probe)
         fields = {"components", "alphas", "gmap", "p", "scan"}
-        assert set(vars(probe)) == fields | {"seminorms", "hull", "sups"}
-        leaves = [*probe.seminorms, *(x for box in probe.hull for x in box),
-                  *probe.sups.values()]
+        assert set(vars(probe)) == fields | {"seminorms", "sups"}
+        leaves = [*probe.seminorms, *probe.sups.values()]
         assert all(type(v) is float for v in leaves)
         ladder = dyadic_shift_ladder(probe.grid)
         assert [s.hex() for s in probe.seminorms] == [
@@ -236,8 +227,12 @@ class TestChainRates:
         # (dp/drho, dp/dS) = (gamma, gamma - 1) at rho = 1, S = 0
         np.testing.assert_allclose(gmap.grad(y), np.stack([np.full(4, 1.4), np.full(4, 0.4)]),
                                    rtol=1e-14)
-        hess = gmap.hess(y)
+        hess = tilde_pressure_derivatives(y[0], y[1], GasParams(1.4))[2]
         assert hess.shape == (2, 2, 4)
+        # on the one-point box the sups are the Hessian's entries there
+        sups = gmap.sups(((1.0, 1.0), (0.0, 0.0)))
+        assert list(sups.values()) == [abs(float(hess[i, j, 0])) for i, j in ((0, 0), (0, 1),
+                                                                             (1, 1))]
 
 
 class TestProductCommutators:
@@ -292,8 +287,8 @@ class TestProductCommutators:
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-eps product commutators and the one-shot hull sampling
-# that the eps-list scan and the slabs replaced
+# oracles: the per-eps product commutators that the eps-list scan replaced,
+# and dense sampling of sup |d^2 G| under the closed-form sups
 # ---------------------------------------------------------------------------
 
 
@@ -433,74 +428,102 @@ def test_unknown_product_kind_is_rejected(rough_pair_8k):
         product_rate_fit(rho, u, eps_scan(rho.grid, EPS_SCAN), kind="bilnear")
 
 
-def _oracle_hull_sups(probe):
-    """The whole sample grid and its Hessian at once."""
-    k = probe.gmap.arity
-    axes = [np.linspace(lo, hi, HULL_SAMPLES_PER_DIM) for lo, hi in probe.hull]
+#: The Hessian of each G map, written out on the test side.
+_HESSIANS = {
+    "square": lambda y: np.stack([np.stack([2.0 + 0.0 * y[0]])]),
+    "product": lambda y: np.stack([np.stack([0.0 * y[0], 1.0 + 0.0 * y[0]]),
+                                   np.stack([1.0 + 0.0 * y[0], 0.0 * y[0]])]),
+    "pressure_tilde": lambda y: tilde_pressure_derivatives(y[0], y[1], GasParams(1.4))[2],
+    # G = y0**2 y1 / 2
+    "cubic": lambda y: np.stack([np.stack([y[1], y[0]]), np.stack([y[0], 0.0 * y[0]])]),
+}
+
+
+def _oracle_hull_sups(hess, hull, n=1001):
+    """sup |d^gamma G| sampled on an n-per-axis grid over the box ``hull``."""
+    k = len(hull)
+    axes = [np.linspace(lo, hi, n) for lo, hi in hull]
     mesh = np.meshgrid(*axes, indexing="ij") if k > 1 else [axes[0]]
     y = np.stack([m.ravel() for m in mesh])
-    hess = probe.gmap.hess(y)
+    values = hess(y)
     sups = {}
     for i, j in combinations_with_replacement(range(k), 2):
         gamma = [0] * k
         gamma[i] += 1
         gamma[j] += 1
-        sups[tuple(gamma)] = float(np.max(np.abs(hess[i, j])))
+        sups[tuple(gamma)] = float(np.max(np.abs(values[i, j])))
     return sups
 
 
-def _gate_product_probe():
-    grid = PeriodicGrid(1, 8192)
-    f04, f08 = weierstrass_field(0.4, 13, grid), weierstrass_field(0.8, 13, grid, phase=1.0)
-    return CommutatorProbe((f04, f08), (0.4, 0.8), get_gmap("product"), 4.0,
-                           eps_scan(grid, EPS_SCAN))
-
-
 def _cubic_gmap():
-    # |d^2 G / dy0 dy1| = |y0| peaks on the last sample row of the first axis
-    return GMap(
-        2,
-        lambda y: np.stack([y[0] * y[1], 0.5 * y[0] ** 2]),
-        lambda y: np.stack([np.stack([y[1], y[0]]), np.stack([y[0], 0.0 * y[0]])]),
-    )
+    """G = y0**2 y1 / 2, whose sups are the largest |y0| and |y1| on the box."""
+    def sups(hull):
+        (lo0, hi0), (lo1, hi1) = hull
+        return {(2, 0): max(abs(lo1), abs(hi1)), (1, 1): max(abs(lo0), abs(hi0)), (0, 2): 0.0}
+
+    return GMap(2, lambda y: np.stack([y[0] * y[1], 0.5 * y[0] ** 2]), sups)
 
 
-class TestHullSampling:
+def _box(field):
+    return float(field.values.min()), float(field.values.max())
+
+
+class TestHullSups:
     @pytest.mark.parametrize("gname", ["square", "product", "pressure_tilde", "cubic"])
-    def test_slabs_match_dense_sampling(self, grid256, gname):
+    def test_closed_form_bounds_dense_sampling(self, grid256, gname):
         comps = (field_from_function(grid256, lambda x: 1.0 + 0.5 * np.sin(np.pi * x)),
                  field_from_function(grid256, lambda x: np.cos(np.pi * x) - 0.3))
         gmap = _cubic_gmap() if gname == "cubic" else get_gmap(gname, GasParams(1.4))
         probe = _probe(comps[: gmap.arity], (0.5,) * gmap.arity, gmap, eps=(0.0625, 0.5))
         sups = probe.sups
-        expected = _oracle_hull_sups(probe)
+        expected = _oracle_hull_sups(_HESSIANS[gname], [_box(f) for f in probe.components])
         assert list(sups) == list(expected)
-        assert [v.hex() for v in sups.values()] == [v.hex() for v in expected.values()]
+        assert all(type(v) is float for v in sups.values())
+        for gamma, sup in sups.items():
+            assert sup >= expected[gamma] * (1.0 - 1e-12), gamma
+            assert sup <= expected[gamma] * (1.0 + 1e-6), gamma
 
-    def test_gate_product_probe_peak_memory(self):
-        probe = _gate_product_probe()
-        tracemalloc.start()
-        try:
-            sups = probe.sups
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sups == _oracle_hull_sups(probe)
-        # 50-row slabs peaked at 6.1 MiB; 10-row slabs at 1.3 MiB
-        assert peak < 2 * 2**20
+    def test_square_and_product_keep_the_sampled_values(self):
+        # the 10**6-point sampler read exactly these, so the gates' bounds stay
+        box = ((-1.5, 2.0), (0.25, 3.0))
+        assert get_gmap("square").sups(box[:1]) == {(2,): 2.0}
+        assert list(get_gmap("product").sups(box).items()) == [
+            ((2, 0), 0.0), ((1, 1), 1.0), ((0, 2), 0.0)]
 
-    @pytest.mark.parametrize("gname", ["product", "pressure_tilde"])
-    def test_ten_row_slabs_match_fifty_row_slabs(self, monkeypatch, gname):
-        if gname == "product":
-            comps = _gate_product_probe().components
-        else:
-            grid = PeriodicGrid(1, 8192)
-            comps = (field_from_function(grid, lambda x: 1.0 + 0.5 * np.sin(np.pi * x)),
-                     field_from_function(grid, lambda x: np.cos(3 * np.pi * x) - 0.3))
-        probe = _probe(comps, (0.4, 0.8), get_gmap(gname, GasParams(1.4)), eps=EPS_SCAN)
-        assert commutator.HULL_SLAB_ROWS == 10
-        fine = dict(probe.sups)
-        monkeypatch.setattr(commutator, "HULL_SLAB_ROWS", 50)
-        coarse = dict(dataclasses.replace(probe).sups)
-        assert list(fine) == list(coarse)
-        assert [v.hex() for v in fine.values()] == [v.hex() for v in coarse.values()]
+    def test_pressure_sups_exceed_the_corners_where_the_sampler_fell_short(self):
+        # the 1000**2 sample read p_rS 0.21952461 here; the corners alone give
+        # p_rS 0.161517 and p_rr 0.888345
+        box = ((1.0, 2.0), (-4.0, 0.0))
+        sups = get_gmap("pressure_tilde", GasParams(1.4)).sups(box)
+        corners = np.abs(tilde_pressure_derivatives(np.array([1.0, 1.0, 2.0, 2.0]),
+                                                    np.array([-4.0, 0.0, -4.0, 0.0]),
+                                                    GasParams(1.4))[2])
+        assert float(corners[0, 1].max()) == pytest.approx(0.161517, abs=1e-6)
+        assert float(corners[0, 0].max()) == pytest.approx(0.888345, abs=1e-6)
+        assert sups[(1, 1)] == pytest.approx(0.21952465, abs=1e-8)
+        assert sups[(2, 0)] == pytest.approx(0.897739, abs=1e-6)
+        assert sups[(0, 2)] == pytest.approx(0.16, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", [1.05, 1.4, 5.0 / 3.0, 2.0, 2.5, 3.0])
+    def test_pressure_sups_bound_dense_sampling_on_random_boxes(self, gamma):
+        # h = rho**(g - 2) e^{a w} q(w) on a 1001**2 grid, by broadcasting; the
+        # entries are pinned to tilde_pressure_derivatives on the first box
+        a, n = gamma - 1.0, 1001
+        gmap = get_gmap("pressure_tilde", GasParams(gamma))
+        rng = np.random.default_rng(38)
+        for k in range(20):
+            r_lo, r_hi = np.sort(rng.uniform(0.2, 3.0, 2)).tolist()
+            s_lo, s_hi = np.sort(rng.uniform(-5.0, 5.0, 2)).tolist()
+            rho, s = np.linspace(r_lo, r_hi, n)[:, None], np.linspace(s_lo, s_hi, n)[None]
+            w = s / rho
+            base = rho ** (gamma - 2.0) * np.exp(a * w)
+            entries = (base * a * (gamma - 2.0 * a * w + a * w * w),
+                       base * a * a * (1.0 - w), base * a * a)
+            if k == 0:
+                hess = tilde_pressure_derivatives(*np.broadcast_arrays(rho, s),
+                                                  GasParams(gamma))[2]
+                for got, (i, j) in zip(entries, ((0, 0), (0, 1), (1, 1))):
+                    np.testing.assert_allclose(got, hess[i, j], rtol=1e-12, atol=0.0)
+            sups = gmap.sups(((r_lo, r_hi), (s_lo, s_hi)))
+            for gamma_key, entry in zip(sups, entries):
+                assert sups[gamma_key] >= float(np.max(np.abs(entry))) * (1.0 - 1e-12)
