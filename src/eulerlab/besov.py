@@ -186,23 +186,30 @@ class RegularityFit:
     degenerate: bool = False
 
 
+#: Fewest cells per dimension a regularity fit takes: its rungs of 1 to 8 cells.
+MIN_FIT_CELLS = 128
+
+
 def fit_regularity(table: ModulusTable) -> RegularityFit:
     """Slope of log ||f(.+h) - f||_p against log |h| over the fit's dyadic rungs.
 
     The rungs are 2**k cells up to a sixteenth of the period, by length:
-    larger shifts decorrelate and would flatten the slope.  They lie on the
-    dyadic shift ladder, so a table over the ladder holds them.  A constant
-    field has no scale to fit; the result is flagged degenerate with alpha = +inf.
+    larger shifts decorrelate and would flatten the slope.  They must span 3
+    octaves, so the grid needs ``MIN_FIT_CELLS`` cells per dimension.  They
+    lie on the dyadic shift ladder, so a table over the ladder holds them.  A
+    constant field has no scale to fit; the result is flagged degenerate
+    with alpha = +inf.
     """
     grid = table.grid
-    max_cells = max(1, grid.cells_per_dim // 16)   # one rung below 16 cells, not log2(0)
+    if grid.cells_per_dim < MIN_FIT_CELLS:
+        raise ValueError(f"a regularity fit needs at least {MIN_FIT_CELLS} cells per dimension, "
+                         f"got {grid.cells_per_dim}: its shifts, 2**k cells up to a sixteenth "
+                         f"of the period, must span 3 octaves")
     shifts = sorted(
-        dyadic_shift_ladder(grid, include_triples=False, max_cells=max_cells),
+        dyadic_shift_ladder(grid, include_triples=False, max_cells=grid.cells_per_dim // 16),
         key=lambda off: offset_length(grid, off),
     )
     hs = np.array([offset_length(grid, off) for off in shifts])
-    if len(hs) < 4 or hs[-1] / hs[0] < 7.9:
-        raise ValueError("shift range must span at least 3 octaves")
     norms = np.array([table.norms[off][1] for off in shifts])
     if np.min(norms) == 0.0:
         return RegularityFit(math.inf, 0.0, hs, norms, degenerate=True)

@@ -250,6 +250,10 @@ def cmd_commutator_rate(args: argparse.Namespace) -> int:
     eps = cfg.get("eps", [2.0 ** (-k) for k in range(4, 11)])
     fields, alphas = _resolve_probe_fields(cfg)
     gmap = cm.get_gmap(gname, GasParams(gamma))
+    if gname == "pressure_tilde" and not fields[0].values.min() > 0.0:
+        raise UsageError(f"G 'pressure_tilde' reads probe field 1 as the density, which must "
+                         f"be positive, got min {fields[0].values.min():.6g}: a weierstrass "
+                         f"field has mean 0, so give the density as a 'file' field")
     eps_values = [_typed(e, float, "config field 'eps' entry") for e in eps]
     for e in eps_values:
         if not 0.0 < e < math.inf:

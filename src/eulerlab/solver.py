@@ -12,7 +12,6 @@ estimate monitors, not to chase resolution.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import re
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, RangeError, StabilityError
-from .grid import PeriodicGrid, read_columns_csv, write_columns_csv
+from .grid import PeriodicGrid, write_columns_csv
 from .riemann import Wave1D, rarefaction_connected_state
 from .thermo import GasParams
 
@@ -97,11 +96,11 @@ class Trajectory:
         return [s.t for s in self.snapshots]
 
     def save(self, directory) -> None:
-        """Write one ``t_NNNN.csv`` per snapshot, its binary copy ``t_NNNN.npy``
-        (the float64 stack rho, m1[, m2], E) and then ``meta.json``, which
-        records the SHA-256 of both files of every snapshot: a complete
-        ``meta.json`` marks a finished save.  Snapshot files of an earlier
-        save into ``directory`` that this one does not overwrite are removed."""
+        """Write one ``t_NNNN.npy`` per snapshot, the float64 stack rho, m1[, m2],
+        E that ``load`` reads, with its text export ``t_NNNN.csv``, and then
+        ``meta.json``: a complete ``meta.json`` marks a finished save.  Snapshot
+        files of an earlier save into ``directory`` that this one does not
+        overwrite are removed."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         (d / "meta.json").unlink(missing_ok=True)
@@ -118,33 +117,25 @@ class Trajectory:
                 "times": self.times,
             }
         )
-        comments = [f"config_hash={meta.get('config_hash', 'none')}"]
-        digests = []
         names = _columns(self.grid.dims)
         for i, snap in enumerate(self.snapshots):
             stack = np.array([np.reshape(c, self.grid.shape)
                               for c in (snap.rho, *snap.mom, snap.energy)], dtype=float)
-            csv = d / f"t_{i:04d}.csv"
-            with open(csv, "w") as fh:
-                write_columns_csv(fh, self.grid, dict(zip(names, stack)), comments)
-            npy = d / f"t_{i:04d}.npy"
-            np.save(npy, stack)
-            digests.append([_file_sha256(csv), _file_sha256(npy)])
-        meta[_DIGESTS] = digests
+            with open(d / f"t_{i:04d}.csv", "w") as fh:
+                write_columns_csv(fh, self.grid, dict(zip(names, stack)), [
+                    f"config_hash={meta.get('config_hash', 'none')}",
+                    f"an export: eulerlab reads t_{i:04d}.npy, not this file"])
+            np.save(d / f"t_{i:04d}.npy", stack)
         (d / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
         """Read a ``save`` directory.  ``meta.json`` must name the complete
         system, a gamma above 1 and finite, strictly increasing times, one per
-        snapshot file ``t_NNNN.csv``, with no other snapshot file, and each
-        snapshot must hold rho, m1[, m2] and E; any miss is a ValueError.  A cell
-        the solver would refuse, or whose m / rho overflows, is a DomainError.
-
-        A snapshot is read from its ``.npy`` copy when the CSV and the copy
-        both hash to the digests ``meta.json`` records; without digests, or
-        with a copy that is missing or a file changed since the save, the CSV
-        is parsed."""
+        snapshot file ``t_NNNN.npy``, with no other ``t_*.npy``, and each
+        snapshot must be the float64 stack rho, m1[, m2], E on the grid; any
+        miss is a ValueError.  A cell the solver would refuse, or whose
+        m / rho overflows, is a DomainError.  The CSV exports are not read."""
         d = Path(directory)
         meta = json.loads((d / "meta.json").read_text())
         grid = PeriodicGrid(meta["grid"]["dims"], meta["grid"]["cells_per_dim"])
@@ -157,35 +148,26 @@ class Trajectory:
                 and all(a < b for a, b in zip(times, times[1:]))):
             raise ValueError(f"meta.json times must be a non-empty list of finite, strictly "
                              f"increasing numbers, got {times!r:.80}")
-        expected = {f"t_{i:04d}.csv" for i in range(len(times))}
-        found = {f.name for f in d.glob("t_*.csv")}
+        expected = {f"t_{i:04d}.npy" for i in range(len(times))}
+        found = {f.name for f in d.glob("t_*.npy")}
         if found != expected:
-            raise ValueError(f"need one snapshot file t_NNNN.csv per time in meta.json "
-                             f"({len(times)}), found {sorted(found)!r:.80}")
-        digests = meta.get(_DIGESTS)
-        if _DIGESTS in meta and not (
-                isinstance(digests, list) and len(digests) == len(times)
-                and all(isinstance(pair, list) and len(pair) == 2
-                        and all(isinstance(h, str) and _SHA256.fullmatch(h) for h in pair)
-                        for pair in digests)):
-            raise ValueError(f"meta.json {_DIGESTS} must hold one [csv, npy] pair of SHA-256 "
-                             f"hex digests per time, got {digests!r:.80}")
+            raise ValueError(f"need one snapshot file t_NNNN.npy (numpy's .npy format) per "
+                             f"time in meta.json ({len(times)}), found {sorted(found)!r:.80}")
         params = GasParams(gamma)
-        names = _columns(grid.dims)
-        shape = (len(names),) + grid.shape
+        shape = (grid.dims + 2,) + grid.shape
         snaps = []
         for i, t in enumerate(times):
-            stack = None if digests is None else _binary_copy(d / f"t_{i:04d}", *digests[i])
-            if stack is None:
-                with open(d / f"t_{i:04d}.csv") as fh:
-                    file_grid, cols = read_columns_csv(fh)
-                if file_grid != grid:
-                    raise ValueError(f"snapshot {i} grid does not match meta.json")
-                if list(cols) != names:
-                    raise ValueError(f"snapshot {i} columns {list(cols)} are not {names}")
-                stack = np.stack(list(cols.values()))
-            elif stack.dtype != np.float64 or stack.shape != shape:
-                raise ValueError(f"snapshot {i} copy holds {stack.dtype} {stack.shape}, "
+            name = f"t_{i:04d}.npy"
+            # read_array, not np.load: np.load raises EOFError on an empty file
+            # and returns a zip archive unread; read_array refuses both with a
+            # ValueError, as it does every other file that is not a .npy array
+            try:
+                with open(d / name, "rb") as fh:
+                    stack = np.lib.format.read_array(fh, allow_pickle=False)
+            except ValueError as exc:
+                raise ValueError(f"cannot read {name}: {exc}") from None
+            if stack.dtype != np.float64 or stack.shape != shape:
+                raise ValueError(f"{name} holds {stack.dtype} {stack.shape}, "
                                  f"not float64 {shape}")
             _check_physical(stack, gamma, t)
             with np.errstate(over="ignore"):   # _check_physical passes rho = 5e-324, m = 1e-10
@@ -196,9 +178,6 @@ class Trajectory:
         return cls(grid, params, snaps, meta)
 
 
-#: The ``meta.json`` key of the snapshots' [csv, npy] SHA-256 digests.
-_DIGESTS = "snapshot_sha256"
-_SHA256 = re.compile(r"[0-9a-f]{64}")
 #: What ``save`` names a snapshot file, and so removes when it is not its own.
 _SNAPSHOT_FILE = re.compile(r"t_[0-9]+\.(csv|npy)")
 
@@ -206,29 +185,6 @@ _SNAPSHOT_FILE = re.compile(r"t_[0-9]+\.(csv|npy)")
 def _columns(dims: int) -> list[str]:
     """The conserved components of a snapshot, as its files name them."""
     return ["rho"] + [f"m{ax + 1}" for ax in range(dims)] + ["E"]
-
-
-def _file_sha256(path: Path) -> str:
-    """SHA-256 of a file, read in 64 KiB blocks: ``hashlib.file_digest``'s
-    256 KiB buffer per call left ``cli2d``'s peak RSS a few tenths of a MB higher."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
-def _binary_copy(stem: Path, csv_sha: str, npy_sha: str) -> np.ndarray | None:
-    """The array in ``stem``.npy if it and ``stem``.csv hash to the recorded
-    digests, else None.  The array is read from the bytes that were hashed."""
-    try:
-        data = stem.with_suffix(".npy").read_bytes()
-    except FileNotFoundError:
-        return None
-    if (hashlib.sha256(data).hexdigest() != npy_sha
-            or _file_sha256(stem.with_suffix(".csv")) != csv_sha):
-        return None
-    return np.load(io.BytesIO(data), allow_pickle=False)
 
 
 def _is_number(value) -> bool:

@@ -18,7 +18,6 @@ from eulerlab.cli import main
 from eulerlab.grid import (
     PeriodicGrid,
     ScalarField,
-    read_columns_csv,
     save_scalar_field,
     weierstrass_field,
     write_columns_csv,
@@ -542,14 +541,25 @@ class TestInputBoundary:
         assert "the sum of |v|**3 over 512 cells is inf, outside the float range" in err
         assert "Traceback" not in err and not out.exists()
 
-    @pytest.mark.parametrize("cells", [8, 15])
-    def test_besov_fit_on_a_grid_under_sixteen_cells_is_a_usage_error(self, tmp_path, capsys,
-                                                                     cells):
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("cells", [8, 15, 64, 127, 128])
+    def test_besov_fit_needs_128_cells_per_dimension(self, tmp_path, capsys, cells, dims):
+        # the fit's rungs, 2**k cells up to a sixteenth of the period, reach
+        # 8 cells (3 octaves) from 128 cells on, whatever the values
         fpath = tmp_path / "field.csv"
-        save_scalar_field(fpath, weierstrass_field(0.6, 4, PeriodicGrid(1, cells)))
-        assert main(["besov-fit", "--field", str(fpath), "--out", str(tmp_path / "rep")]) == 2
+        x = PeriodicGrid(dims, cells).axis_centers()
+        values = np.cos(np.pi * x) if dims == 1 else np.outer(np.cos(np.pi * x), np.sin(np.pi * x))
+        save_scalar_field(fpath, ScalarField(PeriodicGrid(dims, cells), values))
+        code = main(["besov-fit", "--field", str(fpath), "--out", str(tmp_path / "rep")])
         err = capsys.readouterr().err
-        assert "shift range must span at least 3 octaves" in err and "Traceback" not in err
+        assert "Traceback" not in err
+        if cells == 128:
+            assert code == 0 and (tmp_path / "rep" / "besov_report.csv").is_file()
+        else:
+            assert code == 2
+            assert (f"a regularity fit needs at least 128 cells per dimension, got {cells}: "
+                    f"its shifts, 2**k cells up to a sixteenth of the period, must span 3 "
+                    f"octaves") in err
 
     @pytest.mark.parametrize("init,field", [
         ({"name": "constant", "rho": float("nan")}, "rho"),
@@ -879,10 +889,12 @@ class TestInputBoundary:
         assert main(["oslip-check", "--traj", str(tmp_path / "nope"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_malformed_snapshot_is_a_usage_error(self, tmp_path):
+    def test_malformed_snapshot_is_a_usage_error(self, tmp_path, capsys):
         traj = _simulate(tmp_path, "a", grid_n=32)
-        (traj / "t_0001.csv").write_text("x,rho\n0.5,1.0\n")
+        (traj / "t_0001.npy").write_text("x,rho\n0.5,1.0\n")
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read t_0001.npy: the magic string is not correct" in err
 
     @pytest.mark.parametrize("rho", [0.0, -1.0, 1e-320])
     @pytest.mark.parametrize("snapshot", [1, 2])
@@ -893,11 +905,10 @@ class TestInputBoundary:
         # window starts at snapshot 2: snapshot 1 lies outside it
         good = _simulate(tmp_path, "good", grid_n=32)
         traj = shutil.copytree(good, tmp_path / "bad")
-        with open(traj / f"t_{snapshot:04d}.csv") as fh:
-            grid, cols = read_columns_csv(fh)
-        cols["rho"][5], cols["m1"][5] = rho, 1.0
-        with open(traj / f"t_{snapshot:04d}.csv", "w") as fh:
-            write_columns_csv(fh, grid, cols)
+        npy = traj / f"t_{snapshot:04d}.npy"
+        stack = np.load(npy)
+        stack[:2, 5] = rho, 1.0
+        np.save(npy, stack)
         t = json.loads((traj / "meta.json").read_text())["times"][snapshot]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -906,28 +917,31 @@ class TestInputBoundary:
         assert f"cannot load {traj}: " in err and "Traceback" not in err
         assert f"at t = {t:.6g}, cell (5,): rho = {rho:.6g}, p = " in err
 
-    @pytest.mark.parametrize("copy", [True, False], ids=["copy", "csv"])
     @pytest.mark.parametrize("state,what", [
         ((-1.0, 1.0, 1.0), "non-positive pressure or non-finite state"),
         ((1.0, 1.0, 0.01), "non-positive pressure or non-finite state"),
         ((1.0, np.inf, 1.0), "non-positive pressure or non-finite state"),
         ((5e-324, 1e-10, 1e304), "velocity m / rho overflows"),
     ], ids=["density", "pressure", "non_finite", "velocity"])
+    @pytest.mark.parametrize("good_csv", [False, True], ids=["csv_agrees", "csv_good"])
     @pytest.mark.parametrize("snapshot", [1, 2])
     @pytest.mark.parametrize("flag", ["--traj", "--traj-a", "--traj-b"])
     def test_a_state_the_solver_would_refuse_is_a_usage_error(self, tmp_path, capsys, flag,
-                                                              snapshot, state, what, copy):
+                                                              snapshot, good_csv, state, what):
         # p = -0.196 at (rho, m, E) = (1, 1, 0.01): oslip-check reported on it,
         # and relentropy named no directory, time or cell.  The velocity state
-        # has positive density and pressure, but m / rho overflows
+        # has positive density and pressure, but m / rho overflows.  With
+        # good_csv the export beside the bad .npy still holds the good state:
+        # the .npy is what is read and refused
         good = _simulate(tmp_path, "good", grid_n=32)
         traj = solver.Trajectory.load(good)
         snap = traj.snapshots[snapshot]
         snap.rho[5], snap.mom[0, 5], snap.energy[5] = state
         bad = tmp_path / "bad"
         traj.save(bad)
-        if not copy:
-            (bad / f"t_{snapshot:04d}.npy").unlink()
+        if good_csv:
+            name = f"t_{snapshot:04d}.csv"
+            shutil.copyfile(good / name, bad / name)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([*_trajectory_argv(flag, bad, good), "--out", str(tmp_path / "rep")]) == 2
@@ -1001,12 +1015,12 @@ def _data_lines(path):
     return path.read_text().splitlines()[1:]
 
 
-def _perturb_snapshot(traj, index, column="rho"):
-    with open(traj / f"t_{index:04d}.csv") as fh:
-        grid, cols = read_columns_csv(fh)
-    cols[column][3] *= 1.0 + 2.0**-40
-    with open(traj / f"t_{index:04d}.csv", "w") as fh:
-        write_columns_csv(fh, grid, cols, ["config_hash=kept"])
+def _perturb_snapshot(traj, index, row=0):
+    """Scale cell 3 of row ``row`` (rho, m1[, m2], E) of snapshot ``index`` by 1 + 2**-40."""
+    npy = traj / f"t_{index:04d}.npy"
+    stack = np.load(npy)
+    stack[row, 3] *= 1.0 + 2.0**-40
+    np.save(npy, stack)
 
 
 class TestReportsHashWhatTheyRead:
@@ -1124,7 +1138,7 @@ def _remove(name):
 
 
 def _add(name):
-    return lambda traj: (traj / name).write_bytes((traj / "t_0000.csv").read_bytes())
+    return lambda traj: (traj / name).write_bytes((traj / "t_0000.npy").read_bytes())
 
 
 class TestTrajectoryMetaAtLoad:
@@ -1141,14 +1155,11 @@ class TestTrajectoryMetaAtLoad:
         pytest.param(_meta_edit("times", [0.0, True, 0.1]), "list of finite", id="times_bool"),
         pytest.param(_meta_edit("times", []), "non-empty list", id="times_empty"),
         pytest.param(_meta_edit("times", 0.1), "list of finite", id="times_scalar"),
-        pytest.param(_meta_edit("times", [0.0, 0.05]), "one snapshot file t_NNNN.csv per time",
-                     id="times_fewer_than_files"),
-        pytest.param(_remove("t_0002.csv"), "one snapshot file t_NNNN.csv per time",
-                     id="file_missing"),
-        pytest.param(_add("t_0003.csv"), "one snapshot file t_NNNN.csv per time",
-                     id="file_extra"),
-        pytest.param(_add("t_old.csv"), "one snapshot file t_NNNN.csv per time",
-                     id="file_stray"),
+        pytest.param(_meta_edit("times", [0.0, 0.05]), "one snapshot file t_NNNN.npy (numpy's "
+                     ".npy format) per time", id="times_fewer_than_files"),
+        pytest.param(_remove("t_0002.npy"), "one snapshot file t_NNNN.npy", id="file_missing"),
+        pytest.param(_add("t_0003.npy"), "one snapshot file t_NNNN.npy", id="file_extra"),
+        pytest.param(_add("t_old.npy"), "one snapshot file t_NNNN.npy", id="file_stray"),
         pytest.param(_meta_edit("gamma", "x"), "gamma must be a finite number > 1, got 'x'",
                      id="gamma_string"),
         pytest.param(_meta_edit("gamma", 1.0), "gamma must be a finite number > 1, got 1.0",
@@ -1170,10 +1181,6 @@ class TestTrajectoryMetaAtLoad:
                      "integer of at least 4 cells per dimension, got '32'", id="cells_string"),
         pytest.param(_meta_edit("grid", {"dims": True, "cells_per_dim": 16}),
                      "dims must be the integer 1 or 2, got True", id="dims_bool"),
-        pytest.param(_meta_edit("snapshot_sha256", [["0" * 64, "0" * 64]] * 2),
-                     "snapshot_sha256 must hold one [csv, npy] pair", id="digests_fewer"),
-        pytest.param(_meta_edit("snapshot_sha256", "x"),
-                     "snapshot_sha256 must hold one [csv, npy] pair", id="digests_string"),
     ])
     def test_rejected(self, tmp_path, capsys, edit, message):
         traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
@@ -1190,19 +1197,15 @@ class TestTrajectoryMetaAtLoad:
 
     def test_a_complete_snapshot_without_energy_is_rejected(self, tmp_path, capsys):
         traj = _simulate(tmp_path, "a", grid_n=16, t_end=0.1, snapshot_stride=0.05)
-        with open(traj / "t_0001.csv") as fh:
-            grid, cols = read_columns_csv(fh)
-        del cols["E"]
-        with open(traj / "t_0001.csv", "w") as fh:
-            write_columns_csv(fh, grid, cols)
+        np.save(traj / "t_0001.npy", np.load(traj / "t_0001.npy")[:2])
         assert main(["oslip-check", "--traj", str(traj), "--out", str(tmp_path / "r")]) == 2
-        assert ("snapshot 1 columns ['rho', 'm1'] are not ['rho', 'm1', 'E']"
+        assert ("t_0001.npy holds float64 (2, 16), not float64 (3, 16)"
                 in capsys.readouterr().err)
 
 
 # Fuzz trajectory directories through cli.main: a valid 16-cell run has some
 # meta.json keys replaced by values from short lists, valid and broken, and
-# at most one snapshot file dropped, added, truncated or swapped for one on
+# at most one snapshot .npy dropped, added, truncated or swapped for one on
 # another grid.
 _META_VARIANTS = {
     "times": [[0.0, 0.05, 0.1], [0.05, 0.0, 0.1], [0.0, 0.05], [0.0, 0.05, 0.1, 0.15],
@@ -1232,23 +1235,19 @@ def _fuzz_base(tmp: Path) -> Path:
 
 
 def _file_edit(traj: Path, how: str) -> None:
-    first = traj / "t_0000.csv"
+    first = traj / "t_0000.npy"
     if how == "drop_last":
-        (traj / "t_0002.csv").unlink()
+        (traj / "t_0002.npy").unlink()
     elif how in ("extra", "stray"):
-        (traj / ("t_0003.csv" if how == "extra" else "t_x.csv")).write_bytes(first.read_bytes())
+        (traj / ("t_0003.npy" if how == "extra" else "t_x.npy")).write_bytes(first.read_bytes())
     elif how == "truncate":
-        first.write_text("\n".join(first.read_text().splitlines()[:-3]) + "\n")
+        first.write_bytes(first.read_bytes()[:-24])
     elif how == "header_only":
-        first.write_text("x,rho,m1,E\n")
+        first.write_bytes(first.read_bytes()[:128])
     elif how == "perturb":
-        _perturb_snapshot(traj, 1, "E")
+        _perturb_snapshot(traj, 1, -1)
     elif how == "other_grid":
-        grid = PeriodicGrid(1, 32)
-        cols = {name: np.ones(grid.shape) * (2.5 if name == "E" else 1.0)
-                for name in ("rho", "m1", "E")}
-        with open(traj / "t_0001.csv", "w") as fh:
-            write_columns_csv(fh, grid, cols)
+        np.save(traj / "t_0001.npy", np.array([1.0, 0.0, 2.5])[:, None] * np.ones(32))
     elif how == "no_meta":
         (traj / "meta.json").unlink()
     elif how == "meta_not_json":
@@ -1592,7 +1591,9 @@ def test_readme_configs_pass_the_key_and_type_checks(tmp_path, after, keys):
 
 #: The CLI's input contract as one table: argv (a dict is written as the
 #: ``--config`` file, an array as a 1D ``--field`` CSV, "TRAJ" names a short
-#: sod run) and the exit code the README states, None where it states none.
+#: sod run and "TRAJ:<how>" a copy of it broken by ``_BROKEN_TRAJ[how]``), the
+#: exit code the README states, None where it states none, and optionally
+#: text the error must hold.
 _RAMP = np.arange(64) / 63.0
 _ADVERSARIAL = {
     "riemann-rho-5e-324": (["simulate", {**_VALID_CONFIG, "init": {
@@ -1651,8 +1652,37 @@ _ADVERSARIAL = {
     "commutator-pressure-of-a-negative-density": (["commutator-rate", {
         **_VALID_PROBE, "G": "pressure_tilde", "gamma": 1e308, "fields": [
             {"weierstrass": _VALID_WEIER}, {"weierstrass": {**_VALID_WEIER, "phase": 1.0}}]}],
-        None),
+        2, "G 'pressure_tilde' reads probe field 1 as the density, which must be positive, "
+        "got min -1.39327: a weierstrass field has mean 0, so give the density as a 'file'"),
 }
+
+
+def _resave(edit):
+    """Replace the short run's snapshot 1 by ``edit`` of its stack."""
+    def broken(traj):
+        np.save(traj / "t_0001.npy", edit(np.load(traj / "t_0001.npy")), allow_pickle=True)
+    return broken
+
+
+#: Broken copies of the short run's directory, and the text each error holds.
+_BROKEN_TRAJ = {
+    "empty-npy": (lambda traj: (traj / "t_0001.npy").write_bytes(b""),
+                  "cannot read t_0001.npy: EOF: reading magic string"),
+    "text-npy": (lambda traj: (traj / "t_0001.npy").write_text("x,rho,m1,E\n0.5,1,0,2.5\n"),
+                 "cannot read t_0001.npy: the magic string is not correct"),
+    "object-npy": (_resave(lambda stack: stack.astype(object)),
+                   "cannot read t_0001.npy: Object arrays cannot be loaded"),
+    "float32-npy": (_resave(lambda stack: stack.astype(np.float32)),
+                    "t_0001.npy holds float32 (3, 16), not float64 (3, 16)"),
+    "wrong-shape-npy": (_resave(lambda stack: stack[:, :8]),
+                        "t_0001.npy holds float64 (3, 8), not float64 (3, 16)"),
+    "csv-only": (lambda traj: [f.unlink() for f in traj.glob("*.npy")],
+                 "need one snapshot file t_NNNN.npy (numpy's .npy format) per time"),
+}
+for _how, (_, _message) in _BROKEN_TRAJ.items():
+    _ADVERSARIAL[f"oslip-traj-{_how}"] = (["oslip-check", "--traj", f"TRAJ:{_how}"], 2, _message)
+    _ADVERSARIAL[f"relentropy-{_how}"] = (["relentropy", "--traj-a", "TRAJ", "--traj-b",
+                                           f"TRAJ:{_how}"], 2, _message)
 
 
 @pytest.fixture(scope="module")
@@ -1668,7 +1698,7 @@ def short_run(tmp_path_factory):
 def test_adversarial_input_table(tmp_path, capsys, short_run, case):
     """No input ends in a traceback, a numpy warning or an exit code outside
     0, 1 and 2."""
-    argv, code = _ADVERSARIAL[case]
+    argv, code, *message = _ADVERSARIAL[case]
     args = []
     for item in argv:
         if isinstance(item, dict):
@@ -1678,6 +1708,10 @@ def test_adversarial_input_table(tmp_path, capsys, short_run, case):
             args += ["--field", str(tmp_path / "field.csv")]
             save_scalar_field(tmp_path / "field.csv",
                               ScalarField(PeriodicGrid(1, len(item)), item))
+        elif item.startswith("TRAJ:"):
+            broken = shutil.copytree(short_run, tmp_path / "broken")
+            _BROKEN_TRAJ[item[5:]][0](broken)
+            args.append(str(broken))
         else:
             args.append(str(short_run) if item == "TRAJ" else item)
     with warnings.catch_warnings():
@@ -1686,3 +1720,4 @@ def test_adversarial_input_table(tmp_path, capsys, short_run, case):
     err = capsys.readouterr().err
     assert got in (0, 1, 2) and "Traceback" not in err
     assert code is None or got == code
+    assert all(text in err for text in message)
