@@ -12,11 +12,14 @@ surrogate takes one-sided lattice difference quotients directly and upper
 bounds the weak constant up to O(dx).  Expansive wrap-around jumps of
 profiles embedded periodically can dominate; they are maskable.
 
-The bump basis is held per width as a stencil: the supports of all
-translates, padded with dead cells to one length.  A scan then takes every
-moment of every bump as one row of a row-wise `exact_sum`, so its numbers
-are those of a bump-by-bump loop with `math.fsum`, bit for bit.  Both
-diagnostics reject non-finite velocities.
+The moments are summed by parts on the lattice, as vol * sum phi D_b(u_a)
+with D the central gradient `grad_values` that `weak_residual` also uses,
+so a constant flow reads exactly 0 on every grid.  The bump basis is
+held per width as a stencil: the supports of all translates, padded with
+dead cells to one length.  A scan then takes every moment of every bump as
+one row of a row-wise `exact_sum`, so its numbers are those of a
+bump-by-bump loop with `math.fsum`, bit for bit.  Both diagnostics reject
+non-finite velocities.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RangeError
-from .grid import (PeriodicGrid, exact_sum, offset_length, shift_values, time_trapezoid,
-                   time_window, wrap)
+from .grid import (PeriodicGrid, exact_sum, grad_values, offset_length, shift_values,
+                   time_trapezoid, time_window, wrap)
 
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
 
@@ -49,13 +52,13 @@ class BumpStencil(NamedTuple):
     """The translates of one width, each support padded to a common length."""
 
     cells: np.ndarray     # (bumps, support) flat indices into the grid
-    grads: np.ndarray     # (dims, bumps, support) gradient of the bump there
+    values: np.ndarray    # (bumps, support) value of the bump there
     live: np.ndarray      # (bumps, support) bump value nonzero; padding is dead
 
 
 @dataclass(frozen=True)
 class BumpBasis:
-    """Translated smooth bumps at dyadic widths, with closed-form gradients.
+    """Translated smooth bumps at dyadic widths, sampled at cell centres.
 
     One `BumpStencil` per width, so that every moment of every translate is
     one row of a row-wise `exact_sum`.  Bumps are numbered in basis order:
@@ -68,20 +71,17 @@ class BumpBasis:
     labels: list[tuple]               # (width, center...) per bump
 
 
-def bump_profile(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-1/(1-s^2)) on |s| < 1 and its derivative, both vanish outside."""
+def bump_profile(s: np.ndarray) -> np.ndarray:
+    """exp(-1/(1-s^2)) on |s| < 1, zero outside."""
     val = np.zeros_like(s)
-    der = np.zeros_like(s)
     inside = np.abs(s) < 1.0
     si = s[inside]
-    q = 1.0 - si * si
-    val[inside] = np.exp(-1.0 / q)
-    der[inside] = val[inside] * (-2.0 * si / (q * q))
-    return val, der
+    val[inside] = np.exp(-1.0 / (1.0 - si * si))
+    return val
 
 
 def _axis_profiles(grid: PeriodicGrid, w: float, centers: np.ndarray):
-    """Cells, values and derivatives of the 1D profile of every translate.
+    """Cells and values of the 1D profile of every translate.
 
     A window of cells around each center is sampled, then a stable sort moves
     its nonzero values to the front of the row; rows are cut to the widest support.
@@ -91,10 +91,10 @@ def _axis_profiles(grid: PeriodicGrid, w: float, centers: np.ndarray):
     # |x - x0| < w with two spare cells either side; n cells cover the torus
     first = np.floor((centers + 1.0 - w) / dx - 0.5).astype(np.int64) - 2
     cells = (first[:, None] + np.arange(min(n, math.ceil(2.0 * w / dx) + 5))) % n
-    val, der = bump_profile(wrap(grid.axis_centers()[cells] - centers[:, None]) / w)
+    val = bump_profile(wrap(grid.axis_centers()[cells] - centers[:, None]) / w)
     order = np.argsort(val == 0.0, axis=1, kind="stable")
     order = order[:, :np.count_nonzero(val, axis=1).max()]
-    return [a[np.arange(len(a))[:, None], order] for a in (cells, val, der)]
+    return [a[np.arange(len(a))[:, None], order] for a in (cells, val)]
 
 
 def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
@@ -102,7 +102,7 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
     """Periodic bump family; each refinement level doubles the translates.
 
     In 2D each bump is the tensor product of two translates of the 1D
-    profile, phi = vx * vy, with gradient (dvx * vy / w, vx * dvy / w).
+    profile, phi = vx * vy.
     """
     if not all(math.isfinite(w) and w > 0.0 for w in widths):
         raise ValueError("bump widths must be finite and positive")
@@ -110,23 +110,20 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
     for w in widths:
         spacing = w / (2.0 ** (1 + refine_level))
         centers = np.arange(-1.0, 1.0 - 1e-12, spacing)
-        cells, v, d = _axis_profiles(grid, w, centers)
+        cells, val = _axis_profiles(grid, w, centers)
         at = centers.tolist()
         if grid.dims == 1:
-            val = v
-            grads = (d / w)[None]
             labels += [(w, x0) for x0 in at]
         else:
             c = len(centers)
-            k = v.shape[1]
+            k = val.shape[1]
             tx = (slice(None), None, slice(None), None)     # (x0, ., i, .)
             ty = (None, slice(None), None, slice(None))     # (., y0, ., j)
             cells = (cells[tx] * grid.cells_per_dim + cells[ty]).reshape(c * c, k * k)
-            val = (v[tx] * v[ty]).reshape(c * c, k * k)
-            grads = np.stack([(d[tx] * v[ty]) / w, (v[tx] * d[ty]) / w]).reshape(2, c * c, k * k)
+            val = (val[tx] * val[ty]).reshape(c * c, k * k)
             labels += [(w, x0, y0) for x0 in at for y0 in at]
         live = val != 0.0
-        blocks.append(BumpStencil(cells, grads, live))
+        blocks.append(BumpStencil(cells, val, live))
         masses.append(grid.cell_volume * exact_sum(np.where(live, val, -0.0), axis=-1))
     return BumpBasis(grid, tuple(blocks), np.concatenate(masses), labels)
 
@@ -153,10 +150,11 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
     """Minimal admissible one-sided constant over the tested family.
 
     ``vel`` has the component axis first.  Per bump, the moment matrix
-    M[a, b] = -integral u_a d_b(phi) collapses every direction scan to the
-    quadratic form xi.M.xi / (|xi|^2 integral phi); bumps with no mass are
-    skipped.  Ties go to the earliest bump in basis order, then to the
-    earliest direction, so the scan is deterministic.
+    M[a, b] = -integral u_a d_b(phi), summed by parts on the lattice as
+    vol * sum phi D_b(u_a) with D = ``grad_values``, collapses every
+    direction scan to the quadratic form xi.M.xi / (|xi|^2 integral phi);
+    bumps with no mass are skipped.  Ties go to the earliest bump in basis
+    order, then to the earliest direction, so the scan is deterministic.
 
     All moments are exact row sums.  The ratios are screened in one
     vectorized pass; only the pairs within a rounding-error bound of the
@@ -177,19 +175,21 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
     if not all(0.0 < nsq < math.inf for nsq in norms):
         raise ValueError(f"directions must be finite and nonzero, of length {grid.dims}")
     vol = grid.cell_volume
-    flat = vel.reshape(grid.dims, -1)
     try:
-        with np.errstate(over="ignore"):   # an overflowed term shows in its moment
+        with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows in its moment
+            # du[a, b] = D_b(u_a) at every cell
+            du = np.stack([grad_values(u, grid.cell_width) for u in vel]).reshape(
+                grid.dims, grid.dims, -1)
             moment = np.concatenate([
-                -vol * exact_sum(np.where(blk.live, flat[:, None, blk.cells] * blk.grads[None],
-                                          -0.0), axis=-1)
+                vol * exact_sum(np.where(blk.live, du[:, :, blk.cells] * blk.values, -0.0),
+                                axis=-1)
                 for blk in basis.blocks], axis=-1)
     except (OverflowError, ValueError):   # finite terms whose sum overflows, or inf - inf
         moment = np.array(math.inf)
     if not np.isfinite(moment).all():
-        raise RangeError(f"a moment of the velocity over {flat.shape[1]} cells is "
+        raise RangeError(f"a moment of the velocity over {vel[0].size} cells is "
                          f"outside the float range")
-    # moment[bump, a, b] = -integral u_a d_b(phi)
+    # moment[bump, a, b] = vol * sum phi D_b(u_a) = -integral u_a d_b(phi)
     moment = np.ascontiguousarray(moment.transpose(2, 0, 1))
     bumps = np.flatnonzero(basis.masses > 0.0)
     xi, m = np.array(dirs), moment[bumps]

@@ -8,9 +8,10 @@ The density splits into a kinetic part and a thermodynamic part,
 
 an algebraic rearrangement of the linearized ballistic free energy that
 makes non-negativity explicit: both bracketed factors are Bregman gaps of
-convex functions, zero exactly at state equality.  The candidate temperature
-Theta of an entropic-variable state is recovered from (rho, S); a trajectory
-snapshot gives it directly, as it gives the reference temperature T.
+convex functions, zero exactly at state equality.  Every entry point takes
+both states as (rho, vel, theta) triples, as ``snapshot_primitive`` reads a
+snapshot, so both temperatures enter as they are and equal states give an
+exact 0.
 
 On top of the pointwise density sit the coercivity-gap check (quadratic
 lower bound with the closed-form constant of a state box) and the Gronwall
@@ -30,12 +31,7 @@ from .conditions import oslip_discrete
 from .errors import DomainError
 from .grid import PeriodicGrid, exact_sum, grad_values, shift_values, time_trapezoid, time_window
 from .solver import Snapshot, Trajectory, snapshot_primitive
-from .thermo import (
-    EntropicState,
-    GasParams,
-    PrimitiveState,
-    theta_of,
-)
+from .thermo import GasParams
 
 #: Structural factor turning measured W^{1,inf} temperature data into the
 #: thermodynamic Gronwall constant.  Heuristic: the continuum constants are
@@ -59,26 +55,27 @@ def _bregman_density(rho, r_ref):
     return np.maximum(w * np.log(w) - w + 1.0, 0.0)
 
 
-def rel_entropy_terms(rho, mom, theta_cand, r_ref, u_ref, t_ref,
-                      params: GasParams) -> np.ndarray:
-    """Pointwise relative entropy E with the candidate temperature given.
+def _squared(v: np.ndarray, ndim: int) -> np.ndarray:
+    """|v|^2 pointwise, summed over the leading component axis if v has one."""
+    return v * v if v.ndim == ndim else np.sum(v * v, axis=0)
 
-    Vector momenta/velocities carry the component axis first.  Equal inputs
-    produce an exact floating-point zero.
+
+def rel_entropy_terms(cand: tuple, ref: tuple, params: GasParams) -> np.ndarray:
+    """Pointwise relative entropy E(cand | ref) of two (rho, vel, theta) triples.
+
+    Vector velocities carry the component axis first.  The candidate momentum
+    is formed here as rho * vel, so equal inputs give an exact zero.
     """
-    rho = np.asarray(rho, dtype=float)
-    mom = np.asarray(mom, dtype=float)
-    r_ref = np.asarray(r_ref, dtype=float)
-    t_ref = np.asarray(t_ref, dtype=float)
-    if np.min(rho) <= 0.0 or np.min(np.asarray(theta_cand)) <= 0.0:
+    rho, vel, theta_cand = (np.asarray(v, dtype=float) for v in cand)
+    r_ref, u_ref, t_ref = (np.asarray(v, dtype=float) for v in ref)
+    if np.min(rho) <= 0.0 or np.min(theta_cand) <= 0.0:
         raise DomainError("candidate density and temperature must be positive")
     if np.min(r_ref) <= 0.0 or np.min(t_ref) <= 0.0:
         raise DomainError("reference density and temperature must be positive")
-    slip = mom - rho * np.asarray(u_ref, dtype=float)
-    slip_sq = slip * slip if slip.ndim == rho.ndim else np.sum(slip * slip, axis=0)
+    slip = rho * vel - rho * u_ref
     thermo = (params.cv * rho * t_ref * _bregman_temperature(theta_cand, t_ref)
               + t_ref * r_ref * _bregman_density(rho, r_ref))
-    return 0.5 * slip_sq / rho + thermo
+    return 0.5 * _squared(slip, rho.ndim) / rho + thermo
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +103,10 @@ class StateBox:
 
 def _quadratic_form(rho, vel_cand, theta_cand, r_ref, u_ref, t_ref):
     return (
-        0.5 * rho * (vel_cand - u_ref) ** 2
+        0.5 * rho * _squared(vel_cand - u_ref, rho.ndim)
         + (rho - r_ref) ** 2
         + (theta_cand - t_ref) ** 2
     )
-
-
-#: Points per block of the relative-entropy gate's sample check: 64 kB per
-#: array, so the scan's footprint does not grow with the sample count.
-CALIBRATION_BLOCK = 2**13
 
 
 def calibrate_coercivity(box: StateBox, params: GasParams) -> float:
@@ -151,24 +143,23 @@ class CoercivityResult:
     density: np.ndarray     # E, pointwise
 
 
-def coercivity_gap(state: EntropicState, ref: PrimitiveState, box: StateBox,
+def coercivity_gap(cand: tuple, ref: tuple, box: StateBox,
                    params: GasParams) -> CoercivityResult:
     """Pointwise gap E - c * (quadratic form), with c the proven constant
-    ``calibrate_coercivity(box, params)``, and E itself.
+    ``calibrate_coercivity(box, params)``, and E itself, for two
+    (rho, vel, theta) triples.
 
     Both states must lie in ``box``, where the constant is proven: a
-    candidate or a reference outside it is a DomainError.
+    candidate or a reference outside it, a non-positive one included, is a
+    DomainError.
     """
-    theta_cand = theta_of(state.rho, state.total_entropy, params)
-    if not box.contains(ref.rho, ref.theta):
+    cand, ref = (tuple(np.asarray(v, dtype=float) for v in state) for state in (cand, ref))
+    if not box.contains(ref[0], ref[2]):
         raise DomainError("reference state leaves the state box")
-    if not box.contains(state.rho, theta_cand):
+    if not box.contains(cand[0], cand[2]):
         raise DomainError("candidate state leaves the state box")
-    dens = rel_entropy_terms(
-        state.rho, state.mom, theta_cand, ref.rho, ref.vel, ref.theta, params
-    )
-    form = _quadratic_form(state.rho, state.mom / state.rho, theta_cand,
-                           ref.rho, ref.vel, ref.theta)
+    dens = rel_entropy_terms(cand, ref, params)
+    form = _quadratic_form(*cand, *ref)
     return CoercivityResult(dens - calibrate_coercivity(box, params) * form, form, dens)
 
 
@@ -182,16 +173,11 @@ def rel_entropy_total(grid: PeriodicGrid, cand: tuple, ref: tuple,
     """Integral over the domain of the relative entropy density.
 
     Both states are (rho, vel, theta) triples, as ``snapshot_primitive``
-    reads a snapshot, so a state against itself gives exactly 0: no
-    temperature round trip through (rho, S) and no momentum slip
-    m - rho (m / rho) is left over.
+    reads a snapshot, so a state against itself gives exactly 0.
     """
-    c_rho, c_vel, c_theta = cand
-    r_rho, r_vel, r_theta = ref
-    if c_rho.shape != grid.shape or r_rho.shape != grid.shape:
+    if cand[0].shape != grid.shape or ref[0].shape != grid.shape:
         raise ValueError("snapshots do not live on the given grid")
-    dens = rel_entropy_terms(c_rho, c_rho * c_vel, c_theta, r_rho, r_vel, r_theta, params)
-    return grid.cell_volume * exact_sum(dens)
+    return grid.cell_volume * exact_sum(rel_entropy_terms(cand, ref, params))
 
 
 @dataclass

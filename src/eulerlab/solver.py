@@ -100,7 +100,8 @@ class Trajectory:
         E that ``load`` reads, with its text export ``t_NNNN.csv``, and then
         ``meta.json``: a complete ``meta.json`` marks a finished save.  Snapshot
         files of an earlier save into ``directory`` that this one does not
-        overwrite are removed."""
+        overwrite are removed.  A ``snapshot_sha256`` key that an older version
+        wrote into ``meta`` is dropped: it does not describe these files."""
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         (d / "meta.json").unlink(missing_ok=True)
@@ -108,7 +109,7 @@ class Trajectory:
         for f in d.glob("t_*"):
             if _SNAPSHOT_FILE.fullmatch(f.name) and f.name not in keep:
                 f.unlink()
-        meta = dict(self.meta)
+        meta = {k: v for k, v in self.meta.items() if k != "snapshot_sha256"}
         meta.update(
             {
                 "grid": {"dims": self.grid.dims, "cells_per_dim": self.grid.cells_per_dim},

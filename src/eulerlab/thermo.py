@@ -6,10 +6,10 @@ c_V * (gamma - 1) = 1, and the specific entropy is
     s(rho, theta) = c_V * log(theta) - log(rho).
 
 On top of the closures this module provides the ballistic free energy
-H_T(rho, theta) = rho*e - T*rho*s, the (rho, S) reparametrization of the
-temperature, the pressure as a convex function of (rho, S) with closed-form
-gradient and Hessian, and residual checks for the differential identities the
-closure satisfies.  All derivatives are closed-form; central differences are
+H_T(rho, theta) = rho*e - T*rho*s, the pressure as a convex function of the
+density and the total entropy S = rho*s with closed-form gradient and
+Hessian, and residual checks for the differential identities the closure
+satisfies.  All derivatives are closed-form; central differences are
 offered only as an independent cross-check.
 """
 
@@ -23,9 +23,6 @@ from .errors import DomainError, RangeError
 
 #: Densities/temperatures below this are treated as vacuum and rejected.
 POSITIVE_FLOOR = 1e-12
-
-#: Exponent cap for the exponential reparametrization theta_of.
-_EXP_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -116,32 +113,6 @@ def ballistic_drho(rho, t_ref, params: GasParams):
     rho = _require_positive("rho", rho)
     t_ref = _require_positive("t_ref", t_ref)
     return params.cv * t_ref - t_ref * entropy(rho, t_ref, params) + t_ref
-
-
-def theta_of(rho, total_entropy, params: GasParams):
-    """Temperature recovered from density and total entropy S = rho*s.
-
-    Theta(rho, S) = rho**(gamma-1) * exp((gamma-1) * S / rho), which inverts
-    S = rho * entropy(rho, Theta).
-
-    Raises
-    ------
-    DomainError
-        If rho is not positive.
-    RangeError
-        If the exponential overflows; the message reports the offending
-        exponent.
-    """
-    rho = _require_positive("rho", rho)
-    total_entropy = np.asarray(total_entropy, dtype=float)
-    a = params.gamma - 1.0
-    exponent = a * (np.log(rho) + total_entropy / rho)
-    worst = np.max(exponent)
-    if worst > _EXP_CAP:
-        raise RangeError(
-            f"temperature reparametrization overflows: exponent {worst:.3g} > {_EXP_CAP:g}"
-        )
-    return np.exp(exponent)
 
 
 def tilde_pressure_derivatives(rho, total_entropy, params: GasParams):
@@ -248,39 +219,3 @@ def verify_p2(r, t_ref, params: GasParams, fd_step: float | None = None):
     res3 = np.abs(dh_t + r * s)
     return res1, res2, res3
 
-
-# ---------------------------------------------------------------------------
-# state vectors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PrimitiveState:
-    """Density, velocity and temperature.
-
-    ``vel`` carries the component axis first, so a single point in N
-    dimensions has shape (N,) and a field has shape (N, *grid shape).
-    """
-
-    rho: np.ndarray
-    vel: np.ndarray
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _require_positive("rho", self.rho))
-        object.__setattr__(self, "vel", np.asarray(self.vel, dtype=float))
-        object.__setattr__(self, "theta", _require_positive("theta", self.theta))
-
-
-@dataclass(frozen=True)
-class EntropicState:
-    """Density, momentum and total entropy S = rho * s(rho, theta)."""
-
-    rho: np.ndarray
-    mom: np.ndarray
-    total_entropy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", _require_positive("rho", self.rho))
-        object.__setattr__(self, "mom", np.asarray(self.mom, dtype=float))
-        object.__setattr__(self, "total_entropy", np.asarray(self.total_entropy, dtype=float))

@@ -36,9 +36,9 @@ def bump_test(center, width: float, t0: float, t1: float) -> Callable:
     mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
 
     def value(t, X):
-        space = bump_profile(wrap(X[0] - centers[0]) / width)[0]
+        space = bump_profile(wrap(X[0] - centers[0]) / width)
         for ax in range(1, len(X)):
-            space = space * bump_profile(wrap(X[ax] - centers[ax]) / width)[0]
+            space = space * bump_profile(wrap(X[ax] - centers[ax]) / width)
         return _scalar_bump((t - mid) / half) * space
 
     return value

@@ -167,13 +167,14 @@ CORNER_D = (0.1, 0.01, 0.001)
 
 
 def _relative_entropy_sample_unblocked():
-    """The relative-entropy gate's sample check before it ran in blocks:
+    """The relative-entropy gate's sample check before it ran in blocks, and
+    with the candidate taken through (rho, m, S) as it once was:
     (min E, min coercivity gap, min E / quad, candidate densities) over all
     1e5 pairs and the corner states at once."""
     import numpy as np
 
     from eulerlab import relentropy
-    from eulerlab.thermo import EntropicState, GasParams, PrimitiveState, entropy
+    from eulerlab.thermo import GasParams, entropy
 
     params = GasParams(1.4)
     rng = np.random.default_rng(31337)
@@ -182,11 +183,13 @@ def _relative_entropy_sample_unblocked():
         np.concatenate([rng.uniform(lo, hi, n), corner]) for lo, hi, corner in (
             (0.5, 2.0, top), (0.5, 2.0, cold), (-1, 1, rest),
             (0.5, 2.0, np.subtract(2.0, CORNER_D)), (-1, 1, rest), (0.5, 2.0, cold)))
-    state = EntropicState(rho, rho * vel, rho * entropy(rho, theta, params))
-    gap = relentropy.coercivity_gap(state, PrimitiveState(r_ref, u_ref, t_ref),
+    # S = rho s(rho, Theta), then Theta = rho^(gamma - 1) exp((gamma - 1) S / rho), then m / rho
+    mom, s_tot = rho * vel, rho * entropy(rho, theta, params)
+    detour = (rho, mom / rho, np.exp((params.gamma - 1.0) * (np.log(rho) + s_tot / rho)))
+    gap = relentropy.coercivity_gap(detour, (r_ref, u_ref, t_ref),
                                     relentropy.StateBox(0.5, 2.0, 0.5, 2.0), params)
     return (float(np.min(gap.density)), float(np.min(gap.gap)),
-            float(np.min(gap.density / gap.lower_form)), state.rho)
+            float(np.min(gap.density / gap.lower_form)), rho)
 
 
 class TestRelativeEntropySample:
@@ -199,20 +202,20 @@ class TestRelativeEntropySample:
         real = relentropy.coercivity_gap
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(relentropy, "coercivity_gap",
-                       lambda state, *a: blocks.append(state.rho) or real(state, *a))
+                       lambda cand, *a: blocks.append(cand[0]) or real(cand, *a))
             result = acceptance.gate_relative_entropy()
         return result, blocks
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The (state, ref) pair of every block the gate checks."""
+        """The (cand, ref) pair of every block the gate checks."""
         from eulerlab import relentropy
 
         pairs = []
         real = relentropy.coercivity_gap
         monkeypatch.setattr(relentropy, "coercivity_gap",
-                            lambda state, ref, *a: pairs.append((state, ref))
-                            or real(state, ref, *a))
+                            lambda cand, ref, *a: pairs.append((cand, ref))
+                            or real(cand, ref, *a))
         assert acceptance.gate_relative_entropy().passed
         return pairs
 
@@ -236,10 +239,8 @@ class TestRelativeEntropySample:
     def test_every_sample_is_checked_once_in_order(self, run):
         import numpy as np
 
-        from eulerlab import relentropy
-
         _, blocks = run
-        assert [len(b) for b in blocks] == [relentropy.CALIBRATION_BLOCK] * 12 + [1696, 3]
+        assert [len(b) for b in blocks] == [acceptance.CALIBRATION_BLOCK] * 12 + [1696, 3]
         all_rho = _relative_entropy_sample_unblocked()[3]
         assert np.concatenate(blocks).tobytes() == all_rho.tobytes()
 
@@ -249,25 +250,22 @@ class TestRelativeEntropySample:
         # the corner states
         import numpy as np
 
-        from eulerlab.thermo import GasParams, entropy
-
         rng = np.random.default_rng(31337)
         n = 100_000
         rho, theta, vel = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n)
         r_ref, u_ref, t_ref = (rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n),
                                rng.uniform(0.5, 2.0, n))
-        want = (rho, rho * vel, rho * entropy(rho, theta, GasParams(1.4)), r_ref, u_ref, t_ref)
+        want = (rho, vel, theta, r_ref, u_ref, t_ref)
         start = 0
-        for state, ref in calls[:-1]:
-            got = (state.rho, state.mom, state.total_entropy, ref.rho, ref.vel, ref.theta)
-            blk = slice(start, start + len(state.rho))
-            assert [g.tobytes() for g in got] == [w[blk].tobytes() for w in want]
+        for cand, ref in calls[:-1]:
+            blk = slice(start, start + len(cand[0]))
+            assert [g.tobytes() for g in cand + ref] == [w[blk].tobytes() for w in want]
             start = blk.stop
-        assert start == n and len(state.rho) == 1696
-        state, ref = calls[-1]
-        assert state.rho.tolist() == [2.0] * 3 and state.mom.tolist() == [0.0] * 3
-        assert ref.rho.tolist() == [2.0 - d for d in CORNER_D]
-        assert ref.vel.tolist() == [0.0] * 3 and ref.theta.tolist() == [0.5] * 3
+        assert start == n and len(cand[0]) == 1696
+        (rho, vel, theta), (r_ref, u_ref, t_ref) = (np.asarray(s).tolist() for s in calls[-1])
+        assert rho == [2.0] * 3 and vel == [0.0] * 3 and theta == [0.5] * 3
+        assert r_ref == [2.0 - d for d in CORNER_D]
+        assert u_ref == [0.0] * 3 and t_ref == [0.5] * 3
 
     def test_gate_peak_memory_is_bounded(self):
         # the six whole arrays and the 2**17-word Sobol table peaked at 5.4 MiB
@@ -289,10 +287,10 @@ class TestRelativeEntropySample:
         sizes = []
         real = relentropy.rel_entropy_terms
         monkeypatch.setattr(relentropy, "rel_entropy_terms",
-                            lambda rho, *a: sizes.append(np.size(rho)) or real(rho, *a))
+                            lambda cand, *a: sizes.append(np.size(cand[0])) or real(cand, *a))
         assert acceptance.gate_relative_entropy().passed
         # the equality check, then one evaluation per sample block: the gap's own E
-        assert sizes == [1] + [relentropy.CALIBRATION_BLOCK] * 12 + [1696, 3]
+        assert sizes == [1] + [acceptance.CALIBRATION_BLOCK] * 12 + [1696, 3]
 
     @pytest.mark.parametrize("field,value", [("gap", -1e-300), ("gap", math.nan),
                                              ("density", math.nan)])

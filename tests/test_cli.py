@@ -802,13 +802,15 @@ class TestInputBoundary:
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("scale", [1e308, -1e308])
-    @pytest.mark.parametrize("shape", ["constant", "alternating", "ramp"])
+    @pytest.mark.parametrize("shape", ["alternating", "ramp"])
     def test_oslip_check_field_past_the_float_range_exits_2(self, tmp_path, capsys, scale,
                                                            shape):
         # numpy warned "overflow in multiply", then an OverflowError from the
-        # moments' exact sum escaped main as a traceback
+        # moments' exact sum escaped main as a traceback.  The alternating
+        # field's moments are 0, its one-cell quotients overflow
         k = np.arange(64)
-        values = {"constant": np.ones(64), "alternating": (-1.0) ** k, "ramp": k / 63.0}[shape]
+        values, what = {"alternating": ((-1.0) ** k, "a difference quotient"),
+                        "ramp": (k / 63.0, "a moment")}[shape]
         fpath = tmp_path / "field.csv"
         save_scalar_field(fpath, ScalarField(PeriodicGrid(1, 64), scale * values))
         out = tmp_path / "rep"
@@ -816,8 +818,19 @@ class TestInputBoundary:
             warnings.simplefilter("error")
             assert main(["oslip-check", "--field", str(fpath), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "over 64 cells is outside the float range" in err and "Traceback" not in err
-        assert not out.exists()
+        assert f"{what} of the velocity over 64 cells is outside the float range" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("scale", [1e308, -1e308])
+    def test_oslip_check_of_a_constant_field_at_the_float_range_is_0(self, tmp_path, capsys,
+                                                                     scale):
+        fpath = tmp_path / "field.csv"
+        save_scalar_field(fpath, ScalarField(PeriodicGrid(1, 64), np.full(64, scale)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oslip-check", "--field", str(fpath),
+                         "--out", str(tmp_path / "rep")]) == 0
+        assert "min_C = 0, discrete_C = 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "0", "0.5"])
     def test_oslip_check_field_rejects_delta(self, tmp_path, capsys, monkeypatch, value):
@@ -1111,8 +1124,9 @@ class TestGronwallOnAnEqualPair:
             assert rows and all(r.split(",")[1] == "0" for r in rows)
 
     def test_a_rarefaction_run_against_itself_is_exactly_0(self, tmp_path, capsys):
-        # the candidate's temperature went through theta_of(rho, rho s) and its
-        # slip through m - rho (m / rho): round-off of 1e-33 that failed the envelope
+        # E takes both states as (rho, vel, theta): a temperature round trip
+        # through (rho, rho s) and a slip m - rho (m / rho) left round-off of
+        # 1e-33 that failed the envelope
         traj = _simulate(tmp_path, "a", grid_n=32, t_end=0.5,
                          init={"name": "double_rarefaction"})
         with warnings.catch_warnings():
@@ -1632,9 +1646,10 @@ _ADVERSARIAL = {
     "besov-5e-324": (["besov-fit", np.full(64, 5e-324)], None),
     "besov-p-1e308": (["besov-fit", _RAMP, "--p", "1e308"], 2),
     "besov-p-inf": (["besov-fit", _RAMP, "--p", "inf"], None),
-    "oslip-constant-1e308": (["oslip-check", np.full(64, 1e308)], 2),
+    "oslip-constant-1e308": (["oslip-check", np.full(64, 1e308)], 0),
     "oslip-ramp--1e308": (["oslip-check", -1e308 * _RAMP], 2),
-    "oslip-alternating-1e308": (["oslip-check", 1e308 * (-1.0) ** np.arange(64)], 2),
+    "oslip-alternating-1e308": (["oslip-check", 1e308 * (-1.0) ** np.arange(64)], 2,
+                                "a difference quotient of the velocity over 64 cells"),
     "oslip-ramp-5e-324": (["oslip-check", 5e-324 * _RAMP], None),
     "oslip-field-delta": (["oslip-check", _RAMP, "--delta", "0"], 2),
     "oslip-traj-delta-nan": (["oslip-check", "--traj", "TRAJ", "--delta", "nan"], 2),

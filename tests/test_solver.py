@@ -390,6 +390,19 @@ class TestSnapshotFiles:
         assert _bits(back) == _bits(traj) and back.times == traj.times
         assert back.meta == {**meta, "snapshot_sha256": digests}
 
+    def test_a_resave_drops_the_snapshot_digests(self, tmp_path):
+        # the loaded list describes the old directory's files, not the new ones
+        traj = _snapshots_with_edge_values(1)
+        old, new = tmp_path / "old", tmp_path / "new"
+        traj.save(old)
+        meta = json.loads((old / "meta.json").read_text())
+        (old / "meta.json").write_text(json.dumps({**meta, "snapshot_sha256": [["0" * 64] * 2]}))
+        back = Trajectory.load(old)
+        assert "snapshot_sha256" in back.meta
+        back.save(new)
+        assert json.loads((new / "meta.json").read_text()) == meta
+        assert _bits(Trajectory.load(new)) == _bits(traj)
+
     @pytest.mark.parametrize("dims", [1, 2])
     def test_an_unphysical_snapshot_is_refused(self, tmp_path, dims):
         d = tmp_path / "traj"

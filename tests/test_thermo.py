@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from eulerlab.errors import DomainError, RangeError
+from eulerlab.errors import DomainError
 from eulerlab.thermo import (
-    EntropicState,
     GasParams,
-    PrimitiveState,
     ballistic_drho,
     ballistic_free_energy,
     entropy,
     internal_energy,
     pressure,
-    theta_of,
     tilde_pressure_derivatives,
     verify_gibbs,
     verify_p2,
@@ -61,34 +56,6 @@ class TestClosures:
             fn(-1.0, 1.0, gamma2)
         with pytest.raises(DomainError):
             fn(1.0, 0.0, gamma2)
-
-
-class TestThetaOf:
-    @pytest.mark.parametrize("rho,s_tot,expected", [(1, 0, 1), (2, 0, 2)])
-    def test_examples(self, gamma2, rho, s_tot, expected):
-        assert theta_of(rho, s_tot, gamma2) == pytest.approx(expected, rel=1e-14)
-
-    def test_exponential_point(self, gamma2):
-        assert theta_of(1.0, 1.0, gamma2) == pytest.approx(math.e, rel=1e-14)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        rho=st.floats(0.5, 2.0),
-        theta=st.floats(0.5, 2.0),
-        gamma=st.floats(1.1, 3.0),
-    )
-    def test_roundtrip(self, rho, theta, gamma):
-        params = GasParams(gamma)
-        s_tot = rho * entropy(rho, theta, params)
-        assert theta_of(rho, s_tot, params) == pytest.approx(theta, rel=1e-12)
-
-    def test_overflow_reports_range_error(self, gamma2):
-        with pytest.raises(RangeError, match="exponent"):
-            theta_of(1.0, 1e6, gamma2)
-
-    def test_rejects_vacuum(self, gamma2):
-        with pytest.raises(DomainError):
-            theta_of(0.0, 1.0, gamma2)
 
 
 def _tilde_pressure(rho, s_tot, params):
@@ -183,10 +150,3 @@ class TestIdentities:
         assert -1.0 * entropy(1.0, 1.0, gamma2) == 0.0
         assert ballistic_drho(1.0, 1.0, gamma2) == pytest.approx(2.0, rel=1e-15)
 
-
-class TestStateConversions:
-    def test_states_reject_vacuum(self):
-        with pytest.raises(DomainError):
-            PrimitiveState(np.array([1.0, -0.1]), np.zeros((1, 2)), np.ones(2))
-        with pytest.raises(DomainError):
-            EntropicState(np.array([-1.0]), np.zeros((1, 1)), np.ones(1))

@@ -50,7 +50,7 @@ UNSET_OPTIONS = {
 _KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 5, "UNSET_OPTIONS": 5}
 
 #: The yardstick at its last count: a change that grows src/ raises this in its own diff.
-_YARDSTICK_CAP = 3127
+_YARDSTICK_CAP = 3061
 
 
 @functools.cache
