@@ -22,13 +22,7 @@ from . import conditions as cd
 from . import relentropy as re_
 from . import weakform as wf
 from .grid import PeriodicGrid, ScalarField, exact_sum, weierstrass_field
-from .riemann import periodic_double_riemann
-from .solver import (
-    SolverConfig,
-    project_trajectory,
-    run,
-    scenario_riemann_states,
-)
+from .solver import SolverConfig, exact_trajectory, project_trajectory, run
 from .thermo import GasParams, tilde_pressure_derivatives, verify_gibbs, verify_p2
 
 MEASUREMENT_GRID = 8192
@@ -249,9 +243,7 @@ def gate_solver_shock_tube() -> GateResult:
     cfg = SolverConfig(grid=grid, params=params, t_end=0.2, init={"name": "sod"},
                        snapshot_stride=0.004)
     traj = run(cfg)
-    left, right = scenario_riemann_states(cfg.init, params)
-    sampler = periodic_double_riemann(left, right, params)
-    rho_ex, _, _ = sampler(grid.axis_centers(), 0.2)
+    rho_ex = exact_trajectory(cfg, [0.2]).snapshots[0].rho
     l1 = exact_sum(np.abs(traj.snapshots[-1].rho - rho_ex)) * grid.cell_width
     vol = grid.cell_volume
     mass0 = vol * exact_sum(traj.snapshots[0].rho)

@@ -6,8 +6,10 @@ bump; the reported minimum is
 
     max over (xi, phi) of  -integral (xi . u) (xi . grad phi) / integral phi
 
-with unit directions xi, which converges to the supremum of the symmetric
-velocity-gradient quadratic form as the bump basis refines.  A discrete
+over unit directions xi.  For each bump the maximum over xi is the largest
+eigenvalue of the symmetric part of the moment matrix, in closed form, so
+the constant converges to the supremum of the symmetric velocity-gradient
+quadratic form as the bump basis refines.  A discrete
 surrogate takes one-sided lattice difference quotients directly and upper
 bounds the weak constant up to O(dx).  Expansive wrap-around jumps of
 profiles embedded periodically can dominate; they are maskable.
@@ -35,17 +37,6 @@ from .grid import (PeriodicGrid, exact_sum, grad_values, offset_length, shift_va
                    time_trapezoid, time_window, wrap)
 
 DEFAULT_BUMP_WIDTHS = (0.25, 0.125, 0.0625)
-
-
-#: Directions of the 2D weak scan, equispaced on the unit circle.
-DIRECTION_COUNT = 16
-
-
-def unit_directions(dims: int) -> list[tuple[float, ...]]:
-    if dims == 1:
-        return [(1.0,), (-1.0,)]
-    angles = [2.0 * math.pi * k / DIRECTION_COUNT for k in range(DIRECTION_COUNT)]
-    return [(math.cos(a), math.sin(a)) for a in angles]
 
 
 class BumpStencil(NamedTuple):
@@ -131,7 +122,6 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
 @dataclass(frozen=True)
 class OslipWeakResult:
     min_c: float
-    direction: tuple[float, ...]
     bump_label: tuple
 
 
@@ -145,35 +135,25 @@ def _check_velocity(grid: PeriodicGrid, vel) -> np.ndarray:
 
 
 def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
-                     directions: list[tuple[float, ...]] | None = None,
                      basis: BumpBasis | None = None) -> OslipWeakResult:
     """Minimal admissible one-sided constant over the tested family.
 
     ``vel`` has the component axis first.  Per bump, the moment matrix
-    M[a, b] = -integral u_a d_b(phi), summed by parts on the lattice as
-    vol * sum phi D_b(u_a) with D = ``grad_values``, collapses every
-    direction scan to the quadratic form xi.M.xi / (|xi|^2 integral phi);
-    bumps with no mass are skipped.  Ties go to the earliest bump in basis
-    order, then to the earliest direction, so the scan is deterministic.
-
-    All moments are exact row sums.  The ratios are screened in one
-    vectorized pass; only the pairs within a rounding-error bound of the
-    maximum are evaluated again with the scalar expression that defines the
-    result, in bump-major order.
+    M[a, b] = -integral u_a d_b(phi), an exact row sum by parts on the
+    lattice, vol * sum phi D_b(u_a) with D = ``grad_values``, gives the
+    stretching along xi as xi.M.xi / (|xi|^2 integral phi).  As xi.M.xi =
+    xi.S.xi for S = (M + M^T) / 2, its maximum over xi is S's largest
+    eigenvalue: M in 1D; in 2D, the larger root of (lambda - m)^2 = d^2 +
+    s^2 with m, d = (M11 +- M22) / 2 and s = S12, so m + hypot(d, s).
+    Bumps with no mass are skipped; ties go to the earliest bump.
     """
     vel = _check_velocity(grid, vel)
-    if directions is None:
-        directions = unit_directions(grid.dims)
     if basis is None:
         basis = make_bump_basis(grid)
     elif basis.grid != grid:
         raise ValueError("the bump basis was built for another grid")
-    if not directions or not basis.labels:
-        raise ValueError("directions and test basis must be nonempty")
-    dirs = [np.asarray(xi, dtype=float) for xi in directions]
-    norms = [float(np.dot(d, d)) if d.shape == (grid.dims,) else math.nan for d in dirs]
-    if not all(0.0 < nsq < math.inf for nsq in norms):
-        raise ValueError(f"directions must be finite and nonzero, of length {grid.dims}")
+    if not basis.labels:
+        raise ValueError("the test basis must be nonempty")
     vol = grid.cell_volume
     try:
         with np.errstate(over="ignore", invalid="ignore"):   # an overflow shows in its moment
@@ -189,29 +169,17 @@ def oslip_weak_min_c(grid: PeriodicGrid, vel: np.ndarray,
     if not np.isfinite(moment).all():
         raise RangeError(f"a moment of the velocity over {vel[0].size} cells is "
                          f"outside the float range")
-    # moment[bump, a, b] = vol * sum phi D_b(u_a) = -integral u_a d_b(phi)
-    moment = np.ascontiguousarray(moment.transpose(2, 0, 1))
-    bumps = np.flatnonzero(basis.masses > 0.0)
-    xi, m = np.array(dirs), moment[bumps]
-    with np.errstate(all="ignore"):
-        den = basis.masses[bumps, None] * np.array(norms)
-        approx = np.einsum("ka,bac,kc->bk", xi, m, xi) / den
-        # |approx - scalar ratio| <= 16 eps |xi|.|M|.|xi| / den (eps = 2^-52);
-        # the 2^-1000 term covers products that underflow
-        slack = 2.0**-48 * (np.einsum("ka,bac,kc->bk", abs(xi), abs(m), abs(xi))
-                            + 2.0**-1000) / den
-        lower = approx - slack
-        floor = np.max(lower, where=np.isfinite(lower), initial=-math.inf)
-        near = ~(approx + slack < floor)
-    i, k = np.nonzero(near)
-    b = bumps[i]
-    numer = [float(dirs[kk] @ moment[bb] @ dirs[kk]) for bb, kk in zip(b.tolist(), k.tolist())]
-    values = np.array(numer) / (np.array(norms)[k] * basis.masses[b])
-    best, best_dir, best_label = -math.inf, tuple(map(float, dirs[0])), basis.labels[0]
-    if (values > best).any():  # the first maximum in bump-major order; NaN never wins
-        j = np.flatnonzero(values == values[values > best].max())[0]
-        best, best_dir, best_label = float(values[j]), tuple(map(float, dirs[k[j]])), basis.labels[b[j]]
-    return OslipWeakResult(best, best_dir, best_label)
+    # m[a, b, k] = vol * sum phi D_b(u_a) = -integral u_a d_b(phi) for bump k
+    m, mass = moment, basis.masses
+    with np.errstate(all="ignore"):   # past the float range +-inf; massless bumps drop out
+        if grid.dims == 1:
+            top = m[0, 0]
+        else:   # halved before they are added: the sums of finite moments stay finite
+            top = (0.5 * m[0, 0] + 0.5 * m[1, 1]
+                   + np.hypot(0.5 * m[0, 0] - 0.5 * m[1, 1], 0.5 * m[0, 1] + 0.5 * m[1, 0]))
+        values = np.where(mass > 0.0, top / mass, -math.inf)
+    j = int(np.argmax(values))   # the first maximum
+    return OslipWeakResult(float(values[j]), basis.labels[j])
 
 
 def oslip_discrete(grid: PeriodicGrid, vel: np.ndarray, mask_wrap: bool = False) -> float:

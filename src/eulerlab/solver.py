@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, StabilityError
 from .grid import PeriodicGrid, write_columns_csv
-from .riemann import Wave1D, rarefaction_connected_state
+from .riemann import Wave1D, periodic_double_riemann, rarefaction_connected_state
 from .thermo import GasParams
 
 #: The one system the solver integrates, as configs and ``meta.json`` name it.
@@ -239,41 +239,7 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
                                  f"[rho, u, p], got {value!r:.60}")
         elif key != "name" and not _is_number(value):
             raise ValueError(f"init key {key!r} must be a number, got {value!r:.60}")
-    x = grid.axis_centers()
-    # a profile past the float range shows as inf or nan, which the check below names
-    with np.errstate(all="ignore"):
-        if name == "constant":
-            rho = np.full(len(x), init.get("rho", 1.0))
-            u1 = np.full(len(x), init.get("u", 0.0))
-            theta = np.full(len(x), init.get("theta", 1.0))
-        elif name == "advection":
-            # contact-only exact solution: density profile advects at constant u
-            rho = init.get("rho0", 1.0) + init.get("amp", 0.2) * np.sin(np.pi * x)
-            u1 = np.full(len(x), init.get("u", 0.5))
-            theta = init.get("p", 1.0) / rho
-        elif name == "smooth":
-            rho = 1.0 + init.get("amp", 0.2) * np.sin(np.pi * x)
-            u1 = init.get("u_amp", 0.1) * np.sin(np.pi * x)
-            theta = np.full(len(x), init.get("theta", 1.0))
-        elif name == "isentropic_smooth":
-            # uniform-entropy data: theta = rho**(gamma-1), so p = rho**gamma
-            rho = 1.0 + init.get("amp", 0.1) * np.sin(np.pi * x)
-            u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
-            theta = rho ** (params.gamma - 1.0)
-        else:
-            left, right = scenario_riemann_states(init, params)
-            rho = np.where(x < 0.0, left.rho, right.rho)
-            u1 = np.where(x < 0.0, left.u, right.u)
-            theta = np.where(x < 0.0, left.p, right.p) / rho
-        if grid.dims == 1:
-            vel = u1[None]
-        else:   # the 1D profiles, extended invariantly along the second axis
-            rho, theta = (np.broadcast_to(a[:, None], grid.shape).copy() for a in (rho, theta))
-            vel = np.zeros((2,) + grid.shape)
-            vel[0] = u1[:, None]
-        if grid.dims == 2 and init.get("transverse", 0.0):
-            _, yy = grid.coordinates()
-            rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
+    rho, vel, theta = _scenario_state(grid, params, init, 0.0)
     for name, values in (("rho", rho), ("velocity", vel), ("theta", theta)):
         bad = np.argwhere(~np.isfinite(values))
         if len(bad):
@@ -285,22 +251,94 @@ def make_initial_state(grid: PeriodicGrid, params: GasParams, init: dict):
     return rho, vel, theta
 
 
-def scenario_riemann_states(init: dict, params: GasParams) -> tuple[Wave1D, Wave1D]:
-    """Left/right states of a Riemann-type scenario, for exact references."""
-    name = init.get("name")
-    if name == "sod":
-        return Wave1D(1.0, 0.0, 1.0), Wave1D(0.125, 0.0, 0.1)
-    if name == "riemann":
-        return Wave1D(*init["left"]), Wave1D(*init["right"])
-    if name == "double_rarefaction":
-        a = init.get("u_out", 0.1)
-        p_bg = init.get("p", 0.04)
-        return Wave1D(1.0, -a, p_bg), Wave1D(1.0, a, p_bg)
-    if name == "single_rarefaction":
-        left = Wave1D(init.get("rho_left", 1.0), init.get("u_left", 0.0),
-                      init.get("p_left", 1.0))
-        return left, rarefaction_connected_state(left, init.get("rho_right", 0.4), params)
-    raise ValueError(f"unknown scenario {name!r}, or one without Riemann states")
+def _scenario_state(grid: PeriodicGrid, params: GasParams, init: dict, t: float):
+    """The scenario table: (rho, vel, theta) of ``init`` at time ``t``, the
+    data at t = 0 and the exact solution after that (``constant`` and
+    ``advection`` for all time, the Riemann types through
+    `periodic_double_riemann`).  The caller checks the values."""
+    x = grid.axis_centers()
+    name = init.get("name", "constant")
+    with np.errstate(all="ignore"):
+        if name == "constant":
+            rho = np.full(len(x), init.get("rho", 1.0))
+            u1 = np.full(len(x), init.get("u", 0.0))
+            theta = np.full(len(x), init.get("theta", 1.0))
+        elif name == "advection":
+            # contact-only exact solution: density profile advects at constant u
+            u1 = np.full(len(x), init.get("u", 0.5))
+            shifted = x - u1 * t if t else x    # not u * 0 at t = 0: u may not be finite
+            rho = init.get("rho0", 1.0) + init.get("amp", 0.2) * np.sin(np.pi * shifted)
+            theta = init.get("p", 1.0) / rho
+        elif name == "smooth":
+            rho = 1.0 + init.get("amp", 0.2) * np.sin(np.pi * x)
+            u1 = init.get("u_amp", 0.1) * np.sin(np.pi * x)
+            theta = np.full(len(x), init.get("theta", 1.0))
+        elif name == "isentropic_smooth":
+            # uniform-entropy data: theta = rho**(gamma-1), so p = rho**gamma
+            rho = 1.0 + init.get("amp", 0.1) * np.sin(np.pi * x)
+            u1 = init.get("u_amp", 0.0) * np.sin(np.pi * x)
+            theta = rho ** (params.gamma - 1.0)
+        else:
+            if name == "sod":
+                left, right = Wave1D(1.0, 0.0, 1.0), Wave1D(0.125, 0.0, 0.1)
+            elif name == "riemann":
+                left, right = Wave1D(*init["left"]), Wave1D(*init["right"])
+            elif name == "double_rarefaction":
+                a, p_bg = init.get("u_out", 0.1), init.get("p", 0.04)
+                left, right = Wave1D(1.0, -a, p_bg), Wave1D(1.0, a, p_bg)
+            else:
+                left = Wave1D(init.get("rho_left", 1.0), init.get("u_left", 0.0),
+                              init.get("p_left", 1.0))
+                right = rarefaction_connected_state(left, init.get("rho_right", 0.4), params)
+            if t:
+                rho, u1, p = periodic_double_riemann(left, right, params)(x, t)
+            else:
+                rho, u1, p = (np.where(x < 0.0, getattr(left, k), getattr(right, k))
+                              for k in ("rho", "u", "p"))
+            theta = p / rho
+        if grid.dims == 1:
+            vel = u1[None]
+        else:   # the 1D profiles, extended invariantly along the second axis
+            rho, theta = (np.broadcast_to(a[:, None], grid.shape).copy() for a in (rho, theta))
+            vel = np.zeros((2,) + grid.shape)
+            vel[0] = u1[:, None]
+        if grid.dims == 2 and init.get("transverse", 0.0):
+            _, yy = grid.coordinates()
+            rho = rho * (1.0 + init["transverse"] * np.sin(np.pi * yy))
+    return rho, vel, theta
+
+
+def _conserved(rho, vel, theta, params: GasParams) -> np.ndarray:
+    """The stack rho, m1[, m2], E of a state; `snapshot_primitive` inverts it."""
+    U = np.empty((len(vel) + 2,) + rho.shape)
+    U[0] = rho
+    for ax in range(len(vel)):
+        U[1 + ax] = rho * vel[ax]
+    kin = 0.5 * rho * np.sum(vel * vel, axis=0)
+    U[-1] = kin + rho * params.cv * theta
+    return U
+
+
+def exact_trajectory(config: SolverConfig, times) -> Trajectory:
+    """The exact solution of ``config``'s scenario at ``times``, sampled and
+    converted as `run`'s data, so the snapshot at t = 0 is `run`'s first bit
+    for bit.  A time past a Riemann type's horizon is a DomainError naming
+    both; ``smooth``, ``isentropic_smooth``, a nonzero ``transverse`` and a
+    negative or non-finite time are ValueErrors."""
+    grid, params, init = config.grid, config.params, config.init
+    make_initial_state(grid, params, init)   # refuses an init as `run` does
+    name, transverse = init.get("name", "constant"), init.get("transverse", 0.0)
+    if name in ("smooth", "isentropic_smooth") or transverse:
+        raise ValueError(f"scenario {name!r} with transverse = {transverse} has no exact solution")
+    if not all(0.0 <= t < math.inf for t in times):   # NaN fails too
+        raise ValueError(f"times must be finite and non-negative, got {list(times)!r:.80}")
+    snaps = []
+    for t in times:
+        with np.errstate(over="ignore", invalid="ignore"):   # _check_physical names it
+            U = _conserved(*_scenario_state(grid, params, init, t), params)
+        _check_physical(U, params.gamma, t)
+        snaps.append(Snapshot(float(t), U[0], U[1:-1], U[-1]))
+    return Trajectory(grid, params, snaps)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +600,6 @@ def run(config: SolverConfig) -> Trajectory:
     """
     grid, params = config.grid, config.params
     gamma = params.gamma
-    rho, vel, theta = make_initial_state(grid, params, config.init)
     stride = config.snapshot_stride
     snap_times: list[float] = []
     if stride is not None:
@@ -579,13 +616,7 @@ def run(config: SolverConfig) -> Trajectory:
     # and then NaN): the checks name the bad state, so numpy stays quiet.
     # One context per run, as one per RHS call would cost more than the call.
     with np.errstate(over="ignore", invalid="ignore"):
-        U = np.empty((grid.dims + 2,) + grid.shape)
-        U[0] = rho
-        for ax in range(grid.dims):
-            U[1 + ax] = rho * vel[ax]
-        kin = 0.5 * rho * np.sum(vel * vel, axis=0)
-        U[-1] = kin + rho * params.cv * theta
-        del rho, vel, theta, kin  # U holds the state from here on
+        U = _conserved(*make_initial_state(grid, params, config.init), params)
         _check_physical(U, gamma, 0.0)
 
         started = time.perf_counter()

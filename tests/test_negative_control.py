@@ -4,11 +4,12 @@ L = (rho, u, p) = (1, 0, 1) and the state R on L's 1-Hugoniot locus at
 p = 0.4, on its expansion branch, are joined by a jump at speed S that
 satisfies the Rankine-Hugoniot conditions: a weak solution, but one whose
 entropy falls across the jump.  The exact entropy solution of the same
-periodic data (``periodic_double_riemann``) is a second weak solution.  The
-two agree outside |x| <= 0.5, and the monitors must tell them apart: the
-relative entropy between them grows like t from 0, which no Gronwall
-envelope from E(0) = 0 allows, the expansion shock's one-sided Lipschitz
-constant grows like 1/dx, and the entropy solution's is its fan's slope.
+periodic data (``exact_trajectory`` of a ``riemann`` init) is a second
+weak solution.  The two agree outside |x| <= 0.5, and the monitors must
+tell them apart: the relative entropy between them grows like t from 0,
+which no Gronwall envelope from E(0) = 0 allows, the expansion shock's
+one-sided Lipschitz constant grows like 1/dx, and the entropy solution's
+is its fan's slope.
 """
 
 import math
@@ -19,7 +20,8 @@ import pytest
 from eulerlab.conditions import oslip_discrete
 from eulerlab.grid import PeriodicGrid
 from eulerlab.relentropy import rel_entropy_total
-from eulerlab.riemann import Wave1D, periodic_double_riemann
+from eulerlab.riemann import Wave1D
+from eulerlab.solver import SolverConfig, exact_trajectory, snapshot_primitive
 from eulerlab.thermo import GasParams
 
 PARAMS = GasParams(1.4)
@@ -56,18 +58,17 @@ def _flux(w: Wave1D):
 
 def _pair(cells: int, t: float):
     """(grid, expansion shock, entropy solution) as (rho, vel, theta) triples at t."""
-    grid = PeriodicGrid(1, cells)
-    x = grid.axis_centers()
-    exact = periodic_double_riemann(LEFT, RIGHT, PARAMS)(x, t)
+    init = {"name": "riemann", "left": [LEFT.rho, LEFT.u, LEFT.p],
+            "right": [RIGHT.rho, RIGHT.u, RIGHT.p]}
+    cfg = SolverConfig(grid=PeriodicGrid(1, cells), params=PARAMS, t_end=t, init=init)
+    rho, vel, theta = snapshot_primitive(exact_trajectory(cfg, [t]).snapshots[0], PARAMS)
+    x = cfg.grid.axis_centers()
     left_of_jump = x < SPEED * t
     shock = [np.where(np.abs(x) <= 0.5, np.where(left_of_jump, lv, rv), ev)
-             for lv, rv, ev in zip((LEFT.rho, LEFT.u, LEFT.p), (RIGHT.rho, RIGHT.u, RIGHT.p),
-                                   exact)]
-
-    def primitive(rho, u, p):
-        return rho, u[None], p / rho
-
-    return grid, primitive(*shock), primitive(*exact)
+             for lv, rv, ev in zip((LEFT.rho, LEFT.u, LEFT.p / LEFT.rho),
+                                   (RIGHT.rho, RIGHT.u, RIGHT.p / RIGHT.rho),
+                                   (rho, vel[0], theta))]
+    return cfg.grid, (shock[0], shock[1][None], shock[2]), (rho, vel, theta)
 
 
 def test_the_jump_is_a_weak_solution():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import warnings
 
@@ -9,15 +10,16 @@ import pytest
 from eulerlab import solver
 from eulerlab.errors import DomainError, RangeError, StabilityError
 from eulerlab.grid import PeriodicGrid, read_columns_csv
-from eulerlab.riemann import exact_riemann, periodic_double_riemann, solve_star
+from eulerlab.relentropy import gronwall_envelope_check, gronwall_monitor
+from eulerlab.riemann import Wave1D, exact_riemann, solve_star
 from eulerlab.solver import (
     SolverConfig,
     Snapshot,
     Trajectory,
+    exact_trajectory,
     make_initial_state,
     project_snapshot,
     run,
-    scenario_riemann_states,
     snapshot_primitive,
 )
 from eulerlab.thermo import GasParams, entropy
@@ -140,10 +142,7 @@ class TestAccuracy:
     def test_sod_density_error_small_domain(self):
         cfg = _config(n=512, t_end=0.2, init={"name": "sod"})
         traj = run(cfg)
-        left, right = scenario_riemann_states(cfg.init, cfg.params)
-        sampler = periodic_double_riemann(left, right, cfg.params)
-        x = cfg.grid.axis_centers()
-        rho_ex, _, _ = sampler(x, 0.2)
+        rho_ex = exact_trajectory(cfg, [0.2]).snapshots[0].rho
         err = float(np.sum(np.abs(traj.snapshots[-1].rho - rho_ex))) * cfg.grid.cell_width
         assert err < 0.05
 
@@ -155,9 +154,7 @@ class TestAccuracy:
         errs = []
         for n in (256, 512, 1024):
             cfg = _config(n=n, t_end=0.2, init={"name": init})
-            left, right = scenario_riemann_states(cfg.init, cfg.params)
-            rho_ex, _, _ = periodic_double_riemann(left, right, cfg.params)(
-                cfg.grid.axis_centers(), 0.2)
+            rho_ex = exact_trajectory(cfg, [0.2]).snapshots[0].rho
             rho = run(cfg).snapshots[-1].rho
             errs.append(float(np.sum(np.abs(rho - rho_ex))) * cfg.grid.cell_width)
         rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -167,8 +164,7 @@ class TestAccuracy:
         # exact solution: density profile advects at the uniform speed
         cfg = _config(n=512, t_end=0.25, init={"name": "advection", "u": 0.5})
         traj = run(cfg)
-        x = cfg.grid.axis_centers()
-        exact = 1.0 + 0.2 * np.sin(np.pi * (x - 0.5 * 0.25))
+        exact = exact_trajectory(cfg, [0.25]).snapshots[0].rho
         err = float(np.max(np.abs(traj.snapshots[-1].rho - exact)))
         assert err < 0.02
 
@@ -181,7 +177,9 @@ class TestAccuracy:
             cfg = _config(n=n, t_end=0.25,
                           init={"name": "single_rarefaction", "rho_right": 0.4})
             traj = run(cfg)
-            left, right = scenario_riemann_states(cfg.init, cfg.params)
+            # the Riemann states are the data either side of x = 0
+            rho0, vel0, theta0 = make_initial_state(cfg.grid, cfg.params, cfg.init)
+            left, right = (Wave1D(rho0[i], vel0[0, i], rho0[i] * theta0[i]) for i in (0, -1))
             sol = exact_riemann(left, right, cfg.params)
             g = cfg.params.gamma
             head = left.u - left.sound_speed(g)
@@ -224,6 +222,80 @@ class TestStateMaps:
         np.testing.assert_allclose(rho, rho0, rtol=1e-12)
         np.testing.assert_allclose(vel, vel0, rtol=1e-12)
         np.testing.assert_allclose(theta, theta0, rtol=1e-12)
+
+
+#: A config's init for every scenario that has an exact solution.
+EXACT_INITS = [
+    {"name": "constant", "rho": 1.3, "u": 0.4, "theta": 0.9}, {"name": "advection"},
+    {"name": "sod"}, {"name": "riemann", "left": [1.0, 0.1, 1.0], "right": [0.5, -0.2, 0.4]},
+    {"name": "double_rarefaction"}, {"name": "single_rarefaction"},
+]
+
+
+class TestExactTrajectory:
+    @pytest.mark.parametrize("dims,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("init", EXACT_INITS, ids=lambda init: init["name"])
+    def test_snapshot_0_is_the_runs_first_bit_for_bit(self, dims, n, init):
+        """The data is the exact solution at t = 0."""
+        cfg = _config(n=n, t_end=0.05, init=init, dims=dims, stride=0.025)
+        traj = run(cfg)
+        exact = exact_trajectory(cfg, traj.times)
+        assert exact.times == traj.times
+        assert _bits(exact)[0] == _bits(traj)[0]
+
+    @pytest.mark.parametrize("name,horizon", [("sod", "0.2281"), ("double_rarefaction", "1.485")])
+    def test_past_the_horizon_is_a_domain_error(self, name, horizon):
+        cfg = _config(n=64, init={"name": name})
+        assert exact_trajectory(cfg, [float(horizon) * 0.999]).times == [float(horizon) * 0.999]
+        with pytest.raises(DomainError, match=f"interact after t = {horizon}, got t = 2$"):
+            exact_trajectory(cfg, [0.1, 2.0])
+
+    @pytest.mark.parametrize("init", [{"name": "smooth"}, {"name": "isentropic_smooth"},
+                                      {"name": "sod", "transverse": 0.1}])
+    def test_data_without_an_exact_solution_is_a_value_error(self, init):
+        cfg = _config(n=16, dims=2, init=init)
+        with pytest.raises(ValueError, match="has no exact solution"):
+            exact_trajectory(cfg, [0.0])
+        exact_trajectory(_config(n=16, dims=2, init={"name": "sod", "transverse": 0.0}), [0.1])
+
+    @pytest.mark.parametrize("t", [-1e-300, -math.inf, math.inf, math.nan])
+    def test_times_must_be_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="times must be finite and non-negative"):
+            exact_trajectory(_config(n=16), [0.0, t])
+
+    def test_a_non_finite_advection_speed_is_named_at_t_0(self):
+        # u * t is not formed at t = 0, where inf * 0 would make the density NaN
+        cfg = _config(n=16, init={"name": "advection", "u": math.inf})
+        for call in (lambda: run(cfg), lambda: exact_trajectory(cfg, [0.0, 0.1])):
+            with pytest.raises(DomainError, match=r"initial velocity is not finite at t = 0, "
+                                                  r"index \(0, 0\): inf"):
+                call()
+
+    def test_an_exact_state_without_positive_density_is_a_domain_error(self):
+        # rho = 1 - sin(pi (x - t / 2)) is positive at every cell centre at
+        # t = 0, and 0 at cell 48 once the profile has moved half a cell
+        cfg = _config(n=64, init={"name": "advection", "amp": -1.0})
+        with pytest.raises(DomainError, match=r"t = 0.03125, cell \(48,\): rho = 0,"):
+            exact_trajectory(cfg, [0.0, 0.03125])
+
+    def test_advection_against_its_exact_solution(self):
+        """gronwall_monitor(run, exact, sigma = 0.1), stride 0.05 to t = 1.  The
+        reference has no residual and a one-sided constant of 0, yet the
+        envelope breaks at every grid (5.753, 6.124, 6.327), and E(sigma)
+        falls as dx^2 (5.235e-5, 1.326e-5, 3.335e-6): the candidate's
+        residual breaks it."""
+        utilization, e_sigma = [], []
+        for n in (64, 128, 256):
+            cfg = _config(n=n, t_end=1.0, init={"name": "advection"}, stride=0.05)
+            traj = run(cfg)
+            trace = gronwall_monitor(traj, exact_trajectory(cfg, traj.times), cfg.params,
+                                     sigma=0.1)
+            assert np.all(trace.oslip_c == 0.0)
+            utilization.append(gronwall_envelope_check(trace).utilization)
+            e_sigma.append(trace.integral[0])
+        assert min(utilization) > 1.0, utilization
+        ratios = np.array(e_sigma[:-1]) / np.array(e_sigma[1:])
+        assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
 
 
 class TestTwoDimensional:
