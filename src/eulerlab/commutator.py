@@ -16,7 +16,7 @@ the bilinear/trilinear product commutators
     rho_eps u_eps - (rho u)_eps,   rho_eps u_eps (x) u_eps - (rho u (x) u)_eps
 
 whose L^{p/2} norms are checked against squared L^p mollification and shift
-moduli with a constant frozen from a smooth calibration probe.  Both are one
+moduli times the constant their proof gives, `_product_constant`.  Both are one
 pass over a `besov.EpsScan`, `_product_scan`, whose shift moduli come from one
 `besov.ModulusTable`.
 
@@ -52,12 +52,8 @@ from .thermo import GasParams, tilde_pressure_derivatives
 #: Relative slack admitted when asserting the chain-commutator bound.
 CHAIN_BOUND_SLACK = 0.10
 
-#: Frozen constant for the product-commutator inequality; calibrated once on
-#: a smooth probe (max measured ratio 0.21 across bilinear/trilinear scans).
-C0_PRODUCT = 0.25
-
-#: Lebesgue exponent of the product moduli, the one C0_PRODUCT was calibrated
-#: at: the commutators are measured in L^{p/2} = L^{3/2}.
+#: Lebesgue exponent of the product moduli: the commutators are measured in
+#: L^{p/2} = L^{3/2}.
 PRODUCT_P = 3.0
 
 #: Velocity factors of each product commutator: rho u and rho u (x) u.
@@ -259,8 +255,41 @@ class ProductCommutatorResult:
     norm: float          # L^{p/2} norm of the commutator
     rhs_mollify: float   # squared L^p mollification modulus of the tuple
     rhs_shift: float     # squared L^p shift modulus, sup over |y| < eps
-    passed: bool         # norm <= C0_PRODUCT * (rhs_mollify + rhs_shift)
+    constant: float      # C of the proven bound, `_product_constant`
     flux_pairing: float | None   # triple with one u component per axis: Pi_eps
+
+    @property
+    def bound(self) -> float:
+        """The proven right side, C (rhs_mollify + rhs_shift)."""
+        return self.constant * (self.rhs_mollify + self.rhs_shift)
+
+
+def _product_constant(rho: np.ndarray, u: np.ndarray, factors: int,
+                      grid: PeriodicGrid) -> float:
+    """C of ||comm||_{p/2} <= C (rhs_mollify + rhs_shift): 1/2 for the bilinear
+    commutator, max(2G, 3F + G) for the triple; F = max |rho|, G = max |u| (Euclidean).
+
+    The kernel is nonnegative with unit mass on |y| < eps (`build_mollifier`): int
+    is the mean over its taps y.  S is the stacked tuple, d_y S = S(. - y) - S, and
+    (x) is the product for a scalar u.  Bilinear (Constantin, E & Titi, 1994):
+        comm = (rho_eps - rho)(u_eps - u) - int d_y rho d_y u,
+    so |x||y| <= (x^2 + y^2)/2 gives |comm| <= |S_eps - S|^2/2 + int |d_y S|^2/2.
+    Triple: expand about the mollified values, a = rho(x - y) - rho_eps(x) and
+    b = u(x - y) - u_eps(x).  int a = int b = 0 removes the linear terms, so
+        comm = -[rho_eps int b (x) b + u_eps (x) int ab + int ab (x) u_eps + int ab (x) b].
+    With |rho_eps| <= F, |u_eps| <= G, |a| <= 2F, |v (x) w| = |v||w| (Frobenius)
+    and 2|a||b| <= a^2 + |b|^2, |comm| <= G int a^2 + (3F + G) int |b|^2, which is
+    max(G, (3F + G)/2) int |A|^2: A = S(x - y) - S_eps(x) = d_y S + S - S_eps for
+    S = (rho, u, u) has |A|^2 = a^2 + 2|b|^2 <= 2|d_y S|^2 + 2|S - S_eps|^2.
+    Both times Minkowski in L^{p/2} = L^{3/2} takes the norm inside int, and
+    || |X|^2 ||_{p/2} = ||X||_p^2: the S - S_eps term is rhs_mollify, and the
+    mean of ||d_y S||_p^2 is at most rhs_shift, whose `ball_sups` takes every
+    lattice shift 0 < |h| < eps (one of each +-h, of equal modulus).
+    """
+    if factors == 1:
+        return 0.5
+    big_f, big_g = float(np.max(np.abs(rho))), float(np.max(magnitude(u, grid)))
+    return max(2.0 * big_g, 3.0 * big_f + big_g)
 
 
 def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, scan: EpsScan,
@@ -271,7 +300,8 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, sc
     With two factors and a velocity u (one component per axis) each result
     also holds the energy-flux pairing Pi_eps = int R_eps : grad u_eps of
     R_eps = (rho u (x) u)_eps - rho_eps u_eps (x) u_eps, which scales like
-    eps^{3 alpha - 1} (Constantin, E & Titi, Comm. Math. Phys. 165, 1994)."""
+    eps^{3 alpha - 1} (Constantin, E & Titi, Comm. Math. Phys. 165, 1994).
+    Each bound is `_product_constant` times the two moduli."""
     grid, vol = rho_field.grid, rho_field.grid.cell_volume
     if scan.grid != grid:
         raise ValueError("the fields and the eps scan must share one grid")
@@ -280,6 +310,7 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, sc
     prod = u if factors == 1 else np.einsum("i...,j...->ij...", u, u)
     flux = (stack[0] * prod).reshape((-1,) + grid.shape)
     forms_pairing = factors == 2 and len(u) == grid.dims
+    const = _product_constant(stack[0], u, factors, grid)
     results = []
     sups = ModulusTable(grid, stack, PRODUCT_P, (), scan.eps).ball_sups(scan.eps)
     for mol, sup in zip(scan.mollifiers, sups):
@@ -294,15 +325,13 @@ def _product_scan(rho_field: ScalarField, u_field: ScalarField | VectorField, sc
         if forms_pairing:   # R_eps = -comm; grad_e[i, j] = d_j u_i
             grad_e = np.stack([grad_values(c, grid.cell_width) for c in u_e])
             pairing = -vol * exact_sum(comm * grad_e)
-        results.append(ProductCommutatorResult(
-            norm, rhs1, rhs2, bool(norm <= C0_PRODUCT * (rhs1 + rhs2)), pairing
-        ))
+        results.append(ProductCommutatorResult(norm, rhs1, rhs2, const, pairing))
     return results
 
 
 def bilinear_commutator(rho_field: ScalarField, u_field: ScalarField | VectorField,
                         eps: float) -> ProductCommutatorResult:
-    """rho_eps u_eps - (rho u)_eps with its one-sided modulus bound."""
+    """rho_eps u_eps - (rho u)_eps with its proven modulus bound."""
     return _product_scan(rho_field, u_field, eps_scan(rho_field.grid, [eps]), 1)[0]
 
 
@@ -320,12 +349,3 @@ def product_rate_fit(rho_field: ScalarField, u_field: ScalarField | VectorField,
     results = _product_scan(rho_field, u_field, scan, _FACTORS[kind])
     return scan.slope([r.norm for r in results]), results
 
-
-def calibrate_c0(rho_field: ScalarField, u_field: ScalarField | VectorField,
-                 scan: EpsScan) -> float:
-    """Max measured ratio norm / (rhs_mollify + rhs_shift) over the scan."""
-    worst = 0.0
-    for factors in _FACTORS.values():
-        for r in _product_scan(rho_field, u_field, scan, factors):
-            worst = max(worst, r.norm / (r.rhs_mollify + r.rhs_shift))
-    return worst

@@ -95,6 +95,8 @@ def make_bump_basis(grid: PeriodicGrid, widths=DEFAULT_BUMP_WIDTHS,
     In 2D each bump is the tensor product of two translates of the 1D
     profile, phi = vx * vy.
     """
+    if len(widths) == 0:
+        raise ValueError("bump widths must be nonempty, got widths=()")
     if not all(math.isfinite(w) and w > 0.0 for w in widths):
         raise ValueError("bump widths must be finite and positive")
     blocks, masses, labels = [], [], []
@@ -230,12 +232,20 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
 
     The leading points are fitted to a power law a / tau**b; b >= 1, up to
     the fit's rounding (``DOUBTFUL_POWER``), raises the doubtful-integrability
-    flag for the delta -> 0 limit.
+    flag for the delta -> 0 limit.  Times must be finite and strictly increase,
+    and no value may be NaN: the first index that breaks this is a ValueError.
     """
     times = np.asarray(times, dtype=float)
     vals = np.asarray(min_c, dtype=float)
     if times.shape != vals.shape:
         raise ValueError("times and values must align")
+    rising = np.concatenate(([True], times[1:] > times[:-1]))
+    bad = np.flatnonzero(~np.isfinite(times) | ~rising | np.isnan(vals))
+    if bad.size:
+        i = int(bad[0])
+        after = f" after {times[i - 1]}" if i else ""
+        raise ValueError(f"times must be finite and strictly increase, values not NaN: "
+                         f"index {i} has time {times[i]}{after}, value {vals[i]}")
     inside = time_window(times, delta, "delta")
     if np.count_nonzero(inside) < 2:
         raise ValueError("need at least two samples past delta")

@@ -82,19 +82,25 @@ def test_shock_tube_drifts_use_exact_totals(monkeypatch):
 def test_product_gate_fail_names_the_first_failing_eps(monkeypatch):
     from eulerlab import commutator
 
-    monkeypatch.setattr(commutator, "C0_PRODUCT", 0.01)
+    # the proven constants leave 40x room on the gate's fields: take a hundredth
+    real = commutator._product_constant
+    monkeypatch.setattr(commutator, "_product_constant", lambda *a: real(*a) / 100.0)
     result = acceptance.gate_product_commutators()
     assert not result.passed
     assert "at every eps" not in result.line()
-    assert "bilinear modulus bound with C0=0.01 first fails at eps 2^-10: norm / bound " \
+    assert "bilinear proven modulus bound first fails at eps 2^-10: norm / bound " \
         in result.details
     ratio = float(result.details.rsplit(" ", 1)[1])
     assert ratio > 1.0
 
 
 def test_product_gate_pass_line_is_unchanged():
-    assert acceptance.gate_product_commutators().details.endswith(
-        "modulus bound with C0=0.25 at every eps")
+    result = acceptance.gate_product_commutators()
+    assert result.details.endswith("proven modulus bound at every eps")
+    assert list(result.metrics) == ["bilinear_slope", "triple_slope", "flux_pairing_slope",
+                                    "bilinear_bound_ratio", "triple_bound_ratio"]
+    assert result.metrics["bilinear_bound_ratio"] == pytest.approx(0.02494, rel=1e-3)
+    assert result.metrics["triple_bound_ratio"] == pytest.approx(0.01820, rel=1e-3)
 
 
 def test_a_wrong_split_term_fails_the_chain_gate(monkeypatch):

@@ -24,7 +24,6 @@ TEST_ONLY = {
     "constant_field": "test fixture; moving it into tests/ would not shorten anything",
     "field_from_function": "test fixture, as constant_field",
     "lp_norm": "test fixture: the Field-level norm the tests state their bounds in",
-    "calibrate_c0": "reproduces the frozen C0_PRODUCT that the README cites",
     "j1_term": "the kinetic coupling term J1, to be written into the relentropy report",
 }
 
@@ -45,10 +44,10 @@ UNSET_OPTIONS = {
 }
 
 #: The keep-lists' sizes at their last count: lower a cap whenever its list shrinks.
-_KEEP_LIST_CAPS = {"TEST_ONLY": 5, "TEST_ONLY_FIELDS": 4, "UNSET_OPTIONS": 4}
+_KEEP_LIST_CAPS = {"TEST_ONLY": 4, "TEST_ONLY_FIELDS": 4, "UNSET_OPTIONS": 4}
 
 #: The yardstick at its last count: a change that grows src/ raises this in its own diff.
-_YARDSTICK_CAP = 3057
+_YARDSTICK_CAP = 3089
 
 
 @functools.cache
