@@ -22,7 +22,7 @@ from . import conditions as cd
 from . import relentropy as re_
 from . import weakform as wf
 from .grid import PeriodicGrid, ScalarField, exact_sum, weierstrass_field
-from .solver import SolverConfig, exact_trajectory, project_trajectory, run
+from .solver import SolverConfig, exact_trajectory, run
 from .thermo import GasParams, tilde_pressure_derivatives, verify_gibbs, verify_p2
 
 MEASUREMENT_GRID = 8192
@@ -282,12 +282,10 @@ def gate_gronwall_refinement() -> GateResult:
         cfg = SolverConfig(grid=PeriodicGrid(1, n), params=params, t_end=1.0,
                            init=init, snapshot_stride=stride)
         trajs[n] = run(cfg)
-    pair_coarse = project_trajectory(trajs[1024], trajs[512].grid)
-    trace = re_.gronwall_monitor(trajs[512], pair_coarse, params, sigma=0.1)
+    trace = re_.gronwall_monitor(trajs[512], trajs[1024], sigma=0.1)
     check = re_.gronwall_envelope_check(trace)
     e_terminal_coarse = trace.integral[-1]
-    pair_fine = project_trajectory(trajs[2048], trajs[1024].grid)
-    trace_fine = re_.gronwall_monitor(trajs[1024], pair_fine, params, sigma=0.1)
+    trace_fine = re_.gronwall_monitor(trajs[1024], trajs[2048], sigma=0.1)
     e_terminal_fine = trace_fine.integral[-1]
     shrink = float(e_terminal_coarse / e_terminal_fine)
     ok = bool(check.ok and shrink >= 1.5)

@@ -46,24 +46,16 @@ MAX_SHIFT_FRACTION = 0.25
 ESTIMATE_SLACK = 0.05
 
 
-def dyadic_shift_ladder(
-    grid: PeriodicGrid,
-    include_triples: bool = True,
-    max_cells: int | None = None,
-) -> list[tuple[int, ...]]:
-    """Dyadic lattice shifts 2**k (and 3*2**k) cells up to a quarter period.
+def dyadic_shift_ladder(grid: PeriodicGrid) -> list[tuple[int, ...]]:
+    """Dyadic lattice shifts 2**k and 3*2**k cells up to a quarter period.
 
     Axis-aligned shifts in each axis, plus diagonals in 2D.  The 3*2**k
     rungs fill the octave gaps so that a supremum over the ladder is a fair
     stand-in for the supremum over all shifts.
     """
-    n = grid.cells_per_dim
-    cmax = max(1, n // 4)
-    if max_cells is not None:
-        cmax = min(cmax, max_cells)
+    cmax = max(1, grid.cells_per_dim // 4)
     sizes = {2**k for k in range(int(math.log2(cmax)) + 1)}
-    if include_triples:
-        sizes |= {3 * 2**k for k in range(int(math.log2(cmax)) + 1) if 3 * 2**k <= cmax}
+    sizes |= {3 * 2**k for k in range(int(math.log2(cmax)) + 1) if 3 * 2**k <= cmax}
     shifts: list[tuple[int, ...]] = []
     for c in sorted(sizes):
         for ax in range(grid.dims):
@@ -205,10 +197,9 @@ def fit_regularity(table: ModulusTable) -> RegularityFit:
         raise ValueError(f"a regularity fit needs at least {MIN_FIT_CELLS} cells per dimension, "
                          f"got {grid.cells_per_dim}: its shifts, 2**k cells up to a sixteenth "
                          f"of the period, must span 3 octaves")
-    shifts = sorted(
-        dyadic_shift_ladder(grid, include_triples=False, max_cells=grid.cells_per_dim // 16),
-        key=lambda off: offset_length(grid, off),
-    )
+    rungs = {2**k for k in range((grid.cells_per_dim // 16).bit_length())}
+    shifts = sorted((off for off in dyadic_shift_ladder(grid) if max(off) in rungs),
+                    key=lambda off: offset_length(grid, off))
     hs = np.array([offset_length(grid, off) for off in shifts])
     norms = np.array([table.norms[off][1] for off in shifts])
     if np.min(norms) == 0.0:

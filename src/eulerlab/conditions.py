@@ -247,8 +247,6 @@ def l1_report(times: np.ndarray, min_c: np.ndarray, delta: float) -> L1Report:
         raise ValueError(f"times must be finite and strictly increase, values not NaN: "
                          f"index {i} has time {times[i]}{after}, value {vals[i]}")
     inside = time_window(times, delta, "delta")
-    if np.count_nonzero(inside) < 2:
-        raise ValueError("need at least two samples past delta")
     t, v = times[inside], vals[inside]
     np.maximum(v, 0.0, out=v)
     # the power law has no value at tau = 0, so only tau > 0 points are fitted.

@@ -229,10 +229,14 @@ def integral(field: ScalarField) -> float:
 def time_window(times, start: float, name: str) -> np.ndarray:
     """Mask of the snapshot times in the window [start, T].  A time up to 1e-12
     below ``start`` counts as inside: a stride's rounding drops no snapshot.
-    A non-finite ``start`` is a ValueError that calls it ``name``."""
+    A non-finite ``start``, or one that leaves fewer than two times in the
+    window, is a ValueError that calls it ``name``."""
     if not math.isfinite(start):
         raise ValueError(f"{name} must be finite, got {start}")
-    return np.asarray(times, dtype=float) >= start - 1e-12
+    inside = np.asarray(times, dtype=float) >= start - 1e-12
+    if np.count_nonzero(inside) < 2:
+        raise ValueError(f"need at least two snapshots past {name}={start}")
+    return inside
 
 
 def time_trapezoid(times, values) -> tuple[np.ndarray, np.ndarray]:
@@ -374,6 +378,12 @@ def grad_values(values: np.ndarray, cell_width: float) -> np.ndarray:
 
 def weierstrass_values(alpha: float, levels: int, x: np.ndarray,
                        phase: float = 0.0) -> np.ndarray:
+    """sum_{k<=levels} 2**(-alpha k) cos(2**k pi x + phase) at the points ``x``.
+    The top phase factor 2.0**levels * pi must stay finite, so ``levels`` is
+    at most 1022 (2.0**1023 * pi is inf); a larger one is a ValueError."""
+    if levels > 1022:
+        raise ValueError(f"levels must be at most 1022, got {levels}: "
+                         f"2.0**levels * pi must stay finite")
     out = np.zeros_like(x)
     for k in range(levels + 1):
         out += 2.0 ** (-alpha * k) * np.cos((2.0**k) * np.pi * x + phase)
@@ -391,7 +401,7 @@ def weierstrass_field(alpha: float, levels: int, grid: PeriodicGrid,
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if 2**levels < grid.cells_per_dim:
+    if levels < (grid.cells_per_dim - 1).bit_length():   # 2**levels < cells_per_dim
         raise ResolutionError(
             f"2**levels = {2 ** levels} must reach cells_per_dim = {grid.cells_per_dim}"
         )

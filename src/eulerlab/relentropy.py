@@ -30,7 +30,7 @@ import numpy as np
 from .conditions import oslip_discrete
 from .errors import DomainError
 from .grid import PeriodicGrid, exact_sum, grad_values, shift_values, time_trapezoid, time_window
-from .solver import Snapshot, Trajectory, snapshot_primitive
+from .solver import Trajectory, project_trajectory, snapshot_primitive
 from .thermo import GasParams
 
 #: Structural factor turning measured W^{1,inf} temperature data into the
@@ -205,39 +205,47 @@ class RelEntropyTrace:
                 "pass": self.skipped | np.isnan(self.fitted_k) | (self.fitted_k <= budget)}
 
 
-def gronwall_monitor(traj_a: Trajectory, traj_b: Trajectory, params: GasParams,
+def gronwall_monitor(candidate: Trajectory, reference: Trajectory,
                      sigma: float | None = None) -> RelEntropyTrace:
-    """Track integral E(a | b) and the Gronwall budget of the reference b.
+    """Track integral E(candidate | reference) and the Gronwall budget of the
+    reference.
 
-    Both trajectories must share gas, grid and snapshot times.  The reported
-    window starts at ``sigma`` (default: two snapshot strides in, mirroring
-    the vanishing-initial-layer convention); a non-finite ``sigma``, or one
-    that leaves fewer than two snapshots in the window, is a ValueError.
+    Both trajectories must share gas and snapshot times.  They are compared on
+    the coarser of their grids, the finer one block-averaged onto it
+    (``project_trajectory``), so the grids must nest: the same dims, and cell
+    counts one of which divides the other.  The reported window starts at
+    ``sigma`` (default: two snapshot strides in, mirroring the
+    vanishing-initial-layer convention); ``time_window`` refuses a non-finite
+    ``sigma`` and one that leaves fewer than two snapshots.
     """
-    if traj_a.params != traj_b.params:
-        raise ValueError(f"trajectories of different gases: {traj_a.params}, {traj_b.params}")
-    if traj_a.grid != traj_b.grid:
-        raise ValueError("trajectories live on different grids")
-    ta, tb = traj_a.times, traj_b.times
+    params = candidate.params
+    if params != reference.params:
+        raise ValueError(f"trajectories of different gases: {params}, {reference.params}")
+    grid: PeriodicGrid = min(candidate.grid, reference.grid, key=lambda g: g.cells_per_dim)
+    counts = (candidate.grid.cells_per_dim, reference.grid.cells_per_dim)
+    if candidate.grid.dims != reference.grid.dims or max(counts) % min(counts):
+        raise ValueError(f"trajectories on grids that do not nest: {candidate.grid} and "
+                         f"{reference.grid} (need the same dims, and cell counts one of "
+                         f"which divides the other)")
+    ta, tb = candidate.times, reference.times
     if len(ta) != len(tb) or any(abs(x - y) > 1e-12 for x, y in zip(ta, tb)):
         raise ValueError("trajectories carry different snapshot times")
-    grid = traj_a.grid
     if sigma is None:
         stride = ta[1] - ta[0] if len(ta) > 1 else 0.0
         sigma = ta[0] + 2.0 * stride
     inside = time_window(ta, sigma, "sigma")
-    if np.count_nonzero(inside) < 2:
-        raise ValueError(f"need at least two snapshots past sigma={sigma}")
     times = np.asarray(ta)[inside]
-    pairs = [(a, b) for a, b, keep in zip(traj_a.snapshots, traj_b.snapshots, inside) if keep]
+    cand = project_trajectory(candidate, grid)
+    ref = project_trajectory(reference, grid)
+    pairs = [(a, b) for a, b, keep in zip(cand.snapshots, ref.snapshots, inside) if keep]
     integral, oslip, w1inf = [], [], []
     unit = np.eye(grid.dims, dtype=int)
     theta_prev = None
     # one pass: each snapshot is converted once, and the reference's triple
     # feeds E, the one-sided Lipschitz constant and the W^{1,inf} budget
-    for j, (cand, ref) in enumerate(pairs):
-        prim = snapshot_primitive(ref, params)
-        integral.append(rel_entropy_total(grid, snapshot_primitive(cand, params), prim, params))
+    for j, (snap_c, snap_r) in enumerate(pairs):
+        prim = snapshot_primitive(snap_r, params)
+        integral.append(rel_entropy_total(grid, snapshot_primitive(snap_c, params), prim, params))
         _, vel, theta = prim
         oslip.append(oslip_discrete(grid, vel))
         grad_sup = max(
@@ -305,9 +313,10 @@ def gronwall_envelope_check(trace: RelEntropyTrace) -> GronwallCheck:
     return GronwallCheck(bool(util <= 1.0), util, vacuous_from, broken_at, broken_ratio)
 
 
-def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
-            params: GasParams, mask: np.ndarray | None = None) -> float:
-    """Diagnostic integral J1 of rho (u - v) tensor (v - u) : grad v.
+def j1_term(grid: PeriodicGrid, cand: tuple, ref: tuple,
+            mask: np.ndarray | None = None) -> float:
+    """Diagnostic integral J1 of rho (u - v) tensor (v - u) : grad v, for two
+    (rho, vel, theta) triples; it reads the candidate's rho and both velocities.
 
     The velocity-gradient coupling term of the stability budget.  With
     w = u - v, J1 = -int rho w_i w_j d_j v_i, so in 1D it is at most
@@ -318,8 +327,8 @@ def j1_term(grid: PeriodicGrid, cand: Snapshot, ref: Snapshot,
     to exclude the compressive wrap jumps of periodically embedded profiles
     (a discrete reference violates the shock-free assumption there).
     """
-    c_rho, c_vel, _ = snapshot_primitive(cand, params)
-    _, r_vel, _ = snapshot_primitive(ref, params)
+    c_rho, c_vel, _ = cand
+    _, r_vel, _ = ref
     w = c_vel - r_vel
     grad_v = np.stack([grad_values(v, grid.cell_width) for v in r_vel])   # [i, j]: d_j v_i
     cell = np.einsum("...,i...,j...,ij...->...", -c_rho, w, w, grad_v)

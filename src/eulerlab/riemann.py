@@ -92,11 +92,13 @@ class RiemannSolution:
     u_star: float
 
     def max_signal_speed(self) -> float:
+        """|u| + c over the outer states and the star states on both sides of
+        the contact: it bounds every fan edge, a characteristic of one of
+        them, and every shock, which runs between its two sides' (Lax)."""
         g = self.gamma
-        cl, cr = self.left.sound_speed(g), self.right.sound_speed(g)
-        speeds = [abs(self.left.u) + cl, abs(self.right.u) + cr]
-        cs = np.sqrt(g * self.p_star / self.star_density("left"))
-        speeds.append(abs(self.u_star) + cs)
+        speeds = [abs(st.u) + st.sound_speed(g) for st in (self.left, self.right)]
+        speeds += [abs(self.u_star) + np.sqrt(g * self.p_star / self.star_density(side))
+                   for side in ("left", "right")]
         return float(max(speeds))
 
     def star_density(self, side: str) -> float:

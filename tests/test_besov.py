@@ -33,7 +33,11 @@ EPS_SCAN = tuple(2.0 ** (-k) for k in range(4, 11))
 
 
 def _fit_rungs(grid):
-    return dyadic_shift_ladder(grid, include_triples=False, max_cells=max(1, grid.cells_per_dim // 16))
+    """fit_regularity's rungs: the ladder's offsets whose largest component is
+    a power of two up to a sixteenth of the period (one cell at the least)."""
+    top = max(1, grid.cells_per_dim // 16)
+    return [off for off in dyadic_shift_ladder(grid)
+            if max(off) <= top and (max(off) & (max(off) - 1)) == 0]
 
 
 def _fit(field, p):
@@ -312,7 +316,7 @@ class TestReports:
         monkeypatch.setattr(besov, "_diff_norm",
                             lambda *a: calls.append(a[1]) or real(*a))
         rep = besov_report(f, p)
-        fit_shifts = dyadic_shift_ladder(grid, include_triples=False, max_cells=128 // 16)
+        fit_shifts = _fit_rungs(grid)
         ladder = dyadic_shift_ladder(grid)
         assert len(fit_shifts) == 12 and set(fit_shifts) <= set(ladder)
         assert calls == ladder and len(calls) == 28       # each rung once, in order

@@ -415,8 +415,7 @@ class TestReports:
                      "--sigma", "0.1"]) == 1
         # the oracle: the envelope built by a plain loop, and its first excess
         traj_a, traj_b = (solver.Trajectory.load(tmp_path / name) for name in "ab")
-        traj_b = solver.project_trajectory(traj_b, traj_a.grid)
-        trace = relentropy.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=0.1)
+        trace = relentropy.gronwall_monitor(traj_a, traj_b, sigma=0.1)
         exponent = 0.0
         for j in range(1, len(trace.times)):
             exponent += 0.5 * (trace.budget[j] + trace.budget[j - 1]) * (
@@ -449,8 +448,7 @@ class TestReports:
         # the oracle: the first window time at which E(sigma) * exp(integral of
         # the budget) leaves the float range
         traj_a, traj_b = (solver.Trajectory.load(tmp_path / name) for name in "ab")
-        traj_b = solver.project_trajectory(traj_b, traj_a.grid)
-        trace = relentropy.gronwall_monitor(traj_a, traj_b, traj_a.params, sigma=0.002)
+        trace = relentropy.gronwall_monitor(traj_a, traj_b, sigma=0.002)
         room = math.log(sys.float_info.max) - math.log(trace.integral[0])
         exponent, first = 0.0, None
         for j in range(1, len(trace.times)):
@@ -580,9 +578,10 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("spec,message", [
         ({"weierstrass": {"alpha": 0.6, "levels": 1024, "grid_n": 64}},
-         "'levels' must be an integer in [6, 1022] for 64 cells, got 1024"),
+         "levels must be at most 1022, got 1024: 2.0**levels * pi must stay finite"),
         ({"weierstrass": {"alpha": 0.6, "levels": 10**9, "grid_n": 64}}, "got 1000000000"),
-        ({"weierstrass": {"alpha": 0.6, "levels": 5, "grid_n": 64}}, "got 5"),
+        ({"weierstrass": {"alpha": 0.6, "levels": 5, "grid_n": 64}},
+         "2**levels = 32 must reach cells_per_dim = 64"),
         ({"weierstrass": {"alpha": 0.6, "levels": 7.0, "grid_n": 64}}, "got 7.0"),
         ({"weierstrass": {"alpha": 0.6, "levels": True, "grid_n": 64}}, "got True"),
         ({"file": 3}, "probe field 'file' must be a string, got 3"),
@@ -599,7 +598,7 @@ class TestInputBoundary:
         assert message in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("levels,code", [(1022, 0), (1023, 2)])
+    @pytest.mark.parametrize("levels,code", [(1022, 0), (1023, 2), (1024, 2)])
     def test_commutator_rate_levels_stop_at_the_last_finite_phase(self, tmp_path, capsys,
                                                                   levels, code):
         # 2.0**1023 * pi is inf: level 1023 made numpy warn and the field
@@ -613,7 +612,8 @@ class TestInputBoundary:
             assert main(["commutator-rate", "--config", str(cfg),
                          "--out", str(tmp_path / "rep")]) == code
         err = capsys.readouterr().err
-        assert ("'levels' must be an integer in [6, 1022]" in err) == (code == 2)
+        assert (f"levels must be at most 1022, got {levels}: 2.0**levels * pi must stay "
+                "finite" in err) == (code == 2)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("cells", [2**40, 2**16 + 1, 3, 64.0, True, "64"])
@@ -745,12 +745,22 @@ class TestInputBoundary:
         assert main(["relentropy", "--traj-a", str(tmp_path / "a"),
                      "--traj-b", str(tmp_path / "b"), "--out", str(tmp_path)]) == 2
 
-    def test_relentropy_grids_that_do_not_nest(self, tmp_path, capsys):
-        a = _simulate(tmp_path, "a", grid_n=96)
-        b = _simulate(tmp_path, "b", grid_n=64)
+    @pytest.mark.parametrize("cfg_a,cfg_b", [
+        ({"grid_n": 96}, {"grid_n": 64}),
+        ({"grid_n": 64}, {"grid_n": 32, "dims": 2}),   # once "projection does not land"
+    ], ids=["counts-that-do-not-divide", "1d-and-2d"])
+    def test_relentropy_grids_that_do_not_nest(self, tmp_path, capsys, cfg_a, cfg_b):
+        a = _simulate(tmp_path, "a", **cfg_a)
+        b = _simulate(tmp_path, "b", **cfg_b)
+        capsys.readouterr()
+        out = tmp_path / "rep"
         assert main(["relentropy", "--traj-a", str(a), "--traj-b", str(b),
-                     "--out", str(tmp_path / "rep")]) == 2
-        assert "divide" in capsys.readouterr().err
+                     "--out", str(out)]) == 2
+        grid_a, grid_b = (PeriodicGrid(cfg.get("dims", 1), cfg["grid_n"]) for cfg in (cfg_a, cfg_b))
+        assert capsys.readouterr().err == (
+            f"error: trajectories on grids that do not nest: {grid_a!r} and {grid_b!r} "
+            f"(need the same dims, and cell counts one of which divides the other)\n")
+        assert not out.exists()
 
     def test_relentropy_rejects_two_gases(self, tmp_path, capsys):
         # the gamma = 5/3 run used to be read with the gamma = 1.4 closure, and passed

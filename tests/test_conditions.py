@@ -517,7 +517,7 @@ class TestL1PartialAgainstLoop:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_samples(self, n):
-        with pytest.raises(ValueError, match="at least two samples"):
+        with pytest.raises(ValueError, match="need at least two snapshots past delta=0.0"):
             l1_report(np.arange(n, dtype=float), np.ones(n), delta=0.0)
 
 
@@ -595,7 +595,7 @@ class TestL1ReportAgainstItsOldBody:
         assert min_c.tobytes() == kept.tobytes()
 
     def test_a_window_of_one_point_is_refused(self):
-        with pytest.raises(ValueError, match="at least two samples past delta"):
+        with pytest.raises(ValueError, match="need at least two snapshots past delta=0.25"):
             l1_report(np.array([0.1, 0.2, 0.3]), np.ones(3), 0.25)
 
     def test_dense_report_peak_memory_is_bounded(self):

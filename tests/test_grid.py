@@ -425,6 +425,30 @@ class TestWeierstrass:
         with pytest.raises(DomainError):
             weierstrass_field(1.5, 8, grid256)
 
+    @pytest.mark.parametrize("cells", [4, 5, 64, 65, 255, 256, 257])
+    def test_levels_reach_the_grid_exactly_when_two_to_the_levels_does(self, cells):
+        grid = PeriodicGrid(1, cells)
+        for levels in range(-2, 11):
+            if 2**levels < cells:
+                with pytest.raises(ResolutionError, match="must reach cells_per_dim"):
+                    weierstrass_field(0.5, levels, grid)
+            else:
+                assert weierstrass_field(0.5, levels, grid).grid == grid
+
+    def test_levels_stop_at_the_last_finite_phase(self):
+        # 2.0**1023 * pi is inf: level 1023 made cos warn, and 1024 raised an
+        # OverflowError from 2.0**k, not a ValueError
+        x = PeriodicGrid(1, 64).axis_centers()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(weierstrass_values(0.3, 1022, x)))
+            for levels in (1023, 1024, 10**9):
+                with pytest.raises(ValueError, match=rf"at most 1022, got {levels}: "
+                                                     r"2\.0\*\*levels \* pi must stay finite"):
+                    weierstrass_values(0.3, levels, x)
+                with pytest.raises(ValueError, match=f"at most 1022, got {levels}"):
+                    weierstrass_field(0.3, levels, PeriodicGrid(1, 64))
+
     def test_2d_is_tensor_product(self):
         g = PeriodicGrid(2, 64)
         f = weierstrass_field(0.6, 6, g)
@@ -1004,11 +1028,16 @@ class TestTimeAxis:
             assert _hex(running) == _hex(np.cumsum(np.concatenate(([0.0], old))))
 
     def test_window_keeps_a_stride_rounded_below_its_start(self):
-        times = [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
+        times = [0.0, 0.3, 0.6, 3 * 0.3, 1.2, 1.5]
         assert times[3] == 0.8999999999999999
-        assert time_window(times, 0.9, "t0").tolist() == [False, False, False, True, True]
-        assert time_window(times, 0.9 + 2e-12, "t0").tolist() == [False] * 4 + [True]
-        assert time_window([], 0.0, "t0").tolist() == []
+        assert time_window(times, 0.9, "t0").tolist() == [False] * 3 + [True] * 3
+        assert time_window(times, 0.9 + 2e-12, "t0").tolist() == [False] * 4 + [True] * 2
+
+    @pytest.mark.parametrize("times,start", [([], 0.0), ([0.5], 0.0), ([0.0, 0.5, 1.0], 0.75),
+                                             ([0.0, 0.5, 1.0], 2.0)])
+    def test_window_of_fewer_than_two_times_is_refused(self, times, start):
+        with pytest.raises(ValueError, match=f"need at least two snapshots past t0={start}$"):
+            time_window(times, start, "t0")
 
     @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
     def test_window_start_must_be_finite(self, start):

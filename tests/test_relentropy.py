@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -343,7 +344,7 @@ class TestTrajectoryMonitor:
         cfg = SolverConfig(grid=PeriodicGrid(1, 64), params=params, t_end=0.2,
                            init={"name": "smooth"}, snapshot_stride=0.05)
         traj = run(cfg)
-        trace = gronwall_monitor(traj, traj, params)
+        trace = gronwall_monitor(traj, traj)
         # the entropic roundtrip leaves at most ulp-squared residue per cell
         assert float(np.max(trace.integral)) < 1e-28
         assert np.all(trace.skipped[1:])
@@ -413,18 +414,36 @@ class TestTrajectoryMonitor:
     def test_each_snapshot_of_the_window_is_converted_once(self, monkeypatch):
         # one pass: the pair's two snapshots feed E, oslip_C and the W^{1,inf} budget
         traj_a, traj_b, params = _pair(32, t_end=0.3, stride=0.05)
-        want = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        want = gronwall_monitor(traj_a, traj_b, sigma=0.1)
         seen = []
         real = relentropy.snapshot_primitive
         monkeypatch.setattr(relentropy, "snapshot_primitive",
                             lambda snap, gas: seen.append(snap) or real(snap, gas))
-        trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        trace = gronwall_monitor(traj_a, traj_b, sigma=0.1)
         pairs = len(trace.times)
         assert pairs == 5 and len(seen) == 2 * pairs
         window = traj_a.snapshots[-pairs:] + traj_b.snapshots[-pairs:]
         assert sorted(map(id, seen)) == sorted(map(id, window))
         for name in ("integral", "oslip_c", "k_thermo", "fitted_k"):
             assert _hex(getattr(trace, name)) == _hex(getattr(want, name))
+
+    @pytest.mark.parametrize("dims,cells,t_end,init", [
+        (1, (64, 128), 0.5, {"name": "double_rarefaction"}),
+        (2, (32, 128), 0.1, {"name": "sod"}),
+    ], ids=["1d-64-128", "2d-32-128"])
+    def test_an_unprojected_pair_reads_as_the_hand_projected_one(self, gamma14, dims, cells,
+                                                                 t_end, init):
+        coarse, fine = (run(SolverConfig(grid=PeriodicGrid(dims, n), params=gamma14,
+                                         t_end=t_end, init=init, snapshot_stride=t_end / 4))
+                        for n in cells)
+        by_hand = project_trajectory(fine, coarse.grid)
+        # the finer trajectory as the reference, and as the candidate
+        for got, want in ((gronwall_monitor(coarse, fine), gronwall_monitor(coarse, by_hand)),
+                          (gronwall_monitor(fine, coarse), gronwall_monitor(by_hand, coarse))):
+            assert len(got.times) == 3
+            for name in ("times", "integral", "oslip_c", "k_thermo", "fitted_k"):
+                assert _hex(getattr(got, name)) == _hex(getattr(want, name)), name
+            assert got.skipped.tolist() == want.skipped.tolist()
 
     def test_uniform_velocity_offset_total(self, gamma14):
         grid = PeriodicGrid(1, 128)
@@ -452,8 +471,8 @@ class TestTrajectoryMonitor:
 
     @pytest.mark.slow
     def test_gronwall_envelope_on_rarefaction_pair(self):
-        traj_a, traj_b, params = _pair(512)
-        trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        traj_a, traj_b, _ = _pair(512)
+        trace = gronwall_monitor(traj_a, traj_b, sigma=0.1)
         check = gronwall_envelope_check(trace)
         assert check.ok
         assert check.utilization <= 1.0
@@ -467,7 +486,8 @@ class TestTrajectoryMonitor:
         traj_a, traj_b, params = _pair(512, t_end=0.5, stride=0.05)
         grid = traj_a.grid
         mask = np.abs(grid.axis_centers()) < 0.6
-        j1 = [j1_term(grid, cand, ref, params, mask=mask)
+        j1 = [j1_term(grid, snapshot_primitive(cand, params), snapshot_primitive(ref, params),
+                      mask=mask)
               for t, cand, ref in zip(traj_a.times, traj_a.snapshots, traj_b.snapshots)
               if t >= 0.1]
         assert len(j1) == 9
@@ -481,9 +501,9 @@ class TestTrajectoryMonitor:
         traj_a, traj_b, params = _pair(256, init={"name": init})
         grid = traj_a.grid
         for cand, ref in zip(traj_a.snapshots[2:], traj_b.snapshots[2:]):
-            j1 = j1_term(grid, cand, ref, params)
-            c_rho, c_vel, _ = snapshot_primitive(cand, params)
-            _, r_vel, _ = snapshot_primitive(ref, params)
+            state, prim = snapshot_primitive(cand, params), snapshot_primitive(ref, params)
+            j1 = j1_term(grid, state, prim)
+            (c_rho, c_vel, _), r_vel = state, prim[1]
             kinetic = grid.cell_volume * exact_sum(c_rho * (c_vel[0] - r_vel[0]) ** 2)
             assert j1 <= oslip_discrete(grid, -r_vel) * kinetic * (1.0 + 1e-12)
 
@@ -494,20 +514,21 @@ class TestTrajectoryMonitor:
         grid = traj_a.grid
         over = []
         for t, cand, ref in zip(traj_a.times[2:], traj_a.snapshots[2:], traj_b.snapshots[2:]):
-            prim = snapshot_primitive(ref, params)
-            total = rel_entropy_total(grid, snapshot_primitive(cand, params), prim, params)
-            if j1_term(grid, cand, ref, params) / total > oslip_discrete(grid, prim[1]):
+            state, prim = snapshot_primitive(cand, params), snapshot_primitive(ref, params)
+            total = rel_entropy_total(grid, state, prim, params)
+            if j1_term(grid, state, prim) / total > oslip_discrete(grid, prim[1]):
                 over.append(round(t, 12))
         assert over == [0.25]
 
     def test_mismatched_grids_rejected(self, gamma14):
-        cfg = {"name": "smooth"}
-        a = run(SolverConfig(grid=PeriodicGrid(1, 64), params=gamma14, t_end=0.1,
-                             init=cfg, snapshot_stride=0.05))
-        b = run(SolverConfig(grid=PeriodicGrid(1, 128), params=gamma14, t_end=0.1,
-                             init=cfg, snapshot_stride=0.05))
-        with pytest.raises(ValueError):
-            gronwall_monitor(a, b, gamma14)
+        # 96 and 64 cells do not divide, and a 1D and a 2D grid never nest
+        a, b, c = (run(SolverConfig(grid=grid, params=gamma14, t_end=0.1,
+                                    init={"name": "double_rarefaction"}, snapshot_stride=0.05))
+                   for grid in (PeriodicGrid(1, 96), PeriodicGrid(1, 64), PeriodicGrid(2, 32)))
+        for cand, ref in ((a, b), (b, a), (b, c), (c, b)):
+            with pytest.raises(ValueError, match=f"do not nest: {re.escape(repr(cand.grid))} "
+                                                 f"and {re.escape(repr(ref.grid))}"):
+                gronwall_monitor(cand, ref)
 
     def test_mismatched_gases_rejected(self, gamma14):
         # b's snapshots were read with a's gamma
@@ -515,7 +536,7 @@ class TestTrajectoryMonitor:
                                  init={"name": "smooth"}, snapshot_stride=0.05))
                 for params in (gamma14, GasParams(5.0 / 3.0)))
         with pytest.raises(ValueError, match="trajectories of different gases"):
-            gronwall_monitor(a, b, gamma14)
+            gronwall_monitor(a, b)
 
 
 def _fitted_loop(times, integral):
@@ -575,7 +596,7 @@ class TestTimeQuadratureAgainstLoops:
         traj = Trajectory(PeriodicGrid(1, 4), params, snaps)
         values = iter(integral)
         monkeypatch.setattr(relentropy, "rel_entropy_total", lambda *args: next(values))
-        return gronwall_monitor(traj, traj, params, sigma=float(times[0]) if len(times) else 0.0)
+        return gronwall_monitor(traj, traj, sigma=float(times[0]) if len(times) else 0.0)
 
     def _assert_monitor_matches_loop(self, monkeypatch, times, integral):
         trace = self._monitor(monkeypatch, times, integral)
@@ -632,8 +653,8 @@ class TestTimeQuadratureAgainstLoops:
             self._assert_envelope_matches_loop([], [], [], [])
 
     def test_real_pair(self):
-        traj_a, traj_b, params = _pair(64)
-        trace = gronwall_monitor(traj_a, traj_b, params, sigma=0.1)
+        traj_a, traj_b, _ = _pair(64)
+        trace = gronwall_monitor(traj_a, traj_b, sigma=0.1)
         fitted, skipped = _fitted_loop(trace.times, trace.integral)
         assert np.isfinite(fitted).sum() >= len(fitted) // 2
         assert _hex(trace.fitted_k) == _hex(fitted)

@@ -158,6 +158,34 @@ class TestPeriodicReference:
         with pytest.raises(DomainError, match="interact"):
             sampler(np.array([0.0]), 10.0)
 
+    def test_horizon_comes_before_every_front_reaches_the_seam(self, gamma14):
+        # the fronts of the problems at x = 0 and x = +-1 meet at |x| = 0.5 no
+        # sooner than 0.5 / (fastest front); a horizon from the left star state
+        # alone came 1.26 times too late on the worst of these draws (81 of 2000 past it)
+        rng = np.random.default_rng(20191)
+        for _ in range(2000):
+            a, b = (Wave1D(*rng.uniform((0.1, -1.0, 0.1), (2.0, 1.0, 2.0))) for _ in "ab")
+            fastest = max(_fastest_front(exact_riemann(a, b, gamma14)),
+                          _fastest_front(exact_riemann(b, a, gamma14)))
+            with pytest.raises(DomainError, match="interact"):
+                periodic_double_riemann(a, b, gamma14)(np.array([0.0]),
+                                                       0.5 / fastest * (1.0 + 1e-12))
+
+
+def _fastest_front(sol):
+    """max |speed| over the fronts of ``sol``: each shock, each fan's head
+    and tail, and the contact."""
+    g, ps, us = sol.gamma, sol.p_star, sol.u_star
+    fronts = [us]
+    for st, sign in ((sol.left, -1.0), (sol.right, 1.0)):
+        c = st.sound_speed(g)
+        if ps > st.p:
+            fronts.append(st.u + sign * c * np.sqrt((g + 1.0) / (2.0 * g) * ps / st.p
+                                                    + (g - 1.0) / (2.0 * g)))
+        else:
+            fronts += [st.u + sign * c, us + sign * c * (ps / st.p) ** ((g - 1.0) / (2.0 * g))]
+    return max(abs(f) for f in fronts)
+
 
 def _right_branch_oracle(sol, s):
     """The right half of the fan, sampled directly (the pre-mirror sampler)."""

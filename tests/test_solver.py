@@ -250,6 +250,16 @@ class TestExactTrajectory:
         with pytest.raises(DomainError, match=f"interact after t = {horizon}, got t = 2$"):
             exact_trajectory(cfg, [0.1, 2.0])
 
+    def test_horizon_sees_the_star_state_right_of_the_contact(self):
+        # the inner right shock (speed 3.147) reaches x = 0.5 at t = 0.1589.  The
+        # left star state alone gave a horizon of 0.2063, and at t = 0.18 the
+        # "exact" density at x = 0.52 and 0.55 was the unshocked 0.1486
+        cfg = _config(n=200, init={"name": "riemann", "left": [1.51817, 0.754727, 1.74223],
+                                   "right": [0.148587, 0.175980, 0.535916]})
+        assert exact_trajectory(cfg, [0.135]).times == [0.135]
+        with pytest.raises(DomainError, match="interact after t = 0.1351, got t = 0.18$"):
+            exact_trajectory(cfg, [0.18])
+
     @pytest.mark.parametrize("init", [{"name": "smooth"}, {"name": "isentropic_smooth"},
                                       {"name": "sod", "transverse": 0.1}])
     def test_data_without_an_exact_solution_is_a_value_error(self, init):
@@ -288,8 +298,7 @@ class TestExactTrajectory:
         for n in (64, 128, 256):
             cfg = _config(n=n, t_end=1.0, init={"name": "advection"}, stride=0.05)
             traj = run(cfg)
-            trace = gronwall_monitor(traj, exact_trajectory(cfg, traj.times), cfg.params,
-                                     sigma=0.1)
+            trace = gronwall_monitor(traj, exact_trajectory(cfg, traj.times), sigma=0.1)
             assert np.all(trace.oslip_c == 0.0)
             utilization.append(gronwall_envelope_check(trace).utilization)
             e_sigma.append(trace.integral[0])

@@ -47,7 +47,7 @@ UNSET_OPTIONS = {
 _KEEP_LIST_CAPS = {"TEST_ONLY": 4, "TEST_ONLY_FIELDS": 4, "UNSET_OPTIONS": 4}
 
 #: The yardstick at its last count: a change that grows src/ raises this in its own diff.
-_YARDSTICK_CAP = 3089
+_YARDSTICK_CAP = 3080
 
 
 @functools.cache
@@ -149,6 +149,52 @@ def test_modulus_guard_sees_a_planted_evaluation(tmp_path):
                  "        return abs(grid.shift_values(v, off) - v).max()\n")
     last = (src / "commutator.py").read_text().count("\n")
     assert _stray_uses(src, *_ONE_MODULUS) == [f"commutator.py:{last}"]
+
+
+#: The window rule's refusal, and the one (module, scope) that states it.
+_WINDOW_REFUSAL = ("at least two", ("grid.py", ("time_window",)))
+
+
+def _stray_strings(src: Path, text: str, home: tuple) -> list[str]:
+    """``module:line`` of every string constant (f-string parts and docstrings
+    included) in ``src`` that holds ``text``, outside the (module, scope)
+    ``home``; asserts there is one inside it."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value:
+            found.append((module, node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(src.glob("*.py")):
+        visit(_parse(path), path.name, ())
+    assert any((module, scope) == home for module, _, scope in found), f"{text!r} is gone"
+    return [f"{module}:{line}" for module, line, scope in found if (module, scope) != home]
+
+
+def test_one_window_rule():
+    """The refusal of a time window with fewer than two snapshots is raised in
+    grid.time_window alone: every caller's window goes through it."""
+    stray = _stray_strings(SRC, *_WINDOW_REFUSAL)
+    assert not stray, f"the window refusal outside grid.time_window: {stray}"
+
+
+def test_window_guard_sees_planted_refusals(tmp_path):
+    src = tmp_path / "eulerlab"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "conditions.py", "a") as fh:
+        fh.write("\n\ndef planted(inside):\n    if inside.sum() < 2:\n"
+                 "        raise ValueError('need at least two samples past delta')\n")
+    with open(src / "grid.py", "a") as fh:
+        fh.write("\n\ndef planted(inside, sigma):\n    if inside.sum() < 2:\n"
+                 "        raise ValueError(f'need at least two snapshots past sigma={sigma}')\n")
+    last = (src / "conditions.py").read_text().count("\n")
+    last_grid = (src / "grid.py").read_text().count("\n")
+    assert _stray_strings(src, *_WINDOW_REFUSAL) == [f"conditions.py:{last}",
+                                                     f"grid.py:{last_grid}"]
 
 
 def _stray_rolls(src: Path) -> list[str]:
